@@ -18,7 +18,6 @@ fn report(group: &str, name: &str, ms: f64) {
 fn bench_duration(s: &Scenario) {
     for minutes in [5u32, 15, 25] {
         let q = s.canonical_squery(minutes);
-        s.engine.warm_con_index(q.start_time_s, q.duration_s);
         let es = measure(1, 9, || s.engine.s_query(&q, Algorithm::ExhaustiveSearch));
         report("fig4_1_duration", &format!("es/{minutes}"), es.median_ms());
         let fast = measure(1, 9, || s.engine.s_query(&q, Algorithm::SqmbTbs));
@@ -37,7 +36,6 @@ fn bench_probability(s: &Scenario) {
             prob: prob as f64 / 100.0,
             ..s.canonical_squery(10)
         };
-        s.engine.warm_con_index(q.start_time_s, q.duration_s);
         let m = measure(1, 9, || s.engine.s_query(&q, Algorithm::SqmbTbs));
         report(
             "fig4_3_probability",
@@ -54,7 +52,6 @@ fn bench_start_time(s: &Scenario) {
             start_time_s: hour * 3600,
             ..s.canonical_squery(10)
         };
-        s.engine.warm_con_index(q.start_time_s, q.duration_s);
         let m = measure(1, 9, || s.engine.s_query(&q, Algorithm::SqmbTbs));
         report(
             "fig4_5_start_time",
@@ -69,7 +66,6 @@ fn bench_interval(s: &Scenario) {
     for dt_min in [5u32, 10, 20] {
         let engine = s.engine_with_slot(dt_min * 60);
         let q = s.canonical_squery(10);
-        engine.warm_con_index(q.start_time_s, q.duration_s);
         let m = measure(1, 9, || engine.s_query(&q, Algorithm::SqmbTbs));
         report(
             "fig4_7_interval",
@@ -88,7 +84,6 @@ fn bench_mquery(s: &Scenario) {
             duration_s: 20 * 60,
             prob: 0.2,
         };
-        s.engine.warm_con_index(q.start_time_s, q.duration_s);
         let rep = measure(1, 5, || {
             s.engine.m_query(&q, MQueryAlgorithm::RepeatedSQuery)
         });

@@ -19,13 +19,12 @@ use streach_bench::timing::{measure, Measurement};
 use streach_core::con_index::ConIndex;
 use streach_core::config::IndexConfig;
 use streach_core::query::reference::{naive_exhaustive_search, naive_trace_back_search};
-use streach_core::query::sqmb::{num_hops, sqmb};
+use streach_core::query::sqmb::sqmb;
 use streach_core::query::tbs::trace_back_search;
 use streach_core::query::verifier::ReachabilityVerifier;
 use streach_core::query::{es::exhaustive_search, SQuery};
 use streach_core::speed_stats::SpeedStats;
 use streach_core::st_index::StIndex;
-use streach_core::time::slot_of;
 use streach_geo::GeoPoint;
 use streach_roadnet::{GeneratorConfig, RoadNetwork, SegmentId, SyntheticCity};
 use streach_traj::{FleetConfig, TrajectoryDataset};
@@ -77,13 +76,6 @@ fn main() {
     let start_time = 11 * 3600u32;
     for minutes in [3u32, 5, 8, 10, 15, 25] {
         let duration = minutes * 60;
-        // Pre-build the Con-Index slots so timings cover query processing
-        // only (the paper's indexes are built offline).
-        let slots: Vec<u32> = (0..num_hops(duration, config.slot_s))
-            .map(|step| slot_of(start_time + step * config.slot_s, config.slot_s))
-            .collect();
-        con.build_slots(&slots);
-
         rows.push(bench_squery(
             &network, &st, &con, start, start_time, duration, minutes,
         ));

@@ -125,7 +125,6 @@ fn run_cold_path(
                 ReachabilityEngine::open_snapshot_with_backend(dir, network.clone(), backend)
                     .expect("cold open");
             let open_s = t0.elapsed().as_secs_f64();
-            engine.warm_con_index(probe.start_time_s, probe.duration_s);
             engine.st_index().clear_cache();
             engine.st_index().io_stats().reset();
             let t0 = Instant::now();
@@ -226,7 +225,6 @@ fn run_concurrent_queries(
     engine.attach_wal(dir.join("ingest.wal")).expect("attach");
     let controller =
         MaintenanceController::spawn(Arc::clone(&engine), dir, MaintenanceConfig::default());
-    engine.warm_con_index(probe.start_time_s, probe.duration_s);
     let stop = AtomicBool::new(false);
     let (elapsed, mut latencies) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..2)
@@ -427,8 +425,6 @@ fn run_serving(
             }
         }
     }
-    engine.warm_con_index(9 * 3600, 900);
-    engine.warm_con_index(10 * 3600, 900);
 
     // Serial references: the bit-identity gate every ticket checks against.
     let expected: Vec<(Vec<SegmentId>, u64)> = workload
@@ -625,9 +621,6 @@ fn run_subscriptions(
             )
         };
         let (eng_inc, eng_full) = (open(), open());
-        for eng in [&eng_inc, &eng_full] {
-            eng.warm_con_index(9 * 3600, 900);
-        }
         let mgr_inc = SubscriptionManager::spawn(eng_inc.clone(), config.clone());
         let mgr_full = SubscriptionManager::spawn(eng_full.clone(), config.clone());
         for q in &subs {
@@ -1364,7 +1357,6 @@ fn main() {
 
     // Serving engine: reopen + WAL-backed ingest.
     let engine = ReachabilityEngine::open_snapshot(&dir, network.clone()).expect("open snapshot");
-    engine.warm_con_index(probe.start_time_s, probe.duration_s);
     let latency_before = measure(2, 9, || engine.s_query(&probe, Algorithm::SqmbTbs));
 
     let wal_path = dir.join("ingest.wal");
@@ -1385,7 +1377,6 @@ fn main() {
     drop(volatile);
 
     let delta = engine.st_index().delta_stats();
-    engine.warm_con_index(probe.start_time_s, probe.duration_s);
     let latency_delta = measure(2, 9, || engine.s_query(&probe, Algorithm::SqmbTbs));
 
     // Snapshot costs: incremental (base page file reused) vs full.
@@ -1403,7 +1394,6 @@ fn main() {
     let t0 = Instant::now();
     engine.compact().expect("compact");
     let compact_s = t0.elapsed().as_secs_f64();
-    engine.warm_con_index(probe.start_time_s, probe.duration_s);
     let latency_compacted = measure(2, 9, || engine.s_query(&probe, Algorithm::SqmbTbs));
 
     // Correctness smoke: bit-identical to the from-scratch combined build.

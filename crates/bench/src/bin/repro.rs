@@ -52,9 +52,6 @@ impl Ctx {
     }
 
     fn run(&self, q: &SQuery, algo: Algorithm) -> streach_core::query::QueryOutcome {
-        self.scenario
-            .engine
-            .warm_con_index(q.start_time_s, q.duration_s);
         self.scenario.engine.s_query(q, algo)
     }
 
@@ -156,7 +153,6 @@ fn fig4_1a(ctx: &Ctx) -> Table {
         let q = ctx.squery(11 * 3600, l, 0.2);
         let es = ctx.run(&q, Algorithm::ExhaustiveSearch);
         let fast5 = ctx.run(&q, Algorithm::SqmbTbs);
-        engine10.warm_con_index(q.start_time_s, q.duration_s);
         let fast10 = engine10.s_query(&q, Algorithm::SqmbTbs);
         let best = fast5
             .stats
@@ -188,7 +184,6 @@ fn fig4_1b(ctx: &Ctx) -> Table {
     for l in (5..=35).step_by(5) {
         let q = ctx.squery(11 * 3600, l, 0.2);
         let fast5 = ctx.run(&q, Algorithm::SqmbTbs);
-        engine10.warm_con_index(q.start_time_s, q.duration_s);
         let fast10 = engine10.s_query(&q, Algorithm::SqmbTbs);
         t.row(vec![
             l.to_string(),
@@ -361,7 +356,6 @@ fn fig4_7(ctx: &Ctx) -> Table {
         let mut times = Vec::new();
         for l in [5u32, 10] {
             let q = ctx.squery(11 * 3600, l, 0.2);
-            engine.warm_con_index(q.start_time_s, q.duration_s);
             let out = engine.s_query(&q, Algorithm::SqmbTbs);
             times.push(out.stats.running_time_ms());
         }
@@ -398,9 +392,6 @@ fn fig4_8a(ctx: &Ctx) -> Table {
             duration_s: l * 60,
             prob: 0.2,
         };
-        ctx.scenario
-            .engine
-            .warm_con_index(q.start_time_s, q.duration_s);
         let repeated = ctx
             .scenario
             .engine
@@ -442,9 +433,6 @@ fn fig4_8b(ctx: &Ctx) -> Table {
             duration_s: 20 * 60,
             prob: 0.2,
         };
-        ctx.scenario
-            .engine
-            .warm_con_index(q.start_time_s, q.duration_s);
         let repeated = ctx
             .scenario
             .engine
@@ -478,9 +466,6 @@ fn fig4_9(ctx: &Ctx) -> Table {
         duration_s: 20 * 60,
         prob: 0.2,
     };
-    ctx.scenario
-        .engine
-        .warm_con_index(q.start_time_s, q.duration_s);
     let union = ctx.scenario.engine.m_query(&q, MQueryAlgorithm::MqmbTbs);
     ctx.write_geojson("fig4_9_all", &union.region);
     t.row(vec![
@@ -584,8 +569,6 @@ fn snapshot(ctx: &Ctx) -> Table {
     // Round-trip check: the canonical query answers bit-identically on the
     // rebuilt and the reopened engine, and the cold engine pays real I/O.
     let q = ctx.squery(11 * 3600, 10, 0.2);
-    rebuilt.warm_con_index(q.start_time_s, q.duration_s);
-    reopened.warm_con_index(q.start_time_s, q.duration_s);
     let warm_out = rebuilt.s_query(&q, Algorithm::SqmbTbs);
     reopened.st_index().clear_cache();
     reopened.st_index().io_stats().reset();

@@ -161,7 +161,6 @@ mod tests {
         assert!(s.network.num_segments() > 100);
         assert!(s.dataset.stats().num_segment_visits > 1000);
         let q = s.canonical_squery(10);
-        s.engine.warm_con_index(q.start_time_s, q.duration_s);
         let outcome = s.engine.s_query(&q, Algorithm::SqmbTbs);
         assert!(!outcome.region.is_empty());
         assert!(outcome.region.total_length_km > 0.0);

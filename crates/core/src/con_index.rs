@@ -8,27 +8,38 @@
 //! (upper bound range) indicating the nearest (farthest) road segments that
 //! could be arrived at within the given time slot." (Section 3.2.2)
 //!
-//! A connection table is built per Δt slot by running the network-expansion
+//! The lists of one Δt slot come from running the network-expansion
 //! algorithm with the historical **minimum** observed speed (Near list) and
 //! the historical **maximum** observed speed (Far list) of every segment.
 //!
 //! # Memory model
 //!
-//! The paper builds the full Con-Index offline over a 194 GB dataset and a
-//! city-scale network; the table for every slot of the day would not fit in
-//! the memory budget of a laptop-scale reproduction. This implementation
-//! therefore materialises connection tables **per slot on demand** and keeps
-//! the most recently used `max_cached_slots` of them (see
-//! [`IndexConfig::max_cached_con_slots`](crate::config::IndexConfig)); the
-//! benchmark harness pre-builds the slots its workload touches via
-//! [`ConIndex::build_slots`] so that query timings never include table
-//! construction, matching the paper's offline-index assumption.
+//! The paper builds the full Con-Index offline over a 194 GB dataset; its
+//! queries then *hop* through the stored lists: `B ← ⋃_{r∈B} Far(r, slot)`.
+//! Because `Far(r, slot)` is defined as what one bounded expansion from `r`
+//! reaches, that union is by definition what a single **multi-source**
+//! expansion from `B` reaches (the floating-point argument is on
+//! [`DijkstraWorkspace::expand_within_time`]). The query path therefore
+//! stores nothing: a bounding pass pins one version of the
+//! speed statistics and evaluates every hop directly on the calling
+//! thread's dense workspace, in time proportional to the segments the hop
+//! touches. Nothing has to be warmed before a query, invalidated by
+//! ingest, shared between server workers or carried through a checkpoint.
+//!
+//! Materialised per-slot tables ([`SlotTable`], [`ConIndex::slot_table`],
+//! [`ConIndex::build_slots`], the `con_tables` snapshot section) remain for
+//! inspection, for the literal Algorithm 1/3 oracle in
+//! [`crate::query::reference`] and for the benchmark's probes; they are
+//! built on demand through the same hop primitive, cached up to
+//! [`IndexConfig::max_cached_con_slots`](crate::config::IndexConfig) and
+//! dropped when ingest touches their slot. No query, serving, subscription
+//! or router path reads or builds one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use streach_roadnet::{expand_within_time, RoadNetwork, SegmentId};
+use streach_roadnet::{with_thread_workspace, DijkstraWorkspace, RoadNetwork, SegmentId};
 
 use crate::config::IndexConfig;
 use crate::speed_stats::SpeedStats;
@@ -91,13 +102,50 @@ struct Cache {
     evicted: u64,
 }
 
+/// One bounding pass over the Con-Index: a single pinned version of the
+/// speed statistics plus the calling thread's expansion workspace, so every
+/// hop of the pass sees the same speeds even while ingest publishes newer
+/// ones. Obtained from [`ConIndex::bounding_pass`].
+pub(crate) struct BoundingPass<'a> {
+    con: &'a ConIndex,
+    stats: &'a SpeedStats,
+    ws: &'a mut DijkstraWorkspace,
+}
+
+impl BoundingPass<'_> {
+    /// One Con-Index hop: `sources ∪ ⋃_{r∈sources} Far(r, slot)` (Near
+    /// lists when `use_far` is false), evaluated as one multi-source
+    /// expansion over Δt at the slot's maximum (minimum) speeds. Yields
+    /// every reached segment exactly once, sources included.
+    pub(crate) fn hop<'s>(
+        &'s mut self,
+        sources: &[SegmentId],
+        slot: u32,
+        use_far: bool,
+    ) -> impl Iterator<Item = SegmentId> + 's {
+        let BoundingPass { con, stats, .. } = *self;
+        let network: &RoadNetwork = &con.network;
+        let budget = con.slot_s as f64;
+        if use_far {
+            self.ws.expand_within_time(network, sources, budget, |s| {
+                stats.max_speed_ms(network, s, slot)
+            });
+        } else {
+            self.ws.expand_within_time(network, sources, budget, |s| {
+                stats.min_speed_ms(network, s, slot, con.fallback_min_speed_ms)
+            });
+        }
+        self.ws.settled().map(|(seg, _)| seg)
+    }
+}
+
 /// The Con-Index.
 pub struct ConIndex {
     network: Arc<RoadNetwork>,
-    /// The historical speed statistics the tables derive from. Behind a
+    /// The historical speed statistics the hops derive from. Behind a
     /// copy-on-write `RwLock<Arc<..>>` so streaming ingest can fold new
-    /// observations in while an in-flight table build keeps reading its own
-    /// consistent version.
+    /// observations in while an in-flight bounding pass or table build
+    /// keeps reading its own consistent version.
     speed_stats: RwLock<Arc<SpeedStats>>,
     /// Bumped on every statistics update; a table built against an older
     /// version is served to its in-flight query but never cached, so an
@@ -123,8 +171,8 @@ pub struct ConIndexStats {
 
 impl ConIndex {
     /// Creates a Con-Index over the network using the given historical speed
-    /// statistics. Tables are built lazily; call [`ConIndex::build_slots`] to
-    /// pre-build specific slots.
+    /// statistics. Nothing is precomputed: queries evaluate their hops
+    /// directly, and tables are materialised only when asked for.
     pub fn new(
         network: Arc<RoadNetwork>,
         speed_stats: Arc<SpeedStats>,
@@ -157,7 +205,21 @@ impl ConIndex {
         self.slot_s
     }
 
-    /// The historical speed statistics the tables are derived from (the
+    /// Runs `f` with a [`BoundingPass`] over the current speed statistics
+    /// and the calling thread's workspace. Must not be nested inside another
+    /// [`with_thread_workspace`] borrow (it would panic, not misbehave).
+    pub(crate) fn bounding_pass<R>(&self, f: impl FnOnce(&mut BoundingPass<'_>) -> R) -> R {
+        let stats = self.speed_stats();
+        with_thread_workspace(|ws| {
+            f(&mut BoundingPass {
+                con: self,
+                stats: &stats,
+                ws,
+            })
+        })
+    }
+
+    /// The historical speed statistics the hops are derived from (the
     /// current version; ingest may publish a newer one later).
     pub(crate) fn speed_stats(&self) -> Arc<SpeedStats> {
         Arc::clone(&self.speed_stats.read())
@@ -309,42 +371,39 @@ impl ConIndex {
     }
 
     /// Both lists of one segment in one slot (convenience used in tests and
-    /// small tools; the query algorithms use [`ConIndex::slot_table`]).
+    /// small tools).
     pub fn connection_lists(&self, segment: SegmentId, slot: u32) -> ConnectionLists {
         self.slot_table(slot).lists(segment).clone()
     }
 
     fn build_table(&self, slot: u32) -> SlotTable {
-        let network = &self.network;
         // Pin one consistent stats version for the whole build; a
         // concurrent ingest publishes a new Arc without disturbing it.
         let stats = self.speed_stats();
-        let budget = self.slot_s as f64;
-        let n = network.num_segments();
-        // One independent pair of bounded expansions per segment —
-        // embarrassingly parallel, and the dominant cost of warming a slot.
-        let seg_ids: Vec<u32> = (0..n as u32).collect();
+        // One independent pair of single-source hops per segment —
+        // embarrassingly parallel, each on its worker's thread workspace.
+        let seg_ids: Vec<u32> = (0..self.network.num_segments() as u32).collect();
         let lists = streach_par::par_map(&seg_ids, |&seg_idx| {
             let seg = SegmentId(seg_idx);
-            let far_exp = expand_within_time(network, &[seg], budget, |s| {
-                stats.max_speed_ms(network, s, slot)
-            });
-            let near_exp = expand_within_time(network, &[seg], budget, |s| {
-                stats.min_speed_ms(network, s, slot, self.fallback_min_speed_ms)
-            });
-            let mut far: Vec<SegmentId> = far_exp
-                .reached()
-                .into_iter()
-                .filter(|s| *s != seg)
-                .collect();
-            let mut near: Vec<SegmentId> = near_exp
-                .reached()
-                .into_iter()
-                .filter(|s| *s != seg)
-                .collect();
-            far.sort_unstable();
-            near.sort_unstable();
-            ConnectionLists { near, far }
+            with_thread_workspace(|ws| {
+                let mut pass = BoundingPass {
+                    con: self,
+                    stats: &stats,
+                    ws,
+                };
+                let mut list = |use_far| {
+                    let mut ids: Vec<SegmentId> = pass
+                        .hop(&[seg], slot, use_far)
+                        .filter(|s| *s != seg)
+                        .collect();
+                    ids.sort_unstable();
+                    ids
+                };
+                ConnectionLists {
+                    far: list(true),
+                    near: list(false),
+                }
+            })
         });
         SlotTable { slot, lists }
     }

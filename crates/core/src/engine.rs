@@ -15,7 +15,7 @@ use crate::ingest::{
 };
 use crate::query::es::exhaustive_search;
 use crate::query::mqmb::{mqmb, mqmb_trace_back};
-use crate::query::sqmb::{num_hops, sqmb};
+use crate::query::sqmb::sqmb;
 use crate::query::tbs::trace_back_search;
 use crate::query::verifier::VerifierCore;
 use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
@@ -946,18 +946,6 @@ impl ReachabilityEngine {
             *self.base_pages.lock() = None;
         }
         Ok(folded)
-    }
-
-    /// Pre-builds the Con-Index connection tables a query (or a whole sweep
-    /// of queries) will need, so that query timings reflect pure query
-    /// processing — the paper builds its indexes offline.
-    pub fn warm_con_index(&self, start_time_s: u32, duration_s: u32) {
-        let slot_s = self.config.slot_s;
-        let k = num_hops(duration_s, slot_s);
-        let slots: Vec<u32> = (0..k)
-            .map(|step| slot_of(start_time_s.saturating_add(step * slot_s), slot_s))
-            .collect();
-        self.con_index.build_slots(&slots);
     }
 
     /// Maps a query location to its start road segment via the ST-Index

@@ -17,6 +17,20 @@
 //! the travel cap fall back to the euclidean distance between the query
 //! point and the segment's memoized midpoint. The owner table itself is a
 //! dense `Vec<u32>` keyed by segment index — no hashing on the hot path.
+//!
+//! # The hop is evaluated, not looked up
+//!
+//! Algorithm 3 walks the bounding set and, for each member `r`, offers every
+//! `b ∈ Far(r, slot)` to `r`'s owner; `b` is claimed iff it is still unowned
+//! and `nearest_start(b)` is that owner. Whether `b` ends the hop claimed —
+//! and by whom — therefore depends only on whether *some* segment owned by
+//! `nearest_start(b)` at the start of the hop has `b` in its list; the order
+//! of the walk cannot matter. So each hop runs one multi-source expansion
+//! per start over the segments that start currently owns (which reaches
+//! exactly the union of their lists — see [`crate::query::sqmb`] for why
+//! that is exact in floating point) and applies the unchanged claim rule:
+//! regions *and* owners are bit-identical to the list walk, which survives
+//! as [`crate::query::reference::naive_mqmb`].
 
 use std::time::Instant;
 
@@ -24,14 +38,13 @@ use streach_geo::GeoPoint;
 use streach_roadnet::{RoadClass, RoadNetwork, SegmentId};
 use streach_storage::StorageResult;
 
-use crate::con_index::ConIndex;
-use crate::query::sqmb::num_hops;
+use crate::con_index::{BoundingPass, ConIndex};
+use crate::query::sqmb::hop_slots;
 use crate::query::verifier::{PostingSource, VerifierCore, VerifierScratch};
 use crate::region::ReachableRegion;
-use crate::time::slot_of;
 
 /// Sentinel for "segment not in the region / unowned".
-const NO_OWNER: u32 = u32::MAX;
+pub(crate) const NO_OWNER: u32 = u32::MAX;
 
 /// Unified bounding regions of an m-query.
 #[derive(Debug, Clone)]
@@ -73,7 +86,7 @@ impl MqmbBounds {
 
 /// Per-start network distances used for the `rs = argmin dis(r0, b)`
 /// ownership decisions, with a euclidean fallback for unreachable segments.
-struct OwnershipDistances<'a> {
+pub(crate) struct OwnershipDistances<'a> {
     network: &'a RoadNetwork,
     start_points: &'a [GeoPoint],
     /// Network-nearest start per segment (`NO_OWNER` = unreached by every
@@ -85,7 +98,7 @@ struct OwnershipDistances<'a> {
 }
 
 impl<'a> OwnershipDistances<'a> {
-    fn new(
+    pub(crate) fn new(
         network: &'a RoadNetwork,
         starts: &[SegmentId],
         start_points: &'a [GeoPoint],
@@ -123,7 +136,7 @@ impl<'a> OwnershipDistances<'a> {
     /// falling back to euclidean midpoint distance when no start reaches the
     /// segment within the cap. Ties resolve to the lowest index, so the
     /// result is deterministic.
-    fn nearest_start(&self, seg: SegmentId) -> usize {
+    pub(crate) fn nearest_start(&self, seg: SegmentId) -> usize {
         match self.network_nearest[seg.index()] {
             NO_OWNER => {
                 let mid = self.network.segment_midpoint(seg);
@@ -144,46 +157,42 @@ impl<'a> OwnershipDistances<'a> {
 }
 
 fn expand(
-    con_index: &ConIndex,
+    pass: &mut BoundingPass<'_>,
     distances: &OwnershipDistances<'_>,
     num_segments: usize,
     starts: &[SegmentId],
-    start_time_s: u32,
-    duration_s: u32,
+    hop_slots: &[u32],
     use_far: bool,
 ) -> (Vec<SegmentId>, Vec<u32>) {
-    let slot_s = con_index.slot_s();
-    let k = num_hops(duration_s, slot_s);
     let mut owner: Vec<u32> = vec![NO_OWNER; num_segments];
-    let mut bounding: Vec<SegmentId> = Vec::new();
+    // The bounding set, split by owning start.
+    let mut owned: Vec<Vec<SegmentId>> = vec![Vec::new(); starts.len()];
     for (i, &s) in starts.iter().enumerate() {
         if owner[s.index()] == NO_OWNER {
             owner[s.index()] = i as u32;
-            bounding.push(s);
+            owned[i].push(s);
         }
     }
 
-    for step in 0..k {
-        let slot = slot_of(start_time_s.saturating_add(step * slot_s), slot_s);
-        let table = con_index.slot_table(slot);
-        let snapshot_len = bounding.len();
-        for idx in 0..snapshot_len {
-            let r = bounding[idx];
-            let owner_r = owner[r.index()];
-            let list = if use_far { table.far(r) } else { table.near(r) };
-            for &next in list {
-                if owner[next.index()] != NO_OWNER {
-                    continue;
-                }
+    for &slot in hop_slots {
+        for (i, mine) in owned.iter_mut().enumerate() {
+            if mine.is_empty() {
+                continue; // a duplicated start owns nothing
+            }
+            // Claims land in `mine` only after this start's expansion ran,
+            // and no other start's claims ever do, so every start expands
+            // exactly what it owned when the hop began.
+            for next in pass.hop(mine, slot, use_far) {
                 // Overlap elimination: keep `next` only if its nearest start
                 // location is the one whose expansion reached it.
-                if distances.nearest_start(next) as u32 == owner_r {
-                    owner[next.index()] = owner_r;
-                    bounding.push(next);
+                if owner[next.index()] == NO_OWNER && distances.nearest_start(next) == i {
+                    owner[next.index()] = i as u32;
+                    mine.push(next);
                 }
             }
         }
     }
+    let mut bounding = owned.concat();
     bounding.sort_unstable();
     (bounding, owner)
 }
@@ -203,38 +212,40 @@ pub fn mqmb(
         "m-query needs at least one start segment"
     );
     assert_eq!(starts.len(), start_points.len());
+    // Finished before the bounding pass borrows the thread workspace.
     let distances = OwnershipDistances::new(network, starts, start_points, duration_s);
     let n = network.num_segments();
-    let (max_region, owner) = expand(
-        con_index,
-        &distances,
-        n,
-        starts,
-        start_time_s,
-        duration_s,
-        true,
-    );
-    let (min_region, _) = expand(
-        con_index,
-        &distances,
-        n,
-        starts,
-        start_time_s,
-        duration_s,
-        false,
-    );
-    // The minimum bounding region is contained in the maximum one by
-    // construction of the speed bounds; intersect defensively so the annulus
-    // arithmetic stays valid even for degenerate speed statistics. The max
-    // region's owner table doubles as its membership test.
-    let min_region: Vec<SegmentId> = min_region
-        .into_iter()
-        .filter(|s| owner[s.index()] != NO_OWNER)
-        .collect();
-    MqmbBounds {
-        max_region,
-        min_region,
-        owner,
+    let hop_slots = hop_slots(start_time_s, duration_s, con_index.slot_s());
+    let ((max_region, owner), (min_region, _)) = con_index.bounding_pass(|pass| {
+        (
+            expand(pass, &distances, n, starts, &hop_slots, true),
+            expand(pass, &distances, n, starts, &hop_slots, false),
+        )
+    });
+    MqmbBounds::from_expansions(max_region, min_region, owner)
+}
+
+impl MqmbBounds {
+    /// Assembles the bounds from a Far and a Near expansion.
+    pub(crate) fn from_expansions(
+        max_region: Vec<SegmentId>,
+        min_region: Vec<SegmentId>,
+        owner: Vec<u32>,
+    ) -> Self {
+        // The minimum bounding region is contained in the maximum one by
+        // construction of the speed bounds; intersect defensively so the
+        // annulus arithmetic stays valid even for degenerate speed
+        // statistics. The max region's owner table doubles as its
+        // membership test.
+        let min_region = min_region
+            .into_iter()
+            .filter(|s| owner[s.index()] != NO_OWNER)
+            .collect();
+        Self {
+            max_region,
+            min_region,
+            owner,
+        }
     }
 }
 

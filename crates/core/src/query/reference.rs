@@ -2,8 +2,9 @@
 //!
 //! These mirror the pre-optimization code structure — per-call
 //! `HashMap<date, Vec<u32>>` construction with sort+dedup in the verifier,
-//! hash-map Dijkstra for the distance cap, strictly sequential verification —
-//! and exist for two purposes:
+//! hash-map Dijkstra for the distance cap, strictly sequential verification,
+//! and the literal Algorithm 1/3 walk over materialised Con-Index slot
+//! tables — and exist for two purposes:
 //!
 //! 1. **Equivalence regression**: the `equivalence` integration test asserts
 //!    that the optimized ES/SQMB+TBS/MQMB pipeline returns bit-identical
@@ -19,10 +20,13 @@
 
 use std::collections::HashMap;
 
+use streach_geo::GeoPoint;
 use streach_roadnet::{segment_distances_from, RoadClass, RoadNetwork, SegmentId};
 use streach_storage::StorageResult;
 
-use crate::query::sqmb::BoundingRegions;
+use crate::con_index::ConIndex;
+use crate::query::mqmb::{MqmbBounds, OwnershipDistances, NO_OWNER};
+use crate::query::sqmb::{hop_slots, BoundingRegions};
 use crate::query::SQuery;
 use crate::region::ReachableRegion;
 use crate::st_index::StIndex;
@@ -190,4 +194,87 @@ pub fn naive_trace_back_search(
     let mut segments = bounds.min_region.clone();
     segments.extend_from_slice(&result);
     Ok(ReachableRegion::from_segments(network, segments))
+}
+
+/// Algorithm 1 as written: per hop, fetch the slot's connection table
+/// (building all of it on a miss) and union the Far (Near) ID lists of every
+/// segment in the bounding set.
+pub fn naive_sqmb(
+    con_index: &ConIndex,
+    num_segments: usize,
+    start_segment: SegmentId,
+    start_time_s: u32,
+    duration_s: u32,
+) -> BoundingRegions {
+    let walk = |use_far: bool| {
+        let mut member = vec![false; num_segments];
+        member[start_segment.index()] = true;
+        let mut bounding = vec![start_segment];
+        for slot in hop_slots(start_time_s, duration_s, con_index.slot_s()) {
+            let table = con_index.slot_table(slot);
+            for idx in 0..bounding.len() {
+                let r = bounding[idx];
+                let list = if use_far { table.far(r) } else { table.near(r) };
+                for &next in list {
+                    if !member[next.index()] {
+                        member[next.index()] = true;
+                        bounding.push(next);
+                    }
+                }
+            }
+        }
+        bounding.sort_unstable();
+        bounding
+    };
+    BoundingRegions {
+        max_region: walk(true),
+        min_region: walk(false),
+    }
+}
+
+/// Algorithm 3 as written: the same table walk, a newly reached segment
+/// kept only when the start whose expansion reached it is also its nearest
+/// start (the ownership distances are shared with the optimized path).
+pub fn naive_mqmb(
+    con_index: &ConIndex,
+    network: &RoadNetwork,
+    starts: &[SegmentId],
+    start_points: &[GeoPoint],
+    start_time_s: u32,
+    duration_s: u32,
+) -> MqmbBounds {
+    assert!(!starts.is_empty() && starts.len() == start_points.len());
+    let distances = OwnershipDistances::new(network, starts, start_points, duration_s);
+    let walk = |use_far: bool| {
+        let mut owner = vec![NO_OWNER; network.num_segments()];
+        let mut bounding: Vec<SegmentId> = Vec::new();
+        for (i, &s) in starts.iter().enumerate() {
+            if owner[s.index()] == NO_OWNER {
+                owner[s.index()] = i as u32;
+                bounding.push(s);
+            }
+        }
+        for slot in hop_slots(start_time_s, duration_s, con_index.slot_s()) {
+            let table = con_index.slot_table(slot);
+            // Segments claimed during this hop expand in the next one.
+            for idx in 0..bounding.len() {
+                let r = bounding[idx];
+                let owner_r = owner[r.index()];
+                let list = if use_far { table.far(r) } else { table.near(r) };
+                for &next in list {
+                    if owner[next.index()] == NO_OWNER
+                        && distances.nearest_start(next) as u32 == owner_r
+                    {
+                        owner[next.index()] = owner_r;
+                        bounding.push(next);
+                    }
+                }
+            }
+        }
+        bounding.sort_unstable();
+        (bounding, owner)
+    };
+    let (max_region, owner) = walk(true);
+    let (min_region, _) = walk(false);
+    MqmbBounds::from_expansions(max_region, min_region, owner)
 }

@@ -2,15 +2,33 @@
 //!
 //! Starting from the start road segment `r0`, the algorithm repeatedly jumps
 //! through the Con-Index: in step `ℓ` it unions the Far (resp. Near) ID lists
-//! of every segment currently in the bounding set, using the connection
-//! table of the slot containing `T + ℓ·Δt`, until `k` steps cover the query
-//! duration (`kΔt ≤ L < (k+1)Δt`). The Far expansion yields the **maximum
-//! bounding region** (an upper bound of the Prob-reachable region), the Near
+//! of every segment currently in the bounding set, for the slot containing
+//! `T + ℓ·Δt`, until `k` steps cover the query duration
+//! (`kΔt ≤ L < (k+1)Δt`). The Far expansion yields the **maximum bounding
+//! region** (an upper bound of the Prob-reachable region), the Near
 //! expansion the **minimum bounding region** (a lower bound).
+//!
+//! # The hop is evaluated, not looked up
+//!
+//! `Far(r, slot)` is by construction the set one expansion from `r` reaches
+//! within Δt at the slot's maximum speeds, so the step
+//! `B ← B ∪ ⋃_{r∈B} Far(r, slot)` is the set one *multi-source* expansion
+//! from `B` reaches: a segment is within budget of the nearest source iff it
+//! is within budget of some source. The identity is exact in floating
+//! point, not just on paper. An arrival time is the left fold
+//! `((0 + c₁) + c₂) + …` of non-negative traversal costs along a path;
+//! `a + c` rounds monotonically in `a`, so Dijkstra settles every segment at
+//! the minimum fold over all paths from all sources — the minimum of the
+//! single-source arrivals, bit for bit — and a fold never decreases along
+//! its path, so the `≤ Δt` pruning never cuts a path whose final sum is
+//! within budget. Every source settles at 0, so the settled set of hop `ℓ`
+//! *is* the bounding set of hop `ℓ+1`. The literal list walk survives as
+//! [`crate::query::reference::naive_sqmb`]; the equivalence suites pin the
+//! two bit-identical.
 
 use streach_roadnet::SegmentId;
 
-use crate::con_index::ConIndex;
+use crate::con_index::{BoundingPass, ConIndex};
 use crate::time::slot_of;
 
 /// The two bounding regions computed by SQMB.
@@ -51,73 +69,48 @@ pub fn num_hops(duration_s: u32, slot_s: u32) -> u32 {
     duration_s.div_ceil(slot_s).max(1)
 }
 
-/// One bounded expansion through the Con-Index using either the Far or the
-/// Near lists.
+/// The Δt slot of every Con-Index hop of a query, in hop order: hop `ℓ`
+/// uses the slot containing `T + ℓ·Δt` (wrapping past midnight).
+pub(crate) fn hop_slots(start_time_s: u32, duration_s: u32, slot_s: u32) -> Vec<u32> {
+    (0..num_hops(duration_s, slot_s))
+        .map(|step| slot_of(start_time_s.saturating_add(step * slot_s), slot_s))
+        .collect()
+}
+
+/// One hop per slot through the Con-Index using either the Far or the Near
+/// speeds.
 fn expand(
-    con_index: &ConIndex,
+    pass: &mut BoundingPass<'_>,
     start_segment: SegmentId,
-    start_time_s: u32,
-    duration_s: u32,
-    num_segments: usize,
+    hop_slots: &[u32],
     use_far: bool,
 ) -> Vec<SegmentId> {
-    let slot_s = con_index.slot_s();
-    let k = num_hops(duration_s, slot_s);
-
-    let mut member = vec![false; num_segments];
-    let mut bounding: Vec<SegmentId> = Vec::new();
-    member[start_segment.index()] = true;
-    bounding.push(start_segment);
-
     // R starts as {r0}; after each step R = B (Algorithm 1, line 8).
-    for step in 0..k {
-        let slot = slot_of(start_time_s.saturating_add(step * slot_s), slot_s);
-        let table = con_index.slot_table(slot);
-        let snapshot_len = bounding.len();
-        for idx in 0..snapshot_len {
-            let r = bounding[idx];
-            let list = if use_far { table.far(r) } else { table.near(r) };
-            for &next in list {
-                if !member[next.index()] {
-                    member[next.index()] = true;
-                    bounding.push(next);
-                }
-            }
-        }
+    let mut bounding = vec![start_segment];
+    for &slot in hop_slots {
+        let reached = pass.hop(&bounding, slot, use_far);
+        bounding.clear();
+        bounding.extend(reached);
     }
     bounding.sort_unstable();
     bounding
 }
 
 /// Runs SQMB: computes the maximum and minimum bounding regions of an
-/// s-query starting at `start_segment`.
+/// s-query starting at `start_segment`. (`_num_segments` predates the dense
+/// expansion workspace, which sizes itself from the network.)
 pub fn sqmb(
     con_index: &ConIndex,
-    num_segments: usize,
+    _num_segments: usize,
     start_segment: SegmentId,
     start_time_s: u32,
     duration_s: u32,
 ) -> BoundingRegions {
-    let max_region = expand(
-        con_index,
-        start_segment,
-        start_time_s,
-        duration_s,
-        num_segments,
-        true,
-    );
-    let min_region = expand(
-        con_index,
-        start_segment,
-        start_time_s,
-        duration_s,
-        num_segments,
-        false,
-    );
-    BoundingRegions {
-        max_region,
-        min_region,
-    }
+    let hop_slots = hop_slots(start_time_s, duration_s, con_index.slot_s());
+    con_index.bounding_pass(|pass| BoundingRegions {
+        max_region: expand(pass, start_segment, &hop_slots, true),
+        min_region: expand(pass, start_segment, &hop_slots, false),
+    })
 }
 
 #[cfg(test)]

@@ -61,7 +61,9 @@
 //!
 //! # Threads
 //!
-//! The server runs `workers` long-lived threads; each drained batch's
+//! A submission whose answer is cached is served on the submitting thread
+//! and never enters the queue. Everything else goes to the workers: the
+//! server runs `workers` long-lived threads; each drained batch's
 //! verification stage fans out on `streach_par` inside
 //! [`trace_back_search`] exactly like a serial query, so a single large
 //! query still uses all cores while independent groups proceed on separate
@@ -79,13 +81,13 @@ use crate::con_index::ConIndex;
 use crate::engine::ReachabilityEngine;
 use crate::ingest::{IngestObserver, IngestTouch};
 use crate::query::mqmb::mqmb;
-use crate::query::sqmb::{num_hops, BoundingRegions};
+use crate::query::sqmb::{hop_slots, BoundingRegions};
 use crate::query::tbs::trace_back_search;
 use crate::query::verifier::{PostingSource, VerifierCore};
 use crate::query::{Algorithm, QueryError, QueryOutcome, SQuery};
 use crate::sharded::ShardedEngine;
 use crate::stats::QueryStats;
-use crate::time::{slot_of, slots_overlapping};
+use crate::time::slots_overlapping;
 
 /// Tuning knobs of a [`QueryServer`].
 #[derive(Debug, Clone)]
@@ -191,9 +193,7 @@ pub(crate) fn answer_coalesced<I: PostingSource + ?Sized>(
                 continue;
             }
         };
-        let hop_slots: Vec<u32> = (0..num_hops(q.duration_s, slot_s))
-            .map(|k| slot_of(q.start_time_s.saturating_add(k * slot_s), slot_s))
-            .collect();
+        let hop_slots = hop_slots(q.start_time_s, q.duration_s, slot_s);
         match groups
             .iter_mut()
             .find(|g| g.segment == segment && g.hop_slots == hop_slots)
@@ -457,9 +457,8 @@ struct ResultCache {
 /// window and the probability window, wrapped into the day grid.
 fn query_slots(q: &SQuery, slot_s: u32) -> Vec<u32> {
     let slots_per_day = streach_traj::SECONDS_PER_DAY.div_ceil(slot_s);
-    let mut slots: Vec<u32> = (0..num_hops(q.duration_s, slot_s))
-        .map(|k| slot_of(q.start_time_s.saturating_add(k * slot_s), slot_s) % slots_per_day)
-        .collect();
+    let mut slots = hop_slots(q.start_time_s, q.duration_s, slot_s);
+    slots.iter_mut().for_each(|s| *s %= slots_per_day);
     let t0_end = q.start_time_s.saturating_add(slot_s);
     slots.extend(slots_overlapping(q.start_time_s, t0_end, slot_s).map(|s| s % slots_per_day));
     slots.extend(
@@ -504,22 +503,26 @@ impl ResultCache {
         self.lock().epoch
     }
 
-    fn get(&self, key: &CacheKey) -> Option<QueryOutcome> {
+    /// A lookup that counts only when it hits: the submit-side probe. A
+    /// request it misses goes on to a worker, whose [`ResultCache::get`]
+    /// counts the miss once.
+    fn probe(&self, key: &CacheKey) -> Option<QueryOutcome> {
         let mut state = self.lock();
         state.clock += 1;
         let stamp = state.clock;
-        match state.map.get_mut(key) {
-            Some(entry) => {
-                entry.hits += 1;
-                entry.last_hit = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.outcome.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let entry = state.map.get_mut(key)?;
+        entry.hits += 1;
+        entry.last_hit = stamp;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(entry.outcome.clone())
+    }
+
+    fn get(&self, key: &CacheKey) -> Option<QueryOutcome> {
+        let hit = self.probe(key);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        hit
     }
 
     /// Inserts an answer computed while the cache was at `epoch_at_read`;
@@ -578,6 +581,9 @@ impl ResultCache {
 struct Request {
     query: SQuery,
     algorithm: Algorithm,
+    /// The key the request caches under, resolved once at submission;
+    /// `None` without a cache or for a query that is never cached.
+    key: Option<CacheKey>,
     slot: Arc<ResponseSlot>,
 }
 
@@ -714,9 +720,28 @@ impl<B: ServeBackend> QueryServer<B> {
 
     /// Enqueues one s-query; blocks while the submission queue is full.
     /// After shutdown began the ticket resolves to a typed error.
+    ///
+    /// A cached answer is served right here, on the caller's thread: it
+    /// needs no worker, and the queue hand-off (a condvar wake-up, tens of
+    /// microseconds and at the mercy of whatever else the cores are doing)
+    /// would cost an order of magnitude more than the lookup itself.
     pub fn submit(&self, query: SQuery, algorithm: Algorithm) -> Ticket {
         let slot = Arc::new(ResponseSlot::new());
         let ticket = Ticket { slot: slot.clone() };
+        let cache = self.inner.cache.as_ref();
+        let key = cache.and_then(|_| self.inner.lookup_key(&query, algorithm));
+        let request = Request {
+            query,
+            algorithm,
+            key,
+            slot,
+        };
+        if let Some(outcome) = cache.zip(key).and_then(|(cache, key)| cache.probe(&key)) {
+            request.slot.fulfill(Ok(outcome));
+            self.inner.submitted.fetch_add(1, Ordering::Relaxed);
+            self.inner.completed.fetch_add(1, Ordering::Relaxed);
+            return ticket;
+        }
         let mut state = self.inner.lock_queue();
         while state.queue.len() >= self.inner.config.queue_depth && !state.shutdown {
             state = self
@@ -727,16 +752,12 @@ impl<B: ServeBackend> QueryServer<B> {
         }
         if state.shutdown {
             drop(state);
-            slot.fulfill(Err(QueryError::InvalidQuery(
+            request.slot.fulfill(Err(QueryError::InvalidQuery(
                 "query server is shutting down".into(),
             )));
             return ticket;
         }
-        state.queue.push_back(Request {
-            query,
-            algorithm,
-            slot,
-        });
+        state.queue.push_back(request);
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         drop(state);
         self.inner.not_empty.notify_one();
@@ -853,26 +874,22 @@ impl<B: ServeBackend> ServerInner<B> {
         }
     }
 
-    /// The key a request caches under, when its location resolves. Invalid
+    /// The key a query caches under, when its location resolves. Invalid
     /// or off-network queries are never cached (errors are cheap to recompute
     /// and carry no staleness risk). Locating twice (here and inside the
     /// query) is redundant work, but locate is an in-memory spatial probe —
     /// accepting it keeps the engine's query entry points untouched.
-    fn lookup_key(&self, request: &Request) -> Option<CacheKey> {
-        request.query.validate().ok()?;
-        let segment = self.backend.try_locate(&request.query.location).ok()?;
-        Some(ResultCache::key_of(
-            &request.query,
-            segment,
-            request.algorithm,
-        ))
+    fn lookup_key(&self, query: &SQuery, algorithm: Algorithm) -> Option<CacheKey> {
+        query.validate().ok()?;
+        let segment = self.backend.try_locate(&query.location).ok()?;
+        Some(ResultCache::key_of(query, segment, algorithm))
     }
 
     fn process(&self, batch: Vec<Request>) {
         let cache = self.cache.as_ref();
         let mut to_compute: Vec<Request> = Vec::with_capacity(batch.len());
         for request in batch {
-            if let (Some(cache), Some(key)) = (cache, self.lookup_key(&request)) {
+            if let (Some(cache), Some(key)) = (cache, request.key) {
                 if let Some(outcome) = cache.get(&key) {
                     request.slot.fulfill(Ok(outcome));
                     self.completed.fetch_add(1, Ordering::Relaxed);
@@ -914,7 +931,7 @@ impl<B: ServeBackend> ServerInner<B> {
                 ),
             };
             if let (Some(cache), Some(epoch), Ok(outcome), Some(key)) =
-                (cache, epoch, &result, self.lookup_key(&request))
+                (cache, epoch, &result, request.key)
             {
                 cache.insert(
                     key,
@@ -941,7 +958,7 @@ impl<B: ServeBackend> ServerInner<B> {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
             }
             if let (Some(cache), Some(epoch), Ok(outcome), Some(key)) =
-                (cache, epoch, &answer.outcome, self.lookup_key(&request))
+                (cache, epoch, &answer.outcome, request.key)
             {
                 cache.insert(
                     key,

@@ -11,7 +11,7 @@ use streach_core::config::IndexConfig;
 use streach_core::query::es::exhaustive_search;
 use streach_core::query::mqmb::{mqmb, mqmb_trace_back};
 use streach_core::query::reference::{
-    naive_exhaustive_search, naive_trace_back_search, NaiveVerifier,
+    naive_exhaustive_search, naive_mqmb, naive_sqmb, naive_trace_back_search, NaiveVerifier,
 };
 use streach_core::query::sqmb::sqmb;
 use streach_core::query::tbs::trace_back_search;
@@ -253,6 +253,105 @@ fn multi_location_mqmb_matches_naive_owner_verification() {
             "MQMB mismatch at T={t} L={l} prob={prob}"
         );
     }
+}
+
+/// Direct-hop SQMB/MQMB (one multi-source expansion per hop) against the
+/// literal Algorithm 1/3 walk over materialised slot tables: maximum and
+/// minimum regions and every segment's owner must be bit-identical, for
+/// aligned, unaligned and midnight-wrapping start times, one to seven hops,
+/// and every start-set shape (1/2/3 starts, a duplicated start, two points
+/// on one segment).
+fn assert_direct_bounding_matches_table_walk(network: &RoadNetwork, con: &ConIndex, label: &str) {
+    let n = network.num_segments();
+    let center = network.bounds().center();
+    let points = [
+        center,
+        center.offset_m(1500.0, 0.0),
+        center.offset_m(0.0, -1500.0),
+        network.segment_midpoint(SegmentId(0)),
+    ];
+    let segs: Vec<SegmentId> = points
+        .iter()
+        .map(|p| network.nearest_segment(p).unwrap().0)
+        .collect();
+    // (starts, start points) per m-query shape.
+    let on_one_segment = network.segment_midpoint(segs[1]);
+    let shapes: Vec<(Vec<SegmentId>, Vec<GeoPoint>)> = vec![
+        (segs[..1].to_vec(), points[..1].to_vec()),
+        (segs[..2].to_vec(), points[..2].to_vec()),
+        (segs[..3].to_vec(), points[..3].to_vec()),
+        (
+            vec![segs[0], segs[3], segs[0]],
+            vec![points[0], points[3], points[0]],
+        ),
+        (
+            vec![segs[1], segs[2], segs[1]],
+            vec![points[1], points[2], on_one_segment],
+        ),
+    ];
+    let start_times = [
+        9 * 3600u32,
+        9 * 3600 + 137,      // unaligned: hops straddle slot boundaries
+        23 * 3600 + 55 * 60, // hops wrap past midnight
+    ];
+    for t in start_times {
+        for l in [300u32, 600, 1200, 2100] {
+            for &start in &segs {
+                let direct = sqmb(con, n, start, t, l);
+                let naive = naive_sqmb(con, n, start, t, l);
+                assert_eq!(
+                    direct.max_region, naive.max_region,
+                    "{label}: SQMB max region, start {start} T={t} L={l}"
+                );
+                assert_eq!(
+                    direct.min_region, naive.min_region,
+                    "{label}: SQMB min region, start {start} T={t} L={l}"
+                );
+            }
+            for (starts, start_points) in &shapes {
+                let direct = mqmb(con, network, starts, start_points, t, l);
+                let naive = naive_mqmb(con, network, starts, start_points, t, l);
+                let at = format!("{label}: MQMB starts {starts:?} T={t} L={l}");
+                assert_eq!(direct.max_region, naive.max_region, "{at}: max region");
+                assert_eq!(direct.min_region, naive.min_region, "{at}: min region");
+                for seg in network.segment_ids() {
+                    assert_eq!(
+                        direct.owner_of(seg),
+                        naive.owner_of(seg),
+                        "{at}: owner of {seg}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn direct_bounding_matches_table_walk_on_small_city() {
+    let f = fixture();
+    assert_direct_bounding_matches_table_walk(&f.network, &f.con, "9x9");
+}
+
+/// The same on a 21×21 city, where seven hops do not saturate the network
+/// and an all-day fleet gives the night slots observed speeds too.
+#[test]
+fn direct_bounding_matches_table_walk_on_21x21_city() {
+    let network = Arc::new(SyntheticCity::generate(GeneratorConfig::medium()).network);
+    let dataset = TrajectoryDataset::simulate(
+        &network,
+        FleetConfig {
+            num_taxis: 12,
+            num_days: 2,
+            day_start_s: 0,
+            day_end_s: streach_traj::SECONDS_PER_DAY,
+            seed: 11,
+            ..FleetConfig::default()
+        },
+    );
+    let config = IndexConfig::default();
+    let stats = Arc::new(SpeedStats::from_dataset(&network, &dataset, config.slot_s));
+    let con = ConIndex::new(network.clone(), stats, &config);
+    assert_direct_bounding_matches_table_walk(&network, &con, "21x21");
 }
 
 /// Satellite guard for the fallible plumbing: on a fault-free store the

@@ -80,6 +80,22 @@ fn effective_workers(len: usize) -> usize {
     num_workers(len)
 }
 
+/// Joins every worker of a scope and, if any panicked, re-raises the payload
+/// of the first one in input (spawn) order. Left to itself,
+/// `std::thread::scope` replaces a worker's payload with a generic "a scoped
+/// thread panicked".
+fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) {
+    let mut first_panic = None;
+    for handle in handles {
+        if let Err(payload) = handle.join() {
+            first_panic.get_or_insert(payload);
+        }
+    }
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
+}
+
 /// Maps `items` through `f` in parallel, returning outputs in input order.
 ///
 /// `f` runs concurrently on chunks of `items` across scoped threads; panics
@@ -119,16 +135,21 @@ where
     std::thread::scope(|scope| {
         // Pair each input chunk with the matching slice of the output buffer;
         // the zip hands every worker a disjoint &mut region.
-        for (in_chunk, out_chunk) in items.chunks(chunk_len).zip(out.chunks_mut(chunk_len)) {
-            let init = &init;
-            let f = &f;
-            scope.spawn(move || {
-                let mut state = init();
-                for (item, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(f(&mut state, item));
-                }
-            });
-        }
+        let handles: Vec<_> = items
+            .chunks(chunk_len)
+            .zip(out.chunks_mut(chunk_len))
+            .map(|(in_chunk, out_chunk)| {
+                let init = &init;
+                let f = &f;
+                scope.spawn(move || {
+                    let mut state = init();
+                    for (item, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
+                        *slot = Some(f(&mut state, item));
+                    }
+                })
+            })
+            .collect();
+        join_all(handles);
     });
 
     out.into_iter()
@@ -170,38 +191,42 @@ where
     let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
-        for (chunk_index, (in_chunk, out_chunk)) in items
+        let handles: Vec<_> = items
             .chunks(chunk_len)
             .zip(out.chunks_mut(chunk_len))
             .enumerate()
-        {
-            let init = &init;
-            let f = &f;
-            let cancelled = &cancelled;
-            let first_error = &first_error;
-            let base = chunk_index * chunk_len;
-            scope.spawn(move || {
-                let mut state = init();
-                for (offset, (item, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate()
-                {
-                    if cancelled.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    match f(&mut state, item) {
-                        Ok(value) => *slot = Some(value),
-                        Err(e) => {
-                            cancelled.store(true, Ordering::Relaxed);
-                            let mut guard = first_error.lock().unwrap_or_else(|p| p.into_inner());
-                            let index = base + offset;
-                            if guard.as_ref().is_none_or(|(winner, _)| index < *winner) {
-                                *guard = Some((index, e));
-                            }
+            .map(|(chunk_index, (in_chunk, out_chunk))| {
+                let init = &init;
+                let f = &f;
+                let cancelled = &cancelled;
+                let first_error = &first_error;
+                let base = chunk_index * chunk_len;
+                scope.spawn(move || {
+                    let mut state = init();
+                    for (offset, (item, slot)) in
+                        in_chunk.iter().zip(out_chunk.iter_mut()).enumerate()
+                    {
+                        if cancelled.load(Ordering::Relaxed) {
                             return;
                         }
+                        match f(&mut state, item) {
+                            Ok(value) => *slot = Some(value),
+                            Err(e) => {
+                                cancelled.store(true, Ordering::Relaxed);
+                                let mut guard =
+                                    first_error.lock().unwrap_or_else(|p| p.into_inner());
+                                let index = base + offset;
+                                if guard.as_ref().is_none_or(|(winner, _)| index < *winner) {
+                                    *guard = Some((index, e));
+                                }
+                                return;
+                            }
+                        }
                     }
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        join_all(handles);
     });
 
     if let Some((_, e)) = first_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
@@ -228,9 +253,11 @@ pub fn par_sort_unstable<T: Ord + Send + Copy>(items: &mut Vec<T>) {
     }
     let chunk = n.div_ceil(workers);
     std::thread::scope(|scope| {
-        for piece in items.chunks_mut(chunk) {
-            scope.spawn(move || piece.sort_unstable());
-        }
+        let handles: Vec<_> = items
+            .chunks_mut(chunk)
+            .map(|piece| scope.spawn(move || piece.sort_unstable()))
+            .collect();
+        join_all(handles);
     });
     // Bottom-up merge of the sorted runs.
     let mut src = std::mem::take(items);
@@ -465,15 +492,51 @@ mod tests {
         );
     }
 
+    /// A worker's panic reaches the caller with its own payload (not the
+    /// scope's generic "a scoped thread panicked") on every parallel path.
     #[test]
-    #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        struct Explosive(usize);
+        impl PartialOrd for Explosive {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Explosive {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                if self.0 == 63 || other.0 == 63 {
+                    panic!("boom");
+                }
+                self.0.cmp(&other.0)
+            }
+        }
         let items: Vec<usize> = (0..100).collect();
-        let _ = par_map(&items, |x| {
+        let boom = |x: &usize| {
             if *x == 63 {
                 panic!("boom");
             }
             *x
-        });
+        };
+        fn payload_of(run: impl FnOnce()) -> String {
+            let forced = || with_worker_override(4, run);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(forced))
+                .expect_err("the worker's panic must reach the caller");
+            payload
+                .downcast_ref::<&str>()
+                .map_or("?", |s| s)
+                .to_string()
+        }
+        assert_eq!(payload_of(|| drop(par_map(&items, boom))), "boom");
+        assert_eq!(
+            payload_of(|| drop(try_par_map_with(
+                &items,
+                || (),
+                |(), x| Ok::<_, ()>(boom(x))
+            ))),
+            "boom"
+        );
+        let mut explosive: Vec<Explosive> = (0..100).rev().map(Explosive).collect();
+        assert_eq!(payload_of(|| par_sort_unstable(&mut explosive)), "boom");
     }
 }

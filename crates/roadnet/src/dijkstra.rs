@@ -1,8 +1,9 @@
 //! Shortest paths over the road network.
 //!
 //! The query hot path runs many Dijkstra expansions per query (the ES
-//! distance cap, MQMB's per-start ownership distances), so the search state
-//! lives in a reusable [`DijkstraWorkspace`]: dense per-segment arrays that
+//! distance cap, MQMB's per-start ownership distances, every Con-Index hop
+//! of a bounding pass), so the search state lives in a reusable
+//! [`DijkstraWorkspace`]: dense per-segment arrays that
 //! are *epoch-stamped* instead of cleared — starting a new run bumps a
 //! counter, and a slot is only considered initialised when its stamp matches
 //! the current epoch. A run therefore costs O(visited) regardless of how
@@ -21,13 +22,12 @@ use std::collections::{BinaryHeap, HashMap};
 use crate::graph::{NodeId, RoadNetwork};
 use crate::segment::SegmentId;
 
-/// A heap entry ordered by distance via `total_cmp`, with the item index as
-/// a deterministic tie-breaker. Shared with the time-budgeted expansion in
-/// [`crate::expansion`].
+/// A heap entry ordered by distance (or arrival time) via `total_cmp`, with
+/// the item index as a deterministic tie-breaker.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct HeapEntry {
-    pub(crate) dist: f64,
-    pub(crate) item: u32,
+struct HeapEntry {
+    dist: f64,
+    item: u32,
 }
 
 impl Eq for HeapEntry {}
@@ -141,7 +141,7 @@ impl DijkstraWorkspace {
             if done(seg) {
                 return;
             }
-            for next in network.successors(seg) {
+            for next in network.successors_iter(seg) {
                 let nd = d + network.segment(next).length_m;
                 if nd <= max_distance_m && nd < self.tentative(next.index()) {
                     self.relax(next.index(), nd);
@@ -150,7 +150,92 @@ impl DijkstraWorkspace {
         }
     }
 
-    /// Distance of `seg` from the start of the most recent run, if reached.
+    /// Multi-source time-budgeted expansion (the "modified conventional
+    /// network expansion" of Section 3.2.2): every segment of `sources`
+    /// starts at arrival time 0, each segment is traversed at the speed
+    /// (m/s) `speed_ms` returns for it, and every segment whose earliest
+    /// arrival is within `budget_s` seconds is settled. Arrival times are
+    /// read like distances — [`DijkstraWorkspace::distance`],
+    /// [`DijkstraWorkspace::settled`] — until the next run.
+    ///
+    /// Traversal cost is charged when *entering* a segment (the expansion
+    /// starts at the head of the source segments, matching the paper's
+    /// convention that the query location lies on the start road segment).
+    /// Segments for which `speed_ms` returns a non-positive value are
+    /// impassable. Duplicate sources are settled once.
+    ///
+    /// A path's arrival time is the left fold `((0 + c1) + c2) + …` of
+    /// non-negative costs, and `a + c` rounds monotonically in `a`, so the
+    /// settled arrival of a segment is exactly the minimum fold over all
+    /// paths from all sources, prefixes never exceed the final sum (budget
+    /// pruning never cuts a valid path), and the settled set of a
+    /// multi-source run is bit-for-bit the union of the single-source runs.
+    pub fn expand_within_time<F>(
+        &mut self,
+        network: &RoadNetwork,
+        sources: &[SegmentId],
+        budget_s: f64,
+        mut speed_ms: F,
+    ) where
+        F: FnMut(SegmentId) -> f64,
+    {
+        self.begin(network.num_segments());
+        // Arrival 0 is final — no path undercuts it — so the sources are
+        // settled up front instead of cycling through the heap; a hop from
+        // a whole bounding region then costs one successor scan per
+        // interior segment.
+        for &s in sources {
+            let idx = s.index();
+            if self.stamp[idx] != self.epoch {
+                self.dist[idx] = 0.0;
+                self.stamp[idx] = self.epoch;
+                self.settled.push(s.0);
+            }
+        }
+        for i in 0..self.settled.len() {
+            self.relax_successors(network, self.settled[i], 0.0, budget_s, &mut speed_ms);
+        }
+        while let Some(Reverse(HeapEntry { dist: t, item })) = self.heap.pop() {
+            if t > self.tentative(item as usize) {
+                continue; // stale heap entry
+            }
+            self.settled.push(item);
+            self.relax_successors(network, item, t, budget_s, &mut speed_ms);
+        }
+    }
+
+    /// Offers arrival `t + cost` to every successor of `item`.
+    #[inline]
+    fn relax_successors<F>(
+        &mut self,
+        network: &RoadNetwork,
+        item: u32,
+        t: f64,
+        budget_s: f64,
+        speed_ms: &mut F,
+    ) where
+        F: FnMut(SegmentId) -> f64,
+    {
+        for next in network.successors_iter(SegmentId(item)) {
+            // Costs are non-negative: a successor already at or below `t`
+            // cannot improve, whatever its speed.
+            if self.tentative(next.index()) <= t {
+                continue;
+            }
+            let speed = speed_ms(next);
+            if speed <= 0.0 {
+                continue;
+            }
+            let nt = t + network.segment(next).length_m / speed;
+            if nt <= budget_s && nt < self.tentative(next.index()) {
+                self.relax(next.index(), nt);
+            }
+        }
+    }
+
+    /// Distance of `seg` from the start of the most recent run (arrival
+    /// time in seconds after [`DijkstraWorkspace::expand_within_time`]), if
+    /// reached.
     #[inline]
     pub fn distance(&self, seg: SegmentId) -> Option<f64> {
         let idx = seg.index();

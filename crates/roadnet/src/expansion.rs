@@ -6,11 +6,14 @@
 //! Con-Index, the whole duration `L` for the exhaustive-search baseline) is
 //! exhausted. The Near ID list uses the historical *minimum* observed speed,
 //! the Far ID list the *maximum* speed.
+//!
+//! The one implementation is the dense, epoch-stamped
+//! [`DijkstraWorkspace::expand_within_time`]; this module keeps the
+//! map-returning convenience form for callers off the hot path.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
-use crate::dijkstra::HeapEntry;
+use crate::dijkstra::DijkstraWorkspace;
 use crate::graph::RoadNetwork;
 use crate::segment::SegmentId;
 
@@ -49,50 +52,23 @@ impl ExpansionResult {
 /// speed (m/s) returned by `speed_ms`, and returns every segment whose
 /// earliest arrival time is within `budget_s` seconds.
 ///
-/// Traversal cost is charged when *entering* a segment (the expansion starts
-/// at the head of the start segments, matching the paper's convention that
-/// the query location lies on the start road segment). Segments for which
-/// `speed_ms` returns a non-positive value are treated as impassable.
+/// Compatibility wrapper around [`DijkstraWorkspace::expand_within_time`]
+/// (same semantics, documented there); hot paths should hold a workspace and
+/// call the method directly to avoid the per-call allocations.
 pub fn expand_within_time<F>(
     network: &RoadNetwork,
     start_segments: &[SegmentId],
     budget_s: f64,
-    mut speed_ms: F,
+    speed_ms: F,
 ) -> ExpansionResult
 where
     F: FnMut(SegmentId) -> f64,
 {
-    let mut arrival: HashMap<SegmentId, f64> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
-    for &s in start_segments {
-        arrival.insert(s, 0.0);
-        heap.push(Reverse(HeapEntry {
-            dist: 0.0,
-            item: s.0,
-        }));
+    let mut ws = DijkstraWorkspace::new();
+    ws.expand_within_time(network, start_segments, budget_s, speed_ms);
+    ExpansionResult {
+        arrival_s: ws.settled().collect(),
     }
-    while let Some(Reverse(HeapEntry { dist: t, item })) = heap.pop() {
-        let seg = SegmentId(item);
-        if t > *arrival.get(&seg).unwrap_or(&f64::INFINITY) {
-            continue;
-        }
-        for next in network.successors(seg) {
-            let speed = speed_ms(next);
-            if speed <= 0.0 {
-                continue;
-            }
-            let cost = network.segment(next).length_m / speed;
-            let nt = t + cost;
-            if nt <= budget_s && nt < *arrival.get(&next).unwrap_or(&f64::INFINITY) {
-                arrival.insert(next, nt);
-                heap.push(Reverse(HeapEntry {
-                    dist: nt,
-                    item: next.0,
-                }));
-            }
-        }
-    }
-    ExpansionResult { arrival_s: arrival }
 }
 
 #[cfg(test)]
@@ -118,76 +94,90 @@ mod tests {
         RoadNetwork::from_roads(&roads)
     }
 
+    fn arrival(ws: &DijkstraWorkspace, i: u32) -> f64 {
+        ws.distance(SegmentId(i)).expect("segment reached")
+    }
+
     #[test]
     fn expansion_respects_time_budget() {
         let net = chain();
+        let mut ws = DijkstraWorkspace::new();
         // 10 m/s on every segment: each 500 m segment costs 50 s.
-        let result = expand_within_time(&net, &[SegmentId(0)], 120.0, |_| 10.0);
+        ws.expand_within_time(&net, &[SegmentId(0)], 120.0, |_| 10.0);
         // Start + two more segments (50 s, 100 s); the fourth would arrive at 150 s.
-        assert_eq!(result.len(), 3);
-        assert!(result.contains(SegmentId(0)));
-        assert!(result.contains(SegmentId(1)));
-        assert!(result.contains(SegmentId(2)));
-        assert!(!result.contains(SegmentId(3)));
-        assert_eq!(result.arrival_s[&SegmentId(0)], 0.0);
-        assert!((result.arrival_s[&SegmentId(2)] - 100.0).abs() < 1.0);
+        assert_eq!(ws.num_settled(), 3);
+        assert!(ws.reached(SegmentId(0)));
+        assert!(ws.reached(SegmentId(1)));
+        assert!(ws.reached(SegmentId(2)));
+        assert!(!ws.reached(SegmentId(3)));
+        assert_eq!(arrival(&ws, 0), 0.0);
+        assert!((arrival(&ws, 2) - 100.0).abs() < 1.0);
     }
 
     #[test]
     fn faster_speed_reaches_farther() {
         let net = chain();
-        let slow = expand_within_time(&net, &[SegmentId(0)], 200.0, |_| 5.0);
-        let fast = expand_within_time(&net, &[SegmentId(0)], 200.0, |_| 20.0);
-        assert!(fast.len() > slow.len());
+        let mut ws = DijkstraWorkspace::new();
+        ws.expand_within_time(&net, &[SegmentId(0)], 200.0, |_| 5.0);
+        let slow: Vec<SegmentId> = ws.settled().map(|(seg, _)| seg).collect();
+        ws.expand_within_time(&net, &[SegmentId(0)], 200.0, |_| 20.0);
+        assert!(ws.num_settled() > slow.len());
         // Every segment reached slowly is also reached quickly (monotonicity).
-        for seg in slow.reached() {
-            assert!(fast.contains(seg));
+        for seg in slow {
+            assert!(ws.reached(seg));
         }
     }
 
     #[test]
     fn zero_speed_blocks_expansion() {
         let net = chain();
+        let mut ws = DijkstraWorkspace::new();
         // Segment 2 is impassable.
-        let result = expand_within_time(&net, &[SegmentId(0)], 1e6, |s| {
+        ws.expand_within_time(&net, &[SegmentId(0)], 1e6, |s| {
             if s == SegmentId(2) {
                 0.0
             } else {
                 10.0
             }
         });
-        assert!(result.contains(SegmentId(1)));
-        assert!(!result.contains(SegmentId(2)));
-        assert!(!result.contains(SegmentId(5)));
+        assert!(ws.reached(SegmentId(1)));
+        assert!(!ws.reached(SegmentId(2)));
+        assert!(!ws.reached(SegmentId(5)));
     }
 
     #[test]
     fn multiple_starts_take_minimum_arrival() {
         let net = chain();
-        let result = expand_within_time(&net, &[SegmentId(0), SegmentId(5)], 60.0, |_| 10.0);
-        assert!(result.contains(SegmentId(6)));
-        assert!((result.arrival_s[&SegmentId(6)] - 50.0).abs() < 1.0);
-        assert!(result.contains(SegmentId(1)));
-        assert!(!result.contains(SegmentId(3)));
-        assert_eq!(result.arrival_s[&SegmentId(5)], 0.0);
+        let mut ws = DijkstraWorkspace::new();
+        // A duplicated source is settled once.
+        let sources = [SegmentId(0), SegmentId(5), SegmentId(0)];
+        ws.expand_within_time(&net, &sources, 60.0, |_| 10.0);
+        assert_eq!(ws.num_settled(), 4);
+        assert!(ws.reached(SegmentId(6)));
+        assert!((arrival(&ws, 6) - 50.0).abs() < 1.0);
+        assert!(ws.reached(SegmentId(1)));
+        assert!(!ws.reached(SegmentId(3)));
+        assert_eq!(arrival(&ws, 5), 0.0);
     }
 
     #[test]
     fn zero_budget_reaches_only_starts() {
         let net = chain();
-        let result = expand_within_time(&net, &[SegmentId(3)], 0.0, |_| 10.0);
-        assert_eq!(result.len(), 1);
-        assert!(result.contains(SegmentId(3)));
+        let mut ws = DijkstraWorkspace::new();
+        ws.expand_within_time(&net, &[SegmentId(3)], 0.0, |_| 10.0);
+        assert_eq!(ws.num_settled(), 1);
+        assert!(ws.reached(SegmentId(3)));
     }
 
     #[test]
     fn arrival_times_are_monotone_along_the_chain() {
         let net = chain();
-        let result = expand_within_time(&net, &[SegmentId(0)], 1e6, |_| 12.0);
-        assert_eq!(result.len(), 10);
+        let mut ws = DijkstraWorkspace::new();
+        ws.expand_within_time(&net, &[SegmentId(0)], 1e6, |_| 12.0);
+        assert_eq!(ws.num_settled(), 10);
         for i in 1..10u32 {
             assert!(
-                result.arrival_s[&SegmentId(i)] > result.arrival_s[&SegmentId(i - 1)],
+                arrival(&ws, i) > arrival(&ws, i - 1),
                 "arrival times must increase along the chain"
             );
         }

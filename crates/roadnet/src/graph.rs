@@ -182,12 +182,17 @@ impl RoadNetwork {
     /// Directed successors of a segment: the segments one can continue onto
     /// after traversing `id` (excluding an immediate U-turn onto its twin).
     pub fn successors(&self, id: SegmentId) -> Vec<SegmentId> {
+        self.successors_iter(id).collect()
+    }
+
+    /// [`RoadNetwork::successors`] without the allocation, for the
+    /// expansion loops that visit thousands of segments per query.
+    pub fn successors_iter(&self, id: SegmentId) -> impl Iterator<Item = SegmentId> + '_ {
         let seg = self.segment(id);
         self.out_segments[seg.end_node.index()]
             .iter()
             .copied()
-            .filter(|next| Some(*next) != seg.twin)
-            .collect()
+            .filter(move |next| Some(*next) != seg.twin)
     }
 
     /// Directed predecessors of a segment.

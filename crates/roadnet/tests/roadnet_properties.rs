@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streach_geo::{GeoPoint, Polyline};
 use streach_roadnet::{
-    expand_within_time, resegment_roads, segment_distances_from, Direction, GeneratorConfig,
-    RawRoad, RoadClass, RoadNetwork, SyntheticCity,
+    expand_within_time, resegment_roads, segment_distances_from, DijkstraWorkspace, Direction,
+    GeneratorConfig, RawRoad, RoadClass, RoadNetwork, SegmentId, SyntheticCity,
 };
 
 fn arb_class(rng: &mut StdRng) -> RoadClass {
@@ -166,6 +166,117 @@ fn expansion_monotonicity() {
         // Arrival times never exceed the budget.
         for (_, t) in fast.arrival_s.iter() {
             assert!(*t <= budget + 1e-9, "case {case}");
+        }
+    }
+}
+
+/// The pre-workspace expansion, kept verbatim as the oracle: a per-call
+/// `HashMap` of arrivals and a heap ordered by (arrival, segment ID).
+fn hashmap_expansion(
+    net: &RoadNetwork,
+    starts: &[SegmentId],
+    budget_s: f64,
+    speed_ms: impl Fn(SegmentId) -> f64,
+) -> std::collections::HashMap<SegmentId, f64> {
+    use std::cmp::Reverse;
+    #[derive(PartialEq)]
+    struct Entry(f64, u32);
+    impl Eq for Entry {}
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Entry {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+        }
+    }
+    let mut arrival = std::collections::HashMap::new();
+    let mut heap = std::collections::BinaryHeap::new();
+    for &s in starts {
+        arrival.insert(s, 0.0);
+        heap.push(Reverse(Entry(0.0, s.0)));
+    }
+    while let Some(Reverse(Entry(t, item))) = heap.pop() {
+        let seg = SegmentId(item);
+        if t > *arrival.get(&seg).unwrap_or(&f64::INFINITY) {
+            continue;
+        }
+        for next in net.successors(seg) {
+            let speed = speed_ms(next);
+            if speed <= 0.0 {
+                continue;
+            }
+            let nt = t + net.segment(next).length_m / speed;
+            if nt <= budget_s && nt < *arrival.get(&next).unwrap_or(&f64::INFINITY) {
+                arrival.insert(next, nt);
+                heap.push(Reverse(Entry(nt, next.0)));
+            }
+        }
+    }
+    arrival
+}
+
+/// The dense workspace expansion reproduces the `HashMap` implementation bit
+/// for bit, and a multi-source run reaches exactly the union of the
+/// single-source runs (each segment at the minimum of their arrivals) — the
+/// identity that lets a Con-Index hop replace a union of Far/Near lists.
+#[test]
+fn dense_expansion_matches_hashmap_and_multi_source_is_the_union() {
+    let mut rng = StdRng::seed_from_u64(406);
+    let mut ws = DijkstraWorkspace::new();
+    for case in 0..12 {
+        let city = SyntheticCity::generate(GeneratorConfig {
+            seed: rng.gen_range(0..1000u64),
+            ..GeneratorConfig::small()
+        });
+        let net = &city.network;
+        let budget = rng.gen_range(30.0..400.0);
+        // Uneven per-segment speeds, with a few impassable segments.
+        let factors: Vec<f64> = (0..net.num_segments())
+            .map(|_| {
+                if rng.gen_bool(0.03) {
+                    0.0
+                } else {
+                    rng.gen_range(0.2..1.0)
+                }
+            })
+            .collect();
+        let speed = |s: SegmentId| net.segment(s).class.free_flow_ms() * factors[s.index()];
+        let mut sources: Vec<SegmentId> = (0..rng.gen_range(1..40usize))
+            .map(|_| SegmentId(rng.gen_range(0..net.num_segments() as u32)))
+            .collect();
+        sources.push(sources[0]); // a duplicate changes nothing
+
+        let mut union: std::collections::HashMap<SegmentId, f64> = Default::default();
+        for &s in &sources {
+            let single = hashmap_expansion(net, &[s], budget, speed);
+            ws.expand_within_time(net, &[s], budget, speed);
+            assert_eq!(ws.num_settled(), single.len(), "case {case} source {s}");
+            for (seg, t) in ws.settled() {
+                assert_eq!(
+                    t.to_bits(),
+                    single[&seg].to_bits(),
+                    "case {case} {s}->{seg}"
+                );
+                let best = union.entry(seg).or_insert(t);
+                *best = best.min(t);
+            }
+        }
+
+        let multi = hashmap_expansion(net, &sources, budget, speed);
+        ws.expand_within_time(net, &sources, budget, speed);
+        assert_eq!(
+            ws.num_settled(),
+            union.len(),
+            "case {case}: reached != union"
+        );
+        assert_eq!(multi.len(), union.len(), "case {case}");
+        for (seg, t) in ws.settled() {
+            assert_eq!(t.to_bits(), union[&seg].to_bits(), "case {case} seg {seg}");
+            assert_eq!(t.to_bits(), multi[&seg].to_bits(), "case {case} seg {seg}");
+            assert!(t <= budget, "case {case}");
         }
     }
 }

@@ -121,7 +121,9 @@ mod tests {
         assert!((t.sampled_length_m() - 700.0).abs() < 3.0);
     }
 
+    // The ordering check is a `debug_assert!`, compiled out in release.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "time-ordered")]
     fn out_of_order_records_rejected_in_debug() {
         let mut t = RawTrajectory::new(1, 0);

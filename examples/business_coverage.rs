@@ -46,7 +46,6 @@ fn main() {
         duration_s: 20 * 60,
         prob: 0.2,
     };
-    engine.warm_con_index(query.start_time_s, query.duration_s);
 
     println!(
         "business coverage of {} branches (T = 10:00, L = 20 min, Prob = 20%):\n",

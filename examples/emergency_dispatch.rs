@@ -58,7 +58,6 @@ fn main() {
                 duration_s: 10 * 60,
                 prob: 0.2,
             };
-            engine.warm_con_index(query.start_time_s, query.duration_s);
             let outcome = engine.s_query(&query, Algorithm::SqmbTbs);
             coverage[i] = outcome.region.total_length_km;
         }

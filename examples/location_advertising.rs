@@ -44,7 +44,6 @@ fn main() {
             duration_s: 15 * 60,
             prob: 0.2,
         };
-        engine.warm_con_index(query.start_time_s, query.duration_s);
         let outcome = engine.s_query(&query, Algorithm::SqmbTbs);
         println!(
             "{:<12} {:>10} {:>14.2} {:>12.1}",

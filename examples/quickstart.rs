@@ -55,7 +55,6 @@ fn main() {
         duration_s: 10 * 60,
         prob: 0.2,
     };
-    engine.warm_con_index(query.start_time_s, query.duration_s);
 
     for (name, algo) in [
         ("exhaustive search (ES)", Algorithm::ExhaustiveSearch),

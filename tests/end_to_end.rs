@@ -87,7 +87,6 @@ fn sqmb_tbs_and_es_agree_on_verified_segments() {
         duration_s: 600,
         prob: 0.25,
     };
-    engine.warm_con_index(q.start_time_s, q.duration_s);
 
     let es = engine.s_query(&q, Algorithm::ExhaustiveSearch);
     let fast = engine.s_query(&q, Algorithm::SqmbTbs);
@@ -138,7 +137,6 @@ fn mquery_union_semantics_and_efficiency() {
         duration_s: 900,
         prob: 0.2,
     };
-    engine.warm_con_index(q.start_time_s, q.duration_s);
 
     let repeated = engine.m_query(&q, MQueryAlgorithm::RepeatedSQuery);
     let unified = engine.m_query(&q, MQueryAlgorithm::MqmbTbs);
@@ -172,7 +170,6 @@ fn mquery_union_semantics_and_efficiency() {
 #[test]
 fn probability_threshold_is_monotone_end_to_end() {
     let (_, engine, center) = build_engine(30, 5);
-    engine.warm_con_index(9 * 3600, 900);
     let mut previous_len = usize::MAX;
     for prob in [0.2, 0.4, 0.6, 0.8, 1.0] {
         let q = SQuery {

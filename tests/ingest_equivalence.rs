@@ -3,14 +3,21 @@
 //! rebuilt from scratch on the combined dataset — on all four query
 //! pipelines, before and after compaction, and across an incremental
 //! snapshot save + reopen + WAL replay. Plus `snapshot_roundtrip.rs`-style
-//! corruption checks on the new incremental artifacts.
+//! corruption checks on the new incremental artifacts, and the Con-Index
+//! contract under ingest: bounding hops evaluated directly stay bit-identical
+//! to the table walk on from-scratch statistics, and no query path ever
+//! materialises a slot table.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use streach::prelude::*;
 use streach::storage::StorageError;
+use streach_core::query::mqmb::mqmb;
+use streach_core::query::reference::{naive_mqmb, naive_sqmb};
+use streach_core::query::sqmb::sqmb;
 use streach_core::query::MQueryAlgorithm;
+use streach_core::ConIndex;
 
 /// Days in the base dataset; the extra `K` days arrive via ingest.
 const BASE_DAYS: u16 = 3;
@@ -277,6 +284,136 @@ fn ingest_is_batch_order_insensitive() {
         b.ingest(batch).expect("reverse ingest");
     }
     assert_bit_identical(&a, &b, "forward vs reverse batch order");
+}
+
+/// Direct-hop SQMB/MQMB on `engine` against the literal table walk over
+/// `tables` — regions and every owner bit-identical — on the workload's
+/// (T, L) pairs.
+fn assert_bounding_matches_table_walk(engine: &ReachabilityEngine, tables: &ConIndex, label: &str) {
+    let network = engine.network();
+    let n = network.num_segments();
+    for (i, (sq, mq)) in workload(network.bounds().center()).iter().enumerate() {
+        let (t, l) = (sq.start_time_s, sq.duration_s);
+        let start = engine.locate(&sq.location).expect("on-network start");
+        let direct = sqmb(engine.con_index(), n, start, t, l);
+        let naive = naive_sqmb(tables, n, start, t, l);
+        assert_eq!(
+            (direct.max_region, direct.min_region),
+            (naive.max_region, naive.min_region),
+            "{label}: SQMB bounds of query #{i} diverged"
+        );
+        let starts: Vec<SegmentId> = mq
+            .locations
+            .iter()
+            .map(|p| engine.locate(p).expect("on-network start"))
+            .collect();
+        let direct = mqmb(engine.con_index(), network, &starts, &mq.locations, t, l);
+        let naive = naive_mqmb(tables, network, &starts, &mq.locations, t, l);
+        assert_eq!(
+            (&direct.max_region, &direct.min_region),
+            (&naive.max_region, &naive.min_region),
+            "{label}: MQMB bounds of query #{i} diverged"
+        );
+        for seg in network.segment_ids() {
+            assert_eq!(
+                direct.owner_of(seg),
+                naive.owner_of(seg),
+                "{label}: MQMB owner of {seg} in query #{i} diverged"
+            );
+        }
+    }
+}
+
+/// Bounding hops read the live speed statistics, so after an arbitrary
+/// ingest interleaving they must still equal the table walk — with the
+/// tables rebuilt from scratch on the current statistics: mid-way on the
+/// ingesting engine itself (those tables must then be dropped by the later
+/// batches), at the end on an engine rebuilt from the combined dataset.
+#[test]
+fn direct_bounding_matches_table_walk_after_interleaved_ingest() {
+    let s = scenario();
+    let ingested = streach::core::EngineBuilder::new(s.network.clone(), &s.base)
+        .index_config(config())
+        .build();
+    let rebuilt = streach::core::EngineBuilder::new(s.network.clone(), &s.combined)
+        .index_config(config())
+        .build();
+    assert_bounding_matches_table_walk(&ingested, ingested.con_index(), "base");
+
+    // Even-indexed batches backwards, then the odd ones forwards.
+    let (even, odd): (Vec<_>, Vec<_>) = s
+        .extra_batches
+        .iter()
+        .enumerate()
+        .partition(|(i, _)| i % 2 == 0);
+    for (_, batch) in even.iter().rev() {
+        ingested.ingest(batch).expect("ingest even batch");
+    }
+    assert_bounding_matches_table_walk(&ingested, ingested.con_index(), "mid-ingest");
+    for (_, batch) in &odd {
+        ingested.ingest(batch).expect("ingest odd batch");
+    }
+    assert_bounding_matches_table_walk(&ingested, rebuilt.con_index(), "vs rebuilt tables");
+    assert_bounding_matches_table_walk(&ingested, ingested.con_index(), "vs own tables");
+}
+
+/// Slot tables are off the query path: a cold engine answers the s- and
+/// m-query sweep on all four pipelines and a `QueryServer` batch, with
+/// ingest landing in the queried slots in between, and its Con-Index still
+/// reports no table built or cached — while every answer equals a freshly
+/// built engine on the same data.
+#[test]
+fn con_index_tables_stay_off_the_query_path() {
+    let s = scenario();
+    let build = |dataset: &TrajectoryDataset| {
+        Arc::new(
+            streach::core::EngineBuilder::new(s.network.clone(), dataset)
+                .index_config(config())
+                .build(),
+        )
+    };
+    let (cold, fresh_base, rebuilt) = (build(&s.base), build(&s.base), build(&s.combined));
+
+    assert_bit_identical(&cold, &fresh_base, "cold sweep");
+    // The extra fleet-days drive 08:00-12:00: inside the workload's windows.
+    for batch in &s.extra_batches {
+        cold.ingest(batch).expect("ingest batch");
+    }
+    let server = QueryServer::start(Arc::clone(&cold), ServeConfig::default());
+    let sweep = workload(s.network.bounds().center());
+    let tickets: Vec<_> = sweep
+        .iter()
+        .map(|(sq, _)| server.submit(*sq, Algorithm::SqmbTbs))
+        .collect();
+    for (i, (ticket, (sq, _))) in tickets.into_iter().zip(&sweep).enumerate() {
+        let served = ticket.wait().expect("served s-query");
+        let want = rebuilt
+            .try_s_query(sq, Algorithm::SqmbTbs)
+            .expect("s-query");
+        assert_eq!(
+            (
+                served.region.segments,
+                served.region.total_length_km.to_bits()
+            ),
+            (want.region.segments, want.region.total_length_km.to_bits()),
+            "served s-query #{i} diverged from the rebuilt engine"
+        );
+    }
+    server.shutdown();
+    assert_bit_identical(&cold, &rebuilt, "after ingest");
+
+    for (name, engine) in [
+        ("cold", &cold),
+        ("fresh", &fresh_base),
+        ("rebuilt", &rebuilt),
+    ] {
+        let tables = engine.con_index().stats();
+        assert_eq!(
+            (tables.slots_built, tables.cached_slots),
+            (0, 0),
+            "{name}: a query path built or read a Con-Index slot table"
+        );
+    }
 }
 
 /// The full streaming lifecycle across processes: open snapshot → attach

@@ -48,7 +48,6 @@ fn reachable_length_grows_with_duration() {
             duration_s: minutes * 60,
             prob: 0.2,
         };
-        engine.warm_con_index(q.start_time_s, q.duration_s);
         let outcome = engine.s_query(&q, Algorithm::SqmbTbs);
         lengths.push(outcome.region.total_length_km);
     }
@@ -65,7 +64,6 @@ fn reachable_length_grows_with_duration() {
 #[test]
 fn region_shrinks_with_probability_but_verifications_stay_flat() {
     let (engine, center) = engine_with_all_day_fleet();
-    engine.warm_con_index(11 * 3600, 900);
     let mut lengths = Vec::new();
     let mut verifications = Vec::new();
     for prob in [0.2, 0.6, 1.0] {
@@ -100,7 +98,6 @@ fn rush_hour_region_is_smaller_than_night_region() {
             duration_s: 600,
             prob: 0.2,
         };
-        engine.warm_con_index(q.start_time_s, q.duration_s);
         let outcome = engine.s_query(&q, Algorithm::SqmbTbs);
         by_time.push((
             hour,
@@ -131,7 +128,6 @@ fn index_based_algorithm_reduces_verifications_substantially() {
         duration_s: 600,
         prob: 0.2,
     };
-    engine.warm_con_index(q.start_time_s, q.duration_s);
     let es = engine.s_query(&q, Algorithm::ExhaustiveSearch);
     let fast = engine.s_query(&q, Algorithm::SqmbTbs);
     assert!(es.stats.segments_verified > 0);
@@ -183,7 +179,6 @@ fn time_interval_granularity_leaves_result_roughly_stable() {
             duration_s: 1200,
             prob: 0.2,
         };
-        engine.warm_con_index(q.start_time_s, q.duration_s);
         let outcome = engine.s_query(&q, Algorithm::SqmbTbs);
         lengths.push(outcome.region.total_length_km);
     }

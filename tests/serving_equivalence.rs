@@ -480,6 +480,14 @@ fn cached_server_racing_ingest_and_compaction_stays_bit_identical() {
             );
         }
         let stats_after = server.stats();
+        // Every query is one lookup verdict: the submit-side probe and the
+        // worker's lookup never both count.
+        assert_eq!(
+            (stats_mid.cache_hits + stats_mid.cache_misses)
+                - (stats_before.cache_hits + stats_before.cache_misses),
+            pool.len() as u64,
+            "[seed {seed}] round {round}: sweep 1 lookups ({stats_before:?} -> {stats_mid:?})"
+        );
         assert!(
             stats_after.cache_hits >= stats_mid.cache_hits + pool.len() as u64,
             "[seed {seed}] round {round}: quiesced sweep 2 must be all cache hits \

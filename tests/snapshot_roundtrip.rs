@@ -67,22 +67,35 @@ fn snapshot_roundtrip_answers_bit_identically() {
     let dir = tmp_dir("roundtrip");
     let center = network.bounds().center();
 
-    // Build, warm the slots the suite needs, save.
+    // Build, materialise a few Con-Index slot tables to seed the
+    // `con_tables` section (queries never build any), save.
     let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
         .index_config(config())
         .build();
-    for q in squery_suite(center) {
-        built.warm_con_index(q.start_time_s, q.duration_s);
-    }
+    let slot_s = built.config().slot_s;
+    let table_slots = [9 * 3600 / slot_s, 12 * 3600 / slot_s, 0];
+    built.con_index().build_slots(&table_slots);
     built.save_snapshot(&dir).expect("save snapshot");
 
     // Reopen cold — the dataset is not in scope here at all.
     let reopened = ReachabilityEngine::open_snapshot(&dir, network.clone()).expect("open snapshot");
 
-    // The Con-Index comes back warm: tables restored, none rebuilt.
-    let con_stats = reopened.con_index().stats();
-    assert!(con_stats.cached_slots > 0, "warmed tables must be restored");
-    assert_eq!(con_stats.slots_built, 0, "no table may be rebuilt on open");
+    // The materialised tables come back verbatim, none rebuilt.
+    assert_eq!(reopened.con_index().stats().cached_slots, table_slots.len());
+    for slot in table_slots {
+        for seg in network.segment_ids().step_by(17) {
+            assert_eq!(
+                built.con_index().connection_lists(seg, slot),
+                reopened.con_index().connection_lists(seg, slot),
+                "slot {slot} lists of {seg} diverged after reopen"
+            );
+        }
+    }
+    assert_eq!(
+        reopened.con_index().stats().slots_built,
+        0,
+        "no table may be rebuilt on open"
+    );
 
     // Cold open must pay real page I/O on the first posting reads.
     reopened.st_index().clear_cache();
