@@ -42,8 +42,9 @@
 //!   trajectory IDs as a `Vec` indexed by `date`, pre-sorted once) and a
 //!   per-worker [`VerifierScratch`](query::verifier::VerifierScratch)
 //!   (day-indexed candidate buckets, touched-day list, raw posting byte
-//!   buffer). Postings are read through
-//!   [`StIndex::read_time_list_into`](st_index::StIndex::read_time_list_into)
+//!   buffer). Postings are read through the index view the core pinned
+//!   once per query
+//!   ([`StIndex::read_pinned`](st_index::StIndex::read_pinned))
 //!   into the recycled buffer and decoded in place with
 //!   [`streach_storage::visit_posting`] (encoding-aware: raw fixed-width and
 //!   delta/varint heaps take the same path), so each (segment, slot) posting
@@ -57,7 +58,7 @@
 //!   [`QueryStats`] reports per-stage `bounding_time`/`verify_time` so the
 //!   split is measurable per query.
 //! * **Fallible storage on the hot path.** Every posting read from
-//!   [`StIndex::read_time_list_into`](st_index::StIndex::read_time_list_into)
+//!   [`StIndex::read_pinned`](st_index::StIndex::read_pinned)
 //!   through [`VerifierCore::probability`](query::verifier::VerifierCore::probability)
 //!   and the parallel ES/TBS/MQMB workers
 //!   (`streach_par::try_par_map_with`: first error wins, remaining work

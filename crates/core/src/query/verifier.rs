@@ -20,13 +20,15 @@
 //! * [`VerifierCore`] holds everything immutable per query: the start
 //!   segment's trajectory IDs as a **day-indexed** table (`Vec` indexed by
 //!   `date as usize`, each day pre-sorted and deduplicated at construction),
-//!   plus the window's slot range. It is freely shared across threads.
+//!   plus the window's slot range, and the index view pinned once for the
+//!   whole query ([`PostingSource::pin`]). It is freely shared across
+//!   threads, and its reads write no index-wide shared state.
 //! * [`VerifierScratch`] holds the per-worker mutable state: a day-indexed
 //!   candidate-ID table, the list of days touched by the current call, and
 //!   the raw posting byte buffer. All of it is recycled between calls, so
 //!   after the first few verifications a `probability` call performs **no
 //!   heap allocation** — postings are copied into the reusable byte buffer
-//!   via [`StIndex::read_time_list_into`] and decoded in place with
+//!   via [`PostingSource::read_pinned`] and decoded in place with
 //!   [`streach_storage::visit_posting`] (the encoding-aware walker: raw
 //!   fixed-width and delta/varint blobs take the same zero-allocation path).
 //!
@@ -50,7 +52,24 @@ use crate::time::slots_overlapping;
 /// router that resolves each `(segment, slot)` read against the shard (and
 /// replica) owning that segment, so the zero-allocation verify loop is
 /// oblivious to the topology behind it.
+///
+/// # Pinned reads
+///
+/// Reads go through a [`PostingSource::Pin`]: a consistent view of the
+/// index taken once (by [`VerifierCore::new`], once per query) and then
+/// shared by every verification worker. For [`StIndex`] the pin is the
+/// current (sealed base, delta tail) pair: every read through it sees that
+/// one base — a compaction publishing a new base meanwhile neither blocks
+/// the reader nor pulls the base out from under it (the pin keeps the old
+/// heap alive and readable) — and ingest folded into that delta tail after
+/// the pin stays visible, exactly as for an unpinned read. A pinned read
+/// writes no index-wide shared state (no lock, no reference count); the
+/// only shared writes left on a warm read are the buffer pool's page shard
+/// and the thread's own [`IoStats`] stripe.
 pub trait PostingSource: Sync {
+    /// A consistent read view; see the trait docs.
+    type Pin: Send + Sync;
+
     /// Slot width in seconds of the underlying index.
     fn slot_s(&self) -> u32;
 
@@ -63,10 +82,14 @@ pub trait PostingSource: Sync {
     /// Shared I/O counters that posting decodes are reported against.
     fn io_stats(&self) -> Arc<IoStats>;
 
-    /// Copies the encoded time list for `(segment, slot)` into `buf`.
-    /// Returns `Ok(false)` when no posting exists for the pair.
-    fn read_time_list_into(
+    /// Pins the current view for a batch of reads.
+    fn pin(&self) -> Self::Pin;
+
+    /// Copies the encoded time list for `(segment, slot)` as seen by `pin`
+    /// into `buf`. Returns `Ok(false)` when no posting exists for the pair.
+    fn read_pinned(
         &self,
+        pin: &Self::Pin,
         segment: SegmentId,
         slot: u32,
         buf: &mut Vec<u8>,
@@ -81,6 +104,9 @@ pub trait PostingSource: Sync {
 /// combination.
 pub struct VerifierCore<'a, I: PostingSource + ?Sized = StIndex> {
     st_index: &'a I,
+    /// The view every read of this core goes through, pinned once at
+    /// construction (see [`PostingSource`]).
+    pin: I::Pin,
     /// Trajectory IDs that passed the start segment during `[T, T + Δt)`,
     /// indexed by date (sorted + deduplicated; empty = day inactive).
     start_ids: Vec<Vec<u32>>,
@@ -149,6 +175,10 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
     /// the first step of the trace back search. The start segment's posting
     /// reads are real page I/O, so construction is fallible: a disk fault or
     /// malformed posting surfaces as `Err` instead of aborting the process.
+    ///
+    /// The index view is pinned here, once: this read and every later
+    /// [`VerifierCore::probability`] read the same (base, delta) pair, even
+    /// across a concurrent compaction (see [`PostingSource`]).
     pub fn new(
         st_index: &'a I,
         start_segment: SegmentId,
@@ -165,10 +195,11 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
 
         let encoding = st_index.posting_encoding();
         let io = st_index.io_stats();
+        let pin = st_index.pin();
         let mut start_ids: Vec<Vec<u32>> = vec![Vec::new(); num_days as usize];
         let mut bytes = Vec::new();
         for slot in slots_overlapping(start_time_s, t0_end, slot_s) {
-            if st_index.read_time_list_into(start_segment, slot, &mut bytes)? {
+            if st_index.read_pinned(&pin, start_segment, slot, &mut bytes)? {
                 let (mut dates, mut ids_seen) = (0u64, 0u64);
                 let well_formed = visit_posting(&bytes, encoding, |date, ids| {
                     dates += 1;
@@ -194,6 +225,7 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
 
         Ok(Self {
             st_index,
+            pin,
             start_ids,
             active_days,
             window_slots: slots_overlapping(start_time_s, end, slot_s),
@@ -254,7 +286,7 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
         for slot in self.window_slots.clone() {
             if self
                 .st_index
-                .read_time_list_into(segment, slot, &mut scratch.bytes)?
+                .read_pinned(&self.pin, segment, slot, &mut scratch.bytes)?
             {
                 let (mut dates, mut ids_seen) = (0u64, 0u64);
                 let well_formed = visit_posting(&scratch.bytes, self.encoding, |date, ids| {

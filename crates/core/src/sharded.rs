@@ -85,6 +85,7 @@ use crate::query::tbs::trace_back_search;
 use crate::query::verifier::{PostingSource, VerifierCore};
 use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
 use crate::region::ReachableRegion;
+use crate::st_index::PinnedState;
 use crate::stats::QueryStats;
 
 /// Which engine of a shard's serving list answers posting reads first.
@@ -135,10 +136,12 @@ struct ShardServing {
 impl ShardServing {
     /// Routed posting read with failover: tries every live engine in
     /// `order`, marks the ones that fault dead, and periodically re-probes
-    /// dead ones so a healed engine rejoins the rotation.
+    /// dead ones so a healed engine rejoins the rotation. Every engine is
+    /// read through its pinned view `pins[idx]` (one per entry).
     fn read_time_list_into(
         &self,
         shard_id: u16,
+        pins: &[PinnedState],
         order: impl Iterator<Item = usize>,
         segment: SegmentId,
         slot: u32,
@@ -158,7 +161,11 @@ impl ShardServing {
                     continue;
                 }
             }
-            match PostingSource::read_time_list_into(entry.engine.st_index(), segment, slot, buf) {
+            match entry
+                .engine
+                .st_index()
+                .read_pinned(&pins[idx], segment, slot, buf)
+            {
                 Ok(found) => {
                     if was_dead {
                         // The probe succeeded: the engine healed. Revive it
@@ -183,13 +190,11 @@ impl ShardServing {
                             continue;
                         }
                         let mut scratch = Vec::new();
-                        if PostingSource::read_time_list_into(
-                            entry.engine.st_index(),
-                            segment,
-                            slot,
-                            &mut scratch,
-                        )
-                        .is_ok()
+                        if entry
+                            .engine
+                            .st_index()
+                            .read_pinned(&pins[behind], segment, slot, &mut scratch)
+                            .is_ok()
                         {
                             entry.skipped.store(0, Ordering::Relaxed);
                             entry.dead.store(false, Ordering::Relaxed);
@@ -663,6 +668,12 @@ struct RoutedPostings<'a> {
 }
 
 impl PostingSource for RoutedPostings<'_> {
+    /// One [`StIndex`](crate::StIndex) pin per serving entry of every shard
+    /// (`[shard][entry]`), so failover and probation probes read pinned
+    /// views too. Topology changes take `&mut ShardedEngine` and therefore
+    /// cannot happen while a query holds this pin.
+    type Pin = Vec<Vec<PinnedState>>;
+
     fn slot_s(&self) -> u32 {
         self.sharded.reference().st_index().slot_s()
     }
@@ -679,8 +690,23 @@ impl PostingSource for RoutedPostings<'_> {
         self.sharded.io.clone()
     }
 
-    fn read_time_list_into(
+    fn pin(&self) -> Self::Pin {
+        self.sharded
+            .shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .entries
+                    .iter()
+                    .map(|entry| entry.engine.st_index().pin())
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn read_pinned(
         &self,
+        pin: &Self::Pin,
         segment: SegmentId,
         slot: u32,
         buf: &mut Vec<u8>,
@@ -689,6 +715,7 @@ impl PostingSource for RoutedPostings<'_> {
         let serving = &self.sharded.shards[shard_id as usize];
         serving.read_time_list_into(
             shard_id,
+            &pin[shard_id as usize],
             self.sharded.order(serving.entries.len()),
             segment,
             slot,

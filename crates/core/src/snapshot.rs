@@ -452,7 +452,7 @@ pub(crate) fn save(
     // ingest lock, which also excludes compaction, so this pinned pair is
     // the engine's state for the save's entire duration — while concurrent
     // queries keep being served from it untouched.
-    let pinned = engine.st_index().pin_state();
+    let pinned = engine.st_index().pin();
 
     // 1. The base posting heap: reuse the published file when incremental
     //    and it still has the length the recorded identity expects (a full

@@ -42,7 +42,12 @@
 //! `IndexState` behind `RwLock<Arc<IndexState>>`. Every reader **pins** the
 //! current state with a single `Arc` clone and performs its directory
 //! lookup and posting read against that pinned pair — always a consistent
-//! (base, delta) combination. Compaction builds the new sealed base
+//! (base, delta) combination. The query hot path pins once per query
+//! ([`StIndex::pin`], taken by the verifier) and reads every posting
+//! through that pin ([`StIndex::read_pinned`]), so its thousands of reads
+//! never touch the lock or the shared reference count; the one-off readers
+//! ([`StIndex::read_time_list_into`] and friends) pin per call. Compaction
+//! builds the new sealed base
 //! entirely off to the side (reading the pinned old state) and publishes it
 //! with **one pointer swap**: readers in flight simply finish on the old
 //! base, which the `Arc` keeps alive, and no query ever blocks on
@@ -235,9 +240,12 @@ impl IndexState {
     }
 }
 
-/// A pinned, immutable view of the index state, handed to the snapshot
-/// writer so one consistent (base, delta) pair backs the whole save.
-pub(crate) struct PinnedState(Arc<IndexState>);
+/// A pinned view of the index: one consistent (sealed base, delta tail)
+/// pair, taken with [`StIndex::pin`]. It keeps that base alive and readable
+/// after a compaction replaces it; ingest folded into the pinned delta tail
+/// stays visible. Verifiers read through one per query
+/// ([`StIndex::read_pinned`]); the snapshot writer pins one for a whole save.
+pub struct PinnedState(Arc<IndexState>);
 
 impl PinnedState {
     /// The sealed-base posting store.
@@ -408,18 +416,20 @@ impl StIndex {
         }
     }
 
-    /// Pins the current (base, delta) state: one `Arc` clone under a read
-    /// lock held for nanoseconds. The pinned pair stays alive (and
-    /// readable) even if a concurrent compaction publishes a new base.
-    fn pin(&self) -> Arc<IndexState> {
+    /// The current (base, delta) state: one `Arc` clone under a read lock
+    /// held for nanoseconds. The pair stays alive (and readable) even if a
+    /// concurrent compaction publishes a new base.
+    fn current(&self) -> Arc<IndexState> {
         Arc::clone(&self.state.read())
     }
 
-    /// Pins the current state for a snapshot save. The caller holds the
-    /// engine's ingest lock, so the pinned pair *is* the index for the
-    /// whole save — neither ingest nor compaction can move it.
-    pub(crate) fn pin_state(&self) -> PinnedState {
-        PinnedState(self.pin())
+    /// Pins the current (base, delta) state for a batch of reads through
+    /// [`StIndex::read_pinned`]: the one place a reader touches the state
+    /// lock and the shared reference count. A verifier pins once per query;
+    /// a snapshot save pins under the engine's ingest lock, so the pinned
+    /// pair *is* the index for the whole save.
+    pub fn pin(&self) -> PinnedState {
+        PinnedState(self.current())
     }
 
     /// Wraps a slot number into the day (circular-day semantics).
@@ -529,12 +539,12 @@ impl StIndex {
 
     /// Size statistics of the mutable delta tail.
     pub fn delta_stats(&self) -> DeltaStats {
-        self.pin().delta_stats()
+        self.current().delta_stats()
     }
 
     /// Shared I/O counters of the posting stores (base and delta).
     pub fn io_stats(&self) -> Arc<IoStats> {
-        self.pin().base.postings.io_stats()
+        self.current().base.postings.io_stats()
     }
 
     /// The wire encoding of the posting heaps (base and delta always
@@ -542,13 +552,13 @@ impl StIndex {
     /// [`streach_storage::visit_posting`] when walking bytes fetched via
     /// [`StIndex::read_time_list_into`].
     pub fn posting_encoding(&self) -> PostingEncoding {
-        self.pin().base.postings.encoding()
+        self.current().base.postings.encoding()
     }
 
     /// Drops all cached posting pages (for cold-cache measurements) from
     /// both the base and the delta buffer pool.
     pub fn clear_cache(&self) {
-        let state = self.pin();
+        let state = self.current();
         state.base.postings.clear_cache();
         state.delta.postings.clear_cache();
     }
@@ -570,7 +580,7 @@ impl StIndex {
     /// corrupted posting bytes surface as `Err` — never a panic, so a
     /// serving process degrades instead of aborting.
     pub fn time_list(&self, segment: SegmentId, slot: u32) -> StorageResult<Option<TimeList>> {
-        let state = self.pin();
+        let state = self.current();
         match state.lookup(segment, self.wrap_slot(slot)) {
             Some(list_ref) => Ok(Some(state.read_time_list(list_ref)?)),
             None => Ok(None),
@@ -596,10 +606,23 @@ impl StIndex {
         slot: u32,
         buf: &mut Vec<u8>,
     ) -> StorageResult<bool> {
-        let state = self.pin();
-        match state.lookup(segment, self.wrap_slot(slot)) {
+        self.read_pinned(&self.pin(), segment, slot, buf)
+    }
+
+    /// [`StIndex::read_time_list_into`] against a view pinned earlier with
+    /// [`StIndex::pin`]: no lock, no reference count, so concurrent readers
+    /// sharing one pin write nothing index-wide. The pin must come from this
+    /// index.
+    pub fn read_pinned(
+        &self,
+        pin: &PinnedState,
+        segment: SegmentId,
+        slot: u32,
+        buf: &mut Vec<u8>,
+    ) -> StorageResult<bool> {
+        match pin.0.lookup(segment, self.wrap_slot(slot)) {
             Some(list_ref) => {
-                state.read_into(list_ref, buf)?;
+                pin.0.read_into(list_ref, buf)?;
                 Ok(true)
             }
             None => Ok(false),
@@ -630,7 +653,7 @@ impl StIndex {
         end_s: u32,
         date: u16,
     ) -> StorageResult<Vec<u32>> {
-        let state = self.pin();
+        let state = self.current();
         let mut slots = slots_overlapping(start_s, end_s, self.slot_s);
         let single_slot = slots.size_hint().0 == 1;
         let mut out: Vec<u32> = Vec::new();
@@ -653,13 +676,15 @@ impl StIndex {
     /// Returns `true` if any trajectory traversed `segment` during `slot` on
     /// any day (reads the directories only — no posting I/O).
     pub fn has_entry(&self, segment: SegmentId, slot: u32) -> bool {
-        self.pin().lookup(segment, self.wrap_slot(slot)).is_some()
+        self.current()
+            .lookup(segment, self.wrap_slot(slot))
+            .is_some()
     }
 
     /// All slots that have at least one time list (base or delta), in
     /// ascending order.
     pub fn populated_slots(&self) -> impl Iterator<Item = u32> + '_ {
-        let state = self.pin();
+        let state = self.current();
         let mut slots: std::collections::BTreeSet<u32> = state
             .base
             .temporal
@@ -704,7 +729,7 @@ impl StIndex {
         if points.is_empty() {
             return Ok(Vec::new());
         }
-        let state = self.pin();
+        let state = self.current();
         let mut obs: Vec<(u32, u32, u16, u32)> = points
             .iter()
             .map(|p| {
@@ -804,7 +829,7 @@ impl StIndex {
     /// serialize through the engine's ingest lock, so the delta cannot grow
     /// between the pin and the swap.
     pub(crate) fn compact(&self) -> StorageResult<DeltaStats> {
-        let state = self.pin();
+        let state = self.current();
         let folded = state.delta_stats();
         if folded.delta_lists == 0 {
             return Ok(folded);
@@ -886,6 +911,8 @@ impl StIndex {
 /// sharded topology substitutes a router (see `crate::sharded`) behind the
 /// same trait.
 impl crate::query::verifier::PostingSource for StIndex {
+    type Pin = PinnedState;
+
     fn slot_s(&self) -> u32 {
         StIndex::slot_s(self)
     }
@@ -902,13 +929,18 @@ impl crate::query::verifier::PostingSource for StIndex {
         StIndex::io_stats(self)
     }
 
-    fn read_time_list_into(
+    fn pin(&self) -> PinnedState {
+        StIndex::pin(self)
+    }
+
+    fn read_pinned(
         &self,
+        pin: &PinnedState,
         segment: SegmentId,
         slot: u32,
         buf: &mut Vec<u8>,
     ) -> StorageResult<bool> {
-        StIndex::read_time_list_into(self, segment, slot, buf)
+        StIndex::read_pinned(self, pin, segment, slot, buf)
     }
 
     fn malformed_posting(&self, segment: SegmentId, slot: u32) -> StorageError {

@@ -1,9 +1,10 @@
 //! An LRU buffer pool in front of a page store.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::iostats::IoStats;
 use crate::page::{Page, PageId};
@@ -27,31 +28,55 @@ use crate::pagestore::{PageStore, StorageError, StorageResult};
 ///
 /// # Concurrency
 ///
-/// * **In-flight fetch coalescing.** When several threads miss on the same
-///   page simultaneously (common during parallel annulus verification, where
-///   neighbouring segments share posting pages), exactly one thread — the
-///   *leader* — issues the physical store read; the others block on the
-///   in-flight entry and are handed the fetched page. One miss and one
-///   physical `page_reads` increment are recorded for the leader; followers
-///   record cache hits, since their request is served from memory. If the
-///   leader's read fails, followers fall back to their own store read.
+/// * **Page-sharded LRU.** The pool is split into LRU shards keyed by page
+///   id (`id % shards`), each behind its own lock on its own cache line, so
+///   parallel verification workers hitting different pages do not write to
+///   the same lock or recency list. The shard count is derived from the
+///   capacity, never configured: one shard per 64 pages, at most 16. A
+///   pool below 128 pages (the fault campaigns' 1-page pools, a 256 KiB
+///   cold-read pool) keeps one exact LRU; a larger one is LRU *per shard*
+///   (the victim is the least recently used page of the missing page's
+///   shard). The shard capacities sum to `capacity`, so total residency
+///   never exceeds it.
+/// * **In-flight fetch coalescing** (per shard). When several threads miss
+///   on the same page simultaneously (common during parallel annulus
+///   verification, where neighbouring segments share posting pages),
+///   exactly one thread — the *leader* — issues the physical store read;
+///   the others block on the in-flight entry and are handed the fetched
+///   page. One miss and one physical `page_reads` increment are recorded
+///   for the leader; followers record cache hits, since their request is
+///   served from memory. If the leader's read fails, followers fall back to
+///   their own store read.
+/// * **Writes make racing fetches stale.** [`BufferPool::write_page`]
+///   writes the store, then refreshes a resident copy — and if a fetch of
+///   the page is in flight, detaches it and marks it stale: its leader may
+///   have copied the bytes before the write, so it hands them to its
+///   waiters (whose reads overlapped the write) but does not cache them,
+///   and a fetch arriving after the write starts a fresh physical read.
 /// * **O(1) eviction.** Recency order lives in an intrusive doubly-linked
 ///   list threaded through a slab of nodes, so refreshing a page on a cache
-///   hit and selecting the LRU victim on a miss are both constant time —
-///   the previous implementation scanned the whole pool per eviction.
+///   hit and selecting the LRU victim on a miss are both constant time.
 pub struct BufferPool<S: PageStore> {
     store: S,
     capacity: usize,
     /// Number of *extra* physical read attempts made when a fetch fails
     /// with a transient error (see [`StorageError::is_transient`]).
     read_retries: u32,
-    inner: Mutex<LruInner>,
+    /// Page `id` lives in `shards[id % shards.len()]`.
+    shards: Box<[Shard]>,
     stats: Arc<IoStats>,
 }
 
 /// Default number of transient-read retries per fetch (so a fetch makes at
 /// most `1 + DEFAULT_READ_RETRIES` physical attempts).
 pub const DEFAULT_READ_RETRIES: u32 = 2;
+
+/// Fewest pages an LRU shard holds: pools smaller than twice this stay one
+/// exact LRU.
+const MIN_SHARD_PAGES: usize = 64;
+
+/// Most LRU shards a pool is split into.
+const MAX_SHARDS: usize = 16;
 
 /// Base backoff before the first retry; each further retry doubles it. The
 /// wait is spin-based (like [`crate::SimulatedDiskStore`]) so the schedule
@@ -61,10 +86,15 @@ const RETRY_BACKOFF_BASE_US: u64 = 50;
 /// Slab index standing in for "no node".
 const NIL: u32 = u32::MAX;
 
+/// One LRU shard behind its own lock, padded so that no two shards (and
+/// nothing else) share a cache line.
+#[repr(align(128))]
+struct Shard(Mutex<LruShard>);
+
 struct Node {
     /// Pages are `Arc`d so a read can take a reference out of the critical
     /// section with one atomic bump — parallel verification workers must not
-    /// serialize on the pool lock for the duration of their posting-byte
+    /// serialize on the shard lock for the duration of their posting-byte
     /// copies.
     page: Arc<Page>,
     id: PageId,
@@ -72,11 +102,13 @@ struct Node {
     next: u32,
 }
 
-struct LruInner {
+struct LruShard {
+    /// Pages this shard may hold.
+    capacity: usize,
     /// page id -> slab index of its node.
     map: HashMap<PageId, u32>,
     /// Node slab; the recency list is threaded through `prev`/`next`. The
-    /// slab never shrinks below the pool capacity: eviction reuses the
+    /// slab never shrinks below the shard capacity: eviction reuses the
     /// victim's slot in place and [`BufferPool::clear`] empties it wholesale.
     nodes: Vec<Node>,
     /// Most recently used node, or [`NIL`].
@@ -96,6 +128,11 @@ struct InFlight {
     /// their own).
     slot: StdMutex<Option<Option<Arc<Page>>>>,
     ready: Condvar,
+    /// Set by a [`BufferPool::write_page`] that landed while this fetch was
+    /// in flight: the leader's bytes may predate the write, so they must not
+    /// be cached. Written and read only under the shard lock, which orders
+    /// the two (hence `Relaxed`).
+    stale: AtomicBool,
 }
 
 impl InFlight {
@@ -103,6 +140,7 @@ impl InFlight {
         Self {
             slot: StdMutex::new(None),
             ready: Condvar::new(),
+            stale: AtomicBool::new(false),
         }
     }
 
@@ -122,7 +160,18 @@ impl InFlight {
     }
 }
 
-impl LruInner {
+impl LruShard {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            map: HashMap::with_capacity(capacity),
+            nodes: Vec::with_capacity(capacity),
+            head: NIL,
+            tail: NIL,
+            in_flight: HashMap::new(),
+        }
+    }
+
     /// Detaches a node from the recency list (it stays in the slab).
     fn unlink(&mut self, idx: u32) {
         let (prev, next) = {
@@ -169,7 +218,7 @@ impl LruInner {
 
     /// Inserts (or refreshes) a page, evicting the LRU victim when full.
     /// O(1): the victim is the list tail, its slab slot is reused in place.
-    fn insert(&mut self, id: PageId, page: Arc<Page>, capacity: usize) {
+    fn insert(&mut self, id: PageId, page: Arc<Page>) {
         if let Some(&idx) = self.map.get(&id) {
             self.nodes[idx as usize].page = page;
             if self.head != idx {
@@ -178,7 +227,7 @@ impl LruInner {
             }
             return;
         }
-        let idx = if self.map.len() >= capacity {
+        let idx = if self.map.len() >= self.capacity {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
             self.unlink(victim);
@@ -200,6 +249,20 @@ impl LruInner {
         self.map.insert(id, idx);
         self.push_front(idx);
     }
+
+    /// Drops every cached page (in-flight fetches are left alone).
+    fn clear(&mut self) {
+        self.map.clear();
+        self.nodes.clear();
+        self.head = NIL;
+        self.tail = NIL;
+    }
+}
+
+/// Number of LRU shards for a pool of `capacity` pages: one per
+/// [`MIN_SHARD_PAGES`], between 1 and [`MAX_SHARDS`].
+fn shard_count(capacity: usize) -> usize {
+    (capacity / MIN_SHARD_PAGES).clamp(1, MAX_SHARDS)
 }
 
 impl<S: PageStore> BufferPool<S> {
@@ -217,19 +280,29 @@ impl<S: PageStore> BufferPool<S> {
     pub fn with_retries(store: S, capacity: usize, read_retries: u32) -> Self {
         assert!(capacity > 0, "buffer pool capacity must be positive");
         let stats = store.io_stats();
+        let n = shard_count(capacity);
+        // Spread the remainder over the first shards: capacities sum to
+        // exactly `capacity`.
+        let shards = (0..n)
+            .map(|i| {
+                let pages = capacity / n + usize::from(i < capacity % n);
+                Shard(Mutex::new(LruShard::new(pages)))
+            })
+            .collect();
         Self {
             store,
             capacity,
             read_retries,
-            inner: Mutex::new(LruInner {
-                map: HashMap::with_capacity(capacity),
-                nodes: Vec::with_capacity(capacity),
-                head: NIL,
-                tail: NIL,
-                in_flight: HashMap::new(),
-            }),
+            shards,
             stats,
         }
+    }
+
+    /// The locked shard holding page `id`.
+    fn shard(&self, id: PageId) -> MutexGuard<'_, LruShard> {
+        self.shards[(id % self.shards.len() as u64) as usize]
+            .0
+            .lock()
     }
 
     /// The configured transient-read retry budget.
@@ -272,7 +345,7 @@ impl<S: PageStore> BufferPool<S> {
 
     /// Number of pages currently cached.
     pub fn cached_pages(&self) -> usize {
-        self.inner.lock().map.len()
+        self.shards.iter().map(|s| s.0.lock().map.len()).sum()
     }
 
     /// The shared I/O statistics handle (same as the underlying store's).
@@ -311,14 +384,14 @@ impl<S: PageStore> BufferPool<S> {
         // iterative so a persistently failing page cannot grow the stack.
         loop {
             let role = {
-                let mut inner = self.inner.lock();
-                if let Some(page) = inner.touch(id) {
+                let mut shard = self.shard(id);
+                if let Some(page) = shard.touch(id) {
                     Role::Hit(page)
-                } else if let Some(pending) = inner.in_flight.get(&id) {
+                } else if let Some(pending) = shard.in_flight.get(&id) {
                     Role::Follower(Arc::clone(pending))
                 } else {
                     let pending = Arc::new(InFlight::new());
-                    inner.in_flight.insert(id, Arc::clone(&pending));
+                    shard.in_flight.insert(id, Arc::clone(&pending));
                     Role::Leader(pending)
                 }
             };
@@ -339,18 +412,25 @@ impl<S: PageStore> BufferPool<S> {
                 Role::Leader(pending) => {
                     self.stats.record_miss();
                     let (result, attempts) = self.read_with_retries(id);
-                    let mut inner = self.inner.lock();
-                    inner.in_flight.remove(&id);
+                    let mut shard = self.shard(id);
+                    // A racing write already detached a stale entry (and a
+                    // later fetch may have registered its own since).
+                    let stale = pending.stale.load(Ordering::Relaxed);
+                    if !stale {
+                        shard.in_flight.remove(&id);
+                    }
                     match result {
                         Ok(page) => {
                             let page = Arc::new(page);
-                            inner.insert(id, Arc::clone(&page), self.capacity);
-                            drop(inner);
+                            if !stale {
+                                shard.insert(id, Arc::clone(&page));
+                            }
+                            drop(shard);
                             pending.publish(Some(page.clone()));
                             return Ok(page);
                         }
                         Err(e) => {
-                            drop(inner);
+                            drop(shard);
                             pending.publish(None);
                             return Err(StorageError::page_read(
                                 id,
@@ -367,7 +447,7 @@ impl<S: PageStore> BufferPool<S> {
 
     /// Runs `f` against a page without handing out an owned copy: on a cache
     /// hit the pooled page is retained with one `Arc` bump (no allocation,
-    /// no byte copy) and the closure runs *outside* the pool lock, so
+    /// no byte copy) and the closure runs *outside* the shard lock, so
     /// parallel verification workers never serialize on each other's reads.
     /// This is the backbone of the query hot path — posting reads copy the
     /// bytes they need straight into a caller-owned scratch buffer.
@@ -382,23 +462,26 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// Writes a page through the cache (write-through: the underlying store
-    /// is updated immediately and the cached copy refreshed).
+    /// is updated immediately and the cached copy refreshed). A fetch of the
+    /// page still in flight is marked stale so its possibly pre-write bytes
+    /// are never cached (see the type docs).
     pub fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
         self.store.write_page(id, page)?;
-        let mut inner = self.inner.lock();
-        if inner.map.contains_key(&id) {
-            inner.insert(id, Arc::new(page.clone()), self.capacity);
+        let mut shard = self.shard(id);
+        if let Some(pending) = shard.in_flight.remove(&id) {
+            pending.stale.store(true, Ordering::Relaxed);
+        }
+        if shard.map.contains_key(&id) {
+            shard.insert(id, Arc::new(page.clone()));
         }
         Ok(())
     }
 
     /// Drops every cached page (counters are unaffected).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.nodes.clear();
-        inner.head = NIL;
-        inner.tail = NIL;
+        for shard in self.shards.iter() {
+            shard.0.lock().clear();
+        }
     }
 }
 
@@ -750,5 +833,186 @@ mod tests {
             1,
             "hot page must still be resident"
         );
+    }
+
+    /// A store whose first read copies the page and *then* stalls until the
+    /// test releases it, so a write can land between the copy and the fetch
+    /// completing. Later reads are not gated.
+    struct StallAfterCopy {
+        inner: InMemoryPageStore,
+        armed: std::sync::atomic::AtomicBool,
+        copied: std::sync::Barrier,
+        release: std::sync::Barrier,
+    }
+
+    impl PageStore for StallAfterCopy {
+        fn allocate(&self) -> StorageResult<PageId> {
+            self.inner.allocate()
+        }
+        fn read_page(&self, id: PageId) -> StorageResult<Page> {
+            let page = self.inner.read_page(id)?;
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.copied.wait();
+                self.release.wait();
+            }
+            Ok(page)
+        }
+        fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
+            self.inner.write_page(id, page)
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+        fn flush(&self) -> StorageResult<()> {
+            Ok(())
+        }
+        fn io_stats(&self) -> Arc<IoStats> {
+            self.inner.io_stats()
+        }
+    }
+
+    /// Regression: a write landing while a miss on the same page is in
+    /// flight used to leave the leader's pre-write copy in the pool (the
+    /// write only refreshed resident pages), so every later read returned
+    /// the old bytes — the delta-tail append racing a query's miss.
+    #[test]
+    fn write_during_in_flight_miss_does_not_cache_stale_bytes() {
+        let pool = BufferPool::new(
+            StallAfterCopy {
+                inner: store_with_pages(1),
+                armed: std::sync::atomic::AtomicBool::new(true),
+                copied: std::sync::Barrier::new(2),
+                release: std::sync::Barrier::new(2),
+            },
+            4,
+        );
+        let mut written = Page::zeroed();
+        written.bytes_mut()[0] = 42;
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| pool.read_page(0).unwrap());
+            pool.store().copied.wait(); // the leader holds the old bytes
+            pool.write_page(0, &written).unwrap();
+            // A read issued after the write must not join the stale fetch.
+            let after_write = scope.spawn(|| pool.read_page(0).unwrap());
+            pool.store().release.wait();
+            assert_eq!(after_write.join().unwrap().bytes()[0], 42);
+            // The leader's read overlapped the write; it returns its copy.
+            assert_eq!(leader.join().unwrap().bytes()[0], 0);
+        });
+        assert_eq!(pool.store().read_page(0).unwrap().bytes()[0], 42);
+        assert_eq!(
+            pool.read_page(0).unwrap().bytes()[0],
+            42,
+            "the pool must not serve the pre-write copy"
+        );
+    }
+
+    #[test]
+    fn shard_count_is_derived_from_capacity() {
+        for (capacity, shards) in [
+            (1, 1),
+            (64, 1),
+            (127, 1),
+            (128, 2),
+            (1000, 15),
+            (1 << 20, 16),
+        ] {
+            let pool = BufferPool::new(InMemoryPageStore::new(), capacity);
+            assert_eq!(pool.shards.len(), shards, "capacity {capacity}");
+            let total: usize = pool.shards.iter().map(|s| s.0.lock().capacity).sum();
+            assert_eq!(total, capacity, "shard capacities sum to the pool's");
+        }
+    }
+
+    /// A pool large enough to shard is an exact LRU per shard: one
+    /// reference model per shard, pages routed by `id % shards`.
+    #[test]
+    fn sharded_lru_matches_one_reference_model_per_shard() {
+        const PAGES: u64 = 1024;
+        let pool = BufferPool::new(store_with_pages(PAGES), 256);
+        let shards = pool.shards.len();
+        assert_eq!(shards, 4);
+        let per_shard = 256 / shards;
+        let mut models: Vec<Vec<u64>> = vec![Vec::new(); shards]; // most recent at the back
+        let mut state = 0x9E37_79B9_u64;
+        for round in 0..20_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Skewed toward low ids so hits and evictions both happen.
+            let id = ((state >> 33) % PAGES) % (1 + (state >> 20) % PAGES);
+            assert_eq!(pool.read_page(id).unwrap().bytes()[0], id as u8);
+            let model = &mut models[(id % shards as u64) as usize];
+            model.retain(|x| *x != id);
+            model.push(id);
+            if model.len() > per_shard {
+                model.remove(0);
+            }
+            if round % 97 == 0 {
+                let resident: usize = models.iter().map(Vec::len).sum();
+                assert_eq!(pool.cached_pages(), resident, "round {round}");
+            }
+        }
+        pool.io_stats().reset();
+        for id in models.iter().flatten() {
+            pool.read_page(*id).unwrap();
+        }
+        assert_eq!(
+            pool.io_stats().snapshot().cache_misses,
+            0,
+            "models and pool disagree on residency"
+        );
+    }
+
+    #[test]
+    fn residency_never_exceeds_capacity_under_churn() {
+        const CAPACITY: usize = 1000;
+        let pages = 4 * CAPACITY as u64;
+        let pool = BufferPool::new(store_with_pages(pages), CAPACITY);
+        for round in 0..2 {
+            for id in 0..pages {
+                assert_eq!(pool.read_page(id).unwrap().bytes()[0], id as u8);
+                if id % 50 == 0 {
+                    assert!(pool.cached_pages() <= CAPACITY, "round {round} page {id}");
+                }
+            }
+            // Every shard saw more pages than it holds, so all are full.
+            assert_eq!(pool.cached_pages(), CAPACITY);
+        }
+    }
+
+    /// Counters stay exact across shards and threads: every request is one
+    /// hit or one miss, and every miss is one physical read.
+    #[test]
+    fn concurrent_mixed_traffic_keeps_counters_exact() {
+        const THREADS: u64 = 4;
+        const REQUESTS: u64 = 5_000;
+        const PAGES: u64 = 1024;
+        let pool = BufferPool::new(store_with_pages(PAGES), 256);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let pool = &pool;
+                scope.spawn(move || {
+                    let mut state = 0x1234_5678 ^ t;
+                    for _ in 0..REQUESTS {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        // Half the traffic on a hot set that stays resident.
+                        let id = if state >> 63 == 0 {
+                            (state >> 33) % 64
+                        } else {
+                            (state >> 33) % PAGES
+                        };
+                        assert_eq!(pool.read_page(id).unwrap().bytes()[0], id as u8);
+                    }
+                });
+            }
+        });
+        let snap = pool.io_stats().snapshot();
+        assert_eq!(snap.cache_hits + snap.cache_misses, THREADS * REQUESTS);
+        assert_eq!(snap.page_reads, snap.cache_misses);
+        assert!(snap.cache_hits > 0 && snap.cache_misses > 0, "{snap:?}");
+        assert!(pool.cached_pages() <= 256);
     }
 }
