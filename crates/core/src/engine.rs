@@ -373,14 +373,14 @@ impl ReachabilityEngine {
     /// external input: the road network is decoded from the snapshot's own
     /// `road_network` section, then validated against the stored
     /// fingerprint like every other open. This is how a replica host
-    /// bootstraps from shipped artifacts alone. Fails with
-    /// [`streach_storage::StorageError::Corrupt`] when the snapshot was not
-    /// saved self-contained.
+    /// bootstraps from shipped artifacts alone. The container is read and
+    /// checked once; the network and the index come from that one copy.
+    /// Fails with [`streach_storage::StorageError::Corrupt`] when the
+    /// snapshot was not saved self-contained.
     pub fn open_snapshot_standalone<P: AsRef<std::path::Path>>(
         dir: P,
     ) -> streach_storage::StorageResult<Self> {
-        let network = crate::snapshot::read_embedded_network(dir.as_ref())?;
-        crate::snapshot::open(dir.as_ref(), network, None, |_, store| store)
+        crate::snapshot::open_standalone(dir.as_ref())
     }
 
     /// Like [`ReachabilityEngine::open_snapshot`], but serves the sealed

@@ -616,8 +616,116 @@ fn open_sealed_pages(path: &Path, backend: StorageBackend) -> StorageResult<Box<
 /// `backend_override` replaces the [`StorageBackend`] recorded in the
 /// snapshot config for this open (and for every subsequent save from the
 /// opened engine).
+///
+/// The base page file's CRC check runs on a scoped thread, concurrently
+/// with decoding the container's sections on the caller's thread. It is
+/// joined — and its error returned — before any page store is opened over
+/// the file, so no engine is ever built over an unverified page file.
 pub(crate) fn open<F>(
     dir: &Path,
+    network: Arc<RoadNetwork>,
+    backend_override: Option<StorageBackend>,
+    wrap: F,
+) -> StorageResult<ReachabilityEngine>
+where
+    F: FnMut(StoreRole, Box<dyn PageStore>) -> Box<dyn PageStore>,
+{
+    let reader = SnapshotReader::open(dir.join(CONTAINER_FILE))?;
+    open_parsed(dir, &reader, network, backend_override, wrap)
+}
+
+/// Reopens a self-contained snapshot (see
+/// [`ReachabilityEngine::open_snapshot_standalone`]): the road network is
+/// decoded from the same parsed container the engine is then opened from,
+/// so a concurrent re-save can never pair one file's network with another
+/// file's index. The fingerprint check in [`open_parsed`] cross-validates
+/// the codec roundtrip against the structural hash taken at save.
+pub(crate) fn open_standalone(dir: &Path) -> StorageResult<ReachabilityEngine> {
+    let reader = SnapshotReader::open(dir.join(CONTAINER_FILE))?;
+    if !reader.section_names().any(|n| n == SEC_ROAD_NETWORK) {
+        return Err(StorageError::corrupt(
+            "snapshot has no road_network section (not saved self-contained)",
+        ));
+    }
+    let network = streach_roadnet::decode_network(reader.section(SEC_ROAD_NETWORK)?)
+        .ok_or_else(|| StorageError::corrupt("road_network section is malformed"))?;
+    open_parsed(dir, &reader, Arc::new(network), None, |_, store| store)
+}
+
+/// Everything [`open_parsed`] decodes from the container while the base
+/// page file is being verified.
+struct DecodedSections {
+    st_index: StIndexParts,
+    delta_tail: u64,
+    delta_seq: u64,
+    delta_directory: Vec<((u32, u32), BlobHandle)>,
+    speed_stats: SpeedStats,
+    con_tables: Vec<(u32, Vec<ConnectionLists>)>,
+    ingest_meta: (u64, u64, crate::ingest::LastVisitMap),
+}
+
+/// Decodes and cross-checks the container sections the engine is built
+/// from, and verifies the delta page file against its recorded length and
+/// CRC.
+fn decode_sections(
+    dir: &Path,
+    reader: &SnapshotReader,
+    config: &IndexConfig,
+    num_segments: usize,
+) -> StorageResult<DecodedSections> {
+    let st_index = decode_st_index(reader.section(SEC_ST_INDEX)?)?;
+    if st_index.slot_s != config.slot_s {
+        return Err(StorageError::corrupt(
+            "st_index slot length disagrees with the config section",
+        ));
+    }
+
+    let mut delta_meta = reader.section(SEC_DELTA_PAGES_META)?;
+    if delta_meta.remaining() != 28 {
+        return Err(StorageError::corrupt(
+            "delta_pages_meta section has wrong length",
+        ));
+    }
+    let delta_expected_pages = delta_meta.get_u64_le();
+    let delta_expected_crc = delta_meta.get_u32_le();
+    let delta_tail = delta_meta.get_u64_le();
+    let delta_seq = delta_meta.get_u64_le();
+    if delta_tail.div_ceil(streach_storage::PAGE_SIZE as u64) > delta_expected_pages {
+        return Err(StorageError::corrupt(
+            "delta page file is shorter than the delta heap",
+        ));
+    }
+    verify_pages_file(
+        &dir.join(delta_pages_file(delta_seq)),
+        delta_expected_pages,
+        delta_expected_crc,
+    )?;
+    let delta_directory = decode_delta_dir(reader.section(SEC_DELTA_DIR)?, delta_tail)?;
+
+    let speed_stats = SpeedStats::decode(reader.section(SEC_SPEED_STATS)?)
+        .ok_or_else(|| StorageError::corrupt("speed_stats section is malformed"))?;
+    if speed_stats.slot_s() != config.slot_s {
+        return Err(StorageError::corrupt(
+            "speed_stats granularity disagrees with the config section",
+        ));
+    }
+    let con_tables = decode_con_tables(reader.section(SEC_CON_TABLES)?, num_segments)?;
+    let ingest_meta = crate::ingest::decode_ingest_meta(reader.section(SEC_INGEST_META)?)?;
+    Ok(DecodedSections {
+        st_index,
+        delta_tail,
+        delta_seq,
+        delta_directory,
+        speed_stats,
+        con_tables,
+        ingest_meta,
+    })
+}
+
+/// [`open`] over an already parsed container.
+fn open_parsed<F>(
+    dir: &Path,
+    reader: &SnapshotReader,
     network: Arc<RoadNetwork>,
     backend_override: Option<StorageBackend>,
     mut wrap: F,
@@ -625,8 +733,6 @@ pub(crate) fn open<F>(
 where
     F: FnMut(StoreRole, Box<dyn PageStore>) -> Box<dyn PageStore>,
 {
-    let reader = SnapshotReader::open(dir.join(CONTAINER_FILE))?;
-
     let mut fp_section = reader.section(SEC_NETWORK)?;
     if fp_section.remaining() != 8 {
         return Err(StorageError::corrupt("network section has wrong length"));
@@ -644,18 +750,10 @@ where
     if let Some(backend) = backend_override {
         config.storage_backend = backend;
     }
-    let parts = decode_st_index(reader.section(SEC_ST_INDEX)?)?;
-    if parts.slot_s != config.slot_s {
-        return Err(StorageError::corrupt(
-            "st_index slot length disagrees with the config section",
-        ));
-    }
 
-    // Verify the page file belongs to this container (length + CRC), then
-    // reopen the posting heap over it — read-only, so snapshots deployed as
-    // immutable artifacts still serve — behind the same latency shim the
-    // in-memory backend uses (zero latency still counts page reads — and
-    // here they are genuine disk reads).
+    // The page file must belong to this container (length + CRC). It is the
+    // largest input an open reads, so its checksum runs beside the section
+    // decode and is joined before anything is opened over it.
     let mut pages_meta = reader.section(SEC_PAGES_META)?;
     if pages_meta.remaining() != 12 {
         return Err(StorageError::corrupt("pages_meta section has wrong length"));
@@ -663,7 +761,20 @@ where
     let expected_pages = pages_meta.get_u64_le();
     let expected_crc = pages_meta.get_u32_le();
     let pages_path = dir.join(PAGES_FILE);
-    verify_pages_file(&pages_path, expected_pages, expected_crc)?;
+    let decoded = std::thread::scope(|s| {
+        let base_check = s.spawn(|| verify_pages_file(&pages_path, expected_pages, expected_crc));
+        let decoded = decode_sections(dir, reader, &config, network.num_segments());
+        let base_checked = base_check
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        base_checked.and(decoded)
+    })?;
+    let parts = decoded.st_index;
+
+    // Reopen the verified posting heap — read-only, so snapshots deployed as
+    // immutable artifacts still serve — behind the same latency shim the
+    // in-memory backend uses (zero latency still counts page reads — and
+    // here they are genuine disk reads).
     let base_store = open_sealed_pages(&pages_path, config.storage_backend)?;
     if base_store.num_pages() < parts.tail.div_ceil(streach_storage::PAGE_SIZE as u64) {
         return Err(StorageError::corrupt(
@@ -684,28 +795,11 @@ where
         config.posting_encoding,
     );
 
-    // The delta heap of previously ingested data: verified against its
-    // recorded length + CRC, then copied into a writable in-memory store
-    // (further ingest must never mutate the snapshot artifacts). The copy
-    // shares the base heap's I/O counters, so base and delta reads are
-    // accounted identically.
-    let mut delta_meta = reader.section(SEC_DELTA_PAGES_META)?;
-    if delta_meta.remaining() != 28 {
-        return Err(StorageError::corrupt(
-            "delta_pages_meta section has wrong length",
-        ));
-    }
-    let delta_expected_pages = delta_meta.get_u64_le();
-    let delta_expected_crc = delta_meta.get_u32_le();
-    let delta_tail = delta_meta.get_u64_le();
-    let delta_seq = delta_meta.get_u64_le();
-    if delta_tail.div_ceil(streach_storage::PAGE_SIZE as u64) > delta_expected_pages {
-        return Err(StorageError::corrupt(
-            "delta page file is shorter than the delta heap",
-        ));
-    }
-    let delta_path = dir.join(delta_pages_file(delta_seq));
-    verify_pages_file(&delta_path, delta_expected_pages, delta_expected_crc)?;
+    // The verified delta heap of previously ingested data, copied into a
+    // writable in-memory store (further ingest must never mutate the
+    // snapshot artifacts). The copy shares the base heap's I/O counters, so
+    // base and delta reads are accounted identically.
+    let delta_path = dir.join(delta_pages_file(decoded.delta_seq));
     let delta_mem = InMemoryPageStore::with_stats(io);
     {
         let delta_src = open_sealed_pages(&delta_path, config.storage_backend)?;
@@ -724,11 +818,10 @@ where
     let delta_postings = PostingStore::with_options(
         delta_store,
         config.pool_pages,
-        delta_tail,
+        decoded.delta_tail,
         config.read_retries,
         config.posting_encoding,
     );
-    let delta_directory = decode_delta_dir(reader.section(SEC_DELTA_DIR)?, delta_tail)?;
 
     let st_index = StIndex::from_parts(
         network.clone(),
@@ -738,27 +831,13 @@ where
         parts.directory,
         postings,
         delta_postings,
-        delta_directory,
+        decoded.delta_directory,
     );
 
-    let speed_stats = Arc::new(
-        SpeedStats::decode(reader.section(SEC_SPEED_STATS)?)
-            .ok_or_else(|| StorageError::corrupt("speed_stats section is malformed"))?,
-    );
-    if speed_stats.slot_s() != config.slot_s {
-        return Err(StorageError::corrupt(
-            "speed_stats granularity disagrees with the config section",
-        ));
-    }
-    let con_index = ConIndex::new(network.clone(), speed_stats, &config);
-    con_index.install_tables(decode_con_tables(
-        reader.section(SEC_CON_TABLES)?,
-        network.num_segments(),
-    )?);
+    let con_index = ConIndex::new(network.clone(), Arc::new(decoded.speed_stats), &config);
+    con_index.install_tables(decoded.con_tables);
 
-    let (wal_generation, wal_applied, last_visit) =
-        crate::ingest::decode_ingest_meta(reader.section(SEC_INGEST_META)?)?;
-
+    let (wal_generation, wal_applied, last_visit) = decoded.ingest_meta;
     let engine = ReachabilityEngine::new(network, st_index, con_index, config);
     engine.install_snapshot_meta(
         (expected_pages, expected_crc),
@@ -766,7 +845,7 @@ where
         wal_applied,
         last_visit,
     );
-    engine.commit_delta_seq(delta_seq);
+    engine.commit_delta_seq(decoded.delta_seq);
     engine.set_snapshot_home(dir);
 
     // Version-5 optional sections. Both are presence-checked: version-3/4
@@ -793,22 +872,6 @@ where
         engine.set_snapshot_self_contained();
     }
     Ok(engine)
-}
-
-/// Decodes the road network embedded in a self-contained snapshot (see
-/// [`ReachabilityEngine::open_snapshot_standalone`]). The caller passes it
-/// straight back into [`open`], where the fingerprint check cross-validates
-/// the codec roundtrip against the structural hash taken at save.
-pub(crate) fn read_embedded_network(dir: &Path) -> StorageResult<Arc<RoadNetwork>> {
-    let reader = SnapshotReader::open(dir.join(CONTAINER_FILE))?;
-    if !reader.section_names().any(|n| n == SEC_ROAD_NETWORK) {
-        return Err(StorageError::corrupt(
-            "snapshot has no road_network section (not saved self-contained)",
-        ));
-    }
-    let network = streach_roadnet::decode_network(reader.section(SEC_ROAD_NETWORK)?)
-        .ok_or_else(|| StorageError::corrupt("road_network section is malformed"))?;
-    Ok(Arc::new(network))
 }
 
 #[cfg(test)]

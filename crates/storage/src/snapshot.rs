@@ -26,9 +26,37 @@
 //! rejected with [`StorageError::Corrupt`] instead of being deserialized
 //! into garbage. A version bump turns old files into
 //! [`StorageError::UnsupportedVersion`] — never a silent misread.
+//!
+//! # One checksum pass per byte
+//!
+//! Both checks stay, but each byte is checksummed once. The reader walks the
+//! sections, computes each payload's CRC and compares it with the section
+//! header; it then folds that same CRC — and the CRC of the few header bytes
+//! before it — into the running seal with `crc32_combine` instead of
+//! re-reading the payload. After the last section the folded value *is*
+//! `crc32(everything before the seal)`, and is compared with the trailer.
+//! [`SnapshotWriter::finish`] builds the seal the same way.
+//!
+//! `crc32_combine` is exact, not an approximation. Without its init value
+//! and final xor, a CRC is the remainder of the message polynomial times
+//! `x^32` modulo the generator `P`, so it is linear over GF(2). Appending `B`
+//! to `A` multiplies `A`'s polynomial by `x^(8·|B|)`, hence
+//! `crc(A‖B) = crc(A)·x^(8·|B|) ⊕ crc(B) (mod P)`. The init value and the
+//! final xor are both all-ones of the register width and cancel in that
+//! identity (the init term of `B` absorbs `A`'s final xor), so the same
+//! formula holds for the standard CRC-32 — zlib's `crc32_combine` relies on
+//! it too. `x^(8n) mod P` is computed by square-and-multiply from a table of
+//! `x^(2^k) mod P`, so a combine costs `O(log n)` 32-bit products, whatever
+//! the payload size.
+//!
+//! An unknown version may lay its sections out differently, so such a file
+//! is judged by the seal alone (one pass over the body): a sealed file
+//! reports [`StorageError::UnsupportedVersion`], a damaged one
+//! [`StorageError::Corrupt`].
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use bytes::{Buf, BufMut};
@@ -56,9 +84,45 @@ pub const SNAPSHOT_VERSION: u32 = 5;
 /// Oldest snapshot format version this build still reads.
 pub const MIN_SNAPSHOT_VERSION: u32 = 3;
 
+/// The CRC-32 (IEEE 802.3) generator polynomial, bit-reflected.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-16 lookup tables. `TABLES[0][b]` is the register after shifting
+/// byte `b` through eight bitwise steps; `TABLES[k][b]` is that value pushed
+/// through `k` further zero bytes, so sixteen input bytes fold into the
+/// register with sixteen independent lookups.
+static TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// Streaming CRC-32 (IEEE 802.3, reflected) accumulator. Implemented
-/// locally — the offline build has no checksum crate — and verified against
-/// the standard check value in the tests below.
+/// locally — the offline build has no checksum crate — as table-driven
+/// slice-by-16, checked against the standard check value and a bitwise
+/// oracle in the tests below.
 pub struct Crc32 {
     state: u32,
 }
@@ -71,13 +135,30 @@ impl Crc32 {
 
     /// Feeds `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &TABLES;
         let mut crc = self.state;
-        for &b in bytes {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        for c in blocks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            crc = t[15][(lo & 0xFF) as usize]
+                ^ t[14][((lo >> 8) & 0xFF) as usize]
+                ^ t[13][((lo >> 16) & 0xFF) as usize]
+                ^ t[12][(lo >> 24) as usize]
+                ^ t[11][c[4] as usize]
+                ^ t[10][c[5] as usize]
+                ^ t[9][c[6] as usize]
+                ^ t[8][c[7] as usize]
+                ^ t[7][c[8] as usize]
+                ^ t[6][c[9] as usize]
+                ^ t[5][c[10] as usize]
+                ^ t[4][c[11] as usize]
+                ^ t[3][c[12] as usize]
+                ^ t[2][c[13] as usize]
+                ^ t[1][c[14] as usize]
+                ^ t[0][c[15] as usize];
+        }
+        for &b in tail {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
         }
         self.state = crc;
     }
@@ -101,6 +182,55 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc.finalize()
 }
 
+/// `a · b mod P` over GF(2), both operands in the reflected representation
+/// (bit 31 is the coefficient of `x^0`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut i = 0;
+    while i < 32 {
+        if a & (1 << (31 - i)) != 0 {
+            product ^= b;
+        }
+        // b ← b · x mod P.
+        b = (b >> 1) ^ (POLY & (b & 1).wrapping_neg());
+        i += 1;
+    }
+    product
+}
+
+/// `X2N[k] = x^(2^k) mod P`. The multiplicative order of `x` divides
+/// `2^32 − 1`, so `x^(2^32) = x` and the table repeats with period 32.
+static X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 32 {
+        table[k] = multmodp(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
+/// `x^(8·len) mod P`: the factor that shifts a CRC past `len` bytes.
+fn x8nmodp(mut len: u64) -> u32 {
+    let mut p = 1 << 31; // x^0
+    let mut k = 3; // 8·len = len · 2^3
+    while len != 0 {
+        if len & 1 != 0 {
+            p = multmodp(X2N[k & 31], p);
+        }
+        len >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// `crc32(A‖B)` from `crc32(A)`, `crc32(B)` and `|B|`, without touching the
+/// bytes (see the module docs for why this is exact).
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    multmodp(x8nmodp(len_b), crc_a) ^ crc_b
+}
+
 /// Writes a snapshot container: named sections appended in order, sealed by
 /// [`SnapshotWriter::finish`].
 pub struct SnapshotWriter {
@@ -115,33 +245,41 @@ impl SnapshotWriter {
         }
     }
 
-    /// Appends a named section. Names must be unique within one container.
+    /// Appends a named section. Names must be unique within one container:
+    /// the reader rejects a container with a repeated name as corrupt.
     pub fn add_section(&mut self, name: &str, payload: Vec<u8>) {
-        debug_assert!(
+        assert!(
             self.sections.iter().all(|(n, _)| n != name),
             "duplicate snapshot section {name}"
         );
         self.sections.push((name.to_string(), payload));
     }
 
-    /// Serializes the container to `path` and fsyncs it.
+    /// Serializes the container to `path` and fsyncs it. Each payload is
+    /// checksummed once; its CRC goes into the section header and is folded
+    /// into the file seal.
     pub fn finish<P: AsRef<Path>>(self, path: P) -> StorageResult<()> {
-        let mut buf: Vec<u8> = Vec::new();
-        buf.put_slice(&SNAPSHOT_MAGIC);
-        buf.put_u32_le(SNAPSHOT_VERSION);
-        buf.put_u32_le(self.sections.len() as u32);
+        let mut out = BufWriter::new(File::create(path)?);
+        let mut header: Vec<u8> = Vec::with_capacity(64);
+        header.put_slice(&SNAPSHOT_MAGIC);
+        header.put_u32_le(SNAPSHOT_VERSION);
+        header.put_u32_le(self.sections.len() as u32);
+        let mut seal = crc32(&header);
+        out.write_all(&header)?;
         for (name, payload) in &self.sections {
-            buf.put_u16_le(name.len() as u16);
-            buf.put_slice(name.as_bytes());
-            buf.put_u64_le(payload.len() as u64);
-            buf.put_u32_le(crc32(payload));
-            buf.put_slice(payload);
+            let payload_crc = crc32(payload);
+            header.clear();
+            header.put_u16_le(name.len() as u16);
+            header.put_slice(name.as_bytes());
+            header.put_u64_le(payload.len() as u64);
+            header.put_u32_le(payload_crc);
+            seal = crc32_combine(seal, crc32(&header), header.len() as u64);
+            seal = crc32_combine(seal, payload_crc, payload.len() as u64);
+            out.write_all(&header)?;
+            out.write_all(payload)?;
         }
-        let seal = crc32(&buf);
-        buf.put_u32_le(seal);
-
-        let mut file = File::create(path)?;
-        file.write_all(&buf)?;
+        out.write_all(&seal.to_le_bytes())?;
+        let file = out.into_inner().map_err(|e| e.into_error())?;
         file.sync_all()?;
         Ok(())
     }
@@ -153,10 +291,12 @@ impl Default for SnapshotWriter {
     }
 }
 
-/// Reads and validates a snapshot container into memory.
+/// Reads and validates a snapshot container into memory. The reader keeps
+/// the one buffer it validated; sections are borrowed slices of it.
 pub struct SnapshotReader {
     version: u32,
-    sections: Vec<(String, Vec<u8>)>,
+    bytes: Vec<u8>,
+    sections: Vec<(String, Range<usize>)>,
 }
 
 impl SnapshotReader {
@@ -165,7 +305,7 @@ impl SnapshotReader {
         let path = path.as_ref();
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
-        Self::parse(&bytes).map_err(|e| match e {
+        Self::parse(bytes).map_err(|e| match e {
             StorageError::Corrupt { context } => StorageError::Corrupt {
                 context: format!("{}: {context}", path.display()),
             },
@@ -173,19 +313,17 @@ impl SnapshotReader {
         })
     }
 
-    /// Parses a container from memory.
-    pub fn parse(bytes: &[u8]) -> StorageResult<Self> {
+    /// Parses a container held in memory, checking the file seal and every
+    /// section's CRC in one pass over the bytes.
+    pub fn parse(bytes: Vec<u8>) -> StorageResult<Self> {
         let header_len = SNAPSHOT_MAGIC.len() + 4 + 4;
         if bytes.len() < header_len + 4 {
             return Err(StorageError::corrupt("snapshot shorter than its header"));
         }
         let (body, seal) = bytes.split_at(bytes.len() - 4);
         let expected_seal = u32::from_le_bytes(seal.try_into().expect("4 bytes"));
-        if crc32(body) != expected_seal {
-            return Err(StorageError::corrupt(
-                "file checksum mismatch (truncated or corrupted snapshot)",
-            ));
-        }
+        let seal_mismatch =
+            || StorageError::corrupt("file checksum mismatch (truncated or corrupted snapshot)");
 
         let mut cursor: &[u8] = body;
         let mut magic = [0u8; 8];
@@ -195,17 +333,24 @@ impl SnapshotReader {
         }
         let version = cursor.get_u32_le();
         if !(MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+            if crc32(body) != expected_seal {
+                return Err(seal_mismatch());
+            }
             return Err(StorageError::UnsupportedVersion {
                 found: version,
                 expected: SNAPSHOT_VERSION,
             });
         }
         let count = cursor.get_u32_le() as usize;
+        let mut seal = crc32(&body[..header_len]);
+        let offset = |cursor: &[u8]| body.len() - cursor.remaining();
         // The count is attacker-controlled until each section proves itself;
         // never pre-allocate more than the remaining bytes could hold (a
         // section is at least 14 bytes: name length + payload length + CRC).
-        let mut sections = Vec::with_capacity(count.min(cursor.remaining() / 14));
+        let mut sections: Vec<(String, Range<usize>)> =
+            Vec::with_capacity(count.min(cursor.remaining() / 14));
         for i in 0..count {
+            let header_start = offset(cursor);
             if cursor.remaining() < 2 {
                 return Err(StorageError::corrupt(format!("section {i}: missing name")));
             }
@@ -213,29 +358,46 @@ impl SnapshotReader {
             if cursor.remaining() < name_len + 12 {
                 return Err(StorageError::corrupt(format!("section {i}: truncated")));
             }
-            let name = String::from_utf8(cursor[..name_len].to_vec())
+            let name = std::str::from_utf8(&cursor[..name_len])
                 .map_err(|_| StorageError::corrupt(format!("section {i}: non-UTF-8 name")))?;
             cursor.advance(name_len);
-            let payload_len = cursor.get_u64_le() as usize;
+            let payload_len = cursor.get_u64_le();
             let payload_crc = cursor.get_u32_le();
-            if cursor.remaining() < payload_len {
+            if (cursor.remaining() as u64) < payload_len {
                 return Err(StorageError::corrupt(format!(
                     "section {name}: payload truncated"
                 )));
             }
-            let payload = cursor[..payload_len].to_vec();
-            cursor.advance(payload_len);
-            if crc32(&payload) != payload_crc {
+            let payload_start = offset(cursor);
+            let payload = payload_start..payload_start + payload_len as usize;
+            let crc = crc32(&body[payload.clone()]);
+            if crc != payload_crc {
                 return Err(StorageError::corrupt(format!(
                     "section {name}: checksum mismatch"
                 )));
             }
-            sections.push((name, payload));
+            if sections.iter().any(|(n, _)| n == name) {
+                return Err(StorageError::corrupt(format!(
+                    "section {name}: duplicate section name"
+                )));
+            }
+            let header = &body[header_start..payload_start];
+            seal = crc32_combine(seal, crc32(header), header.len() as u64);
+            seal = crc32_combine(seal, crc, payload_len);
+            cursor.advance(payload.len());
+            sections.push((name.to_string(), payload));
         }
         if cursor.remaining() != 0 {
             return Err(StorageError::corrupt("trailing bytes after last section"));
         }
-        Ok(Self { version, sections })
+        if seal != expected_seal {
+            return Err(seal_mismatch());
+        }
+        Ok(Self {
+            version,
+            bytes,
+            sections,
+        })
     }
 
     /// The container's format version (within
@@ -256,7 +418,7 @@ impl SnapshotReader {
         self.sections
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, p)| p.as_slice())
+            .map(|(_, range)| &self.bytes[range.clone()])
             .ok_or_else(|| StorageError::corrupt(format!("missing snapshot section {name}")))
     }
 }
@@ -317,7 +479,7 @@ mod tests {
         for cut in [bytes.len() - 1, bytes.len() / 2, 10, 0] {
             assert!(
                 matches!(
-                    SnapshotReader::parse(&bytes[..cut]),
+                    SnapshotReader::parse(bytes[..cut].to_vec()),
                     Err(StorageError::Corrupt { .. })
                 ),
                 "truncation at {cut} must be rejected"
@@ -337,7 +499,7 @@ mod tests {
         let mut bad = clean.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(
-            SnapshotReader::parse(&bad),
+            SnapshotReader::parse(bad),
             Err(StorageError::Corrupt { .. })
         ));
 
@@ -346,9 +508,26 @@ mod tests {
         let n = bad.len();
         bad[n - 10] ^= 0x01;
         assert!(matches!(
-            SnapshotReader::parse(&bad),
+            SnapshotReader::parse(bad),
             Err(StorageError::Corrupt { .. })
         ));
+
+        // Every byte, header fields included: a flipped section name still
+        // parses structurally, so only the seal folded over the header
+        // bytes rejects it.
+        for offset in 0..clean.len() {
+            for mask in [0x01u8, 0x20, 0x80] {
+                let mut bad = clean.clone();
+                bad[offset] ^= mask;
+                assert!(
+                    matches!(
+                        SnapshotReader::parse(bad),
+                        Err(StorageError::Corrupt { .. })
+                    ),
+                    "flip {mask:#04x} at offset {offset} was not rejected"
+                );
+            }
+        }
     }
 
     #[test]
@@ -364,9 +543,150 @@ mod tests {
         let seal = crc32(&bytes[..n - 4]);
         bytes[n - 4..].copy_from_slice(&seal.to_le_bytes());
         assert!(matches!(
-            SnapshotReader::parse(&bytes),
+            SnapshotReader::parse(bytes.clone()),
             Err(StorageError::UnsupportedVersion { found: 99, .. })
         ));
+        // An unknown version with a broken seal is damage, not a new format.
+        bytes[n - 6] ^= 0x01;
+        assert!(matches!(
+            SnapshotReader::parse(bytes),
+            Err(StorageError::Corrupt { .. })
+        ));
+    }
+
+    /// The textbook bit-at-a-time CRC-32: the oracle the table-driven
+    /// implementation must equal on every input.
+    fn bitwise_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn table_crc_equals_bitwise_oracle_at_every_length_and_alignment() {
+        let data = random_bytes(0x5eed, 16 + 300);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    bitwise_crc32(slice),
+                    "start {start}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_crc_streamed_at_random_splits_equals_bitwise_oracle() {
+        use rand::{Rng, SeedableRng};
+        let data = random_bytes(0xC4C3, 1 << 20);
+        let expected = bitwise_crc32(&data);
+        assert_eq!(crc32(&data), expected);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut streamed = Crc32::new();
+        let mut pos = 0;
+        while pos < data.len() {
+            let step = rng.gen_range(0..4099usize).min(data.len() - pos);
+            streamed.update(&data[pos..pos + step]);
+            pos += step;
+        }
+        assert_eq!(streamed.finalize(), expected);
+    }
+
+    #[test]
+    fn crc32_combine_equals_crc_of_concatenation() {
+        let data = random_bytes(0xAB, 5000);
+        for (split, end) in [
+            (0, 0),
+            (0, 1),
+            (0, 5000),
+            (1, 1),
+            (5000, 5000),
+            (7, 8),
+            (16, 4096),
+            (1234, 5000),
+        ] {
+            let (a, b) = (&data[..split], &data[split..end]);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                crc32(&data[..end]),
+                "|A| = {}, |B| = {}",
+                a.len(),
+                b.len()
+            );
+        }
+    }
+
+    #[test]
+    fn writer_output_is_byte_identical_to_the_documented_layout() {
+        let sections: Vec<(&str, Vec<u8>)> = vec![
+            ("config", b"0123456789abcdef0123456789abcdef".to_vec()),
+            ("empty", Vec::new()),
+            ("bulk", random_bytes(3, 70_001)),
+            ("tail", vec![0xFF; 17]),
+        ];
+        // The container assembled by hand, sealed with the bitwise oracle.
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&SNAPSHOT_MAGIC);
+        expected.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        expected.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        for (name, payload) in &sections {
+            expected.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            expected.extend_from_slice(name.as_bytes());
+            expected.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            expected.extend_from_slice(&bitwise_crc32(payload).to_le_bytes());
+            expected.extend_from_slice(payload);
+        }
+        let seal = bitwise_crc32(&expected);
+        expected.extend_from_slice(&seal.to_le_bytes());
+
+        let path = tmp("layout.snap");
+        let mut w = SnapshotWriter::new();
+        for (name, payload) in &sections {
+            w.add_section(name, payload.clone());
+        }
+        w.finish(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        let r = SnapshotReader::parse(expected).unwrap();
+        for (name, payload) in &sections {
+            assert_eq!(r.section(name).unwrap(), payload.as_slice());
+        }
+    }
+
+    #[test]
+    fn duplicate_section_names_are_rejected() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        for payload in [&b"first"[..], &b"second"[..]] {
+            bytes.extend_from_slice(&6u16.to_le_bytes());
+            bytes.extend_from_slice(b"config");
+            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&bitwise_crc32(payload).to_le_bytes());
+            bytes.extend_from_slice(payload);
+        }
+        let seal = bitwise_crc32(&bytes);
+        bytes.extend_from_slice(&seal.to_le_bytes());
+        match SnapshotReader::parse(bytes) {
+            Err(StorageError::Corrupt { context }) => {
+                assert!(context.contains("duplicate"), "{context}")
+            }
+            Err(e) => panic!("expected Corrupt, got {e}"),
+            Ok(_) => panic!("a container with two config sections must not parse"),
+        }
     }
 
     #[test]
@@ -377,7 +697,7 @@ mod tests {
         w.finish(&path).unwrap();
         let clean = std::fs::read(&path).unwrap();
         assert_eq!(
-            SnapshotReader::parse(&clean).unwrap().version(),
+            SnapshotReader::parse(clean.clone()).unwrap().version(),
             SNAPSHOT_VERSION
         );
 
@@ -390,12 +710,12 @@ mod tests {
             bytes
         };
         // The immediately previous version (3) is still readable.
-        let v3 = SnapshotReader::parse(&reversion(3)).unwrap();
+        let v3 = SnapshotReader::parse(reversion(3)).unwrap();
         assert_eq!(v3.version(), 3);
         assert_eq!(v3.section("data").unwrap(), b"legacy");
         // Anything older than MIN_SNAPSHOT_VERSION is not.
         assert!(matches!(
-            SnapshotReader::parse(&reversion(2)),
+            SnapshotReader::parse(reversion(2)),
             Err(StorageError::UnsupportedVersion { found: 2, .. })
         ));
     }

@@ -348,8 +348,12 @@ fn corruption_matrix_every_container_section_and_sampled_page_bytes() {
                 .unwrap(),
         ) as usize;
         let payload_start = cursor + 14 + name_len;
-        // One byte in the section header (its CRC field) and, for non-empty
-        // sections, one byte in the middle of the payload.
+        // One byte in each section-header field after the name length —
+        // name, payload length, CRC — and, for non-empty sections, one byte
+        // in the middle of the payload. A flipped name still parses; only
+        // the file seal, which covers the header bytes too, can catch it.
+        targets.push((format!("{name}:name"), cursor + 2));
+        targets.push((format!("{name}:payload-len"), cursor + 2 + name_len));
         targets.push((format!("{name}:header-crc"), cursor + 10 + name_len));
         if payload_len > 0 {
             targets.push((format!("{name}:payload"), payload_start + payload_len / 2));
@@ -388,8 +392,9 @@ fn corruption_matrix_every_container_section_and_sampled_page_bytes() {
     std::fs::write(&container, &clean).unwrap();
 
     // The page file: a flipped byte at a spread of offsets (page starts,
-    // mid-page, page ends, EOF) is caught by the pages CRC pinned in the
-    // container.
+    // mid-page, page ends, EOF) under a clean container is caught by the
+    // pages CRC pinned in the container. That check runs on its own thread
+    // beside the section decode; its error must still be the one returned.
     let pages = dir.join(streach::core::snapshot::PAGES_FILE);
     let clean_pages = std::fs::read(&pages).unwrap();
     let n = clean_pages.len();
@@ -407,8 +412,8 @@ fn corruption_matrix_every_container_section_and_sampled_page_bytes() {
         std::fs::write(&pages, &bad).unwrap();
         match ReachabilityEngine::open_snapshot(&dir, network.clone()) {
             Err(StorageError::Corrupt { context }) => assert!(
-                context.contains("checksum") || context.contains("corrupt"),
-                "page flip at {offset}: undescriptive error: {context}"
+                context.contains("posting page file checksum"),
+                "page flip at {offset}: error does not name the checksum: {context}"
             ),
             Err(e) => panic!("page flip at {offset}: unexpected error {e}"),
             Ok(_) => panic!("page flip at offset {offset} was not rejected at open"),
