@@ -10,11 +10,11 @@
 //! runs only the queries-under-ingest-load section (query latency while a
 //! writer ingests and a background [`MaintenanceController`] auto-checkpoints
 //! and compacts); `--cold-path` runs only the cold-path storage comparison
-//! (bytes on disk, cold-open time and cold-query latency, raw vs
-//! delta/varint-compressed postings × file vs mmap backend — **gated**: the
-//! compressed `postings.pages` must be at least [`COLD_PATH_RATIO_GATE`]×
-//! smaller than the raw one and the mmap backend must answer bit-identically
-//! to the file backend, or the process exits non-zero); `--sharded` runs only
+//! (bytes on disk, cold-open time and cold-query latency, file vs mmap
+//! backend — **gated**: the cold query's decoded (fixed-width-equivalent)
+//! posting bytes must be at least [`COLD_PATH_RATIO_GATE`]× its resident
+//! bytes, and the mmap backend must answer bit-identically to the file
+//! backend, or the process exits non-zero); `--sharded` runs only
 //! the shard-scaling section (aggregate s-query throughput through a 1-, 2-
 //! and 4-shard scatter-gather router, **gated**: every sharded answer must be
 //! bit-identical to the unsharded baseline); `--serving` runs only the
@@ -62,102 +62,74 @@ use std::time::Instant;
 
 use streach_bench::timing::measure;
 use streach_core::prelude::*;
-use streach_core::{
-    EngineBuilder, MaintenanceConfig, MaintenanceController, PostingEncoding, StorageBackend,
-};
+use streach_core::{EngineBuilder, MaintenanceConfig, MaintenanceController, StorageBackend};
 use streach_traj::points_of;
 
-/// The compressed `postings.pages` must be at least this factor smaller
-/// than the raw-encoded one (checked on every `--cold-path` run).
+/// A cold query must decode at least this many fixed-width-equivalent
+/// posting bytes per resident byte it reads (checked on every
+/// `--cold-path` run).
 const COLD_PATH_RATIO_GATE: f64 = 1.5;
 
-/// One cold-path measurement cell: a snapshot encoding served by a backend.
+/// One cold-path measurement cell: the snapshot served by one backend.
 struct ColdCell {
     label: &'static str,
     open_s: f64,
     cold_query_ms: f64,
 }
 
-/// Cold-path storage comparison: the same fleet snapshotted twice — raw
-/// (untagged fixed-width) and delta/varint-compressed postings — then each
-/// snapshot cold-opened and probed through both sealed-page backends
-/// (buffered file reads and the read-only memory mapping). Returns the
-/// page-file sizes, the four measurement cells, the compressed run's
-/// decoded/resident ratio, and whether every backend/encoding combination
-/// answered the probe bit-identically.
+/// Cold-path storage measurement: the fleet snapshotted once, then
+/// cold-opened and probed through both sealed-page backends (buffered file
+/// reads and the read-only memory mapping). Returns the page-file size, the
+/// two measurement cells, the file run's decoded/resident ratio
+/// ([`IoStatsSnapshot::decode_ratio`](streach_storage::IoStatsSnapshot)),
+/// and whether the mmap backend answered the probe bit-identically to the
+/// file backend.
 fn run_cold_path(
     network: &Arc<RoadNetwork>,
     dataset: &TrajectoryDataset,
     config: &IndexConfig,
     probe: &SQuery,
-) -> (u64, u64, Vec<ColdCell>, f64, bool) {
-    let mut pages_bytes = [0u64; 2];
-    let mut dirs = Vec::new();
-    for (i, encoding) in [PostingEncoding::LegacyRaw, PostingEncoding::Delta]
-        .into_iter()
-        .enumerate()
-    {
-        let dir = tmp_dir(&format!("bench-cold-{i}"));
-        EngineBuilder::new(network.clone(), dataset)
-            .index_config(IndexConfig {
-                posting_encoding: encoding,
-                ..config.clone()
-            })
-            .save_snapshot(&dir)
-            .expect("save cold-path snapshot");
-        pages_bytes[i] = std::fs::metadata(dir.join(streach_core::snapshot::PAGES_FILE))
-            .expect("pages file")
-            .len();
-        dirs.push(dir);
-    }
+) -> (u64, Vec<ColdCell>, f64, bool) {
+    let dir = tmp_dir("bench-cold");
+    EngineBuilder::new(network.clone(), dataset)
+        .index_config(config.clone())
+        .save_snapshot(&dir)
+        .expect("save cold-path snapshot");
+    let pages_bytes = std::fs::metadata(dir.join(streach_core::snapshot::PAGES_FILE))
+        .expect("pages file")
+        .len();
 
-    let labels = ["raw/file", "raw/mmap", "compressed/file", "compressed/mmap"];
     let mut cells = Vec::new();
     let mut regions: Vec<(Vec<SegmentId>, u64)> = Vec::new();
-    let mut decode_ratio = 1.0;
-    for (i, dir) in dirs.iter().enumerate() {
-        for (j, backend) in [StorageBackend::File, StorageBackend::Mmap]
-            .into_iter()
-            .enumerate()
-        {
-            let t0 = Instant::now();
-            let engine =
-                ReachabilityEngine::open_snapshot_with_backend(dir, network.clone(), backend)
-                    .expect("cold open");
-            let open_s = t0.elapsed().as_secs_f64();
-            engine.st_index().clear_cache();
-            engine.st_index().io_stats().reset();
-            let t0 = Instant::now();
-            let outcome = engine.s_query(probe, Algorithm::SqmbTbs);
-            let cold_query_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let io = engine.st_index().io_stats().snapshot();
-            if i == 1 {
-                decode_ratio = io.decode_ratio();
-            }
-            cells.push(ColdCell {
-                label: labels[i * 2 + j],
-                open_s,
-                cold_query_ms,
-            });
-            regions.push((
-                outcome.region.segments,
-                outcome.region.total_length_km.to_bits(),
-            ));
+    let mut decode_ratio = 0.0;
+    for (label, backend) in [
+        ("file", StorageBackend::File),
+        ("mmap", StorageBackend::Mmap),
+    ] {
+        let t0 = Instant::now();
+        let engine = ReachabilityEngine::open_snapshot_with_backend(&dir, network.clone(), backend)
+            .expect("cold open");
+        let open_s = t0.elapsed().as_secs_f64();
+        engine.st_index().clear_cache();
+        engine.st_index().io_stats().reset();
+        let t0 = Instant::now();
+        let outcome = engine.s_query(probe, Algorithm::SqmbTbs);
+        let cold_query_ms = t0.elapsed().as_secs_f64() * 1e3;
+        if backend == StorageBackend::File {
+            decode_ratio = engine.st_index().io_stats().snapshot().decode_ratio();
         }
+        cells.push(ColdCell {
+            label,
+            open_s,
+            cold_query_ms,
+        });
+        regions.push((
+            outcome.region.segments,
+            outcome.region.total_length_km.to_bits(),
+        ));
     }
-    // Every cell must answer identically: mmap vs file within an encoding,
-    // and compressed vs raw across encodings.
-    let identical = regions.iter().all(|r| *r == regions[0]);
-    for dir in dirs {
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    (
-        pages_bytes[0],
-        pages_bytes[1],
-        cells,
-        decode_ratio,
-        identical,
-    )
+    std::fs::remove_dir_all(&dir).ok();
+    (pages_bytes, cells, decode_ratio, regions[0] == regions[1])
 }
 
 /// Multi-writer group-commit comparison: the same batch stream ingested by
@@ -1053,21 +1025,15 @@ fn main() {
         std::fs::remove_dir_all(&cq_dir).ok();
     }
 
-    // --- Cold path: raw vs compressed postings × file vs mmap backend -----
+    // --- Cold path: file vs mmap backend, gated on the decode ratio -------
     let mut cold_json = String::new();
     if run_all || only_cold {
-        let (raw_bytes, compressed_bytes, cells, decode_ratio, cold_identical) =
+        let (pages_bytes, cells, decode_ratio, mmap_matches_file) =
             run_cold_path(&network, &full, &config, &probe);
-        let ratio = raw_bytes as f64 / (compressed_bytes as f64).max(1.0);
         println!(
             "{:<38} {:>14}",
-            "cold-path raw postings.pages bytes", raw_bytes
+            "cold-path postings.pages bytes", pages_bytes
         );
-        println!(
-            "{:<38} {:>14}",
-            "cold-path compressed bytes", compressed_bytes
-        );
-        println!("{:<38} {:>14.2}", "cold-path compression ratio", ratio);
         println!(
             "{:<38} {:>14.2}",
             "cold-path decode ratio (logical/disk)", decode_ratio
@@ -1082,38 +1048,34 @@ fn main() {
         }
         println!(
             "{:<38} {:>14}",
-            "cold-path all cells identical", cold_identical
+            "cold-path mmap matches file", mmap_matches_file
         );
         let cell_json: Vec<String> = cells
             .iter()
             .map(|c| {
                 format!(
-                    "{{\"combo\": \"{}\", \"open_s\": {:.4}, \"cold_query_ms\": {:.4}}}",
+                    "{{\"backend\": \"{}\", \"open_s\": {:.4}, \"cold_query_ms\": {:.4}}}",
                     c.label, c.open_s, c.cold_query_ms
                 )
             })
             .collect();
         cold_json = format!(
-            ",\n  \"cold_path\": {{\"raw_pages_bytes\": {}, \"compressed_pages_bytes\": {}, \"compression_ratio\": {:.4}, \"ratio_gate\": {:.1}, \"decode_ratio\": {:.4}, \"mmap_matches_file\": {}, \"cells\": [{}]}}",
-            raw_bytes,
-            compressed_bytes,
-            ratio,
-            COLD_PATH_RATIO_GATE,
+            ",\n  \"cold_path\": {{\"pages_bytes\": {}, \"decode_ratio\": {:.4}, \"ratio_gate\": {:.1}, \"mmap_matches_file\": {}, \"cells\": [{}]}}",
+            pages_bytes,
             decode_ratio,
-            cold_identical,
+            COLD_PATH_RATIO_GATE,
+            mmap_matches_file,
             cell_json.join(", ")
         );
         let mut cold_failed = false;
-        if ratio < COLD_PATH_RATIO_GATE {
+        if decode_ratio < COLD_PATH_RATIO_GATE {
             eprintln!(
-                "[ingest] ERROR: cold-path compression ratio {ratio:.2} is below the {COLD_PATH_RATIO_GATE}x gate"
+                "[ingest] ERROR: cold-path decode ratio {decode_ratio:.2} is below the {COLD_PATH_RATIO_GATE}x gate"
             );
             cold_failed = true;
         }
-        if !cold_identical {
-            eprintln!(
-                "[ingest] ERROR: cold-path backend/encoding combinations diverged on the probe"
-            );
+        if !mmap_matches_file {
+            eprintln!("[ingest] ERROR: cold-path mmap backend diverged from the file backend");
             cold_failed = true;
         }
         if cold_failed {

@@ -27,10 +27,9 @@
 //! ingest, shared between server workers or carried through a checkpoint.
 //!
 //! Materialised per-slot tables ([`SlotTable`], [`ConIndex::slot_table`],
-//! [`ConIndex::build_slots`], the `con_tables` snapshot section) remain for
-//! inspection, for the literal Algorithm 1/3 oracle in
-//! [`crate::query::reference`] and for the benchmark's probes; they are
-//! built on demand through the same hop primitive, cached up to
+//! [`ConIndex::build_slots`]) remain, in memory only, for inspection, for
+//! the literal Algorithm 1/3 oracle in [`crate::query::reference`] and for
+//! the benchmark's probes; they are never persisted, and are built on demand through the same hop primitive, cached up to
 //! [`IndexConfig::max_cached_con_slots`](crate::config::IndexConfig) and
 //! dropped when ingest touches their slot. No query, serving, subscription
 //! or router path reads or builds one.
@@ -81,11 +80,6 @@ impl SlotTable {
     /// Both lists of a segment.
     pub fn lists(&self, segment: SegmentId) -> &ConnectionLists {
         &self.lists[segment.index()]
-    }
-
-    /// Every segment's lists in segment-ID order (snapshot export).
-    pub(crate) fn all_lists(&self) -> &[ConnectionLists] {
-        &self.lists
     }
 
     /// Total number of IDs stored in this table.
@@ -285,38 +279,6 @@ impl ConIndex {
             }
         }
         observed
-    }
-
-    /// The currently cached connection tables in ascending slot order
-    /// (snapshot export).
-    pub(crate) fn export_cached_tables(&self) -> Vec<(u32, Arc<SlotTable>)> {
-        let cache = self.cache.lock();
-        let mut out: Vec<(u32, Arc<SlotTable>)> = cache
-            .tables
-            .iter()
-            .map(|(slot, table)| (*slot, Arc::clone(table)))
-            .collect();
-        out.sort_unstable_by_key(|(slot, _)| *slot);
-        out
-    }
-
-    /// Installs pre-built connection tables (snapshot import). Tables beyond
-    /// the cache capacity are dropped in insertion order, matching a cold
-    /// rebuild followed by the same access sequence.
-    pub(crate) fn install_tables(&self, tables: Vec<(u32, Vec<ConnectionLists>)>) {
-        let mut cache = self.cache.lock();
-        for (slot, lists) in tables {
-            let slot = slot % self.slots_per_day;
-            cache
-                .tables
-                .insert(slot, Arc::new(SlotTable { slot, lists }));
-            cache.lru.retain(|s| *s != slot);
-            cache.lru.push(slot);
-            while cache.tables.len() > self.max_cached_slots {
-                let victim = cache.lru.remove(0);
-                cache.tables.remove(&victim);
-            }
-        }
     }
 
     /// Cache statistics.

@@ -1,7 +1,7 @@
 //! Index construction configuration.
 
 use serde::{Deserialize, Serialize};
-use streach_storage::{PostingEncoding, StorageBackend};
+use streach_storage::StorageBackend;
 
 /// Configuration of the ST-Index and Con-Index construction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -37,11 +37,6 @@ pub struct IndexConfig {
     /// buffered file reads or a read-only memory mapping. Recorded in the
     /// snapshot config; overridable per open (benchmarks compare both).
     pub storage_backend: StorageBackend,
-    /// Wire encoding of the posting heaps. New engines default to the
-    /// delta/varint encoding; v3 snapshots reopen as
-    /// [`PostingEncoding::LegacyRaw`] so their untagged heaps (and every
-    /// blob appended to them afterwards) stay self-consistent.
-    pub posting_encoding: PostingEncoding,
 }
 
 impl Default for IndexConfig {
@@ -55,7 +50,6 @@ impl Default for IndexConfig {
             read_retries: streach_storage::DEFAULT_READ_RETRIES,
             auto_checkpoint_bytes: 8 * 1024 * 1024,
             storage_backend: StorageBackend::default(),
-            posting_encoding: PostingEncoding::default(),
         }
     }
 }

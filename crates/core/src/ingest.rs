@@ -147,9 +147,7 @@ impl IngestState {
     }
 }
 
-/// Tag byte opening a varint-encoded WAL batch record. The legacy format
-/// opens with the little-endian `u32` point count instead; `decode_record`
-/// accepts both (see there for how the formats are told apart).
+/// Tag byte opening a varint-encoded WAL batch record.
 const WAL_BATCH_TAG_VARINT: u8 = 0x01;
 
 /// Tag byte opening a **pre-normalized** varint batch record: the points
@@ -166,8 +164,8 @@ const WAL_BATCH_TAG_PRENORMALIZED: u8 = 0x02;
 /// see `streach_storage::postings` for the canonical-varint rules):
 /// tag byte `0x01`, varint point count, then per point varint `traj_id`,
 /// varint `date`, varint `segment`, varint `enter_time_s`. Fleet IDs and
-/// intra-day timestamps are small, so batches shrink to roughly half the
-/// legacy fixed-width 14 bytes/point.
+/// intra-day timestamps are small, so a point takes about half of the 14
+/// bytes a fixed-width layout would need.
 pub(crate) fn encode_batch(points: &[TrajPoint]) -> Vec<u8> {
     encode_tagged_batch(WAL_BATCH_TAG_VARINT, points)
 }
@@ -218,28 +216,6 @@ fn decode_batch_varint(mut buf: &[u8]) -> Option<Vec<TrajPoint>> {
     Some(points)
 }
 
-/// Decodes the legacy fixed-width batch body (LE `u32` count + 14 bytes per
-/// point). Strict: the buffer length must match the count exactly.
-fn decode_batch_legacy(mut buf: &[u8]) -> Option<Vec<TrajPoint>> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() != n * 14 {
-        return None;
-    }
-    let mut points = Vec::with_capacity(n);
-    for _ in 0..n {
-        points.push(TrajPoint {
-            traj_id: buf.get_u32_le(),
-            date: buf.get_u16_le(),
-            segment: streach_roadnet::SegmentId(buf.get_u32_le()),
-            enter_time_s: buf.get_u32_le(),
-        });
-    }
-    Some(points)
-}
-
 /// A decoded WAL ingest record: the points plus whether they were written
 /// pre-normalized (owner-routed by the sharded router) and must therefore
 /// be applied postings-only on replay.
@@ -249,37 +225,22 @@ pub(crate) struct DecodedRecord {
     pub prenormalized: bool,
 }
 
-/// Decodes a WAL record payload back into trajectory points, accepting the
-/// varint formats written by `encode_batch` / `encode_prenormalized_batch`
-/// and the legacy fixed-width format of pre-existing logs. Strict like
-/// every decoder in this workspace: a short buffer or trailing bytes is
-/// `Corrupt`, never a silently shorter batch.
-///
-/// Format dispatch: a first byte of `0x01` / `0x02` is *tried* as a varint
-/// tag first; on strict-parse failure the payload falls back to the legacy
-/// decoder. (A legacy batch can legitimately start with such a byte — a
-/// count with low byte 1 or 2 — but its count high bytes then read as a
-/// tiny varint count that leaves the fixed-width points as trailing bytes,
-/// so the varint parse always rejects it and the fallback decodes it
-/// correctly.)
+/// Decodes a WAL record payload back into trajectory points. The tag byte
+/// — `0x01` ([`encode_batch`]) or `0x02` ([`encode_prenormalized_batch`])
+/// — is the only record format marker. Strict like every decoder in this
+/// workspace: any other tag, a short buffer or trailing bytes is `Corrupt`,
+/// never a silently shorter batch.
 pub(crate) fn decode_record(buf: &[u8]) -> StorageResult<DecodedRecord> {
-    let corrupt = || StorageError::corrupt("WAL ingest record is malformed");
-    if let Some((&tag, body)) = buf.split_first() {
-        if tag == WAL_BATCH_TAG_VARINT || tag == WAL_BATCH_TAG_PRENORMALIZED {
-            if let Some(points) = decode_batch_varint(body) {
-                return Ok(DecodedRecord {
-                    points,
-                    prenormalized: tag == WAL_BATCH_TAG_PRENORMALIZED,
-                });
-            }
-        }
-    }
-    decode_batch_legacy(buf)
-        .map(|points| DecodedRecord {
-            points,
-            prenormalized: false,
-        })
-        .ok_or_else(corrupt)
+    let (&tag, body) = buf
+        .split_first()
+        .filter(|(&tag, _)| tag == WAL_BATCH_TAG_VARINT || tag == WAL_BATCH_TAG_PRENORMALIZED)
+        .ok_or_else(|| StorageError::corrupt("WAL ingest record has an unknown tag"))?;
+    let points = decode_batch_varint(body)
+        .ok_or_else(|| StorageError::corrupt("WAL ingest record is malformed"))?;
+    Ok(DecodedRecord {
+        points,
+        prenormalized: tag == WAL_BATCH_TAG_PRENORMALIZED,
+    })
 }
 
 /// Point-only view of [`decode_record`], for callers (and tests) that do
@@ -376,41 +337,23 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode_batch(&padded).is_err());
-        // The varint format beats the legacy 4 + 14n fixed-width layout.
+        // The varint format beats a 4 + 14n fixed-width layout.
         assert!(bytes.len() < 4 + points.len() * 14);
     }
 
-    /// The legacy fixed-width payload of pre-existing WALs.
-    fn encode_batch_legacy(points: &[TrajPoint]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(4 + points.len() * 14);
-        buf.put_u32_le(points.len() as u32);
-        for p in points {
-            buf.put_u32_le(p.traj_id);
-            buf.put_u16_le(p.date);
-            buf.put_u32_le(p.segment.0);
-            buf.put_u32_le(p.enter_time_s);
-        }
-        buf
-    }
-
+    /// The exact bytes of a 2-point batch record: a silent change of the
+    /// WAL record format fails here.
     #[test]
-    fn legacy_fixed_width_batches_still_decode() {
-        let points = sample_points();
-        let legacy = encode_batch_legacy(&points);
-        assert_eq!(decode_batch(&legacy).unwrap(), points);
-        assert_eq!(decode_batch(&encode_batch_legacy(&[])).unwrap(), Vec::new());
-        // The dispatch ambiguity case: a single-point legacy batch opens
-        // with 0x01 (count low byte), same as the varint tag. The varint
-        // parse must reject it and the fallback must decode it.
-        let one = vec![points[0]];
-        let legacy_one = encode_batch_legacy(&one);
-        assert_eq!(legacy_one[0], 0x01);
-        assert_eq!(decode_batch(&legacy_one).unwrap(), one);
-        // Legacy strictness survives the dual-accept path.
-        assert!(decode_batch(&legacy[..legacy.len() - 1]).is_err());
-        let mut padded = legacy;
-        padded.push(0);
-        assert!(decode_batch(&padded).is_err());
+    fn batch_record_golden_bytes() {
+        let points = &sample_points()[..2];
+        let golden = [
+            0x01, // tag
+            0x02, // 2 points
+            0x07, 0x03, 0x63, 0x90, 0xFD, 0x01, // traj 7, date 3, segment 99, t 32 400
+            0x07, 0x03, 0x64, 0xC7, 0xFD, 0x01, // traj 7, date 3, segment 100, t 32 455
+        ];
+        assert_eq!(encode_batch(points), golden);
+        assert_eq!(decode_batch(&golden).unwrap(), points);
     }
 
     #[test]
@@ -425,15 +368,6 @@ mod tests {
         // Strictness carries over to the 0x02 tag.
         let bytes = encode_prenormalized_batch(&points);
         assert!(decode_record(&bytes[..bytes.len() - 1]).is_err());
-        // Dispatch ambiguity: a two-point legacy batch opens with 0x02
-        // (count low byte), same as the pre-normalized tag. It must decode
-        // as a legacy (raw) batch, not as pre-normalized.
-        let two = vec![points[0], points[1]];
-        let legacy_two = encode_batch_legacy(&two);
-        assert_eq!(legacy_two[0], 0x02);
-        let decoded = decode_record(&legacy_two).unwrap();
-        assert!(!decoded.prenormalized);
-        assert_eq!(decoded.points, two);
     }
 
     #[test]

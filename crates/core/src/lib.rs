@@ -46,8 +46,7 @@
 //!   once per query
 //!   ([`StIndex::read_pinned`](st_index::StIndex::read_pinned))
 //!   into the recycled buffer and decoded in place with
-//!   [`streach_storage::visit_posting`] (encoding-aware: raw fixed-width and
-//!   delta/varint heaps take the same path), so each (segment, slot) posting
+//!   [`streach_storage::visit_posting`], so each (segment, slot) posting
 //!   is read exactly once per evaluation and a warm `probability()` call
 //!   performs **zero heap allocations**.
 //! * **Parallel stages.** The embarrassingly parallel stages — annulus
@@ -158,7 +157,7 @@ pub use snapshot::StoreRole;
 pub use speed_stats::SpeedStats;
 pub use st_index::{DeltaStats, StIndex};
 pub use stats::QueryStats;
-pub use streach_storage::{PostingEncoding, StorageBackend};
+pub use streach_storage::StorageBackend;
 pub use subscribe::{
     ReachabilityEvent, SubscribeConfig, SubscribeError, SubscribeStats, SubscriptionEvent,
     SubscriptionId, SubscriptionManager, Trigger,

@@ -29,8 +29,7 @@
 //!   after the first few verifications a `probability` call performs **no
 //!   heap allocation** — postings are copied into the reusable byte buffer
 //!   via [`PostingSource::read_pinned`] and decoded in place with
-//!   [`streach_storage::visit_posting`] (the encoding-aware walker: raw
-//!   fixed-width and delta/varint blobs take the same zero-allocation path).
+//!   [`streach_storage::visit_posting`].
 //!
 //! [`ReachabilityVerifier`] bundles one core with one scratch for the
 //! sequential call sites; parallel call sites share one core across workers
@@ -39,7 +38,7 @@
 use std::sync::Arc;
 
 use streach_roadnet::SegmentId;
-use streach_storage::{visit_posting, IoStats, PostingEncoding, StorageError, StorageResult};
+use streach_storage::{visit_posting, IoStats, StorageError, StorageResult};
 
 use crate::st_index::StIndex;
 use crate::time::slots_overlapping;
@@ -75,9 +74,6 @@ pub trait PostingSource: Sync {
 
     /// Number of observed days (the denominator `m` of Eq. 3.1).
     fn num_days(&self) -> u16;
-
-    /// Wire encoding of the posting heaps.
-    fn posting_encoding(&self) -> PostingEncoding;
 
     /// Shared I/O counters that posting decodes are reported against.
     fn io_stats(&self) -> Arc<IoStats>;
@@ -119,9 +115,6 @@ pub struct VerifierCore<'a, I: PostingSource + ?Sized = StIndex> {
     /// which case the window wraps.
     window: (u32, u32),
     num_days: u16,
-    /// Wire encoding of the posting heaps, fetched once at construction so
-    /// the per-verification hot loop never touches the index lock for it.
-    encoding: PostingEncoding,
     /// Shared I/O counters: every posting visited here reports its decoded
     /// (fixed-width-equivalent) vs resident (stored) byte counts, making the
     /// compression win observable per query.
@@ -193,7 +186,6 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
         let t0_end = start_time_s.saturating_add(slot_s);
         let end = start_time_s.saturating_add(duration_s);
 
-        let encoding = st_index.posting_encoding();
         let io = st_index.io_stats();
         let pin = st_index.pin();
         let mut start_ids: Vec<Vec<u32>> = vec![Vec::new(); num_days as usize];
@@ -201,7 +193,7 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
         for slot in slots_overlapping(start_time_s, t0_end, slot_s) {
             if st_index.read_pinned(&pin, start_segment, slot, &mut bytes)? {
                 let (mut dates, mut ids_seen) = (0u64, 0u64);
-                let well_formed = visit_posting(&bytes, encoding, |date, ids| {
+                let well_formed = visit_posting(&bytes, |date, ids| {
                     dates += 1;
                     ids_seen += ids.len() as u64;
                     if let Some(day) = start_ids.get_mut(date as usize) {
@@ -231,7 +223,6 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
             window_slots: slots_overlapping(start_time_s, end, slot_s),
             window: (start_time_s, end),
             num_days,
-            encoding,
             io,
         })
     }
@@ -289,7 +280,7 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
                 .read_pinned(&self.pin, segment, slot, &mut scratch.bytes)?
             {
                 let (mut dates, mut ids_seen) = (0u64, 0u64);
-                let well_formed = visit_posting(&scratch.bytes, self.encoding, |date, ids| {
+                let well_formed = visit_posting(&scratch.bytes, |date, ids| {
                     dates += 1;
                     ids_seen += ids.len() as u64;
                     let day = date as usize;

@@ -75,7 +75,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use streach_roadnet::{RoadNetwork, SegmentId, ShardMap};
-use streach_storage::{IoStats, IoStatsSnapshot, PostingEncoding, StorageError, StorageResult};
+use streach_storage::{IoStats, IoStatsSnapshot, StorageError, StorageResult};
 
 use crate::engine::ReachabilityEngine;
 use crate::query::es::exhaustive_search;
@@ -680,10 +680,6 @@ impl PostingSource for RoutedPostings<'_> {
 
     fn num_days(&self) -> u16 {
         self.sharded.reference().st_index().num_days()
-    }
-
-    fn posting_encoding(&self) -> PostingEncoding {
-        PostingSource::posting_encoding(self.sharded.reference().st_index())
     }
 
     fn io_stats(&self) -> Arc<IoStats> {

@@ -9,10 +9,8 @@
 //!   handle) in the snapshot container and its posting heap as a raw page
 //!   file reopened through [`streach_storage::FilePageStore`], so a cold
 //!   start serves queries with *real* page I/O against real disk pages,
-//! * the **Con-Index** — the historical [`SpeedStats`] the tables are
-//!   derived from (tables for any slot can be rebuilt without the dataset)
-//!   plus every currently cached connection table, so a warmed engine
-//!   reopens warm,
+//! * the **Con-Index** — the historical [`SpeedStats`] every bounding hop
+//!   is derived from (queries store no tables, so there are none to save),
 //! * the [`IndexConfig`] the indexes were built with.
 //!
 //! The **road network is not serialized** — it is a static input (generated
@@ -53,12 +51,12 @@ use std::time::Duration;
 use bytes::{Buf, BufMut};
 use streach_roadnet::{RoadNetwork, SegmentId, ShardMap};
 use streach_storage::{
-    BlobHandle, Crc32, FilePageStore, InMemoryPageStore, MmapPageStore, PageStore, PostingEncoding,
-    PostingStore, SimulatedDiskStore, SnapshotReader, SnapshotWriter, StorageBackend, StorageError,
+    BlobHandle, Crc32, FilePageStore, InMemoryPageStore, MmapPageStore, PageStore, PostingStore,
+    SimulatedDiskStore, SnapshotReader, SnapshotWriter, StorageBackend, StorageError,
     StorageResult,
 };
 
-use crate::con_index::{ConIndex, ConnectionLists};
+use crate::con_index::ConIndex;
 use crate::config::IndexConfig;
 use crate::engine::ReachabilityEngine;
 use crate::ingest::IngestState;
@@ -104,15 +102,14 @@ const SEC_NETWORK: &str = "network";
 const SEC_PAGES_META: &str = "pages_meta";
 const SEC_ST_INDEX: &str = "st_index";
 const SEC_SPEED_STATS: &str = "speed_stats";
-const SEC_CON_TABLES: &str = "con_tables";
 const SEC_DELTA_PAGES_META: &str = "delta_pages_meta";
 const SEC_DELTA_DIR: &str = "delta_dir";
 const SEC_INGEST_META: &str = "ingest_meta";
-/// Optional (container version 5): shard id (u16 LE) + encoded
+/// Optional: shard id (u16 LE) + encoded
 /// [`ShardMap`]. Present only for shard engines; restores the ownership
 /// filter at open so a reopened shard keeps folding only its own postings.
 const SEC_SHARD_MAP: &str = "shard_map";
-/// Optional (container version 5): the road network itself
+/// Optional: the road network itself
 /// ([`streach_roadnet::encode_network`], bit-exact roundtrip). Present for
 /// self-contained snapshots, so a replica bootstraps from shipped
 /// artifacts alone (see [`ReachabilityEngine::open_snapshot_standalone`]).
@@ -142,8 +139,11 @@ pub fn network_fingerprint(network: &RoadNetwork) -> u64 {
     hash
 }
 
+/// Byte length of the `config` section.
+const CONFIG_LEN: usize = 49;
+
 fn encode_config(config: &IndexConfig) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(50);
+    let mut buf = Vec::with_capacity(CONFIG_LEN);
     buf.put_u32_le(config.slot_s);
     buf.put_u64_le(config.pool_pages as u64);
     buf.put_u64_le(config.read_latency_us);
@@ -152,21 +152,15 @@ fn encode_config(config: &IndexConfig) -> Vec<u8> {
     buf.put_u32_le(config.read_retries);
     buf.put_u64_le(config.auto_checkpoint_bytes);
     buf.put_u8(config.storage_backend.config_byte());
-    buf.put_u8(config.posting_encoding.config_byte());
     buf
 }
 
-/// Decodes the `config` section. Container version 3 wrote 48 bytes — those
-/// snapshots predate the storage-backend choice and the tagged posting
-/// encodings, so they reopen as `File` + `LegacyRaw` (the heap on disk *is*
-/// untagged, and every blob appended later must stay consistent with it).
-/// Version 4 appends one byte each for backend and encoding.
-fn decode_config(mut buf: &[u8], container_version: u32) -> StorageResult<IndexConfig> {
-    let expected_len = if container_version >= 4 { 50 } else { 48 };
-    if buf.remaining() != expected_len {
+/// Decodes the `config` section: exactly [`CONFIG_LEN`] bytes.
+fn decode_config(mut buf: &[u8]) -> StorageResult<IndexConfig> {
+    if buf.remaining() != CONFIG_LEN {
         return Err(StorageError::corrupt("config section has wrong length"));
     }
-    let mut config = IndexConfig {
+    let config = IndexConfig {
         slot_s: buf.get_u32_le(),
         pool_pages: buf.get_u64_le() as usize,
         read_latency_us: buf.get_u64_le(),
@@ -174,15 +168,9 @@ fn decode_config(mut buf: &[u8], container_version: u32) -> StorageResult<IndexC
         fallback_min_speed_ms: f64::from_bits(buf.get_u64_le()),
         read_retries: buf.get_u32_le(),
         auto_checkpoint_bytes: buf.get_u64_le(),
-        storage_backend: StorageBackend::File,
-        posting_encoding: PostingEncoding::LegacyRaw,
+        storage_backend: StorageBackend::from_config_byte(buf.get_u8())
+            .ok_or_else(|| StorageError::corrupt("config section has unknown storage backend"))?,
     };
-    if container_version >= 4 {
-        config.storage_backend = StorageBackend::from_config_byte(buf.get_u8())
-            .ok_or_else(|| StorageError::corrupt("config section has unknown storage backend"))?;
-        config.posting_encoding = PostingEncoding::from_config_byte(buf.get_u8())
-            .ok_or_else(|| StorageError::corrupt("config section has unknown posting encoding"))?;
-    }
     if config.slot_s == 0 || config.pool_pages == 0 {
         return Err(StorageError::corrupt("config section has invalid values"));
     }
@@ -290,79 +278,6 @@ fn decode_st_index(mut buf: &[u8]) -> StorageResult<StIndexParts> {
         tail,
         directory,
     })
-}
-
-fn encode_con_tables(tables: &[(u32, Arc<crate::con_index::SlotTable>)]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.put_u32_le(tables.len() as u32);
-    for (slot, table) in tables {
-        buf.put_u32_le(*slot);
-        let lists = table.all_lists();
-        buf.put_u32_le(lists.len() as u32);
-        for l in lists {
-            buf.put_u32_le(l.near.len() as u32);
-            for seg in &l.near {
-                buf.put_u32_le(seg.0);
-            }
-            buf.put_u32_le(l.far.len() as u32);
-            for seg in &l.far {
-                buf.put_u32_le(seg.0);
-            }
-        }
-    }
-    buf
-}
-
-fn decode_con_tables(
-    mut buf: &[u8],
-    num_segments: usize,
-) -> StorageResult<Vec<(u32, Vec<ConnectionLists>)>> {
-    let corrupt = || StorageError::corrupt("con_tables section truncated");
-    if buf.remaining() < 4 {
-        return Err(corrupt());
-    }
-    let num_tables = buf.get_u32_le() as usize;
-    // File-supplied count: cap the pre-allocation by the remaining bytes.
-    let mut tables = Vec::with_capacity(num_tables.min(buf.remaining() / 8));
-    for _ in 0..num_tables {
-        if buf.remaining() < 8 {
-            return Err(corrupt());
-        }
-        let slot = buf.get_u32_le();
-        let num_lists = buf.get_u32_le() as usize;
-        if num_lists != num_segments {
-            return Err(StorageError::corrupt(
-                "con_tables table size does not match the network",
-            ));
-        }
-        let mut lists = Vec::with_capacity(num_lists);
-        for _ in 0..num_lists {
-            let read_ids = |buf: &mut &[u8]| -> StorageResult<Vec<SegmentId>> {
-                if buf.remaining() < 4 {
-                    return Err(corrupt());
-                }
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n * 4 {
-                    return Err(corrupt());
-                }
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(SegmentId(buf.get_u32_le()));
-                }
-                Ok(ids)
-            };
-            let near = read_ids(&mut buf)?;
-            let far = read_ids(&mut buf)?;
-            lists.push(ConnectionLists { near, far });
-        }
-        tables.push((slot, lists));
-    }
-    if buf.remaining() != 0 {
-        return Err(StorageError::corrupt(
-            "con_tables section has trailing bytes",
-        ));
-    }
-    Ok(tables)
 }
 
 /// The delta directory: ((slot, segment), handle) entries in key order.
@@ -501,10 +416,6 @@ pub(crate) fn save(
     writer.add_section(SEC_PAGES_META, pages_meta);
     writer.add_section(SEC_ST_INDEX, encode_st_index(engine.st_index(), &pinned));
     writer.add_section(SEC_SPEED_STATS, engine.con_index().speed_stats().encode());
-    writer.add_section(
-        SEC_CON_TABLES,
-        encode_con_tables(&engine.con_index().export_cached_tables()),
-    );
     let mut delta_meta = Vec::with_capacity(28);
     delta_meta.put_u64_le(delta_pages);
     delta_meta.put_u32_le(delta_crc);
@@ -660,7 +571,6 @@ struct DecodedSections {
     delta_seq: u64,
     delta_directory: Vec<((u32, u32), BlobHandle)>,
     speed_stats: SpeedStats,
-    con_tables: Vec<(u32, Vec<ConnectionLists>)>,
     ingest_meta: (u64, u64, crate::ingest::LastVisitMap),
 }
 
@@ -671,7 +581,6 @@ fn decode_sections(
     dir: &Path,
     reader: &SnapshotReader,
     config: &IndexConfig,
-    num_segments: usize,
 ) -> StorageResult<DecodedSections> {
     let st_index = decode_st_index(reader.section(SEC_ST_INDEX)?)?;
     if st_index.slot_s != config.slot_s {
@@ -709,7 +618,6 @@ fn decode_sections(
             "speed_stats granularity disagrees with the config section",
         ));
     }
-    let con_tables = decode_con_tables(reader.section(SEC_CON_TABLES)?, num_segments)?;
     let ingest_meta = crate::ingest::decode_ingest_meta(reader.section(SEC_INGEST_META)?)?;
     Ok(DecodedSections {
         st_index,
@@ -717,7 +625,6 @@ fn decode_sections(
         delta_seq,
         delta_directory,
         speed_stats,
-        con_tables,
         ingest_meta,
     })
 }
@@ -746,7 +653,7 @@ where
         )));
     }
 
-    let mut config = decode_config(reader.section(SEC_CONFIG)?, reader.version())?;
+    let mut config = decode_config(reader.section(SEC_CONFIG)?)?;
     if let Some(backend) = backend_override {
         config.storage_backend = backend;
     }
@@ -763,7 +670,7 @@ where
     let pages_path = dir.join(PAGES_FILE);
     let decoded = std::thread::scope(|s| {
         let base_check = s.spawn(|| verify_pages_file(&pages_path, expected_pages, expected_crc));
-        let decoded = decode_sections(dir, reader, &config, network.num_segments());
+        let decoded = decode_sections(dir, reader, &config);
         let base_checked = base_check
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
@@ -787,12 +694,11 @@ where
         Duration::from_micros(config.read_latency_us),
         Duration::ZERO,
     );
-    let postings = PostingStore::with_options(
+    let postings = PostingStore::with_tail_and_retries(
         store,
         config.pool_pages,
         parts.tail,
         config.read_retries,
-        config.posting_encoding,
     );
 
     // The verified delta heap of previously ingested data, copied into a
@@ -815,12 +721,11 @@ where
         Duration::from_micros(config.read_latency_us),
         Duration::ZERO,
     );
-    let delta_postings = PostingStore::with_options(
+    let delta_postings = PostingStore::with_tail_and_retries(
         delta_store,
         config.pool_pages,
         decoded.delta_tail,
         config.read_retries,
-        config.posting_encoding,
     );
 
     let st_index = StIndex::from_parts(
@@ -835,7 +740,6 @@ where
     );
 
     let con_index = ConIndex::new(network.clone(), Arc::new(decoded.speed_stats), &config);
-    con_index.install_tables(decoded.con_tables);
 
     let (wal_generation, wal_applied, last_visit) = decoded.ingest_meta;
     let engine = ReachabilityEngine::new(network, st_index, con_index, config);
@@ -848,8 +752,8 @@ where
     engine.commit_delta_seq(decoded.delta_seq);
     engine.set_snapshot_home(dir);
 
-    // Version-5 optional sections. Both are presence-checked: version-3/4
-    // containers (and v5 containers of unsharded leaders) simply lack them.
+    // Optional sections, presence-checked: unsharded engines have no shard
+    // map, and only self-contained saves embed the network.
     if reader.section_names().any(|n| n == SEC_SHARD_MAP) {
         let mut buf = reader.section(SEC_SHARD_MAP)?;
         if buf.remaining() < 2 {
@@ -903,11 +807,10 @@ mod tests {
             read_retries: 5,
             auto_checkpoint_bytes: 123_456,
             storage_backend: StorageBackend::Mmap,
-            posting_encoding: PostingEncoding::Delta,
         };
         let bytes = encode_config(&config);
-        assert_eq!(bytes.len(), 50);
-        let decoded = decode_config(&bytes, streach_storage::SNAPSHOT_VERSION).unwrap();
+        assert_eq!(bytes.len(), CONFIG_LEN);
+        let decoded = decode_config(&bytes).unwrap();
         assert_eq!(decoded.slot_s, 600);
         assert_eq!(decoded.pool_pages, 33);
         assert_eq!(decoded.read_latency_us, 17);
@@ -916,28 +819,14 @@ mod tests {
         assert_eq!(decoded.read_retries, 5);
         assert_eq!(decoded.auto_checkpoint_bytes, 123_456);
         assert_eq!(decoded.storage_backend, StorageBackend::Mmap);
-        assert_eq!(decoded.posting_encoding, PostingEncoding::Delta);
-        assert!(decode_config(&[1, 2, 3], streach_storage::SNAPSHOT_VERSION).is_err());
-    }
-
-    #[test]
-    fn legacy_v3_config_decodes_as_untagged_file_backend() {
-        // A version-3 container's config section is the first 48 bytes of
-        // the modern layout; it must reopen with the legacy heap encoding.
-        let modern = encode_config(&IndexConfig::default());
-        let legacy = &modern[..48];
-        let decoded = decode_config(legacy, 3).unwrap();
-        assert_eq!(decoded.storage_backend, StorageBackend::File);
-        assert_eq!(decoded.posting_encoding, PostingEncoding::LegacyRaw);
-        // Length/version mismatches in either direction are rejected.
-        assert!(decode_config(legacy, 4).is_err());
-        assert!(decode_config(&modern, 3).is_err());
-        // Unknown enum bytes are corruption, not defaults.
-        let mut bad = modern.clone();
-        bad[48] = 0xEE;
-        assert!(decode_config(&bad, 4).is_err());
-        let mut bad = modern;
-        bad[49] = 0xEE;
-        assert!(decode_config(&bad, 4).is_err());
+        // Any other length, and an unknown backend byte, are corruption.
+        assert!(decode_config(&[1, 2, 3]).is_err());
+        assert!(decode_config(&bytes[..CONFIG_LEN - 1]).is_err());
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(decode_config(&padded).is_err());
+        let mut bad = bytes;
+        bad[CONFIG_LEN - 1] = 0xEE;
+        assert!(decode_config(&bad).is_err());
     }
 }

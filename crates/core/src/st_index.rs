@@ -63,8 +63,8 @@ use parking_lot::{Mutex, RwLock};
 use streach_geo::GeoPoint;
 use streach_roadnet::{RoadNetwork, SegmentId};
 use streach_storage::{
-    BPlusTree, BlobHandle, InMemoryPageStore, IoStats, PageStore, PostingEncoding, PostingStore,
-    SimulatedDiskStore, StorageError, StorageResult, TimeList,
+    BPlusTree, BlobHandle, InMemoryPageStore, IoStats, PageStore, PostingStore, SimulatedDiskStore,
+    StorageError, StorageResult, TimeList,
 };
 use streach_traj::{TrajPoint, TrajectoryDataset};
 
@@ -221,7 +221,7 @@ impl IndexState {
         }
     }
 
-    /// Reads a located list's raw encoding into `buf` from whichever heap
+    /// Reads a located list's encoded bytes into `buf` from whichever heap
     /// owns it.
     fn read_into(&self, list_ref: ListRef, buf: &mut Vec<u8>) -> StorageResult<()> {
         match list_ref {
@@ -352,19 +352,13 @@ impl StIndex {
             Duration::from_micros(config.read_latency_us),
             Duration::ZERO,
         );
-        let postings = PostingStore::with_options(
-            store,
-            config.pool_pages,
-            0,
-            config.read_retries,
-            config.posting_encoding,
-        );
+        let postings =
+            PostingStore::with_tail_and_retries(store, config.pool_pages, 0, config.read_retries);
         let delta = Self::empty_delta(
             io,
             Duration::from_micros(config.read_latency_us),
             config.pool_pages,
             config.read_retries,
-            config.posting_encoding,
         );
 
         let mut temporal = BPlusTree::with_order(32);
@@ -445,7 +439,6 @@ impl StIndex {
         read_latency: Duration,
         pool_pages: usize,
         read_retries: u32,
-        encoding: PostingEncoding,
     ) -> DeltaTail {
         let store = SimulatedDiskStore::with_latency(
             Box::new(InMemoryPageStore::with_stats(io)) as Box<dyn PageStore>,
@@ -453,7 +446,7 @@ impl StIndex {
             Duration::ZERO,
         );
         DeltaTail {
-            postings: PostingStore::with_options(store, pool_pages, 0, read_retries, encoding),
+            postings: PostingStore::with_tail_and_retries(store, pool_pages, 0, read_retries),
             stripes: (0..DELTA_STRIPES)
                 .map(|_| RwLock::new(BTreeMap::new()))
                 .collect(),
@@ -547,14 +540,6 @@ impl StIndex {
         self.current().base.postings.io_stats()
     }
 
-    /// The wire encoding of the posting heaps (base and delta always
-    /// agree). Zero-copy readers pass this to
-    /// [`streach_storage::visit_posting`] when walking bytes fetched via
-    /// [`StIndex::read_time_list_into`].
-    pub fn posting_encoding(&self) -> PostingEncoding {
-        self.current().base.postings.encoding()
-    }
-
     /// Drops all cached posting pages (for cold-cache measurements) from
     /// both the base and the delta buffer pool.
     pub fn clear_cache(&self) {
@@ -593,9 +578,8 @@ impl StIndex {
     ///
     /// This is the hot-path counterpart of [`StIndex::time_list`]: the bytes
     /// land in reusable scratch storage and are consumed through
-    /// [`streach_storage::visit_posting`] (passing
-    /// [`StIndex::posting_encoding`]), so a warm verification performs no
-    /// heap allocation. I/O accounting is identical to [`StIndex::time_list`].
+    /// [`streach_storage::visit_posting`], so a warm verification performs
+    /// no heap allocation. I/O accounting is identical to [`StIndex::time_list`].
     /// The bytes are **not** structurally validated here (that would cost an
     /// extra pass); the consumer must treat a `false` from `visit_posting`
     /// as corruption — [`StIndex::malformed_posting`] builds the matching
@@ -761,7 +745,6 @@ impl StIndex {
         // list (delta if present, else base), folds its observations in and
         // produces the merged encoding independently. Only the heap append
         // below is ordered.
-        let encoding = state.delta.postings.encoding();
         let merged: Vec<(Vec<u8>, bool)> = streach_par::try_par_map_with(
             &groups,
             TimeList::new,
@@ -780,7 +763,7 @@ impl StIndex {
                 for &(_, _, date, traj_id) in &obs[start..end] {
                     list.add(date, traj_id);
                 }
-                Ok((list.encode_as(encoding), is_new))
+                Ok((list.encode(), is_new))
             },
         )?;
 
@@ -863,16 +846,12 @@ impl StIndex {
         let read_latency = state.base.postings.store().read_latency();
         let pool_pages = state.base.postings.pool_capacity();
         let read_retries = state.base.postings.read_retries();
-        // Blob bytes are copied verbatim below, so the new heap keeps the
-        // old heap's encoding — tagged blobs stay tagged, legacy heaps stay
-        // untagged and self-consistent.
-        let encoding = state.base.postings.encoding();
         let store = SimulatedDiskStore::with_latency(
             Box::new(InMemoryPageStore::with_stats(Arc::clone(&io))) as Box<dyn PageStore>,
             read_latency,
             Duration::ZERO,
         );
-        let new_postings = PostingStore::with_options(store, pool_pages, 0, read_retries, encoding);
+        let new_postings = PostingStore::with_tail_and_retries(store, pool_pages, 0, read_retries);
         let mut temporal = BPlusTree::with_order(32);
         let mut directory = SlotDirectory::default();
         let mut num_time_lists = 0u64;
@@ -896,7 +875,7 @@ impl StIndex {
                 temporal,
                 postings: new_postings,
             },
-            delta: Self::empty_delta(io, read_latency, pool_pages, read_retries, encoding),
+            delta: Self::empty_delta(io, read_latency, pool_pages, read_retries),
         });
         *self.state.write() = new_state;
         let mut stats = self.stats.lock();
@@ -919,10 +898,6 @@ impl crate::query::verifier::PostingSource for StIndex {
 
     fn num_days(&self) -> u16 {
         StIndex::num_days(self)
-    }
-
-    fn posting_encoding(&self) -> PostingEncoding {
-        StIndex::posting_encoding(self)
     }
 
     fn io_stats(&self) -> Arc<IoStats> {

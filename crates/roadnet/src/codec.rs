@@ -21,6 +21,11 @@ use crate::segment::{Direction, RoadClass};
 
 const CODEC_VERSION: u8 = 1;
 
+/// Encoded size of one polyline point: two `f64` bit patterns.
+const POINT_LEN: usize = 16;
+/// Smallest encoded road: class, direction, point count and two points.
+const MIN_ROAD_LEN: usize = 1 + 1 + 4 + 2 * POINT_LEN;
+
 fn class_to_byte(class: RoadClass) -> u8 {
     match class {
         RoadClass::Highway => 0,
@@ -70,7 +75,9 @@ pub fn encode_network(network: &RoadNetwork) -> Vec<u8> {
 }
 
 /// Rebuilds a road network encoded by [`encode_network`]. Returns `None` on
-/// a truncated buffer, unknown version, or invalid enum byte.
+/// a truncated buffer, unknown version, or invalid enum byte. The road and
+/// point counts are untrusted until the bytes behind them are read, so no
+/// pre-allocation exceeds what the remaining buffer could hold.
 pub fn decode_network(bytes: &[u8]) -> Option<RoadNetwork> {
     let mut cursor = 0usize;
     let take = |cursor: &mut usize, n: usize| -> Option<&[u8]> {
@@ -82,7 +89,7 @@ pub fn decode_network(bytes: &[u8]) -> Option<RoadNetwork> {
         return None;
     }
     let num_roads = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().ok()?) as usize;
-    let mut roads = Vec::with_capacity(num_roads);
+    let mut roads = Vec::with_capacity(num_roads.min((bytes.len() - cursor) / MIN_ROAD_LEN));
     for _ in 0..num_roads {
         let class = class_from_byte(take(&mut cursor, 1)?[0])?;
         let direction = match take(&mut cursor, 1)?[0] {
@@ -94,7 +101,7 @@ pub fn decode_network(bytes: &[u8]) -> Option<RoadNetwork> {
         if num_points < 2 {
             return None;
         }
-        let mut points = Vec::with_capacity(num_points);
+        let mut points = Vec::with_capacity(num_points.min((bytes.len() - cursor) / POINT_LEN));
         for _ in 0..num_points {
             let lon = f64::from_bits(u64::from_le_bytes(take(&mut cursor, 8)?.try_into().ok()?));
             let lat = f64::from_bits(u64::from_le_bytes(take(&mut cursor, 8)?.try_into().ok()?));
@@ -147,5 +154,16 @@ mod tests {
         let mut wrong_version = bytes;
         wrong_version[0] = 99;
         assert!(decode_network(&wrong_version).is_none());
+    }
+
+    /// Counts near `u32::MAX` with nothing behind them are rejected without
+    /// reserving memory for them.
+    #[test]
+    fn decode_rejects_huge_counts_without_allocating() {
+        assert!(decode_network(&[1, 0xFF, 0xFF, 0xFF, 0xFF]).is_none());
+        // One road claiming 2^32 - 1 points, followed by a single point.
+        let mut one_road = vec![1, 1, 0, 0, 0, 3, 1, 0xFF, 0xFF, 0xFF, 0xFF];
+        one_road.extend_from_slice(&[0; POINT_LEN]);
+        assert!(decode_network(&one_road).is_none());
     }
 }

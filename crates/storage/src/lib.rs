@@ -55,8 +55,8 @@ pub use pagestore::{
     FilePageStore, InMemoryPageStore, PageStore, SimulatedDiskStore, StorageError, StorageResult,
 };
 pub use postings::{
-    get_varint_u32, posting_sizes, put_varint_u32, visit_encoded, visit_posting, BlobHandle,
-    IdIter, PostingEncoding, PostingStore, TimeList, TimeListEntry,
+    get_varint_u32, posting_sizes, put_varint_u32, visit_posting, BlobHandle, IdIter, PostingStore,
+    TimeList, TimeListEntry,
 };
 pub use snapshot::{
     Crc32, SnapshotReader, SnapshotWriter, MIN_SNAPSHOT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

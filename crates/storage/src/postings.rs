@@ -11,39 +11,12 @@
 //! addressed by a [`BlobHandle`]. Reads go through a [`BufferPool`], so every
 //! posting access pays for exactly the pages it touches unless cached.
 //!
-//! # Wire formats
+//! # Wire format
 //!
-//! Three encodings exist, selected by [`PostingEncoding`]. All multi-byte
-//! fixed-width integers are little-endian; varints are canonical LEB128
-//! (see below).
-//!
-//! ## `LegacyRaw` — untagged fixed-width (v3 snapshot heaps)
+//! Every blob is one tagged delta/varint time list:
 //!
 //! ```text
-//! u32  entry count n
-//! n × {
-//!     u16  date               (absolute day index)
-//!     u32  id count k
-//!     k × u32  trajectory id  (sorted ascending)
-//! }
-//! ```
-//!
-//! No leading tag byte: the first byte of a legacy blob is the low byte of
-//! the entry count. Heaps written before the encoding-version bump are
-//! decoded with this layout, chosen by the snapshot container version — the
-//! format is never sniffed from the bytes.
-//!
-//! ## `Raw` — tagged fixed-width
-//!
-//! ```text
-//! u8   tag = 0x00
-//! ...  LegacyRaw body (exact layout above)
-//! ```
-//!
-//! ## `Delta` — tagged delta/varint (the default)
-//!
-//! ```text
-//! u8   tag = 0x01
+//! u8   tag = 0x01             (format marker)
 //! varint  entry count n
 //! n × {
 //!     varint  date            (entry 0: absolute day index;
@@ -57,7 +30,8 @@
 //!
 //! Dates and trajectory IDs are strictly ascending in a well-formed time
 //! list, so deltas and gaps are always ≥ 1 — a zero delta/gap byte (such as
-//! a zeroed page tail) is rejected as malformed, never absorbed.
+//! a zeroed page tail) is rejected as malformed, never absorbed. Any other
+//! tag byte (a zeroed blob start included) is rejected too.
 //!
 //! ## Canonical varints
 //!
@@ -82,90 +56,16 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
 use parking_lot::Mutex;
 
 use crate::buffer_pool::BufferPool;
 use crate::iostats::IoStats;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::PAGE_SIZE;
 use crate::pagestore::{PageStore, StorageResult};
 
-/// Tag byte for the tagged fixed-width encoding.
-const TAG_RAW: u8 = 0x00;
-/// Tag byte for the tagged delta/varint encoding.
+/// Tag byte opening every posting blob: the format marker of the
+/// delta/varint layout.
 const TAG_DELTA: u8 = 0x01;
-
-/// On-disk encoding of the serialized time lists in a posting heap.
-///
-/// The encoding of a heap is recorded in the snapshot container (and in the
-/// engine config), never inferred from blob bytes. Tagged heaps additionally
-/// carry one tag byte per blob, so [`Raw`](Self::Raw) and
-/// [`Delta`](Self::Delta) blobs may coexist in one heap — compaction copies
-/// blob bytes verbatim and the reader dispatches on the tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PostingEncoding {
-    /// Untagged fixed-width layout written by v3 snapshots. Kept readable
-    /// forever; never written by new snapshots.
-    LegacyRaw,
-    /// Tagged fixed-width layout: tag byte `0x00` followed by the legacy
-    /// body. Useful as an uncompressed baseline inside versioned heaps.
-    Raw,
-    /// Tagged delta/varint layout: tag byte `0x01`, dates as deltas, sorted
-    /// trajectory IDs as first value + varint gaps. The default for new
-    /// snapshots.
-    #[default]
-    Delta,
-}
-
-impl PostingEncoding {
-    /// Whether blobs in this encoding carry a leading tag byte.
-    pub fn is_tagged(self) -> bool {
-        !matches!(self, Self::LegacyRaw)
-    }
-
-    /// Stable single-byte identifier used in snapshot configs.
-    pub fn config_byte(self) -> u8 {
-        match self {
-            Self::LegacyRaw => 0,
-            Self::Raw => 1,
-            Self::Delta => 2,
-        }
-    }
-
-    /// Inverse of [`config_byte`](Self::config_byte).
-    pub fn from_config_byte(byte: u8) -> Option<Self> {
-        match byte {
-            0 => Some(Self::LegacyRaw),
-            1 => Some(Self::Raw),
-            2 => Some(Self::Delta),
-            _ => None,
-        }
-    }
-
-    /// Human-readable name (bench labels, error messages).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::LegacyRaw => "legacy-raw",
-            Self::Raw => "raw",
-            Self::Delta => "delta",
-        }
-    }
-}
-
-impl std::str::FromStr for PostingEncoding {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "legacy-raw" => Ok(Self::LegacyRaw),
-            "raw" => Ok(Self::Raw),
-            "delta" => Ok(Self::Delta),
-            other => Err(format!(
-                "unknown posting encoding {other:?} (expected legacy-raw, raw or delta)"
-            )),
-        }
-    }
-}
 
 /// Appends `v` to `buf` as a canonical LEB128 varint (1–5 bytes).
 pub fn put_varint_u32(buf: &mut Vec<u8>, mut v: u32) {
@@ -273,139 +173,55 @@ impl TimeList {
         self.entries.iter().map(|e| e.traj_ids.len()).sum()
     }
 
-    /// Size in bytes of the fixed-width ([`PostingEncoding::LegacyRaw`])
-    /// serialization: the logical "decompressed" footprint of this list.
-    pub fn raw_encoded_size(&self) -> u64 {
-        4 + 6 * self.num_dates() as u64 + 4 * self.num_observations() as u64
+    /// The list's fixed-width-equivalent footprint — a `u32` count, then a
+    /// `u16` date and `u32` id count per entry and a `u32` per id. This is
+    /// the logical "decoded" size [`IoStats::record_posting_decode`]
+    /// compares the stored bytes against.
+    pub fn fixed_width_size(&self) -> u64 {
+        fixed_width_size(self.num_dates() as u64, self.num_observations() as u64)
     }
 
-    /// Serializes the time list in the untagged fixed-width layout (see the
-    /// [module docs](self) for the byte-level format).
+    /// Serializes the time list as one tagged delta/varint blob (see the
+    /// [module docs](self)). Entries must be strictly ascending by date
+    /// with strictly ascending IDs per entry — the invariant
+    /// [`TimeList::add`] maintains.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.raw_encoded_size() as usize);
-        self.encode_raw_into(&mut buf);
-        buf
-    }
-
-    /// Serializes the time list in `encoding`. Entries must be strictly
-    /// ascending by date with strictly ascending IDs per entry — the
-    /// invariant [`TimeList::add`] maintains.
-    pub fn encode_as(&self, encoding: PostingEncoding) -> Vec<u8> {
-        match encoding {
-            PostingEncoding::LegacyRaw => self.encode(),
-            PostingEncoding::Raw => {
-                let mut buf = Vec::with_capacity(1 + self.raw_encoded_size() as usize);
-                buf.push(TAG_RAW);
-                self.encode_raw_into(&mut buf);
-                buf
-            }
-            PostingEncoding::Delta => {
-                let mut buf = Vec::with_capacity(1 + self.raw_encoded_size() as usize);
-                buf.push(TAG_DELTA);
-                self.encode_delta_into(&mut buf);
-                buf
-            }
-        }
-    }
-
-    fn encode_raw_into(&self, buf: &mut Vec<u8>) {
-        buf.put_u32_le(self.entries.len() as u32);
-        for entry in &self.entries {
-            buf.put_u16_le(entry.date);
-            buf.put_u32_le(entry.traj_ids.len() as u32);
-            for id in &entry.traj_ids {
-                buf.put_u32_le(*id);
-            }
-        }
-    }
-
-    fn encode_delta_into(&self, buf: &mut Vec<u8>) {
-        put_varint_u32(buf, self.entries.len() as u32);
+        let mut buf = Vec::with_capacity(1 + self.fixed_width_size() as usize);
+        buf.push(TAG_DELTA);
+        put_varint_u32(&mut buf, self.entries.len() as u32);
         let mut prev_date = 0u32;
         for (i, entry) in self.entries.iter().enumerate() {
             let date = entry.date as u32;
             if i == 0 {
-                put_varint_u32(buf, date);
+                put_varint_u32(&mut buf, date);
             } else {
                 debug_assert!(date > prev_date, "dates must be strictly ascending");
-                put_varint_u32(buf, date.wrapping_sub(prev_date));
+                put_varint_u32(&mut buf, date.wrapping_sub(prev_date));
             }
             prev_date = date;
-            put_varint_u32(buf, entry.traj_ids.len() as u32);
+            put_varint_u32(&mut buf, entry.traj_ids.len() as u32);
             let mut prev_id = 0u32;
             for (j, &id) in entry.traj_ids.iter().enumerate() {
                 if j == 0 {
-                    put_varint_u32(buf, id);
+                    put_varint_u32(&mut buf, id);
                 } else {
                     debug_assert!(id > prev_id, "ids must be strictly ascending");
-                    put_varint_u32(buf, id.wrapping_sub(prev_id));
+                    put_varint_u32(&mut buf, id.wrapping_sub(prev_id));
                 }
                 prev_id = id;
             }
         }
+        buf
     }
 
-    /// Deserializes an untagged fixed-width time list produced by
-    /// [`TimeList::encode`]. Returns `None` when the buffer is malformed —
-    /// including when trailing bytes remain after the declared entries. The
-    /// strict length check matters for fault tolerance: a torn or zeroed
-    /// page turns a stored list into a shorter "valid" prefix (e.g. a
-    /// zeroed entry count) that would otherwise decode silently into wrong
-    /// data.
-    pub fn decode(mut buf: &[u8]) -> Option<Self> {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let n = buf.get_u32_le() as usize;
-        // The count is untrusted until the entries prove themselves: never
-        // pre-allocate more than the remaining bytes could hold (an entry
-        // is at least 6 bytes), or a corrupted count aborts on allocation.
-        let mut entries = Vec::with_capacity(n.min(buf.remaining() / 6));
-        for _ in 0..n {
-            if buf.remaining() < 6 {
-                return None;
-            }
-            let date = buf.get_u16_le();
-            let count = buf.get_u32_le() as usize;
-            if buf.remaining() < count * 4 {
-                return None;
-            }
-            let mut traj_ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                traj_ids.push(buf.get_u32_le());
-            }
-            entries.push(TimeListEntry { date, traj_ids });
-        }
-        if buf.remaining() != 0 {
-            return None;
-        }
-        Some(Self { entries })
-    }
-
-    /// Deserializes a time list stored under `encoding`. For tagged
-    /// encodings the actual layout is chosen by the blob's tag byte, so
-    /// [`Raw`](PostingEncoding::Raw)- and
-    /// [`Delta`](PostingEncoding::Delta)-tagged blobs both decode from a
-    /// tagged heap. Strict in the same way as [`TimeList::decode`]: any
-    /// malformation — unknown tag, truncation, trailing bytes, overlong
-    /// varints, zero/non-monotone deltas — returns `None`.
-    pub fn decode_as(encoding: PostingEncoding, buf: &[u8]) -> Option<Self> {
-        match encoding {
-            PostingEncoding::LegacyRaw => Self::decode(buf),
-            PostingEncoding::Raw | PostingEncoding::Delta => {
-                let (&tag, body) = buf.split_first()?;
-                match tag {
-                    TAG_RAW => Self::decode(body),
-                    TAG_DELTA => Self::decode_delta_body(body),
-                    _ => None,
-                }
-            }
-        }
-    }
-
-    fn decode_delta_body(body: &[u8]) -> Option<Self> {
+    /// Deserializes a blob produced by [`TimeList::encode`]. Returns `None`
+    /// on any malformation — wrong tag, truncation, trailing bytes,
+    /// overlong varints, zero/non-monotone deltas. The strictness matters
+    /// for fault tolerance: a torn or zeroed page must never decode into a
+    /// shorter "valid" list.
+    pub fn decode(buf: &[u8]) -> Option<Self> {
         let mut entries = Vec::new();
-        if !visit_delta_body(body, |date, ids| {
+        if !visit_posting(buf, |date, ids| {
             entries.push(TimeListEntry {
                 date,
                 traj_ids: ids.collect(),
@@ -417,39 +233,19 @@ impl TimeList {
     }
 }
 
+fn fixed_width_size(dates: u64, ids: u64) -> u64 {
+    4 + 6 * dates + 4 * ids
+}
+
 /// Iterator over the trajectory IDs of one date entry inside an encoded
-/// time list (see [`visit_posting`]). Decodes lazily from the raw bytes, so
-/// visiting a posting never materialises intermediate `Vec`s — this holds
-/// for both the fixed-width and the delta/varint layouts.
+/// time list (see [`visit_posting`]). Decodes lazily from the blob bytes,
+/// so visiting a posting never materialises intermediate `Vec`s.
 #[derive(Debug, Clone)]
 pub struct IdIter<'a> {
     buf: &'a [u8],
     remaining: usize,
     prev: u32,
     first: bool,
-    delta: bool,
-}
-
-impl<'a> IdIter<'a> {
-    fn raw(buf: &'a [u8]) -> Self {
-        Self {
-            remaining: buf.len() / 4,
-            buf,
-            prev: 0,
-            first: true,
-            delta: false,
-        }
-    }
-
-    fn delta(buf: &'a [u8], count: usize) -> Self {
-        Self {
-            buf,
-            remaining: count,
-            prev: 0,
-            first: true,
-            delta: true,
-        }
-    }
 }
 
 impl Iterator for IdIter<'_> {
@@ -461,27 +257,19 @@ impl Iterator for IdIter<'_> {
             return None;
         }
         self.remaining -= 1;
-        if self.delta {
-            // The slice handed to a delta IdIter was pre-validated by the
-            // visitor's scan, so decoding cannot fail or overflow here.
-            let Some(v) = get_varint_u32(&mut self.buf) else {
-                self.remaining = 0;
-                return None;
-            };
-            self.prev = if self.first {
-                v
-            } else {
-                self.prev.wrapping_add(v)
-            };
-            self.first = false;
-            Some(self.prev)
+        // The slice handed to an IdIter was pre-validated by the visitor's
+        // scan, so decoding cannot fail or overflow here.
+        let Some(v) = get_varint_u32(&mut self.buf) else {
+            self.remaining = 0;
+            return None;
+        };
+        self.prev = if self.first {
+            v
         } else {
-            if self.buf.len() < 4 {
-                self.remaining = 0;
-                return None;
-            }
-            Some(self.buf.get_u32_le())
-        }
+            self.prev.wrapping_add(v)
+        };
+        self.first = false;
+        Some(self.prev)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -491,51 +279,23 @@ impl Iterator for IdIter<'_> {
 
 impl ExactSizeIterator for IdIter<'_> {}
 
-/// Walks a [`TimeList::encode`]d (untagged fixed-width) buffer without
-/// materialising a [`TimeList`], calling `f(date, ids)` for every date
-/// entry. Returns `false` (after visiting the well-formed prefix) when the
-/// buffer is malformed — like [`TimeList::decode`], a buffer with trailing
-/// bytes after the declared entries is malformed, so a torn or zeroed page
-/// cannot masquerade as a shorter valid list. A caller that sees `false`
-/// must treat the posting as corrupt, never as "fewer entries".
+/// Walks an encoded posting blob without materialising a [`TimeList`],
+/// calling `f(date, ids)` for every date entry. Each entry's id stream is
+/// scanned once up front — validating every gap (non-zero, no overflow) and
+/// finding its extent — before `f` receives a lazy [`IdIter`] over exactly
+/// those bytes, so a warm verification performs no heap allocation.
 ///
-/// This is the allocation-free counterpart of [`TimeList::decode`]: the
-/// verifier reads each posting's bytes into a reusable scratch buffer and
-/// consumes them through this cursor, so a warm verification performs no
-/// heap allocation at all. For encoding-aware visiting (tagged heaps), use
-/// [`visit_posting`].
+/// Returns `false` (after visiting the well-formed prefix) when the blob is
+/// malformed, trailing bytes included; a caller that sees `false` must
+/// treat the posting as corrupt, never as "fewer entries".
 #[must_use = "a false return means the posting bytes are corrupt"]
-pub fn visit_encoded<'a, F>(mut buf: &'a [u8], mut f: F) -> bool
+pub fn visit_posting<'a, F>(buf: &'a [u8], mut f: F) -> bool
 where
     F: FnMut(u16, IdIter<'a>),
 {
-    if buf.remaining() < 4 {
+    let Some((&TAG_DELTA, mut buf)) = buf.split_first() else {
         return false;
-    }
-    let n = buf.get_u32_le() as usize;
-    for _ in 0..n {
-        if buf.remaining() < 6 {
-            return false;
-        }
-        let date = buf.get_u16_le();
-        let count = buf.get_u32_le() as usize;
-        if buf.remaining() < count * 4 {
-            return false;
-        }
-        f(date, IdIter::raw(&buf[..count * 4]));
-        buf.advance(count * 4);
-    }
-    buf.remaining() == 0
-}
-
-/// Walks the body of a delta/varint blob (after its tag byte). Each entry's
-/// id stream is scanned once up front — validating every gap (non-zero, no
-/// overflow) and finding its extent — before `f` receives a lazy
-/// [`IdIter`] over exactly those bytes, keeping the path allocation-free.
-fn visit_delta_body<'a, F>(mut buf: &'a [u8], mut f: F) -> bool
-where
-    F: FnMut(u16, IdIter<'a>),
-{
+    };
     let Some(n) = get_varint_u32(&mut buf) else {
         return false;
     };
@@ -583,65 +343,32 @@ where
         let ids_len = ids_start.len() - buf.len();
         f(
             date as u16,
-            IdIter::delta(&ids_start[..ids_len], count as usize),
+            IdIter {
+                buf: &ids_start[..ids_len],
+                remaining: count as usize,
+                prev: 0,
+                first: true,
+            },
         );
     }
     buf.is_empty()
 }
 
-/// Encoding-aware counterpart of [`visit_encoded`]: walks a posting blob
-/// stored under `encoding`, calling `f(date, ids)` per date entry without
-/// materialising a [`TimeList`]. Tagged heaps dispatch on the blob's tag
-/// byte (so raw- and delta-tagged blobs may coexist); an unknown tag or any
-/// malformation returns `false`, which callers must treat as corruption.
-#[must_use = "a false return means the posting bytes are corrupt"]
-pub fn visit_posting<'a, F>(buf: &'a [u8], encoding: PostingEncoding, f: F) -> bool
-where
-    F: FnMut(u16, IdIter<'a>),
-{
-    match encoding {
-        PostingEncoding::LegacyRaw => visit_encoded(buf, f),
-        PostingEncoding::Raw | PostingEncoding::Delta => {
-            let Some((&tag, body)) = buf.split_first() else {
-                return false;
-            };
-            match tag {
-                TAG_RAW => visit_encoded(body, f),
-                TAG_DELTA => visit_delta_body(body, f),
-                _ => false,
-            }
-        }
-    }
-}
-
 /// Computes the `(bytes_decoded, bytes_resident)` accounting pair for one
 /// encoded posting blob (see [`IoStats::record_posting_decode`]):
 /// `bytes_resident` is the blob's stored footprint (`buf.len()`), and
-/// `bytes_decoded` is the logical fixed-width footprint the blob expands
+/// `bytes_decoded` is the fixed-width-equivalent footprint the blob expands
 /// to. Returns `None` when the blob is malformed.
-pub fn posting_sizes(buf: &[u8], encoding: PostingEncoding) -> Option<(u64, u64)> {
-    let resident = buf.len() as u64;
-    match encoding {
-        PostingEncoding::LegacyRaw => Some((resident, resident)),
-        PostingEncoding::Raw | PostingEncoding::Delta => {
-            let (&tag, body) = buf.split_first()?;
-            match tag {
-                TAG_RAW => Some((body.len() as u64, resident)),
-                TAG_DELTA => {
-                    let mut dates = 0u64;
-                    let mut ids = 0u64;
-                    if !visit_delta_body(body, |_, iter| {
-                        dates += 1;
-                        ids += iter.len() as u64;
-                    }) {
-                        return None;
-                    }
-                    Some((4 + dates * 6 + ids * 4, resident))
-                }
-                _ => None,
-            }
-        }
+pub fn posting_sizes(buf: &[u8]) -> Option<(u64, u64)> {
+    let mut dates = 0u64;
+    let mut ids = 0u64;
+    if !visit_posting(buf, |_, iter| {
+        dates += 1;
+        ids += iter.len() as u64;
+    }) {
+        return None;
     }
+    Some((fixed_width_size(dates, ids), buf.len() as u64))
 }
 
 /// Location of a blob inside a [`PostingStore`].
@@ -667,18 +394,16 @@ impl BlobHandle {
 
 /// An append-only heap of byte blobs stored across fixed-size pages, read
 /// through an LRU buffer pool. Time lists appended through
-/// [`append_time_list`](Self::append_time_list) are serialized in the
-/// heap's configured [`PostingEncoding`].
+/// [`append_time_list`](Self::append_time_list) are stored in the one
+/// delta/varint layout.
 pub struct PostingStore<S: PageStore> {
     pool: BufferPool<S>,
     tail: Mutex<u64>,
-    encoding: PostingEncoding,
 }
 
 impl<S: PageStore> PostingStore<S> {
-    /// Creates a posting store over `store`, caching up to `pool_pages`
-    /// pages, with the default transient-read retry budget and the default
-    /// posting encoding.
+    /// Creates an empty posting store over `store`, caching up to
+    /// `pool_pages` pages, with the default transient-read retry budget.
     pub fn new(store: S, pool_pages: usize) -> Self {
         Self::with_tail_and_retries(
             store,
@@ -688,55 +413,20 @@ impl<S: PageStore> PostingStore<S> {
         )
     }
 
-    /// Reopens a posting store over an already-populated page store (e.g. a
-    /// [`crate::FilePageStore`] holding a snapshot's posting heap), restoring
-    /// the append cursor to `tail` bytes.
-    pub fn with_tail(store: S, pool_pages: usize, tail: u64) -> Self {
-        Self::with_tail_and_retries(
-            store,
-            pool_pages,
-            tail,
-            crate::buffer_pool::DEFAULT_READ_RETRIES,
-        )
-    }
-
-    /// Constructor with an append cursor at `tail` bytes and an explicit
-    /// transient-read retry budget, using the default posting encoding.
+    /// Opens a posting store over `store` with the append cursor at `tail`
+    /// bytes (0 for a fresh heap; the heap length when reopening an
+    /// already-populated page store such as a snapshot's posting file) and
+    /// an explicit transient-read retry budget.
     pub fn with_tail_and_retries(
         store: S,
         pool_pages: usize,
         tail: u64,
         read_retries: u32,
     ) -> Self {
-        Self::with_options(
-            store,
-            pool_pages,
-            tail,
-            read_retries,
-            PostingEncoding::default(),
-        )
-    }
-
-    /// Full-control constructor: append cursor, retry budget and posting
-    /// encoding. `encoding` must match how the heap's existing blobs were
-    /// written (a v3 snapshot heap is `LegacyRaw`; new heaps are tagged).
-    pub fn with_options(
-        store: S,
-        pool_pages: usize,
-        tail: u64,
-        read_retries: u32,
-        encoding: PostingEncoding,
-    ) -> Self {
         Self {
             pool: BufferPool::with_retries(store, pool_pages, read_retries),
             tail: Mutex::new(tail),
-            encoding,
         }
-    }
-
-    /// The posting encoding this heap reads and writes.
-    pub fn encoding(&self) -> PostingEncoding {
-        self.encoding
     }
 
     /// The buffer pool's page capacity.
@@ -836,57 +526,38 @@ impl<S: PageStore> PostingStore<S> {
         Ok(())
     }
 
-    /// Appends a [`TimeList`] serialized in the heap's encoding and returns
-    /// its handle.
+    /// Appends an encoded [`TimeList`] and returns its handle.
     pub fn append_time_list(&self, list: &TimeList) -> StorageResult<BlobHandle> {
-        self.append(&list.encode_as(self.encoding))
+        self.append(&list.encode())
     }
 
     /// Reads a [`TimeList`] back. A blob that fails to decode — a torn or
-    /// zeroed page under a range-valid handle, a mismatched handle, or an
-    /// encoding mismatch — is reported as
-    /// [`crate::StorageError::Corrupt`], never a panic: a disk fault
-    /// mid-query must surface as an error the serving process can handle.
-    /// Successful decodes record their
+    /// zeroed page under a range-valid handle, or a mismatched handle — is
+    /// reported as [`crate::StorageError::Corrupt`], never a panic: a disk
+    /// fault mid-query must surface as an error the serving process can
+    /// handle. Successful decodes record their
     /// [`bytes_decoded`/`bytes_resident`](IoStats::record_posting_decode)
     /// accounting on the shared [`IoStats`].
     pub fn read_time_list(&self, handle: BlobHandle) -> StorageResult<TimeList> {
         let bytes = self.read(handle)?;
-        let list = TimeList::decode_as(self.encoding, &bytes).ok_or_else(|| {
+        let list = TimeList::decode(&bytes).ok_or_else(|| {
             crate::StorageError::corrupt(format!(
-                "time list blob at offset {} (len {}, encoding {}) failed to decode \
-                 (torn page, corrupted posting heap, or encoding mismatch)",
-                handle.offset,
-                handle.len,
-                self.encoding.name()
+                "time list blob at offset {} (len {}) failed to decode \
+                 (torn page or corrupted posting heap)",
+                handle.offset, handle.len
             ))
         })?;
         self.pool
             .io_stats()
-            .record_posting_decode(list.raw_encoded_size(), handle.len as u64);
+            .record_posting_decode(list.fixed_width_size(), handle.len as u64);
         Ok(list)
     }
-}
-
-// In the legacy fixed-width layout a page full of zero bytes decodes as an
-// empty time list, which is why the heap never needs tombstones: unused
-// space is simply never addressed. Tagged blobs are sized exactly by their
-// handle, so the same property holds trivially.
-#[allow(dead_code)]
-fn _zero_page_decodes() {
-    debug_assert!(TimeList::decode(&Page::zeroed().bytes()[..4]).is_some());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pagestore::InMemoryPageStore;
-
-    const ALL_ENCODINGS: [PostingEncoding; 3] = [
-        PostingEncoding::LegacyRaw,
-        PostingEncoding::Raw,
-        PostingEncoding::Delta,
-    ];
 
     fn sample_list() -> TimeList {
         let mut list = TimeList::new();
@@ -937,24 +608,23 @@ mod tests {
         assert_eq!(list.ids_on(2), None);
     }
 
+    /// The exact bytes of one small blob: a silent change of the on-disk
+    /// layout fails here before it reaches a posting heap.
     #[test]
-    fn time_list_encode_decode_roundtrip() {
+    fn time_list_golden_bytes() {
         let list = sample_list();
-        let bytes = list.encode();
-        let back = TimeList::decode(&bytes).unwrap();
-        assert_eq!(back, list);
-        // Empty list round trip.
-        let empty = TimeList::new();
-        assert_eq!(TimeList::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn time_list_decode_rejects_truncated() {
-        let list = sample_list();
-        let bytes = list.encode();
-        assert!(TimeList::decode(&bytes[..bytes.len() - 1]).is_none());
-        assert!(TimeList::decode(&bytes[..2]).is_none());
-        assert!(TimeList::decode(&[]).is_none());
+        let golden = [
+            0x01, // tag
+            0x03, // 3 entries
+            0x01, 0x01, 0x2A, // date 1, 1 id: 42
+            0x02, 0x02, 0x07, 0x5D, // date +2 = 3, 2 ids: 7, +93 = 100
+            0x1A, 0x01, 0xE8, 0xFB, 0x03, // date +26 = 29, 1 id: 65000
+        ];
+        assert_eq!(list.encode(), golden);
+        assert_eq!(TimeList::decode(&golden), Some(list.clone()));
+        assert_eq!(posting_sizes(&golden), Some((38, golden.len() as u64)));
+        assert_eq!(list.fixed_width_size(), 38);
+        assert_eq!(TimeList::new().encode(), [0x01, 0x00]);
     }
 
     #[test]
@@ -1028,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_as_roundtrips_adversarial_lists() {
+    fn encode_roundtrips_adversarial_lists() {
         let dense = TimeList {
             entries: vec![TimeListEntry {
                 date: 0,
@@ -1067,55 +737,38 @@ mod tests {
             sample_list(),
         ];
         for list in &lists {
-            for encoding in ALL_ENCODINGS {
-                let bytes = list.encode_as(encoding);
-                let back = TimeList::decode_as(encoding, &bytes)
-                    .unwrap_or_else(|| panic!("{} failed on {list:?}", encoding.name()));
-                assert_eq!(&back, list, "{} roundtrip", encoding.name());
-                // visit_posting agrees with decode_as.
-                let mut seen = TimeList::new();
-                let mut visited_entries = Vec::new();
-                assert!(visit_posting(&bytes, encoding, |date, ids| {
-                    visited_entries.push(TimeListEntry {
-                        date,
-                        traj_ids: ids.collect(),
-                    });
-                }));
-                seen.entries = visited_entries;
-                assert_eq!(&seen, list, "{} visit", encoding.name());
-                // Accounting pair: decoded is the fixed-width footprint.
-                let (decoded, resident) = posting_sizes(&bytes, encoding).unwrap();
-                assert_eq!(decoded, list.raw_encoded_size());
-                assert_eq!(resident, bytes.len() as u64);
-            }
+            let bytes = list.encode();
+            let back =
+                TimeList::decode(&bytes).unwrap_or_else(|| panic!("decode failed on {list:?}"));
+            assert_eq!(&back, list);
+            // Accounting pair: decoded is the fixed-width footprint.
+            let (decoded, resident) = posting_sizes(&bytes).unwrap();
+            assert_eq!(decoded, list.fixed_width_size());
+            assert_eq!(resident, bytes.len() as u64);
         }
     }
 
     #[test]
-    fn seeded_property_roundtrip_all_encodings() {
+    fn seeded_property_roundtrip() {
         let mut state = 0x5EED_0000_0000_0001u64;
         for _ in 0..300 {
             let list = random_list(&mut state);
-            for encoding in ALL_ENCODINGS {
-                let bytes = list.encode_as(encoding);
-                assert_eq!(TimeList::decode_as(encoding, &bytes).as_ref(), Some(&list));
-                // Strictness: every strict prefix and any appended byte is
-                // rejected — a flip can never shorten or pad a list.
-                if !bytes.is_empty() {
-                    assert!(
-                        TimeList::decode_as(encoding, &bytes[..bytes.len() - 1]).is_none(),
-                        "{} accepted a truncated blob",
-                        encoding.name()
-                    );
-                }
-                let mut padded = bytes.clone();
-                padded.push(0);
+            let bytes = list.encode();
+            assert_eq!(TimeList::decode(&bytes).as_ref(), Some(&list));
+            // Strictness: every strict prefix and any appended byte is
+            // rejected — a flip can never shorten or pad a list.
+            for cut in 0..bytes.len() {
                 assert!(
-                    TimeList::decode_as(encoding, &padded).is_none(),
-                    "{} accepted a padded blob",
-                    encoding.name()
+                    TimeList::decode(&bytes[..cut]).is_none(),
+                    "accepted a blob truncated to {cut} bytes"
                 );
             }
+            let mut padded = bytes.clone();
+            padded.push(0);
+            assert!(
+                TimeList::decode(&padded).is_none(),
+                "accepted a padded blob"
+            );
         }
     }
 
@@ -1129,15 +782,15 @@ mod tests {
         let mut state = 0xDE17_A000_0000_0002u64;
         for _ in 0..40 {
             let list = random_list(&mut state);
-            let bytes = list.encode_as(PostingEncoding::Delta);
+            let bytes = list.encode();
             for i in 0..bytes.len() {
                 for bit in 0..8 {
                     let mut flipped = bytes.clone();
                     flipped[i] ^= 1 << bit;
-                    if let Some(back) = TimeList::decode_as(PostingEncoding::Delta, &flipped) {
+                    if let Some(back) = TimeList::decode(&flipped) {
                         assert_ne!(back, list, "flip at byte {i} bit {bit} was invisible");
                         assert_eq!(
-                            back.encode_as(PostingEncoding::Delta),
+                            back.encode(),
                             flipped,
                             "non-canonical accept after flip at byte {i} bit {bit}"
                         );
@@ -1154,7 +807,7 @@ mod tests {
             let mut blob = vec![TAG_DELTA];
             blob.extend_from_slice(body);
             assert!(
-                TimeList::decode_as(PostingEncoding::Delta, &blob).is_none(),
+                TimeList::decode(&blob).is_none(),
                 "accepted malformed body {body:02x?}"
             );
         };
@@ -1171,27 +824,21 @@ mod tests {
         // Zero-filled tail (torn page): entry count says 1 but all zeros
         // after the date means gap bytes are zero.
         reject(&[1, 4, 2, 9, 0, 0, 0]);
-        // Unknown tag byte.
-        assert!(TimeList::decode_as(PostingEncoding::Delta, &[0x7F, 0, 0, 0, 0]).is_none());
-        // Empty blob (no tag).
-        assert!(TimeList::decode_as(PostingEncoding::Delta, &[]).is_none());
     }
 
     #[test]
-    fn delta_encoding_compresses_dense_lists() {
+    fn encoding_compresses_dense_lists() {
         let mut list = TimeList::new();
         for date in 0..30u16 {
             for id in 0..64u32 {
                 list.add(date, 1000 + id * 3);
             }
         }
-        let raw = list.encode_as(PostingEncoding::Raw);
-        let delta = list.encode_as(PostingEncoding::Delta);
+        let encoded = list.encode().len() as f64;
         assert!(
-            (delta.len() as f64) * 1.5 < raw.len() as f64,
-            "delta {} bytes vs raw {} bytes",
-            delta.len(),
-            raw.len()
+            encoded * 1.5 < list.fixed_width_size() as f64,
+            "{encoded} encoded bytes vs {} fixed-width bytes",
+            list.fixed_width_size()
         );
     }
 
@@ -1252,69 +899,63 @@ mod tests {
 
     #[test]
     fn time_list_storage_roundtrip() {
-        for encoding in ALL_ENCODINGS {
-            let store = PostingStore::with_options(InMemoryPageStore::new(), 4, 0, 0, encoding);
-            assert_eq!(store.encoding(), encoding);
-            let mut handles = Vec::new();
-            for seg in 0..50u32 {
-                let mut list = TimeList::new();
-                for date in 0..10u16 {
-                    list.add(date, seg * 1000 + date as u32);
-                    list.add(date, seg * 1000 + 500);
-                }
-                handles.push((seg, list.clone(), store.append_time_list(&list).unwrap()));
+        let store = PostingStore::with_tail_and_retries(InMemoryPageStore::new(), 4, 0, 0);
+        let mut handles = Vec::new();
+        for seg in 0..50u32 {
+            let mut list = TimeList::new();
+            for date in 0..10u16 {
+                list.add(date, seg * 1000 + date as u32);
+                list.add(date, seg * 1000 + 500);
             }
-            for (_, list, handle) in &handles {
-                assert_eq!(&store.read_time_list(*handle).unwrap(), list);
-            }
+            handles.push((list.clone(), store.append_time_list(&list).unwrap()));
+        }
+        for (list, handle) in &handles {
+            assert_eq!(&store.read_time_list(*handle).unwrap(), list);
         }
     }
 
     #[test]
-    fn tagged_heap_reads_mixed_encodings() {
-        // Compaction copies blob bytes verbatim, so a delta-configured heap
-        // must read back raw-tagged blobs untouched (and vice versa).
-        let store =
-            PostingStore::with_options(InMemoryPageStore::new(), 4, 0, 0, PostingEncoding::Delta);
-        let list = sample_list();
-        let raw_handle = store.append(&list.encode_as(PostingEncoding::Raw)).unwrap();
-        let delta_handle = store.append_time_list(&list).unwrap();
-        assert_eq!(store.read_time_list(raw_handle).unwrap(), list);
-        assert_eq!(store.read_time_list(delta_handle).unwrap(), list);
-        assert!(delta_handle.len < raw_handle.len);
-    }
-
-    #[test]
     fn read_time_list_records_decode_accounting() {
-        let store =
-            PostingStore::with_options(InMemoryPageStore::new(), 4, 0, 0, PostingEncoding::Delta);
+        let store = PostingStore::new(InMemoryPageStore::new(), 4);
         let list = sample_list();
         let handle = store.append_time_list(&list).unwrap();
         store.io_stats().reset();
         store.read_time_list(handle).unwrap();
         let snap = store.io_stats().snapshot();
-        assert_eq!(snap.bytes_decoded, list.raw_encoded_size());
+        assert_eq!(snap.bytes_decoded, list.fixed_width_size());
         assert_eq!(snap.bytes_resident, handle.len as u64);
         assert!(snap.bytes_resident < snap.bytes_decoded);
     }
 
+    /// Bytes in any other layout — the retired tagged fixed-width (`0x00`)
+    /// and untagged fixed-width blobs, an unknown tag, a zeroed tail — are
+    /// `Corrupt`, never a shorter valid list.
     #[test]
-    fn corrupt_blob_is_reported_not_shortened() {
-        let store =
-            PostingStore::with_options(InMemoryPageStore::new(), 4, 0, 0, PostingEncoding::Delta);
+    fn foreign_layouts_and_torn_blobs_are_corrupt() {
+        let store = PostingStore::new(InMemoryPageStore::new(), 4);
         let list = sample_list();
-        let mut bytes = list.encode_as(PostingEncoding::Delta);
-        // Zero the tail, simulating a torn page under a range-valid handle.
-        let n = bytes.len();
-        for b in &mut bytes[n - 2..] {
-            *b = 0;
+        let mut torn = list.encode();
+        let n = torn.len();
+        torn[n - 2..].fill(0);
+        let untagged_one_entry = [1, 0, 0, 0, 3, 0, 1, 0, 0, 0, 42, 0, 0, 0];
+        let mut tagged_fixed_width = vec![0x00];
+        tagged_fixed_width.extend_from_slice(&untagged_one_entry);
+        for (what, bytes) in [
+            ("tag 0x00", tagged_fixed_width),
+            ("untagged fixed-width", untagged_one_entry.to_vec()),
+            ("tag 0x02", vec![0x02, 0x00]),
+            ("zeroed tail", torn),
+            ("empty", Vec::new()),
+        ] {
+            assert!(TimeList::decode(&bytes).is_none(), "{what} decoded");
+            assert!(posting_sizes(&bytes).is_none(), "{what} sized");
+            let handle = store.append(&bytes).unwrap();
+            let err = store.read_time_list(handle).unwrap_err();
+            assert!(
+                matches!(err, crate::StorageError::Corrupt { .. }),
+                "{what}: got {err:?}"
+            );
         }
-        let handle = store.append(&bytes).unwrap();
-        let err = store.read_time_list(handle).unwrap_err();
-        assert!(
-            matches!(err, crate::StorageError::Corrupt { .. }),
-            "got {err:?}"
-        );
     }
 
     #[test]
@@ -1336,37 +977,24 @@ mod tests {
     }
 
     #[test]
-    fn visit_encoded_matches_decode() {
+    fn visit_posting_matches_decode() {
         let list = sample_list();
         let bytes = list.encode();
         let mut seen: Vec<(u16, Vec<u32>)> = Vec::new();
-        assert!(visit_encoded(&bytes, |date, ids| seen.push((date, ids.collect()))));
+        assert!(visit_posting(&bytes, |date, ids| {
+            assert_eq!(ids.len(), list.ids_on(date).unwrap().len());
+            seen.push((date, ids.collect()));
+        }));
         let expected: Vec<(u16, Vec<u32>)> = list
             .entries
             .iter()
             .map(|e| (e.date, e.traj_ids.clone()))
             .collect();
         assert_eq!(seen, expected);
-        // Truncated buffers are reported as malformed.
-        assert!(!visit_encoded(&bytes[..bytes.len() - 1], |_, _| {}));
-        assert!(!visit_encoded(&[], |_, _| {}));
         // An empty list is valid and visits nothing.
-        assert!(visit_encoded(&TimeList::new().encode(), |_, _| panic!(
+        assert!(visit_posting(&TimeList::new().encode(), |_, _| panic!(
             "no entries"
         )));
-    }
-
-    #[test]
-    fn id_iter_is_exact_size_in_both_modes() {
-        let list = sample_list();
-        for encoding in ALL_ENCODINGS {
-            let bytes = list.encode_as(encoding);
-            let mut index = 0;
-            assert!(visit_posting(&bytes, encoding, |_, ids| {
-                assert_eq!(ids.len(), list.entries[index].traj_ids.len());
-                index += 1;
-            }));
-        }
     }
 
     #[test]
@@ -1391,18 +1019,5 @@ mod tests {
         let h = store.append(b"").unwrap();
         assert_eq!(h.len, 0);
         assert_eq!(store.read(h).unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn encoding_config_byte_roundtrip() {
-        for encoding in ALL_ENCODINGS {
-            assert_eq!(
-                PostingEncoding::from_config_byte(encoding.config_byte()),
-                Some(encoding)
-            );
-            assert_eq!(encoding.name().parse::<PostingEncoding>(), Ok(encoding));
-        }
-        assert_eq!(PostingEncoding::from_config_byte(99), None);
-        assert!("zstd".parse::<PostingEncoding>().is_err());
     }
 }

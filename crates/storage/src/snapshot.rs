@@ -3,8 +3,7 @@
 //! An engine snapshot is a directory with two files: a page file holding the
 //! raw posting pages (read back through [`crate::FilePageStore`]) and a
 //! *snapshot container* holding everything else — index directories, speed
-//! statistics, connection tables, configuration — as named, checksummed
-//! sections.
+//! statistics, configuration — as named, checksummed sections.
 //!
 //! # Layout
 //!
@@ -66,23 +65,12 @@ use crate::pagestore::{StorageError, StorageResult};
 /// Magic bytes opening every snapshot container.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"STRSNAP\0";
 
-/// Snapshot format version written by this build.
-///
-/// Version history: 1 — original container; 2 — `config` section grew
-/// `read_retries`, and the streaming-ingest sections (`delta_pages_meta`,
-/// `delta_dir`, `ingest_meta`) plus the `deltas.pages` file are required;
-/// 3 — `config` section grew `auto_checkpoint_bytes` (online maintenance);
-/// 4 — `config` section grew `storage_backend` and `posting_encoding`, and
-/// posting heaps may hold tagged (raw/delta-varint) blobs; 5 — optional
-/// `shard_map` and `road_network` sections (scale-out topology: shard
-/// ownership and self-contained replica bootstrap). Version-3 and version-4
-/// containers are still read ([`MIN_SNAPSHOT_VERSION`]); v3 heaps decode
-/// with the untagged legacy layout, and the v5 sections are simply absent
-/// from older containers.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// Snapshot format version written by this build — the only one it reads.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
-/// Oldest snapshot format version this build still reads.
-pub const MIN_SNAPSHOT_VERSION: u32 = 3;
+/// Oldest snapshot format version this build reads: older containers fail
+/// with [`StorageError::UnsupportedVersion`]; there is no converter.
+pub const MIN_SNAPSHOT_VERSION: u32 = SNAPSHOT_VERSION;
 
 /// The CRC-32 (IEEE 802.3) generator polynomial, bit-reflected.
 const POLY: u32 = 0xEDB8_8320;
@@ -294,7 +282,6 @@ impl Default for SnapshotWriter {
 /// Reads and validates a snapshot container into memory. The reader keeps
 /// the one buffer it validated; sections are borrowed slices of it.
 pub struct SnapshotReader {
-    version: u32,
     bytes: Vec<u8>,
     sections: Vec<(String, Range<usize>)>,
 }
@@ -332,7 +319,7 @@ impl SnapshotReader {
             return Err(StorageError::corrupt("bad snapshot magic"));
         }
         let version = cursor.get_u32_le();
-        if !(MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+        if version != SNAPSHOT_VERSION {
             if crc32(body) != expected_seal {
                 return Err(seal_mismatch());
             }
@@ -393,18 +380,7 @@ impl SnapshotReader {
         if seal != expected_seal {
             return Err(seal_mismatch());
         }
-        Ok(Self {
-            version,
-            bytes,
-            sections,
-        })
-    }
-
-    /// The container's format version (within
-    /// `MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION`). Engine opens use this to
-    /// pick the legacy decoding for sections that grew across versions.
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(Self { bytes, sections })
     }
 
     /// Names of the sections in file order.
@@ -690,33 +666,23 @@ mod tests {
     }
 
     #[test]
-    fn previous_version_still_parses_but_older_are_rejected() {
-        let path = tmp("backcompat.snap");
+    fn previous_version_is_rejected() {
+        let path = tmp("previous.snap");
         let mut w = SnapshotWriter::new();
-        w.add_section("data", b"legacy".to_vec());
+        w.add_section("data", b"payload".to_vec());
         w.finish(&path).unwrap();
-        let clean = std::fs::read(&path).unwrap();
-        assert_eq!(
-            SnapshotReader::parse(clean.clone()).unwrap().version(),
-            SNAPSHOT_VERSION
-        );
-
-        let reversion = |v: u8| {
-            let mut bytes = clean.clone();
-            bytes[8] = v;
-            let n = bytes.len();
-            let seal = crc32(&bytes[..n - 4]);
-            bytes[n - 4..].copy_from_slice(&seal.to_le_bytes());
-            bytes
-        };
-        // The immediately previous version (3) is still readable.
-        let v3 = SnapshotReader::parse(reversion(3)).unwrap();
-        assert_eq!(v3.version(), 3);
-        assert_eq!(v3.section("data").unwrap(), b"legacy");
-        // Anything older than MIN_SNAPSHOT_VERSION is not.
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Step the version field back to 5 and re-seal the file checksum.
+        bytes[8] = 5;
+        let n = bytes.len();
+        let seal = crc32(&bytes[..n - 4]);
+        bytes[n - 4..].copy_from_slice(&seal.to_le_bytes());
         assert!(matches!(
-            SnapshotReader::parse(reversion(2)),
-            Err(StorageError::UnsupportedVersion { found: 2, .. })
+            SnapshotReader::parse(bytes),
+            Err(StorageError::UnsupportedVersion {
+                found: 5,
+                expected: 6
+            })
         ));
     }
 }

@@ -12,7 +12,7 @@
 //! [magic "STRWAL\0\0" : 8 bytes]
 //! [format version     : u32 LE]
 //! [generation         : u64 LE]
-//! [fence epoch        : u64 LE]   -- v2; a v1 log reads as epoch 0
+//! [fence epoch        : u64 LE]
 //! per record:
 //!     [payload length : u32 LE]
 //!     [CRC-32         : u32 LE]   -- over the length bytes + payload
@@ -89,33 +89,20 @@ use crate::snapshot::Crc32;
 /// Magic bytes opening every write-ahead log.
 pub const WAL_MAGIC: [u8; 8] = *b"STRWAL\0\0";
 
-/// WAL format version written by this build (v1 logs still open: they
-/// predate the fence epoch and read as epoch 0).
+/// WAL format version written by this build — the only one it reads.
 pub const WAL_VERSION: u32 = 2;
 
 /// Header length in bytes: magic + version + generation + fence epoch.
 const HEADER_LEN: u64 = 8 + 4 + 8 + 8;
 
-/// Header length of a v1 log (no fence epoch).
-const HEADER_LEN_V1: u64 = 8 + 4 + 8;
-
 /// Frame header length in bytes: payload length + CRC-32.
 const FRAME_HEADER_LEN: usize = 8;
 
-/// Header length for a given format version.
-fn header_len(version: u32) -> u64 {
-    if version >= 2 {
-        HEADER_LEN
-    } else {
-        HEADER_LEN_V1
-    }
-}
-
-/// Parsed log header: `(version, generation, epoch, header length)`.
-/// Returns `Ok(None)` when `bytes` is shorter than the version's header
-/// (still being written); typed errors on bad magic or a future version.
-fn parse_header(bytes: &[u8], path: &Path) -> StorageResult<Option<(u32, u64, u64, u64)>> {
-    if bytes.len() < HEADER_LEN_V1 as usize {
+/// Parsed log header: `(generation, epoch)`. Returns `Ok(None)` when
+/// `bytes` is shorter than the header (still being written); typed errors
+/// on bad magic or any version other than [`WAL_VERSION`].
+fn parse_header(bytes: &[u8], path: &Path) -> StorageResult<Option<(u64, u64)>> {
+    if bytes.len() < 12 {
         return Ok(None);
     }
     if bytes[..8] != WAL_MAGIC {
@@ -125,23 +112,18 @@ fn parse_header(bytes: &[u8], path: &Path) -> StorageResult<Option<(u32, u64, u6
         )));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version == 0 || version > WAL_VERSION {
+    if version != WAL_VERSION {
         return Err(StorageError::UnsupportedVersion {
             found: version,
             expected: WAL_VERSION,
         });
     }
-    let len = header_len(version);
-    if bytes.len() < len as usize {
+    if bytes.len() < HEADER_LEN as usize {
         return Ok(None);
     }
     let generation = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let epoch = if version >= 2 {
-        u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"))
-    } else {
-        0
-    };
-    Ok(Some((version, generation, epoch, len)))
+    let epoch = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
+    Ok(Some((generation, epoch)))
 }
 
 /// What [`Wal::open`] found (and fixed) in an existing log.
@@ -149,7 +131,7 @@ fn parse_header(bytes: &[u8], path: &Path) -> StorageResult<Option<(u32, u64, u6
 pub struct WalRecovery {
     /// Generation of the opened log.
     pub generation: u64,
-    /// Fence epoch of the opened log (0 for a v1-era log).
+    /// Fence epoch of the opened log.
     pub epoch: u64,
     /// Number of intact records recovered.
     pub records: u64,
@@ -160,9 +142,6 @@ pub struct WalRecovery {
 struct WalState {
     file: File,
     generation: u64,
-    /// Byte length of the on-disk header (a v1-era log keeps its 20-byte
-    /// header until the first rotation rewrites it as v2).
-    header_len: u64,
     /// Number of valid records (the ordinal of the next append).
     records: u64,
     /// Byte offset of the end of the last valid record.
@@ -273,14 +252,14 @@ impl Wal {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let (_, generation, epoch, hdr_len) = parse_header(&bytes, path)?.ok_or_else(|| {
+        let (generation, epoch) = parse_header(&bytes, path)?.ok_or_else(|| {
             StorageError::corrupt(format!("WAL {} shorter than its header", path.display()))
         })?;
 
         // Scan frames; the first short or checksum-failing frame marks the
         // torn tail. Everything before it is the consistent prefix.
         let mut records: Vec<Vec<u8>> = Vec::new();
-        let mut offset = hdr_len as usize;
+        let mut offset = HEADER_LEN as usize;
         loop {
             let remaining = bytes.len() - offset;
             if remaining < FRAME_HEADER_LEN {
@@ -322,7 +301,6 @@ impl Wal {
             state: Mutex::new(WalState {
                 file,
                 generation,
-                header_len: hdr_len,
                 records: records.len() as u64,
                 tail,
                 poisoned: false,
@@ -332,7 +310,7 @@ impl Wal {
             // call after open pays one real fsync to cover them.
             sync_state: std::sync::Mutex::new(SyncState {
                 generation,
-                synced_tail: hdr_len,
+                synced_tail: HEADER_LEN,
                 in_flight: false,
                 failures: 0,
                 failed_generation: 0,
@@ -370,7 +348,6 @@ impl Wal {
             state: Mutex::new(WalState {
                 file,
                 generation,
-                header_len: HEADER_LEN,
                 records: 0,
                 tail: HEADER_LEN,
                 poisoned: false,
@@ -661,7 +638,6 @@ impl Wal {
             Ok(file) => {
                 state.file = file;
                 state.generation = next_gen;
-                state.header_len = HEADER_LEN;
                 state.records = 0;
                 state.tail = HEADER_LEN;
                 state.poisoned = false;
@@ -750,7 +726,7 @@ impl WalTail {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let Some((_, generation, epoch, hdr_len)) = parse_header(&bytes, &self.path)? else {
+        let Some((generation, epoch)) = parse_header(&bytes, &self.path)? else {
             return Ok(None); // header still being written
         };
         if generation != self.generation {
@@ -758,7 +734,7 @@ impl WalTail {
             // the file belongs to the new generation, starting at record 0.
             self.generation = generation;
             self.records = 0;
-            self.offset = hdr_len;
+            self.offset = HEADER_LEN;
         }
 
         let mut payloads: Vec<Vec<u8>> = Vec::new();
@@ -875,7 +851,7 @@ impl FollowerLog {
     }
 
     /// Persists a raised fence epoch into the log's header in place (the
-    /// v2 header has a fixed length, so the frames after it are untouched).
+    /// header has a fixed length, so the frames after it are untouched).
     /// This is the promotion step that makes the bumped epoch durable:
     /// attaching the log afterwards yields a WAL whose stamped epoch
     /// outranks every pre-promotion leader. Lowering the epoch is refused —
@@ -1089,13 +1065,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A v1-era log (20-byte header, no fence epoch) still opens: its
-    /// records replay, it reads as epoch 0, appends extend it in place, and
-    /// the first rotation rewrites it as v2.
+    /// A v1 log (20-byte header, no fence epoch) is rejected typed by both
+    /// readers of a WAL file: the leader's open and the shipping tail that
+    /// feeds follower logs.
     #[test]
-    fn v1_logs_open_as_epoch_zero_and_upgrade_on_rotation() {
-        let path = tmp("v1-compat.wal");
-        let _ = std::fs::remove_file(&path);
+    fn v1_header_is_rejected_typed() {
+        let path = tmp("v1.wal");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&WAL_MAGIC);
         bytes.extend_from_slice(&1u32.to_le_bytes());
@@ -1105,28 +1080,19 @@ mod tests {
         bytes.extend_from_slice(&frame_crc(payload).to_le_bytes());
         bytes.extend_from_slice(payload);
         std::fs::write(&path, &bytes).unwrap();
-
-        let (wal, records, recovery) = Wal::open(&path).unwrap();
-        assert_eq!(records, vec![payload.to_vec()]);
-        assert_eq!(recovery.generation, 7);
-        assert_eq!(recovery.epoch, 0);
-        assert_eq!(wal.epoch(), 0);
-        assert_eq!(wal.append(b"appended-after-upgrade").unwrap(), 1);
-        wal.sync().unwrap();
-
-        // A tail latches onto the v1 layout too.
-        let mut tail = WalTail::new(&path);
-        let batch = tail.poll().unwrap().expect("records past v1 header");
-        assert_eq!(batch.epoch, 0);
-        assert_eq!(batch.payloads.len(), 2);
-
-        // Rotation rewrites the header as v2 (same epoch).
-        assert_eq!(wal.rotate().unwrap(), 8);
-        drop(wal);
-        let (wal, _, recovery) = Wal::open(&path).unwrap();
-        assert_eq!(recovery.generation, 8);
-        assert_eq!(recovery.epoch, 0);
-        assert_eq!(wal.generation(), 8);
+        let is_v1_rejection = |r: StorageResult<()>| {
+            matches!(
+                r,
+                Err(StorageError::UnsupportedVersion {
+                    found: 1,
+                    expected: WAL_VERSION
+                })
+            )
+        };
+        assert!(is_v1_rejection(Wal::open(&path).map(|_| ())));
+        assert!(is_v1_rejection(WalTail::new(&path).poll().map(|_| ())));
+        // Nothing was rewritten: the rejected file is left as found.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_file(&path).ok();
     }
 

@@ -218,54 +218,6 @@ fn ingested_engine_matches_rebuilt_engine_bit_exactly() {
     );
 }
 
-/// The posting-heap wire encoding must be invisible to the equivalence
-/// guarantee: with compression on (the default delta/varint), with the
-/// tagged raw encoding, and with the untagged legacy heap, base + ingest ==
-/// from-scratch rebuild bit-exactly on all four pipelines — and compaction
-/// (which copies blob bytes verbatim, preserving each blob's encoding)
-/// keeps it that way.
-#[test]
-fn ingest_equivalence_holds_on_every_posting_encoding() {
-    use streach::storage::PostingEncoding;
-
-    let s = scenario();
-    for encoding in [
-        PostingEncoding::LegacyRaw,
-        PostingEncoding::Raw,
-        PostingEncoding::Delta,
-    ] {
-        let cfg = IndexConfig {
-            posting_encoding: encoding,
-            ..config()
-        };
-        let ingested = streach::core::EngineBuilder::new(s.network.clone(), &s.base)
-            .index_config(cfg.clone())
-            .build();
-        let rebuilt = streach::core::EngineBuilder::new(s.network.clone(), &s.combined)
-            .index_config(cfg)
-            .build();
-        for batch in &s.extra_batches {
-            ingested.ingest(batch).expect("ingest batch");
-        }
-        assert_bit_identical(
-            &ingested,
-            &rebuilt,
-            &format!("{encoding:?}: ingested vs rebuilt"),
-        );
-        ingested.compact().expect("compact");
-        assert_eq!(
-            ingested.st_index().stats(),
-            rebuilt.st_index().stats(),
-            "{encoding:?}: compacted base must match the from-scratch layout"
-        );
-        assert_bit_identical(
-            &ingested,
-            &rebuilt,
-            &format!("{encoding:?}: compacted vs rebuilt"),
-        );
-    }
-}
-
 /// Ingest order must not matter: interleaving the batches point-group-wise
 /// converges to the same engine (the delta merge is a sorted-set union).
 #[test]
@@ -722,7 +674,7 @@ fn mid_trajectory_continuation_matches_rebuilt_engine() {
 /// error naming the record — never a panic during recovery.
 #[test]
 fn wal_replay_rejects_points_for_a_different_network() {
-    use streach::storage::Wal;
+    use streach::storage::{put_varint_u32, Wal};
 
     let s = scenario();
     let dir = tmp_dir("foreign-wal");
@@ -734,12 +686,11 @@ fn wal_replay_rejects_points_for_a_different_network() {
     {
         let (wal, _, _) = Wal::open(&wal_path).expect("create wal");
         // Hand-framed ingest record: 1 point naming segment 1_000_000.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&1u32.to_le_bytes()); // point count
-        payload.extend_from_slice(&7u32.to_le_bytes()); // traj_id
-        payload.extend_from_slice(&3u16.to_le_bytes()); // date
-        payload.extend_from_slice(&1_000_000u32.to_le_bytes()); // segment
-        payload.extend_from_slice(&(9 * 3600u32).to_le_bytes()); // enter
+        let mut payload = vec![0x01]; // batch tag
+        for field in [1, 7, 3, 1_000_000, 9 * 3600] {
+            // point count, traj_id, date, segment, enter time
+            put_varint_u32(&mut payload, field);
+        }
         wal.append(&payload).expect("append");
         wal.sync().expect("sync");
     }

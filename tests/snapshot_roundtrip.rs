@@ -67,35 +67,13 @@ fn snapshot_roundtrip_answers_bit_identically() {
     let dir = tmp_dir("roundtrip");
     let center = network.bounds().center();
 
-    // Build, materialise a few Con-Index slot tables to seed the
-    // `con_tables` section (queries never build any), save.
     let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
         .index_config(config())
         .build();
-    let slot_s = built.config().slot_s;
-    let table_slots = [9 * 3600 / slot_s, 12 * 3600 / slot_s, 0];
-    built.con_index().build_slots(&table_slots);
     built.save_snapshot(&dir).expect("save snapshot");
 
     // Reopen cold — the dataset is not in scope here at all.
     let reopened = ReachabilityEngine::open_snapshot(&dir, network.clone()).expect("open snapshot");
-
-    // The materialised tables come back verbatim, none rebuilt.
-    assert_eq!(reopened.con_index().stats().cached_slots, table_slots.len());
-    for slot in table_slots {
-        for seg in network.segment_ids().step_by(17) {
-            assert_eq!(
-                built.con_index().connection_lists(seg, slot),
-                reopened.con_index().connection_lists(seg, slot),
-                "slot {slot} lists of {seg} diverged after reopen"
-            );
-        }
-    }
-    assert_eq!(
-        reopened.con_index().stats().slots_built,
-        0,
-        "no table may be rebuilt on open"
-    );
 
     // Cold open must pay real page I/O on the first posting reads.
     reopened.st_index().clear_cache();
@@ -367,7 +345,6 @@ fn corruption_matrix_every_container_section_and_sampled_page_bytes() {
         "pages_meta:payload",
         "st_index:payload",
         "speed_stats:payload",
-        "con_tables:payload",
     ] {
         assert!(
             known.contains(&expected),
@@ -480,63 +457,91 @@ fn flips_inside_compressed_blobs_surface_as_corrupt() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Backward compatibility: a version-4 snapshot — the v5 layout minus the
-/// optional `shard_map` / `road_network` sections, which a plain save does
-/// not write — still opens and answers bit-identically. Synthesized by
-/// rewriting a fresh container's version field and resealing.
+/// Rewrites the container's version field and reseals the file checksum,
+/// leaving every section as saved.
+fn reseal_as_version(container: &std::path::Path, version: u32) {
+    let mut bytes = std::fs::read(container).unwrap();
+    bytes[8..12].copy_from_slice(&version.to_le_bytes());
+    let body_len = bytes.len() - 4;
+    let seal = crc32(&bytes[..body_len]);
+    bytes[body_len..].copy_from_slice(&seal.to_le_bytes());
+    std::fs::write(container, &bytes).unwrap();
+}
+
+/// There is one container version: a resealed v5 container — an otherwise
+/// intact, self-contained save — is `UnsupportedVersion` from every open
+/// path, never misread and never reported as damage.
 #[test]
-fn v4_snapshot_still_opens_and_answers_identically() {
+fn v5_snapshot_is_rejected_as_unsupported() {
     let (network, dataset) = build_inputs();
-    let dir = tmp_dir("v4-compat");
-    let center = network.bounds().center();
-    let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
+    let dir = tmp_dir("v5-rejected");
+    streach::core::EngineBuilder::new(network.clone(), &dataset)
         .index_config(config())
-        .build();
-    built.save_snapshot(&dir).expect("save snapshot");
+        .build()
+        .save_snapshot_self_contained(&dir)
+        .expect("save snapshot");
+    reseal_as_version(&dir.join(streach::core::snapshot::CONTAINER_FILE), 5);
 
-    let container_path = dir.join(streach::core::snapshot::CONTAINER_FILE);
-    let clean = std::fs::read(&container_path).unwrap();
-    assert_eq!(
-        u32::from_le_bytes(clean[8..12].try_into().unwrap()),
-        streach::storage::SNAPSHOT_VERSION,
-        "a fresh save must write the current container version"
-    );
-    let mut v4 = clean.clone();
-    v4[8..12].copy_from_slice(&4u32.to_le_bytes());
-    let body_len = v4.len() - 4;
-    let seal = crc32(&v4[..body_len]);
-    v4[body_len..].copy_from_slice(&seal.to_le_bytes());
-    std::fs::write(&container_path, &v4).unwrap();
-
-    let reopened =
-        ReachabilityEngine::open_snapshot(&dir, network.clone()).expect("v4 snapshot must open");
-    for (i, q) in squery_suite(center).iter().enumerate() {
-        let a = built.s_query(q, Algorithm::SqmbTbs);
-        let b = reopened.s_query(q, Algorithm::SqmbTbs);
-        assert_eq!(
-            a.region.segments, b.region.segments,
-            "query #{i}: v4 reopen diverged"
-        );
-        assert_eq!(
-            a.region.total_length_km.to_bits(),
-            b.region.total_length_km.to_bits(),
-            "query #{i}: v4 reopen length diverged"
-        );
-    }
-    // A v4 snapshot predates embedded networks, so a standalone open must
-    // fail with a descriptive error instead of a panic or a half-open.
-    match ReachabilityEngine::open_snapshot_standalone(&dir) {
-        Err(StorageError::Corrupt { context }) => assert!(
-            context.contains("road_network"),
-            "standalone rejection must name the missing section: {context}"
+    for (what, opened) in [
+        (
+            "open_snapshot",
+            ReachabilityEngine::open_snapshot(&dir, network.clone()),
         ),
-        Err(e) => panic!("expected missing-section rejection, got {e}"),
-        Ok(_) => panic!("a snapshot without an embedded network must not open standalone"),
+        (
+            "open_snapshot_standalone",
+            ReachabilityEngine::open_snapshot_standalone(&dir),
+        ),
+    ] {
+        match opened {
+            Err(StorageError::UnsupportedVersion { found: 5, expected }) => {
+                assert_eq!(expected, streach::storage::SNAPSHOT_VERSION, "{what}")
+            }
+            Err(e) => panic!("{what}: expected UnsupportedVersion, got {e}"),
+            Ok(_) => panic!("{what}: a v5 snapshot must not open"),
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The v5 optional sections round-trip: a self-contained **sharded**
+/// A `road_network` section whose road count claims ~2^32 roads with no
+/// bytes behind it fails a standalone open as a typed error — the decoder
+/// must not abort reserving memory for the claimed count.
+#[test]
+fn oversized_road_count_fails_standalone_open_typed() {
+    use streach::storage::{SnapshotReader, SnapshotWriter};
+
+    let (network, dataset) = build_inputs();
+    let dir = tmp_dir("huge-road-count");
+    streach::core::EngineBuilder::new(network, &dataset)
+        .index_config(config())
+        .build()
+        .save_snapshot_self_contained(&dir)
+        .expect("save snapshot");
+
+    // Reseal the container with the hostile section in place of the network.
+    let container = dir.join(streach::core::snapshot::CONTAINER_FILE);
+    let reader = SnapshotReader::open(&container).unwrap();
+    let mut writer = SnapshotWriter::new();
+    for name in reader.section_names() {
+        let payload = match name {
+            "road_network" => vec![1, 0xFF, 0xFF, 0xFF, 0xFF],
+            _ => reader.section(name).unwrap().to_vec(),
+        };
+        writer.add_section(name, payload);
+    }
+    writer.finish(&container).unwrap();
+
+    match ReachabilityEngine::open_snapshot_standalone(&dir) {
+        Err(StorageError::Corrupt { context }) => {
+            assert!(context.contains("road_network"), "{context}")
+        }
+        Err(e) => panic!("expected a Corrupt road_network rejection, got {e}"),
+        Ok(_) => panic!("a hostile road_network section must not open"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The optional sections round-trip: a self-contained **sharded**
 /// snapshot reopens standalone (network decoded from the container, shard
 /// ownership restored) and answers bit-identically to the built engine.
 #[test]
@@ -625,85 +630,6 @@ fn mmap_backend_answers_bit_identically_to_file_backend() {
          (decoded {} vs resident {})",
         io.bytes_decoded,
         io.bytes_resident
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Backward compatibility: a genuine version-3 snapshot — untagged
-/// fixed-width posting heap, 48-byte config section, version field 3 —
-/// still opens and answers bit-identically. Synthesized by saving with the
-/// legacy-raw encoding (whose heap bytes *are* the v3 heap format) and
-/// rewriting the container to the v3 layout, resealing every checksum.
-#[test]
-fn v3_snapshot_still_opens_and_answers_identically() {
-    let (network, dataset) = build_inputs();
-    let dir = tmp_dir("v3-compat");
-    let center = network.bounds().center();
-    let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(IndexConfig {
-            posting_encoding: streach::storage::PostingEncoding::LegacyRaw,
-            ..config()
-        })
-        .build();
-    built.save_snapshot(&dir).expect("save snapshot");
-
-    // Rewrite the container: version 4 → 3, config payload 50 → 48 bytes
-    // (dropping the storage_backend/posting_encoding bytes v3 predates).
-    let container_path = dir.join(streach::core::snapshot::CONTAINER_FILE);
-    let clean = std::fs::read(&container_path).unwrap();
-    let mut v3: Vec<u8> = Vec::with_capacity(clean.len());
-    v3.extend_from_slice(&clean[..8]); // magic
-    v3.extend_from_slice(&3u32.to_le_bytes()); // version
-    v3.extend_from_slice(&clean[12..16]); // section count
-    let section_count = u32::from_le_bytes(clean[12..16].try_into().unwrap()) as usize;
-    let mut cursor = 16usize;
-    for _ in 0..section_count {
-        let name_len = u16::from_le_bytes(clean[cursor..cursor + 2].try_into().unwrap()) as usize;
-        let name = std::str::from_utf8(&clean[cursor + 2..cursor + 2 + name_len]).unwrap();
-        let payload_len = u64::from_le_bytes(
-            clean[cursor + 2 + name_len..cursor + 10 + name_len]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let payload_start = cursor + 14 + name_len;
-        let payload = &clean[payload_start..payload_start + payload_len];
-        let payload = if name == "config" {
-            assert_eq!(payload.len(), 50, "modern config section is 50 bytes");
-            &payload[..48]
-        } else {
-            payload
-        };
-        v3.extend_from_slice(&clean[cursor..cursor + 2 + name_len]);
-        v3.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        v3.extend_from_slice(&crc32(payload).to_le_bytes());
-        v3.extend_from_slice(payload);
-        cursor = payload_start + payload_len;
-    }
-    let seal = crc32(&v3);
-    v3.extend_from_slice(&seal.to_le_bytes());
-    std::fs::write(&container_path, &v3).unwrap();
-
-    let reopened =
-        ReachabilityEngine::open_snapshot(&dir, network.clone()).expect("v3 snapshot must open");
-    assert_eq!(
-        reopened.config().posting_encoding,
-        streach::storage::PostingEncoding::LegacyRaw,
-        "a v3 heap must reopen with the untagged legacy encoding"
-    );
-    for (i, q) in squery_suite(center).iter().enumerate() {
-        let a = built.s_query(q, Algorithm::SqmbTbs);
-        let b = reopened.s_query(q, Algorithm::SqmbTbs);
-        assert_eq!(
-            a.region.segments, b.region.segments,
-            "query #{i}: v3 reopen diverged"
-        );
-    }
-    // On a legacy heap decoded == resident: there is no compression to win.
-    let io = reopened.st_index().io_stats().snapshot();
-    assert!(io.bytes_resident > 0);
-    assert_eq!(
-        io.bytes_decoded, io.bytes_resident,
-        "legacy-raw decode accounting must be 1:1"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
