@@ -18,9 +18,17 @@ fn report(group: &str, name: &str, ms: f64) {
 fn bench_duration(s: &Scenario) {
     for minutes in [5u32, 15, 25] {
         let q = s.canonical_squery(minutes);
-        let es = measure(1, 9, || s.engine.s_query(&q, Algorithm::ExhaustiveSearch));
+        let es = measure(1, 9, || {
+            s.engine
+                .try_s_query(&q, Algorithm::ExhaustiveSearch)
+                .expect("s-query")
+        });
         report("fig4_1_duration", &format!("es/{minutes}"), es.median_ms());
-        let fast = measure(1, 9, || s.engine.s_query(&q, Algorithm::SqmbTbs));
+        let fast = measure(1, 9, || {
+            s.engine
+                .try_s_query(&q, Algorithm::SqmbTbs)
+                .expect("s-query")
+        });
         report(
             "fig4_1_duration",
             &format!("sqmb_tbs/{minutes}"),
@@ -36,7 +44,11 @@ fn bench_probability(s: &Scenario) {
             prob: prob as f64 / 100.0,
             ..s.canonical_squery(10)
         };
-        let m = measure(1, 9, || s.engine.s_query(&q, Algorithm::SqmbTbs));
+        let m = measure(1, 9, || {
+            s.engine
+                .try_s_query(&q, Algorithm::SqmbTbs)
+                .expect("s-query")
+        });
         report(
             "fig4_3_probability",
             &format!("sqmb_tbs/{prob}"),
@@ -52,7 +64,11 @@ fn bench_start_time(s: &Scenario) {
             start_time_s: hour * 3600,
             ..s.canonical_squery(10)
         };
-        let m = measure(1, 9, || s.engine.s_query(&q, Algorithm::SqmbTbs));
+        let m = measure(1, 9, || {
+            s.engine
+                .try_s_query(&q, Algorithm::SqmbTbs)
+                .expect("s-query")
+        });
         report(
             "fig4_5_start_time",
             &format!("sqmb_tbs/{hour}h"),
@@ -66,7 +82,9 @@ fn bench_interval(s: &Scenario) {
     for dt_min in [5u32, 10, 20] {
         let engine = s.engine_with_slot(dt_min * 60);
         let q = s.canonical_squery(10);
-        let m = measure(1, 9, || engine.s_query(&q, Algorithm::SqmbTbs));
+        let m = measure(1, 9, || {
+            engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query")
+        });
         report(
             "fig4_7_interval",
             &format!("sqmb_tbs/dt{dt_min}min"),
@@ -85,14 +103,20 @@ fn bench_mquery(s: &Scenario) {
             prob: 0.2,
         };
         let rep = measure(1, 5, || {
-            s.engine.m_query(&q, MQueryAlgorithm::RepeatedSQuery)
+            s.engine
+                .try_m_query(&q, MQueryAlgorithm::RepeatedSQuery)
+                .expect("m-query")
         });
         report(
             "fig4_8_mquery",
             &format!("repeated_squery/{n}"),
             rep.median_ms(),
         );
-        let uni = measure(1, 5, || s.engine.m_query(&q, MQueryAlgorithm::MqmbTbs));
+        let uni = measure(1, 5, || {
+            s.engine
+                .try_m_query(&q, MQueryAlgorithm::MqmbTbs)
+                .expect("m-query")
+        });
         report("fig4_8_mquery", &format!("mqmb_tbs/{n}"), uni.median_ms());
     }
 }

@@ -113,7 +113,9 @@ fn run_cold_path(
         engine.st_index().clear_cache();
         engine.st_index().io_stats().reset();
         let t0 = Instant::now();
-        let outcome = engine.s_query(probe, Algorithm::SqmbTbs);
+        let outcome = engine
+            .try_s_query(probe, Algorithm::SqmbTbs)
+            .expect("s-query");
         let cold_query_ms = t0.elapsed().as_secs_f64() * 1e3;
         if backend == StorageBackend::File {
             decode_ratio = engine.st_index().io_stats().snapshot().decode_ratio();
@@ -165,7 +167,11 @@ fn run_group_commit(
             }
         });
         throughput[case] = total_points as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-        let region = engine.s_query(probe, Algorithm::SqmbTbs).region.segments;
+        let region = engine
+            .try_s_query(probe, Algorithm::SqmbTbs)
+            .expect("s-query")
+            .region
+            .segments;
         match &expected {
             None => expected = Some(region),
             Some(e) => assert_eq!(
@@ -207,7 +213,9 @@ fn run_concurrent_queries(
                     let mut lat = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
                         let t = Instant::now();
-                        let _ = engine.s_query(probe, Algorithm::SqmbTbs);
+                        let _ = engine
+                            .try_s_query(probe, Algorithm::SqmbTbs)
+                            .expect("s-query");
                         lat.push(t.elapsed().as_secs_f64() * 1e3);
                     }
                     lat
@@ -285,7 +293,9 @@ fn run_shard_scaling(
     let expected: Vec<(Vec<SegmentId>, u64)> = workload
         .iter()
         .map(|q| {
-            let o = baseline.s_query(q, Algorithm::SqmbTbs);
+            let o = baseline
+                .try_s_query(q, Algorithm::SqmbTbs)
+                .expect("s-query");
             (o.region.segments, o.region.total_length_km.to_bits())
         })
         .collect();
@@ -1319,7 +1329,11 @@ fn main() {
 
     // Serving engine: reopen + WAL-backed ingest.
     let engine = ReachabilityEngine::open_snapshot(&dir, network.clone()).expect("open snapshot");
-    let latency_before = measure(2, 9, || engine.s_query(&probe, Algorithm::SqmbTbs));
+    let latency_before = measure(2, 9, || {
+        engine
+            .try_s_query(&probe, Algorithm::SqmbTbs)
+            .expect("s-query")
+    });
 
     let wal_path = dir.join("ingest.wal");
     engine.attach_wal(&wal_path).expect("attach WAL");
@@ -1339,7 +1353,11 @@ fn main() {
     drop(volatile);
 
     let delta = engine.st_index().delta_stats();
-    let latency_delta = measure(2, 9, || engine.s_query(&probe, Algorithm::SqmbTbs));
+    let latency_delta = measure(2, 9, || {
+        engine
+            .try_s_query(&probe, Algorithm::SqmbTbs)
+            .expect("s-query")
+    });
 
     // Snapshot costs: incremental (base page file reused) vs full.
     let t0 = Instant::now();
@@ -1356,14 +1374,22 @@ fn main() {
     let t0 = Instant::now();
     engine.compact().expect("compact");
     let compact_s = t0.elapsed().as_secs_f64();
-    let latency_compacted = measure(2, 9, || engine.s_query(&probe, Algorithm::SqmbTbs));
+    let latency_compacted = measure(2, 9, || {
+        engine
+            .try_s_query(&probe, Algorithm::SqmbTbs)
+            .expect("s-query")
+    });
 
     // Correctness smoke: bit-identical to the from-scratch combined build.
     let rebuilt = EngineBuilder::new(network.clone(), &full)
         .index_config(config.clone())
         .build();
-    let a = engine.s_query(&probe, Algorithm::SqmbTbs);
-    let b = rebuilt.s_query(&probe, Algorithm::SqmbTbs);
+    let a = engine
+        .try_s_query(&probe, Algorithm::SqmbTbs)
+        .expect("s-query");
+    let b = rebuilt
+        .try_s_query(&probe, Algorithm::SqmbTbs)
+        .expect("s-query");
     let identical = a.region.segments == b.region.segments
         && a.region.total_length_km.to_bits() == b.region.total_length_km.to_bits();
 

@@ -52,7 +52,7 @@ impl Ctx {
     }
 
     fn run(&self, q: &SQuery, algo: Algorithm) -> streach_core::query::QueryOutcome {
-        self.scenario.engine.s_query(q, algo)
+        self.scenario.engine.try_s_query(q, algo).expect("s-query")
     }
 
     fn write_geojson(&self, name: &str, region: &streach_core::ReachableRegion) {
@@ -153,7 +153,9 @@ fn fig4_1a(ctx: &Ctx) -> Table {
         let q = ctx.squery(11 * 3600, l, 0.2);
         let es = ctx.run(&q, Algorithm::ExhaustiveSearch);
         let fast5 = ctx.run(&q, Algorithm::SqmbTbs);
-        let fast10 = engine10.s_query(&q, Algorithm::SqmbTbs);
+        let fast10 = engine10
+            .try_s_query(&q, Algorithm::SqmbTbs)
+            .expect("s-query");
         let best = fast5
             .stats
             .running_time_ms()
@@ -184,7 +186,9 @@ fn fig4_1b(ctx: &Ctx) -> Table {
     for l in (5..=35).step_by(5) {
         let q = ctx.squery(11 * 3600, l, 0.2);
         let fast5 = ctx.run(&q, Algorithm::SqmbTbs);
-        let fast10 = engine10.s_query(&q, Algorithm::SqmbTbs);
+        let fast10 = engine10
+            .try_s_query(&q, Algorithm::SqmbTbs)
+            .expect("s-query");
         t.row(vec![
             l.to_string(),
             format!("{:.1}", fast5.region.total_length_km),
@@ -356,7 +360,7 @@ fn fig4_7(ctx: &Ctx) -> Table {
         let mut times = Vec::new();
         for l in [5u32, 10] {
             let q = ctx.squery(11 * 3600, l, 0.2);
-            let out = engine.s_query(&q, Algorithm::SqmbTbs);
+            let out = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
             times.push(out.stats.running_time_ms());
         }
         t.row(vec![
@@ -395,8 +399,13 @@ fn fig4_8a(ctx: &Ctx) -> Table {
         let repeated = ctx
             .scenario
             .engine
-            .m_query(&q, MQueryAlgorithm::RepeatedSQuery);
-        let unified = ctx.scenario.engine.m_query(&q, MQueryAlgorithm::MqmbTbs);
+            .try_m_query(&q, MQueryAlgorithm::RepeatedSQuery)
+            .expect("m-query");
+        let unified = ctx
+            .scenario
+            .engine
+            .try_m_query(&q, MQueryAlgorithm::MqmbTbs)
+            .expect("m-query");
         let saving = 100.0
             * (1.0 - unified.stats.running_time_ms() / repeated.stats.running_time_ms().max(1e-9));
         t.row(vec![
@@ -436,8 +445,13 @@ fn fig4_8b(ctx: &Ctx) -> Table {
         let repeated = ctx
             .scenario
             .engine
-            .m_query(&q, MQueryAlgorithm::RepeatedSQuery);
-        let unified = ctx.scenario.engine.m_query(&q, MQueryAlgorithm::MqmbTbs);
+            .try_m_query(&q, MQueryAlgorithm::RepeatedSQuery)
+            .expect("m-query");
+        let unified = ctx
+            .scenario
+            .engine
+            .try_m_query(&q, MQueryAlgorithm::MqmbTbs)
+            .expect("m-query");
         let saving = 100.0
             * (1.0 - unified.stats.running_time_ms() / repeated.stats.running_time_ms().max(1e-9));
         t.row(vec![
@@ -466,7 +480,11 @@ fn fig4_9(ctx: &Ctx) -> Table {
         duration_s: 20 * 60,
         prob: 0.2,
     };
-    let union = ctx.scenario.engine.m_query(&q, MQueryAlgorithm::MqmbTbs);
+    let union = ctx
+        .scenario
+        .engine
+        .try_m_query(&q, MQueryAlgorithm::MqmbTbs)
+        .expect("m-query");
     ctx.write_geojson("fig4_9_all", &union.region);
     t.row(vec![
         "all 3 locations".into(),
@@ -481,7 +499,11 @@ fn fig4_9(ctx: &Ctx) -> Table {
             duration_s: q.duration_s,
             prob: q.prob,
         };
-        let out = ctx.scenario.engine.s_query(&sq, Algorithm::SqmbTbs);
+        let out = ctx
+            .scenario
+            .engine
+            .try_s_query(&sq, Algorithm::SqmbTbs)
+            .expect("s-query");
         let name = format!("fig4_9_location_{}", (b'A' + i as u8) as char);
         ctx.write_geojson(&name, &out.region);
         t.row(vec![
@@ -569,10 +591,14 @@ fn snapshot(ctx: &Ctx) -> Table {
     // Round-trip check: the canonical query answers bit-identically on the
     // rebuilt and the reopened engine, and the cold engine pays real I/O.
     let q = ctx.squery(11 * 3600, 10, 0.2);
-    let warm_out = rebuilt.s_query(&q, Algorithm::SqmbTbs);
+    let warm_out = rebuilt
+        .try_s_query(&q, Algorithm::SqmbTbs)
+        .expect("s-query");
     reopened.st_index().clear_cache();
     reopened.st_index().io_stats().reset();
-    let cold_out = reopened.s_query(&q, Algorithm::SqmbTbs);
+    let cold_out = reopened
+        .try_s_query(&q, Algorithm::SqmbTbs)
+        .expect("s-query");
     assert_eq!(
         warm_out.region.segments, cold_out.region.segments,
         "snapshot round-trip must answer bit-identically"

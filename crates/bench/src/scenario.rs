@@ -161,7 +161,10 @@ mod tests {
         assert!(s.network.num_segments() > 100);
         assert!(s.dataset.stats().num_segment_visits > 1000);
         let q = s.canonical_squery(10);
-        let outcome = s.engine.s_query(&q, Algorithm::SqmbTbs);
+        let outcome = s
+            .engine
+            .try_s_query(&q, Algorithm::SqmbTbs)
+            .expect("s-query");
         assert!(!outcome.region.is_empty());
         assert!(outcome.region.total_length_km > 0.0);
     }

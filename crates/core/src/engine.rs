@@ -987,17 +987,6 @@ impl ReachabilityEngine {
         }
     }
 
-    /// Answers a single-location ST reachability query.
-    ///
-    /// # Panics
-    /// Panics if the query is invalid (see [`SQuery::validate`]), if the
-    /// location cannot be matched to a road segment, or if a posting read
-    /// hits a disk fault. A serving process should use
-    /// [`ReachabilityEngine::try_s_query`] instead.
-    pub fn s_query(&self, query: &SQuery, algorithm: Algorithm) -> QueryOutcome {
-        self.try_s_query(query, algorithm).expect("invalid s-query")
-    }
-
     /// Answers a single-location ST reachability query, reporting malformed
     /// queries, off-network locations **and storage faults** as a
     /// [`QueryError`] instead of aborting the process. A
@@ -1094,19 +1083,14 @@ impl ReachabilityEngine {
         )
     }
 
-    /// Answers a multi-location ST reachability query.
+    /// Answers a multi-location ST reachability query, reporting malformed
+    /// queries, off-network locations and storage faults as a
+    /// [`QueryError`] instead of aborting the process.
     ///
     /// With [`MQueryAlgorithm::RepeatedSQuery`] every location is answered as
     /// an independent SQMB+TBS s-query and the regions are unioned (the
     /// baseline of Section 4.3); with [`MQueryAlgorithm::MqmbTbs`] the
     /// unified MQMB bounding region is verified once.
-    pub fn m_query(&self, query: &MQuery, algorithm: MQueryAlgorithm) -> QueryOutcome {
-        self.try_m_query(query, algorithm).expect("invalid m-query")
-    }
-
-    /// Answers a multi-location ST reachability query, reporting malformed
-    /// queries, off-network locations and storage faults as a
-    /// [`QueryError`] instead of aborting the process.
     pub fn try_m_query(
         &self,
         query: &MQuery,
@@ -1268,20 +1252,6 @@ mod tests {
         };
         let err = e.try_m_query(&nan, MQueryAlgorithm::MqmbTbs).unwrap_err();
         assert!(matches!(err, QueryError::InvalidQuery(_)), "{err}");
-    }
-
-    #[test]
-    fn try_s_query_matches_panicking_wrapper() {
-        let e = engine();
-        let q = SQuery {
-            location: e.network().bounds().center(),
-            start_time_s: 9 * 3600,
-            duration_s: 600,
-            prob: 0.2,
-        };
-        let a = e.try_s_query(&q, Algorithm::SqmbTbs).unwrap();
-        let b = e.s_query(&q, Algorithm::SqmbTbs);
-        assert_eq!(a.region.segments, b.region.segments);
     }
 
     #[test]

@@ -111,7 +111,9 @@
 //!     duration_s: 600,
 //!     prob: 0.25,
 //! };
-//! let outcome = engine.s_query(&query, Algorithm::SqmbTbs);
+//! let outcome = engine
+//!     .try_s_query(&query, Algorithm::SqmbTbs)
+//!     .expect("valid on-network query");
 //! println!("reachable road length: {:.1} km", outcome.region.total_length_km);
 //! ```
 
@@ -136,6 +138,7 @@ pub mod st_index;
 pub mod stats;
 pub mod subscribe;
 pub mod time;
+mod worker;
 
 pub use builder::EngineBuilder;
 pub use con_index::{ConIndex, ConnectionLists};

@@ -9,8 +9,9 @@
 //! Running either synchronously on an ingest or query thread stalls the
 //! serving path exactly when the delta tail is largest.
 //!
-//! [`MaintenanceController::spawn`] starts one background worker
-//! (`std::thread`) that watches the engine and triggers:
+//! [`MaintenanceController::spawn`] starts one background thread — it runs
+//! on `worker::Worker`, the crate's one kick / run_now / shutdown
+//! protocol — that watches the engine and triggers:
 //!
 //! * an **incremental checkpoint** ([`ReachabilityEngine::save_incremental_snapshot`])
 //!   whenever the delta heap crosses
@@ -34,13 +35,13 @@
 //! harness around.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use streach_storage::StorageError;
 
 use crate::engine::ReachabilityEngine;
+use crate::worker::Worker;
 
 /// Which maintenance duty a worker pass ran (or failed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,12 +110,6 @@ impl Default for MaintenanceConfig {
 }
 
 struct WorkerState {
-    stop: bool,
-    /// Pass tickets requested by [`MaintenanceController::kick`] /
-    /// [`MaintenanceController::run_now`].
-    kicks_requested: u64,
-    /// Highest ticket whose pass has completed.
-    kicks_served: u64,
     stats: MaintenanceStats,
     errors: Vec<MaintenanceError>,
 }
@@ -124,7 +119,6 @@ struct Shared {
     dir: PathBuf,
     config: MaintenanceConfig,
     state: Mutex<WorkerState>,
-    cv: Condvar,
 }
 
 impl Shared {
@@ -138,7 +132,7 @@ impl Shared {
 /// the worker cleanly: the in-flight pass finishes, then the thread joins.
 pub struct MaintenanceController {
     shared: Arc<Shared>,
-    worker: Option<JoinHandle<()>>,
+    worker: Worker,
 }
 
 impl MaintenanceController {
@@ -150,66 +144,31 @@ impl MaintenanceController {
         dir: P,
         config: MaintenanceConfig,
     ) -> Self {
+        let poll_interval = config.poll_interval;
         let shared = Arc::new(Shared {
             engine,
             dir: dir.into(),
             config,
             state: Mutex::new(WorkerState {
-                stop: false,
-                kicks_requested: 0,
-                kicks_served: 0,
                 stats: MaintenanceStats::default(),
                 errors: Vec::new(),
             }),
-            cv: Condvar::new(),
         });
         let worker = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("streach-maintenance".into())
-                .spawn(move || Self::worker_loop(&shared))
-                .expect("spawn maintenance worker")
+            let mut last_compaction = Instant::now();
+            // Delta shape at the last *successful* checkpoint: the trigger
+            // gates on growth since then, so an idle engine whose delta
+            // sits above the threshold is checkpointed once — not re-saved
+            // (and its WAL re-rotated) on every poll pass forever.
+            let mut last_checkpointed = None;
+            Worker::spawn(
+                "streach-maintenance",
+                move || poll_interval,
+                move || Self::run_pass(&shared, &mut last_compaction, &mut last_checkpointed),
+            )
         };
-        Self {
-            shared,
-            worker: Some(worker),
-        }
-    }
-
-    fn worker_loop(shared: &Shared) {
-        let mut last_compaction = Instant::now();
-        // Delta shape at the last *successful* checkpoint: the trigger
-        // gates on growth since then, so an idle engine whose delta sits
-        // above the threshold is checkpointed once — not re-saved (and its
-        // WAL re-rotated) on every poll pass forever.
-        let mut last_checkpointed: Option<crate::st_index::DeltaStats> = None;
-        loop {
-            // Wait for a kick, the poll cadence, or shutdown.
-            let serving = {
-                let mut state = shared.lock();
-                loop {
-                    if state.stop {
-                        return;
-                    }
-                    if state.kicks_requested > state.kicks_served {
-                        break state.kicks_requested;
-                    }
-                    let (guard, timeout) = shared
-                        .cv
-                        .wait_timeout(state, shared.config.poll_interval)
-                        .unwrap_or_else(|e| e.into_inner());
-                    state = guard;
-                    if timeout.timed_out() {
-                        break state.kicks_requested;
-                    }
-                }
-            };
-            Self::run_pass(shared, &mut last_compaction, &mut last_checkpointed);
-            let mut state = shared.lock();
-            state.kicks_served = state.kicks_served.max(serving);
-            state.stats.passes += 1;
-            shared.cv.notify_all();
-        }
+        Self { shared, worker }
     }
 
     /// One trigger-evaluation pass: checkpoint if the delta heap crossed
@@ -281,9 +240,7 @@ impl MaintenanceController {
     /// Wakes the worker for an immediate trigger-evaluation pass without
     /// waiting for it.
     pub fn kick(&self) {
-        let mut state = self.shared.lock();
-        state.kicks_requested += 1;
-        self.shared.cv.notify_all();
+        self.worker.kick();
     }
 
     /// Kicks the worker and blocks until that pass has completed — the
@@ -291,22 +248,15 @@ impl MaintenanceController {
     /// action the engine's current state warranted has happened (or is
     /// recorded as a typed error).
     pub fn run_now(&self) {
-        let mut state = self.shared.lock();
-        state.kicks_requested += 1;
-        let ticket = state.kicks_requested;
-        self.shared.cv.notify_all();
-        while state.kicks_served < ticket {
-            state = self
-                .shared
-                .cv
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        self.worker.run_now();
     }
 
     /// Activity counters so far.
     pub fn stats(&self) -> MaintenanceStats {
-        self.shared.lock().stats
+        MaintenanceStats {
+            passes: self.worker.passes(),
+            ..self.shared.lock().stats
+        }
     }
 
     /// Drains the recorded maintenance failures (oldest first).
@@ -319,28 +269,11 @@ impl MaintenanceController {
         &self.shared.dir
     }
 
-    fn stop_and_join(&mut self) {
-        {
-            let mut state = self.shared.lock();
-            state.stop = true;
-            self.shared.cv.notify_all();
-        }
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-
     /// Stops the worker cleanly (the in-flight pass finishes first) and
     /// returns any failures it had recorded.
     pub fn shutdown(mut self) -> Vec<MaintenanceError> {
-        self.stop_and_join();
-        std::mem::take(&mut self.shared.lock().errors)
-    }
-}
-
-impl Drop for MaintenanceController {
-    fn drop(&mut self) {
-        self.stop_and_join();
+        self.worker.stop();
+        self.take_errors()
     }
 }
 

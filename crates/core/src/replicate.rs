@@ -42,8 +42,9 @@
 //! [`ReplicationConfig::lag_slo_records`] surfaces an **edge-triggered**
 //! typed [`ReplicationEvent::SloBreached`] (with a matching
 //! [`ReplicationEvent::SloRecovered`] when the replica catches back up).
-//! `run_now()` is the deterministic test hook; shutdown is clean (the
-//! in-flight pass finishes, then the thread joins).
+//! The controller runs on `worker::Worker`: `run_now()` is the
+//! deterministic test hook, and shutdown is clean (the in-flight pass
+//! finishes, then the thread joins).
 //!
 //! # Checkpoints: ship before rotate
 //!
@@ -74,8 +75,7 @@
 
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -83,6 +83,7 @@ use streach_storage::{FollowerLog, ShippedBatch, StorageError, StorageResult, Wa
 
 use crate::engine::ReachabilityEngine;
 use crate::ingest::WalAttach;
+use crate::worker::Worker;
 
 /// One follower: an engine applying shipped records plus its local
 /// byte-compatible copy of the leader's WAL.
@@ -519,9 +520,6 @@ pub struct ReplicationStats {
 }
 
 struct ReplWorkerState {
-    stop: bool,
-    kicks_requested: u64,
-    kicks_served: u64,
     stats: ReplicationStats,
     events: Vec<ReplicationEvent>,
     consecutive_failures: u64,
@@ -535,7 +533,6 @@ struct ReplShared {
     set: Arc<ReplicaSet>,
     config: ReplicationConfig,
     state: StdMutex<ReplWorkerState>,
-    cv: Condvar,
 }
 
 impl ReplShared {
@@ -544,16 +541,16 @@ impl ReplShared {
     }
 }
 
-/// Owns background WAL shipping for one [`ReplicaSet`]: a
-/// [`MaintenanceController`](crate::maintenance::MaintenanceController)-
-/// style worker calls [`ReplicaSet::ship`] on a cadence, retries faults
+/// Owns background WAL shipping for one [`ReplicaSet`]: a worker (it runs
+/// on `worker::Worker`, the crate's one kick / run_now / shutdown
+/// protocol) calls [`ReplicaSet::ship`] on a cadence, retries faults
 /// with exponential backoff, watches per-replica lag against a configured
 /// SLO, and surfaces everything as typed [`ReplicationEvent`]s. Dropping
 /// the controller (or calling [`ReplicationController::shutdown`]) stops
 /// the worker cleanly: the in-flight pass finishes, then the thread joins.
 pub struct ReplicationController {
     shared: Arc<ReplShared>,
-    worker: Option<JoinHandle<()>>,
+    worker: Worker,
 }
 
 impl ReplicationController {
@@ -564,33 +561,28 @@ impl ReplicationController {
             set,
             config,
             state: StdMutex::new(ReplWorkerState {
-                stop: false,
-                kicks_requested: 0,
-                kicks_served: 0,
                 stats: ReplicationStats::default(),
                 events: Vec::new(),
                 consecutive_failures: 0,
                 breached: vec![false; replicas],
                 retired: false,
             }),
-            cv: Condvar::new(),
         });
         let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("streach-replication".into())
-                .spawn(move || Self::worker_loop(&shared))
-                .expect("spawn replication worker")
+            let idle = Arc::clone(&shared);
+            let pass = Arc::clone(&shared);
+            Worker::spawn(
+                "streach-replication",
+                move || Self::wait_for(&idle.config, idle.lock().consecutive_failures),
+                move || Self::run_pass(&pass),
+            )
         };
-        Self {
-            shared,
-            worker: Some(worker),
-        }
+        Self { shared, worker }
     }
 
     /// Idle wait before the next pass: the poll cadence, stretched by the
     /// failure backoff (doubled per consecutive failure, capped). Kicks
-    /// bypass it via the condvar.
+    /// bypass it.
     fn wait_for(config: &ReplicationConfig, consecutive_failures: u64) -> Duration {
         if consecutive_failures == 0 {
             return config.poll_interval;
@@ -601,38 +593,6 @@ impl ReplicationController {
             .saturating_mul(factor)
             .min(config.max_backoff)
             .max(config.poll_interval)
-    }
-
-    fn worker_loop(shared: &ReplShared) {
-        loop {
-            // Wait for a kick, the poll cadence (stretched by the failure
-            // backoff), or shutdown.
-            let serving = {
-                let mut state = shared.lock();
-                loop {
-                    if state.stop {
-                        return;
-                    }
-                    if state.kicks_requested > state.kicks_served {
-                        break state.kicks_requested;
-                    }
-                    let wait = Self::wait_for(&shared.config, state.consecutive_failures);
-                    let (guard, timeout) = shared
-                        .cv
-                        .wait_timeout(state, wait)
-                        .unwrap_or_else(|e| e.into_inner());
-                    state = guard;
-                    if timeout.timed_out() {
-                        break state.kicks_requested;
-                    }
-                }
-            };
-            Self::run_pass(shared);
-            let mut state = shared.lock();
-            state.kicks_served = state.kicks_served.max(serving);
-            state.stats.passes += 1;
-            shared.cv.notify_all();
-        }
     }
 
     /// One shipping pass: ship, classify the outcome, then re-check every
@@ -699,9 +659,7 @@ impl ReplicationController {
     /// Wakes the worker for an immediate shipping pass without waiting for
     /// it. Bypasses any failure backoff in progress.
     pub fn kick(&self) {
-        let mut state = self.shared.lock();
-        state.kicks_requested += 1;
-        self.shared.cv.notify_all();
+        self.worker.kick();
     }
 
     /// Kicks the worker and blocks until that pass has completed — the
@@ -709,22 +667,15 @@ impl ReplicationController {
     /// in the leader's WAL before the call has been shipped and applied to
     /// every reachable follower (or the failure is recorded as an event).
     pub fn run_now(&self) {
-        let mut state = self.shared.lock();
-        state.kicks_requested += 1;
-        let ticket = state.kicks_requested;
-        self.shared.cv.notify_all();
-        while state.kicks_served < ticket {
-            state = self
-                .shared
-                .cv
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        self.worker.run_now();
     }
 
     /// Activity counters so far.
     pub fn stats(&self) -> ReplicationStats {
-        self.shared.lock().stats
+        ReplicationStats {
+            passes: self.worker.passes(),
+            ..self.shared.lock().stats
+        }
     }
 
     /// Per-replica lag against the leader right now (see
@@ -743,28 +694,11 @@ impl ReplicationController {
         &self.shared.set
     }
 
-    fn stop_and_join(&mut self) {
-        {
-            let mut state = self.shared.lock();
-            state.stop = true;
-            self.shared.cv.notify_all();
-        }
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-
     /// Stops the worker (the in-flight pass finishes), joins the thread,
     /// and returns any undrained events.
     pub fn shutdown(mut self) -> Vec<ReplicationEvent> {
-        self.stop_and_join();
-        std::mem::take(&mut self.shared.lock().events)
-    }
-}
-
-impl Drop for ReplicationController {
-    fn drop(&mut self) {
-        self.stop_and_join();
+        self.worker.stop();
+        self.take_events()
     }
 }
 
@@ -791,6 +725,34 @@ mod tests {
             if entry.file_type().unwrap().is_file() {
                 std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
             }
+        }
+    }
+
+    #[test]
+    fn wait_for_backs_off_from_the_poll_interval_up_to_the_cap() {
+        let config = ReplicationConfig {
+            poll_interval: Duration::from_millis(10),
+            retry_backoff: Duration::from_millis(25),
+            max_backoff: Duration::from_secs(1),
+            ..ReplicationConfig::default()
+        };
+        let ms = |failures| ReplicationController::wait_for(&config, failures).as_millis();
+        assert_eq!(ms(0), 10, "no failure: the poll interval");
+        assert_eq!(ms(1), 50);
+        assert_eq!(ms(2), 100, "doubles per failure");
+        assert_eq!(ms(3), 200);
+        assert_eq!(ms(6), 1000, "capped at max_backoff");
+        assert_eq!(ms(u64::MAX), 1000, "no overflow at any failure count");
+        // A backoff shorter than the poll interval never shortens the wait.
+        let slow = ReplicationConfig {
+            poll_interval: Duration::from_secs(2),
+            ..config
+        };
+        for failures in [0, 1, 5, 40] {
+            assert_eq!(
+                ReplicationController::wait_for(&slow, failures),
+                Duration::from_secs(2)
+            );
         }
     }
 

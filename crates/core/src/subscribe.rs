@@ -31,10 +31,10 @@
 //! [`ServeBackend::try_s_query_coalesced`] group pass — co-located
 //! subscriptions share one bounding — and ES subscriptions run serially.
 //!
-//! The worker follows the [`crate::maintenance::MaintenanceController`]
-//! pattern: a dedicated thread woken by ingest observers (the observer
-//! callback runs under the engine's ingest lock and only enqueues the
-//! touch + kicks the worker — it never queries), a deterministic
+//! The worker runs on `worker::Worker`, the crate's one kick / run_now /
+//! shutdown protocol: a dedicated thread woken by ingest observers (the
+//! observer callback runs under the engine's ingest lock and only enqueues
+//! the touch + kicks the worker — it never queries), a deterministic
 //! [`SubscriptionManager::run_now`] for tests, typed [`SubscribeError`]s,
 //! and clean shutdown on drop. Changed answers are delivered as
 //! [`ReachabilityEvent`]s (old region, new region, fired trigger,
@@ -56,13 +56,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::ingest::{IngestObserver, IngestTouch};
 use crate::query::{Algorithm, QueryError, SQuery};
 use crate::region::ReachableRegion;
 use crate::serve::{ReadFootprint, ServeBackend};
+use crate::worker::Worker;
 
 /// Identifier of one registered subscription, unique within its manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -228,10 +228,7 @@ struct SubState {
     dirty: bool,
 }
 
-struct WorkerState {
-    stop: bool,
-    kicks_requested: u64,
-    kicks_served: u64,
+struct State {
     /// `BTreeMap` so passes evaluate in stable id order — deterministic
     /// coalescing groups, deterministic event order.
     subs: BTreeMap<u64, SubState>,
@@ -249,16 +246,18 @@ struct WorkerState {
 struct Shared<B: ServeBackend> {
     backend: Arc<B>,
     config: SubscribeConfig,
-    state: Mutex<WorkerState>,
-    cv: Condvar,
+    state: Mutex<State>,
+    /// Wakes [`SubscriptionManager::next_event`] waiters when an event is
+    /// queued.
+    events_cv: Condvar,
 }
 
 impl<B: ServeBackend> Shared<B> {
-    fn lock(&self) -> MutexGuard<'_, WorkerState> {
+    fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn push_event(state: &mut WorkerState, capacity: usize, event: SubscriptionEvent) {
+    fn push_event(state: &mut State, capacity: usize, event: SubscriptionEvent) {
         state.stats.events_emitted += 1;
         if state.events.len() >= capacity.max(1) {
             state.events.pop_front();
@@ -275,7 +274,7 @@ impl<B: ServeBackend> Shared<B> {
 /// [`SubscriptionManager::shutdown`]) stops the worker cleanly.
 pub struct SubscriptionManager<B: ServeBackend> {
     shared: Arc<Shared<B>>,
-    worker: Option<JoinHandle<()>>,
+    worker: Worker,
     /// Keeps the ingest observer alive exactly as long as the manager; the
     /// backend's leader engines hold it weakly and drop it with us.
     _observer: Arc<IngestObserver>,
@@ -289,10 +288,7 @@ impl<B: ServeBackend> SubscriptionManager<B> {
         let shared = Arc::new(Shared {
             backend: backend.clone(),
             config,
-            state: Mutex::new(WorkerState {
-                stop: false,
-                kicks_requested: 0,
-                kicks_served: 0,
+            state: Mutex::new(State {
                 subs: BTreeMap::new(),
                 next_id: 1,
                 pending: Vec::new(),
@@ -301,61 +297,36 @@ impl<B: ServeBackend> SubscriptionManager<B> {
                 undrained_drops: 0,
                 stats: SubscribeStats::default(),
             }),
-            cv: Condvar::new(),
+            events_cv: Condvar::new(),
         });
+        let worker = {
+            let shared = Arc::clone(&shared);
+            let poll_interval = shared.config.poll_interval;
+            Worker::spawn(
+                "streach-subscribe",
+                move || poll_interval,
+                move || Self::run_pass(&shared),
+            )
+        };
         // The observer runs under the engine's ingest lock: enqueue the
         // touch, stamp the generation, kick the worker — nothing else.
         let observer: Arc<IngestObserver> = {
             let shared = Arc::clone(&shared);
+            let kicker = worker.kicker();
             Arc::new(move |touch: &IngestTouch| {
-                let mut state = shared.lock();
-                state.touch_seq += 1;
-                state.pending.push(touch.clone());
-                state.kicks_requested += 1;
-                shared.cv.notify_all();
+                {
+                    let mut state = shared.lock();
+                    state.touch_seq += 1;
+                    state.pending.push(touch.clone());
+                }
+                kicker.kick();
             })
         };
         backend.observe_ingest(&observer);
-        let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("streach-subscribe".into())
-                .spawn(move || Self::worker_loop(&shared))
-                .expect("spawn subscription worker")
-        };
         Self {
             shared,
-            worker: Some(worker),
+            worker,
             _observer: observer,
-        }
-    }
-
-    fn worker_loop(shared: &Shared<B>) {
-        loop {
-            let serving = {
-                let mut state = shared.lock();
-                loop {
-                    if state.stop {
-                        return;
-                    }
-                    if state.kicks_requested > state.kicks_served {
-                        break state.kicks_requested;
-                    }
-                    let (guard, timeout) = shared
-                        .cv
-                        .wait_timeout(state, shared.config.poll_interval)
-                        .unwrap_or_else(|e| e.into_inner());
-                    state = guard;
-                    if timeout.timed_out() {
-                        break state.kicks_requested;
-                    }
-                }
-            };
-            Self::run_pass(shared);
-            let mut state = shared.lock();
-            state.kicks_served = state.kicks_served.max(serving);
-            state.stats.passes += 1;
-            shared.cv.notify_all();
         }
     }
 
@@ -429,7 +400,7 @@ impl<B: ServeBackend> SubscriptionManager<B> {
                 }
             }
         }
-        shared.cv.notify_all();
+        shared.events_cv.notify_all();
     }
 
     /// Evaluates a set of standing queries, in input order: SQMB members
@@ -516,7 +487,7 @@ impl<B: ServeBackend> SubscriptionManager<B> {
             generation,
         });
         Shared::<B>::push_event(&mut state, self.shared.config.event_capacity, event);
-        self.shared.cv.notify_all();
+        self.shared.events_cv.notify_all();
         Ok(SubscriptionId(id))
     }
 
@@ -591,7 +562,7 @@ impl<B: ServeBackend> SubscriptionManager<B> {
             }
             let (guard, _) = self
                 .shared
-                .cv
+                .events_cv
                 .wait_timeout(state, deadline - now)
                 .unwrap_or_else(|e| e.into_inner());
             state = guard;
@@ -611,9 +582,7 @@ impl<B: ServeBackend> SubscriptionManager<B> {
 
     /// Wakes the worker for an immediate evaluation pass without waiting.
     pub fn kick(&self) {
-        let mut state = self.shared.lock();
-        state.kicks_requested += 1;
-        self.shared.cv.notify_all();
+        self.worker.kick();
     }
 
     /// Kicks the worker and blocks until that pass completed — the
@@ -621,46 +590,22 @@ impl<B: ServeBackend> SubscriptionManager<B> {
     /// already-applied batch affected has been re-evaluated (or its
     /// failure recorded as an event).
     pub fn run_now(&self) {
-        let mut state = self.shared.lock();
-        state.kicks_requested += 1;
-        let ticket = state.kicks_requested;
-        self.shared.cv.notify_all();
-        while state.kicks_served < ticket {
-            state = self
-                .shared
-                .cv
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        self.worker.run_now();
     }
 
     /// Activity counters so far.
     pub fn stats(&self) -> SubscribeStats {
-        self.shared.lock().stats
-    }
-
-    fn stop_and_join(&mut self) {
-        {
-            let mut state = self.shared.lock();
-            state.stop = true;
-            self.shared.cv.notify_all();
-        }
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
+        SubscribeStats {
+            passes: self.worker.passes(),
+            ..self.shared.lock().stats
         }
     }
 
     /// Stops the worker cleanly (the in-flight pass finishes first) and
     /// returns every event still queued.
     pub fn shutdown(mut self) -> Vec<SubscriptionEvent> {
-        self.stop_and_join();
+        self.worker.stop();
         self.poll_events()
-    }
-}
-
-impl<B: ServeBackend> Drop for SubscriptionManager<B> {
-    fn drop(&mut self) {
-        self.stop_and_join();
     }
 }
 

@@ -353,75 +353,3 @@ fn direct_bounding_matches_table_walk_on_21x21_city() {
     let con = ConIndex::new(network.clone(), stats, &config);
     assert_direct_bounding_matches_table_walk(&network, &con, "21x21");
 }
-
-/// Satellite guard for the fallible plumbing: on a fault-free store the
-/// `try_*` pipelines must return **bit-identical** regions to the panicking
-/// wrappers for every algorithm on the whole grid — the error paths ride
-/// along the hot path without perturbing a single probability.
-#[test]
-fn fallible_pipelines_match_panicking_wrappers_on_fault_free_store() {
-    use streach_core::query::{Algorithm, MQuery, MQueryAlgorithm};
-
-    let city = SyntheticCity::generate(GeneratorConfig::small());
-    let center = city.central_point();
-    let network = Arc::new(city.network);
-    let dataset = TrajectoryDataset::simulate(
-        &network,
-        FleetConfig {
-            num_taxis: 30,
-            num_days: 5,
-            day_start_s: 8 * 3600,
-            day_end_s: 14 * 3600,
-            seed: 7,
-            ..FleetConfig::default()
-        },
-    );
-    let engine = streach_core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(IndexConfig {
-            read_latency_us: 0,
-            ..Default::default()
-        })
-        .build();
-
-    for (t, l, prob) in grid() {
-        let q = streach_core::query::SQuery {
-            location: center,
-            start_time_s: t,
-            duration_s: l,
-            prob,
-        };
-        for algo in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
-            let fallible = engine.try_s_query(&q, algo).expect("fault-free store");
-            let panicking = engine.s_query(&q, algo);
-            assert_eq!(
-                fallible.region.segments, panicking.region.segments,
-                "{algo:?} region diverged at T={t} L={l} prob={prob}"
-            );
-            assert_eq!(
-                fallible.region.total_length_km.to_bits(),
-                panicking.region.total_length_km.to_bits(),
-                "{algo:?} length diverged at T={t} L={l} prob={prob}"
-            );
-        }
-    }
-
-    let m = MQuery {
-        locations: vec![center, center.offset_m(1500.0, 0.0)],
-        start_time_s: 9 * 3600,
-        duration_s: 900,
-        prob: 0.2,
-    };
-    for algo in [MQueryAlgorithm::MqmbTbs, MQueryAlgorithm::RepeatedSQuery] {
-        let fallible = engine.try_m_query(&m, algo).expect("fault-free store");
-        let panicking = engine.m_query(&m, algo);
-        assert_eq!(
-            fallible.region.segments, panicking.region.segments,
-            "{algo:?} m-query region diverged"
-        );
-        assert_eq!(
-            fallible.region.total_length_km.to_bits(),
-            panicking.region.total_length_km.to_bits(),
-            "{algo:?} m-query length diverged"
-        );
-    }
-}

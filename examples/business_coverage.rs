@@ -58,7 +58,7 @@ fn main() {
         ),
         ("m-query (MQMB+TBS)", MQueryAlgorithm::MqmbTbs),
     ] {
-        let outcome = engine.m_query(&query, algo);
+        let outcome = engine.try_m_query(&query, algo).expect("m-query");
         println!(
             "{name:<36} -> {:>5} segments, {:>8.2} km covered, {:>9.1} ms, {:>6} verifications",
             outcome.region.len(),
@@ -71,15 +71,17 @@ fn main() {
     // Per-branch breakdown (Fig. 4.9 shows the union vs the three parts).
     println!("\nper-branch coverage:");
     for (i, &branch) in branches.iter().enumerate() {
-        let outcome = engine.s_query(
-            &SQuery {
-                location: branch,
-                start_time_s: query.start_time_s,
-                duration_s: query.duration_s,
-                prob: query.prob,
-            },
-            Algorithm::SqmbTbs,
-        );
+        let outcome = engine
+            .try_s_query(
+                &SQuery {
+                    location: branch,
+                    start_time_s: query.start_time_s,
+                    duration_s: query.duration_s,
+                    prob: query.prob,
+                },
+                Algorithm::SqmbTbs,
+            )
+            .expect("s-query");
         println!(
             "  branch {:>2}: {:>5} segments, {:>8.2} km",
             i + 1,
@@ -88,7 +90,9 @@ fn main() {
         );
     }
 
-    let union = engine.m_query(&query, MQueryAlgorithm::MqmbTbs);
+    let union = engine
+        .try_m_query(&query, MQueryAlgorithm::MqmbTbs)
+        .expect("m-query");
     let geojson = region_to_geojson(&network, &union.region);
     let path = std::env::temp_dir().join("streach_business_coverage.geojson");
     std::fs::write(&path, geojson).expect("write GeoJSON");

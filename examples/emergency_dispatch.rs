@@ -58,7 +58,9 @@ fn main() {
                 duration_s: 10 * 60,
                 prob: 0.2,
             };
-            let outcome = engine.s_query(&query, Algorithm::SqmbTbs);
+            let outcome = engine
+                .try_s_query(&query, Algorithm::SqmbTbs)
+                .expect("s-query");
             coverage[i] = outcome.region.total_length_km;
         }
         let loss = if coverage[0] > 0.0 {

@@ -44,7 +44,9 @@ fn main() {
             duration_s: 15 * 60,
             prob: 0.2,
         };
-        let outcome = engine.s_query(&query, Algorithm::SqmbTbs);
+        let outcome = engine
+            .try_s_query(&query, Algorithm::SqmbTbs)
+            .expect("s-query");
         println!(
             "{:<12} {:>10} {:>14.2} {:>12.1}",
             format_hhmm(query.start_time_s),

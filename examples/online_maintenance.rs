@@ -86,7 +86,9 @@ fn main() {
         duration_s: 600,
         prob: 0.25,
     };
-    let before = engine.s_query(&query, Algorithm::SqmbTbs);
+    let before = engine
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     println!(
         "before ingest:  m = {} days, {} reachable segments, {:.1} km",
         engine.st_index().num_days(),
@@ -114,7 +116,9 @@ fn main() {
                 scope.spawn(move || {
                     let mut served = 0usize;
                     while !stop.load(Ordering::Relaxed) {
-                        let _ = engine.s_query(query, Algorithm::SqmbTbs);
+                        let _ = engine
+                            .try_s_query(query, Algorithm::SqmbTbs)
+                            .expect("s-query");
                         served += 1;
                     }
                     served
@@ -152,7 +156,9 @@ fn main() {
         engine.st_index().delta_stats()
     );
 
-    let expected = engine.s_query(&query, Algorithm::SqmbTbs);
+    let expected = engine
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     println!(
         "after ingest:   m = {} days, {} reachable segments, {:.1} km",
         engine.st_index().num_days(),
@@ -173,7 +179,9 @@ fn main() {
         "recovery: replayed {} WAL records ({} points) on top of the last auto-checkpoint",
         attach.records_replayed, attach.points_replayed
     );
-    let after = recovered.s_query(&query, Algorithm::SqmbTbs);
+    let after = recovered
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     assert_eq!(
         expected.region.segments, after.region.segments,
         "recovered engine must answer exactly like the pre-crash engine"

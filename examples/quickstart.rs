@@ -60,7 +60,7 @@ fn main() {
         ("exhaustive search (ES)", Algorithm::ExhaustiveSearch),
         ("SQMB + TBS", Algorithm::SqmbTbs),
     ] {
-        let outcome = engine.s_query(&query, algo);
+        let outcome = engine.try_s_query(&query, algo).expect("s-query");
         println!(
             "{name:<24} -> {:>4} segments, {:>7.2} km reachable, {:>8.1} ms, {} segments verified, {} page reads",
             outcome.region.len(),
@@ -72,7 +72,9 @@ fn main() {
     }
 
     // 5. Export the SQMB+TBS result as GeoJSON for inspection in any map viewer.
-    let outcome = engine.s_query(&query, Algorithm::SqmbTbs);
+    let outcome = engine
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     let geojson = region_to_geojson(&network, &outcome.region);
     let path = std::env::temp_dir().join("streach_quickstart_region.geojson");
     std::fs::write(&path, geojson).expect("write GeoJSON");

@@ -116,7 +116,9 @@ fn main() {
         duration_s: 600,
         prob: 0.25,
     };
-    let want = single.s_query(&query, Algorithm::SqmbTbs);
+    let want = single
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     let got = router
         .try_s_query(&query, Algorithm::SqmbTbs)
         .expect("sharded query");
@@ -179,7 +181,9 @@ fn main() {
     // Replica-first reads: query I/O moves off the ingest path, answers
     // stay bit-identical because converged replicas hold the same bytes.
     router.set_read_preference(ReadPreference::ReplicaFirst);
-    let want = single.s_query(&query, Algorithm::SqmbTbs);
+    let want = single
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     let got = router
         .try_s_query(&query, Algorithm::SqmbTbs)
         .expect("replica read");
@@ -227,7 +231,9 @@ fn main() {
     );
 
     router.set_read_preference(ReadPreference::Leader);
-    let want = single.s_query(&query, Algorithm::SqmbTbs);
+    let want = single
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     let got = router
         .try_s_query(&query, Algorithm::SqmbTbs)
         .expect("query after failover");

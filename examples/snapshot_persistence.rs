@@ -46,7 +46,9 @@ fn main() {
         duration_s: 600,
         prob: 0.25,
     };
-    let reference = engine.s_query(&query, Algorithm::SqmbTbs);
+    let reference = engine
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     println!(
         "fresh engine:    {} reachable segments, {:.1} km",
         reference.region.len(),
@@ -65,7 +67,9 @@ fn main() {
     );
 
     reopened.st_index().io_stats().reset();
-    let cold = reopened.s_query(&query, Algorithm::SqmbTbs);
+    let cold = reopened
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     println!(
         "reopened engine: {} reachable segments, {:.1} km ({} real page reads)",
         cold.region.len(),

@@ -1,5 +1,5 @@
 //! Standing reachability queries: register once, get told when the
-//! answer changes — instead of polling `s_query` after every batch.
+//! answer changes — instead of polling `try_s_query` after every batch.
 //!
 //! The walkthrough: open a snapshot → attach the WAL → spawn the
 //! [`SubscriptionManager`] → register a region watch and a

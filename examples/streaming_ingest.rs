@@ -65,7 +65,9 @@ fn main() {
         duration_s: 600,
         prob: 0.25,
     };
-    let before = engine.s_query(&query, Algorithm::SqmbTbs);
+    let before = engine
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     println!(
         "before ingest:  m = {} days, {} reachable segments, {:.1} km",
         engine.st_index().num_days(),
@@ -93,7 +95,9 @@ fn main() {
         t0.elapsed().as_secs_f64() * 1e3
     );
 
-    let mid = engine.s_query(&query, Algorithm::SqmbTbs);
+    let mid = engine
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     println!(
         "after ingest:   m = {} days, {} reachable segments, {:.1} km (base + delta, no rebuild)",
         engine.st_index().num_days(),
@@ -116,7 +120,9 @@ fn main() {
         let batch: Vec<TrajPoint> = points_of(traj).collect();
         engine.ingest(&batch).expect("ingest");
     }
-    let expected = engine.s_query(&query, Algorithm::SqmbTbs);
+    let expected = engine
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     drop(engine); // <- crash: everything after the checkpoint is WAL-only
 
     // --- Recovery: reopen the checkpoint, replay the WAL tail ------------
@@ -127,7 +133,9 @@ fn main() {
         "recovery: replayed {} WAL records ({} points), {} torn bytes discarded",
         attach.records_replayed, attach.points_replayed, attach.truncated_bytes
     );
-    let after = recovered.s_query(&query, Algorithm::SqmbTbs);
+    let after = recovered
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     assert_eq!(
         expected.region.segments, after.region.segments,
         "recovered engine must answer exactly like the pre-crash engine"
@@ -148,7 +156,9 @@ fn main() {
         folded.delta_bytes,
         t2.elapsed().as_secs_f64() * 1e3
     );
-    let compacted = recovered.s_query(&query, Algorithm::SqmbTbs);
+    let compacted = recovered
+        .try_s_query(&query, Algorithm::SqmbTbs)
+        .expect("s-query");
     assert_eq!(compacted.region.segments, after.region.segments);
     println!("queries unchanged after compaction — done");
 

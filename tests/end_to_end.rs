@@ -72,7 +72,7 @@ fn full_preprocessing_pipeline_produces_queryable_indexes() {
         duration_s: 600,
         prob: 0.2,
     };
-    let outcome = engine.s_query(&q, Algorithm::SqmbTbs);
+    let outcome = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
     let r0 = engine.locate(&center).unwrap();
     assert!(outcome.region.contains(r0));
     assert!(outcome.region.total_length_km > 0.0);
@@ -88,8 +88,10 @@ fn sqmb_tbs_and_es_agree_on_verified_segments() {
         prob: 0.25,
     };
 
-    let es = engine.s_query(&q, Algorithm::ExhaustiveSearch);
-    let fast = engine.s_query(&q, Algorithm::SqmbTbs);
+    let es = engine
+        .try_s_query(&q, Algorithm::ExhaustiveSearch)
+        .expect("s-query");
+    let fast = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
 
     // Both contain the start segment and are non-empty.
     let r0 = engine.locate(&center).unwrap();
@@ -138,8 +140,12 @@ fn mquery_union_semantics_and_efficiency() {
         prob: 0.2,
     };
 
-    let repeated = engine.m_query(&q, MQueryAlgorithm::RepeatedSQuery);
-    let unified = engine.m_query(&q, MQueryAlgorithm::MqmbTbs);
+    let repeated = engine
+        .try_m_query(&q, MQueryAlgorithm::RepeatedSQuery)
+        .expect("m-query");
+    let unified = engine
+        .try_m_query(&q, MQueryAlgorithm::MqmbTbs)
+        .expect("m-query");
 
     // Every start segment is in both results.
     for loc in &q.locations {
@@ -178,7 +184,7 @@ fn probability_threshold_is_monotone_end_to_end() {
             duration_s: 900,
             prob,
         };
-        let outcome = engine.s_query(&q, Algorithm::SqmbTbs);
+        let outcome = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
         assert!(
             outcome.region.len() <= previous_len,
             "region must shrink as Prob grows (prob={prob})"
@@ -196,7 +202,7 @@ fn geojson_export_of_query_result_is_well_formed() {
         duration_s: 600,
         prob: 0.2,
     };
-    let outcome = engine.s_query(&q, Algorithm::SqmbTbs);
+    let outcome = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
     let geojson = region_to_geojson(&network, &outcome.region);
     assert!(geojson.starts_with("{\"type\":\"FeatureCollection\""));
     assert_eq!(

@@ -174,7 +174,9 @@ fn ingested_engine_matches_rebuilt_engine_bit_exactly() {
     // enters every probability denominator).
     let center = s.network.bounds().center();
     let probe = workload(center)[0].0;
-    let before = ingested.s_query(&probe, Algorithm::SqmbTbs);
+    let before = ingested
+        .try_s_query(&probe, Algorithm::SqmbTbs)
+        .expect("s-query");
     assert_eq!(ingested.st_index().num_days(), BASE_DAYS);
 
     let mut total_points = 0usize;
@@ -187,7 +189,9 @@ fn ingested_engine_matches_rebuilt_engine_bit_exactly() {
     assert!(total_points > 0);
     assert_eq!(ingested.st_index().num_days(), BASE_DAYS + EXTRA_DAYS);
     assert!(ingested.st_index().delta_stats().delta_lists > 0);
-    let after = ingested.s_query(&probe, Algorithm::SqmbTbs);
+    let after = ingested
+        .try_s_query(&probe, Algorithm::SqmbTbs)
+        .expect("s-query");
     assert_ne!(
         before.region.segments, after.region.segments,
         "ingesting {EXTRA_DAYS} fleet-days must change at least the probe query"

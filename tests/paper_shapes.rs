@@ -48,7 +48,7 @@ fn reachable_length_grows_with_duration() {
             duration_s: minutes * 60,
             prob: 0.2,
         };
-        let outcome = engine.s_query(&q, Algorithm::SqmbTbs);
+        let outcome = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
         lengths.push(outcome.region.total_length_km);
     }
     assert!(
@@ -73,7 +73,7 @@ fn region_shrinks_with_probability_but_verifications_stay_flat() {
             duration_s: 900,
             prob,
         };
-        let outcome = engine.s_query(&q, Algorithm::SqmbTbs);
+        let outcome = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
         lengths.push(outcome.region.total_length_km);
         verifications.push(outcome.stats.segments_verified);
     }
@@ -98,7 +98,7 @@ fn rush_hour_region_is_smaller_than_night_region() {
             duration_s: 600,
             prob: 0.2,
         };
-        let outcome = engine.s_query(&q, Algorithm::SqmbTbs);
+        let outcome = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
         by_time.push((
             hour,
             outcome.region.total_length_km,
@@ -128,8 +128,10 @@ fn index_based_algorithm_reduces_verifications_substantially() {
         duration_s: 600,
         prob: 0.2,
     };
-    let es = engine.s_query(&q, Algorithm::ExhaustiveSearch);
-    let fast = engine.s_query(&q, Algorithm::SqmbTbs);
+    let es = engine
+        .try_s_query(&q, Algorithm::ExhaustiveSearch)
+        .expect("s-query");
+    let fast = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
     assert!(es.stats.segments_verified > 0);
     let ratio = fast.stats.segments_verified as f64 / es.stats.segments_verified as f64;
     assert!(
@@ -179,7 +181,7 @@ fn time_interval_granularity_leaves_result_roughly_stable() {
             duration_s: 1200,
             prob: 0.2,
         };
-        let outcome = engine.s_query(&q, Algorithm::SqmbTbs);
+        let outcome = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
         lengths.push(outcome.region.total_length_km);
     }
     let ratio = lengths[0].min(lengths[1]) / lengths[0].max(lengths[1]).max(1e-9);

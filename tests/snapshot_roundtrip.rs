@@ -81,8 +81,8 @@ fn snapshot_roundtrip_answers_bit_identically() {
 
     for (i, q) in squery_suite(center).iter().enumerate() {
         for algo in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
-            let a = built.s_query(q, algo);
-            let b = reopened.s_query(q, algo);
+            let a = built.try_s_query(q, algo).expect("s-query");
+            let b = reopened.try_s_query(q, algo).expect("s-query");
             assert_eq!(
                 a.region.segments, b.region.segments,
                 "query #{i} ({algo:?}) region diverged after reopen"
@@ -109,8 +109,12 @@ fn snapshot_roundtrip_answers_bit_identically() {
         prob: 0.25,
     };
     use streach::core::query::MQueryAlgorithm;
-    let a = built.m_query(&m, MQueryAlgorithm::MqmbTbs);
-    let b = reopened.m_query(&m, MQueryAlgorithm::MqmbTbs);
+    let a = built
+        .try_m_query(&m, MQueryAlgorithm::MqmbTbs)
+        .expect("m-query");
+    let b = reopened
+        .try_m_query(&m, MQueryAlgorithm::MqmbTbs)
+        .expect("m-query");
     assert_eq!(a.region.segments, b.region.segments);
     assert_eq!(
         a.region.total_length_km.to_bits(),
@@ -231,8 +235,10 @@ fn read_only_snapshot_opens_and_serves() {
     let reopened = ReachabilityEngine::open_snapshot(&dir, network.clone())
         .expect("read-only snapshot must open");
     let q = squery_suite(network.bounds().center())[0];
-    let a = built.s_query(&q, Algorithm::SqmbTbs);
-    let b = reopened.s_query(&q, Algorithm::SqmbTbs);
+    let a = built.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
+    let b = reopened
+        .try_s_query(&q, Algorithm::SqmbTbs)
+        .expect("s-query");
     assert_eq!(a.region.segments, b.region.segments);
 
     for entry in std::fs::read_dir(&dir).unwrap().flatten() {
@@ -740,8 +746,10 @@ fn self_contained_sharded_snapshot_reopens_standalone() {
     );
 
     for (i, q) in squery_suite(center).iter().enumerate() {
-        let a = built.s_query(q, Algorithm::SqmbTbs);
-        let b = reopened.s_query(q, Algorithm::SqmbTbs);
+        let a = built.try_s_query(q, Algorithm::SqmbTbs).expect("s-query");
+        let b = reopened
+            .try_s_query(q, Algorithm::SqmbTbs)
+            .expect("s-query");
         assert_eq!(
             a.region.segments, b.region.segments,
             "query #{i}: standalone reopen diverged"
@@ -774,8 +782,8 @@ fn mmap_backend_answers_bit_identically_to_file_backend() {
 
     for (i, q) in squery_suite(center).iter().enumerate() {
         for algo in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
-            let a = file.s_query(q, algo);
-            let b = mmap.s_query(q, algo);
+            let a = file.try_s_query(q, algo).expect("s-query");
+            let b = mmap.try_s_query(q, algo).expect("s-query");
             assert_eq!(
                 a.region.segments, b.region.segments,
                 "query #{i} ({algo:?}): mmap region diverged from file"
