@@ -2,8 +2,8 @@
 //! on the smoke-sized scenario (one group per figure), using the in-repo
 //! harness (`streach_bench::timing`; criterion is unavailable offline).
 //!
-//! The full-scale numbers reported in `EXPERIMENTS.md` come from the `repro`
-//! harness; these benches exist to track regressions of each code path.
+//! The full-scale tables come from the `repro` binary; these benches exist
+//! to track regressions of each code path.
 //! Run with `cargo bench -p streach-bench --bench queries`.
 
 use streach_bench::timing::measure;

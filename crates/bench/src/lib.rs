@@ -9,8 +9,11 @@
 //!   Criterion micro-benchmarks,
 //! * [`ScenarioSize::Quick`] — a minute-scale configuration for `repro
 //!   --quick`,
-//! * [`ScenarioSize::Standard`] — the configuration used to produce the
-//!   numbers recorded in `EXPERIMENTS.md`.
+//! * [`ScenarioSize::Standard`] — the full-size configuration behind
+//!   `repro all` (without `--quick`).
+//!
+//! The engine's benchmark of record is the separate `benchmark/` package;
+//! this crate reproduces the paper's figures and tracks per-figure timings.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

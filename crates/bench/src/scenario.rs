@@ -14,7 +14,7 @@ pub enum ScenarioSize {
     Smoke,
     /// Small: `repro --quick`.
     Quick,
-    /// The configuration behind the numbers in `EXPERIMENTS.md`.
+    /// Full size: `repro` without `--quick`.
     Standard,
 }
 

@@ -365,7 +365,7 @@ impl ReachabilityEngine {
         dir: P,
         network: Arc<RoadNetwork>,
     ) -> streach_storage::StorageResult<Self> {
-        Self::open_snapshot_with_store(dir, network, |store| store)
+        Self::open_snapshot_with_stores_and_backend(dir, network, None, |_, store| store)
     }
 
     /// Reopens an engine from a **self-contained** snapshot (one saved with
@@ -397,55 +397,17 @@ impl ReachabilityEngine {
         Self::open_snapshot_with_stores_and_backend(dir, network, Some(backend), |_, store| store)
     }
 
-    /// Like [`ReachabilityEngine::open_snapshot`], but lets the caller wrap
-    /// the snapshot's page store before the engine takes ownership — the
-    /// hook behind fault injection
-    /// ([`streach_storage::FaultInjectingPageStore`] in
-    /// `tests/fault_injection.rs`), and useful for any instrumentation
-    /// wrapper (metrics, tracing) that should sit under the buffer pool.
-    /// The wrapper sees the already-validated [`streach_storage::FilePageStore`];
-    /// whatever it returns serves every posting read of the engine's life.
-    pub fn open_snapshot_with_store<P, F>(
-        dir: P,
-        network: Arc<RoadNetwork>,
-        wrap: F,
-    ) -> streach_storage::StorageResult<Self>
-    where
-        P: AsRef<std::path::Path>,
-        F: FnOnce(Box<dyn streach_storage::PageStore>) -> Box<dyn streach_storage::PageStore>,
-    {
-        let mut wrap = Some(wrap);
-        Self::open_snapshot_with_stores(dir, network, move |role, store| match role {
-            StoreRole::Base => (wrap.take().expect("base store is wrapped once"))(store),
-            StoreRole::Delta => store,
-        })
-    }
-
-    /// The most general snapshot open: `wrap` is called once per page store
+    /// The most general snapshot open. `wrap` is called once per page store
     /// the engine will read from — the sealed **base** heap and the
-    /// **delta** heap of previously ingested data (in that order) — so
-    /// fault injection and instrumentation cover the streaming-ingest read
-    /// and write paths too.
-    pub fn open_snapshot_with_stores<P, F>(
-        dir: P,
-        network: Arc<RoadNetwork>,
-        wrap: F,
-    ) -> streach_storage::StorageResult<Self>
-    where
-        P: AsRef<std::path::Path>,
-        F: FnMut(
-            StoreRole,
-            Box<dyn streach_storage::PageStore>,
-        ) -> Box<dyn streach_storage::PageStore>,
-    {
-        Self::open_snapshot_with_stores_and_backend(dir, network, None, wrap)
-    }
-
-    /// [`ReachabilityEngine::open_snapshot_with_stores`] plus an optional
-    /// [`streach_storage::StorageBackend`] override for the sealed page
-    /// files (`None` uses the backend recorded in the snapshot config).
-    /// Fault campaigns use this to run the same wrap script against both
-    /// the buffered-file and the memory-mapped backend.
+    /// **delta** heap of previously ingested data (in that order) — before
+    /// the engine takes ownership: the hook behind fault injection
+    /// ([`streach_storage::FaultInjectingPageStore`] in
+    /// `tests/fault_injection.rs`) and any instrumentation wrapper that
+    /// should sit under the buffer pool. `backend` overrides the
+    /// [`streach_storage::StorageBackend`] of the sealed page files (`None`
+    /// uses the one recorded in the snapshot config); fault campaigns use it
+    /// to run one wrap script against both the buffered-file and the
+    /// memory-mapped backend.
     pub fn open_snapshot_with_stores_and_backend<P, F>(
         dir: P,
         network: Arc<RoadNetwork>,

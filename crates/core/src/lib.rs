@@ -68,7 +68,7 @@
 //!   [`QueryError::Storage`](query::QueryError::Storage) (page id +
 //!   backend context) and the engine keeps serving. The deterministic
 //!   fault-injection harness (`streach_storage::FaultInjectingPageStore`
-//!   under [`ReachabilityEngine::open_snapshot_with_store`](engine::ReachabilityEngine::open_snapshot_with_store),
+//!   under [`ReachabilityEngine::open_snapshot_with_stores_and_backend`](engine::ReachabilityEngine::open_snapshot_with_stores_and_backend),
 //!   driven by `tests/fault_injection.rs`) scripts an EIO at every
 //!   posting-read ordinal of every pipeline to keep the error paths honest.
 //! * **Online maintenance.** The ST-Index state (sealed base + delta tail)
@@ -82,9 +82,8 @@
 //!   deterministic harness).
 //!
 //! The naive pre-refactor implementations are preserved in
-//! [`query::reference`] as the equivalence baseline and the benchmark
-//! anchor for `BENCH_hotpath.json` (see the "Benchmarking" section of
-//! `ROADMAP.md`).
+//! [`query::reference`] as the equivalence oracle: the test suites and the
+//! benchmark's in-run answer check compare every optimized answer with it.
 //!
 //! # Quick start
 //!

@@ -10,9 +10,9 @@
 //!    that the optimized ES/SQMB+TBS/MQMB pipeline returns bit-identical
 //!    regions to these implementations across a grid of queries, so a perf
 //!    refactor can never silently change results.
-//! 2. **Benchmark baseline**: `crates/bench`'s hotpath harness measures the
-//!    speedup of the optimized path against this code on the same scenario
-//!    (recorded in `BENCH_hotpath.json`).
+//! 2. **Benchmark answer check**: the benchmark (`benchmark/src/check.rs`)
+//!    compares a share of every workload's answers against these pipelines
+//!    in-run and fails the run on any difference.
 //!
 //! Keep this module boring. It is deliberately *not* written for speed. Like
 //! the optimized pipeline, it propagates storage faults as `Err` — the

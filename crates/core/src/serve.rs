@@ -26,8 +26,8 @@
 //! [`VerifierCore`] per distinct `(T, L)`, shared across probability
 //! thresholds — so every answer is bit-identical to serial
 //! [`ReachabilityEngine::try_s_query`], and per-caller failures surface as
-//! that caller's typed [`QueryError`]. `tests/serving_equivalence.rs` and
-//! the `--serving` bench gate pin this.
+//! that caller's typed [`QueryError`]. `tests/serving_equivalence.rs` pins
+//! this.
 //!
 //! # Result cache and why it is never stale
 //!
@@ -100,9 +100,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Maximum requests one worker drains per pass — the coalescing window.
     pub max_batch: usize,
-    /// Fold concurrent s-queries sharing (origin segment, slot window)
-    /// into one bounding pass. Off, every request runs the serial path.
-    pub coalesce: bool,
     /// Result-cache capacity in entries; `0` disables the cache.
     pub cache_capacity: usize,
 }
@@ -113,7 +110,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 256,
             max_batch: 64,
-            coalesce: true,
             cache_capacity: 4096,
         }
     }
@@ -904,32 +900,14 @@ impl<B: ServeBackend> ServerInner<B> {
 
         let (coalescable, serial): (Vec<Request>, Vec<Request>) = to_compute
             .into_iter()
-            .partition(|r| self.config.coalesce && r.algorithm == Algorithm::SqmbTbs);
+            .partition(|r| r.algorithm == Algorithm::SqmbTbs);
 
-        // Serial path: ES queries (no bounding pass to share) and everything
-        // when coalescing is off.
+        // Serial path: ES queries have no bounding pass to share and no
+        // bounding region, so their cache entries keep the any-segment
+        // sentinel (genuinely "any segment").
         for request in serial {
             let epoch = cache.map(|c| c.epoch());
-            // SQMB runs as a singleton coalesced group — bit-identical to
-            // the per-query path — so the bounding region is reported and
-            // the cache entry's posting invalidation stays segment-precise
-            // instead of falling back to the any-segment sentinel. ES has
-            // no bounding region; its entries keep the sentinel (that one
-            // is genuinely "any segment").
-            let (result, max_region) = match request.algorithm {
-                Algorithm::SqmbTbs => {
-                    let answer = self
-                        .backend
-                        .try_s_query_coalesced(std::slice::from_ref(&request.query))
-                        .pop()
-                        .expect("one answer per query");
-                    (answer.outcome, answer.max_region)
-                }
-                Algorithm::ExhaustiveSearch => (
-                    self.backend.try_s_query(&request.query, request.algorithm),
-                    Vec::new(),
-                ),
-            };
+            let result = self.backend.try_s_query(&request.query, request.algorithm);
             if let (Some(cache), Some(epoch), Ok(outcome), Some(key)) =
                 (cache, epoch, &result, request.key)
             {
@@ -937,7 +915,7 @@ impl<B: ServeBackend> ServerInner<B> {
                     key,
                     CacheEntry::new(
                         outcome.clone(),
-                        ReadFootprint::record(&request.query, self.backend.slot_s(), max_region),
+                        ReadFootprint::record(&request.query, self.backend.slot_s(), Vec::new()),
                     ),
                     epoch,
                 );

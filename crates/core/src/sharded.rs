@@ -776,21 +776,43 @@ mod tests {
 
     #[test]
     fn sharded_queries_match_single_engine_bit_for_bit() {
-        let (network, _dataset, single, sharded) = setup(3);
-        let query = SQuery {
-            location: network.bounds().center(),
-            start_time_s: 9 * 3600,
-            duration_s: 600,
-            prob: 0.2,
-        };
-        for algo in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
-            let want = single.try_s_query(&query, algo).unwrap();
-            let got = sharded.try_s_query(&query, algo).unwrap();
-            assert_eq!(want.region, got.region, "{algo:?}");
-            assert_eq!(
-                want.stats.segments_verified, got.stats.segments_verified,
-                "{algo:?}"
-            );
+        for shards in 1..=4 {
+            let (network, _dataset, single, sharded) = setup(shards);
+            // Five origins spread over the city, two windows each, so
+            // some annuli straddle a shard boundary at every shard count.
+            let b = network.bounds();
+            let center = b.center();
+            let (dlon, dlat) = (b.max_lon - b.min_lon, b.max_lat - b.min_lat);
+            let offsets = [
+                (0.0, 0.0),
+                (0.2, 0.1),
+                (-0.15, -0.1),
+                (0.1, -0.2),
+                (-0.2, 0.15),
+            ];
+            for (fx, fy) in offsets {
+                for (start_time_s, duration_s) in [(9 * 3600, 600), (10 * 3600, 900)] {
+                    let query = SQuery {
+                        location: streach_geo::GeoPoint::new(
+                            center.lon + dlon * fx,
+                            center.lat + dlat * fy,
+                        ),
+                        start_time_s,
+                        duration_s,
+                        prob: 0.25,
+                    };
+                    for algo in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
+                        let want = single.try_s_query(&query, algo).unwrap();
+                        let got = sharded.try_s_query(&query, algo).unwrap();
+                        let label = format!("{shards} shards, {query:?}, {algo:?}");
+                        assert_eq!(want.region, got.region, "{label}");
+                        assert_eq!(
+                            want.stats.segments_verified, got.stats.segments_verified,
+                            "{label}"
+                        );
+                    }
+                }
+            }
         }
     }
 

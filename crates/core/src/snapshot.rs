@@ -115,7 +115,7 @@ pub fn delta_pages_file(seq: u64) -> String {
 }
 
 /// Which page store a snapshot-open wrapper is being offered (see
-/// [`ReachabilityEngine::open_snapshot_with_stores`]).
+/// [`ReachabilityEngine::open_snapshot_with_stores_and_backend`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreRole {
     /// The sealed-base posting heap (`postings.pages`, read-only).

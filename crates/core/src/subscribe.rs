@@ -504,16 +504,6 @@ impl<B: ServeBackend> SubscriptionManager<B> {
         self.shared.lock().subs.len()
     }
 
-    /// Ids of every registered subscription, ascending.
-    pub fn subscription_ids(&self) -> Vec<SubscriptionId> {
-        self.shared
-            .lock()
-            .subs
-            .keys()
-            .map(|&id| SubscriptionId(id))
-            .collect()
-    }
-
     /// The last successfully computed answer of a subscription — the
     /// "current state" a consumer re-reads after a `Lagged` notice.
     /// `None` only when every evaluation so far failed.
@@ -572,7 +562,7 @@ impl<B: ServeBackend> SubscriptionManager<B> {
     /// Marks every subscription dirty: the next pass re-evaluates all of
     /// them regardless of footprints. This is the "full re-evaluation"
     /// mode — what every batch would cost without incremental filtering —
-    /// used by the `--subscriptions` bench as the comparison baseline.
+    /// the baseline the incremental answers are compared against.
     pub fn invalidate_all(&self) {
         let mut state = self.shared.lock();
         for sub in state.subs.values_mut() {

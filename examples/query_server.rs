@@ -57,7 +57,6 @@ fn main() {
         ServeConfig {
             workers: 2,
             queue_depth: 128,
-            coalesce: true,
             cache_capacity: 1024,
             ..Default::default()
         },

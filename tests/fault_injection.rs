@@ -554,18 +554,20 @@ fn delta_write_faults_fail_ingest_cleanly_and_retry_converges() {
     let batch: Vec<TrajPoint> = extra_batches(&network).swap_remove(0);
 
     let mut delta_ctl = None;
-    let engine =
-        ReachabilityEngine::open_snapshot_with_stores(&dir, network.clone(), |role, store| {
-            match role {
-                StoreRole::Base => store,
-                StoreRole::Delta => {
-                    let faulty = FaultInjectingPageStore::with_seed(store, seed);
-                    delta_ctl = Some(faulty.controller());
-                    Box::new(faulty)
-                }
+    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
+        &dir,
+        network.clone(),
+        None,
+        |role, store| match role {
+            StoreRole::Base => store,
+            StoreRole::Delta => {
+                let faulty = FaultInjectingPageStore::with_seed(store, seed);
+                delta_ctl = Some(faulty.controller());
+                Box::new(faulty)
             }
-        })
-        .expect("open snapshot with delta fault wrapper");
+        },
+    )
+    .expect("open snapshot with delta fault wrapper");
     let ctl = delta_ctl.expect("delta wrapper installed");
 
     // Clean first ingest: the converged target state, and the write count
@@ -941,18 +943,20 @@ fn delta_read_faults_surface_as_typed_errors_and_recover() {
         .collect();
 
     let mut delta_ctl = None;
-    let engine =
-        ReachabilityEngine::open_snapshot_with_stores(&dir, network.clone(), |role, store| {
-            match role {
-                StoreRole::Base => store,
-                StoreRole::Delta => {
-                    let faulty = FaultInjectingPageStore::with_seed(store, seed);
-                    delta_ctl = Some(faulty.controller());
-                    Box::new(faulty)
-                }
+    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
+        &dir,
+        network.clone(),
+        None,
+        |role, store| match role {
+            StoreRole::Base => store,
+            StoreRole::Delta => {
+                let faulty = FaultInjectingPageStore::with_seed(store, seed);
+                delta_ctl = Some(faulty.controller());
+                Box::new(faulty)
             }
-        })
-        .expect("open snapshot with delta fault wrapper");
+        },
+    )
+    .expect("open snapshot with delta fault wrapper");
     let ctl = delta_ctl.expect("delta wrapper installed");
     engine.ingest(&batch).expect("ingest");
 

@@ -412,7 +412,6 @@ fn cached_server_racing_ingest_and_compaction_stays_bit_identical() {
         ServeConfig {
             workers: 2,
             queue_depth: 64,
-            coalesce: true,
             cache_capacity: 256,
             ..Default::default()
         },

@@ -643,16 +643,20 @@ fn reopen_with_disk_script(
     seed: u64,
 ) -> (Arc<ReachabilityEngine>, FaultController) {
     let mut controller = None;
-    let engine =
-        ReachabilityEngine::open_snapshot_with_stores(dir, network, |role, store| match role {
+    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
+        dir,
+        network,
+        None,
+        |role, store| match role {
             StoreRole::Base => {
                 let faulty = FaultInjectingPageStore::with_seed(store, seed);
                 controller = Some(faulty.controller());
                 Box::new(faulty)
             }
             StoreRole::Delta => store,
-        })
-        .expect("open shard snapshot with fault wrapper");
+        },
+    )
+    .expect("open shard snapshot with fault wrapper");
     (
         Arc::new(engine),
         controller.expect("base store was wrapped"),
@@ -1092,16 +1096,20 @@ fn reopen_with_delta_script(
     seed: u64,
 ) -> (Arc<ReachabilityEngine>, FaultController) {
     let mut controller = None;
-    let engine =
-        ReachabilityEngine::open_snapshot_with_stores(dir, network, |role, store| match role {
+    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
+        dir,
+        network,
+        None,
+        |role, store| match role {
             StoreRole::Delta => {
                 let faulty = FaultInjectingPageStore::with_seed(store, seed);
                 controller = Some(faulty.controller());
                 Box::new(faulty)
             }
             StoreRole::Base => store,
-        })
-        .expect("open replica snapshot with delta fault wrapper");
+        },
+    )
+    .expect("open replica snapshot with delta fault wrapper");
     (
         Arc::new(engine),
         controller.expect("delta store was wrapped"),

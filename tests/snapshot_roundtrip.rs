@@ -760,7 +760,7 @@ fn self_contained_sharded_snapshot_reopens_standalone() {
 
 /// The mmap backend must be a pure read-path substitution: same snapshot,
 /// same queries, bit-identical regions and lengths — and the per-query
-/// decode accounting shows the compressed heap being expanded.
+/// decode accounting shows the compressed heap expanding at least 1.5x.
 #[test]
 fn mmap_backend_answers_bit_identically_to_file_backend() {
     use streach::storage::StorageBackend;
@@ -797,12 +797,13 @@ fn mmap_backend_answers_bit_identically_to_file_backend() {
     }
 
     // The default heap is compressed: the verifier's decode accounting must
-    // show more decoded (fixed-width-equivalent) bytes than resident bytes.
+    // show at least 1.5x more decoded (fixed-width-equivalent) bytes than
+    // resident bytes over the same sweep.
     let io = mmap.st_index().io_stats().snapshot();
     assert!(
-        io.bytes_resident > 0 && io.bytes_decoded > io.bytes_resident,
-        "decode accounting must observe the compression win \
-         (decoded {} vs resident {})",
+        io.bytes_resident > 0 && io.decode_ratio() >= 1.5,
+        "decode ratio {:.3} below 1.5 (decoded {} vs resident {})",
+        io.decode_ratio(),
         io.bytes_decoded,
         io.bytes_resident
     );

@@ -19,8 +19,8 @@
 //!   (same derivation as `tests/concurrent_maintenance.rs`) intersects no
 //!   morning subscription's footprint: the manager issues **zero** engine
 //!   queries and emits **zero** events, while a real morning batch does
-//!   re-evaluate. This is the observable cost model the
-//!   `--subscriptions` bench gates on.
+//!   re-evaluate. This is the observable cost model of incremental
+//!   evaluation.
 //! * **Threshold triggers fire exactly at the crossing batch** — a dry run
 //!   records the region-length trajectory of a standing query, a threshold
 //!   is planted between two consecutive lengths, and the live campaign
@@ -527,7 +527,7 @@ fn evaluation_fault_emits_typed_event_and_converges() {
     };
     let ctl = FaultController::detached(seed);
     let engine = Arc::new(
-        ReachabilityEngine::open_snapshot_with_stores(&dir, network.clone(), {
+        ReachabilityEngine::open_snapshot_with_stores_and_backend(&dir, network.clone(), None, {
             let ctl = ctl.clone();
             move |_role, store| Box::new(FaultInjectingPageStore::with_controller(store, &ctl))
         })
