@@ -56,7 +56,10 @@
 //! running sum that starts at 0, and that sum must end exactly at the
 //! heap's `tail`: a directory that overruns, skips or only partly covers
 //! the posting heap is [`StorageError::Corrupt`]. An entry costs about two
-//! bytes instead of sixteen. The delta directory keeps explicit offsets,
+//! bytes instead of sixteen. The decoder fills the in-memory
+//! `SlotDirectory` directly, which keeps the same implied offsets at eight
+//! bytes per entry, so a slot's blobs may span at most `u32::MAX` bytes; a
+//! larger slot is corrupt too. The delta directory keeps explicit offsets,
 //! because the delta heap also holds superseded versions of re-ingested
 //! lists.
 //!
@@ -90,7 +93,7 @@ use crate::config::IndexConfig;
 use crate::engine::ReachabilityEngine;
 use crate::ingest::IngestState;
 use crate::speed_stats::SpeedStats;
-use crate::st_index::{StIndex, StIndexStats, StIndexStore};
+use crate::st_index::{oversized_slot, SlotDirectory, StIndex, StIndexStats, StIndexStore};
 
 /// File name of the snapshot container inside a snapshot directory.
 pub const CONTAINER_FILE: &str = "index.snap";
@@ -213,7 +216,8 @@ struct StIndexParts {
     num_days: u16,
     stats: StIndexStats,
     tail: u64,
-    directory: Vec<(u32, Vec<(SegmentId, BlobHandle)>)>,
+    /// One directory per slot of the day, empty for an unpopulated slot.
+    directory: Vec<SlotDirectory>,
 }
 
 /// Byte length of the fixed-width head of the `st_index` section.
@@ -221,7 +225,14 @@ const ST_INDEX_HEAD_LEN: usize = 50;
 
 /// Encodes the `st_index` section (layout in the module docs).
 fn encode_st_index(parts: &StIndexParts) -> Vec<u8> {
-    let entries: usize = parts.directory.iter().map(|(_, e)| e.len()).sum();
+    let populated = || {
+        parts
+            .directory
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| !d.is_empty())
+    };
+    let entries: usize = parts.directory.iter().map(SlotDirectory::len).sum();
     let mut buf = Vec::with_capacity(ST_INDEX_HEAD_LEN + parts.directory.len() * 6 + entries * 4);
     buf.put_u32_le(parts.slot_s);
     buf.put_u16_le(parts.num_days);
@@ -230,29 +241,31 @@ fn encode_st_index(parts: &StIndexParts) -> Vec<u8> {
     buf.put_u64_le(parts.stats.posting_bytes);
     buf.put_u64_le(parts.stats.posting_pages);
     buf.put_u64_le(parts.tail);
-    buf.put_u32_le(parts.directory.len() as u32);
+    buf.put_u32_le(populated().count() as u32);
     let mut offset = 0u64;
-    for (slot, entries) in &parts.directory {
-        put_varint_u32(&mut buf, *slot);
-        put_varint_u32(&mut buf, entries.len() as u32);
+    for (slot, dir) in populated() {
+        put_varint_u32(&mut buf, slot as u32);
+        put_varint_u32(&mut buf, dir.len() as u32);
         let mut prev: Option<SegmentId> = None;
-        for (segment, handle) in entries {
+        for (segment, handle) in dir.entries() {
             debug_assert_eq!(
                 handle.offset, offset,
                 "sealed-base blobs must be contiguous in (slot, segment) order"
             );
             put_varint_u32(&mut buf, prev.map_or(segment.0, |p| segment.0 - p.0));
             put_varint_u32(&mut buf, handle.len);
-            prev = Some(*segment);
+            prev = Some(segment);
             offset += handle.len as u64;
         }
     }
     buf
 }
 
-/// Decodes the `st_index` section, rebuilding each blob offset as the
-/// running sum of the lengths before it. Any deviation from the layout in
-/// the module docs is [`StorageError::Corrupt`].
+/// Decodes the `st_index` section straight into one [`SlotDirectory`] per
+/// slot of the day, rebuilding each blob offset as the running sum of the
+/// lengths before it. Any deviation from the layout in the module docs, or
+/// a slot whose blobs span more than `u32::MAX` bytes, is
+/// [`StorageError::Corrupt`].
 fn decode_st_index(mut buf: &[u8]) -> StorageResult<StIndexParts> {
     let truncated = || StorageError::corrupt("st_index section truncated");
     if buf.remaining() < ST_INDEX_HEAD_LEN {
@@ -272,14 +285,21 @@ fn decode_st_index(mut buf: &[u8]) -> StorageResult<StIndexParts> {
         return Err(StorageError::corrupt("st_index slot length is zero"));
     }
     let slots_per_day = streach_traj::SECONDS_PER_DAY.div_ceil(slot_s);
-    let varint = |buf: &mut &[u8]| {
-        get_varint_u32(buf).ok_or_else(|| {
-            StorageError::corrupt("st_index directory has a truncated or overlong varint")
-        })
-    };
-    // File-supplied counts: cap every pre-allocation by what the bytes left
-    // could hold (a slot record is at least 4 bytes, an entry at least 2).
-    let mut directory = Vec::with_capacity(num_slots.min(buf.remaining() / 4));
+    // Nearly every varint in the section is one byte; only longer ones take
+    // the general (canonical-form checking) path.
+    #[inline(always)]
+    fn varint(buf: &mut &[u8]) -> StorageResult<u32> {
+        match buf.split_first() {
+            Some((&byte, rest)) if byte < 0x80 => {
+                *buf = rest;
+                Ok(byte as u32)
+            }
+            _ => get_varint_u32(buf).ok_or_else(|| {
+                StorageError::corrupt("st_index directory has a truncated or overlong varint")
+            }),
+        }
+    }
+    let mut directory = vec![SlotDirectory::default(); slots_per_day as usize];
     let mut prev_slot: Option<u32> = None;
     let mut offset = 0u64;
     for _ in 0..num_slots {
@@ -299,10 +319,18 @@ fn decode_st_index(mut buf: &[u8]) -> StorageResult<StIndexParts> {
                 "st_index directory has an empty slot",
             ));
         }
+        // File-supplied count: cap the reservation by what the bytes left
+        // could hold (an entry is at least 2 bytes).
         if num_entries > buf.remaining() / 2 {
             return Err(truncated());
         }
-        let mut entries = Vec::with_capacity(num_entries);
+        // The slot's blob ends, relative to its first blob's offset. They
+        // only grow, and at most 2^32 lengths below 2^32 cannot overflow a
+        // u64, so both bounds on them are checked once, after the slot.
+        let first = offset;
+        let mut segments = Vec::with_capacity(num_entries);
+        let mut ends = Vec::with_capacity(num_entries);
+        let mut end = 0u64;
         let mut segment = 0u32;
         for i in 0..num_entries {
             let step = varint(&mut buf)?;
@@ -323,16 +351,20 @@ fn decode_st_index(mut buf: &[u8]) -> StorageResult<StIndexParts> {
                     "st_index directory has a zero-length blob",
                 ));
             }
-            let end = offset
-                .checked_add(len as u64)
-                .filter(|&end| end <= tail)
-                .ok_or_else(|| {
-                    StorageError::corrupt("st_index directory runs past the posting heap")
-                })?;
-            entries.push((SegmentId(segment), BlobHandle { offset, len }));
-            offset = end;
+            end += len as u64;
+            segments.push(SegmentId(segment));
+            ends.push(end as u32);
         }
-        directory.push((slot, entries));
+        offset = first
+            .checked_add(end)
+            .filter(|&offset| offset <= tail)
+            .ok_or_else(|| {
+                StorageError::corrupt("st_index directory runs past the posting heap")
+            })?;
+        if end > u32::MAX as u64 {
+            return Err(oversized_slot(slot));
+        }
+        directory[slot as usize] = SlotDirectory::new(first, segments, ends);
     }
     if buf.remaining() != 0 {
         return Err(StorageError::corrupt("st_index section has trailing bytes"));
@@ -500,7 +532,7 @@ pub(crate) fn save(
             num_days: st.num_days(),
             stats: st.stats(),
             tail: pinned.base_postings().size_bytes(),
-            directory: pinned.directory_entries(),
+            directory: pinned.directory().to_vec(),
         }),
     );
     writer.add_section(SEC_SPEED_STATS, engine.con_index().speed_stats().encode());
@@ -982,6 +1014,14 @@ mod tests {
     /// holds segment 7; blobs of 10, 200 and 1 bytes, back to back.
     fn sample_st_index() -> StIndexParts {
         let handle = |offset, len| BlobHandle { offset, len };
+        let mut directory = vec![SlotDirectory::default(); 288];
+        for (slot, segment, blob) in [
+            (5, 3, handle(0, 10)),
+            (5, 131, handle(10, 200)),
+            (200, 7, handle(210, 1)),
+        ] {
+            directory[slot].push(SegmentId(segment), blob).unwrap();
+        }
         StIndexParts {
             slot_s: 300,
             num_days: 2,
@@ -992,16 +1032,7 @@ mod tests {
                 posting_pages: 1,
             },
             tail: 211,
-            directory: vec![
-                (
-                    5,
-                    vec![
-                        (SegmentId(3), handle(0, 10)),
-                        (SegmentId(131), handle(10, 200)),
-                    ],
-                ),
-                (200, vec![(SegmentId(7), handle(210, 1))]),
-            ],
+            directory,
         }
     }
 
@@ -1123,5 +1154,114 @@ mod tests {
                 "prefix of {cut} bytes decoded"
             );
         }
+    }
+
+    /// An `st_index` section over a heap of `tail` bytes whose directory
+    /// body holds `num_slots` slots.
+    fn section(tail: u64, num_slots: u32, body: &[u8]) -> Vec<u8> {
+        let mut bytes = vec![0x2C, 0x01, 0, 0, 0x02, 0]; // slot_s 300, num_days 2
+        for v in [2u64, 2, tail, tail.div_ceil(4096), tail] {
+            bytes.extend_from_slice(&v.to_le_bytes()); // stats, tail
+        }
+        bytes.extend_from_slice(&num_slots.to_le_bytes());
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    #[test]
+    fn st_index_decoder_rejects_a_slot_over_4_gib() {
+        const MAX: u64 = u32::MAX as u64;
+        // One slot whose blobs span u32::MAX + 1 bytes: segment 3 with a
+        // u32::MAX-byte blob, then segment 4 with a 1-byte blob.
+        let over = section(MAX + 1, 1, &[5, 2, 3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 1]);
+        match decode_st_index(&over) {
+            Err(StorageError::Corrupt { context }) => {
+                assert!(
+                    context.contains("st_index") && context.contains("slot 5"),
+                    "{context}"
+                )
+            }
+            Err(e) => panic!("expected Corrupt, got {e}"),
+            Ok(_) => panic!("a slot spanning more than u32::MAX bytes decoded"),
+        }
+        // Exactly u32::MAX bytes in one slot fits.
+        let exact =
+            decode_st_index(&section(MAX, 1, &[5, 1, 3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F])).unwrap();
+        let entries: Vec<_> = exact.directory[5].entries().collect();
+        assert_eq!(
+            entries,
+            vec![(
+                SegmentId(3),
+                BlobHandle {
+                    offset: 0,
+                    len: u32::MAX
+                }
+            )]
+        );
+        // The bound is per slot: the same bytes split over two slots decode,
+        // and the second slot's offset lies past 4 GiB without wrapping.
+        let split = decode_st_index(&section(
+            MAX + 1,
+            2,
+            &[5, 1, 3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 6, 1, 4, 1],
+        ))
+        .unwrap();
+        let entries: Vec<_> = split.directory[6].entries().collect();
+        assert_eq!(
+            entries,
+            vec![(
+                SegmentId(4),
+                BlobHandle {
+                    offset: MAX,
+                    len: 1
+                }
+            )]
+        );
+        assert_eq!(
+            encode_st_index(&split),
+            section(
+                MAX + 1,
+                2,
+                &[5, 1, 3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 6, 1, 4, 1],
+            )
+        );
+    }
+
+    #[test]
+    fn st_index_of_a_built_index_round_trips_byte_identically() {
+        use streach_traj::{FleetConfig, TrajectoryDataset};
+        let network = Arc::new(SyntheticCity::generate(GeneratorConfig::small()).network);
+        let dataset = TrajectoryDataset::simulate(&network, FleetConfig::tiny());
+        let index = StIndex::build(network, &dataset, &IndexConfig::default());
+        let pinned = index.pin();
+        let parts = StIndexParts {
+            slot_s: index.slot_s(),
+            num_days: index.num_days(),
+            stats: index.stats(),
+            tail: pinned.base_postings().size_bytes(),
+            directory: pinned.directory().to_vec(),
+        };
+        let bytes = encode_st_index(&parts);
+        let decoded = decode_st_index(&bytes).unwrap();
+        assert_eq!(decoded.directory, parts.directory);
+        assert_eq!(encode_st_index(&decoded), bytes);
+        // Every decoded handle is the one the built index looks up.
+        let mut entries = 0;
+        for (slot, dir) in decoded.directory.iter().enumerate() {
+            for (segment, handle) in dir.entries() {
+                let mut from_index = Vec::new();
+                let mut from_handle = Vec::new();
+                assert!(index
+                    .read_time_list_into(segment, slot as u32, &mut from_index)
+                    .unwrap());
+                pinned
+                    .base_postings()
+                    .read_into(handle, &mut from_handle)
+                    .unwrap();
+                assert_eq!(from_index, from_handle, "slot {slot}, {segment}");
+                entries += 1;
+            }
+        }
+        assert_eq!(entries, index.stats().num_time_lists);
     }
 }

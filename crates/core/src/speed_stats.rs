@@ -43,6 +43,16 @@ impl MinMax {
     fn is_empty(&self) -> bool {
         self.min > self.max
     }
+
+    /// The cell [`SpeedStats::encode`] wrote as 8 bytes: `min`, then `max`,
+    /// each as the little-endian bits of an `f32`.
+    fn from_le_bytes(bytes: &[u8; 8]) -> Self {
+        let bits = u64::from_le_bytes(*bytes);
+        MinMax {
+            min: f32::from_bits(bits as u32),
+            max: f32::from_bits((bits >> 32) as u32),
+        }
+    }
 }
 
 /// Minimum and maximum observed traversal speed for every
@@ -256,29 +266,27 @@ impl SpeedStats {
             return None;
         }
         let num_segments = num_segments_u64 as usize;
-        let per_segment_len = per_segment_len as usize;
-        let mut per_segment = Vec::with_capacity(per_segment_len);
-        for _ in 0..per_segment_len {
-            per_segment.push(MinMax {
-                min: f32::from_bits(buf.get_u32_le()),
-                max: f32::from_bits(buf.get_u32_le()),
-            });
-        }
+        let (cells, mut buf) = buf.split_at(per_segment_len as usize * 8);
         let per_class_len = buf.get_u64_le() as usize;
         if per_class_len != slots_per_day as usize || buf.remaining() != per_class_len * 32 {
             return None;
         }
-        let mut per_class = Vec::with_capacity(per_class_len);
-        for _ in 0..per_class_len {
-            let mut classes = [MinMax::EMPTY; 4];
-            for cell in &mut classes {
-                *cell = MinMax {
-                    min: f32::from_bits(buf.get_u32_le()),
-                    max: f32::from_bits(buf.get_u32_le()),
-                };
-            }
-            per_class.push(classes);
-        }
+        // Both tables are whole 8-byte cells by the length checks above.
+        let per_segment = cells
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(MinMax::from_le_bytes)
+            .collect();
+        let per_class = buf
+            .as_chunks::<32>()
+            .0
+            .iter()
+            .map(|row| {
+                let row = row.as_chunks::<8>().0;
+                std::array::from_fn(|class| MinMax::from_le_bytes(&row[class]))
+            })
+            .collect();
         Some(Self {
             slot_s,
             slots_per_day,
@@ -388,27 +396,42 @@ mod tests {
     fn encode_decode_roundtrip_is_bit_exact() {
         let (city, dataset) = setup();
         let stats = SpeedStats::from_dataset(&city.network, &dataset, 300);
-        let decoded = SpeedStats::decode(&stats.encode()).expect("round trip");
-        assert_eq!(decoded.slot_s(), stats.slot_s());
-        assert_eq!(decoded.num_observations(), stats.num_observations());
-        for seg in city.network.segment_ids().step_by(7) {
-            for slot in (0..288).step_by(13) {
-                assert_eq!(
-                    decoded.max_speed_ms(&city.network, seg, slot).to_bits(),
-                    stats.max_speed_ms(&city.network, seg, slot).to_bits(),
-                );
-                assert_eq!(
-                    decoded
-                        .min_speed_ms(&city.network, seg, slot, 1.5)
-                        .to_bits(),
-                    stats.min_speed_ms(&city.network, seg, slot, 1.5).to_bits(),
-                );
-            }
-        }
-        // Truncated buffers are rejected, not misread.
         let bytes = stats.encode();
+        let decoded = SpeedStats::decode(&bytes).expect("round trip");
+        assert_eq!(decoded.slot_s, stats.slot_s);
+        assert_eq!(decoded.slots_per_day, stats.slots_per_day);
+        assert_eq!(decoded.num_segments, stats.num_segments);
+        assert_eq!(decoded.observations, stats.observations);
+        // Every cell of both tables, by bit pattern (NaN-safe, ±0 apart).
+        let bits = |cells: &[MinMax]| -> Vec<(u32, u32)> {
+            cells
+                .iter()
+                .map(|c| (c.min.to_bits(), c.max.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&decoded.per_segment), bits(&stats.per_segment));
+        assert_eq!(
+            bits(decoded.per_class.as_flattened()),
+            bits(stats.per_class.as_flattened())
+        );
+        assert_eq!(decoded.encode(), bytes);
+
+        // Truncated buffers, a trailing byte and a wrong per-class count are
+        // rejected, not misread.
         assert!(SpeedStats::decode(&bytes[..bytes.len() - 3]).is_none());
         assert!(SpeedStats::decode(&[]).is_none());
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(SpeedStats::decode(&trailing).is_none());
+        let per_class_count = 32 + stats.per_segment.len() * 8;
+        for count in [287u64, 289, 0, u64::MAX] {
+            let mut wrong = bytes.clone();
+            wrong[per_class_count..per_class_count + 8].copy_from_slice(&count.to_le_bytes());
+            assert!(
+                SpeedStats::decode(&wrong).is_none(),
+                "per_class count {count}"
+            );
+        }
     }
 
     #[test]

@@ -80,20 +80,96 @@ use crate::time::{slot_of, slots_overlapping};
 pub type StIndexStore = SimulatedDiskStore<Box<dyn PageStore>>;
 
 /// Directory of one temporal leaf: for every road segment traversed during
-/// the slot, the handle of its time list in the posting store.
-#[derive(Debug, Clone, Default)]
-struct SlotDirectory {
+/// the slot, the handle of its time list in the sealed-base posting store.
+///
+/// The sealed base lays its blobs out in (slot, segment) order with no gap,
+/// so a slot's blobs are one contiguous run of the heap and their offsets
+/// are implied, as in the snapshot's `st_index` section: the run starts at
+/// `first`, and entry `i` ends `ends[i]` bytes into it (it starts where
+/// entry `i - 1` ends). That is 8 bytes per entry. A run longer than
+/// `u32::MAX` bytes does not fit: [`SlotDirectory::push`] refuses it, and
+/// the snapshot decoder rejects it as corrupt.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct SlotDirectory {
+    /// Heap offset of the slot's first blob.
+    first: u64,
     /// Sorted by segment ID for binary search.
-    entries: Vec<(SegmentId, BlobHandle)>,
+    segments: Vec<SegmentId>,
+    /// `ends[i]`: end of entry `i`'s blob, relative to `first`.
+    ends: Vec<u32>,
 }
 
 impl SlotDirectory {
-    fn get(&self, segment: SegmentId) -> Option<BlobHandle> {
-        self.entries
-            .binary_search_by_key(&segment, |(s, _)| *s)
-            .ok()
-            .map(|i| self.entries[i].1)
+    /// A slot whose blobs start at heap offset `first`, entry `i` being
+    /// `segments[i]`'s blob, which ends `ends[i]` bytes past `first`.
+    /// Segments must ascend strictly and ends must grow strictly.
+    pub(crate) fn new(first: u64, segments: Vec<SegmentId>, ends: Vec<u32>) -> Self {
+        debug_assert_eq!(segments.len(), ends.len());
+        debug_assert!(segments.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(ends.windows(2).all(|w| w[0] < w[1]));
+        Self {
+            first,
+            segments,
+            ends,
+        }
     }
+
+    fn get(&self, segment: SegmentId) -> Option<BlobHandle> {
+        let i = self.segments.binary_search(&segment).ok()?;
+        Some(self.handle(i))
+    }
+
+    /// The blob handle of entry `i`.
+    fn handle(&self, i: usize) -> BlobHandle {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        BlobHandle {
+            offset: self.first + start as u64,
+            len: self.ends[i] - start,
+        }
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// `true` when no segment was traversed in the slot.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.segments.is_empty()
+    }
+
+    /// The entries in segment order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (SegmentId, BlobHandle)> + '_ {
+        (0..self.len()).map(|i| (self.segments[i], self.handle(i)))
+    }
+
+    /// Appends the next entry. `segment` must exceed every segment already
+    /// in the slot, and the blob must start where the slot's last blob
+    /// ended (anywhere, for the first entry). Returns `None`, leaving the
+    /// directory unchanged, when the slot's blobs would span more than
+    /// `u32::MAX` bytes.
+    pub(crate) fn push(&mut self, segment: SegmentId, handle: BlobHandle) -> Option<()> {
+        if self.is_empty() {
+            self.first = handle.offset;
+        }
+        debug_assert!(self.segments.last().is_none_or(|&last| last < segment));
+        debug_assert_eq!(
+            handle.offset,
+            self.first + self.ends.last().map_or(0, |&end| end as u64),
+            "sealed-base blobs must be contiguous in (slot, segment) order"
+        );
+        let end = u32::try_from(handle.offset - self.first + handle.len as u64).ok()?;
+        self.segments.push(segment);
+        self.ends.push(end);
+        Some(())
+    }
+}
+
+/// The error for a slot whose blobs span more than `u32::MAX` bytes.
+pub(crate) fn oversized_slot(slot: u32) -> StorageError {
+    StorageError::corrupt(format!(
+        "st_index directory slot {slot} holds more than 4 GiB of blobs"
+    ))
 }
 
 /// Number of Δt slots in one day: the length of the temporal index.
@@ -267,17 +343,9 @@ impl PinnedState {
         &self.0.delta.postings
     }
 
-    /// The temporal directory as (slot, entries) pairs of the populated
-    /// slots, in slot order.
-    pub(crate) fn directory_entries(&self) -> Vec<(u32, Vec<(SegmentId, BlobHandle)>)> {
-        self.0
-            .base
-            .temporal
-            .iter()
-            .enumerate()
-            .filter(|(_, dir)| !dir.entries.is_empty())
-            .map(|(slot, dir)| (slot as u32, dir.entries.clone()))
-            .collect()
+    /// The temporal directory, one [`SlotDirectory`] per slot of the day.
+    pub(crate) fn directory(&self) -> &[SlotDirectory] {
+        &self.0.base.temporal
     }
 
     /// The delta directory as ((slot, segment), handle) pairs in key order.
@@ -390,8 +458,8 @@ impl StIndex {
                 .expect("in-memory posting store cannot fail");
             // `slot_of` wraps into the day, so the slot indexes the array.
             temporal[slot as usize]
-                .entries
-                .push((SegmentId(segment), handle));
+                .push(SegmentId(segment), handle)
+                .expect("one slot's time lists span at most 4 GiB");
             num_time_lists += 1;
         }
 
@@ -463,27 +531,23 @@ impl StIndex {
     }
 
     /// Reassembles an ST-Index from snapshot parts: a reopened posting
-    /// store plus the decoded temporal directory, and the delta tail
-    /// (posting store plus (slot, segment) → handle entries; both empty for
-    /// a snapshot that never ingested). Used by [`crate::snapshot`]; every
-    /// directory slot must lie within the day and the entries of each slot
-    /// must be sorted by segment ID (the decoder checks both).
+    /// store plus the decoded temporal directory (one [`SlotDirectory`] per
+    /// slot of the day), and the delta tail (posting store plus (slot,
+    /// segment) → handle entries; both empty for a snapshot that never
+    /// ingested). Used by [`crate::snapshot`], whose decoder checks the
+    /// directory against the day and the heap.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         network: Arc<RoadNetwork>,
         slot_s: u32,
         num_days: u16,
         stats: StIndexStats,
-        directory: Vec<(u32, Vec<(SegmentId, BlobHandle)>)>,
+        temporal: Vec<SlotDirectory>,
         postings: PostingStore<StIndexStore>,
         delta_postings: PostingStore<StIndexStore>,
         delta_directory: Vec<((u32, u32), BlobHandle)>,
     ) -> Self {
-        let mut temporal = vec![SlotDirectory::default(); slots_per_day(slot_s)];
-        for (slot, entries) in directory {
-            debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-            temporal[slot as usize] = SlotDirectory { entries };
-        }
+        debug_assert_eq!(temporal.len(), slots_per_day(slot_s));
         let mut stripes: Vec<BTreeMap<(u32, u32), BlobHandle>> =
             (0..DELTA_STRIPES).map(|_| BTreeMap::new()).collect();
         let mut delta_len = 0usize;
@@ -682,7 +746,7 @@ impl StIndex {
             .temporal
             .iter()
             .enumerate()
-            .filter(|(_, dir)| !dir.entries.is_empty())
+            .filter(|(_, dir)| !dir.is_empty())
             .map(|(slot, _)| slot as u32)
             .collect();
         if state.delta.len.load(Ordering::Relaxed) > 0 {
@@ -831,8 +895,8 @@ impl StIndex {
         // (slot, segment) order — the clustered layout `build` produces.
         let mut merged: BTreeMap<(u32, u32), ListRef> = BTreeMap::new();
         for (slot, dir) in state.base.temporal.iter().enumerate() {
-            for (segment, handle) in &dir.entries {
-                merged.insert((slot as u32, segment.0), ListRef::Base(*handle));
+            for (segment, handle) in dir.entries() {
+                merged.insert((slot as u32, segment.0), ListRef::Base(handle));
             }
         }
         for (key, handle) in state.delta.sorted_entries() {
@@ -865,8 +929,8 @@ impl StIndex {
         for (((slot, segment), _), blob) in entries.iter().zip(&blobs) {
             let handle = new_postings.append(blob)?;
             temporal[*slot as usize]
-                .entries
-                .push((SegmentId(*segment), handle));
+                .push(SegmentId(*segment), handle)
+                .ok_or_else(|| oversized_slot(*slot))?;
         }
         let num_time_lists = entries.len() as u64;
         let posting_bytes = new_postings.size_bytes();
