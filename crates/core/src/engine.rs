@@ -1,7 +1,6 @@
 //! The high-level reachability query engine.
 
 use std::sync::{Arc, Condvar};
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use streach_roadnet::{RoadNetwork, SegmentId, ShardMap};
@@ -13,16 +12,10 @@ use crate::config::IndexConfig;
 use crate::ingest::{
     IngestObserver, IngestOutcome, IngestState, IngestTouch, LastVisit, LastVisitMap, WalAttach,
 };
-use crate::query::es::exhaustive_search;
-use crate::query::mqmb::{mqmb, mqmb_trace_back};
-use crate::query::sqmb::sqmb;
-use crate::query::tbs::trace_back_search;
-use crate::query::verifier::VerifierCore;
+use crate::query::pipeline::{CoalescedAnswer, QueryContext};
 use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
-use crate::region::ReachableRegion;
 use crate::snapshot::StoreRole;
 use crate::st_index::{DeltaStats, StIndex};
-use crate::stats::QueryStats;
 use crate::time::slot_of;
 
 /// The spatio-temporal reachability query engine: the ST-Index, the
@@ -923,29 +916,19 @@ impl ReachabilityEngine {
     /// from outside the serviced area must not silently snap to a boundary
     /// segment).
     pub fn try_locate(&self, location: &streach_geo::GeoPoint) -> Result<SegmentId, QueryError> {
-        self.locate_indexed(location, 0)
+        crate::query::pipeline::locate(&self.network, location, 0)
     }
 
     /// Maximum distance (meters) between a query location and its matched
     /// road segment before the location counts as off-network.
     pub const MAX_MATCH_DISTANCE_M: f64 = 5_000.0;
 
-    fn locate_indexed(
-        &self,
-        location: &streach_geo::GeoPoint,
-        index: usize,
-    ) -> Result<SegmentId, QueryError> {
-        if !location.is_finite() {
-            return Err(QueryError::InvalidQuery(
-                "query location must be finite".into(),
-            ));
-        }
-        match self.network.nearest_segment(location) {
-            Some((segment, distance_m)) if distance_m <= Self::MAX_MATCH_DISTANCE_M => Ok(segment),
-            _ => Err(QueryError::LocationOffNetwork {
-                index,
-                location: *location,
-            }),
+    /// The query pipeline over this engine's own indexes.
+    fn queries(&self) -> QueryContext<'_, StIndex> {
+        QueryContext {
+            network: &self.network,
+            con_index: &self.con_index,
+            postings: &self.st_index,
         }
     }
 
@@ -959,74 +942,7 @@ impl ReachabilityEngine {
         query: &SQuery,
         algorithm: Algorithm,
     ) -> Result<QueryOutcome, QueryError> {
-        query.validate()?;
-        let start_segment = self.try_locate(&query.location)?;
-
-        let io_before = self.st_index.io_stats().snapshot();
-        let t0 = Instant::now();
-        let (region, verified, visited, max_b, min_b, bounding_time, verify_time) = match algorithm
-        {
-            Algorithm::ExhaustiveSearch => {
-                let out = exhaustive_search(&self.network, &self.st_index, query, start_segment)?;
-                (
-                    out.region,
-                    out.verifications,
-                    out.visited,
-                    0,
-                    0,
-                    out.expansion_time,
-                    out.verify_time,
-                )
-            }
-            Algorithm::SqmbTbs => {
-                let tb = Instant::now();
-                let bounds = sqmb(
-                    &self.con_index,
-                    self.network.num_segments(),
-                    start_segment,
-                    query.start_time_s,
-                    query.duration_s,
-                );
-                let bounding_time = tb.elapsed();
-                // verify_time covers core construction (the start segment's
-                // posting reads) plus the annulus sweep, mirroring the
-                // setup_time + verify_time sum reported for m-queries.
-                let tv = Instant::now();
-                let core = VerifierCore::new(
-                    &self.st_index,
-                    start_segment,
-                    query.start_time_s,
-                    query.duration_s,
-                )?;
-                let outcome = trace_back_search(&self.network, &core, &bounds, query.prob)?;
-                let verify_time = tv.elapsed();
-                (
-                    outcome.region,
-                    outcome.verifications,
-                    outcome.visited,
-                    bounds.max_region.len(),
-                    bounds.min_region.len(),
-                    bounding_time,
-                    verify_time,
-                )
-            }
-        };
-        let wall_time = t0.elapsed();
-        let io_after = self.st_index.io_stats().snapshot();
-
-        Ok(QueryOutcome {
-            region,
-            stats: QueryStats {
-                wall_time,
-                bounding_time,
-                verify_time,
-                io: io_after.delta_since(&io_before),
-                segments_verified: verified,
-                max_bounding_size: max_b,
-                min_bounding_size: min_b,
-                segments_visited: visited,
-            },
-        })
+        self.queries().s_query(query, algorithm)
     }
 
     /// Answers a batch of SQMB+TBS s-queries with **one shared MQMB
@@ -1035,14 +951,8 @@ impl ReachabilityEngine {
     /// Results are in input order and bit-identical to calling
     /// [`ReachabilityEngine::try_s_query`] with [`Algorithm::SqmbTbs`] per
     /// query; failures surface as that caller's [`QueryError`].
-    pub fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<crate::serve::CoalescedAnswer> {
-        crate::serve::answer_coalesced(
-            &self.network,
-            &self.con_index,
-            &self.st_index,
-            &|location| self.try_locate(location),
-            queries,
-        )
+    pub fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<CoalescedAnswer> {
+        self.queries().s_query_coalesced(queries)
     }
 
     /// Answers a multi-location ST reachability query, reporting malformed
@@ -1058,71 +968,7 @@ impl ReachabilityEngine {
         query: &MQuery,
         algorithm: MQueryAlgorithm,
     ) -> Result<QueryOutcome, QueryError> {
-        query.validate()?;
-        match algorithm {
-            MQueryAlgorithm::RepeatedSQuery => {
-                let mut region = ReachableRegion::empty();
-                let mut stats = QueryStats::default();
-                for i in 0..query.locations.len() {
-                    let sub = query.sub_query(i);
-                    let outcome = self.try_s_query(&sub, Algorithm::SqmbTbs).map_err(|e| {
-                        // Attribute an off-network location to its m-query index.
-                        match e {
-                            QueryError::LocationOffNetwork { location, .. } => {
-                                QueryError::LocationOffNetwork { index: i, location }
-                            }
-                            other => other,
-                        }
-                    })?;
-                    region = region.union(&self.network, &outcome.region);
-                    stats = stats.merge(&outcome.stats);
-                }
-                Ok(QueryOutcome { region, stats })
-            }
-            MQueryAlgorithm::MqmbTbs => {
-                let starts: Vec<SegmentId> = query
-                    .locations
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| self.locate_indexed(p, i))
-                    .collect::<Result<_, _>>()?;
-                let io_before = self.st_index.io_stats().snapshot();
-                let t0 = Instant::now();
-                let bounds = mqmb(
-                    &self.con_index,
-                    &self.network,
-                    &starts,
-                    &query.locations,
-                    query.start_time_s,
-                    query.duration_s,
-                );
-                let bounding_time = t0.elapsed();
-                let outcome = mqmb_trace_back(
-                    &self.network,
-                    &self.st_index,
-                    &bounds,
-                    &starts,
-                    query.start_time_s,
-                    query.duration_s,
-                    query.prob,
-                )?;
-                let wall_time = t0.elapsed();
-                let io_after = self.st_index.io_stats().snapshot();
-                Ok(QueryOutcome {
-                    region: outcome.region,
-                    stats: QueryStats {
-                        wall_time,
-                        bounding_time,
-                        verify_time: outcome.setup_time + outcome.verify_time,
-                        io: io_after.delta_since(&io_before),
-                        segments_verified: outcome.verifications,
-                        max_bounding_size: bounds.max_region.len(),
-                        min_bounding_size: bounds.min_region.len(),
-                        segments_visited: outcome.visited,
-                    },
-                })
-            }
-        }
+        self.queries().m_query(query, algorithm)
     }
 }
 

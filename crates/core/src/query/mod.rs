@@ -6,10 +6,13 @@
 //! * [`sqmb`] — the s-query maximum/minimum bounding region search
 //!   (Algorithm 1),
 //! * [`tbs`] — the trace back search (Algorithm 2),
-//! * [`mqmb`] — the m-query maximum bounding region search (Algorithm 3).
+//! * [`mqmb`] — the m-query maximum bounding region search (Algorithm 3),
+//! * `pipeline` — the one procedure that runs them for every tier: locate,
+//!   bound, verify, measure.
 
 pub mod es;
 pub mod mqmb;
+pub(crate) mod pipeline;
 pub mod reference;
 pub mod sqmb;
 pub mod tbs;

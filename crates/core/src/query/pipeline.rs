@@ -1,0 +1,343 @@
+//! The one query procedure every tier runs.
+//!
+//! A query is answered in three steps: locate the start segment on the road
+//! network, bound the reachable region over the Con-Index (SQMB for one
+//! location, MQMB for several), then verify the annulus between the bounds
+//! against the ST-Index postings with the trace back search. The exhaustive
+//! search (ES) is the baseline that skips the bounding.
+//!
+//! [`QueryContext`] borrows the three inputs of that procedure: the network,
+//! the Con-Index and a [`PostingSource`]. The single engine passes its
+//! [`StIndex`](crate::StIndex); the sharded router passes its statistics
+//! leader's Con-Index and a source that routes each posting read to the
+//! owning shard. Both therefore run this code and nothing else, so a router
+//! answers bit-identically to a single engine by construction. This module
+//! is also the only place that builds [`QueryStats`]: every path measures
+//! its I/O through [`PostingSource::io_snapshot`].
+
+use std::time::Instant;
+
+use streach_geo::GeoPoint;
+use streach_roadnet::{RoadNetwork, SegmentId};
+
+use crate::con_index::ConIndex;
+use crate::engine::ReachabilityEngine;
+use crate::query::es::exhaustive_search;
+use crate::query::mqmb::{mqmb, mqmb_trace_back};
+use crate::query::sqmb::{hop_slots, sqmb, BoundingRegions};
+use crate::query::tbs::trace_back_search;
+use crate::query::verifier::{PostingSource, VerifierCore};
+use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
+use crate::region::ReachableRegion;
+use crate::stats::QueryStats;
+
+/// One per-query result of a coalesced batch: the caller's outcome plus the
+/// bounding context a result cache needs for precise invalidation.
+#[derive(Debug, Clone)]
+pub struct CoalescedAnswer {
+    /// The per-caller outcome; failures are this caller's typed error.
+    pub outcome: Result<QueryOutcome, QueryError>,
+    /// The group's maximum bounding region (empty on error). Verification
+    /// never reads outside it, so posting invalidation can be scoped to it.
+    pub max_region: Vec<SegmentId>,
+    /// Whether the bounding pass was shared with another query of the batch.
+    pub shared_bounding: bool,
+}
+
+impl CoalescedAnswer {
+    fn failed(err: QueryError) -> Self {
+        Self {
+            outcome: Err(err),
+            max_region: Vec::new(),
+            shared_bounding: false,
+        }
+    }
+}
+
+/// Maps a query location to its start road segment: the nearest segment of
+/// `network`, unless it lies farther than
+/// [`ReachabilityEngine::MAX_MATCH_DISTANCE_M`] (a request from outside the
+/// serviced area must not silently snap to a boundary segment). `index`
+/// names the location in an m-query's [`QueryError::LocationOffNetwork`].
+pub(crate) fn locate(
+    network: &RoadNetwork,
+    location: &GeoPoint,
+    index: usize,
+) -> Result<SegmentId, QueryError> {
+    if !location.is_finite() {
+        return Err(QueryError::InvalidQuery(
+            "query location must be finite".into(),
+        ));
+    }
+    match network.nearest_segment(location) {
+        Some((segment, distance_m)) if distance_m <= ReachabilityEngine::MAX_MATCH_DISTANCE_M => {
+            Ok(segment)
+        }
+        _ => Err(QueryError::LocationOffNetwork {
+            index,
+            location: *location,
+        }),
+    }
+}
+
+/// Everything a query reads, borrowed: the road network, the Con-Index that
+/// bounds it and the posting source that verifies it.
+pub(crate) struct QueryContext<'a, P: PostingSource + ?Sized> {
+    pub(crate) network: &'a RoadNetwork,
+    pub(crate) con_index: &'a ConIndex,
+    pub(crate) postings: &'a P,
+}
+
+impl<P: PostingSource + ?Sized> QueryContext<'_, P> {
+    /// Answers a single-location query; see
+    /// [`ReachabilityEngine::try_s_query`] for the error contract.
+    pub(crate) fn s_query(
+        &self,
+        query: &SQuery,
+        algorithm: Algorithm,
+    ) -> Result<QueryOutcome, QueryError> {
+        query.validate()?;
+        let start = locate(self.network, &query.location, 0)?;
+
+        let io_before = self.postings.io_snapshot();
+        let t0 = Instant::now();
+        let (region, mut stats) = match algorithm {
+            Algorithm::ExhaustiveSearch => {
+                let out = exhaustive_search(self.network, self.postings, query, start)?;
+                let stats = QueryStats {
+                    bounding_time: out.expansion_time,
+                    verify_time: out.verify_time,
+                    segments_verified: out.verifications,
+                    segments_visited: out.visited,
+                    ..QueryStats::default()
+                };
+                (out.region, stats)
+            }
+            Algorithm::SqmbTbs => {
+                let bounds = sqmb(
+                    self.con_index,
+                    self.network.num_segments(),
+                    start,
+                    query.start_time_s,
+                    query.duration_s,
+                );
+                let bounding_time = t0.elapsed();
+                // verify_time covers core construction (the start segment's
+                // posting reads) plus the annulus sweep, mirroring the
+                // setup_time + verify_time sum reported for m-queries.
+                let tv = Instant::now();
+                let core =
+                    VerifierCore::new(self.postings, start, query.start_time_s, query.duration_s)?;
+                let out = trace_back_search(self.network, &core, &bounds, query.prob)?;
+                let stats = QueryStats {
+                    bounding_time,
+                    verify_time: tv.elapsed(),
+                    segments_verified: out.verifications,
+                    max_bounding_size: bounds.max_region.len(),
+                    min_bounding_size: bounds.min_region.len(),
+                    segments_visited: out.visited,
+                    ..QueryStats::default()
+                };
+                (out.region, stats)
+            }
+        };
+        stats.wall_time = t0.elapsed();
+        stats.io = self.postings.io_snapshot().delta_since(&io_before);
+        Ok(QueryOutcome { region, stats })
+    }
+
+    /// Answers a multi-location query; see
+    /// [`ReachabilityEngine::try_m_query`] for the algorithm split and the
+    /// error contract.
+    pub(crate) fn m_query(
+        &self,
+        query: &MQuery,
+        algorithm: MQueryAlgorithm,
+    ) -> Result<QueryOutcome, QueryError> {
+        query.validate()?;
+        match algorithm {
+            MQueryAlgorithm::RepeatedSQuery => {
+                let mut region = ReachableRegion::empty();
+                let mut stats = QueryStats::default();
+                for i in 0..query.locations.len() {
+                    let outcome = self
+                        .s_query(&query.sub_query(i), Algorithm::SqmbTbs)
+                        .map_err(|e| match e {
+                            // Attribute an off-network location to its m-query index.
+                            QueryError::LocationOffNetwork { location, .. } => {
+                                QueryError::LocationOffNetwork { index: i, location }
+                            }
+                            other => other,
+                        })?;
+                    region = region.union(self.network, &outcome.region);
+                    stats = stats.merge(&outcome.stats);
+                }
+                Ok(QueryOutcome { region, stats })
+            }
+            MQueryAlgorithm::MqmbTbs => {
+                let starts: Vec<SegmentId> = query
+                    .locations
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| locate(self.network, p, i))
+                    .collect::<Result<_, _>>()?;
+                let io_before = self.postings.io_snapshot();
+                let t0 = Instant::now();
+                let bounds = mqmb(
+                    self.con_index,
+                    self.network,
+                    &starts,
+                    &query.locations,
+                    query.start_time_s,
+                    query.duration_s,
+                );
+                let bounding_time = t0.elapsed();
+                let out = mqmb_trace_back(
+                    self.network,
+                    self.postings,
+                    &bounds,
+                    &starts,
+                    query.start_time_s,
+                    query.duration_s,
+                    query.prob,
+                )?;
+                let wall_time = t0.elapsed();
+                Ok(QueryOutcome {
+                    region: out.region,
+                    stats: QueryStats {
+                        wall_time,
+                        bounding_time,
+                        verify_time: out.setup_time + out.verify_time,
+                        io: self.postings.io_snapshot().delta_since(&io_before),
+                        segments_verified: out.verifications,
+                        max_bounding_size: bounds.max_region.len(),
+                        min_bounding_size: bounds.min_region.len(),
+                        segments_visited: out.visited,
+                    },
+                })
+            }
+        }
+    }
+
+    /// Answers a batch of SQMB+TBS s-queries with one shared bounding pass
+    /// per (origin segment, hop-slot sequence) group; results are in input
+    /// order and bit-identical to [`QueryContext::s_query`] with
+    /// [`Algorithm::SqmbTbs`] per query (see [`crate::serve`]).
+    pub(crate) fn s_query_coalesced(&self, queries: &[SQuery]) -> Vec<CoalescedAnswer> {
+        let slot_s = self.con_index.slot_s();
+        let mut answers: Vec<Option<CoalescedAnswer>> = queries.iter().map(|_| None).collect();
+
+        // Group by (origin segment, exact hop-slot sequence). The sequence —
+        // not just the first slot — is what the bounding expansion reads, so
+        // equality of the sequence is exactly the bit-identity condition.
+        struct Group {
+            segment: SegmentId,
+            hop_slots: Vec<u32>,
+            location: GeoPoint,
+            members: Vec<usize>,
+        }
+        let mut groups: Vec<Group> = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            let segment = match q
+                .validate()
+                .and_then(|()| locate(self.network, &q.location, 0))
+            {
+                Ok(segment) => segment,
+                Err(err) => {
+                    answers[i] = Some(CoalescedAnswer::failed(err));
+                    continue;
+                }
+            };
+            let hop_slots = hop_slots(q.start_time_s, q.duration_s, slot_s);
+            match groups
+                .iter_mut()
+                .find(|g| g.segment == segment && g.hop_slots == hop_slots)
+            {
+                Some(g) => g.members.push(i),
+                None => groups.push(Group {
+                    segment,
+                    hop_slots,
+                    location: q.location,
+                    members: vec![i],
+                }),
+            }
+        }
+
+        for group in &groups {
+            // One MQMB bounding pass for the whole group: with a single start
+            // mqmb equals sqmb, and every member shares the hop-slot sequence,
+            // so these bounds equal each member's serial sqmb bounds.
+            let leader = &queries[group.members[0]];
+            let t_bound = Instant::now();
+            let mb = mqmb(
+                self.con_index,
+                self.network,
+                std::slice::from_ref(&group.segment),
+                std::slice::from_ref(&group.location),
+                leader.start_time_s,
+                leader.duration_s,
+            );
+            let bounds = BoundingRegions {
+                max_region: mb.max_region,
+                min_region: mb.min_region,
+            };
+            let bounding_time = t_bound.elapsed();
+            let shared = group.members.len() > 1;
+
+            // Fan verification out per caller: one core per distinct (T, L),
+            // shared across probability thresholds; errors stay per caller.
+            let mut cores: Vec<((u32, u32), VerifierCore<'_, P>)> = Vec::new();
+            for &i in &group.members {
+                let q = &queries[i];
+                let io_before = self.postings.io_snapshot();
+                let t_verify = Instant::now();
+                let key = (q.start_time_s, q.duration_s);
+                if !cores.iter().any(|(k, _)| *k == key) {
+                    match VerifierCore::new(
+                        self.postings,
+                        group.segment,
+                        q.start_time_s,
+                        q.duration_s,
+                    ) {
+                        Ok(core) => cores.push((key, core)),
+                        Err(err) => {
+                            answers[i] = Some(CoalescedAnswer::failed(err.into()));
+                            continue;
+                        }
+                    }
+                }
+                let core = &cores.iter().find(|(k, _)| *k == key).expect("just built").1;
+                answers[i] = Some(
+                    match trace_back_search(self.network, core, &bounds, q.prob) {
+                        Ok(out) => {
+                            let verify_time = t_verify.elapsed();
+                            CoalescedAnswer {
+                                outcome: Ok(QueryOutcome {
+                                    region: out.region,
+                                    stats: QueryStats {
+                                        wall_time: bounding_time + verify_time,
+                                        bounding_time,
+                                        verify_time,
+                                        io: self.postings.io_snapshot().delta_since(&io_before),
+                                        segments_verified: out.verifications,
+                                        max_bounding_size: bounds.max_region.len(),
+                                        min_bounding_size: bounds.min_region.len(),
+                                        segments_visited: out.visited,
+                                    },
+                                }),
+                                max_region: bounds.max_region.clone(),
+                                shared_bounding: shared,
+                            }
+                        }
+                        Err(err) => CoalescedAnswer::failed(err.into()),
+                    },
+                );
+            }
+        }
+
+        answers
+            .into_iter()
+            .map(|a| a.expect("every query answered"))
+            .collect()
+    }
+}

@@ -38,7 +38,7 @@
 use std::sync::Arc;
 
 use streach_roadnet::SegmentId;
-use streach_storage::{visit_posting, IoStats, StorageError, StorageResult};
+use streach_storage::{visit_posting, IoStats, IoStatsSnapshot, StorageError, StorageResult};
 
 use crate::st_index::StIndex;
 use crate::time::slots_overlapping;
@@ -77,6 +77,14 @@ pub trait PostingSource: Sync {
 
     /// Shared I/O counters that posting decodes are reported against.
     fn io_stats(&self) -> Arc<IoStats>;
+
+    /// Every I/O counter a read through this source can move, summed: the
+    /// snapshot a query reports its I/O delta over. One set of counters for
+    /// a single index; a router also sums the counters of every engine its
+    /// reads can reach.
+    fn io_snapshot(&self) -> IoStatsSnapshot {
+        self.io_stats().snapshot()
+    }
 
     /// Pins the current view for a batch of reads.
     fn pin(&self) -> Self::Pin;

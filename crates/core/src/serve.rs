@@ -23,11 +23,13 @@
 //!   is the paper's MQMB with one location.
 //!
 //! Verification then runs per caller with its exact `(T, L, Prob)` — a
-//! [`VerifierCore`] per distinct `(T, L)`, shared across probability
-//! thresholds — so every answer is bit-identical to serial
-//! [`ReachabilityEngine::try_s_query`], and per-caller failures surface as
-//! that caller's typed [`QueryError`]. `tests/serving_equivalence.rs` pins
-//! this.
+//! [`VerifierCore`](crate::query::verifier::VerifierCore) per distinct
+//! `(T, L)`, shared across probability thresholds — so every answer is
+//! bit-identical to serial [`ReachabilityEngine::try_s_query`], and
+//! per-caller failures surface as that caller's typed [`QueryError`]. The
+//! coalesced path lives beside the serial one in the shared query pipeline
+//! (`crate::query::pipeline`), which the engine and the router both run
+//! over their own posting source. `tests/serving_equivalence.rs` pins this.
 //!
 //! # Result cache and why it is never stale
 //!
@@ -65,9 +67,9 @@
 //! and never enters the queue. Everything else goes to the workers: the
 //! server runs `workers` long-lived threads; each drained batch's
 //! verification stage fans out on `streach_par` inside
-//! [`trace_back_search`] exactly like a serial query, so a single large
-//! query still uses all cores while independent groups proceed on separate
-//! workers.
+//! [`trace_back_search`](crate::query::tbs::trace_back_search) exactly like
+//! a serial query, so a single large query still uses all cores while
+//! independent groups proceed on separate workers.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,18 +77,15 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use streach_geo::GeoPoint;
-use streach_roadnet::{RoadNetwork, SegmentId};
+use streach_roadnet::SegmentId;
 
-use crate::con_index::ConIndex;
 use crate::engine::ReachabilityEngine;
 use crate::ingest::{IngestObserver, IngestTouch};
-use crate::query::mqmb::mqmb;
-use crate::query::sqmb::{hop_slots, BoundingRegions};
-use crate::query::tbs::trace_back_search;
-use crate::query::verifier::{PostingSource, VerifierCore};
+use crate::query::sqmb::hop_slots;
 use crate::query::{Algorithm, QueryError, QueryOutcome, SQuery};
 use crate::sharded::ShardedEngine;
-use crate::stats::QueryStats;
+
+pub use crate::query::pipeline::CoalescedAnswer;
 use crate::time::slots_overlapping;
 
 /// Tuning knobs of a [`QueryServer`].
@@ -133,147 +132,6 @@ pub struct ServerStats {
     pub cache_invalidated: u64,
     /// Whole-cache flushes caused by a day-count raise.
     pub cache_flushes: u64,
-}
-
-/// One per-query result of a coalesced batch: the caller's outcome plus the
-/// bounding context a result cache needs for precise invalidation.
-#[derive(Debug, Clone)]
-pub struct CoalescedAnswer {
-    /// The per-caller outcome; failures are this caller's typed error.
-    pub outcome: Result<QueryOutcome, QueryError>,
-    /// The group's maximum bounding region (empty on error). Verification
-    /// never reads outside it, so posting invalidation can be scoped to it.
-    pub max_region: Vec<SegmentId>,
-    /// Whether the bounding pass was shared with another query of the batch.
-    pub shared_bounding: bool,
-}
-
-impl CoalescedAnswer {
-    fn failed(err: QueryError) -> Self {
-        Self {
-            outcome: Err(err),
-            max_region: Vec::new(),
-            shared_bounding: false,
-        }
-    }
-}
-
-/// Answers a batch of SQMB+TBS s-queries with one shared bounding pass per
-/// (origin segment, hop-slot sequence) group; results are in input order
-/// and bit-identical to the serial per-query path (see the module docs).
-pub(crate) fn answer_coalesced<I: PostingSource + ?Sized>(
-    network: &RoadNetwork,
-    con_index: &ConIndex,
-    postings: &I,
-    locate: &dyn Fn(&GeoPoint) -> Result<SegmentId, QueryError>,
-    queries: &[SQuery],
-) -> Vec<CoalescedAnswer> {
-    let slot_s = con_index.slot_s();
-    let mut answers: Vec<Option<CoalescedAnswer>> = queries.iter().map(|_| None).collect();
-
-    // Group by (origin segment, exact hop-slot sequence). The sequence —
-    // not just the first slot — is what the bounding expansion reads, so
-    // equality of the sequence is exactly the bit-identity condition.
-    struct Group {
-        segment: SegmentId,
-        hop_slots: Vec<u32>,
-        location: GeoPoint,
-        members: Vec<usize>,
-    }
-    let mut groups: Vec<Group> = Vec::new();
-    for (i, q) in queries.iter().enumerate() {
-        let segment = match q.validate().and_then(|()| locate(&q.location)) {
-            Ok(segment) => segment,
-            Err(err) => {
-                answers[i] = Some(CoalescedAnswer::failed(err));
-                continue;
-            }
-        };
-        let hop_slots = hop_slots(q.start_time_s, q.duration_s, slot_s);
-        match groups
-            .iter_mut()
-            .find(|g| g.segment == segment && g.hop_slots == hop_slots)
-        {
-            Some(g) => g.members.push(i),
-            None => groups.push(Group {
-                segment,
-                hop_slots,
-                location: q.location,
-                members: vec![i],
-            }),
-        }
-    }
-
-    for group in &groups {
-        // One MQMB bounding pass for the whole group: with a single start
-        // mqmb equals sqmb, and every member shares the hop-slot sequence,
-        // so these bounds equal each member's serial sqmb bounds.
-        let leader = &queries[group.members[0]];
-        let t_bound = Instant::now();
-        let mb = mqmb(
-            con_index,
-            network,
-            std::slice::from_ref(&group.segment),
-            std::slice::from_ref(&group.location),
-            leader.start_time_s,
-            leader.duration_s,
-        );
-        let bounds = BoundingRegions {
-            max_region: mb.max_region,
-            min_region: mb.min_region,
-        };
-        let bounding_time = t_bound.elapsed();
-        let shared = group.members.len() > 1;
-
-        // Fan verification out per caller: one core per distinct (T, L),
-        // shared across probability thresholds; errors stay per caller.
-        let mut cores: Vec<((u32, u32), VerifierCore<'_, I>)> = Vec::new();
-        for &i in &group.members {
-            let q = &queries[i];
-            let io_before = postings.io_stats().snapshot();
-            let t_verify = Instant::now();
-            let key = (q.start_time_s, q.duration_s);
-            if !cores.iter().any(|(k, _)| *k == key) {
-                match VerifierCore::new(postings, group.segment, q.start_time_s, q.duration_s) {
-                    Ok(core) => cores.push((key, core)),
-                    Err(err) => {
-                        answers[i] = Some(CoalescedAnswer::failed(err.into()));
-                        continue;
-                    }
-                }
-            }
-            let core = &cores.iter().find(|(k, _)| *k == key).expect("just built").1;
-            answers[i] = Some(match trace_back_search(network, core, &bounds, q.prob) {
-                Ok(out) => {
-                    let verify_time = t_verify.elapsed();
-                    let io_after = postings.io_stats().snapshot();
-                    CoalescedAnswer {
-                        outcome: Ok(QueryOutcome {
-                            region: out.region,
-                            stats: QueryStats {
-                                wall_time: bounding_time + verify_time,
-                                bounding_time,
-                                verify_time,
-                                io: io_after.delta_since(&io_before),
-                                segments_verified: out.verifications,
-                                max_bounding_size: bounds.max_region.len(),
-                                min_bounding_size: bounds.min_region.len(),
-                                segments_visited: out.visited,
-                            },
-                        }),
-                        max_region: bounds.max_region.clone(),
-                        shared_bounding: shared,
-                    }
-                }
-                Err(err) => CoalescedAnswer::failed(err.into()),
-            });
-        }
-    }
-
-    answers
-        .into_iter()
-        .map(|a| a.expect("every query answered"))
-        .collect()
 }
 
 /// A query target a [`QueryServer`] can front: the single engine or the
@@ -961,6 +819,7 @@ impl<B: ServeBackend> ServerInner<B> {
 mod tests {
     use super::*;
     use crate::region::ReachableRegion;
+    use crate::stats::QueryStats;
 
     fn key(i: u32) -> CacheKey {
         CacheKey {

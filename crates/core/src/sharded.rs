@@ -31,12 +31,14 @@
 //!   existing `streach_par` parallel sweep* — scatter-gather without a
 //!   second merge pass, because every segment is verified exactly once
 //!   against the byte-identical posting the single engine holds.
-//! * **Answers are bit-identical.** The final region is assembled by the
-//!   same generic pipeline code ([`crate::query::tbs`],
-//!   [`crate::query::es`], [`crate::query::mqmb`]) a single engine runs —
-//!   same bounding, same postings, same sort — so sharded answers equal
-//!   single-engine answers bit for bit (pinned by
-//!   `tests/sharded_equivalence.rs`).
+//! * **Answers are bit-identical by construction.** The router holds no
+//!   query code: its `try_*` methods hand the shared query pipeline
+//!   (`crate::query::pipeline`) the statistics leader's Con-Index and the
+//!   routed posting source, and the single engine hands the same pipeline
+//!   its own indexes — same locate, same bounding, same verification, same
+//!   I/O accounting — so sharded answers equal single-engine answers bit
+//!   for bit (pinned by `tests/sharded_equivalence.rs` and this module's
+//!   tests).
 //!
 //! MQMB m-queries run **one** unified bounding over the replicated
 //! statistics, then group the per-start posting work by owning shard
@@ -71,22 +73,16 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use streach_roadnet::{RoadNetwork, SegmentId, ShardMap};
 use streach_storage::{IoStats, IoStatsSnapshot, StorageError, StorageResult};
 
 use crate::engine::ReachabilityEngine;
-use crate::query::es::exhaustive_search;
-use crate::query::mqmb::{mqmb, mqmb_trace_back};
-use crate::query::sqmb::sqmb;
-use crate::query::tbs::trace_back_search;
-use crate::query::verifier::{PostingSource, VerifierCore};
+use crate::query::pipeline::{CoalescedAnswer, QueryContext};
+use crate::query::verifier::PostingSource;
 use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
-use crate::region::ReachableRegion;
 use crate::st_index::PinnedState;
-use crate::stats::QueryStats;
 
 /// Which engine of a shard's serving list answers posting reads first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -233,7 +229,8 @@ pub struct ShardedEngine {
     shards: Vec<ShardServing>,
     preference: ReadPreference,
     /// Router-level posting-decode accounting; page reads/hits land in the
-    /// individual engines' counters and are aggregated per query.
+    /// individual engines' counters, and `RoutedPostings::io_snapshot` sums
+    /// both for every query path.
     io: Arc<IoStats>,
     /// Serializes routed ingest: batch N+1's normalization on the
     /// statistics leader must observe batch N's last-visit state, and the
@@ -385,24 +382,6 @@ impl ShardedEngine {
         (0..n).map(move |i| if replica_first { (i + 1) % n } else { i })
     }
 
-    /// Sum of the per-engine I/O counters plus the router's decode
-    /// accounting — the aggregate a sharded query reports I/O deltas over.
-    fn io_snapshot(&self) -> IoStatsSnapshot {
-        let mut total = self.io.snapshot();
-        for shard in &self.shards {
-            for entry in &shard.entries {
-                let s = entry.engine.st_index().io_stats().snapshot();
-                total.page_reads += s.page_reads;
-                total.page_writes += s.page_writes;
-                total.cache_hits += s.cache_hits;
-                total.cache_misses += s.cache_misses;
-                total.bytes_decoded += s.bytes_decoded;
-                total.bytes_resident += s.bytes_resident;
-            }
-        }
-        total
-    }
-
     /// Ingests a batch by **owner-routing** it across the shard leaders.
     ///
     /// The statistics leader (shard 0) ingests the raw full batch — it
@@ -452,6 +431,17 @@ impl ShardedEngine {
         Ok(outcomes)
     }
 
+    /// Runs `f` on the query pipeline over this router: the statistics
+    /// leader's Con-Index bounds, and every posting read is routed to the
+    /// shard owning the segment.
+    fn queries<R>(&self, f: impl FnOnce(&QueryContext<'_, RoutedPostings<'_>>) -> R) -> R {
+        f(&QueryContext {
+            network: &self.network,
+            con_index: self.reference().con_index(),
+            postings: &RoutedPostings { sharded: self },
+        })
+    }
+
     /// Answers a single-location query across the shards; see
     /// [`ReachabilityEngine::try_s_query`] for the error contract. The
     /// region is bit-identical to the single-engine answer.
@@ -460,73 +450,7 @@ impl ShardedEngine {
         query: &SQuery,
         algorithm: Algorithm,
     ) -> Result<QueryOutcome, QueryError> {
-        query.validate()?;
-        let reference = self.reference();
-        let start_segment = reference.try_locate(&query.location)?;
-        let routed = RoutedPostings { sharded: self };
-
-        let io_before = self.io_snapshot();
-        let t0 = Instant::now();
-        let (region, verified, visited, max_b, min_b, bounding_time, verify_time) = match algorithm
-        {
-            Algorithm::ExhaustiveSearch => {
-                let out = exhaustive_search(&self.network, &routed, query, start_segment)?;
-                (
-                    out.region,
-                    out.verifications,
-                    out.visited,
-                    0,
-                    0,
-                    out.expansion_time,
-                    out.verify_time,
-                )
-            }
-            Algorithm::SqmbTbs => {
-                let tb = Instant::now();
-                let bounds = sqmb(
-                    reference.con_index(),
-                    self.network.num_segments(),
-                    start_segment,
-                    query.start_time_s,
-                    query.duration_s,
-                );
-                let bounding_time = tb.elapsed();
-                let tv = Instant::now();
-                let core = VerifierCore::new(
-                    &routed,
-                    start_segment,
-                    query.start_time_s,
-                    query.duration_s,
-                )?;
-                let outcome = trace_back_search(&self.network, &core, &bounds, query.prob)?;
-                let verify_time = tv.elapsed();
-                (
-                    outcome.region,
-                    outcome.verifications,
-                    outcome.visited,
-                    bounds.max_region.len(),
-                    bounds.min_region.len(),
-                    bounding_time,
-                    verify_time,
-                )
-            }
-        };
-        let wall_time = t0.elapsed();
-        let io_after = self.io_snapshot();
-
-        Ok(QueryOutcome {
-            region,
-            stats: QueryStats {
-                wall_time,
-                bounding_time,
-                verify_time,
-                io: io_after.delta_since(&io_before),
-                segments_verified: verified,
-                max_bounding_size: max_b,
-                min_bounding_size: min_b,
-                segments_visited: visited,
-            },
-        })
+        self.queries(|q| q.s_query(query, algorithm))
     }
 
     /// Answers a multi-location query across the shards; see
@@ -539,80 +463,7 @@ impl ShardedEngine {
         query: &MQuery,
         algorithm: MQueryAlgorithm,
     ) -> Result<QueryOutcome, QueryError> {
-        query.validate()?;
-        match algorithm {
-            MQueryAlgorithm::RepeatedSQuery => {
-                let mut region = ReachableRegion::empty();
-                let mut stats = QueryStats::default();
-                for i in 0..query.locations.len() {
-                    let sub = query.sub_query(i);
-                    let outcome = self.try_s_query(&sub, Algorithm::SqmbTbs).map_err(|e| {
-                        // Attribute an off-network location to its m-query index.
-                        match e {
-                            QueryError::LocationOffNetwork { location, .. } => {
-                                QueryError::LocationOffNetwork { index: i, location }
-                            }
-                            other => other,
-                        }
-                    })?;
-                    region = region.union(&self.network, &outcome.region);
-                    stats = stats.merge(&outcome.stats);
-                }
-                Ok(QueryOutcome { region, stats })
-            }
-            MQueryAlgorithm::MqmbTbs => {
-                let reference = self.reference();
-                let starts: Vec<SegmentId> = query
-                    .locations
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        reference.try_locate(p).map_err(|e| match e {
-                            QueryError::LocationOffNetwork { location, .. } => {
-                                QueryError::LocationOffNetwork { index: i, location }
-                            }
-                            other => other,
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                let routed = RoutedPostings { sharded: self };
-                let io_before = self.io_snapshot();
-                let t0 = Instant::now();
-                let bounds = mqmb(
-                    reference.con_index(),
-                    &self.network,
-                    &starts,
-                    &query.locations,
-                    query.start_time_s,
-                    query.duration_s,
-                );
-                let bounding_time = t0.elapsed();
-                let outcome = mqmb_trace_back(
-                    &self.network,
-                    &routed,
-                    &bounds,
-                    &starts,
-                    query.start_time_s,
-                    query.duration_s,
-                    query.prob,
-                )?;
-                let wall_time = t0.elapsed();
-                let io_after = self.io_snapshot();
-                Ok(QueryOutcome {
-                    region: outcome.region,
-                    stats: QueryStats {
-                        wall_time,
-                        bounding_time,
-                        verify_time: outcome.setup_time + outcome.verify_time,
-                        io: io_after.delta_since(&io_before),
-                        segments_verified: outcome.verifications,
-                        max_bounding_size: bounds.max_region.len(),
-                        min_bounding_size: bounds.min_region.len(),
-                        segments_visited: outcome.visited,
-                    },
-                })
-            }
-        }
+        self.queries(|q| q.m_query(query, algorithm))
     }
 
     /// Δt slot length of the backing index (replicated, so any engine's
@@ -621,11 +472,10 @@ impl ShardedEngine {
         self.reference().st_index().slot_s()
     }
 
-    /// Snaps a location to its road segment; the spatial index is the full
-    /// network on every engine, so the reference engine answers exactly
-    /// like a single engine would.
+    /// Snaps a location to its road segment; every engine holds the full
+    /// network, so this answers exactly like a single engine would.
     pub fn try_locate(&self, location: &streach_geo::GeoPoint) -> Result<SegmentId, QueryError> {
-        self.reference().try_locate(location)
+        crate::query::pipeline::locate(&self.network, location, 0)
     }
 
     /// Registers an ingest observer on every shard **leader** (replicas
@@ -646,16 +496,8 @@ impl ShardedEngine {
     /// the scatter-gather router. Results are in input order and
     /// bit-identical to per-query [`ShardedEngine::try_s_query`] with
     /// [`Algorithm::SqmbTbs`]; failures surface as that caller's error.
-    pub fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<crate::serve::CoalescedAnswer> {
-        let reference = self.reference();
-        let routed = RoutedPostings { sharded: self };
-        crate::serve::answer_coalesced(
-            &self.network,
-            reference.con_index(),
-            &routed,
-            &|location| reference.try_locate(location),
-            queries,
-        )
+    pub fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<CoalescedAnswer> {
+        self.queries(|q| q.s_query_coalesced(queries))
     }
 }
 
@@ -684,6 +526,24 @@ impl PostingSource for RoutedPostings<'_> {
 
     fn io_stats(&self) -> Arc<IoStats> {
         self.sharded.io.clone()
+    }
+
+    /// The router's decode counters plus the page counters of every engine
+    /// a routed read can reach (leaders and replicas of every shard).
+    fn io_snapshot(&self) -> IoStatsSnapshot {
+        let mut total = self.sharded.io.snapshot();
+        for shard in &self.sharded.shards {
+            for entry in &shard.entries {
+                let s = entry.engine.st_index().io_stats().snapshot();
+                total.page_reads += s.page_reads;
+                total.page_writes += s.page_writes;
+                total.cache_hits += s.cache_hits;
+                total.cache_misses += s.cache_misses;
+                total.bytes_decoded += s.bytes_decoded;
+                total.bytes_resident += s.bytes_resident;
+            }
+        }
+        total
     }
 
     fn pin(&self) -> Self::Pin {
@@ -774,69 +634,159 @@ mod tests {
         (network, dataset, single, sharded)
     }
 
+    /// Five origins spread over the city, two windows each, so some annuli
+    /// straddle a shard boundary at every shard count.
+    fn spread_queries(network: &RoadNetwork) -> Vec<SQuery> {
+        let b = network.bounds();
+        let center = b.center();
+        let (dlon, dlat) = (b.max_lon - b.min_lon, b.max_lat - b.min_lat);
+        let offsets = [
+            (0.0, 0.0),
+            (0.2, 0.1),
+            (-0.15, -0.1),
+            (0.1, -0.2),
+            (-0.2, 0.15),
+        ];
+        let mut queries = Vec::new();
+        for (fx, fy) in offsets {
+            for (start_time_s, duration_s) in [(9 * 3600, 600), (10 * 3600, 900)] {
+                queries.push(SQuery {
+                    location: streach_geo::GeoPoint::new(
+                        center.lon + dlon * fx,
+                        center.lat + dlat * fy,
+                    ),
+                    start_time_s,
+                    duration_s,
+                    prob: 0.25,
+                });
+            }
+        }
+        queries
+    }
+
     #[test]
     fn sharded_queries_match_single_engine_bit_for_bit() {
         for shards in 1..=4 {
             let (network, _dataset, single, sharded) = setup(shards);
-            // Five origins spread over the city, two windows each, so
-            // some annuli straddle a shard boundary at every shard count.
-            let b = network.bounds();
-            let center = b.center();
-            let (dlon, dlat) = (b.max_lon - b.min_lon, b.max_lat - b.min_lat);
-            let offsets = [
-                (0.0, 0.0),
-                (0.2, 0.1),
-                (-0.15, -0.1),
-                (0.1, -0.2),
-                (-0.2, 0.15),
-            ];
-            for (fx, fy) in offsets {
-                for (start_time_s, duration_s) in [(9 * 3600, 600), (10 * 3600, 900)] {
-                    let query = SQuery {
-                        location: streach_geo::GeoPoint::new(
-                            center.lon + dlon * fx,
-                            center.lat + dlat * fy,
-                        ),
-                        start_time_s,
-                        duration_s,
-                        prob: 0.25,
-                    };
-                    for algo in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
-                        let want = single.try_s_query(&query, algo).unwrap();
-                        let got = sharded.try_s_query(&query, algo).unwrap();
-                        let label = format!("{shards} shards, {query:?}, {algo:?}");
-                        assert_eq!(want.region, got.region, "{label}");
-                        assert_eq!(
-                            want.stats.segments_verified, got.stats.segments_verified,
-                            "{label}"
-                        );
-                    }
+            let queries = spread_queries(&network);
+            for query in &queries {
+                for algo in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
+                    let want = single.try_s_query(query, algo).unwrap();
+                    let got = sharded.try_s_query(query, algo).unwrap();
+                    let label = format!("{shards} shards, {query:?}, {algo:?}");
+                    assert_eq!(want.region, got.region, "{label}");
+                    let (w, g) = (&want.stats, &got.stats);
+                    assert_eq!(w.segments_verified, g.segments_verified, "{label}");
+                    assert_eq!(w.max_bounding_size, g.max_bounding_size, "{label}");
+                    assert_eq!(w.min_bounding_size, g.min_bounding_size, "{label}");
+                    assert_eq!(w.segments_visited, g.segments_visited, "{label}");
                 }
+            }
+            // The whole list as one coalesced batch through the router
+            // answers like the single engine's serial path, query by query.
+            let coalesced = sharded.try_s_query_coalesced(&queries);
+            assert_eq!(coalesced.len(), queries.len());
+            for (query, answer) in queries.iter().zip(coalesced) {
+                let want = single.try_s_query(query, Algorithm::SqmbTbs).unwrap();
+                let got = answer.outcome.unwrap();
+                let label = format!("{shards} shards, coalesced, {query:?}");
+                assert_eq!(want.region, got.region, "{label}");
+                assert_eq!(
+                    want.stats.segments_verified, got.stats.segments_verified,
+                    "{label}"
+                );
             }
         }
     }
 
     #[test]
     fn sharded_m_queries_match_single_engine() {
-        let (network, _dataset, single, sharded) = setup(2);
-        let b = network.bounds();
-        let m = MQuery {
-            locations: vec![
-                b.center(),
-                streach_geo::GeoPoint::new(
-                    b.center().lon + (b.max_lon - b.min_lon) * 0.2,
-                    b.center().lat,
-                ),
-            ],
-            start_time_s: 9 * 3600,
-            duration_s: 600,
-            prob: 0.2,
-        };
-        for algo in [MQueryAlgorithm::MqmbTbs, MQueryAlgorithm::RepeatedSQuery] {
-            let want = single.try_m_query(&m, algo).unwrap();
-            let got = sharded.try_m_query(&m, algo).unwrap();
-            assert_eq!(want.region, got.region, "{algo:?}");
+        for shards in 1..=4 {
+            let (network, _dataset, single, sharded) = setup(shards);
+            let b = network.bounds();
+            let m = MQuery {
+                locations: vec![
+                    b.center(),
+                    streach_geo::GeoPoint::new(
+                        b.center().lon + (b.max_lon - b.min_lon) * 0.2,
+                        b.center().lat,
+                    ),
+                ],
+                start_time_s: 9 * 3600,
+                duration_s: 600,
+                prob: 0.2,
+            };
+            for algo in [MQueryAlgorithm::MqmbTbs, MQueryAlgorithm::RepeatedSQuery] {
+                let want = single.try_m_query(&m, algo).unwrap();
+                let got = sharded.try_m_query(&m, algo).unwrap();
+                assert_eq!(want.region, got.region, "{shards} shards, {algo:?}");
+            }
         }
+    }
+
+    /// A coalesced answer reports the same I/O as the serial path for the
+    /// same query, on the single engine and through the router, whose page
+    /// counters live in the shard engines rather than in the router.
+    #[test]
+    fn coalesced_io_matches_the_serial_path() {
+        let (network, dataset, single, sharded) = setup(2);
+        // Start where and when a taxi actually was, so the start segment has
+        // postings and the verifier reads pages.
+        let query = dataset
+            .trajectories()
+            .iter()
+            .map(|traj| traj.visits[0])
+            .find_map(|visit| {
+                let location = network.segment(visit.segment).mbr.center();
+                (single.try_locate(&location) == Ok(visit.segment)).then_some(SQuery {
+                    location,
+                    start_time_s: visit.enter_time_s,
+                    duration_s: 900,
+                    prob: 0.2,
+                })
+            })
+            .expect("some visited segment is its own nearest match");
+        let clear_single = || single.st_index().clear_cache();
+        let clear_sharded = || {
+            for shard in &sharded.shards {
+                for entry in &shard.entries {
+                    entry.engine.st_index().clear_cache();
+                }
+            }
+        };
+        streach_par::with_worker_override(1, || {
+            let backends: [(&str, &dyn crate::serve::ServeBackend, &dyn Fn()); 2] = [
+                ("single", &single, &clear_single),
+                ("2 shards", &sharded, &clear_sharded),
+            ];
+            for (label, backend, clear) in backends {
+                clear();
+                let serial = backend
+                    .try_s_query(&query, Algorithm::SqmbTbs)
+                    .unwrap()
+                    .stats
+                    .io;
+                clear();
+                let coalesced = backend
+                    .try_s_query_coalesced(&[query])
+                    .remove(0)
+                    .outcome
+                    .unwrap()
+                    .stats
+                    .io;
+                let counters = |io: streach_storage::IoStatsSnapshot| {
+                    (
+                        io.page_reads,
+                        io.cache_hits,
+                        io.cache_misses,
+                        io.bytes_decoded,
+                    )
+                };
+                assert_eq!(counters(serial), counters(coalesced), "{label}");
+                let (a, b, c, d) = counters(serial);
+                assert!(a + b + c + d > 0, "{label}: the query read nothing");
+            }
+        });
     }
 
     #[test]
