@@ -1,10 +1,9 @@
 //! Index construction configuration.
 
-use serde::{Deserialize, Serialize};
 use streach_storage::StorageBackend;
 
 /// Configuration of the ST-Index and Con-Index construction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IndexConfig {
     /// Temporal granularity Δt in seconds (the paper evaluates
     /// Δt ∈ {1, 5, 10, 20} minutes; 5 minutes is the default).

@@ -1,5 +1,5 @@
-//! Background maintenance: auto-checkpoint and scheduled compaction for a
-//! serving [`ReachabilityEngine`], off the caller's thread.
+//! Background maintenance: auto-checkpoint and ratio-triggered compaction
+//! for a serving [`ReachabilityEngine`], off the caller's thread.
 //!
 //! Streaming ingest (see [`crate::ingest`]) leaves two maintenance duties
 //! behind: the delta tail must periodically be **checkpointed** into an
@@ -17,8 +17,7 @@
 //!   whenever the delta heap crosses
 //!   [`IndexConfig::auto_checkpoint_bytes`](crate::IndexConfig::auto_checkpoint_bytes),
 //! * a **compaction** ([`ReachabilityEngine::compact`]) when the delta/base
-//!   size ratio crosses [`MaintenanceConfig::compact_delta_ratio`] or on the
-//!   fixed [`MaintenanceConfig::compact_interval`] cadence.
+//!   size ratio crosses [`MaintenanceConfig::compact_delta_ratio`].
 //!
 //! Both run concurrently with queries (compaction publishes its new base
 //! with one atomic pointer swap; a checkpoint pins one immutable state) and
@@ -36,7 +35,7 @@
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use streach_storage::StorageError;
 
@@ -90,13 +89,9 @@ pub struct MaintenanceStats {
 pub struct MaintenanceConfig {
     /// How often the worker re-evaluates its triggers when nobody kicks it.
     pub poll_interval: Duration,
-    /// Compact when `delta_bytes >= ratio * base_posting_bytes` (`None`
-    /// disables the ratio trigger).
+    /// Compact when the delta is non-empty and `delta_bytes >= ratio *
+    /// base_posting_bytes` (`None` disables compaction).
     pub compact_delta_ratio: Option<f64>,
-    /// Compact on a fixed cadence regardless of size (`None` disables the
-    /// cadence trigger). Either trigger fires only when the delta is
-    /// non-empty.
-    pub compact_interval: Option<Duration>,
 }
 
 impl Default for MaintenanceConfig {
@@ -104,7 +99,6 @@ impl Default for MaintenanceConfig {
         Self {
             poll_interval: Duration::from_millis(200),
             compact_delta_ratio: Some(0.5),
-            compact_interval: None,
         }
     }
 }
@@ -156,7 +150,6 @@ impl MaintenanceController {
         });
         let worker = {
             let shared = Arc::clone(&shared);
-            let mut last_compaction = Instant::now();
             // Delta shape at the last *successful* checkpoint: the trigger
             // gates on growth since then, so an idle engine whose delta
             // sits above the threshold is checkpointed once — not re-saved
@@ -165,7 +158,7 @@ impl MaintenanceController {
             Worker::spawn(
                 "streach-maintenance",
                 move || poll_interval,
-                move || Self::run_pass(&shared, &mut last_compaction, &mut last_checkpointed),
+                move || Self::run_pass(&shared, &mut last_checkpointed),
             )
         };
         Self { shared, worker }
@@ -175,14 +168,10 @@ impl MaintenanceController {
     /// the auto-checkpoint threshold **and grew since the last successful
     /// checkpoint** (a checkpoint does not shrink the delta — only
     /// compaction does — so the absolute size alone would re-save forever),
-    /// then compact if a compaction trigger is due. Errors are recorded,
+    /// then compact if the delta/base ratio is due. Errors are recorded,
     /// never propagated — the engine keeps serving and the next pass
     /// retries.
-    fn run_pass(
-        shared: &Shared,
-        last_compaction: &mut Instant,
-        last_checkpointed: &mut Option<crate::st_index::DeltaStats>,
-    ) {
+    fn run_pass(shared: &Shared, last_checkpointed: &mut Option<crate::st_index::DeltaStats>) {
         let engine = &shared.engine;
 
         let threshold = engine.config().auto_checkpoint_bytes;
@@ -206,18 +195,13 @@ impl MaintenanceController {
         let delta = engine.st_index().delta_stats();
         if delta.delta_lists > 0 {
             let base_bytes = engine.st_index().stats().posting_bytes.max(1);
-            let ratio_due = shared
+            let due = shared
                 .config
                 .compact_delta_ratio
                 .is_some_and(|ratio| delta.delta_bytes as f64 >= ratio * base_bytes as f64);
-            let cadence_due = shared
-                .config
-                .compact_interval
-                .is_some_and(|interval| last_compaction.elapsed() >= interval);
-            if ratio_due || cadence_due {
+            if due {
                 match engine.compact() {
                     Ok(_) => {
-                        *last_compaction = Instant::now();
                         // The delta the checkpoint marker described no
                         // longer exists: without this reset, a future delta
                         // that happens to grow back to byte-identical stats

@@ -88,6 +88,9 @@ use crate::sharded::ShardedEngine;
 pub use crate::query::pipeline::CoalescedAnswer;
 use crate::time::slots_overlapping;
 
+/// Maximum requests one worker drains per pass — the coalescing window.
+const MAX_BATCH: usize = 64;
+
 /// Tuning knobs of a [`QueryServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -97,8 +100,6 @@ pub struct ServeConfig {
     /// Bound of the submission queue; [`QueryServer::submit`] blocks while
     /// the queue is full (backpressure, counted into open-loop latency).
     pub queue_depth: usize,
-    /// Maximum requests one worker drains per pass — the coalescing window.
-    pub max_batch: usize,
     /// Result-cache capacity in entries; `0` disables the cache.
     pub cache_capacity: usize,
 }
@@ -108,7 +109,6 @@ impl Default for ServeConfig {
         Self {
             workers: 2,
             queue_depth: 256,
-            max_batch: 64,
             cache_capacity: 4096,
         }
     }
@@ -712,7 +712,7 @@ impl<B: ServeBackend> ServerInner<B> {
         let mut state = self.lock_queue();
         loop {
             if !state.queue.is_empty() {
-                let take = state.queue.len().min(self.config.max_batch.max(1));
+                let take = state.queue.len().min(MAX_BATCH);
                 let batch: Vec<Request> = state.queue.drain(..take).collect();
                 drop(state);
                 self.not_full.notify_all();

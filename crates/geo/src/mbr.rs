@@ -1,7 +1,5 @@
 //! Minimum bounding rectangles in longitude/latitude space.
 
-use serde::{Deserialize, Serialize};
-
 use crate::point::GeoPoint;
 
 /// An axis-aligned minimum bounding rectangle (MBR) in lon/lat space.
@@ -9,7 +7,7 @@ use crate::point::GeoPoint;
 /// Every road segment carries an MBR describing its spatial range (see the
 /// *Road Network* definition in the paper), and the R-tree in
 /// `streach-spatial` is built over these MBRs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mbr {
     /// Western boundary (minimum longitude).
     pub min_lon: f64,

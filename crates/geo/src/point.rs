@@ -1,14 +1,12 @@
 //! Longitude/latitude points.
 
-use serde::{Deserialize, Serialize};
-
 use crate::distance::{equirectangular_m, haversine_m};
 
 /// A WGS-84 point expressed as degrees of longitude and latitude.
 ///
 /// The order of the fields follows the trajectory record layout of the paper
 /// (`longitude`, `latitude`), and all distance helpers return meters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Longitude in degrees, positive east.
     pub lon: f64,

@@ -1,7 +1,5 @@
 //! Polylines describing road-segment shapes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::distance::{equirectangular_m, point_segment_projection_m};
 use crate::mbr::Mbr;
 use crate::point::GeoPoint;
@@ -9,7 +7,7 @@ use crate::point::GeoPoint;
 /// A polyline: an ordered list of at least two points describing the shape of
 /// a road segment ("a list of intermediate points (2 terminal points at the
 /// beginning and the end)" in the paper's road-network definition).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polyline {
     points: Vec<GeoPoint>,
 }

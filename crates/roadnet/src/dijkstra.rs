@@ -612,4 +612,109 @@ mod tests {
             .zip(&w)
             .all(|(a, b)| a.cmp(b) == std::cmp::Ordering::Equal));
     }
+
+    /// A straight chain of ten 500 m local segments.
+    fn chain() -> RoadNetwork {
+        let origin = GeoPoint::new(114.0, 22.5);
+        let mut roads = Vec::new();
+        for i in 0..10 {
+            let a = origin.offset_m(i as f64 * 500.0, 0.0);
+            let b = origin.offset_m((i + 1) as f64 * 500.0, 0.0);
+            roads.push(RawRoad {
+                geometry: Polyline::straight(a, b),
+                class: RoadClass::Local,
+                direction: Direction::OneWay,
+            });
+        }
+        RoadNetwork::from_roads(&roads)
+    }
+
+    fn arrival(ws: &DijkstraWorkspace, i: u32) -> f64 {
+        ws.distance(SegmentId(i)).expect("segment reached")
+    }
+
+    #[test]
+    fn expansion_respects_time_budget() {
+        let net = chain();
+        let mut ws = DijkstraWorkspace::new();
+        // 10 m/s on every segment: each 500 m segment costs 50 s.
+        ws.expand_within_time(&net, &[SegmentId(0)], 120.0, |_| 10.0);
+        // Start + two more segments (50 s, 100 s); the fourth would arrive at 150 s.
+        assert_eq!(ws.num_settled(), 3);
+        assert!(ws.reached(SegmentId(0)));
+        assert!(ws.reached(SegmentId(1)));
+        assert!(ws.reached(SegmentId(2)));
+        assert!(!ws.reached(SegmentId(3)));
+        assert_eq!(arrival(&ws, 0), 0.0);
+        assert!((arrival(&ws, 2) - 100.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn faster_speed_reaches_farther() {
+        let net = chain();
+        let mut ws = DijkstraWorkspace::new();
+        ws.expand_within_time(&net, &[SegmentId(0)], 200.0, |_| 5.0);
+        let slow: Vec<SegmentId> = ws.settled().map(|(seg, _)| seg).collect();
+        ws.expand_within_time(&net, &[SegmentId(0)], 200.0, |_| 20.0);
+        assert!(ws.num_settled() > slow.len());
+        // Every segment reached slowly is also reached quickly (monotonicity).
+        for seg in slow {
+            assert!(ws.reached(seg));
+        }
+    }
+
+    #[test]
+    fn zero_speed_blocks_expansion() {
+        let net = chain();
+        let mut ws = DijkstraWorkspace::new();
+        // Segment 2 is impassable.
+        ws.expand_within_time(&net, &[SegmentId(0)], 1e6, |s| {
+            if s == SegmentId(2) {
+                0.0
+            } else {
+                10.0
+            }
+        });
+        assert!(ws.reached(SegmentId(1)));
+        assert!(!ws.reached(SegmentId(2)));
+        assert!(!ws.reached(SegmentId(5)));
+    }
+
+    #[test]
+    fn multiple_starts_take_minimum_arrival() {
+        let net = chain();
+        let mut ws = DijkstraWorkspace::new();
+        // A duplicated source is settled once.
+        let sources = [SegmentId(0), SegmentId(5), SegmentId(0)];
+        ws.expand_within_time(&net, &sources, 60.0, |_| 10.0);
+        assert_eq!(ws.num_settled(), 4);
+        assert!(ws.reached(SegmentId(6)));
+        assert!((arrival(&ws, 6) - 50.0).abs() < 1.0);
+        assert!(ws.reached(SegmentId(1)));
+        assert!(!ws.reached(SegmentId(3)));
+        assert_eq!(arrival(&ws, 5), 0.0);
+    }
+
+    #[test]
+    fn zero_budget_reaches_only_starts() {
+        let net = chain();
+        let mut ws = DijkstraWorkspace::new();
+        ws.expand_within_time(&net, &[SegmentId(3)], 0.0, |_| 10.0);
+        assert_eq!(ws.num_settled(), 1);
+        assert!(ws.reached(SegmentId(3)));
+    }
+
+    #[test]
+    fn arrival_times_are_monotone_along_the_chain() {
+        let net = chain();
+        let mut ws = DijkstraWorkspace::new();
+        ws.expand_within_time(&net, &[SegmentId(0)], 1e6, |_| 12.0);
+        assert_eq!(ws.num_settled(), 10);
+        for i in 1..10u32 {
+            assert!(
+                arrival(&ws, i) > arrival(&ws, i - 1),
+                "arrival times must increase along the chain"
+            );
+        }
+    }
 }

@@ -15,7 +15,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use streach_geo::{GeoPoint, Polyline};
 
 use crate::graph::{RawRoad, RoadNetwork};
@@ -23,7 +22,7 @@ use crate::resegment::resegment_roads;
 use crate::segment::{Direction, RoadClass};
 
 /// Configuration of the synthetic city.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeneratorConfig {
     /// Number of north–south grid lines (columns of intersections).
     pub cols: usize,

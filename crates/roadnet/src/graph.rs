@@ -2,14 +2,13 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use streach_geo::{GeoPoint, Mbr, Polyline};
 use streach_spatial::RTree;
 
 use crate::segment::{Direction, RoadClass, RoadSegment, SegmentId};
 
 /// Identifier of an intersection (graph vertex).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

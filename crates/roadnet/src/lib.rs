@@ -16,17 +16,17 @@
 //!   chops long roads to a configurable spatial granularity (default 500 m),
 //! * [`generator`] — a synthetic metropolis generator standing in for the
 //!   Shenzhen road network used in the paper's evaluation,
-//! * [`dijkstra`] — shortest-path and distance-map computations,
-//! * [`expansion`] — the time-budgeted network expansion algorithm
-//!   (Papadias et al. [21] in the paper) used both by the Con-Index
-//!   construction and by the exhaustive-search baseline.
+//! * [`dijkstra`] — shortest-path and distance-map computations, and the
+//!   time-budgeted network expansion
+//!   ([`DijkstraWorkspace::expand_within_time`], Papadias et al. \[21\] in the
+//!   paper) used both by the Con-Index construction and by the
+//!   exhaustive-search baseline.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod codec;
 pub mod dijkstra;
-pub mod expansion;
 pub mod generator;
 pub mod graph;
 pub mod resegment;
@@ -38,7 +38,6 @@ pub use dijkstra::{
     segment_distances_from, shortest_path_between_nodes, shortest_segment_distance,
     with_thread_workspace, DijkstraWorkspace,
 };
-pub use expansion::{expand_within_time, ExpansionResult};
 pub use generator::{GeneratorConfig, SyntheticCity};
 pub use graph::{NodeId, RawRoad, RoadNetwork};
 pub use resegment::resegment_roads;

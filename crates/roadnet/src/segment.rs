@@ -1,13 +1,12 @@
 //! Road segments and their attributes.
 
-use serde::{Deserialize, Serialize};
 use streach_geo::{Mbr, Polyline};
 
 use crate::graph::NodeId;
 
 /// Identifier of a (directed) road segment. Segments are numbered densely
 /// from zero, so the ID doubles as an index into the network's segment table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegmentId(pub u32);
 
 impl SegmentId {
@@ -31,7 +30,7 @@ impl std::fmt::Display for SegmentId {
 /// away from the starting location, while on the local low-speed roads, the
 /// query result region is smaller"; the class hierarchy below is what makes
 /// that behaviour reproducible with synthetic data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoadClass {
     /// Urban expressway / highway.
     Highway,
@@ -72,7 +71,7 @@ impl RoadClass {
 
 /// Directionality of a raw road. After network construction every
 /// [`RoadSegment`] is directed; a two-way road yields two segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Traversable only from the first to the last point of its polyline.
     OneWay,

@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streach_geo::{GeoPoint, Polyline};
 use streach_roadnet::{
-    expand_within_time, resegment_roads, segment_distances_from, DijkstraWorkspace, Direction,
-    GeneratorConfig, RawRoad, RoadClass, RoadNetwork, SegmentId, SyntheticCity,
+    resegment_roads, segment_distances_from, DijkstraWorkspace, Direction, GeneratorConfig,
+    RawRoad, RoadClass, RoadNetwork, SegmentId, SyntheticCity,
 };
 
 fn arb_class(rng: &mut StdRng) -> RoadClass {
@@ -144,28 +144,31 @@ fn expansion_monotonicity() {
         });
         let net = &city.network;
         let (start, _) = net.nearest_segment(&city.central_point()).unwrap();
-        let slow = expand_within_time(net, &[start], budget, |s| {
+        let mut slow = DijkstraWorkspace::new();
+        slow.expand_within_time(net, &[start], budget, |s| {
             net.segment(s).class.free_flow_ms() * 0.5
         });
-        let fast = expand_within_time(net, &[start], budget, |s| {
+        let mut fast = DijkstraWorkspace::new();
+        fast.expand_within_time(net, &[start], budget, |s| {
             net.segment(s).class.free_flow_ms()
         });
-        let longer = expand_within_time(net, &[start], budget * 2.0, |s| {
+        let mut longer = DijkstraWorkspace::new();
+        longer.expand_within_time(net, &[start], budget * 2.0, |s| {
             net.segment(s).class.free_flow_ms() * 0.5
         });
-        for seg in slow.reached() {
+        for (seg, _) in slow.settled() {
             assert!(
-                fast.contains(seg),
+                fast.reached(seg),
                 "case {case}: faster speeds must reach a superset"
             );
             assert!(
-                longer.contains(seg),
+                longer.reached(seg),
                 "case {case}: longer budget must reach a superset"
             );
         }
         // Arrival times never exceed the budget.
-        for (_, t) in fast.arrival_s.iter() {
-            assert!(*t <= budget + 1e-9, "case {case}");
+        for (_, t) in fast.settled() {
+            assert!(t <= budget + 1e-9, "case {case}");
         }
     }
 }

@@ -271,8 +271,9 @@ impl FaultController {
 }
 
 /// SplitMix64: one multiply-xor-shift chain, enough to decorrelate
-/// consecutive ordinals under one seed.
-fn mix(seed: u64, ordinal: u64) -> u64 {
+/// consecutive ordinals under one seed. Public so seeded test schedules
+/// draw from the same mixer as the fault scripts.
+pub fn mix(seed: u64, ordinal: u64) -> u64 {
     let mut z = seed
         .wrapping_add(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(ordinal.wrapping_mul(0xBF58_476D_1CE4_E5B9));

@@ -1,6 +1,5 @@
 //! Raw GPS records and trajectories.
 
-use serde::{Deserialize, Serialize};
 use streach_geo::GeoPoint;
 
 /// One GPS fix.
@@ -9,7 +8,7 @@ use streach_geo::GeoPoint;
 /// latitude, speed and time." (Section 4.1) — plus the date, since the
 /// Prob-reachable computation treats the same taxi on different days as
 /// different trajectories.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsRecord {
     /// Trajectory this record belongs to.
     pub traj_id: u32,
@@ -25,7 +24,7 @@ pub struct GpsRecord {
 
 /// A raw trajectory: the ordered GPS records of one moving object during one
 /// day ("one moving object only has one trajectory per day").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RawTrajectory {
     /// Unique trajectory ID (taxi × date).
     pub traj_id: u32,

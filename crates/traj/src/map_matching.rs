@@ -11,7 +11,6 @@
 //! the pre-processing pipeline end-to-end testable (the simulator knows the
 //! ground-truth segments, so matching quality is asserted in tests).
 
-use serde::{Deserialize, Serialize};
 use streach_geo::Mbr;
 use streach_roadnet::{RoadNetwork, SegmentId};
 use streach_spatial::GridIndex;
@@ -19,7 +18,7 @@ use streach_spatial::GridIndex;
 use crate::gps::RawTrajectory;
 
 /// One visit of a trajectory to a road segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentVisit {
     /// The visited segment.
     pub segment: SegmentId,
@@ -30,7 +29,7 @@ pub struct SegmentVisit {
 
 /// A map-matched trajectory: the ordered list of segments visited during one
 /// day by one moving object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchedTrajectory {
     /// Unique trajectory ID (same numbering as the raw trajectory).
     pub traj_id: u32,

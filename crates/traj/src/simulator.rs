@@ -16,7 +16,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use streach_roadnet::{RoadNetwork, SegmentId};
 
 use crate::gps::{GpsRecord, RawTrajectory};
@@ -24,7 +23,7 @@ use crate::map_matching::{MatchedTrajectory, SegmentVisit};
 use crate::speed_profile::SpeedProfile;
 
 /// Configuration of the simulated fleet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of taxis in the fleet.
     pub num_taxis: usize,

@@ -8,11 +8,10 @@
 //! factor on the free-flow speed that dips during the morning and evening
 //! peaks.
 
-use serde::{Deserialize, Serialize};
 use streach_roadnet::RoadClass;
 
 /// A deterministic time-of-day congestion profile.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpeedProfile {
     /// Lowest congestion factor reached at the centre of a rush-hour peak
     /// (e.g. 0.35 = traffic moves at 35% of free-flow speed).

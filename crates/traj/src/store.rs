@@ -1,6 +1,5 @@
 //! The map-matched trajectory dataset.
 
-use serde::{Deserialize, Serialize};
 use streach_roadnet::RoadNetwork;
 
 use crate::map_matching::{map_match, MatchedTrajectory};
@@ -8,7 +7,7 @@ use crate::simulator::{FleetConfig, FleetSimulator};
 
 /// Summary statistics of a trajectory dataset — the contents of Table 4.1
 /// ("Dataset Description") for whatever dataset is actually loaded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Number of distinct taxis (moving objects).
     pub num_taxis: usize,
@@ -27,7 +26,7 @@ pub struct DatasetStats {
 /// of the ingest pipeline. A [`MatchedTrajectory`] is the batch view of the
 /// same data ([`points_of`] flattens one into its points); an online feed
 /// delivers points directly in this shape as taxis report in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrajPoint {
     /// Trajectory ID (same numbering as [`MatchedTrajectory::traj_id`]).
     pub traj_id: u32,

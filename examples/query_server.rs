@@ -58,7 +58,6 @@ fn main() {
             workers: 2,
             queue_depth: 128,
             cache_capacity: 1024,
-            ..Default::default()
         },
     );
 

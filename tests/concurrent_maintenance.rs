@@ -28,13 +28,14 @@
 //! 2 workers), so both the sequential and the genuinely parallel
 //! verification paths race the maintenance.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use streach::prelude::*;
-use streach_core::query::MQueryAlgorithm;
 use streach_core::MaintenanceConfig;
+use streach_testkit::{
+    assert_pool_answers, checkpointing_config, disjoint_batch, fault_seed, pool, pool_answers,
+    race_queries, scenario, tmp_dir, Race,
+};
 
 /// Base fleet-days built offline; the remaining days arrive via ingest.
 const BASE_DAYS: u16 = 2;
@@ -43,270 +44,26 @@ const EXTRA_DAYS: u16 = 2;
 /// Concurrent query threads.
 const QUERY_THREADS: usize = 3;
 
-fn fault_seed() -> u64 {
-    std::env::var("STREACH_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_728)
-}
-
-/// SplitMix64 — the same deterministic mixer the fault harness uses.
-fn mix(seed: u64, ordinal: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(ordinal.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("streach-concurrent-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn config() -> IndexConfig {
-    IndexConfig {
-        read_latency_us: 0,
-        // Any non-empty delta warrants an auto-checkpoint: every
-        // maintenance pass during a round does real checkpoint work.
-        auto_checkpoint_bytes: 1,
-        ..Default::default()
-    }
-}
-
-struct Scenario {
-    network: Arc<RoadNetwork>,
-    /// One batch per (trajectory, date) of the extra days, dataset order.
-    round_batches: Vec<Vec<TrajPoint>>,
-}
-
-/// Builds the base snapshot in `dir` and returns the live-feed batches.
-fn scenario(dir: &PathBuf) -> Scenario {
-    let city = SyntheticCity::generate(GeneratorConfig::small());
-    let network = Arc::new(city.network);
-    let full = TrajectoryDataset::simulate(
-        &network,
-        FleetConfig {
-            num_taxis: 10,
-            num_days: BASE_DAYS + EXTRA_DAYS,
-            day_start_s: 8 * 3600,
-            day_end_s: 11 * 3600,
-            seed: 31,
-            ..FleetConfig::default()
-        },
-    );
-    let base = TrajectoryDataset::from_matched(
-        full.trajectories()
-            .iter()
-            .filter(|t| t.date < BASE_DAYS)
-            .cloned()
-            .collect(),
-        full.num_taxis(),
-        BASE_DAYS,
-    );
-    let round_batches: Vec<Vec<TrajPoint>> = full
-        .trajectories()
-        .iter()
-        .filter(|t| t.date >= BASE_DAYS)
-        .map(|t| points_of(t).collect())
-        .collect();
-    assert!(round_batches.len() >= 2, "scenario needs live batches");
-    streach::core::EngineBuilder::new(network.clone(), &base)
-        .index_config(config())
-        .save_snapshot(dir)
-        .expect("save base snapshot");
-    Scenario {
-        network,
-        round_batches,
-    }
-}
-
-/// A slot-disjoint ingest batch derived from `batch`: fresh trajectory IDs
-/// (no continuation pair into the morning slots), existing dates (the day
-/// count `m` cannot move) and afternoon time slots (13:00+, while the query
-/// pool stays before 12:00) — by construction it cannot change any answer
-/// of the pool, which `assert_pool_answers` re-verifies after the race.
-fn disjoint_batch(batch: &[TrajPoint], round: usize) -> Vec<TrajPoint> {
-    batch
-        .iter()
-        .map(|p| TrajPoint {
-            traj_id: p.traj_id + 1_000_000 + round as u32 * 10_000,
-            date: p.date % BASE_DAYS,
-            segment: p.segment,
-            enter_time_s: (p.enter_time_s + 5 * 3600).min(streach_traj::SECONDS_PER_DAY - 1),
-        })
-        .collect()
-}
-
-/// The query pool every thread draws from: morning windows only (the
-/// disjoint ingest stays in the afternoon).
-struct Pool {
-    s_queries: Vec<(SQuery, Algorithm)>,
-    m_queries: Vec<(MQuery, MQueryAlgorithm)>,
-}
-
-fn pool(center: GeoPoint) -> Pool {
-    let mut s_queries = Vec::new();
-    let mut m_queries = Vec::new();
-    for (start, duration, prob) in [
-        (8 * 3600 + 1800, 300u32, 0.25),
-        (9 * 3600, 600, 0.25),
-        (9 * 3600 + 900, 900, 0.6),
-        (10 * 3600, 300, 0.6),
-    ] {
-        let s = SQuery {
-            location: center,
-            start_time_s: start,
-            duration_s: duration,
-            prob,
-        };
-        s_queries.push((s, Algorithm::SqmbTbs));
-        if duration <= 300 {
-            s_queries.push((s, Algorithm::ExhaustiveSearch));
-        }
-        let m = MQuery {
-            locations: vec![center, center.offset_m(900.0, -600.0)],
-            start_time_s: start,
-            duration_s: duration,
-            prob,
-        };
-        m_queries.push((m.clone(), MQueryAlgorithm::MqmbTbs));
-        if duration <= 300 {
-            m_queries.push((m, MQueryAlgorithm::RepeatedSQuery));
-        }
-    }
-    Pool {
-        s_queries,
-        m_queries,
-    }
-}
-
-/// Bit-comparable answer of one pool entry.
-type Answer = (Vec<SegmentId>, u64);
-
-fn answer_of(outcome: &QueryOutcome) -> Answer {
-    (
-        outcome.region.segments.clone(),
-        outcome.region.total_length_km.to_bits(),
-    )
-}
-
-/// Runs the whole pool quiesced and returns every answer in pool order
-/// (s-queries first).
-fn pool_answers(engine: &ReachabilityEngine, pool: &Pool) -> Vec<Answer> {
-    let mut out = Vec::with_capacity(pool.s_queries.len() + pool.m_queries.len());
-    for (q, algo) in &pool.s_queries {
-        out.push(answer_of(&engine.try_s_query(q, *algo).expect("s-query")));
-    }
-    for (q, algo) in &pool.m_queries {
-        out.push(answer_of(&engine.try_m_query(q, *algo).expect("m-query")));
-    }
-    out
-}
-
-/// Runs pool entry `index` on `engine` and returns its answer.
-fn run_pool_entry(
-    engine: &ReachabilityEngine,
-    pool: &Pool,
-    index: usize,
-) -> Result<Answer, QueryError> {
-    if index < pool.s_queries.len() {
-        let (q, algo) = &pool.s_queries[index];
-        Ok(answer_of(&engine.try_s_query(q, *algo)?))
-    } else {
-        let (q, algo) = &pool.m_queries[index - pool.s_queries.len()];
-        Ok(answer_of(&engine.try_m_query(q, *algo)?))
-    }
-}
-
-/// Asserts the engine's quiesced pool answers equal `expected`.
-fn assert_pool_answers(
-    engine: &ReachabilityEngine,
-    pool: &Pool,
-    expected: &[Answer],
-    seed: u64,
-    label: &str,
-) {
-    let got = pool_answers(engine, pool);
-    for (i, (g, e)) in got.iter().zip(expected.iter()).enumerate() {
-        assert_eq!(
-            g, e,
-            "[seed {seed}] {label}: quiesced pool entry #{i} diverged"
-        );
-    }
-}
-
-/// One racing phase: `QUERY_THREADS` threads sweep seeded pool entries and
-/// assert each answer bit-identical to `expected`, while `interleave` runs
-/// on the caller's thread until every query thread finished.
-#[allow(clippy::too_many_arguments)]
-fn race_queries<F: FnMut()>(
-    engine: &Arc<ReachabilityEngine>,
-    pool: &Pool,
-    expected: &[Answer],
-    seed: u64,
-    phase: u64,
-    queries_per_thread: usize,
-    label: &str,
-    mut interleave: F,
-) {
-    let running = AtomicUsize::new(QUERY_THREADS);
-    std::thread::scope(|scope| {
-        for thread in 0..QUERY_THREADS {
-            let engine = Arc::clone(engine);
-            let running = &running;
-            scope.spawn(move || {
-                // Seeded worker override: both the sequential and the
-                // parallel verification paths race the maintenance.
-                let workers = 1 + (mix(seed, phase * 31 + thread as u64) % 2) as usize;
-                streach_par::with_worker_override(workers, || {
-                    for i in 0..queries_per_thread {
-                        let index = (mix(seed, phase * 1009 + thread as u64 * 101 + i as u64)
-                            % (pool.s_queries.len() + pool.m_queries.len()) as u64)
-                            as usize;
-                        let got = run_pool_entry(&engine, pool, index).unwrap_or_else(|e| {
-                            panic!(
-                                "[seed {seed}] {label}: thread {thread} query #{i} \
-                                 (pool entry {index}, {workers} workers) failed: {e}"
-                            )
-                        });
-                        assert_eq!(
-                            got, expected[index],
-                            "[seed {seed}] {label}: thread {thread} query #{i} \
-                             (pool entry {index}, {workers} workers) diverged from \
-                             the quiesced reference"
-                        );
-                    }
-                });
-                running.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        // The scripted trigger side: keep interleaving maintenance (or
-        // ingest) until every query thread is done, so the race window
-        // covers the whole phase.
-        while running.load(Ordering::SeqCst) > 0 {
-            interleave();
-        }
-    });
-}
-
 /// The tentpole harness (see the module docs).
 #[test]
 fn queries_racing_ingest_checkpoint_and_compaction_stay_bit_identical() {
     let seed = fault_seed();
     let dir = tmp_dir("harness");
-    let s = scenario(&dir);
-    let center = s.network.bounds().center();
-    let pool = pool(center);
+    let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
+    // Any non-empty delta warrants an auto-checkpoint: every maintenance
+    // pass during a round does real checkpoint work.
+    EngineBuilder::new(network.clone(), &base)
+        .index_config(checkpointing_config())
+        .save_snapshot(&dir)
+        .expect("save base snapshot");
+    let center = network.bounds().center();
+    let pool = pool(&[center], &[center, center.offset_m(900.0, -600.0)]);
 
     // Live engine: WAL-backed, with a background maintenance worker whose
     // poll cadence races the rounds on its own, on top of the scripted
     // `run_now` trigger points.
     let live = Arc::new(
-        ReachabilityEngine::open_snapshot(&dir, s.network.clone()).expect("open live engine"),
+        ReachabilityEngine::open_snapshot(&dir, network.clone()).expect("open live engine"),
     );
     live.attach_wal(dir.join("ingest.wal")).expect("attach WAL");
     let controller = streach_core::MaintenanceController::spawn(
@@ -315,26 +72,24 @@ fn queries_racing_ingest_checkpoint_and_compaction_stay_bit_identical() {
         MaintenanceConfig {
             poll_interval: std::time::Duration::from_millis(20),
             compact_delta_ratio: Some(0.05),
-            ..Default::default()
         },
     );
 
     // Quiesced reference: same base snapshot, volatile ingest, queried
     // single-threaded only between rounds.
     let reference =
-        ReachabilityEngine::open_snapshot(&dir, s.network.clone()).expect("open reference");
+        ReachabilityEngine::open_snapshot(&dir, network.clone()).expect("open reference");
 
     let rounds = if cfg!(debug_assertions) {
-        2.min(s.round_batches.len())
+        2.min(round_batches.len())
     } else {
-        s.round_batches.len().min(4)
+        round_batches.len().min(4)
     };
     let queries_per_thread = if cfg!(debug_assertions) { 4 } else { 8 };
 
-    for round in 0..rounds {
+    for (round, batch) in round_batches.iter().enumerate().take(rounds) {
         // Barrier phase: the one operation that changes answers — a real
         // fleet-day batch — lands quiesced on both engines.
-        let batch = &s.round_batches[round];
         live.ingest(batch)
             .unwrap_or_else(|e| panic!("[seed {seed}] round {round}: live ingest failed: {e}"));
         reference
@@ -342,7 +97,7 @@ fn queries_racing_ingest_checkpoint_and_compaction_stay_bit_identical() {
             .unwrap_or_else(|e| panic!("[seed {seed}] round {round}: reference ingest: {e}"));
         let expected = pool_answers(&reference, &pool);
         assert_pool_answers(
-            &live,
+            live.as_ref(),
             &pool,
             &expected,
             seed,
@@ -353,13 +108,16 @@ fn queries_racing_ingest_checkpoint_and_compaction_stay_bit_identical() {
         // blocks until the worker's pass (checkpoint and/or compaction)
         // completed, so passes run back to back for the whole phase.
         race_queries(
-            &live,
+            live.as_ref(),
             &pool,
             &expected,
-            seed,
-            round as u64 * 2,
-            queries_per_thread,
-            &format!("round {round} phase A (maintenance race)"),
+            Race {
+                seed,
+                threads: QUERY_THREADS,
+                queries_per_thread,
+                phase: round as u64 * 2,
+                label: &format!("round {round} phase A (maintenance race)"),
+            },
             || controller.run_now(),
         );
         let maintenance_errors = controller.take_errors();
@@ -368,7 +126,7 @@ fn queries_racing_ingest_checkpoint_and_compaction_stay_bit_identical() {
             "[seed {seed}] round {round}: background maintenance failed: {maintenance_errors:?}"
         );
         assert_pool_answers(
-            &live,
+            live.as_ref(),
             &pool,
             &expected,
             seed,
@@ -379,7 +137,7 @@ fn queries_racing_ingest_checkpoint_and_compaction_stay_bit_identical() {
         // (plus whatever the background worker's own cadence does). The
         // ingest is split into pieces so the application keeps racing the
         // queries for the whole phase.
-        let disjoint = disjoint_batch(batch, round);
+        let disjoint = disjoint_batch(batch, round, BASE_DAYS);
         reference
             .ingest(&disjoint)
             .unwrap_or_else(|e| panic!("[seed {seed}] round {round}: reference disjoint: {e}"));
@@ -388,13 +146,16 @@ fn queries_racing_ingest_checkpoint_and_compaction_stay_bit_identical() {
             .collect();
         let mut next_piece = 0usize;
         race_queries(
-            &live,
+            live.as_ref(),
             &pool,
             &expected,
-            seed,
-            round as u64 * 2 + 1,
-            queries_per_thread,
-            &format!("round {round} phase B (ingest race)"),
+            Race {
+                seed,
+                threads: QUERY_THREADS,
+                queries_per_thread,
+                phase: round as u64 * 2 + 1,
+                label: &format!("round {round} phase B (ingest race)"),
+            },
             || {
                 if next_piece < pieces.len() {
                     live.ingest(pieces[next_piece]).unwrap_or_else(|e| {
@@ -414,7 +175,7 @@ fn queries_racing_ingest_checkpoint_and_compaction_stay_bit_identical() {
                 .unwrap_or_else(|e| panic!("[seed {seed}] round {round}: drain ingest: {e}"));
         }
         assert_pool_answers(
-            &live,
+            live.as_ref(),
             &pool,
             &expected,
             seed,
@@ -448,11 +209,11 @@ fn queries_racing_ingest_checkpoint_and_compaction_stay_bit_identical() {
     );
 
     let expected = pool_answers(&reference, &pool);
-    assert_pool_answers(&live, &pool, &expected, seed, "final live");
+    assert_pool_answers(live.as_ref(), &pool, &expected, seed, "final live");
     drop(live); // crash
 
     let recovered =
-        ReachabilityEngine::open_snapshot(&dir, s.network.clone()).expect("reopen auto-checkpoint");
+        ReachabilityEngine::open_snapshot(&dir, network.clone()).expect("reopen auto-checkpoint");
     // (Whether the log was rotated at the last checkpoint depends on the
     // race between the checkpoint and in-flight ingest — `records_skipped`
     // may legitimately be non-zero. What must hold is bit-identity.)

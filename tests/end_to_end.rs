@@ -9,6 +9,7 @@ use std::sync::Arc;
 use streach::prelude::*;
 use streach::traj::map_matching::map_match;
 use streach::traj::FleetSimulator;
+use streach_testkit::config;
 
 fn build_engine(
     num_taxis: usize,
@@ -26,10 +27,7 @@ fn build_engine(
         },
     );
     let engine = EngineBuilder::new(network.clone(), &dataset)
-        .index_config(IndexConfig {
-            read_latency_us: 0,
-            ..Default::default()
-        })
+        .index_config(config())
         .build();
     (network, engine, center)
 }
@@ -55,10 +53,7 @@ fn full_preprocessing_pipeline_produces_queryable_indexes() {
 
     let dataset = TrajectoryDataset::from_matched(matched, fleet.num_taxis, fleet.num_days);
     let engine = EngineBuilder::new(network.clone(), &dataset)
-        .index_config(IndexConfig {
-            read_latency_us: 0,
-            ..Default::default()
-        })
+        .index_config(config())
         .build();
 
     // The indexes are non-trivial.

@@ -47,15 +47,9 @@ use streach::prelude::*;
 use streach::storage::{AppendFault, FaultController, FaultInjectingPageStore, ReadFault};
 use streach_core::query::MQueryAlgorithm;
 use streach_core::{MaintenanceConfig, MaintenanceController, StoreRole};
-
-/// Seed for the fault scripts; override with `STREACH_FAULT_SEED` to
-/// reproduce a CI failure locally (every assertion message embeds it).
-fn fault_seed() -> u64 {
-    std::env::var("STREACH_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_728)
-}
+use streach_testkit::{
+    checkpointing_config, config, fault_scenario, fault_seed, open_with_fault_script, tmp_dir,
+};
 
 /// Sealed-page backend override for the campaign matrix: CI runs the suite
 /// once per `STREACH_STORE_BACKEND` value; unset uses the backend recorded
@@ -67,34 +61,15 @@ fn store_backend() -> Option<streach::storage::StorageBackend> {
     })
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("streach-fault-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// A small all-day scenario: every pipeline below has live postings to
 /// read. `read_retries` is persisted in the snapshot's config, so the
 /// reopened engine inherits it.
 fn build_snapshot_with_retries(dir: &PathBuf, read_retries: u32) -> Arc<RoadNetwork> {
-    let city = SyntheticCity::generate(GeneratorConfig::small());
-    let network = Arc::new(city.network);
-    let dataset = TrajectoryDataset::simulate(
-        &network,
-        FleetConfig {
-            num_taxis: 12,
-            num_days: 3,
-            day_start_s: 8 * 3600,
-            day_end_s: 12 * 3600,
-            seed: 5,
-            ..FleetConfig::default()
-        },
-    );
+    let (network, dataset) = fault_scenario();
     streach::core::EngineBuilder::new(network.clone(), &dataset)
         .index_config(IndexConfig {
-            read_latency_us: 0,
             read_retries,
-            ..Default::default()
+            ..config()
         })
         .save_snapshot(dir)
         .expect("save snapshot");
@@ -132,33 +107,6 @@ fn extra_batches(network: &Arc<RoadNetwork>) -> Vec<Vec<TrajPoint>> {
                 .collect()
         })
         .collect()
-}
-
-/// Reopens the snapshot with a fault-injection wrapper under the buffer
-/// pool, returning the engine and the script controller. The base heap is
-/// served through the `STREACH_STORE_BACKEND` backend when set, so the
-/// whole campaign exercises the file and mmap read paths alike.
-fn reopen_with_faults(
-    dir: &PathBuf,
-    network: Arc<RoadNetwork>,
-    seed: u64,
-) -> (ReachabilityEngine, FaultController) {
-    let mut controller = None;
-    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
-        dir,
-        network,
-        store_backend(),
-        |role, store| match role {
-            StoreRole::Base => {
-                let faulty = FaultInjectingPageStore::with_seed(store, seed);
-                controller = Some(faulty.controller());
-                Box::new(faulty)
-            }
-            StoreRole::Delta => store,
-        },
-    )
-    .expect("open snapshot with fault wrapper");
-    (engine, controller.expect("wrapper installed"))
 }
 
 /// What a pipeline run yields: the region's segments, or the error.
@@ -234,7 +182,8 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
     let dir = tmp_dir("eio-campaign");
     let network = build_snapshot(&dir);
     let center = network.bounds().center();
-    let (engine, ctl) = reopen_with_faults(&dir, network, seed);
+    let (engine, ctl) =
+        open_with_fault_script(&dir, network, store_backend(), StoreRole::Base, seed);
     let budget = engine.config().read_retries;
     assert!(budget > 0, "campaign requires the default retry budget");
 
@@ -349,7 +298,8 @@ fn torn_and_zeroed_pages_never_shift_a_region() {
     let dir = tmp_dir("torn-pages");
     let network = build_snapshot(&dir);
     let center = network.bounds().center();
-    let (engine, ctl) = reopen_with_faults(&dir, network, seed);
+    let (engine, ctl) =
+        open_with_fault_script(&dir, network, store_backend(), StoreRole::Base, seed);
 
     for pipeline in pipelines(center) {
         let name = pipeline.name;
@@ -402,7 +352,8 @@ fn probabilistic_fault_storm_degrades_gracefully_and_deterministically() {
     let dir = tmp_dir("fault-storm");
     let network = build_snapshot_with_retries(&dir, 0);
     let center = network.bounds().center();
-    let (engine, ctl) = reopen_with_faults(&dir, network, seed);
+    let (engine, ctl) =
+        open_with_fault_script(&dir, network, store_backend(), StoreRole::Base, seed);
 
     let pipeline = &pipelines(center)[0]; // SQMB+TBS, the paper's main path
     engine.st_index().clear_cache();
@@ -553,22 +504,7 @@ fn delta_write_faults_fail_ingest_cleanly_and_retry_converges() {
     let center = network.bounds().center();
     let batch: Vec<TrajPoint> = extra_batches(&network).swap_remove(0);
 
-    let mut delta_ctl = None;
-    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
-        &dir,
-        network.clone(),
-        None,
-        |role, store| match role {
-            StoreRole::Base => store,
-            StoreRole::Delta => {
-                let faulty = FaultInjectingPageStore::with_seed(store, seed);
-                delta_ctl = Some(faulty.controller());
-                Box::new(faulty)
-            }
-        },
-    )
-    .expect("open snapshot with delta fault wrapper");
-    let ctl = delta_ctl.expect("delta wrapper installed");
+    let (engine, ctl) = open_with_fault_script(&dir, network.clone(), None, StoreRole::Delta, seed);
 
     // Clean first ingest: the converged target state, and the write count
     // one application of this batch performs.
@@ -626,27 +562,11 @@ fn wal_faults_under_background_checkpoints_recover_the_consistent_prefix() {
     let seed = fault_seed();
     // The builder engine is saved once per campaign iteration (checkpoints
     // mutate the live directory) plus once for pristine reference opens.
-    let city = SyntheticCity::generate(GeneratorConfig::small());
-    let network = Arc::new(city.network);
-    let dataset = TrajectoryDataset::simulate(
-        &network,
-        FleetConfig {
-            num_taxis: 12,
-            num_days: 3,
-            day_start_s: 8 * 3600,
-            day_end_s: 12 * 3600,
-            seed: 5,
-            ..FleetConfig::default()
-        },
-    );
+    let (network, dataset) = fault_scenario();
+    // Any delta warrants a checkpoint: every maintenance pass between
+    // batches does real checkpoint + rotation work.
     let base_engine = streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(IndexConfig {
-            read_latency_us: 0,
-            // Any delta warrants a checkpoint: every maintenance pass
-            // between batches does real checkpoint + rotation work.
-            auto_checkpoint_bytes: 1,
-            ..Default::default()
-        })
+        .index_config(checkpointing_config())
         .build();
     let ref_dir = tmp_dir("maint-ref");
     base_engine.save_snapshot(&ref_dir).expect("save reference");
@@ -678,7 +598,6 @@ fn wal_faults_under_background_checkpoints_recover_the_consistent_prefix() {
                 MaintenanceConfig {
                     poll_interval: std::time::Duration::from_millis(5),
                     compact_delta_ratio: Some(0.25),
-                    ..Default::default()
                 },
             );
 
@@ -942,22 +861,7 @@ fn delta_read_faults_surface_as_typed_errors_and_recover() {
         .flatten()
         .collect();
 
-    let mut delta_ctl = None;
-    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
-        &dir,
-        network.clone(),
-        None,
-        |role, store| match role {
-            StoreRole::Base => store,
-            StoreRole::Delta => {
-                let faulty = FaultInjectingPageStore::with_seed(store, seed);
-                delta_ctl = Some(faulty.controller());
-                Box::new(faulty)
-            }
-        },
-    )
-    .expect("open snapshot with delta fault wrapper");
-    let ctl = delta_ctl.expect("delta wrapper installed");
+    let (engine, ctl) = open_with_fault_script(&dir, network.clone(), None, StoreRole::Delta, seed);
     engine.ingest(&batch).expect("ingest");
 
     for pipeline in pipelines(center) {

@@ -18,24 +18,12 @@ use streach_core::query::reference::{naive_mqmb, naive_sqmb};
 use streach_core::query::sqmb::sqmb;
 use streach_core::query::MQueryAlgorithm;
 use streach_core::ConIndex;
+use streach_testkit::{config, tmp_dir};
 
 /// Days in the base dataset; the extra `K` days arrive via ingest.
 const BASE_DAYS: u16 = 3;
 /// Extra fleet-days ingested on top of the base.
 const EXTRA_DAYS: u16 = 2;
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("streach-ingest-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn config() -> IndexConfig {
-    IndexConfig {
-        read_latency_us: 0,
-        ..Default::default()
-    }
-}
 
 /// One simulation of the full (base + extra) fleet, split so that base and
 /// extra trajectories carry consistent IDs: `base` covers dates `0..BASE_DAYS`,

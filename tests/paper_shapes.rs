@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use streach::prelude::*;
+use streach_testkit::config;
 
 fn engine_with_all_day_fleet() -> (ReachabilityEngine, GeoPoint) {
     let city = SyntheticCity::generate(GeneratorConfig::small());
@@ -29,10 +30,7 @@ fn engine_with_all_day_fleet() -> (ReachabilityEngine, GeoPoint) {
         },
     );
     let engine = EngineBuilder::new(network, &dataset)
-        .index_config(IndexConfig {
-            read_latency_us: 0,
-            ..Default::default()
-        })
+        .index_config(config())
         .build();
     (engine, center)
 }
@@ -169,11 +167,7 @@ fn time_interval_granularity_leaves_result_roughly_stable() {
     let mut lengths = Vec::new();
     for slot_s in [300u32, 600] {
         let engine = EngineBuilder::new(network.clone(), &dataset)
-            .index_config(IndexConfig {
-                slot_s,
-                read_latency_us: 0,
-                ..Default::default()
-            })
+            .index_config(IndexConfig { slot_s, ..config() })
             .build();
         let q = SQuery {
             location: center,

@@ -26,95 +26,25 @@
 //!   both fired; duplicate submissions prove cross-user sharing (a shared
 //!   bounding pass or a cache hit).
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use streach::prelude::*;
 use streach_core::MaintenanceConfig;
-
-fn fault_seed() -> u64 {
-    std::env::var("STREACH_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_728)
-}
-
-/// SplitMix64 — the same deterministic mixer the fault harness uses.
-fn mix(seed: u64, ordinal: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(ordinal.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("streach-serving-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn config() -> IndexConfig {
-    IndexConfig {
-        read_latency_us: 0,
-        auto_checkpoint_bytes: 1,
-        ..Default::default()
-    }
-}
-
-/// Bit-comparable answer of one query.
-type Answer = (Vec<SegmentId>, u64);
-
-fn answer_of(outcome: &QueryOutcome) -> Answer {
-    (
-        outcome.region.segments.clone(),
-        outcome.region.total_length_km.to_bits(),
-    )
-}
+use streach_testkit::{
+    answer_of, checkpointing_config, disjoint_batch, fault_seed, mix, scenario, tmp_dir, Answer,
+};
 
 /// Base fleet-days built offline; later days arrive via live ingest.
 const BASE_DAYS: u16 = 2;
-
-fn scenario() -> (Arc<RoadNetwork>, TrajectoryDataset, Vec<Vec<TrajPoint>>) {
-    let city = SyntheticCity::generate(GeneratorConfig::small());
-    let network = Arc::new(city.network);
-    let full = TrajectoryDataset::simulate(
-        &network,
-        FleetConfig {
-            num_taxis: 10,
-            num_days: BASE_DAYS + 2,
-            day_start_s: 8 * 3600,
-            day_end_s: 11 * 3600,
-            seed: 31,
-            ..FleetConfig::default()
-        },
-    );
-    let base = TrajectoryDataset::from_matched(
-        full.trajectories()
-            .iter()
-            .filter(|t| t.date < BASE_DAYS)
-            .cloned()
-            .collect(),
-        full.num_taxis(),
-        BASE_DAYS,
-    );
-    let batches: Vec<Vec<TrajPoint>> = full
-        .trajectories()
-        .iter()
-        .filter(|t| t.date >= BASE_DAYS)
-        .map(|t| points_of(t).collect())
-        .collect();
-    assert!(batches.len() >= 2, "scenario needs live batches");
-    (network, base, batches)
-}
+/// Fleet-days arriving via live ingest.
+const EXTRA_DAYS: u16 = 2;
 
 /// The serving query pool: morning windows only, so the afternoon batches
 /// of the race phase provably cannot change any answer. Mixes probability
 /// thresholds sharing an (origin, window) group — the coalescable shape —
 /// plus one ES query (the uncoalescable, empty-bounding cache shape).
-fn pool(center: GeoPoint) -> Vec<(SQuery, Algorithm)> {
+fn serving_pool(center: GeoPoint) -> Vec<(SQuery, Algorithm)> {
     let mut queries = Vec::new();
     for (location, start, duration) in [
         (center, 9 * 3600u32, 600u32),
@@ -166,28 +96,14 @@ fn morning_batch(batch: &[TrajPoint], round: usize) -> Vec<TrajPoint> {
         .collect()
 }
 
-/// A slot-disjoint afternoon batch: fresh IDs, existing dates, 13:00+ —
-/// cannot change any morning-pool answer (guard-checked after the race).
-fn afternoon_batch(batch: &[TrajPoint], round: usize) -> Vec<TrajPoint> {
-    batch
-        .iter()
-        .map(|p| TrajPoint {
-            traj_id: p.traj_id + 1_000_000 + round as u32 * 10_000,
-            date: p.date % BASE_DAYS,
-            segment: p.segment,
-            enter_time_s: (p.enter_time_s + 5 * 3600).min(streach_traj::SECONDS_PER_DAY - 1),
-        })
-        .collect()
-}
-
 /// Coalesced answers must be bit-identical to serial answers — including
 /// the typed errors — on a batch mixing every grouping shape.
 #[test]
 fn coalesced_batch_is_bit_identical_to_serial() {
     let seed = fault_seed();
-    let (network, base, _) = scenario();
+    let (network, base, _) = scenario(BASE_DAYS, EXTRA_DAYS);
     let engine = EngineBuilder::new(network.clone(), &base)
-        .index_config(config())
+        .index_config(checkpointing_config())
         .build();
     let center = network.bounds().center();
 
@@ -283,16 +199,16 @@ fn coalesced_batch_is_bit_identical_to_serial() {
 #[test]
 fn sharded_coalescing_and_server_cache_stay_bit_identical() {
     let seed = fault_seed();
-    let (network, base, batches) = scenario();
+    let (network, base, batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let map = Arc::new(ShardMap::partition(&network, 2));
     let single = EngineBuilder::new(network.clone(), &base)
-        .index_config(config())
+        .index_config(checkpointing_config())
         .build();
     let leaders: Vec<Arc<ReachabilityEngine>> = (0..2)
         .map(|shard_id| {
             Arc::new(
                 EngineBuilder::new(network.clone(), &base)
-                    .index_config(config())
+                    .index_config(checkpointing_config())
                     .shard(map.clone(), shard_id)
                     .build(),
             )
@@ -300,7 +216,7 @@ fn sharded_coalescing_and_server_cache_stay_bit_identical() {
         .collect();
     let router = Arc::new(ShardedEngine::new(map, leaders));
     let center = network.bounds().center();
-    let pool = pool(center);
+    let pool = serving_pool(center);
 
     let queries: Vec<SQuery> = pool
         .iter()
@@ -385,9 +301,9 @@ fn sharded_coalescing_and_server_cache_stay_bit_identical() {
 fn cached_server_racing_ingest_and_compaction_stays_bit_identical() {
     let seed = fault_seed();
     let dir = tmp_dir("harness");
-    let (network, base, batches) = scenario();
+    let (network, base, batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     EngineBuilder::new(network.clone(), &base)
-        .index_config(config())
+        .index_config(checkpointing_config())
         .save_snapshot(&dir)
         .expect("save base snapshot");
 
@@ -401,7 +317,6 @@ fn cached_server_racing_ingest_and_compaction_stays_bit_identical() {
         MaintenanceConfig {
             poll_interval: std::time::Duration::from_millis(20),
             compact_delta_ratio: Some(0.05),
-            ..Default::default()
         },
     );
     let reference =
@@ -413,11 +328,10 @@ fn cached_server_racing_ingest_and_compaction_stays_bit_identical() {
             workers: 2,
             queue_depth: 64,
             cache_capacity: 256,
-            ..Default::default()
         },
     );
     let center = network.bounds().center();
-    let pool = pool(center);
+    let pool = serving_pool(center);
     let rounds = if cfg!(debug_assertions) { 2 } else { 4 };
     let queries_per_thread = if cfg!(debug_assertions) { 4 } else { 8 };
     const QUERY_THREADS: usize = 3;
@@ -505,7 +419,7 @@ fn cached_server_racing_ingest_and_compaction_stays_bit_identical() {
         // slot-disjoint afternoon pieces through the WAL and triggers
         // maintenance passes — afternoon data cannot change these answers,
         // so even mid-invalidation reads must stay bit-identical.
-        let afternoon = afternoon_batch(&round_groups[round % round_groups.len()], round);
+        let afternoon = disjoint_batch(&round_groups[round % round_groups.len()], round, BASE_DAYS);
         reference
             .ingest(&afternoon)
             .unwrap_or_else(|e| panic!("[seed {seed}] round {round}: reference afternoon: {e}"));

@@ -5,8 +5,8 @@
 //! boundary.
 //!
 //! The harness is seeded (`STREACH_FAULT_SEED`, printed in every assertion)
-//! and drives the same morning query pool as `tests/concurrent_maintenance.rs`
-//! through four phases per round:
+//! and drives the shared morning query pool (`streach_testkit::pool`, here
+//! over three spread locations) through four phases per round:
 //!
 //! * **Barrier ingest** — a real fleet-day batch lands on the single
 //!   reference engine and on every shard leader (the router forwards the
@@ -55,14 +55,16 @@
 //!   re-replayed records.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use streach::prelude::*;
-use streach::storage::{FaultController, FaultInjectingPageStore, StorageError};
-use streach_core::query::MQueryAlgorithm;
+use streach::storage::StorageError;
 use streach_core::sharded::PROBATION_READS;
 use streach_core::StoreRole;
+use streach_testkit::{
+    answer_of, assert_pool_answers, config, copy_dir, disjoint_batch, fault_scenario, fault_seed,
+    mix, open_with_fault_script, pool, pool_answers, race_queries, scenario, tmp_dir, Race,
+};
 
 /// Base fleet-days built offline; the remaining days arrive via ingest.
 const BASE_DAYS: u16 = 2;
@@ -72,274 +74,6 @@ const EXTRA_DAYS: u16 = 2;
 const NUM_SHARDS: u16 = 3;
 /// Concurrent query threads in the ship race.
 const QUERY_THREADS: usize = 2;
-
-fn fault_seed() -> u64 {
-    std::env::var("STREACH_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_728)
-}
-
-/// SplitMix64 — the same deterministic mixer the fault harness uses.
-fn mix(seed: u64, ordinal: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(ordinal.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("streach-sharded-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Copies a snapshot directory file by file — "shipping" its artifacts.
-fn copy_dir(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap().flatten() {
-        if entry.file_type().unwrap().is_file() {
-            std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-        }
-    }
-}
-
-fn config() -> IndexConfig {
-    IndexConfig {
-        read_latency_us: 0,
-        ..Default::default()
-    }
-}
-
-/// The shared scenario: a small synthetic city, a base dataset built
-/// offline and one live-feed batch per (trajectory, date) of the extra
-/// days.
-fn scenario() -> (Arc<RoadNetwork>, TrajectoryDataset, Vec<Vec<TrajPoint>>) {
-    let city = SyntheticCity::generate(GeneratorConfig::small());
-    let network = Arc::new(city.network);
-    let full = TrajectoryDataset::simulate(
-        &network,
-        FleetConfig {
-            num_taxis: 10,
-            num_days: BASE_DAYS + EXTRA_DAYS,
-            day_start_s: 8 * 3600,
-            day_end_s: 11 * 3600,
-            seed: 31,
-            ..FleetConfig::default()
-        },
-    );
-    let base = TrajectoryDataset::from_matched(
-        full.trajectories()
-            .iter()
-            .filter(|t| t.date < BASE_DAYS)
-            .cloned()
-            .collect(),
-        full.num_taxis(),
-        BASE_DAYS,
-    );
-    let round_batches: Vec<Vec<TrajPoint>> = full
-        .trajectories()
-        .iter()
-        .filter(|t| t.date >= BASE_DAYS)
-        .map(|t| points_of(t).collect())
-        .collect();
-    assert!(round_batches.len() >= 2, "scenario needs live batches");
-    (network, base, round_batches)
-}
-
-/// A slot-disjoint ingest batch derived from `batch`: fresh trajectory IDs,
-/// existing dates and afternoon time slots — by construction it cannot
-/// change any answer of the morning pool (same derivation as
-/// `tests/concurrent_maintenance.rs`, re-verified by a guard after the
-/// race).
-fn disjoint_batch(batch: &[TrajPoint], round: usize) -> Vec<TrajPoint> {
-    batch
-        .iter()
-        .map(|p| TrajPoint {
-            traj_id: p.traj_id + 1_000_000 + round as u32 * 10_000,
-            date: p.date % BASE_DAYS,
-            segment: p.segment,
-            enter_time_s: (p.enter_time_s + 5 * 3600).min(streach_traj::SECONDS_PER_DAY - 1),
-        })
-        .collect()
-}
-
-/// The query pool: morning windows over several locations, so some
-/// reachable annuli straddle shard boundaries (guard-checked in the test).
-struct Pool {
-    s_queries: Vec<(SQuery, Algorithm)>,
-    m_queries: Vec<(MQuery, MQueryAlgorithm)>,
-}
-
-fn pool(locations: &[GeoPoint]) -> Pool {
-    let mut s_queries = Vec::new();
-    let mut m_queries = Vec::new();
-    for (start, duration, prob) in [
-        (8 * 3600 + 1800, 300u32, 0.25),
-        (9 * 3600, 600, 0.25),
-        (9 * 3600 + 900, 900, 0.6),
-        (10 * 3600, 300, 0.6),
-    ] {
-        for &location in locations {
-            let s = SQuery {
-                location,
-                start_time_s: start,
-                duration_s: duration,
-                prob,
-            };
-            s_queries.push((s, Algorithm::SqmbTbs));
-            if duration <= 300 {
-                s_queries.push((s, Algorithm::ExhaustiveSearch));
-            }
-        }
-        let m = MQuery {
-            locations: vec![locations[0], locations[1]],
-            start_time_s: start,
-            duration_s: duration,
-            prob,
-        };
-        m_queries.push((m.clone(), MQueryAlgorithm::MqmbTbs));
-        if duration <= 300 {
-            m_queries.push((m, MQueryAlgorithm::RepeatedSQuery));
-        }
-    }
-    Pool {
-        s_queries,
-        m_queries,
-    }
-}
-
-/// Bit-comparable answer of one pool entry.
-type Answer = (Vec<SegmentId>, u64);
-
-fn answer_of(outcome: &QueryOutcome) -> Answer {
-    (
-        outcome.region.segments.clone(),
-        outcome.region.total_length_km.to_bits(),
-    )
-}
-
-/// Anything the pool can be run against: the single reference engine or
-/// the sharded router — both expose the same fallible query surface.
-trait Queryable {
-    fn s(&self, query: &SQuery, algorithm: Algorithm) -> Result<QueryOutcome, QueryError>;
-    fn m(&self, query: &MQuery, algorithm: MQueryAlgorithm) -> Result<QueryOutcome, QueryError>;
-}
-
-impl Queryable for ReachabilityEngine {
-    fn s(&self, query: &SQuery, algorithm: Algorithm) -> Result<QueryOutcome, QueryError> {
-        self.try_s_query(query, algorithm)
-    }
-    fn m(&self, query: &MQuery, algorithm: MQueryAlgorithm) -> Result<QueryOutcome, QueryError> {
-        self.try_m_query(query, algorithm)
-    }
-}
-
-impl Queryable for ShardedEngine {
-    fn s(&self, query: &SQuery, algorithm: Algorithm) -> Result<QueryOutcome, QueryError> {
-        self.try_s_query(query, algorithm)
-    }
-    fn m(&self, query: &MQuery, algorithm: MQueryAlgorithm) -> Result<QueryOutcome, QueryError> {
-        self.try_m_query(query, algorithm)
-    }
-}
-
-/// Runs the whole pool quiesced and returns every answer in pool order.
-fn pool_answers<E: Queryable>(engine: &E, pool: &Pool) -> Vec<Answer> {
-    let mut out = Vec::with_capacity(pool.s_queries.len() + pool.m_queries.len());
-    for (q, algo) in &pool.s_queries {
-        out.push(answer_of(&engine.s(q, *algo).expect("s-query")));
-    }
-    for (q, algo) in &pool.m_queries {
-        out.push(answer_of(&engine.m(q, *algo).expect("m-query")));
-    }
-    out
-}
-
-/// Runs pool entry `index` on `engine` and returns its answer.
-fn run_pool_entry<E: Queryable>(
-    engine: &E,
-    pool: &Pool,
-    index: usize,
-) -> Result<Answer, QueryError> {
-    if index < pool.s_queries.len() {
-        let (q, algo) = &pool.s_queries[index];
-        Ok(answer_of(&engine.s(q, *algo)?))
-    } else {
-        let (q, algo) = &pool.m_queries[index - pool.s_queries.len()];
-        Ok(answer_of(&engine.m(q, *algo)?))
-    }
-}
-
-/// Asserts the engine's quiesced pool answers equal `expected`.
-fn assert_pool_answers<E: Queryable>(
-    engine: &E,
-    pool: &Pool,
-    expected: &[Answer],
-    seed: u64,
-    label: &str,
-) {
-    let got = pool_answers(engine, pool);
-    for (i, (g, e)) in got.iter().zip(expected.iter()).enumerate() {
-        assert_eq!(
-            g, e,
-            "[seed {seed}] {label}: quiesced pool entry #{i} diverged"
-        );
-    }
-}
-
-/// One racing phase: query threads sweep seeded pool entries against
-/// `engine` and assert bit-identity, while `interleave` runs on the
-/// caller's thread until every query thread finished.
-#[allow(clippy::too_many_arguments)]
-fn race_queries<E: Queryable + Sync, F: FnMut()>(
-    engine: &E,
-    pool: &Pool,
-    expected: &[Answer],
-    seed: u64,
-    phase: u64,
-    queries_per_thread: usize,
-    label: &str,
-    mut interleave: F,
-) {
-    let running = AtomicUsize::new(QUERY_THREADS);
-    std::thread::scope(|scope| {
-        for thread in 0..QUERY_THREADS {
-            let running = &running;
-            scope.spawn(move || {
-                // Seeded worker override: both the sequential and the
-                // parallel verification paths race the shipping.
-                let workers = 1 + (mix(seed, phase * 31 + thread as u64) % 2) as usize;
-                streach_par::with_worker_override(workers, || {
-                    for i in 0..queries_per_thread {
-                        let index = (mix(seed, phase * 1009 + thread as u64 * 101 + i as u64)
-                            % (pool.s_queries.len() + pool.m_queries.len()) as u64)
-                            as usize;
-                        let got = run_pool_entry(engine, pool, index).unwrap_or_else(|e| {
-                            panic!(
-                                "[seed {seed}] {label}: thread {thread} query #{i} \
-                                 (pool entry {index}, {workers} workers) failed: {e}"
-                            )
-                        });
-                        assert_eq!(
-                            got, expected[index],
-                            "[seed {seed}] {label}: thread {thread} query #{i} \
-                             (pool entry {index}, {workers} workers) diverged from \
-                             the quiesced reference"
-                        );
-                    }
-                });
-                running.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        while running.load(Ordering::SeqCst) > 0 {
-            interleave();
-        }
-    });
-}
 
 /// Per shard: a WAL-backed leader plus one replica bootstrapped from the
 /// leader's self-contained snapshot alone (no shared network object, no
@@ -418,7 +152,7 @@ fn spread_locations(network: &RoadNetwork) -> [GeoPoint; 3] {
 fn sharded_replicated_serving_stays_bit_identical() {
     let seed = fault_seed();
     let root = tmp_dir("harness");
-    let (network, base, round_batches) = scenario();
+    let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let map = Arc::new(ShardMap::partition(&network, NUM_SHARDS));
 
     // The quiesced single-engine reference: full index, volatile ingest.
@@ -432,7 +166,8 @@ fn sharded_replicated_serving_stays_bit_identical() {
         router.add_replica(shard_id as u16, set.replica(0));
     }
 
-    let pool = pool(&spread_locations(&network));
+    let locations = spread_locations(&network);
+    let pool = pool(&locations, &locations[..2]);
 
     let rounds = if cfg!(debug_assertions) {
         2.min(round_batches.len())
@@ -531,7 +266,7 @@ fn sharded_replicated_serving_stays_bit_identical() {
         // Ship race: queries sweep the router (replica-first) while
         // slot-disjoint data lands at the leaders and ships to the
         // replicas underneath them.
-        let disjoint = disjoint_batch(batch, round);
+        let disjoint = disjoint_batch(batch, round, BASE_DAYS);
         reference
             .ingest(&disjoint)
             .unwrap_or_else(|e| panic!("[seed {seed}] round {round}: reference disjoint: {e}"));
@@ -545,10 +280,13 @@ fn sharded_replicated_serving_stays_bit_identical() {
                 router,
                 &pool,
                 &expected,
-                seed,
-                round as u64,
-                queries_per_thread,
-                &format!("round {round} ship race"),
+                Race {
+                    seed,
+                    threads: QUERY_THREADS,
+                    queries_per_thread,
+                    phase: round as u64,
+                    label: &format!("round {round} ship race"),
+                },
                 || {
                     if next_piece < pieces.len() {
                         router.ingest(pieces[next_piece]).unwrap_or_else(|e| {
@@ -634,35 +372,6 @@ fn sharded_replicated_serving_stays_bit_identical() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Reopens a shard snapshot with a scripted fault wrapper under the buffer
-/// pool of the sealed base heap, returning the engine and the script
-/// controller.
-fn reopen_with_disk_script(
-    dir: &Path,
-    network: Arc<RoadNetwork>,
-    seed: u64,
-) -> (Arc<ReachabilityEngine>, FaultController) {
-    let mut controller = None;
-    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
-        dir,
-        network,
-        None,
-        |role, store| match role {
-            StoreRole::Base => {
-                let faulty = FaultInjectingPageStore::with_seed(store, seed);
-                controller = Some(faulty.controller());
-                Box::new(faulty)
-            }
-            StoreRole::Delta => store,
-        },
-    )
-    .expect("open shard snapshot with fault wrapper");
-    (
-        Arc::new(engine),
-        controller.expect("base store was wrapped"),
-    )
-}
-
 /// Satellite campaign: a dead disk on a replica mid-campaign fails reads
 /// over to the leader bit-identically; shard exhaustion is a typed error;
 /// and a healed engine is revived by the probation re-probe instead of
@@ -671,27 +380,14 @@ fn reopen_with_disk_script(
 fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
     let seed = fault_seed();
     let root = tmp_dir("failover");
-    let city = SyntheticCity::generate(GeneratorConfig::small());
-    let network = Arc::new(city.network);
-    let dataset = TrajectoryDataset::simulate(
-        &network,
-        FleetConfig {
-            num_taxis: 12,
-            num_days: 3,
-            day_start_s: 8 * 3600,
-            day_end_s: 12 * 3600,
-            seed: 5,
-            ..FleetConfig::default()
-        },
-    );
+    let (network, dataset) = fault_scenario();
     // A one-page buffer pool keeps (almost) every posting read physical, so
     // the scripted dead disk fires on the next query instead of hiding
     // behind the cache; one retry keeps the campaign fast.
     let cfg = IndexConfig {
-        read_latency_us: 0,
         pool_pages: 1,
         read_retries: 1,
-        ..Default::default()
+        ..config()
     };
     let single = EngineBuilder::new(network.clone(), &dataset)
         .index_config(cfg.clone())
@@ -708,17 +404,23 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
     let replica_home = root.join("shard0-replica");
     copy_dir(&home, &replica_home);
 
-    let (leader0, leader_disk) = reopen_with_disk_script(&home, network.clone(), seed);
-    let (replica0, replica_disk) =
-        reopen_with_disk_script(&replica_home, network.clone(), mix(seed, 1));
+    let (leader0, leader_disk) =
+        open_with_fault_script(&home, network.clone(), None, StoreRole::Base, seed);
+    let (replica0, replica_disk) = open_with_fault_script(
+        &replica_home,
+        network.clone(),
+        None,
+        StoreRole::Base,
+        mix(seed, 1),
+    );
     let leader1 = Arc::new(
         EngineBuilder::new(network.clone(), &dataset)
             .index_config(cfg)
             .shard(map.clone(), 1)
             .build(),
     );
-    let mut router = ShardedEngine::new(map, vec![leader0, leader1]);
-    router.add_replica(0, replica0);
+    let mut router = ShardedEngine::new(map, vec![Arc::new(leader0), leader1]);
+    router.add_replica(0, Arc::new(replica0));
     router.set_read_preference(ReadPreference::ReplicaFirst);
 
     let center = network.bounds().center();
@@ -873,7 +575,7 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
 fn split_brain_promotion_fences_the_deposed_leader() {
     let seed = fault_seed();
     let root = tmp_dir("split-brain");
-    let (network, base, round_batches) = scenario();
+    let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let map = Arc::new(ShardMap::partition(&network, NUM_SHARDS));
     let reference = EngineBuilder::new(network.clone(), &base)
         .index_config(config())
@@ -883,7 +585,8 @@ fn split_brain_promotion_fences_the_deposed_leader() {
     for (shard_id, set) in sets.iter().enumerate() {
         router.add_replica(shard_id as u16, set.replica(0));
     }
-    let pool = pool(&spread_locations(&network));
+    let locations = spread_locations(&network);
+    let pool = pool(&locations, &locations[..2]);
 
     // A live round lands everywhere, ships, and converges.
     reference
@@ -979,7 +682,7 @@ fn split_brain_promotion_fences_the_deposed_leader() {
 fn background_controller_ships_under_live_ingest() {
     let seed = fault_seed();
     let root = tmp_dir("controller-race");
-    let (network, base, round_batches) = scenario();
+    let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let leader = Arc::new(
         EngineBuilder::new(network.clone(), &base)
             .index_config(config())
@@ -1020,10 +723,11 @@ fn background_controller_ships_under_live_ingest() {
         set.converged(),
         "[seed {seed}] replica converged after run_now"
     );
-    let pool = pool(&spread_locations(&network));
+    let locations = spread_locations(&network);
+    let pool = pool(&locations, &locations[..2]);
     let expected = pool_answers(replica.as_ref(), &pool);
 
-    let disjoint = disjoint_batch(&round_batches[0], 0);
+    let disjoint = disjoint_batch(&round_batches[0], 0, BASE_DAYS);
     let pieces: Vec<&[TrajPoint]> = disjoint.chunks(disjoint.len().div_ceil(8).max(1)).collect();
     let queries_per_thread = if cfg!(debug_assertions) { 4 } else { 8 };
     let mut next_piece = 0usize;
@@ -1034,10 +738,13 @@ fn background_controller_ships_under_live_ingest() {
             replica.as_ref(),
             &pool,
             &expected,
-            seed,
-            777,
-            queries_per_thread,
-            "background shipping race",
+            Race {
+                seed,
+                threads: QUERY_THREADS,
+                queries_per_thread,
+                phase: 777,
+                label: "background shipping race",
+            },
             || {
                 if next_piece < pieces.len() {
                     leader.ingest(pieces[next_piece]).unwrap_or_else(|e| {
@@ -1087,35 +794,6 @@ fn background_controller_ships_under_live_ingest() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Reopens a snapshot with a scripted fault wrapper under the **delta**
-/// store — the store replicated apply writes into — returning the engine
-/// and the script controller.
-fn reopen_with_delta_script(
-    dir: &Path,
-    network: Arc<RoadNetwork>,
-    seed: u64,
-) -> (Arc<ReachabilityEngine>, FaultController) {
-    let mut controller = None;
-    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
-        dir,
-        network,
-        None,
-        |role, store| match role {
-            StoreRole::Delta => {
-                let faulty = FaultInjectingPageStore::with_seed(store, seed);
-                controller = Some(faulty.controller());
-                Box::new(faulty)
-            }
-            StoreRole::Base => store,
-        },
-    )
-    .expect("open replica snapshot with delta fault wrapper");
-    (
-        Arc::new(engine),
-        controller.expect("delta store was wrapped"),
-    )
-}
-
 /// Apply-fault campaign: scripted write EIOs on the replica's delta store
 /// make replicated apply fail. The controller keeps the records staged
 /// (never dropping or re-polling them), lag grows past the SLO and fires
@@ -1153,7 +831,9 @@ fn controller_rides_out_replica_apply_faults_with_slo_events() {
     let replica_home = root.join("replica");
     copy_dir(&home, &replica_home);
     let _ = std::fs::remove_file(replica_home.join("ingest.wal"));
-    let (replica, replica_delta) = reopen_with_delta_script(&replica_home, network.clone(), seed);
+    let (replica, replica_delta) =
+        open_with_fault_script(&replica_home, network.clone(), None, StoreRole::Delta, seed);
+    let replica = Arc::new(replica);
     let set = Arc::new(ReplicaSet::new(leader.clone(), home.join("ingest.wal")));
     set.add_replica(replica.clone(), replica_home.join("follower.wal"))
         .unwrap_or_else(|e| panic!("[seed {seed}] register replica: {e}"));

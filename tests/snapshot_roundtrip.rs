@@ -3,17 +3,11 @@
 //! with genuine page I/O on the cold open — plus loud rejection of
 //! corrupted, truncated and mismatched snapshots.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use streach::prelude::*;
 use streach::storage::StorageError;
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("streach-snapshot-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use streach_testkit::{config, tmp_dir};
 
 fn build_inputs() -> (Arc<RoadNetwork>, TrajectoryDataset) {
     let city = SyntheticCity::generate(GeneratorConfig::small());
@@ -30,13 +24,6 @@ fn build_inputs() -> (Arc<RoadNetwork>, TrajectoryDataset) {
         },
     );
     (network, dataset)
-}
-
-fn config() -> IndexConfig {
-    IndexConfig {
-        read_latency_us: 0,
-        ..Default::default()
-    }
 }
 
 /// The fixed s-query suite every snapshot assertion sweeps — includes a

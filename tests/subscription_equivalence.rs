@@ -16,7 +16,7 @@
 //!   re-evaluation stream and the maintained regions match an unsharded
 //!   reference engine.
 //! * **Zero work on untouched batches** — a slot-disjoint afternoon batch
-//!   (same derivation as `tests/concurrent_maintenance.rs`) intersects no
+//!   (`streach_testkit::disjoint_batch`) intersects no
 //!   morning subscription's footprint: the manager issues **zero** engine
 //!   queries and emits **zero** events, while a real morning batch does
 //!   re-evaluate. This is the observable cost model of incremental
@@ -35,11 +35,13 @@
 //!   answer. The bounded event queue reports overflow as a typed
 //!   `Lagged` count instead of blocking or silently growing.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use streach::prelude::*;
 use streach::storage::{FaultController, FaultInjectingPageStore};
+use streach_testkit::{
+    config, disjoint_batch, fault_scenario, fault_seed, region_bits, scenario, tmp_dir,
+};
 
 /// Base fleet-days built offline; the remaining days arrive via ingest.
 const BASE_DAYS: u16 = 2;
@@ -47,78 +49,6 @@ const BASE_DAYS: u16 = 2;
 const EXTRA_DAYS: u16 = 2;
 /// Spatial shards of the sharded campaign.
 const NUM_SHARDS: u16 = 3;
-
-fn fault_seed() -> u64 {
-    std::env::var("STREACH_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_728)
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("streach-subs-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn config() -> IndexConfig {
-    IndexConfig {
-        read_latency_us: 0,
-        ..Default::default()
-    }
-}
-
-/// The shared scenario: a small synthetic city, a base dataset built
-/// offline and one live-feed batch per (trajectory, date) of the extra
-/// days.
-fn scenario() -> (Arc<RoadNetwork>, TrajectoryDataset, Vec<Vec<TrajPoint>>) {
-    let city = SyntheticCity::generate(GeneratorConfig::small());
-    let network = Arc::new(city.network);
-    let full = TrajectoryDataset::simulate(
-        &network,
-        FleetConfig {
-            num_taxis: 10,
-            num_days: BASE_DAYS + EXTRA_DAYS,
-            day_start_s: 8 * 3600,
-            day_end_s: 11 * 3600,
-            seed: 31,
-            ..FleetConfig::default()
-        },
-    );
-    let base = TrajectoryDataset::from_matched(
-        full.trajectories()
-            .iter()
-            .filter(|t| t.date < BASE_DAYS)
-            .cloned()
-            .collect(),
-        full.num_taxis(),
-        BASE_DAYS,
-    );
-    let round_batches: Vec<Vec<TrajPoint>> = full
-        .trajectories()
-        .iter()
-        .filter(|t| t.date >= BASE_DAYS)
-        .map(|t| points_of(t).collect())
-        .collect();
-    assert!(round_batches.len() >= 2, "scenario needs live batches");
-    (network, base, round_batches)
-}
-
-/// A slot-disjoint ingest batch: fresh trajectory IDs, existing dates,
-/// afternoon time slots — by construction it raises no day count and
-/// touches no slot any morning subscription reads.
-fn disjoint_batch(batch: &[TrajPoint], round: usize) -> Vec<TrajPoint> {
-    batch
-        .iter()
-        .map(|p| TrajPoint {
-            traj_id: p.traj_id + 1_000_000 + round as u32 * 10_000,
-            date: p.date % BASE_DAYS,
-            segment: p.segment,
-            enter_time_s: (p.enter_time_s + 5 * 3600).min(streach_traj::SECONDS_PER_DAY - 1),
-        })
-        .collect()
-}
 
 /// The standing-query pool: morning windows over several locations, both
 /// algorithms (ES only on the short windows it can afford).
@@ -151,11 +81,6 @@ fn standing_pool(network: &RoadNetwork) -> Vec<(SQuery, Algorithm)> {
     pool
 }
 
-/// Bit-comparable form of a region.
-fn bits_of(region: &ReachableRegion) -> (Vec<SegmentId>, u64) {
-    (region.segments.clone(), region.total_length_km.to_bits())
-}
-
 /// Asserts every subscription's incrementally maintained region equals a
 /// fresh full evaluation of the same query, bit for bit.
 fn assert_subscriptions_match_full<F>(
@@ -176,8 +101,8 @@ fn assert_subscriptions_match_full<F>(
             .unwrap_or_else(|e| panic!("[seed {seed}] {label}: full re-eval of {id} failed: {e}"))
             .region;
         assert_eq!(
-            bits_of(&maintained),
-            bits_of(&fresh),
+            region_bits(&maintained),
+            region_bits(&fresh),
             "[seed {seed}] {label}: {id} ({algorithm:?}) diverged from full re-evaluation"
         );
     }
@@ -189,7 +114,7 @@ fn assert_subscriptions_match_full<F>(
 #[test]
 fn incremental_matches_full_reevaluation() {
     let seed = fault_seed();
-    let (network, base, round_batches) = scenario();
+    let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let engine = Arc::new(
         EngineBuilder::new(network.clone(), &base)
             .index_config(config())
@@ -263,7 +188,7 @@ fn incremental_matches_full_reevaluation() {
 #[test]
 fn sharded_subscriptions_stay_bit_identical() {
     let seed = fault_seed();
-    let (network, base, round_batches) = scenario();
+    let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let map = Arc::new(ShardMap::partition(&network, NUM_SHARDS));
 
     let reference = EngineBuilder::new(network.clone(), &base)
@@ -307,8 +232,8 @@ fn sharded_subscriptions_stay_bit_identical() {
                 })
                 .region;
             assert_eq!(
-                bits_of(&maintained),
-                bits_of(&fresh),
+                region_bits(&maintained),
+                region_bits(&fresh),
                 "[seed {seed}] {label}: {id} ({algorithm:?}) diverged from the \
                  unsharded reference"
             );
@@ -321,7 +246,7 @@ fn sharded_subscriptions_stay_bit_identical() {
 #[test]
 fn untouched_batches_issue_zero_engine_queries() {
     let seed = fault_seed();
-    let (network, base, round_batches) = scenario();
+    let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let engine = Arc::new(
         EngineBuilder::new(network.clone(), &base)
             .index_config(config())
@@ -342,7 +267,7 @@ fn untouched_batches_issue_zero_engine_queries() {
     let baseline = manager.stats().engine_queries;
     for (round, batch) in round_batches.iter().enumerate().take(3) {
         engine
-            .ingest(&disjoint_batch(batch, round))
+            .ingest(&disjoint_batch(batch, round, BASE_DAYS))
             .expect("disjoint ingest");
         manager.run_now();
     }
@@ -380,7 +305,7 @@ fn untouched_batches_issue_zero_engine_queries() {
 #[test]
 fn threshold_trigger_fires_exactly_at_the_crossing_batch() {
     let seed = fault_seed();
-    let (network, base, round_batches) = scenario();
+    let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
 
     // Dry run: record each candidate's length trajectory on a shadow
     // engine and plant a threshold between two consecutive lengths of the
@@ -484,20 +409,8 @@ fn evaluation_fault_emits_typed_event_and_converges() {
     let dir = tmp_dir("fault");
     // A denser fleet than `scenario()`: the standing queries below must
     // actually read postings cold (guard-checked), so the scripted EIO has
-    // something to hit. Same shape as `tests/fault_injection.rs`.
-    let city = SyntheticCity::generate(GeneratorConfig::small());
-    let network = Arc::new(city.network);
-    let dataset = TrajectoryDataset::simulate(
-        &network,
-        FleetConfig {
-            num_taxis: 12,
-            num_days: 3,
-            day_start_s: 8 * 3600,
-            day_end_s: 12 * 3600,
-            seed: 5,
-            ..FleetConfig::default()
-        },
-    );
+    // something to hit.
+    let (network, dataset) = fault_scenario();
     EngineBuilder::new(network.clone(), &dataset)
         .index_config(config())
         .save_snapshot(&dir)
