@@ -11,10 +11,12 @@ pub struct IndexConfig {
     /// Buffer-pool capacity, in pages, for the posting store backing the
     /// ST-Index time lists.
     pub pool_pages: usize,
-    /// Simulated latency per physical page read, in microseconds. Zero
-    /// disables the simulated disk entirely. The default (40 µs) models an
-    /// inexpensive SSD and restores the I/O-bound cost structure of the
-    /// paper's 194 GB on-disk dataset.
+    /// Simulated latency per physical page read, in microseconds, spun on
+    /// the reading thread. The default, zero, disables the simulated disk:
+    /// reads cost what the page store really costs. A positive value models
+    /// a slower device (40 µs is an inexpensive SSD) for experiments that
+    /// want the paper's I/O-bound cost structure without its 194 GB
+    /// dataset.
     pub read_latency_us: u64,
     /// Maximum number of time slots for which Con-Index connection tables
     /// are kept in memory at once (least-recently-used slots are evicted).
@@ -43,7 +45,7 @@ impl Default for IndexConfig {
         Self {
             slot_s: 300,
             pool_pages: 256,
-            read_latency_us: 40,
+            read_latency_us: 0,
             max_cached_con_slots: 64,
             fallback_min_speed_ms: 2.0,
             read_retries: streach_storage::DEFAULT_READ_RETRIES,

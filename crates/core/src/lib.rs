@@ -25,9 +25,8 @@
 //!
 //! # Hot-path architecture
 //!
-//! The query path is built around three disciplines, established by the
-//! zero-allocation refactor and verified by `tests/verifier_alloc.rs` and
-//! `tests/equivalence.rs`:
+//! The query path is built around these disciplines, verified by
+//! `tests/verifier_alloc.rs` and `tests/equivalence.rs`:
 //!
 //! * **Workspace reuse + epoch stamping.** All Dijkstra runs (the ES travel
 //!   cap, MQMB's per-start ownership distances) execute on a reusable
@@ -36,32 +35,29 @@
 //!   epoch counter instead of being cleared, with `f64::total_cmp` heap
 //!   ordering (NaN-sound, deterministic tie-breaks). A run costs
 //!   O(settled segments) and allocates nothing after the first use.
-//! * **Day-indexed, zero-allocation verification.** The reachability
-//!   verifier is split into a shareable
-//!   [`VerifierCore`](query::verifier::VerifierCore) (the start segment's
-//!   trajectory IDs as a `Vec` indexed by `date`, pre-sorted once) and a
-//!   per-worker [`VerifierScratch`](query::verifier::VerifierScratch)
-//!   (day-indexed candidate buckets, touched-day list, raw posting byte
-//!   buffer). Postings are read through the index view the core pinned
-//!   once per query
-//!   ([`StIndex::read_pinned`](st_index::StIndex::read_pinned))
-//!   into the recycled buffer and decoded in place with
-//!   [`streach_storage::visit_posting`], so each (segment, slot) posting
-//!   is read exactly once per evaluation and a warm `probability()` call
-//!   performs **zero heap allocations**.
+//! * **Batched, slot-at-a-time verification.** The reachability verifier
+//!   ([`VerifierCore`](query::verifier::VerifierCore)) holds the start
+//!   segment's trajectory IDs as a `Vec` indexed by `date`, pre-sorted
+//!   once, and the index view pinned once per query. It verifies a whole
+//!   sorted batch of segments
+//!   ([`VerifierCore::probabilities`](query::verifier::VerifierCore::probabilities)):
+//!   one contiguous range per worker, and per window slot one merge of the
+//!   range with the slot's directory, whose blobs are read in heap order a
+//!   page at a time, in-page blobs lent from the pooled page without a
+//!   copy. Eq. 3.1 is counted as one bit per (segment, day), so a warm
+//!   batch allocates nothing per segment.
 //! * **Parallel stages.** The embarrassingly parallel stages — annulus
 //!   verification in ES/TBS/MQMB, per-segment Con-Index table construction,
 //!   and the sort-based (slot, segment) grouping of
 //!   [`StIndex::build`](st_index::StIndex::build) — run on scoped threads
-//!   via `streach_par` (one scratch per worker, results in input order).
+//!   via `streach_par` (results in input order).
 //!   [`QueryStats`] reports per-stage `bounding_time`/`verify_time` so the
 //!   split is measurable per query.
-//! * **Fallible storage on the hot path.** Every posting read from
-//!   [`StIndex::read_pinned`](st_index::StIndex::read_pinned)
-//!   through [`VerifierCore::probability`](query::verifier::VerifierCore::probability)
-//!   and the parallel ES/TBS/MQMB workers
-//!   (`streach_par::try_par_map_with`: first error wins, remaining work
-//!   cancelled) up to
+//! * **Fallible storage on the hot path.** Every posting read from the
+//!   [`PostingStore`](streach_storage::PostingStore) page runs through
+//!   [`VerifierCore::probabilities`](query::verifier::VerifierCore::probabilities)
+//!   and its workers (`streach_par::try_par_chunks`: the lowest failing
+//!   range's error wins) up to
 //!   [`ReachabilityEngine::try_s_query`](engine::ReachabilityEngine::try_s_query) /
 //!   [`try_m_query`](engine::ReachabilityEngine::try_m_query) returns a
 //!   `Result`: a disk fault mid-query surfaces as
@@ -70,7 +66,7 @@
 //!   fault-injection harness (`streach_storage::FaultInjectingPageStore`
 //!   under [`ReachabilityEngine::open_snapshot_with_stores_and_backend`](engine::ReachabilityEngine::open_snapshot_with_stores_and_backend),
 //!   driven by `tests/fault_injection.rs`) scripts an EIO at every
-//!   posting-read ordinal of every pipeline to keep the error paths honest.
+//!   physical page read of every pipeline to keep the error paths honest.
 //! * **Online maintenance.** The ST-Index state (sealed base + delta tail)
 //!   sits behind one swappable `Arc`: readers pin a consistent pair per
 //!   read, so compaction builds its new base off to the side and publishes

@@ -15,16 +15,15 @@
 //!
 //! The expansion runs on the calling thread's reusable
 //! [`DijkstraWorkspace`](streach_roadnet::DijkstraWorkspace) (dense arrays,
-//! no hashing) and the per-segment verifications — independent posting-list
-//! intersections — run in parallel, each worker holding its own
-//! [`VerifierScratch`].
+//! no hashing). The candidates are then sorted and verified as one batch
+//! ([`VerifierCore::probabilities`]), like the trace back search's annulus.
 
 use std::time::{Duration, Instant};
 
 use streach_roadnet::{RoadClass, RoadNetwork, SegmentId};
 use streach_storage::StorageResult;
 
-use crate::query::verifier::{PostingSource, VerifierCore, VerifierScratch};
+use crate::query::verifier::{PostingSource, VerifierCore};
 use crate::query::SQuery;
 use crate::region::ReachableRegion;
 
@@ -60,19 +59,20 @@ pub fn exhaustive_search<I: PostingSource + ?Sized>(
     let cap_m = query.duration_s as f64 * RoadClass::Highway.free_flow_ms() * 1.1;
     let (candidates, visited) = streach_roadnet::with_thread_workspace(|ws| {
         ws.run(network, start_segment, cap_m);
-        let candidates: Vec<SegmentId> = ws
+        let mut candidates: Vec<SegmentId> = ws
             .settled()
             .map(|(seg, _)| seg)
             .filter(|seg| *seg != start_segment)
             .collect();
+        candidates.sort_unstable();
         (candidates, ws.num_settled())
     });
     let expansion_time = t0.elapsed();
 
-    // Verify against the trajectory postings (disk I/O) — embarrassingly
-    // parallel across candidates; every worker reuses one scratch. Core
-    // construction (the start segment's posting reads) counts toward
-    // verify_time, mirroring the SQMB+TBS and MQMB stat attribution.
+    // Verify against the trajectory postings (disk I/O), the sorted
+    // candidates as one batch. Core construction (the start segment's
+    // posting reads) counts toward verify_time, mirroring the SQMB+TBS and
+    // MQMB stat attribution.
     let t1 = Instant::now();
     let core = VerifierCore::new(
         st_index,
@@ -80,19 +80,15 @@ pub fn exhaustive_search<I: PostingSource + ?Sized>(
         query.start_time_s,
         query.duration_s,
     )?;
-    let prob = query.prob;
-    let passed =
-        streach_par::try_par_map_with(&candidates, VerifierScratch::new, |scratch, seg| {
-            core.is_reachable(scratch, *seg, prob)
-        })?;
+    let probabilities = core.probabilities(&candidates)?;
     let verify_time = t1.elapsed();
 
     let mut reachable: Vec<SegmentId> = vec![start_segment];
     reachable.extend(
         candidates
             .iter()
-            .zip(&passed)
-            .filter(|(_, ok)| **ok)
+            .zip(&probabilities)
+            .filter(|(_, p)| **p >= query.prob)
             .map(|(seg, _)| *seg),
     );
 

@@ -27,7 +27,7 @@ use crate::stats::QueryStats;
 /// process survives malformed requests, off-network locations **and disk
 /// faults**: every posting read of the query hot path (from
 /// [`streach_storage::PageStore`] through
-/// [`verifier::VerifierCore::probability`] to
+/// [`verifier::VerifierCore::probabilities`] to
 /// [`crate::ReachabilityEngine::try_s_query`] /
 /// [`crate::ReachabilityEngine::try_m_query`]) is fallible, so an `EIO`,
 /// a truncated page file or a torn page mid-query surfaces as

@@ -40,7 +40,7 @@ use streach_storage::StorageResult;
 
 use crate::con_index::{BoundingPass, ConIndex};
 use crate::query::sqmb::hop_slots;
-use crate::query::verifier::{PostingSource, VerifierCore, VerifierScratch};
+use crate::query::verifier::{PostingSource, VerifierCore};
 use crate::region::ReachableRegion;
 
 /// Sentinel for "segment not in the region / unowned".
@@ -266,12 +266,12 @@ pub struct MqmbTbsOutcome {
 /// Verifies the unified annulus: every segment is checked once, against the
 /// verifier of the start location that owns it.
 ///
-/// The verifications run in parallel; the per-start [`VerifierCore`]s are
-/// shared read-only across workers and each worker reuses one scratch for
-/// all segments of its chunk, whichever start they belong to. Fallible end
-/// to end: core construction reads the start segments' postings and every
-/// annulus verification reads the candidate's — a storage fault anywhere
-/// cancels the remaining work and surfaces as `Err`.
+/// The annulus splits into one sorted batch per owning start, and each
+/// start's [`VerifierCore`] verifies its batch
+/// ([`VerifierCore::probabilities`]). Fallible end to end: core
+/// construction reads the start segments' postings and every annulus
+/// verification reads the candidate's — a storage fault anywhere surfaces
+/// as `Err` and no partial region is returned.
 pub fn mqmb_trace_back<I: PostingSource + ?Sized>(
     network: &RoadNetwork,
     st_index: &I,
@@ -290,21 +290,24 @@ pub fn mqmb_trace_back<I: PostingSource + ?Sized>(
 
     let t1 = Instant::now();
     let annulus = bounds.annulus();
-    let passed = streach_par::try_par_map_with(&annulus, VerifierScratch::new, |scratch, seg| {
-        let owner = bounds.owner_of(*seg).unwrap_or(0);
-        cores[owner].is_reachable(scratch, *seg, prob)
-    })?;
-    let verify_time = t1.elapsed();
-
+    let mut batches: Vec<Vec<SegmentId>> = vec![Vec::new(); cores.len()];
+    for &seg in &annulus {
+        batches[bounds.owner_of(seg).unwrap_or(0)].push(seg);
+    }
     let mut result: Vec<SegmentId> = bounds.min_region.clone();
     result.extend_from_slice(starts);
-    result.extend(
-        annulus
-            .iter()
-            .zip(&passed)
-            .filter(|(_, ok)| **ok)
-            .map(|(seg, _)| *seg),
-    );
+    for (core, batch) in cores.iter().zip(&batches) {
+        let probabilities = core.probabilities(batch)?;
+        result.extend(
+            batch
+                .iter()
+                .zip(&probabilities)
+                .filter(|(_, p)| **p >= prob)
+                .map(|(seg, _)| *seg),
+        );
+    }
+    let verify_time = t1.elapsed();
+
     Ok(MqmbTbsOutcome {
         region: ReachableRegion::from_segments(network, result),
         verifications: annulus.len(),

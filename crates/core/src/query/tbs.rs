@@ -11,9 +11,9 @@
 //! *entire* annulus and a failed segment only enqueues annulus neighbours
 //! (which are already queued), the fixed point it computes is simply "verify
 //! every annulus segment exactly once". This implementation does exactly
-//! that — in parallel, since the verifications are independent posting-list
-//! intersections: the [`VerifierCore`] is shared read-only across workers
-//! and each worker reuses its own [`VerifierScratch`].
+//! that, as one sorted batch: [`VerifierCore::probabilities`] splits the
+//! annulus into one range per worker and reads each range's postings a
+//! window slot at a time, in heap order.
 //!
 //! The returned Prob-reachable region is the minimum bounding region plus
 //! every verified segment that met the probability threshold. The expensive
@@ -25,7 +25,7 @@ use streach_roadnet::RoadNetwork;
 use streach_storage::StorageResult;
 
 use crate::query::sqmb::BoundingRegions;
-use crate::query::verifier::{PostingSource, VerifierCore, VerifierScratch};
+use crate::query::verifier::{PostingSource, VerifierCore};
 use crate::region::ReachableRegion;
 
 /// Outcome of a trace back search.
@@ -44,9 +44,7 @@ pub struct TbsOutcome {
 /// window; `bounds` are the SQMB bounding regions of that start.
 ///
 /// Verification reads postings, so the search is fallible: a storage fault
-/// in any worker wins over the batch (`streach_par::try_par_map_with`
-/// cancels the remaining verifications cleanly) and no partial region is
-/// returned.
+/// in any worker fails the batch and no partial region is returned.
 pub fn trace_back_search<I: PostingSource + ?Sized>(
     network: &RoadNetwork,
     core: &VerifierCore<'_, I>,
@@ -54,9 +52,7 @@ pub fn trace_back_search<I: PostingSource + ?Sized>(
     prob: f64,
 ) -> StorageResult<TbsOutcome> {
     let annulus = bounds.annulus();
-    let passed = streach_par::try_par_map_with(&annulus, VerifierScratch::new, |scratch, seg| {
-        core.is_reachable(scratch, *seg, prob)
-    })?;
+    let probabilities = core.probabilities(&annulus)?;
 
     // Final region: everything reachable even at minimum speed plus the
     // verified annulus segments.
@@ -64,8 +60,8 @@ pub fn trace_back_search<I: PostingSource + ?Sized>(
     segments.extend(
         annulus
             .iter()
-            .zip(&passed)
-            .filter(|(_, ok)| **ok)
+            .zip(&probabilities)
+            .filter(|(_, p)| **p >= prob)
             .map(|(seg, _)| *seg),
     );
     Ok(TbsOutcome {

@@ -13,32 +13,32 @@
 //!
 //! Every verification reads the time lists of `r` for the slots overlapping
 //! `[T, T + L)` from the posting store — this is exactly the disk I/O the
-//! Con-Index pruning tries to minimise. Because a query verifies hundreds of
-//! candidate segments, this module is built for a *zero-allocation steady
-//! state*:
+//! Con-Index pruning tries to minimise. A query verifies hundreds of
+//! candidate segments, so verification works on the whole sorted batch at
+//! once, a window slot at a time:
 //!
 //! * [`VerifierCore`] holds everything immutable per query: the start
 //!   segment's trajectory IDs as a **day-indexed** table (`Vec` indexed by
 //!   `date as usize`, each day pre-sorted and deduplicated at construction),
-//!   plus the window's slot range, and the index view pinned once for the
-//!   whole query ([`PostingSource::pin`]). It is freely shared across
-//!   threads, and its reads write no index-wide shared state.
-//! * [`VerifierScratch`] holds the per-worker mutable state: a day-indexed
-//!   candidate-ID table, the list of days touched by the current call, and
-//!   the raw posting byte buffer. All of it is recycled between calls, so
-//!   after the first few verifications a `probability` call performs **no
-//!   heap allocation** — postings are copied into the reusable byte buffer
-//!   via [`PostingSource::read_pinned`] and decoded in place with
-//!   [`streach_storage::visit_posting`].
-//!
-//! [`ReachabilityVerifier`] bundles one core with one scratch for the
-//! sequential call sites; parallel call sites share one core across workers
-//! and give each worker its own scratch (see `streach_par::par_map_with`).
+//!   the window's slot range, and the index view pinned once for the whole
+//!   query ([`PostingSource::pin`]). It is freely shared across threads,
+//!   and its reads write no index-wide shared state.
+//! * [`VerifierCore::probabilities`] splits the batch into one contiguous
+//!   range per worker (`streach_par::try_par_chunks`). For each window slot
+//!   a range asks the source to visit its segments' postings
+//!   ([`PostingSource::visit_slot`]); the ST-Index merges the range with
+//!   the slot's directory and reads the matched blobs in heap order, one
+//!   pool fetch per page, lending in-page blobs without a copy.
+//! * Eq. 3.1 is counted as one bit per (segment, day): a day's bit is set
+//!   when a posting's IDs for that day meet the start segment's, and `m*`
+//!   is the popcount once every slot was visited.
 
 use std::sync::Arc;
 
 use streach_roadnet::SegmentId;
-use streach_storage::{visit_posting, IoStats, IoStatsSnapshot, StorageError, StorageResult};
+use streach_storage::{
+    fixed_width_size, visit_posting, IoStats, IoStatsSnapshot, StorageError, StorageResult,
+};
 
 use crate::st_index::StIndex;
 use crate::time::slots_overlapping;
@@ -49,8 +49,8 @@ use crate::time::slots_overlapping;
 /// touches — nothing about building, ingest, or compaction. [`StIndex`] is
 /// the canonical implementation; a sharded deployment implements it with a
 /// router that resolves each `(segment, slot)` read against the shard (and
-/// replica) owning that segment, so the zero-allocation verify loop is
-/// oblivious to the topology behind it.
+/// replica) owning that segment, so the verifier is oblivious to the
+/// topology behind it.
 ///
 /// # Pinned reads
 ///
@@ -99,15 +99,42 @@ pub trait PostingSource: Sync {
         buf: &mut Vec<u8>,
     ) -> StorageResult<bool>;
 
+    /// Calls `visit(i, bytes)` with the encoded time list of every
+    /// `segments[i]` that has one in `slot` as seen by `pin`, in ascending
+    /// `i`, and stops at the first error `visit` returns. `segments` must
+    /// ascend strictly; `buf` holds any bytes that have to be copied.
+    ///
+    /// The default reads pair by pair through
+    /// [`read_pinned`](Self::read_pinned). [`StIndex`] reads the slot's
+    /// blobs in heap order instead, a page at a time.
+    fn visit_slot<F>(
+        &self,
+        pin: &Self::Pin,
+        segments: &[SegmentId],
+        slot: u32,
+        buf: &mut Vec<u8>,
+        mut visit: F,
+    ) -> StorageResult<()>
+    where
+        F: FnMut(usize, &[u8]) -> StorageResult<()>,
+    {
+        for (i, &segment) in segments.iter().enumerate() {
+            if self.read_pinned(pin, segment, slot, buf)? {
+                visit(i, buf)?;
+            }
+        }
+        Ok(())
+    }
+
     /// The typed error describing a structurally invalid posting at
     /// `(segment, slot)`.
     fn malformed_posting(&self, segment: SegmentId, slot: u32) -> StorageError;
 }
 
-/// The immutable, shareable half of a verifier: one (start segment, T, Δt, L)
-/// combination.
+/// The verifier of one (start segment, T, Δt, L) combination, shared by
+/// every worker of the query.
 pub struct VerifierCore<'a, I: PostingSource + ?Sized = StIndex> {
-    st_index: &'a I,
+    source: &'a I,
     /// The view every read of this core goes through, pinned once at
     /// construction (see [`PostingSource`]).
     pin: I::Pin,
@@ -129,48 +156,26 @@ pub struct VerifierCore<'a, I: PostingSource + ?Sized = StIndex> {
     io: Arc<IoStats>,
 }
 
-/// The reusable per-worker mutable half of a verifier.
-///
-/// All buffers grow to their high-water mark and are then recycled: clearing
-/// a `Vec` keeps its capacity, and only the days touched by the previous call
-/// are cleared (tracked in `touched`), so reset cost is proportional to the
-/// work actually done.
-#[derive(Default)]
-pub struct VerifierScratch {
-    /// Candidate segment's trajectory IDs, indexed by date.
-    target_ids: Vec<Vec<u32>>,
-    /// Days with a non-empty `target_ids` entry in the current call.
-    touched: Vec<u16>,
-    /// Raw encoded time-list bytes of the posting being visited.
-    bytes: Vec<u8>,
-    /// Number of probability evaluations performed with this scratch.
-    pub verifications: usize,
-}
-
-impl VerifierScratch {
-    /// Creates an empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Returns `true` if the two sorted slices share an element (duplicates are
-/// permitted; order is what matters).
-fn sorted_intersects(a: &[u32], b: &[u32]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
+/// Returns `true` if the sorted `start` IDs share an element with the
+/// ascending `ids` (duplicates are permitted; order is what matters).
+fn meets(start: &[u32], ids: impl IntoIterator<Item = u32>) -> bool {
+    let mut i = 0;
+    for id in ids {
+        while i < start.len() && start[i] < id {
+            i += 1;
+        }
+        match start.get(i) {
+            Some(&s) if s == id => return true,
+            Some(_) => {}
+            None => return false,
         }
     }
     false
 }
 
 impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
-    /// Builds the shared core for queries starting from `start_segment` at
-    /// time `start_time_s`, with query duration `duration_s`.
+    /// Builds the core for queries starting from `start_segment` at time
+    /// `start_time_s`, with query duration `duration_s`.
     ///
     /// `Tr(r0, T0, d)` is extracted once here (T0 = `[T, T + Δt)`), which is
     /// the first step of the trace back search. The start segment's posting
@@ -178,28 +183,28 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
     /// malformed posting surfaces as `Err` instead of aborting the process.
     ///
     /// The index view is pinned here, once: this read and every later
-    /// [`VerifierCore::probability`] read the same (base, delta) pair, even
+    /// [`VerifierCore::probabilities`] read the same (base, delta) pair, even
     /// across a concurrent compaction (see [`PostingSource`]).
     pub fn new(
-        st_index: &'a I,
+        source: &'a I,
         start_segment: SegmentId,
         start_time_s: u32,
         duration_s: u32,
     ) -> StorageResult<Self> {
-        let slot_s = st_index.slot_s();
-        let num_days = st_index.num_days();
+        let slot_s = source.slot_s();
+        let num_days = source.num_days();
         // Windows wrap past midnight instead of clamping: the bounding phase
         // (SQMB / Con-Index) has always used modular slot arithmetic, and the
         // verifier must read exactly the slots the bounds were computed over.
         let t0_end = start_time_s.saturating_add(slot_s);
         let end = start_time_s.saturating_add(duration_s);
 
-        let io = st_index.io_stats();
-        let pin = st_index.pin();
+        let io = source.io_stats();
+        let pin = source.pin();
         let mut start_ids: Vec<Vec<u32>> = vec![Vec::new(); num_days as usize];
         let mut bytes = Vec::new();
         for slot in slots_overlapping(start_time_s, t0_end, slot_s) {
-            if st_index.read_pinned(&pin, start_segment, slot, &mut bytes)? {
+            if source.read_pinned(&pin, start_segment, slot, &mut bytes)? {
                 let (mut dates, mut ids_seen) = (0u64, 0u64);
                 let well_formed = visit_posting(&bytes, |date, ids| {
                     dates += 1;
@@ -209,9 +214,9 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
                     }
                 });
                 if !well_formed {
-                    return Err(st_index.malformed_posting(start_segment, slot));
+                    return Err(source.malformed_posting(start_segment, slot));
                 }
-                io.record_posting_decode(4 + dates * 6 + ids_seen * 4, bytes.len() as u64);
+                io.record_posting_decode(fixed_width_size(dates, ids_seen), bytes.len() as u64);
             }
         }
         let mut active_days = 0;
@@ -224,7 +229,7 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
         }
 
         Ok(Self {
-            st_index,
+            source,
             pin,
             start_ids,
             active_days,
@@ -246,150 +251,72 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
         self.window
     }
 
-    /// The reachable probability `probability(r, r0)` of Eq. 3.1.
+    /// The reachable probability `probability(r, r0)` of Eq. 3.1 for every
+    /// segment of `segments`, in input order. `segments` must ascend
+    /// strictly (an annulus, or sorted candidates); the call panics
+    /// otherwise, since the scan would miss postings.
     ///
-    /// Steady-state calls perform no heap allocation: posting bytes land in
-    /// `scratch.bytes`, per-day candidate IDs accumulate in the recycled
-    /// day-indexed table, and the intersection test runs over sorted slices.
-    ///
-    /// Every call reads postings, so the result is a [`StorageResult`]: a
-    /// disk fault (`EIO`, truncation after open) or a structurally invalid
-    /// posting (torn/zeroed page) is reported as `Err` — never a panic, and
-    /// never a silently wrong probability computed from a partial read.
-    pub fn probability(
-        &self,
-        scratch: &mut VerifierScratch,
-        segment: SegmentId,
-    ) -> StorageResult<f64> {
-        scratch.verifications += 1;
+    /// The batch is split into one contiguous range per worker, and each
+    /// range reads its postings a window slot at a time (see the module
+    /// docs). Every call reads postings, so the result is a
+    /// [`StorageResult`]: a disk fault (`EIO`, truncation after open) or a
+    /// structurally invalid posting (torn/zeroed page) is reported as `Err`
+    /// naming the segment and slot — never a panic, and never a silently
+    /// wrong probability computed from a partial read.
+    pub fn probabilities(&self, segments: &[SegmentId]) -> StorageResult<Vec<f64>> {
+        assert!(
+            segments.windows(2).all(|w| w[0] < w[1]),
+            "a verification batch must ascend strictly"
+        );
         if self.num_days == 0 || self.active_days == 0 {
-            return Ok(0.0);
+            return Ok(vec![0.0; segments.len()]);
         }
-        // Recycle the scratch table: clear only the previously touched days.
-        if scratch.target_ids.len() < self.num_days as usize {
-            scratch
-                .target_ids
-                .resize_with(self.num_days as usize, Vec::new);
-        }
-        for &day in &scratch.touched {
-            scratch.target_ids[day as usize].clear();
-        }
-        scratch.touched.clear();
+        streach_par::try_par_chunks(segments, |range| self.verify_range(range))
+    }
 
-        // One posting read per (segment, slot) of the window; each entry's
-        // IDs go straight into the day bucket. Days on which the start
-        // segment saw no trajectory cannot contribute to m* and are skipped
-        // before any copying happens.
-        let touched = &mut scratch.touched;
-        let target_ids = &mut scratch.target_ids;
+    /// Eq. 3.1 over one worker's range.
+    fn verify_range(&self, segments: &[SegmentId]) -> StorageResult<Vec<f64>> {
+        // One bit per (segment, day) whose posting met the start IDs.
+        let words = (self.num_days as usize).div_ceil(64);
+        let mut met = vec![0u64; segments.len() * words];
+        // Sized so that copying a blob of up to a page never grows it.
+        let mut buf = Vec::with_capacity(streach_storage::PAGE_SIZE);
         for slot in self.window_slots.clone() {
-            if self
-                .st_index
-                .read_pinned(&self.pin, segment, slot, &mut scratch.bytes)?
-            {
-                let (mut dates, mut ids_seen) = (0u64, 0u64);
-                let well_formed = visit_posting(&scratch.bytes, |date, ids| {
-                    dates += 1;
-                    ids_seen += ids.len() as u64;
-                    let day = date as usize;
-                    if day < self.start_ids.len() && !self.start_ids[day].is_empty() {
-                        let bucket = &mut target_ids[day];
-                        if bucket.is_empty() {
-                            touched.push(date);
+            self.source
+                .visit_slot(&self.pin, segments, slot, &mut buf, |i, bytes| {
+                    let met = &mut met[i * words..(i + 1) * words];
+                    let (mut dates, mut ids_seen) = (0u64, 0u64);
+                    let well_formed = visit_posting(bytes, |date, ids| {
+                        dates += 1;
+                        ids_seen += ids.len() as u64;
+                        // Days on which the start segment saw no trajectory
+                        // (or past the pinned day count) cannot count.
+                        let day = date as usize;
+                        let (word, bit) = (day / 64, 1u64 << (day % 64));
+                        if day < self.start_ids.len()
+                            && met[word] & bit == 0
+                            && meets(&self.start_ids[day], ids)
+                        {
+                            met[word] |= bit;
                         }
-                        bucket.extend(ids);
+                    });
+                    if !well_formed {
+                        return Err(self.source.malformed_posting(segments[i], slot));
                     }
-                });
-                if !well_formed {
-                    return Err(self.st_index.malformed_posting(segment, slot));
-                }
-                self.io.record_posting_decode(
-                    4 + dates * 6 + ids_seen * 4,
-                    scratch.bytes.len() as u64,
-                );
-            }
+                    self.io.record_posting_decode(
+                        fixed_width_size(dates, ids_seen),
+                        bytes.len() as u64,
+                    );
+                    Ok(())
+                })?;
         }
-        if scratch.touched.is_empty() {
-            return Ok(0.0);
-        }
-
-        let mut matching_days = 0u32;
-        for &date in &scratch.touched {
-            let bucket = &mut scratch.target_ids[date as usize];
-            // A single slot contributes a sorted run; multi-slot windows can
-            // interleave runs, so restore sortedness only when violated.
-            // (`sorted_intersects` tolerates duplicates, so no dedup needed.)
-            if !bucket.is_sorted() {
-                bucket.sort_unstable();
-            }
-            if sorted_intersects(&self.start_ids[date as usize], bucket) {
-                matching_days += 1;
-            }
-        }
-        Ok(matching_days as f64 / self.num_days as f64)
-    }
-
-    /// Convenience: `probability(segment) >= prob`.
-    pub fn is_reachable(
-        &self,
-        scratch: &mut VerifierScratch,
-        segment: SegmentId,
-        prob: f64,
-    ) -> StorageResult<bool> {
-        Ok(self.probability(scratch, segment)? >= prob)
-    }
-}
-
-/// A reusable verifier for one (start segment, T, Δt, L) combination:
-/// a [`VerifierCore`] bundled with one [`VerifierScratch`] for sequential
-/// call sites.
-pub struct ReachabilityVerifier<'a, I: PostingSource + ?Sized = StIndex> {
-    core: VerifierCore<'a, I>,
-    scratch: VerifierScratch,
-}
-
-impl<'a, I: PostingSource + ?Sized> ReachabilityVerifier<'a, I> {
-    /// Builds a verifier for queries starting from `start_segment` at time
-    /// `start_time_s`, with query duration `duration_s`. Fallible for the
-    /// same reason [`VerifierCore::new`] is: the start segment's postings
-    /// are read here.
-    pub fn new(
-        st_index: &'a I,
-        start_segment: SegmentId,
-        start_time_s: u32,
-        duration_s: u32,
-    ) -> StorageResult<Self> {
-        Ok(Self {
-            core: VerifierCore::new(st_index, start_segment, start_time_s, duration_s)?,
-            scratch: VerifierScratch::new(),
-        })
-    }
-
-    /// The shareable immutable half (for parallel verification, pair it with
-    /// one [`VerifierScratch`] per worker).
-    pub fn core(&self) -> &VerifierCore<'a, I> {
-        &self.core
-    }
-
-    /// Number of days on which at least one trajectory passed the start
-    /// segment during `[T, T + Δt)`.
-    pub fn active_days(&self) -> usize {
-        self.core.active_days()
-    }
-
-    /// Number of probability evaluations performed.
-    pub fn verifications(&self) -> usize {
-        self.scratch.verifications
-    }
-
-    /// The reachable probability `probability(r, r0)` of Eq. 3.1.
-    pub fn probability(&mut self, segment: SegmentId) -> StorageResult<f64> {
-        self.core.probability(&mut self.scratch, segment)
-    }
-
-    /// Convenience: `probability(segment) >= prob`.
-    pub fn is_reachable(&mut self, segment: SegmentId, prob: f64) -> StorageResult<bool> {
-        Ok(self.probability(segment)? >= prob)
+        Ok(met
+            .chunks(words)
+            .map(|days| {
+                let matching_days: u32 = days.iter().map(|w| w.count_ones()).sum();
+                matching_days as f64 / self.num_days as f64
+            })
+            .collect())
     }
 }
 
@@ -397,9 +324,12 @@ impl<'a, I: PostingSource + ?Sized> ReachabilityVerifier<'a, I> {
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
+    use crate::query::reference::NaiveVerifier;
+    use crate::st_index::PinnedState;
     use std::sync::Arc;
     use streach_roadnet::{GeneratorConfig, SyntheticCity};
-    use streach_traj::{FleetConfig, TrajectoryDataset};
+    use streach_storage::{fault::mix, Page, PageStore, PAGE_SIZE};
+    use streach_traj::{FleetConfig, TrajPoint, TrajectoryDataset};
 
     fn build() -> (
         Arc<streach_roadnet::RoadNetwork>,
@@ -416,26 +346,19 @@ mod tests {
                 ..FleetConfig::tiny()
             },
         );
-        let st = StIndex::build(
-            network.clone(),
-            &dataset,
-            &IndexConfig {
-                read_latency_us: 0,
-                ..Default::default()
-            },
-        );
+        let st = StIndex::build(network.clone(), &dataset, &IndexConfig::default());
         (network, dataset, st)
     }
 
     #[test]
-    fn sorted_intersects_cases() {
-        assert!(sorted_intersects(&[1, 3, 5], &[5, 7]));
-        assert!(sorted_intersects(&[1, 3, 5], &[0, 1]));
-        assert!(!sorted_intersects(&[1, 3, 5], &[2, 4, 6]));
-        assert!(!sorted_intersects(&[], &[1]));
-        assert!(!sorted_intersects(&[], &[]));
+    fn meets_cases() {
+        assert!(meets(&[1, 3, 5], [5, 7]));
+        assert!(meets(&[1, 3, 5], [0, 1]));
+        assert!(!meets(&[1, 3, 5], [2, 4, 6]));
+        assert!(!meets(&[], [1]));
+        assert!(!meets(&[], []));
         // Duplicates are fine — the inputs are sorted, not necessarily unique.
-        assert!(sorted_intersects(&[2, 2, 4], &[1, 2, 2]));
+        assert!(meets(&[2, 2, 4], [1, 2, 2]));
     }
 
     #[test]
@@ -444,17 +367,18 @@ mod tests {
         // Pick a (segment, time) straight out of the data so it is active.
         let traj = &dataset.trajectories()[0];
         let visit = traj.visits[0];
-        let mut v = ReachabilityVerifier::new(&st, visit.segment, visit.enter_time_s, 600).unwrap();
-        assert!(v.active_days() >= 1);
-        let p = v.probability(visit.segment).unwrap();
+        let core = VerifierCore::new(&st, visit.segment, visit.enter_time_s, 600).unwrap();
+        assert!(core.active_days() >= 1);
+        let batch = core.probabilities(&[visit.segment]).unwrap();
+        assert_eq!(batch.len(), 1);
+        let p = batch[0];
         assert!(
             p > 0.0,
             "start segment must be reachable from itself on active days"
         );
-        assert_eq!(v.verifications(), 1);
         assert!(p <= 1.0);
         // Probability equals active days / m when the start segment is the target.
-        assert!((p - v.active_days() as f64 / dataset.num_days() as f64).abs() < 1e-9);
+        assert!((p - core.active_days() as f64 / dataset.num_days() as f64).abs() < 1e-9);
     }
 
     #[test]
@@ -462,9 +386,9 @@ mod tests {
         let (network, _, st) = build();
         let seg = network.segment_ids().next().unwrap();
         // 02:00: the tiny fleet does not operate, so no trajectory passes r0.
-        let mut v = ReachabilityVerifier::new(&st, seg, 2 * 3600, 600).unwrap();
-        assert_eq!(v.active_days(), 0);
-        assert_eq!(v.probability(seg).unwrap(), 0.0);
+        let core = VerifierCore::new(&st, seg, 2 * 3600, 600).unwrap();
+        assert_eq!(core.active_days(), 0);
+        assert_eq!(core.probabilities(&[seg]).unwrap(), [0.0]);
     }
 
     #[test]
@@ -474,12 +398,10 @@ mod tests {
         let start = traj.visits[0];
         // A segment the same trajectory visits a bit later.
         let later = traj.visits[traj.visits.len().min(8) - 1];
-        let mut short =
-            ReachabilityVerifier::new(&st, start.segment, start.enter_time_s, 120).unwrap();
-        let mut long =
-            ReachabilityVerifier::new(&st, start.segment, start.enter_time_s, 3600).unwrap();
-        let p_short = short.probability(later.segment).unwrap();
-        let p_long = long.probability(later.segment).unwrap();
+        let short = VerifierCore::new(&st, start.segment, start.enter_time_s, 120).unwrap();
+        let long = VerifierCore::new(&st, start.segment, start.enter_time_s, 3600).unwrap();
+        let p_short = short.probabilities(&[later.segment]).unwrap()[0];
+        let p_long = long.probabilities(&[later.segment]).unwrap()[0];
         assert!(
             p_long >= p_short,
             "longer duration cannot lower the probability"
@@ -492,7 +414,7 @@ mod tests {
 
     #[test]
     fn nearby_segments_more_probable_than_far_ones() {
-        let (network, dataset, st) = build();
+        let (network, _, st) = build();
         // Use the busiest segment at 09:00 as the start.
         let slot = crate::time::slot_of(9 * 3600, st.slot_s());
         let start = network
@@ -504,11 +426,14 @@ mod tests {
                     .unwrap_or(0)
             })
             .unwrap();
-        let mut v = ReachabilityVerifier::new(&st, start, 9 * 3600, 900).unwrap();
-        let neighbor_prob: f64 = network
-            .successors(start)
-            .iter()
-            .map(|s| v.probability(*s).unwrap())
+        let core = VerifierCore::new(&st, start, 9 * 3600, 900).unwrap();
+        let mut neighbors = network.successors(start).to_vec();
+        neighbors.sort_unstable();
+        neighbors.dedup();
+        let neighbor_prob = core
+            .probabilities(&neighbors)
+            .unwrap()
+            .into_iter()
             .fold(0.0, f64::max);
         // A far-away corner segment is very unlikely to be reached in 15 minutes.
         let bounds = network.bounds();
@@ -516,32 +441,268 @@ mod tests {
             .nearest_segment(&streach_geo::GeoPoint::new(bounds.min_lon, bounds.min_lat))
             .unwrap()
             .0;
-        let corner_prob = v.probability(corner).unwrap();
+        let corner_prob = core.probabilities(&[corner]).unwrap()[0];
         assert!(
             neighbor_prob >= corner_prob,
             "neighbor {neighbor_prob} vs corner {corner_prob}"
         );
-        let _ = dataset;
     }
 
     #[test]
-    fn shared_core_gives_identical_answers_across_scratches() {
+    fn batch_answers_do_not_depend_on_its_split() {
         let (network, dataset, st) = build();
         let traj = &dataset.trajectories()[0];
         let visit = traj.visits[0];
         let core = VerifierCore::new(&st, visit.segment, visit.enter_time_s, 900).unwrap();
-        let mut a = VerifierScratch::new();
-        let mut b = VerifierScratch::new();
-        for seg in network.segment_ids().take(100) {
-            let pa = core.probability(&mut a, seg).unwrap();
-            let pb = core.probability(&mut b, seg).unwrap();
-            assert_eq!(pa, pb, "segment {seg}");
+        let segments: Vec<SegmentId> = network.segment_ids().take(100).collect();
+        let one = streach_par::with_worker_override(1, || core.probabilities(&segments)).unwrap();
+        let two = streach_par::with_worker_override(2, || core.probabilities(&segments)).unwrap();
+        assert_eq!(one, two);
+        // Each answer equals the segment verified in a batch of its own.
+        for (seg, p) in segments.iter().zip(&one) {
+            assert_eq!(core.probabilities(&[*seg]).unwrap(), [*p], "segment {seg}");
         }
-        // Interleaved reuse of one scratch matches a fresh scratch per call.
-        for seg in network.segment_ids().take(50) {
-            let fresh = core.probability(&mut VerifierScratch::new(), seg).unwrap();
-            let reused = core.probability(&mut a, seg).unwrap();
-            assert_eq!(fresh, reused, "segment {seg}");
+        assert!(core.probabilities(&[]).unwrap().is_empty());
+    }
+
+    // The batched-scan contract. The fleet drives around the clock, so the
+    // slots on both sides of midnight hold postings, and its heap holds
+    // blobs that straddle a page.
+
+    fn around_the_clock(
+        slot_s: u32,
+    ) -> (
+        Arc<streach_roadnet::RoadNetwork>,
+        TrajectoryDataset,
+        StIndex,
+    ) {
+        let city = SyntheticCity::generate(GeneratorConfig::small());
+        let network = Arc::new(city.network);
+        let dataset = TrajectoryDataset::simulate(
+            &network,
+            FleetConfig {
+                num_taxis: 25,
+                num_days: 4,
+                day_start_s: 0,
+                day_end_s: streach_traj::SECONDS_PER_DAY,
+                seed: 99,
+                ..FleetConfig::default()
+            },
+        );
+        let config = IndexConfig {
+            slot_s,
+            ..IndexConfig::default()
+        };
+        let st = StIndex::build(network.clone(), &dataset, &config);
+        let straddlers = st
+            .pin()
+            .directory()
+            .iter()
+            .flat_map(|dir| dir.entries())
+            .filter(|(_, handle)| handle.pages_spanned() > 1)
+            .count();
+        assert!(
+            straddlers > 0,
+            "the heap must hold a blob straddling a page"
+        );
+        (network, dataset, st)
+    }
+
+    /// Points re-driving some trajectories of day 0 on the next day and
+    /// again on day 0 under new IDs: ingested without compaction, they give
+    /// pairs whose delta list overrides the base list.
+    fn extra_day(dataset: &TrajectoryDataset) -> Vec<TrajPoint> {
+        let next_day = dataset.num_days();
+        let mut points = Vec::new();
+        for traj in dataset
+            .trajectories()
+            .iter()
+            .filter(|t| t.date == 0)
+            .take(8)
+        {
+            for visit in &traj.visits {
+                for (date, traj_id) in [(next_day, traj.traj_id), (0, traj.traj_id + 1_000_000)] {
+                    points.push(TrajPoint {
+                        traj_id,
+                        date,
+                        segment: visit.segment,
+                        enter_time_s: visit.enter_time_s,
+                    });
+                }
+            }
+        }
+        points
+    }
+
+    /// Visiting `segments` in `slot` as a batch yields exactly the
+    /// (segment, bytes) pairs that reading them pair by pair does.
+    fn assert_visit_matches_reads(
+        st: &StIndex,
+        pin: &PinnedState,
+        segments: &[SegmentId],
+        slot: u32,
+    ) {
+        let mut visited = Vec::new();
+        st.visit_slot(pin, segments, slot, &mut Vec::new(), |i, bytes| {
+            visited.push((segments[i], bytes.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        let mut read = Vec::new();
+        let mut buf = Vec::new();
+        for &segment in segments {
+            if st.read_pinned(pin, segment, slot, &mut buf).unwrap() {
+                read.push((segment, buf.clone()));
+            }
+        }
+        assert_eq!(visited, read, "slot {slot}, batch of {}", segments.len());
+    }
+
+    fn batch_scan_matches_per_pair_reads(st: &StIndex, num_segments: u32, seed: u64) {
+        let pin = st.pin();
+        let mut draws = 0u64;
+        for slot in 0..IndexConfig::default().slots_per_day() {
+            let listed: Vec<SegmentId> = pin.directory()[slot as usize]
+                .entries()
+                .map(|(segment, _)| segment)
+                .collect();
+            let mut batches = vec![Vec::new(), listed];
+            // Seeded random sorted batches over the whole network: most of
+            // their segments have no list in the slot.
+            for density in [2u64, 8, 64] {
+                let batch: Vec<SegmentId> = (0..num_segments)
+                    .filter(|_| {
+                        draws += 1;
+                        mix(seed, draws).is_multiple_of(density)
+                    })
+                    .map(SegmentId)
+                    .collect();
+                batches.push(batch);
+            }
+            for batch in &batches {
+                assert_visit_matches_reads(st, &pin, batch, slot);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_scan_yields_the_postings_of_per_pair_reads() {
+        let (network, dataset, st) = around_the_clock(300);
+        let num_segments = network.num_segments() as u32;
+        batch_scan_matches_per_pair_reads(&st, num_segments, 36);
+
+        st.apply_points(&extra_day(&dataset)).unwrap();
+        st.raise_num_days(dataset.num_days() + 1);
+        assert!(st.delta_stats().delta_lists > 0);
+        batch_scan_matches_per_pair_reads(&st, num_segments, 37);
+    }
+
+    fn assert_matches_oracle(st: &StIndex, network: &streach_roadnet::RoadNetwork) {
+        let segments: Vec<SegmentId> = network.segment_ids().collect();
+        let center = network.bounds().center();
+        let start = network.nearest_segment(&center).unwrap().0;
+        // Morning windows of one and several slots, and one that wraps
+        // midnight (23:55 + 10 min reads slots 287, 0 and 1).
+        for (t, l) in [
+            (9 * 3600, 300),
+            (9 * 3600 + 120, 1500),
+            (23 * 3600 + 3300, 600),
+        ] {
+            let naive = NaiveVerifier::new(st, start, t, l).unwrap();
+            let core = VerifierCore::new(st, start, t, l).unwrap();
+            assert!(core.active_days() > 0, "T={t}: the start must be active");
+            let expected: Vec<u64> = segments
+                .iter()
+                .map(|&s| naive.probability(s).unwrap().to_bits())
+                .collect();
+            assert!(
+                expected.iter().any(|&p| p != 0),
+                "T={t}: some segment is reachable"
+            );
+            for workers in [1, 2] {
+                let got: Vec<u64> =
+                    streach_par::with_worker_override(workers, || core.probabilities(&segments))
+                        .unwrap()
+                        .into_iter()
+                        .map(f64::to_bits)
+                        .collect();
+                assert_eq!(got, expected, "T={t} L={l} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_scan_probabilities_match_the_oracle() {
+        let (network, dataset, st) = around_the_clock(300);
+        assert_matches_oracle(&st, &network);
+        st.apply_points(&extra_day(&dataset)).unwrap();
+        st.raise_num_days(dataset.num_days() + 1);
+        assert_matches_oracle(&st, &network);
+    }
+
+    #[test]
+    fn batch_scan_zeroed_page_mid_run_is_typed_corrupt() {
+        // Half-hour slots: a slot's run of blobs covers several pages.
+        let (_, _, st) = around_the_clock(1800);
+        let pin = st.pin();
+        // A slot whose run covers at least three pages; zero its second.
+        let page_of = |offset: u64| offset / PAGE_SIZE as u64;
+        let (slot, entries) = pin
+            .directory()
+            .iter()
+            .enumerate()
+            .map(|(slot, dir)| (slot as u32, dir.entries().collect::<Vec<_>>()))
+            .find(|(_, entries)| {
+                entries.len() > 1 && {
+                    let (first, last) = (entries[0].1, entries[entries.len() - 1].1);
+                    page_of(last.offset + last.len as u64 - 1) >= page_of(first.offset) + 2
+                }
+            })
+            .expect("a slot whose blobs span three pages");
+        let zeroed = page_of(entries[0].1.offset) + 1;
+        // The start segment's list lies wholly before the zeroed page.
+        let (start, _) = entries
+            .iter()
+            .copied()
+            .find(|(_, h)| page_of(h.offset + h.len as u64 - 1) < zeroed)
+            .expect("an entry before the zeroed page");
+        pin.base_postings()
+            .store()
+            .write_page(zeroed, &Page::zeroed())
+            .unwrap();
+        st.clear_cache();
+
+        let segments: Vec<SegmentId> = entries.iter().map(|(segment, _)| *segment).collect();
+        // What per-pair reads of the damaged heap reject: the first one
+        // names the segment the batch must fail on.
+        let mut buf = Vec::new();
+        let rejected: Vec<SegmentId> = segments
+            .iter()
+            .copied()
+            .filter(|&segment| {
+                assert!(st.read_pinned(&pin, segment, slot, &mut buf).unwrap());
+                !visit_posting(&buf, |_, _| {})
+            })
+            .collect();
+        assert!(
+            !rejected.is_empty(),
+            "a blob inside the zeroed page is rejected"
+        );
+
+        let core = VerifierCore::new(&st, start, slot * st.slot_s(), st.slot_s()).unwrap();
+        assert!(core.active_days() > 0);
+        for workers in [1, 2] {
+            let err = streach_par::with_worker_override(workers, || core.probabilities(&segments))
+                .expect_err("a zeroed page must not yield an answer");
+            assert!(matches!(err, StorageError::Corrupt { .. }), "{err:?}");
+            let named = rejected
+                .iter()
+                .map(|&segment| st.malformed_posting(segment, slot).to_string())
+                .position(|expected| expected == err.to_string());
+            match workers {
+                1 => assert_eq!(named, Some(0), "{err}"),
+                _ => assert!(named.is_some(), "{err}"),
+            }
         }
     }
 }

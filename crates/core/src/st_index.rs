@@ -47,8 +47,10 @@
 //! lookup and posting read against that pinned pair — always a consistent
 //! (base, delta) combination. The query hot path pins once per query
 //! ([`StIndex::pin`], taken by the verifier) and reads every posting
-//! through that pin ([`StIndex::read_pinned`]), so its thousands of reads
-//! never touch the lock or the shared reference count; the one-off readers
+//! through that pin, a window slot's run of blobs at a time
+//! ([`PostingSource::visit_slot`](crate::query::verifier::PostingSource::visit_slot)),
+//! so its thousands of reads never touch the lock or the shared reference
+//! count; the one-off readers
 //! ([`StIndex::read_time_list_into`] and friends) pin per call. Compaction
 //! builds the new sealed base
 //! entirely off to the side (reading the pinned old state) and publishes it
@@ -117,6 +119,22 @@ impl SlotDirectory {
     fn get(&self, segment: SegmentId) -> Option<BlobHandle> {
         let i = self.segments.binary_search(&segment).ok()?;
         Some(self.handle(i))
+    }
+
+    /// The entry of `segment`, searching only the entries from `*from` on
+    /// and moving `*from` past where the search ended: a batch of ascending
+    /// segments walks the directory once.
+    fn seek(&self, from: &mut usize, segment: SegmentId) -> Option<usize> {
+        match self.segments[*from..].binary_search(&segment) {
+            Ok(k) => {
+                *from += k + 1;
+                Some(*from - 1)
+            }
+            Err(k) => {
+                *from += k;
+                None
+            }
+        }
     }
 
     /// The blob handle of entry `i`.
@@ -315,6 +333,38 @@ impl IndexState {
         }
     }
 
+    /// Calls `visit(i, bytes)` for every `segments[i]` with a list in `slot`
+    /// (wrapped into the day), in ascending `i`. `segments` must ascend, so
+    /// merging them with the slot's directory yields the base blobs in heap
+    /// order, and one [`BlobRun`](streach_storage::BlobRun) reads them a
+    /// page at a time, lending in-page blobs. A delta entry overrides the
+    /// base entry, as in [`IndexState::lookup`]; its bytes are copied into
+    /// `buf`.
+    fn visit_slot<F>(
+        &self,
+        segments: &[SegmentId],
+        slot: u32,
+        buf: &mut Vec<u8>,
+        mut visit: F,
+    ) -> StorageResult<()>
+    where
+        F: FnMut(usize, &[u8]) -> StorageResult<()>,
+    {
+        let no_base = SlotDirectory::default();
+        let directory = self.base.temporal.get(slot as usize).unwrap_or(&no_base);
+        let mut run = self.base.postings.run();
+        let mut next = 0;
+        for (i, &segment) in segments.iter().enumerate() {
+            if let Some(handle) = self.delta.lookup(slot, segment) {
+                self.delta.postings.read_into(handle, buf)?;
+                visit(i, buf)?;
+            } else if let Some(entry) = directory.seek(&mut next, segment) {
+                visit(i, run.read(directory.handle(entry), buf)?)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Size statistics of this state's delta tail.
     fn delta_stats(&self) -> DeltaStats {
         DeltaStats {
@@ -328,8 +378,8 @@ impl IndexState {
 /// A pinned view of the index: one consistent (sealed base, delta tail)
 /// pair, taken with [`StIndex::pin`]. It keeps that base alive and readable
 /// after a compaction replaces it; ingest folded into the pinned delta tail
-/// stays visible. Verifiers read through one per query
-/// ([`StIndex::read_pinned`]); the snapshot writer pins one for a whole save.
+/// stays visible. Verifiers read through one per query; the snapshot
+/// writer pins one for a whole save.
 pub struct PinnedState(Arc<IndexState>);
 
 impl PinnedState {
@@ -648,10 +698,9 @@ impl StIndex {
     /// caller-owned buffer, returning `Ok(false)` when no list exists and
     /// `Err` on a disk fault.
     ///
-    /// This is the hot-path counterpart of [`StIndex::time_list`]: the bytes
-    /// land in reusable scratch storage and are consumed through
-    /// [`streach_storage::visit_posting`], so a warm verification performs
-    /// no heap allocation. I/O accounting is identical to [`StIndex::time_list`].
+    /// The bytes land in reusable scratch storage and are consumed through
+    /// [`streach_storage::visit_posting`], with no [`TimeList`] built. I/O
+    /// accounting is identical to [`StIndex::time_list`].
     /// The bytes are **not** structurally validated here (that would cost an
     /// extra pass); the consumer must treat a `false` from `visit_posting`
     /// as corruption — [`StIndex::malformed_posting`] builds the matching
@@ -985,6 +1034,20 @@ impl crate::query::verifier::PostingSource for StIndex {
         buf: &mut Vec<u8>,
     ) -> StorageResult<bool> {
         StIndex::read_pinned(self, pin, segment, slot, buf)
+    }
+
+    fn visit_slot<F>(
+        &self,
+        pin: &PinnedState,
+        segments: &[SegmentId],
+        slot: u32,
+        buf: &mut Vec<u8>,
+        visit: F,
+    ) -> StorageResult<()>
+    where
+        F: FnMut(usize, &[u8]) -> StorageResult<()>,
+    {
+        pin.0.visit_slot(segments, self.wrap_slot(slot), buf, visit)
     }
 
     fn malformed_posting(&self, segment: SegmentId, slot: u32) -> StorageError {

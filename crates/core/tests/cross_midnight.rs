@@ -19,12 +19,12 @@ use streach_core::query::reference::{
 };
 use streach_core::query::sqmb::sqmb;
 use streach_core::query::tbs::trace_back_search;
-use streach_core::query::verifier::{VerifierCore, VerifierScratch};
+use streach_core::query::verifier::VerifierCore;
 use streach_core::query::SQuery;
 use streach_core::speed_stats::SpeedStats;
 use streach_core::st_index::StIndex;
 use streach_geo::GeoPoint;
-use streach_roadnet::{GeneratorConfig, RoadNetwork, SyntheticCity};
+use streach_roadnet::{GeneratorConfig, RoadNetwork, SegmentId, SyntheticCity};
 use streach_traj::{FleetConfig, TrajectoryDataset};
 
 /// 23:55, the canonical cross-midnight query start.
@@ -117,11 +117,10 @@ fn verifier_matches_reference_across_midnight() {
     let start = f.network.nearest_segment(&f.center).unwrap().0;
     let naive = NaiveVerifier::new(&f.st, start, LATE_START, DURATION).unwrap();
     let core = VerifierCore::new(&f.st, start, LATE_START, DURATION).unwrap();
-    let mut scratch = VerifierScratch::new();
+    let segments: Vec<SegmentId> = f.network.segment_ids().collect();
     let mut nonzero = 0usize;
-    for seg in f.network.segment_ids() {
+    for (&seg, got) in segments.iter().zip(core.probabilities(&segments).unwrap()) {
         let expected = naive.probability(seg).unwrap();
-        let got = core.probability(&mut scratch, seg).unwrap();
         assert_eq!(got, expected, "cross-midnight probability for {seg}");
         if got > 0.0 {
             nonzero += 1;
@@ -190,12 +189,11 @@ fn wrap_extends_the_clamped_window() {
     let clamped_duration = streach_traj::SECONDS_PER_DAY - LATE_START;
     let wrapped = VerifierCore::new(&f.st, start, LATE_START, DURATION).unwrap();
     let clamped = VerifierCore::new(&f.st, start, LATE_START, clamped_duration).unwrap();
-    let mut s1 = VerifierScratch::new();
-    let mut s2 = VerifierScratch::new();
+    let segments: Vec<SegmentId> = f.network.segment_ids().collect();
+    let pws = wrapped.probabilities(&segments).unwrap();
+    let pcs = clamped.probabilities(&segments).unwrap();
     let mut strictly_higher = 0usize;
-    for seg in f.network.segment_ids() {
-        let pw = wrapped.probability(&mut s1, seg).unwrap();
-        let pc = clamped.probability(&mut s2, seg).unwrap();
+    for ((&seg, pw), pc) in segments.iter().zip(pws).zip(pcs) {
         assert!(
             pw >= pc,
             "wrap lowered the probability of {seg}: {pw} < {pc}"

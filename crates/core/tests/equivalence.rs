@@ -15,7 +15,7 @@ use streach_core::query::reference::{
 };
 use streach_core::query::sqmb::sqmb;
 use streach_core::query::tbs::trace_back_search;
-use streach_core::query::verifier::{ReachabilityVerifier, VerifierCore, VerifierScratch};
+use streach_core::query::verifier::VerifierCore;
 use streach_core::query::SQuery;
 use streach_core::speed_stats::SpeedStats;
 use streach_core::st_index::StIndex;
@@ -82,10 +82,10 @@ fn optimized_verifier_matches_naive_probabilities() {
     for (t, l, _) in grid() {
         let naive = NaiveVerifier::new(&f.st, start, t, l).unwrap();
         let core = VerifierCore::new(&f.st, start, t, l).unwrap();
-        let mut scratch = VerifierScratch::new();
-        for seg in f.network.segment_ids().step_by(3) {
+        let segments: Vec<SegmentId> = f.network.segment_ids().step_by(3).collect();
+        let got = core.probabilities(&segments).unwrap();
+        for (&seg, got) in segments.iter().zip(got) {
             let expected = naive.probability(seg).unwrap();
-            let got = core.probability(&mut scratch, seg).unwrap();
             assert_eq!(got, expected, "T={t} L={l} segment {seg}");
         }
     }
@@ -120,8 +120,8 @@ fn optimized_tbs_matches_naive_tbs() {
     let start = f.network.nearest_segment(&f.center).unwrap().0;
     for (t, l, prob) in grid() {
         let bounds = sqmb(&f.con, f.network.num_segments(), start, t, l);
-        let verifier = ReachabilityVerifier::new(&f.st, start, t, l).unwrap();
-        let optimized = trace_back_search(&f.network, verifier.core(), &bounds, prob).unwrap();
+        let core = VerifierCore::new(&f.st, start, t, l).unwrap();
+        let optimized = trace_back_search(&f.network, &core, &bounds, prob).unwrap();
         let naive = naive_trace_back_search(&f.network, &f.st, &bounds, start, t, l, prob).unwrap();
         assert_eq!(
             optimized.region.segments, naive.segments,
@@ -157,8 +157,8 @@ fn sqmb_tbs_matches_es_baseline_on_verified_segments() {
         };
         let es = exhaustive_search(&f.network, &f.st, &q, start).unwrap();
         let bounds = sqmb(&f.con, f.network.num_segments(), start, t, l);
-        let verifier = ReachabilityVerifier::new(&f.st, start, t, l).unwrap();
-        let tbs = trace_back_search(&f.network, verifier.core(), &bounds, prob).unwrap();
+        let core = VerifierCore::new(&f.st, start, t, l).unwrap();
+        let tbs = trace_back_search(&f.network, &core, &bounds, prob).unwrap();
 
         let es_set: std::collections::HashSet<_> = es.region.segments.iter().copied().collect();
         let tbs_set: std::collections::HashSet<_> = tbs.region.segments.iter().copied().collect();
@@ -197,8 +197,8 @@ fn single_location_mqmb_matches_squery_pipeline() {
     let start = f.network.nearest_segment(&f.center).unwrap().0;
     for (t, l, prob) in grid() {
         let bounds = sqmb(&f.con, f.network.num_segments(), start, t, l);
-        let verifier = ReachabilityVerifier::new(&f.st, start, t, l).unwrap();
-        let s_region = trace_back_search(&f.network, verifier.core(), &bounds, prob)
+        let core = VerifierCore::new(&f.st, start, t, l).unwrap();
+        let s_region = trace_back_search(&f.network, &core, &bounds, prob)
             .unwrap()
             .region;
 

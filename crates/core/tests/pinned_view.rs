@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use streach_core::config::IndexConfig;
-use streach_core::query::verifier::{VerifierCore, VerifierScratch};
+use streach_core::query::verifier::VerifierCore;
 use streach_core::EngineBuilder;
 use streach_roadnet::{GeneratorConfig, SegmentId, SyntheticCity};
 use streach_traj::{FleetConfig, TrajPoint, TrajectoryDataset};
@@ -35,7 +35,6 @@ fn pinned_core_matches_a_fresh_core_across_ingest_and_compaction() {
     let (t, l) = (start.enter_time_s, 900);
     let old = VerifierCore::new(engine.st_index(), start.segment, t, l).unwrap();
     assert!(old.active_days() > 0, "the start segment must be active");
-    let mut scratch = VerifierScratch::new();
     let segments: Vec<SegmentId> = network.segment_ids().collect();
 
     // Segments the start trajectory does not reach yet; ingest makes it
@@ -44,9 +43,9 @@ fn pinned_core_matches_a_fresh_core_across_ingest_and_compaction() {
     let last = traj.visits.last().unwrap().segment;
     let targets: Vec<SegmentId> = segments
         .iter()
-        .copied()
-        .filter(|&s| s != start.segment && s != last)
-        .filter(|&s| old.probability(&mut scratch, s).unwrap() == 0.0)
+        .zip(old.probabilities(&segments).unwrap())
+        .filter(|&(&s, p)| s != start.segment && s != last && p == 0.0)
+        .map(|(&s, _)| s)
         .take(5)
         .collect();
     assert_eq!(targets.len(), 5);
@@ -62,9 +61,9 @@ fn pinned_core_matches_a_fresh_core_across_ingest_and_compaction() {
         .collect();
     engine.ingest(&points).unwrap();
     assert_eq!(engine.st_index().num_days(), dataset.num_days());
-    for &s in &targets {
+    for (&s, p) in targets.iter().zip(old.probabilities(&targets).unwrap()) {
         assert!(
-            old.probability(&mut scratch, s).unwrap() > 0.0,
+            p > 0.0,
             "ingest into the pinned delta tail is visible to the pinned core ({s})"
         );
     }
@@ -73,10 +72,9 @@ fn pinned_core_matches_a_fresh_core_across_ingest_and_compaction() {
     engine.compact().unwrap();
     assert_eq!(engine.st_index().delta_stats(), Default::default());
     let fresh = VerifierCore::new(engine.st_index(), start.segment, t, l).unwrap();
-    let mut fresh_scratch = VerifierScratch::new();
-    for &s in &segments {
-        let pinned = old.probability(&mut scratch, s).unwrap();
-        let now = fresh.probability(&mut fresh_scratch, s).unwrap();
+    let pinned = old.probabilities(&segments).unwrap();
+    let now = fresh.probabilities(&segments).unwrap();
+    for ((&s, pinned), now) in segments.iter().zip(pinned).zip(now) {
         assert_eq!(pinned.to_bits(), now.to_bits(), "segment {s}");
     }
 }

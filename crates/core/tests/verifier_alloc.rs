@@ -1,19 +1,19 @@
-//! Proves the acceptance criterion of the zero-allocation hot path: after
-//! warm-up, `VerifierCore::probability` performs **zero heap allocations**
-//! per call.
+//! The verification hot path allocates nothing per segment: after warm-up,
+//! a [`VerifierCore::probabilities`] batch makes the same few allocations
+//! (its output, its day bits and its copy buffer) whether it verifies one
+//! segment or a hundred and twenty.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` while armed.
-//! The test warms the verifier (scratch buffers grow to their high-water
-//! mark, the buffer pool caches every posting page the query touches), then
-//! re-verifies the same segments with the counter armed and asserts that no
-//! allocation happened.
+//! The test warms the verifier (the buffer pool caches every posting page
+//! the batch touches), then re-verifies the same batches with the counter
+//! armed, on the calling thread so that no worker spawn is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use streach_core::config::IndexConfig;
-use streach_core::query::verifier::{VerifierCore, VerifierScratch};
+use streach_core::query::verifier::VerifierCore;
 use streach_core::st_index::StIndex;
 use streach_roadnet::{GeneratorConfig, SegmentId, SyntheticCity};
 use streach_traj::{FleetConfig, TrajectoryDataset};
@@ -46,8 +46,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Allocations made by one `probabilities` call, and its answers.
+fn counted(core: &VerifierCore<'_>, batch: &[SegmentId]) -> (usize, Vec<f64>) {
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let answers = core.probabilities(batch);
+    ARMED.store(false, Ordering::SeqCst);
+    (ALLOCATIONS.load(Ordering::SeqCst), answers.unwrap())
+}
+
 #[test]
-fn warm_probability_calls_do_not_allocate() {
+fn warm_batches_allocate_nothing_per_segment() {
     let city = SyntheticCity::generate(GeneratorConfig::small());
     let network = Arc::new(city.network);
     let dataset = TrajectoryDataset::simulate(
@@ -58,10 +67,9 @@ fn warm_probability_calls_do_not_allocate() {
             ..FleetConfig::tiny()
         },
     );
-    // Zero simulated latency, and a pool big enough that every posting page
-    // the query touches stays resident once read.
+    // A pool big enough that every posting page the batch touches stays
+    // resident once read.
     let config = IndexConfig {
-        read_latency_us: 0,
         pool_pages: 16_384,
         ..Default::default()
     };
@@ -79,41 +87,29 @@ fn warm_probability_calls_do_not_allocate() {
     );
 
     let candidates: Vec<SegmentId> = network.segment_ids().step_by(7).take(120).collect();
-    let mut scratch = VerifierScratch::new();
+    streach_par::with_worker_override(1, || {
+        // Warm-up: pull the touched posting pages into the buffer pool.
+        let warm = core.probabilities(&candidates).unwrap();
+        assert!(
+            warm.iter().any(|&p| p > 0.0),
+            "some candidate must be reachable"
+        );
 
-    // Warm-up: grow every scratch buffer to its high-water mark and pull the
-    // touched posting pages into the buffer pool.
-    let warm: Vec<f64> = candidates
-        .iter()
-        .map(|&seg| core.probability(&mut scratch, seg).unwrap())
-        .collect();
-    assert!(
-        warm.iter().any(|&p| p > 0.0),
-        "some candidate must be reachable"
-    );
-
-    // Measured pass: identical calls, armed allocator.
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    let mut measured: Vec<f64> = Vec::with_capacity(candidates.len());
-    for &seg in &candidates {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
-        let p = core.probability(&mut scratch, seg).unwrap();
-        ARMED.store(false, Ordering::SeqCst);
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        if after != before {
-            eprintln!("segment {seg}: {} allocations (p = {p})", after - before);
-        }
-        measured.push(p);
-    }
-
-    assert_eq!(warm, measured, "warm-up and measured passes must agree");
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        allocations,
-        0,
-        "warm probability() calls must not allocate ({} allocations over {} calls)",
-        allocations,
-        candidates.len()
-    );
+        // Measured passes: identical batches, armed allocator.
+        let (one, single) = counted(&core, &candidates[..1]);
+        let (all, measured) = counted(&core, &candidates);
+        assert_eq!(warm, measured, "warm-up and measured passes must agree");
+        assert_eq!(single, warm[..1]);
+        assert_eq!(
+            all,
+            one,
+            "a warm batch of {} segments must allocate what a batch of one does",
+            candidates.len()
+        );
+        assert!(
+            all <= 3,
+            "a warm batch allocates its output, its day bits and its copy \
+             buffer, nothing more ({all} allocations)"
+        );
+    });
 }

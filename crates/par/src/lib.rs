@@ -10,7 +10,9 @@
 //!   thread rather than once per item,
 //! * [`try_par_map_with`] — the fallible variant: workers return
 //!   `Result`s, the first error (by input order) wins and cancels the
-//!   remaining work.
+//!   remaining work,
+//! * [`try_par_chunks`] — hands each worker its whole contiguous range at
+//!   once, for batches that are cheaper per range than per item.
 //!
 //! Work is split into contiguous chunks, one per worker, which keeps the
 //! scheduling overhead at "spawn N threads" — appropriate for the coarse,
@@ -84,16 +86,21 @@ fn effective_workers(len: usize) -> usize {
 /// of the first one in input (spawn) order. Left to itself,
 /// `std::thread::scope` replaces a worker's payload with a generic "a scoped
 /// thread panicked".
-fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) {
+fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
     let mut first_panic = None;
+    let mut out = Vec::with_capacity(handles.len());
     for handle in handles {
-        if let Err(payload) = handle.join() {
-            first_panic.get_or_insert(payload);
+        match handle.join() {
+            Ok(value) => out.push(value),
+            Err(payload) => {
+                first_panic.get_or_insert(payload);
+            }
         }
     }
     if let Some(payload) = first_panic {
         std::panic::resume_unwind(payload);
     }
+    out
 }
 
 /// Maps `items` through `f` in parallel, returning outputs in input order.
@@ -236,6 +243,43 @@ where
         .into_iter()
         .map(|slot| slot.expect("worker filled every slot"))
         .collect())
+}
+
+/// Splits `items` into one contiguous range per worker (the worker rule of
+/// [`try_par_map_with`], [`with_worker_override`] included) and maps each
+/// whole range through `f` on its own scoped thread. `f` returns one output
+/// per item of its range; the outputs come back concatenated in input
+/// order, or the error of the lowest range that failed.
+///
+/// This is the shape a batch that is cheaper per range than per item needs:
+/// the query verifier reads each range's postings in heap order, so a range
+/// is one pass over the pages it touches. A range does not stop when
+/// another fails; its work is bounded by its length.
+pub fn try_par_chunks<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    F: Fn(&[T]) -> Result<Vec<R>, E> + Sync,
+{
+    let workers = effective_workers(items.len());
+    if workers == 1 {
+        return f(items);
+    }
+    let chunk_len = items.len().div_ceil(workers);
+    let ranges = std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .chunks(chunk_len)
+            .map(|range| scope.spawn(move || f(range)))
+            .collect();
+        join_all(handles)
+    });
+    let mut out = Vec::with_capacity(items.len());
+    for range in ranges {
+        out.extend(range?);
+    }
+    Ok(out)
 }
 
 /// Sorts a vector in parallel: chunks are sorted on scoped threads, then
@@ -400,6 +444,49 @@ mod tests {
         assert!(out.iter().all(|tid| *tid == caller));
         // The override is restored after the closure.
         assert_eq!(num_workers(0), 1);
+    }
+
+    #[test]
+    fn try_par_chunks_splits_one_range_per_worker() {
+        let items: Vec<u64> = (0..100).collect();
+        for workers in [1usize, 2, 3, 8] {
+            let ranges = AtomicUsize::new(0);
+            let got = with_worker_override(workers, || {
+                try_par_chunks(&items, |range| {
+                    ranges.fetch_add(1, Ordering::Relaxed);
+                    Ok::<_, String>(range.iter().map(|x| x * 3).collect())
+                })
+            })
+            .unwrap();
+            assert_eq!(got, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+            assert_eq!(ranges.load(Ordering::Relaxed), workers);
+        }
+        // Small batches stay inline; the empty batch is one empty range.
+        let caller = std::thread::current().id();
+        let got = try_par_chunks(&items[..5], |range| {
+            Ok::<_, String>(vec![std::thread::current().id(); range.len()])
+        })
+        .unwrap();
+        assert!(got.iter().all(|tid| *tid == caller));
+        assert_eq!(
+            try_par_chunks(&[] as &[u64], |r| Ok::<Vec<u64>, String>(r.to_vec())),
+            Ok(vec![])
+        );
+    }
+
+    #[test]
+    fn try_par_chunks_lowest_failing_range_wins() {
+        let items: Vec<usize> = (0..100).collect();
+        let err = with_worker_override(4, || {
+            try_par_chunks(&items, |range| {
+                if range.contains(&30) || range.contains(&80) {
+                    Err(format!("range from {}", range[0]))
+                } else {
+                    Ok(range.to_vec())
+                }
+            })
+        });
+        assert_eq!(err, Err("range from 25".to_string()));
     }
 
     #[test]

@@ -456,6 +456,13 @@ impl<S: PageStore> BufferPool<S> {
         Ok(f(&page))
     }
 
+    /// The pooled page itself, retained with one `Arc` bump: a reader that
+    /// walks a run of blobs keeps it while the run stays on the page, so
+    /// the page is fetched (and counted) once however many blobs it lends.
+    pub(crate) fn page(&self, id: PageId) -> StorageResult<Arc<Page>> {
+        self.fetch(id)
+    }
+
     /// Reads a page through the cache.
     pub fn read_page(&self, id: PageId) -> StorageResult<Page> {
         self.with_page(id, |page| page.clone())

@@ -60,7 +60,7 @@ use parking_lot::Mutex;
 
 use crate::buffer_pool::BufferPool;
 use crate::iostats::IoStats;
-use crate::page::PAGE_SIZE;
+use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::pagestore::{PageStore, StorageResult};
 
 /// Tag byte opening every posting blob: the format marker of the
@@ -233,7 +233,11 @@ impl TimeList {
     }
 }
 
-fn fixed_width_size(dates: u64, ids: u64) -> u64 {
+/// The fixed-width-equivalent footprint of a time list with `dates` entries
+/// holding `ids` trajectory IDs in total: a `u32` count, then a `u16` date
+/// and `u32` id count per entry and a `u32` per id. Every decode records
+/// this as its `bytes_decoded` (see [`IoStats::record_posting_decode`]).
+pub fn fixed_width_size(dates: u64, ids: u64) -> u64 {
     4 + 6 * dates + 4 * ids
 }
 
@@ -506,8 +510,8 @@ impl<S: PageStore> PostingStore<S> {
 
     /// Reads a blob into a caller-owned buffer (cleared first). Cache hits
     /// copy straight out of the pooled page, so a warm read performs no
-    /// allocation beyond what `out`'s capacity already covers — this is the
-    /// read path the reachability verifier uses for every posting access.
+    /// allocation beyond what `out`'s capacity already covers. A reader of
+    /// many blobs in heap order uses [`PostingStore::run`] instead.
     pub fn read_into(&self, handle: BlobHandle, out: &mut Vec<u8>) -> StorageResult<()> {
         out.clear();
         out.reserve(handle.len as usize);
@@ -524,6 +528,15 @@ impl<S: PageStore> PostingStore<S> {
             offset += chunk as u64;
         }
         Ok(())
+    }
+
+    /// A reader lending this heap's blobs, read in ascending heap order,
+    /// one pool fetch per page (see [`BlobRun`]).
+    pub fn run(&self) -> BlobRun<'_, S> {
+        BlobRun {
+            store: self,
+            page: None,
+        }
     }
 
     /// Appends an encoded [`TimeList`] and returns its handle.
@@ -551,6 +564,55 @@ impl<S: PageStore> PostingStore<S> {
             .io_stats()
             .record_posting_decode(list.fixed_width_size(), handle.len as u64);
         Ok(list)
+    }
+}
+
+/// A reader over one [`PostingStore`] that lends blobs read in ascending
+/// heap order, made by [`PostingStore::run`]. It holds the last page it
+/// fetched, so the blobs packed on one page cost one pool fetch between
+/// them, and a blob inside that page is lent as a slice of the pooled page.
+/// Only a blob that straddles a page boundary is copied, into the caller's
+/// buffer. Any read order is correct; ascending order is what makes each
+/// page one fetch.
+pub struct BlobRun<'a, S: PageStore> {
+    store: &'a PostingStore<S>,
+    page: Option<(PageId, Arc<Page>)>,
+}
+
+impl<S: PageStore> BlobRun<'_, S> {
+    /// Page `id`, fetched through the pool unless it is the page held.
+    fn page(&mut self, id: PageId) -> StorageResult<&Page> {
+        if self.page.as_ref().is_none_or(|(held, _)| *held != id) {
+            self.page = Some((id, self.store.pool.page(id)?));
+        }
+        Ok(&self.page.as_ref().expect("page just fetched").1)
+    }
+
+    /// The bytes of the blob at `handle`: lent from the pooled page when
+    /// the blob lies on one page, else copied into `buf` (cleared first).
+    pub fn read<'b>(
+        &'b mut self,
+        handle: BlobHandle,
+        buf: &'b mut Vec<u8>,
+    ) -> StorageResult<&'b [u8]> {
+        let len = handle.len as usize;
+        let first = handle.offset / PAGE_SIZE as u64;
+        let in_page = (handle.offset % PAGE_SIZE as u64) as usize;
+        if len == 0 {
+            return Ok(&[]);
+        }
+        if in_page + len <= PAGE_SIZE {
+            return Ok(&self.page(first)?.bytes()[in_page..in_page + len]);
+        }
+        buf.clear();
+        let (mut id, mut at) = (first, in_page);
+        while buf.len() < len {
+            let chunk = (PAGE_SIZE - at).min(len - buf.len());
+            buf.extend_from_slice(&self.page(id)?.bytes()[at..at + chunk]);
+            id += 1;
+            at = 0;
+        }
+        Ok(buf)
     }
 }
 
@@ -1011,6 +1073,35 @@ mod tests {
         store.read_into(h1, &mut buf).unwrap();
         assert_eq!(buf, b"first blob");
         assert_eq!(buf.capacity(), cap, "re-read must not reallocate");
+    }
+
+    /// A run lends every in-page blob from one fetch of its page, copies a
+    /// straddling blob into the buffer, and yields the bytes `read` does.
+    #[test]
+    fn blob_run_fetches_each_page_once() {
+        let store = PostingStore::new(InMemoryPageStore::new(), 8);
+        let mut handles: Vec<BlobHandle> = (0..300u32)
+            .map(|i| store.append(&[i as u8; 29]).unwrap())
+            .collect();
+        handles.push(store.append(b"").unwrap());
+        let pages = store.num_pages();
+        assert!(pages >= 3);
+        let straddlers = handles.iter().filter(|h| h.pages_spanned() > 1).count();
+        assert!(straddlers >= 2);
+        store.clear_cache();
+        store.io_stats().reset();
+        let mut run = store.run();
+        let mut buf = Vec::new();
+        for &h in &handles {
+            let lent = run.read(h, &mut buf).unwrap().to_vec();
+            assert_eq!(lent, store.read(h).unwrap());
+        }
+        // `read` fetched each blob's pages on its own; the run fetched each
+        // page once.
+        let blob_pages: u64 = handles.iter().map(|h| h.pages_spanned()).sum();
+        let snap = store.io_stats().snapshot();
+        assert_eq!(snap.cache_hits + snap.cache_misses, blob_pages + pages);
+        assert_eq!(snap.cache_misses, pages);
     }
 
     #[test]

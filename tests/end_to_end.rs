@@ -93,6 +93,13 @@ fn sqmb_tbs_and_es_agree_on_verified_segments() {
     assert!(es.region.contains(r0));
     assert!(fast.region.contains(r0));
 
+    // ES must verify something beyond its start segment, or the recall
+    // check below holds vacuously.
+    assert!(
+        es.region.len() > 1,
+        "ES found only its start segment: the recall check would be vacuous"
+    );
+
     // The ES region is the ground truth for "verified Prob-reachable": every
     // segment ES found must lie inside the SQMB maximum bounding region and
     // most of it must be recovered by TBS (differences can only come from
