@@ -1,5 +1,5 @@
 //! Benchmarks for the offline index-construction stages: the ST-Index build
-//! (parallel sort-based grouping), the per-slot Con-Index connection tables
+//! (per-slot counting-sort grouping), the per-slot Con-Index connection tables
 //! and the two spatial index loading strategies (ablation: R-tree STR bulk
 //! load vs incremental insert).
 //!

@@ -71,7 +71,7 @@ use streach_storage::{
     BlobHandle, InMemoryPageStore, IoStats, PageStore, PostingStore, SimulatedDiskStore,
     StorageError, StorageResult, TimeList,
 };
-use streach_traj::{TrajPoint, TrajectoryDataset};
+use streach_traj::{MatchedTrajectory, TrajPoint, TrajectoryDataset};
 
 use crate::config::IndexConfig;
 use crate::time::{slot_of, slots_overlapping};
@@ -193,6 +193,61 @@ pub(crate) fn oversized_slot(slot: u32) -> StorageError {
 /// Number of Δt slots in one day: the length of the temporal index.
 fn slots_per_day(slot_s: u32) -> usize {
     streach_traj::SECONDS_PER_DAY.div_ceil(slot_s) as usize
+}
+
+/// One slot's time lists, encoded back to back in segment order.
+struct EncodedSlot {
+    /// The blobs of the slot, concatenated.
+    blobs: Vec<u8>,
+    /// The slot's segments, ascending.
+    segments: Vec<SegmentId>,
+    /// `ends[i]`: end of `segments[i]`'s blob in `blobs`.
+    ends: Vec<u32>,
+}
+
+/// Encodes one slot's (segment, date, trajectory) observations, given in
+/// `parts` in (date, trajectory) order: a stable counting sort groups them
+/// by segment, and each group is encoded straight from its run, a repeated
+/// observation dropped. The bytes are the ones [`TimeList::encode`] gives
+/// each group's list, with no list built.
+fn encode_slot<'a, I>(parts: I) -> EncodedSlot
+where
+    I: Iterator<Item = &'a [(u32, u16, u32)]> + Clone,
+{
+    let observations = parts.clone().flatten();
+    let num_segments = observations.clone().map(|o| o.0 as usize + 1).max();
+    // `starts[s]..starts[s + 1]`: where segment `s`'s group goes.
+    let mut starts = vec![0u32; num_segments.unwrap_or(0) + 1];
+    for &(segment, _, _) in observations.clone() {
+        starts[segment as usize + 1] += 1;
+    }
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+    let mut next = starts.clone();
+    let mut grouped = vec![(0u16, 0u32); *starts.last().expect("one start") as usize];
+    for &(segment, date, id) in observations {
+        let at = &mut next[segment as usize];
+        grouped[*at as usize] = (date, id);
+        *at += 1;
+    }
+    let mut slot = EncodedSlot {
+        blobs: Vec::new(),
+        segments: Vec::new(),
+        ends: Vec::new(),
+    };
+    for (segment, group) in starts.windows(2).enumerate() {
+        let group = &grouped[group[0] as usize..group[1] as usize];
+        if group.is_empty() {
+            continue;
+        }
+        streach_storage::encode_sorted(group, |&pair| pair, &mut slot.blobs);
+        let end =
+            u32::try_from(slot.blobs.len()).expect("one slot's time lists span at most 4 GiB");
+        slot.segments.push(SegmentId(segment as u32));
+        slot.ends.push(end);
+    }
+    slot
 }
 
 /// Construction and size statistics of an ST-Index.
@@ -420,11 +475,13 @@ pub struct StIndex {
 impl StIndex {
     /// Builds the ST-Index from a map-matched trajectory dataset.
     ///
-    /// Observations are extracted from the trajectories in parallel and
-    /// grouped by (slot, segment) with a parallel sort rather than hash maps:
-    /// the sorted order *is* the clustered on-disk layout (slot by slot,
-    /// segment by segment), so grouping and physical placement are a single
-    /// linear scan.
+    /// Observations are grouped without a comparison sort. The workers
+    /// scatter the trajectories, taken in (date, id) order, into one bucket
+    /// per slot of the day; then each slot is grouped by segment with a
+    /// stable counting sort, which leaves every group in (date, id) order,
+    /// and encoded, the slots split across the workers. Slot by slot,
+    /// segment by segment *is* the clustered on-disk layout, so the encoded
+    /// slots go to the heap in one batch, in slot order.
     pub fn build(
         network: Arc<RoadNetwork>,
         dataset: &TrajectoryDataset,
@@ -446,33 +503,39 @@ impl StIndex {
         owned: Option<&(dyn Fn(SegmentId) -> bool + Sync)>,
     ) -> Self {
         assert!(config.slot_s > 0, "slot length must be positive");
-        // (slot, segment, date, traj_id) tuples, extracted in parallel.
+        // Trajectories in (date, id) order: visits scattered in this order
+        // leave every (slot, segment) group sorted by (date, id), so the
+        // grouping needs no comparison sort.
         let slot_s = config.slot_s;
-        let per_traj: Vec<Vec<(u32, u32, u16, u32)>> =
-            streach_par::par_map(dataset.trajectories(), |traj| {
-                traj.visits
-                    .iter()
-                    .filter(|visit| owned.is_none_or(|f| f(visit.segment)))
-                    .map(|visit| {
-                        (
-                            slot_of(visit.enter_time_s, slot_s),
-                            visit.segment.0,
-                            traj.date,
-                            traj.traj_id,
-                        )
-                    })
-                    .collect()
+        let num_slots = slots_per_day(slot_s);
+        let mut trajectories: Vec<&MatchedTrajectory> = dataset.trajectories().iter().collect();
+        trajectories.sort_unstable_by_key(|traj| (traj.date, traj.traj_id));
+        // Each worker scatters its range of trajectories into its own slot
+        // buckets of (segment, date, id); `slot_of` wraps into the day, so
+        // a slot indexes them.
+        let parts: Vec<Vec<Vec<(u32, u16, u32)>>> =
+            streach_par::par_ranges(&trajectories, |range| {
+                let mut buckets = vec![Vec::new(); num_slots];
+                for traj in range {
+                    for visit in &traj.visits {
+                        if owned.is_none_or(|f| f(visit.segment)) {
+                            buckets[slot_of(visit.enter_time_s, slot_s) as usize].push((
+                                visit.segment.0,
+                                traj.date,
+                                traj.traj_id,
+                            ));
+                        }
+                    }
+                }
+                buckets
             });
-        let num_observations: u64 = per_traj.iter().map(|v| v.len() as u64).sum();
-        let mut obs: Vec<(u32, u32, u16, u32)> = Vec::with_capacity(num_observations as usize);
-        for mut v in per_traj {
-            obs.append(&mut v);
-        }
-        streach_par::par_sort_unstable(&mut obs);
+        let num_observations = parts.iter().flatten().map(|b| b.len() as u64).sum();
+        let slot_ids: Vec<usize> = (0..num_slots).collect();
+        let slots = streach_par::par_map(&slot_ids, |&slot| {
+            encode_slot(parts.iter().map(|buckets| buckets[slot].as_slice()))
+        });
+        drop(parts);
 
-        // Persist the time lists slot by slot (and segment by segment within
-        // a slot) so that postings of the same temporal leaf are clustered on
-        // neighbouring pages. The sorted tuple order delivers exactly that.
         // Base and delta heap share one I/O counter handle, so query
         // accounting covers both read paths.
         let io = IoStats::new_shared();
@@ -490,28 +553,25 @@ impl StIndex {
             config.read_retries,
         );
 
-        let mut temporal = vec![SlotDirectory::default(); slots_per_day(slot_s)];
+        let mut temporal = Vec::with_capacity(slots.len());
         let mut num_time_lists = 0u64;
-        let mut list = TimeList::new();
-        let mut i = 0;
-        while i < obs.len() {
-            let (slot, segment, _, _) = obs[i];
-            // Consume one (slot, segment) group; (date, id) pairs arrive
-            // sorted, so TimeList::add appends (duplicates are skipped).
-            list.entries.clear();
-            while i < obs.len() && obs[i].0 == slot && obs[i].1 == segment {
-                list.add(obs[i].2, obs[i].3);
-                i += 1;
-            }
-            let handle = postings
-                .append_time_list(&list)
-                .expect("in-memory posting store cannot fail");
-            // `slot_of` wraps into the day, so the slot indexes the array.
-            temporal[slot as usize]
-                .push(SegmentId(segment), handle)
-                .expect("one slot's time lists span at most 4 GiB");
-            num_time_lists += 1;
+        let mut writer = postings
+            .writer()
+            .expect("in-memory posting store cannot fail");
+        for slot in slots {
+            num_time_lists += slot.segments.len() as u64;
+            temporal.push(if slot.segments.is_empty() {
+                SlotDirectory::default()
+            } else {
+                let run = writer
+                    .push(&slot.blobs)
+                    .expect("in-memory posting store cannot fail");
+                SlotDirectory::new(run.offset, slot.segments, slot.ends)
+            });
         }
+        writer
+            .finish()
+            .expect("in-memory posting store cannot fail");
 
         // Index construction is not part of any timed experiment; reset the
         // I/O counters so queries start from zero.
@@ -808,25 +868,25 @@ impl StIndex {
 
     /// Applies a batch of ingested trajectory points to the delta tail.
     ///
-    /// Points are grouped by (slot, segment) exactly like
-    /// [`StIndex::build`] groups its observation tuples; for every touched
+    /// Points are grouped by (slot, segment), the groups
+    /// [`StIndex::build`] makes of its observations; for every touched
     /// pair the current list (delta if present, else base, else empty) is
-    /// merged with the new (date, trajectory) observations and the merged
-    /// encoding is appended to the delta heap. Since [`TimeList::add`] is a
-    /// sorted-set insert, the merge is idempotent and order-insensitive:
-    /// re-applying a batch (WAL replay after a crash) or applying batches
-    /// in any interleaving converges to the same lists a from-scratch build
-    /// on the combined data produces.
+    /// merged with the new (date, trajectory) observations, and the merged
+    /// encodings are appended to the delta heap in one batch. Since
+    /// [`TimeList::add`] is a sorted-set insert, the merge is idempotent and
+    /// order-insensitive: re-applying a batch (WAL replay after a crash) or
+    /// applying batches in any interleaving converges to the same lists a
+    /// from-scratch build on the combined data produces.
     ///
     /// Returns the touched (slot, segment) pairs — the delta directory
     /// keys the batch overrode — sorted ascending and deduplicated (one
     /// entry per group), with the slot wrapped into the day grid. Result
     /// caches use exactly this list to invalidate answers whose window
-    /// read one of the pairs. On `Err` (a read fault on the current list,
-    /// or a write fault appending the merged one) a prefix of the groups
-    /// may already be applied; because the merge is idempotent, retrying
-    /// the same batch completes the remainder without duplicating
-    /// anything.
+    /// read one of the pairs. On `Err` (a read fault on a current list, or
+    /// a write fault appending the merged ones) no group of the batch is
+    /// published: the applied prefix is empty, and retrying the same batch
+    /// applies all of it. Because the merge is idempotent, a retry after a
+    /// partly acknowledged application duplicates nothing either.
     ///
     /// Callers serialize through the engine's ingest lock, so the pinned
     /// state cannot be swapped (compacted) away mid-application; concurrent
@@ -889,28 +949,27 @@ impl StIndex {
             },
         )?;
 
-        // Sequential appends in sorted group order keep the delta heap's
-        // byte layout identical to the old one-group-at-a-time fold, so
-        // snapshots and compaction stay bit-deterministic.
+        // One batch, in sorted group order, keeps the delta heap's byte
+        // layout deterministic for snapshots and compaction. Its handles
+        // are readable once it finishes, so the directory entries and the
+        // stats are published after that, all or none.
+        let mut writer = state.delta.postings.writer()?;
+        let handles = merged
+            .iter()
+            .map(|(bytes, _)| writer.push(bytes))
+            .collect::<StorageResult<Vec<BlobHandle>>>()?;
+        writer.finish()?;
         let mut touched = Vec::with_capacity(groups.len());
-        for (&(start, end), (bytes, is_new)) in groups.iter().zip(&merged) {
+        for (&(start, _), handle) in groups.iter().zip(handles) {
             let (slot, segment) = (obs[start].0, obs[start].1);
-            let handle = state.delta.postings.append(bytes)?;
             state.delta.insert(slot, segment, handle);
-            // Stats are committed per group, so a batch that faults midway
-            // has counted exactly the groups it applied: the retry counts
-            // only the remainder's new lists (its re-merged groups resolve
-            // as existing delta entries), keeping `num_time_lists` exact.
-            // `num_observations` counts re-processed points again on such
-            // a retry — the documented at-least-once counter semantics.
-            let mut stats = self.stats.lock();
-            if *is_new {
-                stats.num_time_lists += 1;
-            }
-            stats.num_observations += (end - start) as u64;
-            drop(stats);
             touched.push((self.wrap_slot(slot), segment));
         }
+        // A re-applied batch (WAL replay) counts its points again: the
+        // documented at-least-once semantics of `num_observations`.
+        let mut stats = self.stats.lock();
+        stats.num_time_lists += merged.iter().filter(|(_, is_new)| *is_new).count() as u64;
+        stats.num_observations += obs.len() as u64;
         Ok(touched)
     }
 
@@ -924,7 +983,7 @@ impl StIndex {
     ///
     /// The per-list blob copies are read in parallel via `streach_par`
     /// worker threads (the dominant cost); the ordered append into the new
-    /// heap is a single linear pass. On `Err` (a read fault while copying)
+    /// heap is one batch. On `Err` (a read fault while copying)
     /// the index is left untouched: the old base keeps serving and the
     /// compaction is retryable.
     ///
@@ -975,12 +1034,14 @@ impl StIndex {
         );
         let new_postings = PostingStore::with_tail_and_retries(store, pool_pages, 0, read_retries);
         let mut temporal = vec![SlotDirectory::default(); slots_per_day(self.slot_s)];
+        let mut writer = new_postings.writer()?;
         for (((slot, segment), _), blob) in entries.iter().zip(&blobs) {
-            let handle = new_postings.append(blob)?;
+            let handle = writer.push(blob)?;
             temporal[*slot as usize]
                 .push(SegmentId(*segment), handle)
                 .ok_or_else(|| oversized_slot(*slot))?;
         }
+        writer.finish()?;
         let num_time_lists = entries.len() as u64;
         let posting_bytes = new_postings.size_bytes();
         let posting_pages = new_postings.num_pages();
@@ -1074,6 +1135,97 @@ mod tests {
             },
         );
         (network, dataset, index)
+    }
+
+    /// Every page of a posting heap, in order.
+    fn heap_pages<S: PageStore>(postings: &PostingStore<S>) -> Vec<Vec<u8>> {
+        (0..postings.num_pages())
+            .map(|id| postings.store().read_page(id).unwrap().bytes().to_vec())
+            .collect()
+    }
+
+    /// Seeded slots with repeated observations, in (date, id) order and cut
+    /// into parts anywhere: each group's bytes are its `TimeList`'s.
+    #[test]
+    fn encode_slot_groups_match_time_list_encode() {
+        for case in 0..200u64 {
+            let draw = |i: u64| streach_storage::fault::mix(case, i);
+            let mut obs: Vec<(u32, u16, u32)> = Vec::new();
+            for i in 0..draw(0) % 60 {
+                let r = draw(i + 1);
+                let o = ((r % 5) as u32, (r >> 8) as u16 % 4, (r >> 16) as u32 % 9);
+                obs.push(o);
+                if (r >> 40) & 1 == 1 {
+                    obs.push(o); // a repeated (segment, date, id) observation
+                }
+            }
+            obs.sort_by_key(|&(_, date, id)| (date, id));
+            let cut = (draw(99) as usize) % (obs.len() + 1);
+            let mut lists: BTreeMap<u32, TimeList> = BTreeMap::new();
+            for &(segment, date, id) in &obs {
+                lists.entry(segment).or_default().add(date, id);
+            }
+            let slot = encode_slot([&obs[..cut], &obs[cut..]].into_iter());
+            let segments: Vec<SegmentId> = lists.keys().map(|&s| SegmentId(s)).collect();
+            assert_eq!(slot.segments, segments);
+            let mut start = 0;
+            for (list, &end) in lists.values().zip(&slot.ends) {
+                assert_eq!(slot.blobs[start..end as usize], list.encode());
+                start = end as usize;
+            }
+            assert_eq!(start, slot.blobs.len());
+        }
+    }
+
+    /// The build lays out the heap and the directory of the straightforward
+    /// build — every observation sorted by (slot, segment, date, id), one
+    /// `TimeList` per group, appended in order — on one worker or two.
+    #[test]
+    fn build_layout_matches_one_global_sort_on_any_worker_count() {
+        let city = SyntheticCity::generate(GeneratorConfig::small());
+        let network = Arc::new(city.network);
+        let dataset = TrajectoryDataset::simulate(&network, FleetConfig::tiny());
+        let config = IndexConfig {
+            read_latency_us: 0,
+            ..Default::default()
+        };
+
+        let mut obs: Vec<(u32, u32, u16, u32)> = Vec::new();
+        for traj in dataset.trajectories() {
+            for visit in &traj.visits {
+                let slot = slot_of(visit.enter_time_s, config.slot_s);
+                obs.push((slot, visit.segment.0, traj.date, traj.traj_id));
+            }
+        }
+        obs.sort_unstable();
+        let oracle = PostingStore::new(InMemoryPageStore::new(), 4);
+        let mut directory = vec![SlotDirectory::default(); slots_per_day(config.slot_s)];
+        for group in obs.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let mut list = TimeList::new();
+            for &(_, _, date, id) in group {
+                list.add(date, id);
+            }
+            let handle = oracle.append_time_list(&list).unwrap();
+            directory[group[0].0 as usize]
+                .push(SegmentId(group[0].1), handle)
+                .unwrap();
+        }
+        let oracle_pages = heap_pages(&oracle);
+
+        for workers in [1, 2] {
+            let index = streach_par::with_worker_override(workers, || {
+                StIndex::build(network.clone(), &dataset, &config)
+            });
+            let pin = index.pin();
+            assert_eq!(pin.directory(), &directory[..], "workers = {workers}");
+            assert_eq!(
+                heap_pages(pin.base_postings()),
+                oracle_pages,
+                "workers = {workers}"
+            );
+            assert_eq!(index.stats().posting_bytes, oracle.size_bytes());
+            assert_eq!(index.stats().num_observations, obs.len() as u64);
+        }
     }
 
     #[test]

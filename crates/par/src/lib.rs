@@ -1,7 +1,7 @@
 //! Scoped-thread data parallelism for the query hot path.
 //!
 //! The build environment has no network access, so instead of rayon this
-//! crate provides the two primitives the engine needs, built directly on
+//! crate provides the primitives the engine needs, built directly on
 //! `std::thread::scope`:
 //!
 //! * [`par_map`] — map a slice to a `Vec` in parallel, preserving order,
@@ -11,8 +11,9 @@
 //! * [`try_par_map_with`] — the fallible variant: workers return
 //!   `Result`s, the first error (by input order) wins and cancels the
 //!   remaining work,
-//! * [`try_par_chunks`] — hands each worker its whole contiguous range at
-//!   once, for batches that are cheaper per range than per item.
+//! * [`par_ranges`] — hands each worker its whole contiguous range at
+//!   once, for batches that are cheaper per range than per item, and
+//!   [`try_par_chunks`], its fallible per-item form.
 //!
 //! Work is split into contiguous chunks, one per worker, which keeps the
 //! scheduling overhead at "spawn N threads" — appropriate for the coarse,
@@ -247,13 +248,40 @@ where
 
 /// Splits `items` into one contiguous range per worker (the worker rule of
 /// [`try_par_map_with`], [`with_worker_override`] included) and maps each
-/// whole range through `f` on its own scoped thread. `f` returns one output
-/// per item of its range; the outputs come back concatenated in input
-/// order, or the error of the lowest range that failed.
+/// whole range through `f` on its own scoped thread, returning one output
+/// per range, in input order. One worker gets the whole slice, the empty
+/// slice included.
 ///
-/// This is the shape a batch that is cheaper per range than per item needs:
-/// the query verifier reads each range's postings in heap order, so a range
-/// is one pass over the pages it touches. A range does not stop when
+/// This is the shape a batch that is cheaper per range than per item
+/// needs: the ST-Index build scatters each range of trajectories into its
+/// own slot buckets.
+pub fn par_ranges<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&[T]) -> R + Sync,
+{
+    let workers = effective_workers(items.len());
+    if workers == 1 {
+        return vec![f(items)];
+    }
+    let chunk_len = items.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .chunks(chunk_len)
+            .map(|range| scope.spawn(move || f(range)))
+            .collect();
+        join_all(handles)
+    })
+}
+
+/// [`par_ranges`] for a fallible `f` that returns one output per item of
+/// its range: the outputs come back concatenated in input order, or the
+/// error of the lowest range that failed.
+///
+/// The query verifier reads each range's postings in heap order, so a
+/// range is one pass over the pages it touches. A range does not stop when
 /// another fails; its work is bounded by its length.
 pub fn try_par_chunks<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
 where
@@ -262,79 +290,14 @@ where
     E: Send,
     F: Fn(&[T]) -> Result<Vec<R>, E> + Sync,
 {
-    let workers = effective_workers(items.len());
-    if workers == 1 {
+    if effective_workers(items.len()) == 1 {
         return f(items);
     }
-    let chunk_len = items.len().div_ceil(workers);
-    let ranges = std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|range| scope.spawn(move || f(range)))
-            .collect();
-        join_all(handles)
-    });
     let mut out = Vec::with_capacity(items.len());
-    for range in ranges {
+    for range in par_ranges(items, f) {
         out.extend(range?);
     }
     Ok(out)
-}
-
-/// Sorts a vector in parallel: chunks are sorted on scoped threads, then
-/// merged bottom-up on the caller thread. Used by the ST-Index build to group
-/// observation tuples by (slot, segment) without hash maps.
-///
-/// `T: Copy` keeps the merge a plain element copy; every user in this
-/// workspace sorts small plain-data tuples.
-pub fn par_sort_unstable<T: Ord + Send + Copy>(items: &mut Vec<T>) {
-    let n = items.len();
-    let workers = num_workers(n);
-    if n < 4 * MIN_PARALLEL_ITEMS || workers == 1 {
-        items.sort_unstable();
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|piece| scope.spawn(move || piece.sort_unstable()))
-            .collect();
-        join_all(handles);
-    });
-    // Bottom-up merge of the sorted runs.
-    let mut src = std::mem::take(items);
-    let mut dst: Vec<T> = Vec::with_capacity(n);
-    let mut run = chunk;
-    while run < src.len() {
-        dst.clear();
-        let mut i = 0;
-        while i < src.len() {
-            let mid = (i + run).min(src.len());
-            let end = (i + 2 * run).min(src.len());
-            merge_into(&src[i..mid], &src[mid..end], &mut dst);
-            i = end;
-        }
-        std::mem::swap(&mut src, &mut dst);
-        run *= 2;
-    }
-    *items = src;
-}
-
-fn merge_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
 }
 
 #[cfg(test)]
@@ -396,24 +359,14 @@ mod tests {
     }
 
     #[test]
-    fn par_sort_matches_std_sort() {
-        // Deterministic pseudo-random input (LCG), various sizes around the
-        // parallel threshold.
-        for n in [0usize, 1, 5, 63, 64, 65, 1000, 10_000] {
-            let mut x = 0x2545F4914F6CDD1Du64;
-            let mut v: Vec<u64> = (0..n)
-                .map(|_| {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    x >> 16
-                })
-                .collect();
-            let mut expected = v.clone();
-            expected.sort_unstable();
-            par_sort_unstable(&mut v);
-            assert_eq!(v, expected, "n = {n}");
+    fn par_ranges_maps_one_range_per_worker_in_order() {
+        let items: Vec<u32> = (0..50).collect();
+        for workers in [1usize, 2, 3, 8] {
+            let ranges = with_worker_override(workers, || par_ranges(&items, |r| r.to_vec()));
+            assert_eq!(ranges.len(), workers, "workers = {workers}");
+            assert_eq!(ranges.concat(), items, "workers = {workers}");
         }
+        assert_eq!(par_ranges(&[] as &[u32], |r| r.len()), vec![0]);
     }
 
     #[test]
@@ -583,21 +536,6 @@ mod tests {
     /// scope's generic "a scoped thread panicked") on every parallel path.
     #[test]
     fn worker_panics_propagate() {
-        #[derive(Clone, Copy, PartialEq, Eq)]
-        struct Explosive(usize);
-        impl PartialOrd for Explosive {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Explosive {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                if self.0 == 63 || other.0 == 63 {
-                    panic!("boom");
-                }
-                self.0.cmp(&other.0)
-            }
-        }
         let items: Vec<usize> = (0..100).collect();
         let boom = |x: &usize| {
             if *x == 63 {
@@ -623,7 +561,9 @@ mod tests {
             ))),
             "boom"
         );
-        let mut explosive: Vec<Explosive> = (0..100).rev().map(Explosive).collect();
-        assert_eq!(payload_of(|| par_sort_unstable(&mut explosive)), "boom");
+        assert_eq!(
+            payload_of(|| drop(par_ranges(&items, |r| r.iter().map(boom).sum::<usize>()))),
+            "boom"
+        );
     }
 }

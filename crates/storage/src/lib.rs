@@ -51,8 +51,8 @@ pub use pagestore::{
     FilePageStore, InMemoryPageStore, PageStore, SimulatedDiskStore, StorageError, StorageResult,
 };
 pub use postings::{
-    fixed_width_size, get_varint_u32, posting_sizes, put_varint_u32, visit_posting, BlobHandle,
-    BlobRun, IdIter, PostingStore, TimeList, TimeListEntry,
+    encode_sorted, fixed_width_size, get_varint_u32, posting_sizes, put_varint_u32, visit_posting,
+    BlobHandle, BlobRun, IdIter, PostingStore, PostingWriter, TimeList, TimeListEntry,
 };
 pub use snapshot::{
     Crc32, SnapshotReader, SnapshotWriter, MIN_SNAPSHOT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -56,7 +56,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::buffer_pool::BufferPool;
 use crate::iostats::IoStats;
@@ -233,6 +233,31 @@ impl TimeList {
     }
 }
 
+/// Appends to `out` the blob of the time list holding `obs`, which are
+/// sorted by `pair(o) = (date, id)` and may repeat a pair: a repeat is
+/// dropped, as [`TimeList::add`] drops it. The bytes equal
+/// [`TimeList::encode`]'s for that list, with no list built.
+pub fn encode_sorted<T>(obs: &[T], pair: impl Fn(&T) -> (u16, u32), out: &mut Vec<u8>) {
+    debug_assert!(obs.windows(2).all(|w| pair(&w[0]) <= pair(&w[1])));
+    let dates = obs.chunk_by(|a, b| pair(a).0 == pair(b).0);
+    out.push(TAG_DELTA);
+    put_varint_u32(out, dates.clone().count() as u32);
+    let mut prev_date = 0u32;
+    for day in dates {
+        let date = pair(&day[0]).0 as u32;
+        put_varint_u32(out, date - prev_date);
+        prev_date = date;
+        let ids = day.chunk_by(|a, b| pair(a).1 == pair(b).1);
+        put_varint_u32(out, ids.clone().count() as u32);
+        let mut prev_id = 0u32;
+        for run in ids {
+            let id = pair(&run[0]).1;
+            put_varint_u32(out, id - prev_id);
+            prev_id = id;
+        }
+    }
+}
+
 /// The fixed-width-equivalent footprint of a time list with `dates` entries
 /// holding `ids` trajectory IDs in total: a `u32` count, then a `u16` date
 /// and `u32` id count per entry and a `u32` per id. Every decode records
@@ -400,9 +425,24 @@ impl BlobHandle {
 /// through an LRU buffer pool. Time lists appended through
 /// [`append_time_list`](Self::append_time_list) are stored in the one
 /// delta/varint layout.
+///
+/// Blobs are appended in batches ([`PostingStore::writer`]): a batch writes
+/// each page it fills to the store exactly once, and its partial last page
+/// once, when it [finishes](PostingWriter::finish). The heap keeps that
+/// partial page in memory next to the tail, so no append reads a page back.
 pub struct PostingStore<S: PageStore> {
     pool: BufferPool<S>,
-    tail: Mutex<u64>,
+    tail: Mutex<Tail>,
+}
+
+/// The end of a heap: its length and its partial last page.
+struct Tail {
+    /// Bytes appended so far.
+    len: u64,
+    /// The page holding byte `len`, zeroed past `len`. `None` until the
+    /// first batch of a heap reopened at a length that is not page-aligned,
+    /// which loads it from the store once.
+    page: Option<Page>,
 }
 
 impl<S: PageStore> PostingStore<S> {
@@ -427,9 +467,10 @@ impl<S: PageStore> PostingStore<S> {
         tail: u64,
         read_retries: u32,
     ) -> Self {
+        let page = tail.is_multiple_of(PAGE_SIZE as u64).then(Page::zeroed);
         Self {
             pool: BufferPool::with_retries(store, pool_pages, read_retries),
-            tail: Mutex::new(tail),
+            tail: Mutex::new(Tail { len: tail, page }),
         }
     }
 
@@ -459,9 +500,9 @@ impl<S: PageStore> PostingStore<S> {
         self.pool.io_stats()
     }
 
-    /// Total bytes appended so far.
+    /// Total bytes appended so far by finished batches.
     pub fn size_bytes(&self) -> u64 {
-        *self.tail.lock()
+        self.tail.lock().len
     }
 
     /// Number of pages allocated in the underlying store.
@@ -474,30 +515,35 @@ impl<S: PageStore> PostingStore<S> {
         self.pool.clear();
     }
 
-    /// Appends a blob and returns its handle.
-    pub fn append(&self, bytes: &[u8]) -> StorageResult<BlobHandle> {
+    /// Starts a batch of appends (see [`PostingWriter`]). The batch holds
+    /// the heap's append lock until it finishes or is dropped. A heap
+    /// reopened at a length that is not page-aligned reads its partial last
+    /// page here, once.
+    pub fn writer(&self) -> StorageResult<PostingWriter<'_, S>> {
         let mut tail = self.tail.lock();
-        let handle = BlobHandle {
-            offset: *tail,
-            len: bytes.len() as u32,
-        };
-        let mut written = 0usize;
-        let mut offset = *tail;
-        while written < bytes.len() {
-            let page_id = offset / PAGE_SIZE as u64;
-            let in_page = (offset % PAGE_SIZE as u64) as usize;
-            while self.pool.store().num_pages() <= page_id {
-                self.pool.store().allocate()?;
+        let page = match &tail.page {
+            Some(page) => page.clone(),
+            None => {
+                let mut page = self.pool.store().read_page(tail.len / PAGE_SIZE as u64)?;
+                page.bytes_mut()[(tail.len % PAGE_SIZE as u64) as usize..].fill(0);
+                tail.page = Some(page.clone());
+                page
             }
-            let mut page = self.pool.store().read_page(page_id)?;
-            let chunk = (PAGE_SIZE - in_page).min(bytes.len() - written);
-            page.bytes_mut()[in_page..in_page + chunk]
-                .copy_from_slice(&bytes[written..written + chunk]);
-            self.pool.write_page(page_id, &page)?;
-            written += chunk;
-            offset += chunk as u64;
-        }
-        *tail += bytes.len() as u64;
+        };
+        Ok(PostingWriter {
+            len: tail.len,
+            store: self,
+            tail,
+            page,
+            failed: false,
+        })
+    }
+
+    /// Appends a blob as a batch of one and returns its handle.
+    pub fn append(&self, bytes: &[u8]) -> StorageResult<BlobHandle> {
+        let mut writer = self.writer()?;
+        let handle = writer.push(bytes)?;
+        writer.finish()?;
         Ok(handle)
     }
 
@@ -564,6 +610,84 @@ impl<S: PageStore> PostingStore<S> {
             .io_stats()
             .record_posting_decode(list.fixed_width_size(), handle.len as u64);
         Ok(list)
+    }
+}
+
+/// One batch of appends to a [`PostingStore`], made by
+/// [`PostingStore::writer`]. [`push`](Self::push) copies a blob into the
+/// page being filled and writes each page to the store once, when it
+/// fills; [`finish`](Self::finish) writes the partial last page and moves
+/// the heap's tail past the batch.
+///
+/// A handle from [`push`](Self::push) is readable once the batch has
+/// finished: callers publish directory entries after `finish` returns.
+/// After an `Err` from `push` or `finish`, or when the writer is dropped
+/// unfinished, the heap's tail does not move: the batch appended nothing,
+/// and a retry writes the same bytes at the same handles. A writer whose
+/// `push` failed is abandoned: pushing to it again or finishing it panics.
+pub struct PostingWriter<'a, S: PageStore> {
+    store: &'a PostingStore<S>,
+    tail: MutexGuard<'a, Tail>,
+    /// The page holding byte `len`, filled up to `len`.
+    page: Page,
+    /// The heap's length once this batch finishes.
+    len: u64,
+    /// A page write of this batch failed.
+    failed: bool,
+}
+
+impl<S: PageStore> PostingWriter<'_, S> {
+    /// Appends a blob to the batch and returns its handle.
+    pub fn push(&mut self, bytes: &[u8]) -> StorageResult<BlobHandle> {
+        assert!(
+            !self.failed,
+            "a posting batch is abandoned after a failed push"
+        );
+        let handle = BlobHandle {
+            offset: self.len,
+            len: u32::try_from(bytes.len()).expect("a blob spans at most 4 GiB"),
+        };
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let in_page = (self.len % PAGE_SIZE as u64) as usize;
+            let chunk = (PAGE_SIZE - in_page).min(rest.len());
+            self.page.bytes_mut()[in_page..in_page + chunk].copy_from_slice(&rest[..chunk]);
+            rest = &rest[chunk..];
+            self.len += chunk as u64;
+            if self.len.is_multiple_of(PAGE_SIZE as u64) {
+                if let Err(e) = self.write_page(self.len / PAGE_SIZE as u64 - 1) {
+                    self.failed = true;
+                    return Err(e);
+                }
+                self.page = Page::zeroed();
+            }
+        }
+        Ok(handle)
+    }
+
+    /// Writes the batch's partial last page, if it holds bytes of this
+    /// batch, and moves the heap's tail to the end of the batch.
+    pub fn finish(mut self) -> StorageResult<()> {
+        assert!(
+            !self.failed,
+            "a posting batch is abandoned after a failed push"
+        );
+        if self.len > self.tail.len && !self.len.is_multiple_of(PAGE_SIZE as u64) {
+            self.write_page(self.len / PAGE_SIZE as u64)?;
+        }
+        self.tail.len = self.len;
+        self.tail.page = Some(self.page);
+        Ok(())
+    }
+
+    /// Writes the page being filled to the store as page `id`, allocating
+    /// pages up to it.
+    fn write_page(&self, id: PageId) -> StorageResult<()> {
+        let store = self.store.pool.store();
+        while store.num_pages() <= id {
+            store.allocate()?;
+        }
+        self.store.pool.write_page(id, &self.page)
     }
 }
 
@@ -1102,6 +1226,225 @@ mod tests {
         let snap = store.io_stats().snapshot();
         assert_eq!(snap.cache_hits + snap.cache_misses, blob_pages + pages);
         assert_eq!(snap.cache_misses, pages);
+    }
+
+    /// Blobs of seeded lengths, some empty and some longer than a page.
+    fn random_blobs(seed: u64, n: usize) -> Vec<Vec<u8>> {
+        let mut state = seed;
+        (0..n)
+            .map(|i| {
+                let len = match splitmix64(&mut state) % 8 {
+                    0 => 0,
+                    1 => PAGE_SIZE + (splitmix64(&mut state) % 300) as usize,
+                    _ => (splitmix64(&mut state) % 90) as usize,
+                };
+                (0..len).map(|j| (i * 7 + j) as u8 | 1).collect()
+            })
+            .collect()
+    }
+
+    /// Every page of a store, in order.
+    fn pages_of<S: PageStore>(store: &PostingStore<S>) -> Vec<Vec<u8>> {
+        (0..store.num_pages())
+            .map(|id| store.store().read_page(id).unwrap().bytes().to_vec())
+            .collect()
+    }
+
+    /// A copy of a heap's pages in a fresh store, reopened at `tail`.
+    fn reopen(pages: &[Vec<u8>], tail: u64) -> PostingStore<InMemoryPageStore> {
+        let store = InMemoryPageStore::new();
+        for bytes in pages {
+            let id = store.allocate().unwrap();
+            store.write_page(id, &Page::from_slice(bytes)).unwrap();
+        }
+        PostingStore::with_tail_and_retries(store, 4, tail, 0)
+    }
+
+    /// Pages `[offset, end)` of the heap touch.
+    fn pages_touched(offset: u64, end: u64) -> u64 {
+        let page = PAGE_SIZE as u64;
+        if end == offset {
+            0
+        } else {
+            (end - 1) / page - offset / page + 1
+        }
+    }
+
+    #[test]
+    fn batch_and_single_appends_lay_out_the_same_heap() {
+        let blobs = random_blobs(0xBA7C_0001, 400);
+        let batched = PostingStore::new(InMemoryPageStore::new(), 4);
+        let mut writer = batched.writer().unwrap();
+        let batch_handles: Vec<BlobHandle> =
+            blobs.iter().map(|b| writer.push(b).unwrap()).collect();
+        writer.finish().unwrap();
+        let single = PostingStore::new(InMemoryPageStore::new(), 4);
+        let single_handles: Vec<BlobHandle> =
+            blobs.iter().map(|b| single.append(b).unwrap()).collect();
+        assert_eq!(batch_handles, single_handles);
+        assert_eq!(batched.size_bytes(), single.size_bytes());
+        assert_eq!(pages_of(&batched), pages_of(&single));
+        for (blob, &handle) in blobs.iter().zip(&batch_handles) {
+            assert_eq!(&batched.read(handle).unwrap(), blob);
+        }
+    }
+
+    /// A batch writes each page it touches once and reads none back; so
+    /// does a one-blob append on a partial page.
+    #[test]
+    fn a_batch_writes_each_page_once() {
+        let store = PostingStore::new(InMemoryPageStore::new(), 4);
+        let io = store.io_stats();
+        store.append(&[3u8; 100]).unwrap();
+        for blobs in [
+            random_blobs(7, 300),
+            random_blobs(8, 1),
+            random_blobs(9, 50),
+        ] {
+            io.reset();
+            let start = store.size_bytes();
+            let mut writer = store.writer().unwrap();
+            for blob in &blobs {
+                writer.push(blob).unwrap();
+            }
+            writer.finish().unwrap();
+            let snap = io.snapshot();
+            assert_eq!(snap.page_writes, pages_touched(start, store.size_bytes()));
+            assert_eq!(snap.page_reads, 0, "no page is read back");
+        }
+        // An empty batch writes nothing.
+        io.reset();
+        store.writer().unwrap().finish().unwrap();
+        assert_eq!(io.snapshot().page_writes, 0);
+    }
+
+    /// A heap reopened at a tail inside a page loads that page once, on
+    /// its first batch, and appends after the earlier bytes.
+    #[test]
+    fn a_reopened_heap_appends_at_an_unaligned_tail() {
+        let blobs = random_blobs(0x5EED_7A11, 120);
+        let (first, second) = blobs.split_at(70);
+        let whole = PostingStore::new(InMemoryPageStore::new(), 4);
+        let handles: Vec<BlobHandle> = blobs.iter().map(|b| whole.append(b).unwrap()).collect();
+
+        let before = PostingStore::new(InMemoryPageStore::new(), 4);
+        for blob in first {
+            before.append(blob).unwrap();
+        }
+        let tail = before.size_bytes();
+        assert_ne!(
+            tail % PAGE_SIZE as u64,
+            0,
+            "the tail must sit inside a page"
+        );
+        let reopened = reopen(&pages_of(&before), tail);
+        let io = reopened.io_stats();
+        io.reset();
+        let mut reads = Vec::new();
+        for (blob, &expected) in second.iter().zip(&handles[first.len()..]) {
+            assert_eq!(reopened.append(blob).unwrap(), expected);
+            reads.push(io.snapshot().page_reads);
+        }
+        assert!(
+            reads.iter().all(|&r| r == 1),
+            "the partial page is loaded once, by the first append: {reads:?}"
+        );
+        assert_eq!(pages_of(&reopened), pages_of(&whole));
+        for (blob, &handle) in blobs.iter().zip(&handles) {
+            assert_eq!(&reopened.read(handle).unwrap(), blob);
+        }
+    }
+
+    /// A write EIO in mid-batch fails the batch with a typed error and
+    /// leaves the tail where it was; the retried batch yields the same
+    /// handles and bytes as a batch that never failed.
+    #[test]
+    fn a_write_fault_in_mid_batch_appends_nothing_and_the_retry_converges() {
+        use crate::fault::{FaultController, FaultInjectingPageStore};
+        let blobs = random_blobs(0xFA17_0003, 200);
+        let clean = PostingStore::new(InMemoryPageStore::new(), 4);
+        clean.append(b"prefix").unwrap();
+        let mut writer = clean.writer().unwrap();
+        let expected: Vec<BlobHandle> = blobs.iter().map(|b| writer.push(b).unwrap()).collect();
+        writer.finish().unwrap();
+        let pages = pages_touched(6, clean.size_bytes());
+        assert!(pages >= 4);
+
+        for fail_at in [0, 1, pages / 2, pages - 1] {
+            let ctl = FaultController::detached(fail_at);
+            let store = PostingStore::new(
+                FaultInjectingPageStore::with_controller(Box::new(InMemoryPageStore::new()), &ctl),
+                4,
+            );
+            store.append(b"prefix").unwrap();
+            ctl.fail_write_at(ctl.writes_observed() + fail_at);
+            let failed = (|| {
+                let mut writer = store.writer()?;
+                for blob in &blobs {
+                    writer.push(blob)?;
+                }
+                writer.finish()
+            })();
+            let err = failed.expect_err("the scripted write fault must fail the batch");
+            assert!(
+                matches!(&err, crate::StorageError::Io(e) if e.to_string().contains("injected EIO on write")),
+                "write #{fail_at}: {err:?}"
+            );
+            assert_eq!(store.size_bytes(), 6, "write #{fail_at}: the tail moved");
+            assert_eq!(
+                store.read(BlobHandle { offset: 0, len: 6 }).unwrap(),
+                b"prefix"
+            );
+
+            let mut writer = store.writer().unwrap();
+            let retried: Vec<BlobHandle> = blobs.iter().map(|b| writer.push(b).unwrap()).collect();
+            writer.finish().unwrap();
+            assert_eq!(retried, expected, "write #{fail_at}");
+            assert_eq!(store.size_bytes(), clean.size_bytes());
+            assert_eq!(pages_of(&store), pages_of(&clean), "write #{fail_at}");
+        }
+    }
+
+    /// A writer whose page write failed holds a page it never wrote, so
+    /// finishing it would move the tail past lost bytes.
+    #[test]
+    #[should_panic(expected = "abandoned after a failed push")]
+    fn a_writer_whose_push_failed_cannot_finish() {
+        use crate::fault::{FaultController, FaultInjectingPageStore};
+        let ctl = FaultController::detached(0);
+        let store = PostingStore::new(
+            FaultInjectingPageStore::with_controller(Box::new(InMemoryPageStore::new()), &ctl),
+            4,
+        );
+        ctl.fail_write_at(0);
+        let mut writer = store.writer().unwrap();
+        assert!(writer.push(&[1u8; PAGE_SIZE]).is_err());
+        let _ = writer.finish();
+    }
+
+    #[test]
+    fn encode_sorted_matches_time_list_encode() {
+        let mut state = 0xE7C0_DE00_0000_0004u64;
+        for _ in 0..300 {
+            let mut obs: Vec<(u16, u32)> = Vec::new();
+            for _ in 0..splitmix64(&mut state) % 40 {
+                let date = (splitmix64(&mut state) % 6) as u16;
+                let id = (splitmix64(&mut state) % 20) as u32;
+                obs.push((date, id));
+                if splitmix64(&mut state).is_multiple_of(3) {
+                    obs.push((date, id)); // a repeated (date, id) pair
+                }
+            }
+            obs.sort_unstable();
+            let mut list = TimeList::new();
+            for &(date, id) in &obs {
+                list.add(date, id);
+            }
+            let mut out = vec![0xAA];
+            encode_sorted(&obs, |&p| p, &mut out);
+            assert_eq!(out[0], 0xAA, "appends to what is there");
+            assert_eq!(out[1..], list.encode(), "observations {obs:?}");
+        }
     }
 
     #[test]

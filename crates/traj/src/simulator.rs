@@ -134,24 +134,26 @@ impl<'a> FleetSimulator<'a> {
             .collect()
     }
 
+    /// Simulates every (taxi, date) pair, the pairs split across worker
+    /// threads. Each pair has its own seed, so the output (in taxi-major
+    /// order) does not depend on the worker count.
     fn simulate_internal(&self, emit_gps: bool) -> Vec<DayResult> {
         let cfg = &self.config;
-        let mut out = Vec::with_capacity(cfg.num_taxis * cfg.num_days as usize);
-        for taxi in 0..cfg.num_taxis {
-            for date in 0..cfg.num_days {
-                let traj_id = (taxi as u32) * cfg.num_days as u32 + date as u32;
-                // Derive a per-(taxi, date) seed so each day is independent
-                // yet reproducible.
-                let seed = cfg
-                    .seed
-                    .wrapping_mul(0x9E3779B97F4A7C15)
-                    .wrapping_add((taxi as u64) << 20)
-                    .wrapping_add(date as u64);
-                let mut rng = StdRng::seed_from_u64(seed);
-                out.push(self.simulate_day(traj_id, date, &mut rng, emit_gps));
-            }
-        }
-        out
+        let pairs: Vec<(usize, u16)> = (0..cfg.num_taxis)
+            .flat_map(|taxi| (0..cfg.num_days).map(move |date| (taxi, date)))
+            .collect();
+        streach_par::par_map(&pairs, |&(taxi, date)| {
+            let traj_id = (taxi as u32) * cfg.num_days as u32 + date as u32;
+            // Derive a per-(taxi, date) seed so each day is independent
+            // yet reproducible.
+            let seed = cfg
+                .seed
+                .wrapping_mul(0x9E3779B97F4A7C15)
+                .wrapping_add((taxi as u64) << 20)
+                .wrapping_add(date as u64);
+            let mut rng = StdRng::seed_from_u64(seed);
+            self.simulate_day(traj_id, date, &mut rng, emit_gps)
+        })
     }
 
     /// Exponentially distributed duration with the given mean.
@@ -169,26 +171,26 @@ impl<'a> FleetSimulator<'a> {
     /// square of their free-flow speed (taxis prefer arterials), with a dead
     /// end falling back to the twin (U-turn).
     fn pick_next_segment(&self, current: SegmentId, rng: &mut StdRng) -> Option<SegmentId> {
-        let succ = self.network.successors(current);
-        if succ.is_empty() {
+        let successors = || self.network.successors_iter(current);
+        if successors().next().is_none() {
             return self.network.segment(current).twin;
         }
-        let weights: Vec<f64> = succ
-            .iter()
-            .map(|s| {
-                let v = self.network.segment(*s).class.free_flow_ms();
-                v * v
-            })
-            .collect();
-        let total: f64 = weights.iter().sum();
+        let weight = |s: SegmentId| {
+            let v = self.network.segment(s).class.free_flow_ms();
+            v * v
+        };
+        let total: f64 = successors().map(weight).sum();
         let mut pick = rng.gen_range(0.0..total);
-        for (seg, w) in succ.iter().zip(&weights) {
-            if pick < *w {
-                return Some(*seg);
+        let mut last = None;
+        for seg in successors() {
+            let w = weight(seg);
+            if pick < w {
+                return Some(seg);
             }
             pick -= w;
+            last = Some(seg);
         }
-        succ.last().copied()
+        last
     }
 
     fn simulate_day(&self, traj_id: u32, date: u16, rng: &mut StdRng, emit_gps: bool) -> DayResult {
@@ -364,6 +366,31 @@ mod tests {
             night_visits as f64 > rush_visits as f64 * 1.2,
             "night {night_visits} vs rush {rush_visits}"
         );
+    }
+
+    /// The fleet is the same however many workers simulate it.
+    #[test]
+    fn simulation_does_not_depend_on_the_worker_count() {
+        let city = small_city();
+        let sim = FleetSimulator::new(
+            &city.network,
+            FleetConfig {
+                num_taxis: 12,
+                num_days: 3,
+                ..FleetConfig::tiny()
+            },
+        );
+        let matched = sim.simulate_matched();
+        let with_gps = sim.simulate_with_gps();
+        for workers in [1, 3] {
+            streach_par::with_worker_override(workers, || {
+                assert_eq!(sim.simulate_matched(), matched, "workers = {workers}");
+                assert!(
+                    sim.simulate_with_gps() == with_gps,
+                    "workers = {workers}: GPS streams differ"
+                );
+            });
+        }
     }
 
     #[test]
