@@ -46,6 +46,13 @@
 //!   page at a time, in-page blobs lent from the pooled page without a
 //!   copy. Eq. 3.1 is counted as one bit per (segment, day), so a warm
 //!   batch allocates nothing per segment.
+//! * **Decide before verifying.** The pipeline builds a query's verifier
+//!   core before bounding. When the start segment's active days cannot
+//!   reach Prob
+//!   ([`VerifierCore::decided`](query::verifier::VerifierCore::decided)),
+//!   no segment can pass: SQMB+TBS runs only the Near expansion and answers
+//!   the minimum region, ES answers the start alone, and MQMB skips that
+//!   start's batch — no annulus posting is read, and no answer bit moves.
 //! * **Parallel stages.** The embarrassingly parallel stages — annulus
 //!   verification in ES/TBS/MQMB, per-segment Con-Index table construction,
 //!   and the sort-based (slot, segment) grouping of

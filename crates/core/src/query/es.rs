@@ -16,7 +16,11 @@
 //! The expansion runs on the calling thread's reusable
 //! [`DijkstraWorkspace`](streach_roadnet::DijkstraWorkspace) (dense arrays,
 //! no hashing). The candidates are then sorted and verified as one batch
-//! ([`VerifierCore::probabilities`]), like the trace back search's annulus.
+//! ([`VerifierCore::passing`]), like the trace back search's annulus.
+//!
+//! The start segment's postings are read first: when its active days
+//! cannot reach Prob ([`VerifierCore::decided`]), no candidate can pass, so
+//! the search skips the expansion and answers `{start}`.
 
 use std::time::{Duration, Instant};
 
@@ -50,47 +54,49 @@ pub fn exhaustive_search<I: PostingSource + ?Sized>(
     query: &SQuery,
     start_segment: SegmentId,
 ) -> StorageResult<EsOutcome> {
-    // Upper bound on how far anything can travel during L: free-flow highway
-    // speed with 10% slack. Everything the old breadth-first expansion could
-    // reach within the cap is exactly the set Dijkstra settles. The run uses
-    // the calling thread's long-lived workspace, so after the first query on
-    // a thread the expansion allocates only the candidate list.
+    // Core construction (the start segment's posting reads) counts toward
+    // verify_time, mirroring the SQMB+TBS and MQMB stat attribution.
     let t0 = Instant::now();
-    let cap_m = query.duration_s as f64 * RoadClass::Highway.free_flow_ms() * 1.1;
-    let (candidates, visited) = streach_roadnet::with_thread_workspace(|ws| {
-        ws.run(network, start_segment, cap_m);
-        let mut candidates: Vec<SegmentId> = ws
-            .settled()
-            .map(|(seg, _)| seg)
-            .filter(|seg| *seg != start_segment)
-            .collect();
-        candidates.sort_unstable();
-        (candidates, ws.num_settled())
-    });
-    let expansion_time = t0.elapsed();
-
-    // Verify against the trajectory postings (disk I/O), the sorted
-    // candidates as one batch. Core construction (the start segment's
-    // posting reads) counts toward verify_time, mirroring the SQMB+TBS and
-    // MQMB stat attribution.
-    let t1 = Instant::now();
     let core = VerifierCore::new(
         st_index,
         start_segment,
         query.start_time_s,
         query.duration_s,
     )?;
-    let probabilities = core.probabilities(&candidates)?;
-    let verify_time = t1.elapsed();
+    let core_time = t0.elapsed();
+
+    // Upper bound on how far anything can travel during L: free-flow highway
+    // speed with 10% slack. Everything the old breadth-first expansion could
+    // reach within the cap is exactly the set Dijkstra settles. The run uses
+    // the calling thread's long-lived workspace, so after the first query on
+    // a thread the expansion allocates only the candidate list. A decided
+    // query expands nothing: no candidate could pass.
+    let t1 = Instant::now();
+    let (candidates, visited) = if core.decided(query.prob) {
+        (Vec::new(), 0)
+    } else {
+        let cap_m = query.duration_s as f64 * RoadClass::Highway.free_flow_ms() * 1.1;
+        streach_roadnet::with_thread_workspace(|ws| {
+            ws.run(network, start_segment, cap_m);
+            let mut candidates: Vec<SegmentId> = ws
+                .settled()
+                .map(|(seg, _)| seg)
+                .filter(|seg| *seg != start_segment)
+                .collect();
+            candidates.sort_unstable();
+            (candidates, ws.num_settled())
+        })
+    };
+    let expansion_time = t1.elapsed();
+
+    // Verify against the trajectory postings (disk I/O), the sorted
+    // candidates as one batch.
+    let t2 = Instant::now();
+    let passing = core.passing(&candidates, query.prob)?;
+    let verify_time = core_time + t2.elapsed();
 
     let mut reachable: Vec<SegmentId> = vec![start_segment];
-    reachable.extend(
-        candidates
-            .iter()
-            .zip(&probabilities)
-            .filter(|(_, p)| **p >= query.prob)
-            .map(|(seg, _)| *seg),
-    );
+    reachable.extend(passing.into_iter().flatten());
 
     Ok(EsOutcome {
         region: ReachableRegion::from_segments(network, reachable),
@@ -181,6 +187,52 @@ mod tests {
         let high = exhaustive_search(&network, &st, &query(center, 900, 0.9), r0).unwrap();
         assert!(high.region.len() <= low.region.len());
         assert!(low.region.is_superset_of(&high.region));
+    }
+
+    #[test]
+    fn a_decided_search_reads_only_the_start_and_answers_it_alone() {
+        let (network, st, center) = setup();
+        let r0 = st.locate_segment(&center).unwrap();
+        let (mut decided, mut undecided) = (0, 0);
+        for (t, prob) in [
+            (9 * 3600, 0.2),
+            (9 * 3600, 0.5),
+            (9 * 3600, 1.0),
+            (2 * 3600, 0.2),
+        ] {
+            let q = SQuery {
+                location: center,
+                start_time_s: t,
+                duration_s: 600,
+                prob,
+            };
+            // What core construction alone reads, from a cold cache.
+            st.clear_cache();
+            let before = st.io_snapshot();
+            let core = VerifierCore::new(&st, r0, t, 600).unwrap();
+            let core_io = st.io_snapshot().delta_since(&before);
+            st.clear_cache();
+            let before = st.io_snapshot();
+            let out = exhaustive_search(&network, &st, &q, r0).unwrap();
+            let io = st.io_snapshot().delta_since(&before);
+            if core.decided(prob) {
+                decided += 1;
+                assert_eq!(io, core_io, "T={t} prob {prob}: read beyond the start");
+                assert_eq!(out.region.segments, vec![r0], "T={t} prob {prob}");
+                assert_eq!((out.verifications, out.visited), (0, 0));
+            } else {
+                undecided += 1;
+                assert!(out.verifications > 0, "T={t} prob {prob}");
+                assert!(
+                    io.bytes_decoded > core_io.bytes_decoded,
+                    "T={t} prob {prob}"
+                );
+            }
+        }
+        assert!(
+            decided > 0 && undecided > 0,
+            "{decided} decided, {undecided} not"
+        );
     }
 
     #[test]

@@ -253,9 +253,10 @@ impl MqmbBounds {
 pub struct MqmbTbsOutcome {
     /// The Prob-reachable region of the m-query.
     pub region: ReachableRegion,
-    /// Total probability verifications performed.
+    /// Total probability verifications performed: the annulus segments
+    /// owned by a start that did not decide its batch.
     pub verifications: usize,
-    /// Number of annulus segments examined.
+    /// Number of annulus segments examined (the same count).
     pub visited: usize,
     /// Time spent constructing the per-start verifier cores.
     pub setup_time: std::time::Duration,
@@ -268,7 +269,9 @@ pub struct MqmbTbsOutcome {
 ///
 /// The annulus splits into one sorted batch per owning start, and each
 /// start's [`VerifierCore`] verifies its batch
-/// ([`VerifierCore::probabilities`]). Fallible end to end: core
+/// ([`VerifierCore::passing`]); a start whose active days cannot reach
+/// Prob ([`VerifierCore::decided`]) skips its batch unread, since nothing
+/// in it can pass. Fallible end to end: core
 /// construction reads the start segments' postings and every annulus
 /// verification reads the candidate's — a storage fault anywhere surfaces
 /// as `Err` and no partial region is returned.
@@ -296,22 +299,19 @@ pub fn mqmb_trace_back<I: PostingSource + ?Sized>(
     }
     let mut result: Vec<SegmentId> = bounds.min_region.clone();
     result.extend_from_slice(starts);
+    let mut verifications = 0;
     for (core, batch) in cores.iter().zip(&batches) {
-        let probabilities = core.probabilities(batch)?;
-        result.extend(
-            batch
-                .iter()
-                .zip(&probabilities)
-                .filter(|(_, p)| **p >= prob)
-                .map(|(seg, _)| *seg),
-        );
+        if let Some(passing) = core.passing(batch, prob)? {
+            verifications += batch.len();
+            result.extend(passing);
+        }
     }
     let verify_time = t1.elapsed();
 
     Ok(MqmbTbsOutcome {
         region: ReachableRegion::from_segments(network, result),
-        verifications: annulus.len(),
-        visited: annulus.len(),
+        verifications,
+        visited: verifications,
         setup_time,
         verify_time,
     })
@@ -529,6 +529,57 @@ mod tests {
         for seg in &outcome.region.segments {
             assert!(max_set.contains(seg) || f.starts.contains(seg));
         }
+    }
+
+    #[test]
+    fn decided_starts_skip_their_batches_unread() {
+        let f = setup();
+        let (mut decided_starts, mut all_decided) = (0, 0);
+        for (t, prob) in [(9 * 3600, 0.2), (9 * 3600, 1.0), (2 * 3600, 0.2)] {
+            let b = mqmb(&f.con, &f.network, &f.starts, &f.start_points, t, 600);
+            // What the cores alone read, from a cold cache.
+            f.st.clear_cache();
+            let before = f.st.io_snapshot();
+            let cores: Vec<_> = f
+                .starts
+                .iter()
+                .map(|&s| VerifierCore::new(&f.st, s, t, 600).unwrap())
+                .collect();
+            let cores_io = f.st.io_snapshot().delta_since(&before);
+            f.st.clear_cache();
+            let before = f.st.io_snapshot();
+            let outcome = mqmb_trace_back(&f.network, &f.st, &b, &f.starts, t, 600, prob).unwrap();
+            let io = f.st.io_snapshot().delta_since(&before);
+
+            let mut owned = vec![0; f.starts.len()];
+            for seg in b.annulus() {
+                owned[b.owner_of(seg).unwrap_or(0)] += 1;
+            }
+            let verified: usize = cores
+                .iter()
+                .zip(&owned)
+                .filter(|(core, _)| !core.decided(prob))
+                .map(|(_, n)| n)
+                .sum();
+            assert_eq!(outcome.verifications, verified, "T={t} prob {prob}");
+            decided_starts += cores.iter().filter(|c| c.decided(prob)).count();
+            if cores.iter().all(|c| c.decided(prob)) {
+                all_decided += 1;
+                assert_eq!(io, cores_io, "T={t} prob {prob}: read beyond the starts");
+                let mut segments = b.min_region.clone();
+                segments.extend_from_slice(&f.starts);
+                let minimum = ReachableRegion::from_segments(&f.network, segments);
+                assert_eq!(outcome.region, minimum, "T={t} prob {prob}");
+            }
+        }
+        assert!(
+            decided_starts > 0 && all_decided > 0,
+            "the sweep must decide starts"
+        );
+        assert!(
+            decided_starts < 9,
+            "the sweep must leave some start undecided"
+        );
     }
 
     #[test]

@@ -1,10 +1,21 @@
 //! The one query procedure every tier runs.
 //!
-//! A query is answered in three steps: locate the start segment on the road
-//! network, bound the reachable region over the Con-Index (SQMB for one
-//! location, MQMB for several), then verify the annulus between the bounds
-//! against the ST-Index postings with the trace back search. The exhaustive
-//! search (ES) is the baseline that skips the bounding.
+//! An SQMB+TBS s-query is answered in four steps:
+//!
+//! 1. locate the start segment on the road network;
+//! 2. build its [`VerifierCore`], which reads the start segment's postings
+//!    and so knows on how many days the start was active;
+//! 3. bound the reachable region over the Con-Index with SQMB — only the
+//!    Near expansion ([`sqmb_min_only`]) when those active days cannot
+//!    reach Prob ([`VerifierCore::decided`]), both expansions otherwise;
+//! 4. verify the annulus between the bounds against the ST-Index postings
+//!    with the trace back search; a decided query's annulus is empty, so
+//!    its answer is the minimum bounding region, read-free.
+//!
+//! The exhaustive search (ES) is the baseline that skips the bounding; it
+//! too builds the core first and skips its network expansion when decided.
+//! MQMB bounds several locations at once and keeps its Far expansion; each
+//! start it owns skips its batch when that start decided it.
 //!
 //! [`QueryContext`] borrows the three inputs of that procedure: the network,
 //! the Con-Index and a [`PostingSource`]. The single engine passes its
@@ -15,16 +26,17 @@
 //! is also the only place that builds [`QueryStats`]: every path measures
 //! its I/O through [`PostingSource::io_snapshot`].
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use streach_geo::GeoPoint;
 use streach_roadnet::{RoadNetwork, SegmentId};
+use streach_storage::IoStatsSnapshot;
 
 use crate::con_index::ConIndex;
 use crate::engine::ReachabilityEngine;
 use crate::query::es::exhaustive_search;
 use crate::query::mqmb::{mqmb, mqmb_trace_back};
-use crate::query::sqmb::{hop_slots, sqmb, BoundingRegions};
+use crate::query::sqmb::{hop_slots, sqmb, sqmb_min_only, BoundingRegions};
 use crate::query::tbs::trace_back_search;
 use crate::query::verifier::{PostingSource, VerifierCore};
 use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
@@ -37,8 +49,10 @@ use crate::stats::QueryStats;
 pub struct CoalescedAnswer {
     /// The per-caller outcome; failures are this caller's typed error.
     pub outcome: Result<QueryOutcome, QueryError>,
-    /// The group's maximum bounding region (empty on error). Verification
-    /// never reads outside it, so posting invalidation can be scoped to it.
+    /// This answer's maximum bounding region (empty on error): the group's,
+    /// or the minimum region when the start segment decided this query.
+    /// Verification never reads outside it, so posting invalidation can be
+    /// scoped to it.
     pub max_region: Vec<SegmentId>,
     /// Whether the bounding pass was shared with another query of the batch.
     pub shared_bounding: bool,
@@ -114,24 +128,22 @@ impl<P: PostingSource + ?Sized> QueryContext<'_, P> {
                 (out.region, stats)
             }
             Algorithm::SqmbTbs => {
-                let bounds = sqmb(
-                    self.con_index,
-                    self.network.num_segments(),
-                    start,
-                    query.start_time_s,
-                    query.duration_s,
-                );
-                let bounding_time = t0.elapsed();
-                // verify_time covers core construction (the start segment's
-                // posting reads) plus the annulus sweep, mirroring the
-                // setup_time + verify_time sum reported for m-queries.
-                let tv = Instant::now();
+                // The core first: it decides whether the Far expansion is
+                // needed at all. verify_time covers core construction (the
+                // start segment's posting reads) plus the annulus sweep,
+                // mirroring the setup_time + verify_time sum reported for
+                // m-queries; bounding_time covers the expansions only.
                 let core =
                     VerifierCore::new(self.postings, start, query.start_time_s, query.duration_s)?;
+                let core_time = t0.elapsed();
+                let tb = Instant::now();
+                let bounds = self.sqmb_bounds(start, query, core.decided(query.prob));
+                let bounding_time = tb.elapsed();
+                let tv = Instant::now();
                 let out = trace_back_search(self.network, &core, &bounds, query.prob)?;
                 let stats = QueryStats {
                     bounding_time,
-                    verify_time: tv.elapsed(),
+                    verify_time: core_time + tv.elapsed(),
                     segments_verified: out.verifications,
                     max_bounding_size: bounds.max_region.len(),
                     min_bounding_size: bounds.min_region.len(),
@@ -144,6 +156,17 @@ impl<P: PostingSource + ?Sized> QueryContext<'_, P> {
         stats.wall_time = t0.elapsed();
         stats.io = self.postings.io_snapshot().delta_since(&io_before);
         Ok(QueryOutcome { region, stats })
+    }
+
+    /// The SQMB bounds of an s-query from `start`: the minimum region alone
+    /// when the start segment `decided` the query, both regions otherwise.
+    fn sqmb_bounds(&self, start: SegmentId, query: &SQuery, decided: bool) -> BoundingRegions {
+        let (t, l) = (query.start_time_s, query.duration_s);
+        if decided {
+            sqmb_min_only(self.con_index, start, t, l)
+        } else {
+            sqmb(self.con_index, self.network.num_segments(), start, t, l)
+        }
     }
 
     /// Answers a multi-location query; see
@@ -233,7 +256,6 @@ impl<P: PostingSource + ?Sized> QueryContext<'_, P> {
         struct Group {
             segment: SegmentId,
             hop_slots: Vec<u32>,
-            location: GeoPoint,
             members: Vec<usize>,
         }
         let mut groups: Vec<Group> = Vec::new();
@@ -257,60 +279,71 @@ impl<P: PostingSource + ?Sized> QueryContext<'_, P> {
                 None => groups.push(Group {
                     segment,
                     hop_slots,
-                    location: q.location,
                     members: vec![i],
                 }),
             }
         }
 
         for group in &groups {
-            // One MQMB bounding pass for the whole group: with a single start
-            // mqmb equals sqmb, and every member shares the hop-slot sequence,
-            // so these bounds equal each member's serial sqmb bounds.
-            let leader = &queries[group.members[0]];
-            let t_bound = Instant::now();
-            let mb = mqmb(
-                self.con_index,
-                self.network,
-                std::slice::from_ref(&group.segment),
-                std::slice::from_ref(&group.location),
-                leader.start_time_s,
-                leader.duration_s,
-            );
-            let bounds = BoundingRegions {
-                max_region: mb.max_region,
-                min_region: mb.min_region,
-            };
-            let bounding_time = t_bound.elapsed();
-            let shared = group.members.len() > 1;
-
-            // Fan verification out per caller: one core per distinct (T, L),
-            // shared across probability thresholds; errors stay per caller.
+            // Every member's core first: one per distinct (T, L), shared
+            // across probability thresholds; errors stay per caller. Each
+            // member keeps the time and I/O of the core it built.
             let mut cores: Vec<((u32, u32), VerifierCore<'_, P>)> = Vec::new();
+            let mut ready: Vec<(usize, usize, Duration, IoStatsSnapshot)> = Vec::new();
             for &i in &group.members {
                 let q = &queries[i];
-                let io_before = self.postings.io_snapshot();
-                let t_verify = Instant::now();
                 let key = (q.start_time_s, q.duration_s);
-                if !cores.iter().any(|(k, _)| *k == key) {
-                    match VerifierCore::new(
-                        self.postings,
-                        group.segment,
-                        q.start_time_s,
-                        q.duration_s,
-                    ) {
-                        Ok(core) => cores.push((key, core)),
+                let io_before = self.postings.io_snapshot();
+                let t_core = Instant::now();
+                let core = match cores.iter().position(|(k, _)| *k == key) {
+                    Some(core) => core,
+                    None => match VerifierCore::new(self.postings, group.segment, key.0, key.1) {
+                        Ok(core) => {
+                            cores.push((key, core));
+                            cores.len() - 1
+                        }
                         Err(err) => {
                             answers[i] = Some(CoalescedAnswer::failed(err.into()));
                             continue;
                         }
-                    }
-                }
-                let core = &cores.iter().find(|(k, _)| *k == key).expect("just built").1;
+                    },
+                };
+                let core_io = self.postings.io_snapshot().delta_since(&io_before);
+                ready.push((i, core, t_core.elapsed(), core_io));
+            }
+            let Some(&(leader, ..)) = ready.first() else {
+                continue;
+            };
+            let decided = |i: usize, core: usize| cores[core].1.decided(queries[i].prob);
+
+            // One SQMB bounding pass for the whole group: every member shares
+            // the hop-slot sequence, so these bounds equal each member's
+            // serial bounds. The Far expansion runs only when some member
+            // can pass; a decided member verifies against the minimum region
+            // alone, exactly as its serial query does.
+            let t_bound = Instant::now();
+            let undecided = ready.iter().any(|&(i, core, ..)| !decided(i, core));
+            let full = undecided.then(|| self.sqmb_bounds(group.segment, &queries[leader], false));
+            let min_only = match &full {
+                Some(full) => BoundingRegions::min_only(full.min_region.clone()),
+                None => self.sqmb_bounds(group.segment, &queries[leader], true),
+            };
+            let bounding_time = t_bound.elapsed();
+            let shared = group.members.len() > 1;
+
+            for (i, core, core_time, core_io) in ready {
+                let q = &queries[i];
+                let bounds = match &full {
+                    Some(full) if !decided(i, core) => full,
+                    _ => &min_only,
+                };
+                let io_before = self.postings.io_snapshot();
+                let t_verify = Instant::now();
                 answers[i] = Some(
-                    match trace_back_search(self.network, core, &bounds, q.prob) {
+                    match trace_back_search(self.network, &cores[core].1, bounds, q.prob) {
                         Ok(out) => {
-                            let verify_time = t_verify.elapsed();
+                            let verify_time = core_time + t_verify.elapsed();
+                            let io = core_io + self.postings.io_snapshot().delta_since(&io_before);
                             CoalescedAnswer {
                                 outcome: Ok(QueryOutcome {
                                     region: out.region,
@@ -318,7 +351,7 @@ impl<P: PostingSource + ?Sized> QueryContext<'_, P> {
                                         wall_time: bounding_time + verify_time,
                                         bounding_time,
                                         verify_time,
-                                        io: self.postings.io_snapshot().delta_since(&io_before),
+                                        io,
                                         segments_verified: out.verifications,
                                         max_bounding_size: bounds.max_region.len(),
                                         min_bounding_size: bounds.min_region.len(),

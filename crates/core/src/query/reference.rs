@@ -9,7 +9,9 @@
 //! 1. **Equivalence regression**: the `equivalence` integration test asserts
 //!    that the optimized ES/SQMB+TBS/MQMB pipeline returns bit-identical
 //!    regions to these implementations across a grid of queries, so a perf
-//!    refactor can never silently change results.
+//!    refactor can never silently change results. [`naive_s_query`] and
+//!    [`naive_m_query`] compose them into whole queries that verify every
+//!    candidate, the oracle for a pipeline that skips work.
 //! 2. **Benchmark answer check**: the benchmark (`benchmark/src/check.rs`)
 //!    compares a share of every workload's answers against these pipelines
 //!    in-run and fails the run on any difference.
@@ -27,7 +29,7 @@ use streach_storage::StorageResult;
 use crate::con_index::ConIndex;
 use crate::query::mqmb::{MqmbBounds, OwnershipDistances, NO_OWNER};
 use crate::query::sqmb::{hop_slots, BoundingRegions};
-use crate::query::SQuery;
+use crate::query::{Algorithm, MQuery, SQuery};
 use crate::region::ReachableRegion;
 use crate::st_index::StIndex;
 use crate::time::slots_overlapping;
@@ -277,4 +279,54 @@ pub fn naive_mqmb(
     let (max_region, owner) = walk(true);
     let (min_region, _) = walk(false);
     MqmbBounds::from_expansions(max_region, min_region, owner)
+}
+
+/// The whole reference s-query from `start`: naive SQMB bounds searched by
+/// the naive trace back search, or the naive ES. Every annulus segment is
+/// verified, so this pins the pipeline's early decision
+/// ([`VerifierCore::decided`](crate::query::verifier::VerifierCore::decided))
+/// as answer-neutral.
+pub fn naive_s_query(
+    network: &RoadNetwork,
+    con_index: &ConIndex,
+    st_index: &StIndex,
+    query: &SQuery,
+    start: SegmentId,
+    algorithm: Algorithm,
+) -> StorageResult<ReachableRegion> {
+    let (t, l) = (query.start_time_s, query.duration_s);
+    match algorithm {
+        Algorithm::ExhaustiveSearch => naive_exhaustive_search(network, st_index, query, start),
+        Algorithm::SqmbTbs => {
+            let bounds = naive_sqmb(con_index, network.num_segments(), start, t, l);
+            naive_trace_back_search(network, st_index, &bounds, start, t, l, query.prob)
+        }
+    }
+}
+
+/// The whole reference MQMB+TBS m-query over the located `starts`: naive
+/// MQMB bounds, every annulus segment verified naively against its owning
+/// start.
+pub fn naive_m_query(
+    network: &RoadNetwork,
+    con_index: &ConIndex,
+    st_index: &StIndex,
+    query: &MQuery,
+    starts: &[SegmentId],
+) -> StorageResult<ReachableRegion> {
+    let (t, l) = (query.start_time_s, query.duration_s);
+    let bounds = naive_mqmb(con_index, network, starts, &query.locations, t, l);
+    let verifiers: Vec<NaiveVerifier<'_>> = starts
+        .iter()
+        .map(|&s| NaiveVerifier::new(st_index, s, t, l))
+        .collect::<StorageResult<_>>()?;
+    let mut segments = bounds.min_region.clone();
+    segments.extend_from_slice(starts);
+    for segment in bounds.annulus() {
+        let owner = bounds.owner_of(segment).unwrap_or(0);
+        if verifiers[owner].probability(segment)? >= query.prob {
+            segments.push(segment);
+        }
+    }
+    Ok(ReachableRegion::from_segments(network, segments))
 }

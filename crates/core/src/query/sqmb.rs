@@ -41,6 +41,15 @@ pub struct BoundingRegions {
 }
 
 impl BoundingRegions {
+    /// The bounds of a decided query (see [`sqmb_min_only`]): the maximum
+    /// region is the minimum one, so the annulus is empty.
+    pub fn min_only(min_region: Vec<SegmentId>) -> Self {
+        Self {
+            max_region: min_region.clone(),
+            min_region,
+        }
+    }
+
     /// Segments in the maximum but not the minimum bounding region — the
     /// annulus the trace back search has to verify.
     pub fn annulus(&self) -> Vec<SegmentId> {
@@ -111,6 +120,24 @@ pub fn sqmb(
         max_region: expand(pass, start_segment, &hop_slots, true),
         min_region: expand(pass, start_segment, &hop_slots, false),
     })
+}
+
+/// SQMB's Near expansion alone, as [`BoundingRegions::min_only`]: the
+/// minimum bounding region of [`sqmb`], bit for bit, without the Far
+/// expansion. This is the whole bounding pass of a query the start segment
+/// decides ([`VerifierCore::decided`](crate::query::verifier::VerifierCore::decided)):
+/// no annulus segment can pass, so its answer is the minimum region and
+/// the maximum one would only bound reads that never happen.
+pub fn sqmb_min_only(
+    con_index: &ConIndex,
+    start_segment: SegmentId,
+    start_time_s: u32,
+    duration_s: u32,
+) -> BoundingRegions {
+    let hop_slots = hop_slots(start_time_s, duration_s, con_index.slot_s());
+    BoundingRegions::min_only(
+        con_index.bounding_pass(|pass| expand(pass, start_segment, &hop_slots, false)),
+    )
 }
 
 #[cfg(test)]
@@ -196,6 +223,22 @@ mod tests {
                 b.max_region.binary_search(&succ).is_ok(),
                 "successor {succ} missing"
             );
+        }
+    }
+
+    #[test]
+    fn min_only_bounds_are_the_minimum_region_of_sqmb() {
+        let (network, con, start) = setup();
+        for (t, l) in [
+            (9 * 3600, 300),
+            (9 * 3600 + 120, 900),
+            (23 * 3600 + 3300, 600),
+        ] {
+            let full = sqmb(&con, network.num_segments(), start, t, l);
+            let min_only = sqmb_min_only(&con, start, t, l);
+            assert_eq!(min_only.min_region, full.min_region, "T={t} L={l}");
+            assert_eq!(min_only.max_region, full.min_region, "T={t} L={l}");
+            assert!(min_only.annulus().is_empty());
         }
     }
 

@@ -11,9 +11,15 @@
 //! *entire* annulus and a failed segment only enqueues annulus neighbours
 //! (which are already queued), the fixed point it computes is simply "verify
 //! every annulus segment exactly once". This implementation does exactly
-//! that, as one sorted batch: [`VerifierCore::probabilities`] splits the
-//! annulus into one range per worker and reads each range's postings a
-//! window slot at a time, in heap order.
+//! that, as one sorted batch: [`VerifierCore::passing`] splits the annulus
+//! into one range per worker and reads each range's postings a window slot
+//! at a time, in heap order.
+//!
+//! Unless the start segment decides the query first: when its active days
+//! cannot reach Prob ([`VerifierCore::decided`]), no annulus segment can
+//! pass, the search reads nothing and answers the minimum bounding region.
+//! The pipeline then hands it [`BoundingRegions::min_only`] bounds, since
+//! the Far expansion would only feed an annulus nobody reads.
 //!
 //! The returned Prob-reachable region is the minimum bounding region plus
 //! every verified segment that met the probability threshold. The expensive
@@ -32,9 +38,10 @@ use crate::region::ReachableRegion;
 pub struct TbsOutcome {
     /// The Prob-reachable region.
     pub region: ReachableRegion,
-    /// Number of probability verifications performed (posting reads).
+    /// Number of probability verifications performed (posting reads): the
+    /// annulus, or 0 when the start segment decided the query.
     pub verifications: usize,
-    /// Number of annulus segments examined by the search.
+    /// Number of annulus segments examined by the search (the same count).
     pub visited: usize,
 }
 
@@ -52,22 +59,17 @@ pub fn trace_back_search<I: PostingSource + ?Sized>(
     prob: f64,
 ) -> StorageResult<TbsOutcome> {
     let annulus = bounds.annulus();
-    let probabilities = core.probabilities(&annulus)?;
+    let passing = core.passing(&annulus, prob)?;
+    let verifications = if passing.is_some() { annulus.len() } else { 0 };
 
     // Final region: everything reachable even at minimum speed plus the
     // verified annulus segments.
     let mut segments = bounds.min_region.clone();
-    segments.extend(
-        annulus
-            .iter()
-            .zip(&probabilities)
-            .filter(|(_, p)| **p >= prob)
-            .map(|(seg, _)| *seg),
-    );
+    segments.extend(passing.into_iter().flatten());
     Ok(TbsOutcome {
         region: ReachableRegion::from_segments(network, segments),
-        verifications: annulus.len(),
-        visited: annulus.len(),
+        verifications,
+        visited: verifications,
     })
 }
 
@@ -75,7 +77,7 @@ pub fn trace_back_search<I: PostingSource + ?Sized>(
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
-    use crate::query::sqmb::sqmb;
+    use crate::query::sqmb::{sqmb, sqmb_min_only};
     use crate::speed_stats::SpeedStats;
     use crate::st_index::StIndex;
     use std::sync::Arc;
@@ -117,12 +119,14 @@ mod tests {
         }
     }
 
+    /// Runs SQMB + TBS with the full bounds; also says whether the start
+    /// segment decided the query.
     fn run(
         f: &Fixture,
         start_time_s: u32,
         duration_s: u32,
         prob: f64,
-    ) -> (TbsOutcome, BoundingRegions) {
+    ) -> (TbsOutcome, BoundingRegions, bool) {
         let bounds = sqmb(
             &f.con,
             f.network.num_segments(),
@@ -132,13 +136,13 @@ mod tests {
         );
         let core = VerifierCore::new(&f.st, f.start, start_time_s, duration_s).unwrap();
         let outcome = trace_back_search(&f.network, &core, &bounds, prob).unwrap();
-        (outcome, bounds)
+        (outcome, bounds, core.decided(prob))
     }
 
     #[test]
     fn region_lies_between_min_and_max_bounds() {
         let f = setup();
-        let (outcome, bounds) = run(&f, 9 * 3600, 600, 0.2);
+        let (outcome, bounds, _) = run(&f, 9 * 3600, 600, 0.2);
         let max_set: std::collections::HashSet<_> = bounds.max_region.iter().copied().collect();
         for &seg in &outcome.region.segments {
             assert!(
@@ -156,7 +160,7 @@ mod tests {
     #[test]
     fn verifications_bounded_by_annulus_size() {
         let f = setup();
-        let (outcome, bounds) = run(&f, 9 * 3600, 600, 0.2);
+        let (outcome, bounds, decided) = run(&f, 9 * 3600, 600, 0.2);
         let annulus = bounds.annulus().len();
         assert!(
             outcome.verifications <= annulus,
@@ -165,14 +169,20 @@ mod tests {
             annulus
         );
         assert!(outcome.visited <= annulus);
+        // The start can pass at 09:00 and Prob 0.2, so it verifies; a start
+        // that cannot pass verifies nothing.
+        assert!(!decided, "the 09:00 start must be able to pass");
         assert!(outcome.verifications > 0, "some verification must happen");
+        let (night, _, decided) = run(&f, 2 * 3600, 600, 0.2);
+        assert!(decided, "the idle 02:00 start cannot pass");
+        assert_eq!(night.verifications, 0);
     }
 
     #[test]
     fn higher_probability_shrinks_the_region() {
         let f = setup();
-        let (low, _) = run(&f, 9 * 3600, 900, 0.2);
-        let (high, _) = run(&f, 9 * 3600, 900, 0.95);
+        let (low, _, _) = run(&f, 9 * 3600, 900, 0.2);
+        let (high, _, _) = run(&f, 9 * 3600, 900, 0.95);
         assert!(high.region.len() <= low.region.len());
         assert!(low.region.is_superset_of(&high.region));
     }
@@ -181,16 +191,57 @@ mod tests {
     fn night_query_collapses_to_minimum_bound() {
         let f = setup();
         // 02:00 — the tiny fleet is idle, so no annulus segment can be verified.
-        let (outcome, bounds) = run(&f, 2 * 3600, 600, 0.2);
+        let (outcome, bounds, _) = run(&f, 2 * 3600, 600, 0.2);
         assert_eq!(outcome.region.len(), bounds.min_region.len());
     }
 
     #[test]
     fn verifications_equal_annulus_exactly_once() {
         let f = setup();
-        let (outcome, bounds) = run(&f, 9 * 3600, 900, 0.5);
-        // Every annulus segment is verified exactly once, never re-verified.
-        assert_eq!(outcome.verifications, bounds.annulus().len());
-        assert_eq!(outcome.visited, outcome.verifications);
+        let mut decisions = Vec::new();
+        for prob in [0.2, 0.5, 1.0] {
+            let (outcome, bounds, decided) = run(&f, 9 * 3600, 900, prob);
+            // Every annulus segment is verified exactly once, never
+            // re-verified — unless the start decided the query, when none is.
+            let expected = if decided { 0 } else { bounds.annulus().len() };
+            assert_eq!(outcome.verifications, expected, "prob {prob}");
+            assert_eq!(outcome.visited, outcome.verifications, "prob {prob}");
+            decisions.push(decided);
+        }
+        assert!(
+            decisions.contains(&true) && decisions.contains(&false),
+            "the sweep must hold a decided and an undecided query: {decisions:?}"
+        );
+    }
+
+    #[test]
+    fn a_decided_search_reads_nothing_and_answers_the_minimum_region() {
+        let f = setup();
+        let mut decided_queries = 0;
+        for (t, prob) in [(9 * 3600, 0.5), (9 * 3600, 1.0), (2 * 3600, 0.2)] {
+            let core = VerifierCore::new(&f.st, f.start, t, 900).unwrap();
+            if !core.decided(prob) {
+                continue;
+            }
+            decided_queries += 1;
+            let full = sqmb(&f.con, f.network.num_segments(), f.start, t, 900);
+            let min_only = sqmb_min_only(&f.con, f.start, t, 900);
+            let minimum = ReachableRegion::from_segments(&f.network, full.min_region.clone());
+            for bounds in [&full, &min_only] {
+                let before = f.st.io_snapshot();
+                let outcome = trace_back_search(&f.network, &core, bounds, prob).unwrap();
+                assert_eq!(
+                    f.st.io_snapshot().delta_since(&before),
+                    Default::default(),
+                    "T={t} prob {prob}: a decided search reads nothing"
+                );
+                assert_eq!(outcome.region, minimum, "T={t} prob {prob}");
+                assert_eq!(outcome.verifications, 0);
+            }
+        }
+        assert!(
+            decided_queries >= 2,
+            "only {decided_queries} decided queries"
+        );
     }
 }

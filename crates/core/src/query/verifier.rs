@@ -32,6 +32,20 @@
 //! * Eq. 3.1 is counted as one bit per (segment, day): a day's bit is set
 //!   when a posting's IDs for that day meet the start segment's, and `m*`
 //!   is the popcount once every slot was visited.
+//!
+//! # Deciding before verifying
+//!
+//! `m*` only counts days on which the start segment itself was active, so
+//! no segment can score above `active_days / m`. When that ceiling is below
+//! Prob (or `m` is 0), the query is **decided** before any candidate is
+//! read: no segment passes ([`VerifierCore::decided`]). The bound is exact
+//! in floating point — every probability is `met / m` with
+//! `met ≤ active_days` over the same `m`, and IEEE division is monotone in
+//! its numerator — so deciding changes no answer bit. The query pipeline
+//! builds the core first and lets this one test pick its plan:
+//! [`VerifierCore::passing`] returns `None` without reading for a decided
+//! query, and the pipeline then skips what only feeds the verification
+//! (SQMB's Far expansion, ES's network expansion).
 
 use std::sync::Arc;
 
@@ -251,6 +265,40 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
         self.window
     }
 
+    /// Whether no segment can reach `prob` from this start: the day count
+    /// `m` is 0, or `active_days / m < prob`, the ceiling of every
+    /// probability this core computes (see the module docs). For a `prob`
+    /// in `(0, 1]`, the range [`SQuery`](crate::query::SQuery) validates,
+    /// a decided query's verification admits nothing, bit for bit.
+    pub fn decided(&self, prob: f64) -> bool {
+        // Explicit: `x / 0.0` is NaN, and NaN compares below nothing.
+        self.num_days == 0 || (self.active_days as f64 / self.num_days as f64) < prob
+    }
+
+    /// The segments of `segments` whose probability reaches `prob`, in
+    /// input order, or `None` without reading a posting when the query is
+    /// [`decided`](Self::decided). `segments` must ascend strictly, as for
+    /// [`probabilities`](Self::probabilities). `Some` means every segment
+    /// of the batch was verified; `None` means none was.
+    pub fn passing(
+        &self,
+        segments: &[SegmentId],
+        prob: f64,
+    ) -> StorageResult<Option<Vec<SegmentId>>> {
+        if self.decided(prob) {
+            return Ok(None);
+        }
+        let probabilities = self.probabilities(segments)?;
+        Ok(Some(
+            segments
+                .iter()
+                .zip(probabilities)
+                .filter(|(_, p)| *p >= prob)
+                .map(|(segment, _)| *segment)
+                .collect(),
+        ))
+    }
+
     /// The reachable probability `probability(r, r0)` of Eq. 3.1 for every
     /// segment of `segments`, in input order. `segments` must ascend
     /// strictly (an annulus, or sorted candidates); the call panics
@@ -329,7 +377,9 @@ mod tests {
     use std::sync::Arc;
     use streach_roadnet::{GeneratorConfig, SyntheticCity};
     use streach_storage::{fault::mix, Page, PageStore, PAGE_SIZE};
-    use streach_traj::{FleetConfig, TrajPoint, TrajectoryDataset};
+    use streach_traj::{
+        FleetConfig, MatchedTrajectory, SegmentVisit, TrajPoint, TrajectoryDataset,
+    };
 
     fn build() -> (
         Arc<streach_roadnet::RoadNetwork>,
@@ -463,6 +513,83 @@ mod tests {
             assert_eq!(core.probabilities(&[*seg]).unwrap(), [*p], "segment {seg}");
         }
         assert!(core.probabilities(&[]).unwrap().is_empty());
+    }
+
+    /// An index over `num_days` days on which one trajectory a day drives
+    /// `start` then its first successor at 09:00, on days `0..active_days`.
+    fn active_on(num_days: u16, active_days: u16) -> (StIndex, SegmentId, SegmentId) {
+        let city = SyntheticCity::generate(GeneratorConfig::small());
+        let center = city.central_point();
+        let network = Arc::new(city.network);
+        let start = network.nearest_segment(&center).unwrap().0;
+        let next = network.successors(start)[0];
+        let trajectories = (0..active_days)
+            .map(|date| MatchedTrajectory {
+                traj_id: date as u32,
+                date,
+                visits: vec![
+                    SegmentVisit {
+                        segment: start,
+                        enter_time_s: 9 * 3600 + 10,
+                    },
+                    SegmentVisit {
+                        segment: next,
+                        enter_time_s: 9 * 3600 + 60,
+                    },
+                ],
+            })
+            .collect();
+        let dataset = TrajectoryDataset::from_matched(trajectories, 1, num_days);
+        let st = StIndex::build(network, &dataset, &IndexConfig::default());
+        (st, start, next)
+    }
+
+    #[test]
+    fn a_start_decides_exactly_when_its_active_days_cannot_reach_prob() {
+        // m = 15, Prob 0.2: 3 active days reach 3/15 = 0.2, 2 reach 2/15.
+        let (st, start, next) = active_on(15, 3);
+        let core = VerifierCore::new(&st, start, 9 * 3600, 600).unwrap();
+        assert_eq!(core.active_days(), 3);
+        assert!(!core.decided(0.2));
+        let mut batch = vec![start, next];
+        batch.sort_unstable();
+        // The ceiling is tight: both segments score exactly 3/15 and pass.
+        assert_eq!(core.probabilities(&batch).unwrap(), [0.2, 0.2]);
+        assert_eq!(core.passing(&batch, 0.2).unwrap(), Some(batch.clone()));
+        assert!(core.decided(0.25));
+        assert_eq!(core.passing(&batch, 0.25).unwrap(), None);
+
+        let (st, start, _) = active_on(15, 2);
+        let core = VerifierCore::new(&st, start, 9 * 3600, 600).unwrap();
+        assert_eq!(core.active_days(), 2);
+        assert!(core.decided(0.2));
+        assert_eq!(core.probabilities(&[start]).unwrap(), [2.0 / 15.0]);
+        assert_eq!(core.passing(&[start], 0.2).unwrap(), None);
+        assert!(!core.decided(2.0 / 15.0));
+    }
+
+    #[test]
+    fn no_days_decide_every_query() {
+        let (st, start, _) = active_on(0, 0);
+        let core = VerifierCore::new(&st, start, 9 * 3600, 600).unwrap();
+        for prob in [f64::MIN_POSITIVE, 0.2, 1.0] {
+            assert!(core.decided(prob), "prob {prob}");
+            assert_eq!(core.passing(&[start], prob).unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn a_decided_batch_reads_nothing() {
+        let (st, start, next) = active_on(15, 2);
+        let core = VerifierCore::new(&st, start, 9 * 3600, 600).unwrap();
+        let mut batch = vec![start, next];
+        batch.sort_unstable();
+        let before = st.io_snapshot();
+        assert_eq!(core.passing(&batch, 0.2).unwrap(), None);
+        assert_eq!(st.io_snapshot().delta_since(&before), Default::default());
+        // The same batch below the ceiling reads its postings.
+        assert!(core.passing(&batch, 0.1).unwrap().is_some());
+        assert!(st.io_snapshot().delta_since(&before).bytes_decoded > 0);
     }
 
     // The batched-scan contract. The fleet drives around the clock, so the

@@ -45,8 +45,11 @@
 //! * **Posting pairs** — a touched (slot, segment) kills every entry whose
 //!   slot set contains the slot *and* whose maximum bounding region
 //!   contains the segment: postings only affect verification, and
-//!   verification only reads segments inside the max region. ES entries
-//!   keep an empty region sentinel and match any segment.
+//!   verification only reads segments inside the max region. A decided
+//!   answer (its start segment's active days cannot reach Prob) records
+//!   its minimum region as its max region: only the start segment's own
+//!   postings, which lie inside it, or a day-count raise can undecide it.
+//!   ES entries keep an empty region sentinel and match any segment.
 //! * **Speed slots** — a slot whose Con-Index statistics moved kills every
 //!   entry whose slot set contains it, regardless of segment: speed stats
 //!   feed the bounding expansion, which may reach any segment on re-run.
@@ -227,8 +230,9 @@ pub(crate) struct ReadFootprint {
     /// probability window), sorted — the slot overlap test.
     pub slots: Vec<u32>,
     /// Maximum bounding region for segment-scoped posting invalidation,
-    /// sorted; empty means "any segment" (ES reads wherever its expansion
-    /// goes, so no sound segment scoping exists for it).
+    /// sorted (a decided answer's is its minimum region, which holds the
+    /// start segment); empty means "any segment" (ES reads wherever its
+    /// expansion goes, so no sound segment scoping exists for it).
     pub max_region: Vec<SegmentId>,
 }
 

@@ -591,6 +591,9 @@ mod tests {
     use super::*;
     use crate::builder::EngineBuilder;
     use crate::config::IndexConfig;
+    use crate::query::reference::{naive_m_query, naive_s_query};
+    use crate::query::verifier::VerifierCore;
+    use crate::region::ReachableRegion;
     use streach_roadnet::{GeneratorConfig, SyntheticCity};
     use streach_traj::{FleetConfig, TrajectoryDataset};
 
@@ -634,8 +637,10 @@ mod tests {
         (network, dataset, single, sharded)
     }
 
-    /// Five origins spread over the city, two windows each, so some annuli
-    /// straddle a shard boundary at every shard count.
+    /// Five origins spread over the city, two fleet windows and a night
+    /// window each, at Prob 0.2, 0.5 and 1.0: some annuli straddle a shard
+    /// boundary at every shard count, and the start segment decides some
+    /// queries before verifying (the fleet drives 08:00–12:00).
     fn spread_queries(network: &RoadNetwork) -> Vec<SQuery> {
         let b = network.bounds();
         let center = b.center();
@@ -649,19 +654,72 @@ mod tests {
         ];
         let mut queries = Vec::new();
         for (fx, fy) in offsets {
-            for (start_time_s, duration_s) in [(9 * 3600, 600), (10 * 3600, 900)] {
-                queries.push(SQuery {
-                    location: streach_geo::GeoPoint::new(
-                        center.lon + dlon * fx,
-                        center.lat + dlat * fy,
-                    ),
-                    start_time_s,
-                    duration_s,
-                    prob: 0.25,
-                });
+            for (start_time_s, duration_s) in [(9 * 3600, 600), (10 * 3600, 900), (3 * 3600, 600)] {
+                for prob in [0.2, 0.5, 1.0] {
+                    queries.push(SQuery {
+                        location: streach_geo::GeoPoint::new(
+                            center.lon + dlon * fx,
+                            center.lat + dlat * fy,
+                        ),
+                        start_time_s,
+                        duration_s,
+                        prob,
+                    });
+                }
             }
         }
         queries
+    }
+
+    /// A location and time at which a taxi of `dataset` entered the segment
+    /// the location matches to.
+    fn visited_start(
+        network: &RoadNetwork,
+        dataset: &TrajectoryDataset,
+        single: &ReachabilityEngine,
+    ) -> (streach_geo::GeoPoint, u32) {
+        dataset
+            .trajectories()
+            .iter()
+            .map(|traj| traj.visits[0])
+            .find_map(|visit| {
+                let location = network.segment(visit.segment).mbr.center();
+                (single.try_locate(&location) == Ok(visit.segment))
+                    .then_some((location, visit.enter_time_s))
+            })
+            .expect("some visited segment is its own nearest match")
+    }
+
+    /// Whether the single engine's start segment decides `query` before
+    /// verifying (its active days cannot reach Prob).
+    fn decided(single: &ReachabilityEngine, query: &SQuery) -> bool {
+        let start = single.try_locate(&query.location).unwrap();
+        VerifierCore::new(
+            single.st_index(),
+            start,
+            query.start_time_s,
+            query.duration_s,
+        )
+        .unwrap()
+        .decided(query.prob)
+    }
+
+    /// The full naive reference answer of `query` on the single engine.
+    fn reference(
+        single: &ReachabilityEngine,
+        query: &SQuery,
+        algorithm: Algorithm,
+    ) -> ReachableRegion {
+        let start = single.try_locate(&query.location).unwrap();
+        naive_s_query(
+            single.network(),
+            single.con_index(),
+            single.st_index(),
+            query,
+            start,
+            algorithm,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -669,11 +727,19 @@ mod tests {
         for shards in 1..=4 {
             let (network, _dataset, single, sharded) = setup(shards);
             let queries = spread_queries(&network);
+            let decisions: Vec<bool> = queries.iter().map(|q| decided(&single, q)).collect();
+            assert!(
+                decisions.contains(&true) && decisions.contains(&false),
+                "the sweep must hold decided and undecided queries"
+            );
             for query in &queries {
                 for algo in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
                     let want = single.try_s_query(query, algo).unwrap();
                     let got = sharded.try_s_query(query, algo).unwrap();
                     let label = format!("{shards} shards, {query:?}, {algo:?}");
+                    if shards == 1 {
+                        assert_eq!(want.region, reference(&single, query, algo), "{label}");
+                    }
                     assert_eq!(want.region, got.region, "{label}");
                     let (w, g) = (&want.stats, &got.stats);
                     assert_eq!(w.segments_verified, g.segments_verified, "{label}");
@@ -702,25 +768,65 @@ mod tests {
     #[test]
     fn sharded_m_queries_match_single_engine() {
         for shards in 1..=4 {
-            let (network, _dataset, single, sharded) = setup(shards);
+            let (network, dataset, single, sharded) = setup(shards);
             let b = network.bounds();
-            let m = MQuery {
-                locations: vec![
-                    b.center(),
-                    streach_geo::GeoPoint::new(
-                        b.center().lon + (b.max_lon - b.min_lon) * 0.2,
-                        b.center().lat,
-                    ),
-                ],
-                start_time_s: 9 * 3600,
-                duration_s: 600,
-                prob: 0.2,
-            };
-            for algo in [MQueryAlgorithm::MqmbTbs, MQueryAlgorithm::RepeatedSQuery] {
-                let want = single.try_m_query(&m, algo).unwrap();
-                let got = sharded.try_m_query(&m, algo).unwrap();
-                assert_eq!(want.region, got.region, "{shards} shards, {algo:?}");
+            let center = b.center();
+            let east =
+                streach_geo::GeoPoint::new(center.lon + (b.max_lon - b.min_lon) * 0.2, center.lat);
+            // Where and when a taxi was: a start that can pass.
+            let (visited, visited_at) = visited_start(&network, &dataset, &single);
+            let mut decisions = Vec::new();
+            for (locations, start_time_s) in [
+                (vec![center, east], 9 * 3600),
+                (vec![center, east], 3 * 3600),
+                (vec![visited, center], visited_at),
+            ] {
+                let starts: Vec<SegmentId> = locations
+                    .iter()
+                    .map(|p| single.try_locate(p).unwrap())
+                    .collect();
+                for prob in [0.2, 0.5, 1.0] {
+                    let m = MQuery {
+                        locations: locations.clone(),
+                        start_time_s,
+                        duration_s: 600,
+                        prob,
+                    };
+                    decisions
+                        .extend((0..locations.len()).map(|i| decided(&single, &m.sub_query(i))));
+                    for algo in [MQueryAlgorithm::MqmbTbs, MQueryAlgorithm::RepeatedSQuery] {
+                        let want = single.try_m_query(&m, algo).unwrap();
+                        let got = sharded.try_m_query(&m, algo).unwrap();
+                        let label = format!("{shards} shards, {m:?}, {algo:?}");
+                        assert_eq!(want.region, got.region, "{label}");
+                        if shards > 1 {
+                            continue;
+                        }
+                        let reference = match algo {
+                            MQueryAlgorithm::MqmbTbs => naive_m_query(
+                                single.network(),
+                                single.con_index(),
+                                single.st_index(),
+                                &m,
+                                &starts,
+                            )
+                            .unwrap(),
+                            MQueryAlgorithm::RepeatedSQuery => {
+                                (0..locations.len()).fold(ReachableRegion::empty(), |region, i| {
+                                    let one =
+                                        reference(&single, &m.sub_query(i), Algorithm::SqmbTbs);
+                                    region.union(single.network(), &one)
+                                })
+                            }
+                        };
+                        assert_eq!(want.region, reference, "{label}");
+                    }
+                }
             }
+            assert!(
+                decisions.contains(&true) && decisions.contains(&false),
+                "the sweep must hold decided and undecided starts: {decisions:?}"
+            );
         }
     }
 
@@ -732,20 +838,13 @@ mod tests {
         let (network, dataset, single, sharded) = setup(2);
         // Start where and when a taxi actually was, so the start segment has
         // postings and the verifier reads pages.
-        let query = dataset
-            .trajectories()
-            .iter()
-            .map(|traj| traj.visits[0])
-            .find_map(|visit| {
-                let location = network.segment(visit.segment).mbr.center();
-                (single.try_locate(&location) == Ok(visit.segment)).then_some(SQuery {
-                    location,
-                    start_time_s: visit.enter_time_s,
-                    duration_s: 900,
-                    prob: 0.2,
-                })
-            })
-            .expect("some visited segment is its own nearest match");
+        let (location, start_time_s) = visited_start(&network, &dataset, &single);
+        let query = SQuery {
+            location,
+            start_time_s,
+            duration_s: 900,
+            prob: 0.2,
+        };
         let clear_single = || single.st_index().clear_cache();
         let clear_sharded = || {
             for shard in &sharded.shards {

@@ -15,19 +15,26 @@ pub struct QueryStats {
     /// Wall-clock time spent answering the query.
     pub wall_time: Duration,
     /// Time spent computing the bounding regions (SQMB/MQMB Con-Index hops,
-    /// or the network expansion for the ES baseline).
+    /// or the network expansion for the ES baseline) — the expansions only.
     pub bounding_time: Duration,
     /// Time spent verifying candidate segments against the trajectory
     /// postings (the stage the indexes exist to shrink, and the stage that
-    /// runs on all cores).
+    /// runs on all cores): the verifier core's construction, which reads the
+    /// start segment's postings, plus the annulus (or ES candidate) reads.
     pub verify_time: Duration,
     /// Page I/O performed while answering the query (delta over the query).
     pub io: IoStatsSnapshot,
     /// Number of road segments whose reachability probability was verified
-    /// against the trajectory postings.
+    /// against the trajectory postings — the segments actually read. 0 when
+    /// the start segment decided the query: its active days cannot reach
+    /// Prob, so nothing is verified
+    /// ([`VerifierCore::decided`](crate::query::verifier::VerifierCore::decided)).
     pub segments_verified: usize,
     /// Size of the maximum bounding region (0 for the ES baseline, which
-    /// does not compute one).
+    /// does not compute one). Equal to `min_bounding_size` when an
+    /// SQMB+TBS s-query was decided: it runs the Near expansion only, so
+    /// its maximum bound is its minimum bound. MQMB keeps its Far expansion
+    /// and skips only the decided starts' batches.
     pub max_bounding_size: usize,
     /// Size of the minimum bounding region (0 for the ES baseline).
     pub min_bounding_size: usize,
@@ -53,14 +60,7 @@ impl QueryStats {
             wall_time: self.wall_time + other.wall_time,
             bounding_time: self.bounding_time + other.bounding_time,
             verify_time: self.verify_time + other.verify_time,
-            io: IoStatsSnapshot {
-                page_reads: self.io.page_reads + other.io.page_reads,
-                page_writes: self.io.page_writes + other.io.page_writes,
-                cache_hits: self.io.cache_hits + other.io.cache_hits,
-                cache_misses: self.io.cache_misses + other.io.cache_misses,
-                bytes_decoded: self.io.bytes_decoded + other.io.bytes_decoded,
-                bytes_resident: self.io.bytes_resident + other.io.bytes_resident,
-            },
+            io: self.io + other.io,
             segments_verified: self.segments_verified + other.segments_verified,
             max_bounding_size: self.max_bounding_size.max(other.max_bounding_size),
             min_bounding_size: match (self.min_bounding_size, other.min_bounding_size) {

@@ -11,23 +11,34 @@ use streach_core::config::IndexConfig;
 use streach_core::query::es::exhaustive_search;
 use streach_core::query::mqmb::{mqmb, mqmb_trace_back};
 use streach_core::query::reference::{
-    naive_exhaustive_search, naive_mqmb, naive_sqmb, naive_trace_back_search, NaiveVerifier,
+    naive_exhaustive_search, naive_m_query, naive_mqmb, naive_s_query, naive_sqmb,
+    naive_trace_back_search, NaiveVerifier,
 };
-use streach_core::query::sqmb::sqmb;
+use streach_core::query::sqmb::{sqmb, sqmb_min_only};
 use streach_core::query::tbs::trace_back_search;
 use streach_core::query::verifier::VerifierCore;
-use streach_core::query::SQuery;
+use streach_core::query::{Algorithm, MQuery, MQueryAlgorithm, SQuery};
 use streach_core::speed_stats::SpeedStats;
 use streach_core::st_index::StIndex;
+use streach_core::{EngineBuilder, ReachabilityEngine, ReachableRegion};
 use streach_geo::GeoPoint;
 use streach_roadnet::{GeneratorConfig, RoadNetwork, SegmentId, SyntheticCity};
 use streach_traj::{FleetConfig, TrajectoryDataset};
 
 struct Fixture {
     network: Arc<RoadNetwork>,
-    st: StIndex,
-    con: ConIndex,
+    engine: ReachabilityEngine,
     center: GeoPoint,
+}
+
+impl Fixture {
+    fn st(&self) -> &StIndex {
+        self.engine.st_index()
+    }
+
+    fn con(&self) -> &ConIndex {
+        self.engine.con_index()
+    }
 }
 
 fn fixture() -> Fixture {
@@ -45,27 +56,27 @@ fn fixture() -> Fixture {
             ..FleetConfig::default()
         },
     );
-    let config = IndexConfig {
-        read_latency_us: 0,
-        ..Default::default()
-    };
-    let st = StIndex::build(network.clone(), &dataset, &config);
-    let stats = Arc::new(SpeedStats::from_dataset(&network, &dataset, config.slot_s));
-    let con = ConIndex::new(network.clone(), stats, &config);
+    let engine = EngineBuilder::new(network.clone(), &dataset)
+        .index_config(IndexConfig {
+            read_latency_us: 0,
+            ..Default::default()
+        })
+        .build();
     Fixture {
         network,
-        st,
-        con,
+        engine,
         center,
     }
 }
 
-/// The (T, L, Prob) grid every assertion sweeps.
+/// The (T, L, Prob) grid every assertion sweeps: two fleet hours and a
+/// night start (the fleet drives 08:00–14:00), so the start segment decides
+/// some queries before verifying and leaves others to the verifier.
 fn grid() -> Vec<(u32, u32, f64)> {
     let mut out = Vec::new();
-    for start_h in [9u32, 11] {
+    for start_h in [9u32, 11, 3] {
         for duration_s in [300u32, 900, 1500] {
-            for prob in [0.2f64, 0.5, 0.9] {
+            for prob in [0.2f64, 0.5, 1.0] {
                 out.push((start_h * 3600, duration_s, prob));
             }
         }
@@ -80,8 +91,8 @@ fn optimized_verifier_matches_naive_probabilities() {
     let f = fixture();
     let start = f.network.nearest_segment(&f.center).unwrap().0;
     for (t, l, _) in grid() {
-        let naive = NaiveVerifier::new(&f.st, start, t, l).unwrap();
-        let core = VerifierCore::new(&f.st, start, t, l).unwrap();
+        let naive = NaiveVerifier::new(f.st(), start, t, l).unwrap();
+        let core = VerifierCore::new(f.st(), start, t, l).unwrap();
         let segments: Vec<SegmentId> = f.network.segment_ids().step_by(3).collect();
         let got = core.probabilities(&segments).unwrap();
         for (&seg, got) in segments.iter().zip(got) {
@@ -103,8 +114,8 @@ fn optimized_es_matches_naive_es() {
             duration_s: l,
             prob,
         };
-        let optimized = exhaustive_search(&f.network, &f.st, &q, start).unwrap();
-        let naive = naive_exhaustive_search(&f.network, &f.st, &q, start).unwrap();
+        let optimized = exhaustive_search(&f.network, f.st(), &q, start).unwrap();
+        let naive = naive_exhaustive_search(&f.network, f.st(), &q, start).unwrap();
         assert_eq!(
             optimized.region.segments, naive.segments,
             "ES mismatch at T={t} L={l} prob={prob}"
@@ -119,10 +130,11 @@ fn optimized_tbs_matches_naive_tbs() {
     let f = fixture();
     let start = f.network.nearest_segment(&f.center).unwrap().0;
     for (t, l, prob) in grid() {
-        let bounds = sqmb(&f.con, f.network.num_segments(), start, t, l);
-        let core = VerifierCore::new(&f.st, start, t, l).unwrap();
+        let bounds = sqmb(f.con(), f.network.num_segments(), start, t, l);
+        let core = VerifierCore::new(f.st(), start, t, l).unwrap();
         let optimized = trace_back_search(&f.network, &core, &bounds, prob).unwrap();
-        let naive = naive_trace_back_search(&f.network, &f.st, &bounds, start, t, l, prob).unwrap();
+        let naive =
+            naive_trace_back_search(&f.network, f.st(), &bounds, start, t, l, prob).unwrap();
         assert_eq!(
             optimized.region.segments, naive.segments,
             "TBS mismatch at T={t} L={l} prob={prob}"
@@ -155,9 +167,9 @@ fn sqmb_tbs_matches_es_baseline_on_verified_segments() {
             duration_s: l,
             prob,
         };
-        let es = exhaustive_search(&f.network, &f.st, &q, start).unwrap();
-        let bounds = sqmb(&f.con, f.network.num_segments(), start, t, l);
-        let core = VerifierCore::new(&f.st, start, t, l).unwrap();
+        let es = exhaustive_search(&f.network, f.st(), &q, start).unwrap();
+        let bounds = sqmb(f.con(), f.network.num_segments(), start, t, l);
+        let core = VerifierCore::new(f.st(), start, t, l).unwrap();
         let tbs = trace_back_search(&f.network, &core, &bounds, prob).unwrap();
 
         let es_set: std::collections::HashSet<_> = es.region.segments.iter().copied().collect();
@@ -196,14 +208,14 @@ fn single_location_mqmb_matches_squery_pipeline() {
     let f = fixture();
     let start = f.network.nearest_segment(&f.center).unwrap().0;
     for (t, l, prob) in grid() {
-        let bounds = sqmb(&f.con, f.network.num_segments(), start, t, l);
-        let core = VerifierCore::new(&f.st, start, t, l).unwrap();
+        let bounds = sqmb(f.con(), f.network.num_segments(), start, t, l);
+        let core = VerifierCore::new(f.st(), start, t, l).unwrap();
         let s_region = trace_back_search(&f.network, &core, &bounds, prob)
             .unwrap()
             .region;
 
-        let m_bounds = mqmb(&f.con, &f.network, &[start], &[f.center], t, l);
-        let m_region = mqmb_trace_back(&f.network, &f.st, &m_bounds, &[start], t, l, prob)
+        let m_bounds = mqmb(f.con(), &f.network, &[start], &[f.center], t, l);
+        let m_region = mqmb_trace_back(&f.network, f.st(), &m_bounds, &[start], t, l, prob)
             .unwrap()
             .region;
         // The m-query result additionally pins the start segment into the
@@ -231,13 +243,13 @@ fn multi_location_mqmb_matches_naive_owner_verification() {
         .map(|p| f.network.nearest_segment(p).unwrap().0)
         .collect();
     for (t, l, prob) in [(9 * 3600u32, 900u32, 0.2f64), (11 * 3600, 1500, 0.5)] {
-        let bounds = mqmb(&f.con, &f.network, &starts, &start_points, t, l);
-        let optimized = mqmb_trace_back(&f.network, &f.st, &bounds, &starts, t, l, prob).unwrap();
+        let bounds = mqmb(f.con(), &f.network, &starts, &start_points, t, l);
+        let optimized = mqmb_trace_back(&f.network, f.st(), &bounds, &starts, t, l, prob).unwrap();
 
         // Naive: sequential owner-routed verification with fresh hash maps.
         let verifiers: Vec<NaiveVerifier<'_>> = starts
             .iter()
-            .map(|&s| NaiveVerifier::new(&f.st, s, t, l).unwrap())
+            .map(|&s| NaiveVerifier::new(f.st(), s, t, l).unwrap())
             .collect();
         let mut segments: Vec<SegmentId> = bounds.min_region.clone();
         segments.extend_from_slice(&starts);
@@ -251,6 +263,109 @@ fn multi_location_mqmb_matches_naive_owner_verification() {
         assert_eq!(
             optimized.region.segments, naive.segments,
             "MQMB mismatch at T={t} L={l} prob={prob}"
+        );
+    }
+}
+
+/// The engine's query pipeline builds the start segment's verifier core
+/// first and, when its active days cannot reach Prob, answers from the
+/// minimum bound alone. Every answer — serial SQMB+TBS and ES, one
+/// coalesced batch of the whole grid, MQMB and repeated s-queries — must
+/// equal the full naive reference, which verifies every annulus segment.
+#[test]
+fn pipeline_matches_the_full_reference_whether_or_not_the_start_decides() {
+    let f = fixture();
+    let start = f.network.nearest_segment(&f.center).unwrap().0;
+    let locations = vec![
+        f.center,
+        f.center.offset_m(1500.0, 0.0),
+        f.center.offset_m(0.0, -1500.0),
+    ];
+    let starts: Vec<SegmentId> = locations
+        .iter()
+        .map(|p| f.network.nearest_segment(p).unwrap().0)
+        .collect();
+    let (mut decided, mut undecided) = (0, 0);
+    let mut queries = Vec::new();
+    for (t, l, prob) in grid() {
+        let q = SQuery {
+            location: f.center,
+            start_time_s: t,
+            duration_s: l,
+            prob,
+        };
+        let at = format!("T={t} L={l} prob={prob}");
+        let is_decided = VerifierCore::new(f.st(), start, t, l)
+            .unwrap()
+            .decided(prob);
+        if is_decided {
+            decided += 1;
+        } else {
+            undecided += 1;
+        }
+        for algorithm in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
+            let got = f.engine.try_s_query(&q, algorithm).unwrap();
+            let want = naive_s_query(&f.network, f.con(), f.st(), &q, start, algorithm).unwrap();
+            assert_eq!(got.region, want, "{algorithm:?} at {at}");
+            if is_decided {
+                assert_eq!(got.stats.segments_verified, 0, "{algorithm:?} at {at}");
+            }
+        }
+        // A decided query runs the Near expansion only: its maximum bound is
+        // its minimum bound. Otherwise it verifies the whole SQMB annulus.
+        let stats = f.engine.try_s_query(&q, Algorithm::SqmbTbs).unwrap().stats;
+        let bounds = sqmb(f.con(), f.network.num_segments(), start, t, l);
+        let (max, verified) = match is_decided {
+            true => (bounds.min_region.len(), 0),
+            false => (bounds.max_region.len(), bounds.annulus().len()),
+        };
+        assert_eq!(stats.max_bounding_size, max, "{at}");
+        assert_eq!(stats.min_bounding_size, bounds.min_region.len(), "{at}");
+        assert_eq!(stats.segments_verified, verified, "{at}");
+
+        let m = MQuery {
+            locations: locations.clone(),
+            start_time_s: t,
+            duration_s: l,
+            prob,
+        };
+        let got = f.engine.try_m_query(&m, MQueryAlgorithm::MqmbTbs).unwrap();
+        let want = naive_m_query(&f.network, f.con(), f.st(), &m, &starts).unwrap();
+        assert_eq!(got.region, want, "MQMB at {at}");
+        let got = f
+            .engine
+            .try_m_query(&m, MQueryAlgorithm::RepeatedSQuery)
+            .unwrap();
+        let want = (0..locations.len()).fold(ReachableRegion::empty(), |region, i| {
+            let q = m.sub_query(i);
+            let one = naive_s_query(
+                &f.network,
+                f.con(),
+                f.st(),
+                &q,
+                starts[i],
+                Algorithm::SqmbTbs,
+            );
+            region.union(&f.network, &one.unwrap())
+        });
+        assert_eq!(got.region, want, "repeated s-queries at {at}");
+        queries.push(q);
+    }
+    assert!(
+        decided > 0 && undecided > 0,
+        "the grid must hold decided ({decided}) and undecided ({undecided}) queries"
+    );
+
+    // One coalesced batch: the groups share an origin and hop slots across
+    // thresholds, so decided and undecided members ride one bounding pass.
+    for (q, answer) in queries.iter().zip(f.engine.try_s_query_coalesced(&queries)) {
+        let want = naive_s_query(&f.network, f.con(), f.st(), q, start, Algorithm::SqmbTbs);
+        let got = answer.outcome.unwrap();
+        assert_eq!(got.region, want.unwrap(), "coalesced {q:?}");
+        assert_eq!(
+            answer.max_region.len(),
+            got.stats.max_bounding_size,
+            "coalesced {q:?}"
         );
     }
 }
@@ -307,6 +422,11 @@ fn assert_direct_bounding_matches_table_walk(network: &RoadNetwork, con: &ConInd
                     direct.min_region, naive.min_region,
                     "{label}: SQMB min region, start {start} T={t} L={l}"
                 );
+                assert_eq!(
+                    sqmb_min_only(con, start, t, l).min_region,
+                    naive.min_region,
+                    "{label}: min-only SQMB, start {start} T={t} L={l}"
+                );
             }
             for (starts, start_points) in &shapes {
                 let direct = mqmb(con, network, starts, start_points, t, l);
@@ -329,7 +449,7 @@ fn assert_direct_bounding_matches_table_walk(network: &RoadNetwork, con: &ConInd
 #[test]
 fn direct_bounding_matches_table_walk_on_small_city() {
     let f = fixture();
-    assert_direct_bounding_matches_table_walk(&f.network, &f.con, "9x9");
+    assert_direct_bounding_matches_table_walk(&f.network, f.con(), "9x9");
 }
 
 /// The same on a 21×21 city, where seven hops do not saturate the network

@@ -152,6 +152,22 @@ impl IoStats {
     }
 }
 
+impl std::ops::Add for IoStatsSnapshot {
+    type Output = IoStatsSnapshot;
+
+    /// Counter-wise sum: the I/O of two spans of one query.
+    fn add(self, other: IoStatsSnapshot) -> IoStatsSnapshot {
+        IoStatsSnapshot {
+            page_reads: self.page_reads + other.page_reads,
+            page_writes: self.page_writes + other.page_writes,
+            cache_hits: self.cache_hits + other.cache_hits,
+            cache_misses: self.cache_misses + other.cache_misses,
+            bytes_decoded: self.bytes_decoded + other.bytes_decoded,
+            bytes_resident: self.bytes_resident + other.bytes_resident,
+        }
+    }
+}
+
 impl IoStatsSnapshot {
     /// Counter-wise difference `self - earlier`, saturating at zero.
     pub fn delta_since(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {

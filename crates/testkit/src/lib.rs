@@ -19,6 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use streach_core::prelude::*;
+use streach_core::query::sqmb::{sqmb, BoundingRegions};
+use streach_core::query::verifier::VerifierCore;
 use streach_core::query::MQueryAlgorithm;
 use streach_core::StoreRole;
 use streach_storage::{FaultController, FaultInjectingPageStore, StorageBackend};
@@ -176,6 +178,84 @@ pub fn disjoint_batch(batch: &[TrajPoint], round: usize, base_days: u16) -> Vec<
             enter_time_s: (p.enter_time_s + 5 * 3600).min(streach_traj::SECONDS_PER_DAY - 1),
         })
         .collect()
+}
+
+/// Whether `engine`'s start segment decides `query` before verifying: its
+/// active days cannot reach Prob, so the pipeline answers from the minimum
+/// bounding region and reads no posting beyond the start segment's.
+pub fn decided(engine: &ReachabilityEngine, query: &SQuery) -> bool {
+    let start = engine
+        .try_locate(&query.location)
+        .expect("start on the network");
+    VerifierCore::new(
+        engine.st_index(),
+        start,
+        query.start_time_s,
+        query.duration_s,
+    )
+    .expect("start segment postings")
+    .decided(query.prob)
+}
+
+/// The SQMB bounds of `query` on `engine`, read through `sqmb` itself: the
+/// pipeline skips the Far expansion of a decided query.
+pub fn sqmb_bounds(engine: &ReachabilityEngine, query: &SQuery) -> BoundingRegions {
+    let start = engine
+        .try_locate(&query.location)
+        .expect("start on the network");
+    sqmb(
+        engine.con_index(),
+        engine.network().num_segments(),
+        start,
+        query.start_time_s,
+        query.duration_s,
+    )
+}
+
+/// A start that Prob splits, with its start segment: where and when a taxi
+/// of `dataset` entered a segment that was active on some but not all of
+/// `engine`'s days, and whose SQMB annulus is not empty. The first query
+/// asks for exactly its active share of days, which the start itself
+/// reaches (undecided); the second asks for Prob 1.0, which no segment can
+/// reach (decided). Both share one window of `duration_s` and one set of
+/// bounds.
+pub fn split_start(
+    engine: &ReachabilityEngine,
+    dataset: &TrajectoryDataset,
+    duration_s: u32,
+) -> (SQuery, SQuery, SegmentId) {
+    let num_days = engine.st_index().num_days();
+    dataset
+        .trajectories()
+        .iter()
+        .flat_map(|traj| traj.visits.iter().take(4))
+        .find_map(|visit| {
+            let location = engine.network().segment(visit.segment).mbr.center();
+            if engine.try_locate(&location) != Ok(visit.segment) {
+                return None;
+            }
+            let t = visit.enter_time_s;
+            let core = VerifierCore::new(engine.st_index(), visit.segment, t, duration_s).ok()?;
+            let active = core.active_days();
+            if active == 0 || active >= num_days as usize {
+                return None;
+            }
+            let undecided = SQuery {
+                location,
+                start_time_s: t,
+                duration_s,
+                prob: active as f64 / num_days as f64,
+            };
+            if sqmb_bounds(engine, &undecided).annulus().is_empty() {
+                return None;
+            }
+            let decided = SQuery {
+                prob: 1.0,
+                ..undecided
+            };
+            Some((undecided, decided, visit.segment))
+        })
+        .expect("a start active on some but not all days")
 }
 
 /// Bit-comparable form of a region: its segments and the bits of its

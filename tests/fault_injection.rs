@@ -112,10 +112,20 @@ fn extra_batches(network: &Arc<RoadNetwork>) -> Vec<Vec<TrajPoint>> {
 /// What a pipeline run yields: the region's segments, or the error.
 type RunResult = Result<Vec<SegmentId>, QueryError>;
 
+/// A pipeline's query, run against an engine.
+type RunQuery = dyn Fn(&ReachabilityEngine) -> Result<QueryOutcome, QueryError>;
+
 /// One query pipeline under test.
 struct Pipeline {
     name: &'static str,
-    run: Box<dyn Fn(&ReachabilityEngine) -> RunResult>,
+    run: Box<RunQuery>,
+}
+
+impl Pipeline {
+    /// Runs the pipeline's query and keeps its region's segments.
+    fn region(&self, engine: &ReachabilityEngine) -> RunResult {
+        (self.run)(engine).map(|o| o.region.segments)
+    }
 }
 
 fn pipelines(center: GeoPoint) -> Vec<Pipeline> {
@@ -134,34 +144,22 @@ fn pipelines(center: GeoPoint) -> Vec<Pipeline> {
     vec![
         Pipeline {
             name: "sqmb_tbs",
-            run: Box::new(move |e| {
-                e.try_s_query(&s_query, Algorithm::SqmbTbs)
-                    .map(|o| o.region.segments)
-            }),
+            run: Box::new(move |e| e.try_s_query(&s_query, Algorithm::SqmbTbs)),
         },
         Pipeline {
             name: "es",
-            run: Box::new(move |e| {
-                e.try_s_query(&s_query, Algorithm::ExhaustiveSearch)
-                    .map(|o| o.region.segments)
-            }),
+            run: Box::new(move |e| e.try_s_query(&s_query, Algorithm::ExhaustiveSearch)),
         },
         Pipeline {
             name: "mqmb",
             run: Box::new({
                 let m = m_query.clone();
-                move |e| {
-                    e.try_m_query(&m, MQueryAlgorithm::MqmbTbs)
-                        .map(|o| o.region.segments)
-                }
+                move |e| e.try_m_query(&m, MQueryAlgorithm::MqmbTbs)
             }),
         },
         Pipeline {
             name: "repeated_squery",
-            run: Box::new(move |e| {
-                e.try_m_query(&m_query, MQueryAlgorithm::RepeatedSQuery)
-                    .map(|o| o.region.segments)
-            }),
+            run: Box::new(move |e| e.try_m_query(&m_query, MQueryAlgorithm::RepeatedSQuery)),
         },
     ]
 }
@@ -186,6 +184,17 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
         open_with_fault_script(&dir, network, store_backend(), StoreRole::Base, seed);
     let budget = engine.config().read_retries;
     assert!(budget > 0, "campaign requires the default retry budget");
+    // Every campaign query verifies segments beyond its start: a query its
+    // start segment decides reads the start's postings only and would
+    // leave the verification reads out of the campaign.
+    for pipeline in pipelines(center) {
+        let outcome = (pipeline.run)(&engine).expect("fault-free query");
+        assert!(
+            outcome.stats.segments_verified > 0,
+            "[seed {seed}] {}: the campaign query must read postings beyond its start",
+            pipeline.name
+        );
+    }
 
     for workers in [1usize, 4] {
         streach_par::with_worker_override(workers, || {
@@ -196,7 +205,7 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
                 ctl.clear();
                 engine.st_index().clear_cache();
                 let before = ctl.reads_observed();
-                let baseline = (pipeline.run)(&engine).unwrap_or_else(|e| {
+                let baseline = pipeline.region(&engine).unwrap_or_else(|e| {
                     panic!("[seed {seed}] {name}/w{workers}: fault-free baseline failed: {e}")
                 });
                 let reads = ctl.reads_observed() - before;
@@ -216,7 +225,7 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
                     engine.st_index().clear_cache();
                     let run_start = ctl.reads_observed();
                     ctl.fail_read_at(run_start + ordinal, ReadFault::Eio);
-                    let absorbed = (pipeline.run)(&engine).unwrap_or_else(|e| {
+                    let absorbed = pipeline.region(&engine).unwrap_or_else(|e| {
                         panic!(
                             "[seed {seed}] {name}/w{workers} read #{ordinal}: \
                              a one-shot EIO must be absorbed by the retry, got {e}"
@@ -238,7 +247,7 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
                     // backend failure and the attempts made.
                     engine.st_index().clear_cache();
                     ctl.fail_reads_from(ctl.reads_observed() + ordinal);
-                    match (pipeline.run)(&engine) {
+                    match pipeline.region(&engine) {
                         Err(QueryError::Storage { page, context }) => {
                             assert!(
                                 page.is_some(),
@@ -269,7 +278,7 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
                     // answers bit-identically to the baseline.
                     ctl.clear();
                     engine.st_index().clear_cache();
-                    let after = (pipeline.run)(&engine).unwrap_or_else(|e| {
+                    let after = pipeline.region(&engine).unwrap_or_else(|e| {
                         panic!(
                             "[seed {seed}] {name}/w{workers} read #{ordinal}: \
                              engine unusable after fault: {e}"
@@ -306,7 +315,7 @@ fn torn_and_zeroed_pages_never_shift_a_region() {
         ctl.clear();
         engine.st_index().clear_cache();
         let before = ctl.reads_observed();
-        let baseline = (pipeline.run)(&engine).expect("fault-free baseline");
+        let baseline = pipeline.region(&engine).expect("fault-free baseline");
         let reads = ctl.reads_observed() - before;
 
         let mut rejected = 0usize;
@@ -317,7 +326,7 @@ fn torn_and_zeroed_pages_never_shift_a_region() {
             for ordinal in 0..reads {
                 engine.st_index().clear_cache();
                 ctl.fail_read_at(ctl.reads_observed() + ordinal, fault);
-                match (pipeline.run)(&engine) {
+                match pipeline.region(&engine) {
                     Err(QueryError::Storage { .. }) => rejected += 1,
                     Err(other) => panic!(
                         "[seed {seed}] {name} {label} page at read #{ordinal}: \
@@ -357,13 +366,13 @@ fn probabilistic_fault_storm_degrades_gracefully_and_deterministically() {
 
     let pipeline = &pipelines(center)[0]; // SQMB+TBS, the paper's main path
     engine.st_index().clear_cache();
-    let baseline = (pipeline.run)(&engine).expect("fault-free baseline");
+    let baseline = pipeline.region(&engine).expect("fault-free baseline");
 
     ctl.set_read_fault_probability(0.08);
     let outcomes: Vec<bool> = (0..40)
         .map(|round| {
             engine.st_index().clear_cache();
-            match (pipeline.run)(&engine) {
+            match pipeline.region(&engine) {
                 Ok(region) => {
                     assert_eq!(
                         region, baseline,
@@ -388,7 +397,10 @@ fn probabilistic_fault_storm_degrades_gracefully_and_deterministically() {
     // After the storm: clean service, bit-identical to the baseline.
     ctl.clear();
     engine.st_index().clear_cache();
-    assert_eq!((pipeline.run)(&engine).expect("post-storm query"), baseline);
+    assert_eq!(
+        pipeline.region(&engine).expect("post-storm query"),
+        baseline
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -400,7 +412,8 @@ fn all_regions(engine: &ReachabilityEngine, center: GeoPoint) -> Vec<(String, Ve
         .map(|p| {
             (
                 p.name.to_string(),
-                (p.run)(engine).unwrap_or_else(|e| panic!("{}: {e}", p.name)),
+                p.region(engine)
+                    .unwrap_or_else(|e| panic!("{}: {e}", p.name)),
             )
         })
         .collect()
@@ -869,7 +882,8 @@ fn delta_read_faults_surface_as_typed_errors_and_recover() {
         ctl.clear();
         engine.st_index().clear_cache();
         let before = ctl.reads_observed();
-        let baseline = (pipeline.run)(&engine)
+        let baseline = pipeline
+            .region(&engine)
             .unwrap_or_else(|e| panic!("[seed {seed}] {name}: post-ingest baseline: {e}"));
         let delta_reads = ctl.reads_observed() - before;
         assert!(
@@ -882,7 +896,7 @@ fn delta_read_faults_surface_as_typed_errors_and_recover() {
         for ordinal in (0..delta_reads).step_by(step) {
             engine.st_index().clear_cache();
             ctl.fail_reads_from(ctl.reads_observed() + ordinal);
-            match (pipeline.run)(&engine) {
+            match pipeline.region(&engine) {
                 Err(QueryError::Storage { context, .. }) => assert!(
                     context.contains("injected EIO"),
                     "[seed {seed}] {name} delta read #{ordinal}: {context}"
@@ -898,7 +912,8 @@ fn delta_read_faults_surface_as_typed_errors_and_recover() {
             }
             ctl.clear();
             engine.st_index().clear_cache();
-            let after = (pipeline.run)(&engine)
+            let after = pipeline
+                .region(&engine)
                 .unwrap_or_else(|e| panic!("[seed {seed}] {name}: recovery query: {e}"));
             assert_eq!(
                 after, baseline,

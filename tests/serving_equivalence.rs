@@ -32,7 +32,8 @@ use std::sync::Arc;
 use streach::prelude::*;
 use streach_core::MaintenanceConfig;
 use streach_testkit::{
-    answer_of, checkpointing_config, disjoint_batch, fault_seed, mix, scenario, tmp_dir, Answer,
+    answer_of, checkpointing_config, decided, disjoint_batch, fault_seed, mix, scenario,
+    split_start, sqmb_bounds, tmp_dir, Answer,
 };
 
 /// Base fleet-days built offline; later days arrive via live ingest.
@@ -42,8 +43,10 @@ const EXTRA_DAYS: u16 = 2;
 
 /// The serving query pool: morning windows only, so the afternoon batches
 /// of the race phase provably cannot change any answer. Mixes probability
-/// thresholds sharing an (origin, window) group — the coalescable shape —
-/// plus one ES query (the uncoalescable, empty-bounding cache shape).
+/// thresholds sharing an (origin, window) group — the coalescable shape,
+/// up to Prob 1.0, which only a start active on every day can leave
+/// undecided — plus one ES query (the uncoalescable, empty-bounding cache
+/// shape).
 fn serving_pool(center: GeoPoint) -> Vec<(SQuery, Algorithm)> {
     let mut queries = Vec::new();
     for (location, start, duration) in [
@@ -51,7 +54,7 @@ fn serving_pool(center: GeoPoint) -> Vec<(SQuery, Algorithm)> {
         (center.offset_m(900.0, -600.0), 9 * 3600, 600),
         (center.offset_m(-700.0, 500.0), 10 * 3600, 300),
     ] {
-        for prob in [0.25, 0.6] {
+        for prob in [0.25, 0.6, 1.0] {
             queries.push((
                 SQuery {
                     location,
@@ -154,6 +157,18 @@ fn coalesced_batch_is_bit_identical_to_serial() {
         duration_s: 600,
         prob: 0.25,
     });
+    // Prob 1.0 in the first group: the start segment decides it before
+    // verifying, so it rides the group's bounding pass but reads nothing.
+    batch.push(SQuery {
+        location: center,
+        start_time_s: 9 * 3600,
+        duration_s: 600,
+        prob: 1.0,
+    });
+    assert!(
+        decided(&engine, &batch[8]),
+        "[seed {seed}] the Prob 1.0 member must be decided"
+    );
 
     let coalesced = engine.try_s_query_coalesced(&batch);
     assert_eq!(coalesced.len(), batch.len(), "[seed {seed}] answer count");
@@ -182,11 +197,11 @@ fn coalesced_batch_is_bit_identical_to_serial() {
             }
         }
     }
-    // The duplicates, the shared-threshold member and the unaligned-start
+    // The duplicates, the shared-threshold members and the unaligned-start
     // member (same hop-slot fingerprint → same bounds, own verifier) rode
     // one bounding pass; the other windows/origins and the failures did not.
     for (i, answer) in coalesced.iter().enumerate() {
-        let want_shared = matches!(i, 0 | 1 | 2 | 5);
+        let want_shared = matches!(i, 0 | 1 | 2 | 5 | 8);
         assert_eq!(
             answer.shared_bounding, want_shared,
             "[seed {seed}] entry #{i}: shared_bounding should be {want_shared}"
@@ -546,6 +561,98 @@ fn cached_server_racing_ingest_and_compaction_stays_bit_identical() {
     );
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A decided answer (its start segment's active days cannot reach Prob)
+/// reads only the start segment's postings, so its cache entry records the
+/// minimum region as its footprint. An ingest touching only an annulus
+/// posting drops the undecided answer over the same bounds and keeps the
+/// decided one; a touch on the start segment's T0 slot drops both. Every
+/// answer, cached or not, equals the quiesced reference.
+#[test]
+fn decided_answer_keeps_its_entry_until_its_start_slot_is_touched() {
+    let seed = fault_seed();
+    let (network, base, _) = scenario(BASE_DAYS, EXTRA_DAYS);
+    let build = || {
+        EngineBuilder::new(network.clone(), &base)
+            .index_config(checkpointing_config())
+            .build()
+    };
+    let live = Arc::new(build());
+    let reference = build();
+    let (undecided, decided_query, start) = split_start(&reference, &base, 600);
+    assert!(!decided(&reference, &undecided) && decided(&reference, &decided_query));
+    let annulus = sqmb_bounds(&reference, &undecided).annulus();
+    let server = QueryServer::start(
+        Arc::clone(&live),
+        ServeConfig {
+            workers: 1,
+            cache_capacity: 16,
+            ..Default::default()
+        },
+    );
+    let check = |label: &str| {
+        for query in [undecided, decided_query] {
+            let got = server
+                .query(query, Algorithm::SqmbTbs)
+                .unwrap_or_else(|e| panic!("[seed {seed}] {label}: {e}"));
+            let want = reference.try_s_query(&query, Algorithm::SqmbTbs).unwrap();
+            assert_eq!(
+                answer_of(&got),
+                answer_of(&want),
+                "[seed {seed}] {label}: {query:?} diverged from the reference"
+            );
+        }
+    };
+    // One fresh trajectory on an existing date, at the start time: no speed
+    // pair and no day raise, so the posting pair is the whole touch.
+    let touch = |segment: SegmentId, traj_id: u32| {
+        let point = [TrajPoint {
+            traj_id,
+            date: 0,
+            segment,
+            enter_time_s: undecided.start_time_s,
+        }];
+        live.ingest(&point).expect("live ingest");
+        reference.ingest(&point).expect("reference ingest");
+    };
+    check("cold");
+
+    let before = server.stats();
+    touch(annulus[0], 7_000_000);
+    let after = server.stats();
+    assert_eq!(
+        after.cache_invalidated - before.cache_invalidated,
+        1,
+        "[seed {seed}] an annulus touch drops the undecided entry only ({before:?} -> {after:?})"
+    );
+    let got = server.query(decided_query, Algorithm::SqmbTbs).unwrap();
+    assert_eq!(
+        server.stats().cache_hits,
+        after.cache_hits + 1,
+        "[seed {seed}] the decided entry must survive an annulus touch"
+    );
+    assert_eq!(
+        answer_of(&got),
+        answer_of(
+            &reference
+                .try_s_query(&decided_query, Algorithm::SqmbTbs)
+                .unwrap()
+        ),
+        "[seed {seed}] the kept decided entry is stale"
+    );
+    check("after the annulus touch");
+
+    let before = server.stats();
+    touch(start, 7_000_001);
+    let after = server.stats();
+    assert_eq!(
+        after.cache_invalidated - before.cache_invalidated,
+        2,
+        "[seed {seed}] a touch on the start's T0 slot drops both entries ({before:?} -> {after:?})"
+    );
+    check("after the start touch");
+    server.shutdown();
 }
 
 /// Compile-time pin: the server must stay shareable across client threads.

@@ -40,7 +40,8 @@ use std::sync::Arc;
 use streach::prelude::*;
 use streach::storage::{FaultController, FaultInjectingPageStore};
 use streach_testkit::{
-    config, disjoint_batch, fault_scenario, fault_seed, region_bits, scenario, tmp_dir,
+    config, decided, disjoint_batch, fault_scenario, fault_seed, region_bits, scenario,
+    split_start, sqmb_bounds, tmp_dir,
 };
 
 /// Base fleet-days built offline; the remaining days arrive via ingest.
@@ -51,7 +52,8 @@ const EXTRA_DAYS: u16 = 2;
 const NUM_SHARDS: u16 = 3;
 
 /// The standing-query pool: morning windows over several locations, both
-/// algorithms (ES only on the short windows it can afford).
+/// algorithms (ES only on the short windows it can afford), and Prob 1.0,
+/// which a start decides before verifying unless it was active every day.
 fn standing_pool(network: &RoadNetwork) -> Vec<(SQuery, Algorithm)> {
     let center = network.bounds().center();
     let locations = [
@@ -64,6 +66,7 @@ fn standing_pool(network: &RoadNetwork) -> Vec<(SQuery, Algorithm)> {
         (8 * 3600 + 1800, 300u32, 0.25),
         (9 * 3600, 600, 0.25),
         (9 * 3600 + 900, 900, 0.6),
+        (9 * 3600, 600, 1.0),
     ] {
         for &location in &locations {
             let q = SQuery {
@@ -297,6 +300,75 @@ fn untouched_batches_issue_zero_engine_queries() {
     assert!(
         after - baseline <= subs.len() as u64,
         "[seed {seed}] one batch must cost at most one evaluation per subscription"
+    );
+}
+
+/// A decided standing query (its start segment's active days cannot reach
+/// Prob) records the minimum region as its footprint. An ingest touching
+/// only an annulus posting re-evaluates the undecided subscription over the
+/// same bounds and wakes no decided one; a touch on the start segment's T0
+/// slot wakes both. Every maintained answer equals a fresh evaluation.
+#[test]
+fn decided_subscription_sleeps_until_its_start_slot_is_touched() {
+    let seed = fault_seed();
+    let (network, base, _) = scenario(BASE_DAYS, EXTRA_DAYS);
+    let engine = Arc::new(
+        EngineBuilder::new(network.clone(), &base)
+            .index_config(config())
+            .build(),
+    );
+    let (undecided, decided_query, start) = split_start(&engine, &base, 600);
+    assert!(!decided(&engine, &undecided) && decided(&engine, &decided_query));
+    let annulus = sqmb_bounds(&engine, &undecided).annulus();
+    let manager = SubscriptionManager::spawn(engine.clone(), SubscribeConfig::default());
+    let subs: Vec<_> = [undecided, decided_query]
+        .into_iter()
+        .map(|query| {
+            let id = manager
+                .subscribe(query, Algorithm::SqmbTbs, Trigger::AnyRegionChange)
+                .unwrap_or_else(|e| panic!("[seed {seed}] subscribe: {e}"));
+            (id, query, Algorithm::SqmbTbs)
+        })
+        .collect();
+    // One fresh trajectory on an existing date, at the start time: no speed
+    // pair and no day raise, so the posting pair is the whole touch.
+    let touch = |segment: SegmentId, traj_id: u32| {
+        let before = manager.stats().engine_queries;
+        engine
+            .ingest(&[TrajPoint {
+                traj_id,
+                date: 0,
+                segment,
+                enter_time_s: undecided.start_time_s,
+            }])
+            .expect("ingest");
+        manager.run_now();
+        manager.stats().engine_queries - before
+    };
+
+    assert_eq!(
+        touch(annulus[0], 7_000_000),
+        1,
+        "[seed {seed}] an annulus touch wakes the undecided subscription only"
+    );
+    assert_subscriptions_match_full(
+        &manager,
+        &subs,
+        |q, a| engine.try_s_query(q, a),
+        seed,
+        "after the annulus touch",
+    );
+    assert_eq!(
+        touch(start, 7_000_001),
+        2,
+        "[seed {seed}] a touch on the start's T0 slot wakes both subscriptions"
+    );
+    assert_subscriptions_match_full(
+        &manager,
+        &subs,
+        |q, a| engine.try_s_query(q, a),
+        seed,
+        "after the start touch",
     );
 }
 
