@@ -110,7 +110,9 @@ impl BoundingPass<'_> {
     /// One Con-Index hop: `sources ∪ ⋃_{r∈sources} Far(r, slot)` (Near
     /// lists when `use_far` is false), evaluated as one multi-source
     /// expansion over Δt at the slot's maximum (minimum) speeds. Yields
-    /// every reached segment exactly once, sources included.
+    /// every reached segment exactly once, sources included. The slot's
+    /// speed row is decoded on first touch; a query resolves it first
+    /// ([`ConIndex::resolve_slots`]), so the hop itself cannot fail.
     pub(crate) fn hop<'s>(
         &'s mut self,
         sources: &[SegmentId],
@@ -120,13 +122,13 @@ impl BoundingPass<'_> {
         let BoundingPass { con, stats, .. } = *self;
         let network: &RoadNetwork = &con.network;
         let budget = con.slot_s as f64;
+        let row = stats.row(slot);
         if use_far {
-            self.ws.expand_within_time(network, sources, budget, |s| {
-                stats.max_speed_ms(network, s, slot)
-            });
+            self.ws
+                .expand_within_time(network, sources, budget, |s| row.max_speed_ms(network, s));
         } else {
             self.ws.expand_within_time(network, sources, budget, |s| {
-                stats.min_speed_ms(network, s, slot, con.fallback_min_speed_ms)
+                row.min_speed_ms(network, s, con.fallback_min_speed_ms)
             });
         }
         self.ws.settled().map(|(seg, _)| seg)
@@ -211,6 +213,15 @@ impl ConIndex {
                 ws,
             })
         })
+    }
+
+    /// Decodes the speed rows of `slots` that a reopened snapshot has not
+    /// decoded yet, so the hops over them cannot fail: a row that cannot
+    /// be read is a typed error naming `speed_stats` and the slot. Rows are
+    /// shared by every version of the statistics, so a version published
+    /// later has them too.
+    pub(crate) fn resolve_slots(&self, slots: &[u32]) -> streach_storage::StorageResult<()> {
+        self.speed_stats.read().resolve(slots.iter().copied())
     }
 
     /// The historical speed statistics the hops are derived from (the

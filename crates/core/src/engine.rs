@@ -38,10 +38,11 @@ pub struct ReachabilityEngine {
     /// Wakes ingest callers waiting to apply their WAL record in ordinal
     /// order, and callers parked behind a rotation.
     apply_cv: Condvar,
-    /// (pages, CRC-32) of the base posting page file this engine was opened
-    /// from, if any — lets an incremental save skip re-exporting an
-    /// unchanged base heap. Cleared by [`ReachabilityEngine::compact`].
-    base_pages: Mutex<Option<(u64, u32)>>,
+    /// The per-page CRC-32s of the base posting page file this engine was
+    /// opened from (or last exported), if any — lets an incremental save
+    /// skip re-exporting an unchanged base heap. Cleared by
+    /// [`ReachabilityEngine::compact`].
+    base_pages: Mutex<Option<Arc<[u32]>>>,
     /// Sequence number of the most recently committed delta page file (see
     /// [`crate::snapshot::delta_pages_file`]); each save publishes the next
     /// one so a crash mid-save never clobbers the previous checkpoint.
@@ -184,10 +185,10 @@ impl ReachabilityEngine {
     }
 
     /// Installs the metadata a snapshot open recovered: the base page
-    /// file's identity and the WAL bookkeeping (see [`crate::snapshot`]).
+    /// file's page CRCs and the WAL bookkeeping (see [`crate::snapshot`]).
     pub(crate) fn install_snapshot_meta(
         &self,
-        base_pages: (u64, u32),
+        base_pages: Arc<[u32]>,
         wal_generation: u64,
         wal_applied: u64,
         last_visit: LastVisitMap,
@@ -226,15 +227,15 @@ impl ReachabilityEngine {
         )
     }
 
-    /// The recorded identity of the base page file, if this engine still
-    /// serves the heap it was opened from.
-    pub(crate) fn base_pages_identity(&self) -> Option<(u64, u32)> {
-        *self.base_pages.lock()
+    /// The page CRCs of the base page file, if this engine still serves
+    /// the heap it was opened from (or last exported).
+    pub(crate) fn base_pages_identity(&self) -> Option<Arc<[u32]>> {
+        self.base_pages.lock().clone()
     }
 
-    /// Records the identity of a freshly exported base page file.
-    pub(crate) fn set_base_pages_identity(&self, identity: (u64, u32)) {
-        *self.base_pages.lock() = Some(identity);
+    /// Records the page CRCs of a freshly exported base page file.
+    pub(crate) fn set_base_pages_identity(&self, page_crcs: Arc<[u32]>) {
+        *self.base_pages.lock() = Some(page_crcs);
     }
 
     /// The road network.
@@ -306,10 +307,11 @@ impl ReachabilityEngine {
     /// Like [`ReachabilityEngine::save_snapshot`], but skips re-exporting
     /// the base posting page file when the target directory already holds
     /// the heap this engine was opened from (length-checked here; the
-    /// CRC-32 recorded in the container is verified at open, so in-place
-    /// rot cannot be served) — the fast path for a serving process that
-    /// periodically checkpoints its streaming ingest: only the container,
-    /// the small delta heap and the bookkeeping are rewritten.
+    /// per-page CRCs recorded in the container are checked on every page
+    /// read, so in-place rot cannot be served) — the fast path for a
+    /// serving process that periodically checkpoints its streaming ingest:
+    /// only the container, the small delta heap and the bookkeeping are
+    /// rewritten.
     pub fn save_incremental_snapshot<P: AsRef<std::path::Path>>(
         &self,
         dir: P,
@@ -415,6 +417,19 @@ impl ReachabilityEngine {
         ) -> Box<dyn streach_storage::PageStore>,
     {
         crate::snapshot::open(dir.as_ref(), network, backend, wrap)
+    }
+
+    /// Reads and checks everything an open leaves for later: every page of
+    /// the sealed base heap and every copied delta page against its
+    /// recorded CRC-32 (past the buffer pool), and every directory and
+    /// speed-row chunk against its CRC and decoder. Chunks not decoded yet
+    /// stay decoded afterwards. Returns the first failure, a typed
+    /// [`StorageError::Corrupt`] (or the read's I/O error) naming the page,
+    /// or the section and slot. A built engine has nothing on disk to
+    /// check. Safe to call on a serving engine.
+    pub fn scrub(&self) -> StorageResult<()> {
+        self.st_index.scrub()?;
+        self.con_index.speed_stats().scrub()
     }
 
     /// Attaches a write-ahead log at `path` (created if missing) and
@@ -552,6 +567,9 @@ impl ReachabilityEngine {
         mut capture: Option<&mut Vec<TrajPoint>>,
     ) -> StorageResult<IngestOutcome> {
         self.validate_points(points)?;
+        // Decode what the batch will touch before it is logged: a damaged
+        // slot fails the batch with nothing logged and nothing applied.
+        self.resolve_batch(points, &self.ingest_state().last_visit, prenormalized)?;
 
         let wal = loop {
             // Snapshot the attachment without holding the ingest lock —
@@ -759,6 +777,32 @@ impl ReachabilityEngine {
         Ok(())
     }
 
+    /// Decodes every slot directory and speed row a batch can touch: the
+    /// slots of its points, and for the speed pairs also the slots of the
+    /// last visits it continues (`prenormalized` batches derive no pairs).
+    /// A superset of what [`ReachabilityEngine::apply_batch`] reads and
+    /// updates, so it fails, typed, before anything changes.
+    fn resolve_batch(
+        &self,
+        points: &[TrajPoint],
+        last_visit: &LastVisitMap,
+        prenormalized: bool,
+    ) -> StorageResult<()> {
+        let slot_s = self.config.slot_s;
+        let slots = points.iter().map(|p| slot_of(p.enter_time_s, slot_s));
+        self.st_index.resolve_slots(slots.clone())?;
+        if !prenormalized {
+            let continued = points
+                .iter()
+                .filter_map(|p| last_visit.get(&(p.traj_id, p.date)))
+                .map(|v| slot_of(v.enter_time_s, slot_s));
+            self.con_index
+                .speed_stats()
+                .resolve(slots.chain(continued))?;
+        }
+        Ok(())
+    }
+
     /// Applies one decoded batch to the index structures. Shared by live
     /// ingest and WAL replay so both paths are bit-identical.
     ///
@@ -781,6 +825,7 @@ impl ReachabilityEngine {
         prenormalized: bool,
         capture_normalized: Option<&mut Vec<TrajPoint>>,
     ) -> StorageResult<(usize, usize)> {
+        self.resolve_batch(points, &state.last_visit, prenormalized)?;
         if prenormalized {
             debug_assert!(
                 capture_normalized.is_none(),

@@ -272,8 +272,15 @@ pub(crate) fn encode_ingest_meta(
     buf
 }
 
-/// Deserializes the ingest bookkeeping section.
-pub(crate) fn decode_ingest_meta(mut buf: &[u8]) -> StorageResult<(u64, u64, LastVisitMap)> {
+/// Deserializes the ingest bookkeeping section of a snapshot over a network
+/// of `num_segments` segments. Strict: the last-visit keys must ascend
+/// (the encoder writes them sorted) and every visit must name a segment of
+/// the network, or the next ingest continuing that trajectory would index
+/// past the network; both are `Corrupt` naming `ingest_meta`.
+pub(crate) fn decode_ingest_meta(
+    mut buf: &[u8],
+    num_segments: usize,
+) -> StorageResult<(u64, u64, LastVisitMap)> {
     let corrupt = || StorageError::corrupt("ingest_meta section is malformed");
     if buf.remaining() < 20 {
         return Err(corrupt());
@@ -285,14 +292,26 @@ pub(crate) fn decode_ingest_meta(mut buf: &[u8]) -> StorageResult<(u64, u64, Las
         return Err(corrupt());
     }
     let mut last_visit = HashMap::with_capacity(n);
+    let mut prev: Option<(u32, u16)> = None;
     for _ in 0..n {
-        let traj_id = buf.get_u32_le();
-        let date = buf.get_u16_le();
+        let key = (buf.get_u32_le(), buf.get_u16_le());
         let visit = LastVisit {
             segment: buf.get_u32_le(),
             enter_time_s: buf.get_u32_le(),
         };
-        last_visit.insert((traj_id, date), visit);
+        if prev.is_some_and(|p| p >= key) {
+            return Err(StorageError::corrupt(
+                "ingest_meta last-visit keys are duplicated or out of order",
+            ));
+        }
+        if visit.segment as usize >= num_segments {
+            return Err(StorageError::corrupt(format!(
+                "ingest_meta last visit names segment {} but the network has {num_segments}",
+                visit.segment
+            )));
+        }
+        prev = Some(key);
+        last_visit.insert(key, visit);
     }
     Ok((generation, applied, last_visit))
 }
@@ -401,13 +420,35 @@ mod tests {
             },
         );
         let bytes = encode_ingest_meta(5, 12, &last_visit);
-        let (generation, applied, decoded) = decode_ingest_meta(&bytes).unwrap();
+        let (generation, applied, decoded) = decode_ingest_meta(&bytes, 101).unwrap();
         assert_eq!(generation, 5);
         assert_eq!(applied, 12);
         assert_eq!(decoded, last_visit);
         // Determinism: the map serializes in sorted key order.
         assert_eq!(bytes, encode_ingest_meta(5, 12, &decoded));
-        assert!(decode_ingest_meta(&bytes[..bytes.len() - 2]).is_err());
+        assert!(decode_ingest_meta(&bytes[..bytes.len() - 2], 101).is_err());
+        // A last visit past the network, and keys out of order, are typed
+        // corruption, not a panic on the next ingest.
+        for (what, bytes, num_segments) in [
+            ("segment", bytes.clone(), 100),
+            (
+                "order",
+                {
+                    let mut swapped = bytes.clone();
+                    let (a, b) = swapped[20..].split_at_mut(14);
+                    a.swap_with_slice(&mut b[..14]);
+                    swapped
+                },
+                101,
+            ),
+        ] {
+            match decode_ingest_meta(&bytes, num_segments) {
+                Err(StorageError::Corrupt { context }) => {
+                    assert!(context.contains("ingest_meta"), "{what}: {context}")
+                }
+                other => panic!("{what}: expected Corrupt, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! The one query procedure every tier runs.
 //!
-//! An SQMB+TBS s-query is answered in four steps:
+//! An SQMB+TBS s-query is answered in five steps:
 //!
 //! 1. locate the start segment on the road network;
-//! 2. build its [`VerifierCore`], which reads the start segment's postings
+//! 2. resolve the slots the query will read ([`QueryContext::resolve`]):
+//!    the speed rows of its hop slots and the directory slots of its
+//!    probability window, which a reopened snapshot decodes on first
+//!    touch — a damaged one fails the query here, typed;
+//! 3. build its [`VerifierCore`], which reads the start segment's postings
 //!    and so knows on how many days the start was active;
-//! 3. bound the reachable region over the Con-Index with SQMB — only the
+//! 4. bound the reachable region over the Con-Index with SQMB — only the
 //!    Near expansion ([`sqmb_min_only`]) when those active days cannot
 //!    reach Prob ([`VerifierCore::decided`]), both expansions otherwise;
-//! 4. verify the annulus between the bounds against the ST-Index postings
+//! 5. verify the annulus between the bounds against the ST-Index postings
 //!    with the trace back search; a decided query's annulus is empty, so
 //!    its answer is the minimum bounding region, read-free.
 //!
@@ -42,6 +46,7 @@ use crate::query::verifier::{PostingSource, VerifierCore};
 use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
 use crate::region::ReachableRegion;
 use crate::stats::QueryStats;
+use crate::time::slots_overlapping;
 
 /// One per-query result of a coalesced batch: the caller's outcome plus the
 /// bounding context a result cache needs for precise invalidation.
@@ -103,6 +108,26 @@ pub(crate) struct QueryContext<'a, P: PostingSource + ?Sized> {
 }
 
 impl<P: PostingSource + ?Sized> QueryContext<'_, P> {
+    /// Resolves what a query over `[T, T + L)` will read, before it bounds
+    /// anything: the posting source's structures for the slots of its
+    /// probability window (which covers the start segment's
+    /// `[T, T + Δt)` as well) and, when it bounds over the Con-Index, the
+    /// speed rows of its hop slots. A slot that cannot be decoded fails
+    /// the query here, typed, decided or not; afterwards the bounding and
+    /// verification read only resolved slots, so they stay infallible
+    /// about them.
+    fn resolve(&self, start_time_s: u32, duration_s: u32, bounds: bool) -> Result<(), QueryError> {
+        let slot_s = self.con_index.slot_s();
+        let end = start_time_s.saturating_add(duration_s.max(slot_s));
+        self.postings
+            .resolve(slots_overlapping(start_time_s, end, slot_s))?;
+        if bounds {
+            self.con_index
+                .resolve_slots(&hop_slots(start_time_s, duration_s, slot_s))?;
+        }
+        Ok(())
+    }
+
     /// Answers a single-location query; see
     /// [`ReachabilityEngine::try_s_query`] for the error contract.
     pub(crate) fn s_query(
@@ -115,6 +140,8 @@ impl<P: PostingSource + ?Sized> QueryContext<'_, P> {
 
         let io_before = self.postings.io_snapshot();
         let t0 = Instant::now();
+        let bounds = algorithm == Algorithm::SqmbTbs;
+        self.resolve(query.start_time_s, query.duration_s, bounds)?;
         let (region, mut stats) = match algorithm {
             Algorithm::ExhaustiveSearch => {
                 let out = exhaustive_search(self.network, self.postings, query, start)?;
@@ -206,6 +233,7 @@ impl<P: PostingSource + ?Sized> QueryContext<'_, P> {
                     .collect::<Result<_, _>>()?;
                 let io_before = self.postings.io_snapshot();
                 let t0 = Instant::now();
+                self.resolve(query.start_time_s, query.duration_s, true)?;
                 let bounds = mqmb(
                     self.con_index,
                     self.network,
@@ -263,7 +291,10 @@ impl<P: PostingSource + ?Sized> QueryContext<'_, P> {
             let segment = match q
                 .validate()
                 .and_then(|()| locate(self.network, &q.location, 0))
-            {
+                .and_then(|segment| {
+                    self.resolve(q.start_time_s, q.duration_s, true)?;
+                    Ok(segment)
+                }) {
                 Ok(segment) => segment,
                 Err(err) => {
                     answers[i] = Some(CoalescedAnswer::failed(err));

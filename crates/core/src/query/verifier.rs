@@ -55,7 +55,7 @@ use streach_storage::{
 };
 
 use crate::st_index::StIndex;
-use crate::time::slots_overlapping;
+use crate::time::{slots_overlapping, SlotWindow};
 
 /// The read-side surface the verifiers need from a posting index.
 ///
@@ -102,6 +102,15 @@ pub trait PostingSource: Sync {
 
     /// Pins the current view for a batch of reads.
     fn pin(&self) -> Self::Pin;
+
+    /// Prepares the index structures of `slots` for reading, so a query
+    /// meets a damaged structure before it bounds anything: a reopened
+    /// [`StIndex`] decodes those slots' directories. The default prepares
+    /// nothing; such a source decodes while it reads.
+    fn resolve(&self, slots: SlotWindow) -> StorageResult<()> {
+        let _ = slots;
+        Ok(())
+    }
 
     /// Copies the encoded time list for `(segment, slot)` as seen by `pin`
     /// into `buf`. Returns `Ok(false)` when no posting exists for the pair.
@@ -621,10 +630,12 @@ mod tests {
             ..IndexConfig::default()
         };
         let st = StIndex::build(network.clone(), &dataset, &config);
-        let straddlers = st
-            .pin()
+        let pin = st.pin();
+        let straddlers = pin
             .directory()
-            .iter()
+            .directories()
+            .unwrap()
+            .into_iter()
             .flat_map(|dir| dir.entries())
             .filter(|(_, handle)| handle.pages_spanned() > 1)
             .count();
@@ -689,7 +700,10 @@ mod tests {
         let pin = st.pin();
         let mut draws = 0u64;
         for slot in 0..IndexConfig::default().slots_per_day() {
-            let listed: Vec<SegmentId> = pin.directory()[slot as usize]
+            let listed: Vec<SegmentId> = pin
+                .directory()
+                .get(slot)
+                .unwrap()
                 .entries()
                 .map(|(segment, _)| segment)
                 .collect();
@@ -776,7 +790,9 @@ mod tests {
         let page_of = |offset: u64| offset / PAGE_SIZE as u64;
         let (slot, entries) = pin
             .directory()
-            .iter()
+            .directories()
+            .unwrap()
+            .into_iter()
             .enumerate()
             .map(|(slot, dir)| (slot as u32, dir.entries().collect::<Vec<_>>()))
             .find(|(_, entries)| {

@@ -5,12 +5,17 @@
 //! (Section 3.2.2). This module aggregates, for every (segment, Δt slot)
 //! pair, the minimum and maximum traversal speed observed in the map-matched
 //! trajectory dataset, with per-class per-slot fallbacks for pairs that were
-//! never observed.
+//! never observed. A snapshot stores the table as one chunk per slot, and a
+//! reopened table decodes a slot's row when it is first touched.
+
+use std::sync::{Arc, OnceLock};
 
 use bytes::{Buf, BufMut};
 use streach_roadnet::{RoadClass, RoadNetwork, SegmentId};
+use streach_storage::{LazySection, StorageError, StorageResult};
 use streach_traj::TrajectoryDataset;
 
+use crate::snapshot::Chunk;
 use crate::time::slot_of;
 
 /// Traversal speeds slower than this are treated as "0 speed" (standing
@@ -44,8 +49,8 @@ impl MinMax {
         self.min > self.max
     }
 
-    /// The cell [`SpeedStats::encode`] wrote as 8 bytes: `min`, then `max`,
-    /// each as the little-endian bits of an `f32`.
+    /// A cell encoded as 8 bytes: `min`, then `max`, each as the
+    /// little-endian bits of an `f32`.
     fn from_le_bytes(bytes: &[u8; 8]) -> Self {
         let bits = u64::from_le_bytes(*bytes);
         MinMax {
@@ -55,21 +60,116 @@ impl MinMax {
     }
 }
 
+/// One slot's statistics: the per-class fallback cells and one cell per
+/// segment.
+#[derive(Clone)]
+pub(crate) struct SpeedRow {
+    per_class: [MinMax; 4],
+    cells: Vec<MinMax>,
+}
+
+impl SpeedRow {
+    fn empty(num_segments: usize) -> Self {
+        Self {
+            per_class: [MinMax::EMPTY; 4],
+            cells: vec![MinMax::EMPTY; num_segments],
+        }
+    }
+
+    fn observe(&mut self, segment: SegmentId, class: RoadClass, speed: f64) {
+        self.cells[segment.index()].observe(speed);
+        self.per_class[class_index(class)].observe(speed);
+    }
+
+    /// See [`SpeedStats::max_speed_ms`]. The class is looked up only for a
+    /// segment with no observation of its own.
+    pub(crate) fn max_speed_ms(&self, network: &RoadNetwork, segment: SegmentId) -> f64 {
+        let cell = &self.cells[segment.index()];
+        if !cell.is_empty() {
+            return cell.max as f64;
+        }
+        let class = network.segment(segment).class;
+        let class_cell = &self.per_class[class_index(class)];
+        if !class_cell.is_empty() {
+            return class_cell.max as f64;
+        }
+        class.free_flow_ms()
+    }
+
+    /// See [`SpeedStats::min_speed_ms`].
+    pub(crate) fn min_speed_ms(
+        &self,
+        network: &RoadNetwork,
+        segment: SegmentId,
+        fallback_min: f64,
+    ) -> f64 {
+        let class = network.segment(segment).class;
+        let class_cell = &self.per_class[class_index(class)];
+        let cell = &self.cells[segment.index()];
+        let (observed_min, cap) = if !cell.is_empty() {
+            (cell.min as f64, cell.max as f64)
+        } else if !class_cell.is_empty() {
+            (class_cell.min as f64, class_cell.max as f64)
+        } else {
+            (class.free_flow_ms() * 0.3, class.free_flow_ms())
+        };
+        (observed_min * MIN_SPEED_MARGIN).max(fallback_min).min(cap)
+    }
+
+    /// Byte length of an encoded row over `num_segments` segments, or
+    /// `None` when it overflows.
+    fn encoded_len(num_segments: u64) -> Option<u64> {
+        num_segments.checked_mul(8)?.checked_add(32)
+    }
+
+    /// Appends the row: the four class cells, then the segment cells, each
+    /// as `min` then `max`, the little-endian bits of an `f32`.
+    fn encode(&self, buf: &mut Vec<u8>) {
+        for cell in self.per_class.iter().chain(&self.cells) {
+            buf.put_u32_le(cell.min.to_bits());
+            buf.put_u32_le(cell.max.to_bits());
+        }
+    }
+
+    /// Decodes a row [`SpeedRow::encode`] wrote; the caller checked its
+    /// length.
+    fn decode(bytes: &[u8]) -> Self {
+        let (cells, rest) = bytes.as_chunks::<8>();
+        debug_assert!(rest.is_empty() && cells.len() >= 4);
+        let (per_class, cells) = cells.split_at(4);
+        Self {
+            per_class: std::array::from_fn(|class| MinMax::from_le_bytes(&per_class[class])),
+            cells: cells.iter().map(MinMax::from_le_bytes).collect(),
+        }
+    }
+}
+
+/// Where the rows of a reopened snapshot come from: its lazy
+/// `speed_stats_rows` section and the chunk of every slot.
+struct LazyRows {
+    section: LazySection,
+    chunks: Vec<Chunk>,
+}
+
 /// Minimum and maximum observed traversal speed for every
 /// (road segment, time slot) pair.
 ///
-/// `Clone` supports the copy-on-write update path of streaming ingest: the
-/// Con-Index keeps the stats behind an `Arc` and clones only when an update
-/// races with a reader holding the previous version.
+/// The table is one row per slot of the day. A built table holds every
+/// row; a table reopened from a snapshot decodes a row the first time it
+/// is touched ([`SpeedStats::resolve`]), and the readers of one slot then
+/// pay one atomic load for it. Each row sits behind its own `Arc`, so a
+/// clone (the copy-on-write update path of streaming ingest: the Con-Index
+/// keeps the stats behind an `Arc` and clones only when an update races
+/// with a reader holding the previous version) shares every row, decoded
+/// or not, and an update copies only the rows it changes.
 #[derive(Clone)]
 pub struct SpeedStats {
     slot_s: u32,
     slots_per_day: u32,
     num_segments: usize,
-    /// `per_segment[slot * num_segments + segment]`
-    per_segment: Vec<MinMax>,
-    /// Fallback per (slot, class) aggregates.
-    per_class: Vec<[MinMax; 4]>,
+    /// `rows[slot]`, empty until decoded when `lazy` is set.
+    rows: Vec<Arc<OnceLock<SpeedRow>>>,
+    lazy: Option<Arc<LazyRows>>,
     /// Number of speed observations ingested.
     observations: u64,
 }
@@ -83,6 +183,9 @@ fn class_index(class: RoadClass) -> usize {
     }
 }
 
+/// Byte length of the fixed part of the `speed_stats` head.
+const HEAD_LEN: usize = 24;
+
 impl SpeedStats {
     /// Computes the statistics from a map-matched dataset.
     ///
@@ -93,20 +196,31 @@ impl SpeedStats {
         assert!(slot_s > 0, "slot length must be positive");
         let slots_per_day = streach_traj::SECONDS_PER_DAY.div_ceil(slot_s);
         let num_segments = network.num_segments();
-        let mut stats = Self {
+        let mut rows = vec![SpeedRow::empty(num_segments); slots_per_day as usize];
+        let mut observations = 0;
+        for traj in dataset.trajectories() {
+            for w in traj.visits.windows(2) {
+                if let Some((slot, speed)) = speed_of(
+                    network,
+                    w[0].segment,
+                    w[0].enter_time_s,
+                    w[1].enter_time_s,
+                    slot_s,
+                ) {
+                    let class = network.segment(w[0].segment).class;
+                    rows[slot as usize].observe(w[0].segment, class, speed);
+                    observations += 1;
+                }
+            }
+        }
+        Self {
             slot_s,
             slots_per_day,
             num_segments,
-            per_segment: vec![MinMax::EMPTY; slots_per_day as usize * num_segments],
-            per_class: vec![[MinMax::EMPTY; 4]; slots_per_day as usize],
-            observations: 0,
-        };
-        for traj in dataset.trajectories() {
-            for w in traj.visits.windows(2) {
-                stats.observe_pair(network, w[0].segment, w[0].enter_time_s, w[1].enter_time_s);
-            }
+            rows: rows.into_iter().map(|row| Arc::new(row.into())).collect(),
+            lazy: None,
+            observations,
         }
-        stats
     }
 
     /// Ingests one consecutive-visit pair: the trajectory entered `segment`
@@ -118,7 +232,9 @@ impl SpeedStats {
     /// This is the single observation path shared by the batch construction
     /// ([`SpeedStats::from_dataset`]) and the streaming ingest, so an engine
     /// that ingested a trajectory point by point holds **bit-identical**
-    /// statistics to one rebuilt from scratch on the combined dataset.
+    /// statistics to one rebuilt from scratch on the combined dataset. The
+    /// slot's row must be resolved ([`SpeedStats::resolve`]); ingest
+    /// resolves every slot a batch touches before it changes anything.
     pub fn observe_pair(
         &mut self,
         network: &RoadNetwork,
@@ -126,25 +242,21 @@ impl SpeedStats {
         enter_time_s: u32,
         next_enter_time_s: u32,
     ) -> bool {
-        let seg = network.segment(segment);
-        let dt = next_enter_time_s.saturating_sub(enter_time_s);
-        if dt == 0 {
+        let Some((slot, speed)) = speed_of(
+            network,
+            segment,
+            enter_time_s,
+            next_enter_time_s,
+            self.slot_s,
+        ) else {
             return false;
-        }
-        let speed = seg.length_m / dt as f64;
-        if !(MIN_PLAUSIBLE_SPEED_MS..=MAX_PLAUSIBLE_SPEED_MS).contains(&speed) {
-            return false;
-        }
-        let slot = slot_of(enter_time_s, self.slot_s);
-        self.observe(segment, seg.class, slot, speed);
-        true
-    }
-
-    fn observe(&mut self, segment: SegmentId, class: RoadClass, slot: u32, speed: f64) {
-        let idx = slot as usize * self.num_segments + segment.index();
-        self.per_segment[idx].observe(speed);
-        self.per_class[slot as usize][class_index(class)].observe(speed);
+        };
+        let row = Arc::make_mut(&mut self.rows[slot as usize])
+            .get_mut()
+            .expect("ingest resolves a slot's speed row before updating it");
+        row.observe(segment, network.segment(segment).class, speed);
         self.observations += 1;
+        true
     }
 
     /// The Δt granularity the statistics were aggregated at.
@@ -158,30 +270,92 @@ impl SpeedStats {
     }
 
     /// Fraction of (segment, slot) cells with at least one observation.
+    /// Decodes every row.
     pub fn coverage(&self) -> f64 {
-        let filled = self.per_segment.iter().filter(|m| !m.is_empty()).count();
-        filled as f64 / self.per_segment.len() as f64
+        let filled: usize = (0..self.slots_per_day)
+            .map(|slot| {
+                self.row(slot)
+                    .cells
+                    .iter()
+                    .filter(|m| !m.is_empty())
+                    .count()
+            })
+            .sum();
+        filled as f64 / (self.slots_per_day as usize * self.num_segments) as f64
     }
 
-    fn cell(&self, segment: SegmentId, slot: u32) -> &MinMax {
+    /// Decodes the rows of `slots` (wrapped into the day) that are not
+    /// decoded yet. A row that cannot be read is [`StorageError::Corrupt`]
+    /// (or the read's I/O error) naming `speed_stats` and the slot, and
+    /// stays undecoded, so the next touch fails the same way. Queries and
+    /// ingest call this before they read or update a row.
+    pub fn resolve(&self, slots: impl IntoIterator<Item = u32>) -> StorageResult<()> {
+        for slot in slots {
+            self.resolved_row(slot % self.slots_per_day)?;
+        }
+        Ok(())
+    }
+
+    fn resolved_row(&self, slot: u32) -> StorageResult<&SpeedRow> {
+        let cell = &self.rows[slot as usize];
+        if let Some(row) = cell.get() {
+            return Ok(row);
+        }
+        let lazy = self
+            .lazy
+            .as_ref()
+            .expect("an undecoded row has a lazy source");
+        let bytes = lazy.chunks[slot as usize].read(&lazy.section, format_args!("slot {slot}"))?;
+        Ok(cell.get_or_init(|| SpeedRow::decode(&bytes)))
+    }
+
+    /// The row of `slot` (wrapped into the day), decoded on first touch.
+    ///
+    /// # Panics
+    ///
+    /// When the row must be decoded and cannot be read. The query pipeline
+    /// and ingest [`resolve`](Self::resolve) their slots first, so they
+    /// never get here; the panic is left to direct callers of the
+    /// infallible bounding functions over a damaged snapshot.
+    pub(crate) fn row(&self, slot: u32) -> &SpeedRow {
         let slot = slot % self.slots_per_day;
-        &self.per_segment[slot as usize * self.num_segments + segment.index()]
+        match self.rows[slot as usize].get() {
+            Some(row) => row,
+            None => self
+                .resolved_row(slot)
+                .unwrap_or_else(|e| panic!("speed_stats slot {slot} cannot be read: {e}")),
+        }
+    }
+
+    /// Slots whose row is decoded.
+    #[cfg(test)]
+    pub(crate) fn decoded_slots(&self) -> Vec<u32> {
+        (0..self.slots_per_day)
+            .filter(|&slot| self.rows[slot as usize].get().is_some())
+            .collect()
+    }
+
+    /// Reads, checks and decodes every row of the snapshot this table was
+    /// opened from (decoded rows included, from disk again), keeping the
+    /// rows not decoded yet. Returns the first failure.
+    pub(crate) fn scrub(&self) -> StorageResult<()> {
+        let Some(lazy) = &self.lazy else {
+            return Ok(());
+        };
+        for (slot, chunk) in lazy.chunks.iter().enumerate() {
+            let bytes = chunk.read(&lazy.section, format_args!("slot {slot}"))?;
+            self.rows[slot].get_or_init(|| SpeedRow::decode(&bytes));
+        }
+        Ok(())
     }
 
     /// Maximum observed speed (m/s) on `segment` during `slot`, falling back
     /// to the per-class slot aggregate and finally to the class free-flow
-    /// speed when nothing was observed.
+    /// speed when nothing was observed. Decodes the slot's row on first
+    /// touch, and panics if that row cannot be read: resolve the slot
+    /// first ([`SpeedStats::resolve`]) to get the error instead.
     pub fn max_speed_ms(&self, network: &RoadNetwork, segment: SegmentId, slot: u32) -> f64 {
-        let cell = self.cell(segment, slot);
-        if !cell.is_empty() {
-            return cell.max as f64;
-        }
-        let class = network.segment(segment).class;
-        let class_cell = &self.per_class[(slot % self.slots_per_day) as usize][class_index(class)];
-        if !class_cell.is_empty() {
-            return class_cell.max as f64;
-        }
-        class.free_flow_ms()
+        self.row(slot).max_speed_ms(network, segment)
     }
 
     /// Conservative minimum speed (m/s) on `segment` during `slot`, used to
@@ -194,7 +368,8 @@ impl SpeedStats {
     /// speed the paper's 400-million-point dataset captures. `fallback_min`
     /// bounds the value from below so Near lists never collapse to the start
     /// segment alone, and the result never exceeds the observed maximum for
-    /// the same cell.
+    /// the same cell. Decodes the slot's row on first touch, like
+    /// [`SpeedStats::max_speed_ms`].
     pub fn min_speed_ms(
         &self,
         network: &RoadNetwork,
@@ -202,100 +377,100 @@ impl SpeedStats {
         slot: u32,
         fallback_min: f64,
     ) -> f64 {
-        let class = network.segment(segment).class;
-        let class_cell = &self.per_class[(slot % self.slots_per_day) as usize][class_index(class)];
-        let cell = self.cell(segment, slot);
-        let (observed_min, cap) = if !cell.is_empty() {
-            (cell.min as f64, cell.max as f64)
-        } else if !class_cell.is_empty() {
-            (class_cell.min as f64, class_cell.max as f64)
-        } else {
-            (class.free_flow_ms() * 0.3, class.free_flow_ms())
-        };
-        (observed_min * MIN_SPEED_MARGIN).max(fallback_min).min(cap)
+        self.row(slot).min_speed_ms(network, segment, fallback_min)
     }
 
-    /// Serializes the statistics for an engine snapshot.
+    /// Serializes the statistics for an engine snapshot as the eager
+    /// `speed_stats` head and the lazy `speed_stats_rows` section, decoding
+    /// every row first:
     ///
-    /// Layout: `slot_s`, `slots_per_day`, `num_segments` and `observations`
-    /// header, then the dense per-(slot, segment) min/max table and the
-    /// per-(slot, class) fallback table as IEEE-754 `f32` bit patterns.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut buf =
-            Vec::with_capacity(32 + self.per_segment.len() * 8 + self.per_class.len() * 32);
-        buf.put_u32_le(self.slot_s);
-        buf.put_u32_le(self.slots_per_day);
-        buf.put_u64_le(self.num_segments as u64);
-        buf.put_u64_le(self.observations);
-        buf.put_u64_le(self.per_segment.len() as u64);
-        for cell in &self.per_segment {
-            buf.put_u32_le(cell.min.to_bits());
-            buf.put_u32_le(cell.max.to_bits());
+    /// ```text
+    /// head: [slot_s u32][slots per day u32][segments u64][observations u64]
+    ///       per slot of the day: [chunk offset u64][chunk len u32][CRC u32]
+    /// rows: per slot of the day, its chunk: the four class cells, then one
+    ///       cell per segment, each [min f32 bits u32][max f32 bits u32]
+    /// ```
+    pub(crate) fn encode(&self) -> StorageResult<(Vec<u8>, Vec<u8>)> {
+        self.resolve(0..self.slots_per_day)?;
+        let row_len = SpeedRow::encoded_len(self.num_segments as u64).expect("fits") as usize;
+        let mut head = Vec::with_capacity(HEAD_LEN + self.rows.len() * Chunk::ENCODED_LEN);
+        head.put_u32_le(self.slot_s);
+        head.put_u32_le(self.slots_per_day);
+        head.put_u64_le(self.num_segments as u64);
+        head.put_u64_le(self.observations);
+        let mut rows = Vec::with_capacity(self.rows.len() * row_len);
+        for slot in 0..self.slots_per_day {
+            let start = rows.len();
+            self.row(slot).encode(&mut rows);
+            Chunk::seal(&rows, start).put(&mut head);
         }
-        buf.put_u64_le(self.per_class.len() as u64);
-        for classes in &self.per_class {
-            for cell in classes {
-                buf.put_u32_le(cell.min.to_bits());
-                buf.put_u32_le(cell.max.to_bits());
-            }
-        }
-        buf
+        Ok((head, rows))
     }
 
-    /// Deserializes statistics previously produced by [`SpeedStats::encode`].
-    /// Returns `None` when the buffer is malformed or internally
-    /// inconsistent.
-    pub(crate) fn decode(mut buf: &[u8]) -> Option<Self> {
-        if buf.remaining() < 32 {
-            return None;
+    /// Opens statistics [`SpeedStats::encode`] wrote for a network of
+    /// `num_segments` segments: validates the head (the slot grid, the
+    /// segment count, and that the row chunks tile `rows` exactly) and
+    /// decodes no row.
+    pub(crate) fn open(head: &[u8], rows: LazySection, num_segments: usize) -> StorageResult<Self> {
+        let malformed = |what: &str| StorageError::corrupt(format!("speed_stats {what}"));
+        let mut buf = head;
+        if buf.remaining() < HEAD_LEN {
+            return Err(malformed("head truncated"));
         }
         let slot_s = buf.get_u32_le();
         let slots_per_day = buf.get_u32_le();
-        let num_segments_u64 = buf.get_u64_le();
+        let stored_segments = buf.get_u64_le();
         let observations = buf.get_u64_le();
         if slot_s == 0 || slots_per_day != streach_traj::SECONDS_PER_DAY.div_ceil(slot_s) {
-            return None;
+            return Err(malformed("slot grid is inconsistent"));
         }
-        // All lengths are file-supplied: validate with overflow-checked
-        // arithmetic against the actual buffer size before any allocation.
-        let per_segment_len = buf.get_u64_le();
-        let expected_len = (slots_per_day as u64).checked_mul(num_segments_u64)?;
-        if per_segment_len != expected_len
-            || per_segment_len > (buf.remaining() as u64).saturating_sub(8) / 8
-        {
-            return None;
+        if stored_segments != num_segments as u64 {
+            return Err(malformed(
+                "covers a different number of segments than the network",
+            ));
         }
-        let num_segments = num_segments_u64 as usize;
-        let (cells, mut buf) = buf.split_at(per_segment_len as usize * 8);
-        let per_class_len = buf.get_u64_le() as usize;
-        if per_class_len != slots_per_day as usize || buf.remaining() != per_class_len * 32 {
-            return None;
+        if buf.remaining() != slots_per_day as usize * Chunk::ENCODED_LEN {
+            return Err(malformed("head has the wrong length"));
         }
-        // Both tables are whole 8-byte cells by the length checks above.
-        let per_segment = cells
-            .as_chunks::<8>()
-            .0
-            .iter()
-            .map(MinMax::from_le_bytes)
-            .collect();
-        let per_class = buf
-            .as_chunks::<32>()
-            .0
-            .iter()
-            .map(|row| {
-                let row = row.as_chunks::<8>().0;
-                std::array::from_fn(|class| MinMax::from_le_bytes(&row[class]))
-            })
-            .collect();
-        Some(Self {
+        let row_len =
+            SpeedRow::encoded_len(stored_segments).ok_or_else(|| malformed("row overflows"))?;
+        let chunks: Vec<Chunk> = (0..slots_per_day).map(|_| Chunk::get(&mut buf)).collect();
+        if chunks.iter().any(|c| c.len as u64 != row_len) {
+            return Err(malformed("row chunk has the wrong length"));
+        }
+        Chunk::check_tiling(&chunks, rows.len(), "speed_stats")?;
+        Ok(Self {
             slot_s,
             slots_per_day,
             num_segments,
-            per_segment,
-            per_class,
+            rows: (0..slots_per_day).map(|_| Arc::default()).collect(),
+            lazy: Some(Arc::new(LazyRows {
+                section: rows,
+                chunks,
+            })),
             observations,
         })
     }
+}
+
+/// The slot and speed of one consecutive-visit pair, or `None` when the
+/// interval is empty or the speed implausible (see
+/// [`SpeedStats::observe_pair`]).
+fn speed_of(
+    network: &RoadNetwork,
+    segment: SegmentId,
+    enter_time_s: u32,
+    next_enter_time_s: u32,
+    slot_s: u32,
+) -> Option<(u32, f64)> {
+    let dt = next_enter_time_s.saturating_sub(enter_time_s);
+    if dt == 0 {
+        return None;
+    }
+    let speed = network.segment(segment).length_m / dt as f64;
+    (MIN_PLAUSIBLE_SPEED_MS..=MAX_PLAUSIBLE_SPEED_MS)
+        .contains(&speed)
+        .then(|| (slot_of(enter_time_s, slot_s), speed))
 }
 
 #[cfg(test)]
@@ -392,46 +567,162 @@ mod tests {
         );
     }
 
+    /// Every row of both tables by bit pattern (NaN-safe, ±0 apart).
+    fn bits(stats: &SpeedStats) -> Vec<(u32, u32)> {
+        (0..stats.slots_per_day)
+            .flat_map(|slot| {
+                let row = stats.row(slot);
+                row.per_class
+                    .iter()
+                    .chain(&row.cells)
+                    .copied()
+                    .collect::<Vec<_>>()
+            })
+            .map(|c| (c.min.to_bits(), c.max.to_bits()))
+            .collect()
+    }
+
+    fn open(stats: &SpeedStats) -> SpeedStats {
+        let (head, rows) = stats.encode().unwrap();
+        let section = crate::snapshot::lazy_section("speed_stats_rows", rows);
+        SpeedStats::open(&head, section, stats.num_segments).unwrap()
+    }
+
     #[test]
-    fn encode_decode_roundtrip_is_bit_exact() {
+    fn encode_open_roundtrip_is_bit_exact() {
         let (city, dataset) = setup();
         let stats = SpeedStats::from_dataset(&city.network, &dataset, 300);
-        let bytes = stats.encode();
-        let decoded = SpeedStats::decode(&bytes).expect("round trip");
-        assert_eq!(decoded.slot_s, stats.slot_s);
-        assert_eq!(decoded.slots_per_day, stats.slots_per_day);
-        assert_eq!(decoded.num_segments, stats.num_segments);
-        assert_eq!(decoded.observations, stats.observations);
-        // Every cell of both tables, by bit pattern (NaN-safe, ±0 apart).
-        let bits = |cells: &[MinMax]| -> Vec<(u32, u32)> {
-            cells
-                .iter()
-                .map(|c| (c.min.to_bits(), c.max.to_bits()))
-                .collect()
-        };
-        assert_eq!(bits(&decoded.per_segment), bits(&stats.per_segment));
-        assert_eq!(
-            bits(decoded.per_class.as_flattened()),
-            bits(stats.per_class.as_flattened())
+        let reopened = open(&stats);
+        assert_eq!(reopened.slot_s, stats.slot_s);
+        assert_eq!(reopened.slots_per_day, stats.slots_per_day);
+        assert_eq!(reopened.num_segments, stats.num_segments);
+        assert_eq!(reopened.observations, stats.observations);
+        assert!(
+            reopened.decoded_slots().is_empty(),
+            "an open decodes no row"
         );
-        assert_eq!(decoded.encode(), bytes);
+        reopened.resolve([100, 100 + 288]).unwrap();
+        assert_eq!(reopened.decoded_slots(), [100]);
+        assert_eq!(bits(&reopened), bits(&stats));
+        assert_eq!(reopened.encode().unwrap(), stats.encode().unwrap());
+        // A clone shares the rows: decoding one decodes it for the other.
+        let fresh = open(&stats);
+        let clone = fresh.clone();
+        fresh.resolve([7]).unwrap();
+        assert_eq!(clone.decoded_slots(), [7]);
+    }
 
-        // Truncated buffers, a trailing byte and a wrong per-class count are
-        // rejected, not misread.
-        assert!(SpeedStats::decode(&bytes[..bytes.len() - 3]).is_none());
-        assert!(SpeedStats::decode(&[]).is_none());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(SpeedStats::decode(&trailing).is_none());
-        let per_class_count = 32 + stats.per_segment.len() * 8;
-        for count in [287u64, 289, 0, u64::MAX] {
-            let mut wrong = bytes.clone();
-            wrong[per_class_count..per_class_count + 8].copy_from_slice(&count.to_le_bytes());
-            assert!(
-                SpeedStats::decode(&wrong).is_none(),
-                "per_class count {count}"
-            );
+    /// A two-slot day over two segments, cells set by hand.
+    fn tiny() -> SpeedStats {
+        let cell = |min, max| MinMax { min, max };
+        let row = |class: MinMax, cells: Vec<MinMax>| SpeedRow {
+            per_class: [class, MinMax::EMPTY, MinMax::EMPTY, MinMax::EMPTY],
+            cells,
+        };
+        let rows = vec![
+            row(cell(1.0, 2.0), vec![cell(1.0, 2.0), MinMax::EMPTY]),
+            row(MinMax::EMPTY, vec![MinMax::EMPTY, MinMax::EMPTY]),
+        ];
+        SpeedStats {
+            slot_s: 43_200,
+            slots_per_day: 2,
+            num_segments: 2,
+            rows: rows.into_iter().map(|r| Arc::new(r.into())).collect(),
+            lazy: None,
+            observations: 1,
         }
+    }
+
+    #[test]
+    fn speed_stats_golden_bytes() {
+        let (head, rows) = tiny().encode().unwrap();
+        // One row: six cells of (min, max) f32 bits. Slot 0 saw 1..2 m/s on
+        // segment 0 (a highway); slot 1 saw nothing.
+        let (one, two) = (
+            1.0f32.to_bits().to_le_bytes(),
+            2.0f32.to_bits().to_le_bytes(),
+        );
+        let empty = [
+            f32::INFINITY.to_bits().to_le_bytes(),
+            f32::NEG_INFINITY.to_bits().to_le_bytes(),
+        ]
+        .concat();
+        let row_0 = [&one[..], &two, &empty, &empty, &empty, &one, &two, &empty].concat();
+        let row_1 = empty.repeat(6);
+        assert_eq!(row_0.len(), 48);
+        assert_eq!(rows, [row_0.clone(), row_1.clone()].concat());
+        let mut golden = Vec::new();
+        for v in [43_200u32, 2] {
+            golden.extend_from_slice(&v.to_le_bytes()); // slot_s, slots per day
+        }
+        for v in [2u64, 1] {
+            golden.extend_from_slice(&v.to_le_bytes()); // segments, observations
+        }
+        for (offset, row) in [(0u64, &row_0), (48, &row_1)] {
+            golden.extend_from_slice(&offset.to_le_bytes());
+            golden.extend_from_slice(&48u32.to_le_bytes());
+            golden.extend_from_slice(&streach_storage::crc32(row).to_le_bytes());
+        }
+        assert_eq!(head, golden);
+        assert_eq!(bits(&open(&tiny())), bits(&tiny()));
+    }
+
+    #[test]
+    fn speed_stats_open_rejects_malformed_heads_and_rows() {
+        let (head, rows) = tiny().encode().unwrap();
+        let section = || crate::snapshot::lazy_section("speed_stats_rows", rows.clone());
+        let set = |at: usize, bytes: &[u8]| {
+            let mut h = head.clone();
+            h[at..at + bytes.len()].copy_from_slice(bytes);
+            h
+        };
+        let cases: Vec<(&str, Vec<u8>, usize)> = vec![
+            ("truncated head", head[..HEAD_LEN - 1].to_vec(), 2),
+            ("zero slot length", set(0, &0u32.to_le_bytes()), 2),
+            ("slot grid", set(4, &3u32.to_le_bytes()), 2),
+            ("segment count", head.clone(), 3),
+            ("head length", head[..head.len() - 1].to_vec(), 2),
+            ("row length", set(HEAD_LEN + 8, &47u32.to_le_bytes()), 2),
+            (
+                "chunk offset past its section",
+                set(HEAD_LEN + 16, &64u64.to_le_bytes()),
+                2,
+            ),
+            (
+                "chunks out of order",
+                set(HEAD_LEN, &48u64.to_le_bytes()),
+                2,
+            ),
+        ];
+        for (what, head, num_segments) in cases {
+            match SpeedStats::open(&head, section(), num_segments) {
+                Err(StorageError::Corrupt { context }) => {
+                    assert!(context.contains("speed_stats"), "{what}: {context}")
+                }
+                Err(e) => panic!("{what}: expected Corrupt, got {e}"),
+                Ok(_) => panic!("{what}: a malformed head opened"),
+            }
+        }
+        // A row whose bytes fail their CRC fails every touch, typed.
+        let mut rotten = rows.clone();
+        rotten[50] ^= 0x10;
+        let stats = SpeedStats::open(
+            &head,
+            crate::snapshot::lazy_section("speed_stats_rows", rotten),
+            2,
+        )
+        .unwrap();
+        assert!(stats.resolve([0]).is_ok());
+        for _ in 0..2 {
+            match stats.resolve([1]) {
+                Err(StorageError::Corrupt { context }) => {
+                    assert_eq!(context, "speed_stats_rows slot 1: chunk checksum mismatch")
+                }
+                other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+            }
+        }
+        assert!(stats.scrub().is_err());
+        assert_eq!(stats.decoded_slots(), [0]);
     }
 
     #[test]

@@ -61,20 +61,21 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU16, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 use streach_geo::GeoPoint;
 use streach_roadnet::{RoadNetwork, SegmentId};
 use streach_storage::{
-    BlobHandle, InMemoryPageStore, IoStats, PageStore, PostingStore, SimulatedDiskStore,
-    StorageError, StorageResult, TimeList,
+    BlobHandle, InMemoryPageStore, IoStats, LazySection, PageStore, PostingStore,
+    SimulatedDiskStore, StorageError, StorageResult, TimeList,
 };
 use streach_traj::{MatchedTrajectory, TrajPoint, TrajectoryDataset};
 
 use crate::config::IndexConfig;
-use crate::time::{slot_of, slots_overlapping};
+use crate::snapshot::Chunk;
+use crate::time::{slot_of, slots_overlapping, SlotWindow};
 
 /// Page store backing the ST-Index: any [`PageStore`] backend (in-memory for
 /// fresh builds, [`streach_storage::FilePageStore`] for reopened snapshots)
@@ -151,6 +152,16 @@ impl SlotDirectory {
         self.segments.len()
     }
 
+    /// Heap offset of the slot's first blob.
+    pub(crate) fn first(&self) -> u64 {
+        self.first
+    }
+
+    /// Bytes of heap the slot's blobs span.
+    pub(crate) fn span(&self) -> u32 {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
     /// `true` when no segment was traversed in the slot.
     pub(crate) fn is_empty(&self) -> bool {
         self.segments.is_empty()
@@ -188,6 +199,133 @@ pub(crate) fn oversized_slot(slot: u32) -> StorageError {
     StorageError::corrupt(format!(
         "st_index directory slot {slot} holds more than 4 GiB of blobs"
     ))
+}
+
+/// Where a reopened snapshot keeps one populated slot's directory: its
+/// entry count, its run of the posting heap and its chunk of the lazy
+/// `st_index_slots` section (layout in [`crate::snapshot`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlotHead {
+    pub entries: u32,
+    pub first: u64,
+    pub span: u32,
+    pub chunk: Chunk,
+}
+
+/// The directory chunks of a reopened snapshot.
+pub(crate) struct LazyDirectory {
+    pub section: LazySection,
+    /// `heads[slot]`, `None` for a slot nobody traversed.
+    pub heads: Vec<Option<SlotHead>>,
+}
+
+impl LazyDirectory {
+    /// Reads, checks and decodes the directory of populated `slot`.
+    fn decode(&self, slot: usize) -> StorageResult<SlotDirectory> {
+        let head = self.heads[slot].expect("an undecoded slot is populated");
+        let what = format_args!("slot {slot}");
+        let bytes = head.chunk.read(&self.section, what)?;
+        crate::snapshot::decode_slot_chunk(slot as u32, &head, &bytes)
+    }
+}
+
+/// The temporal index: one [`SlotDirectory`] per slot of the day.
+///
+/// A built index holds every directory. A reopened one decodes a populated
+/// slot's directory from its snapshot chunk the first time a reader asks
+/// for it ([`TemporalIndex::get`]); after that a lookup costs one atomic
+/// load more than a plain array. A chunk that fails its checksum or its
+/// decode is a typed error naming the slot, every time it is touched: the
+/// slot stays undecoded.
+pub(crate) struct TemporalIndex {
+    slots: Vec<OnceLock<SlotDirectory>>,
+    lazy: Option<LazyDirectory>,
+}
+
+impl TemporalIndex {
+    /// An index holding every directory.
+    pub(crate) fn built(directories: Vec<SlotDirectory>) -> Self {
+        Self {
+            slots: directories.into_iter().map(OnceLock::from).collect(),
+            lazy: None,
+        }
+    }
+
+    /// An index that decodes each populated slot on first touch. Empty
+    /// slots need no decode.
+    pub(crate) fn lazy(directory: LazyDirectory) -> Self {
+        let slots = directory
+            .heads
+            .iter()
+            .map(|head| match head {
+                Some(_) => OnceLock::new(),
+                None => OnceLock::from(SlotDirectory::default()),
+            })
+            .collect();
+        Self {
+            slots,
+            lazy: Some(directory),
+        }
+    }
+
+    /// Number of slots: [`slots_per_day`].
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The directory of `slot` (already wrapped into the day), decoded on
+    /// first touch.
+    #[inline]
+    pub(crate) fn get(&self, slot: u32) -> StorageResult<&SlotDirectory> {
+        match self.slots[slot as usize].get() {
+            Some(directory) => Ok(directory),
+            None => self.decode(slot as usize),
+        }
+    }
+
+    #[cold]
+    fn decode(&self, slot: usize) -> StorageResult<&SlotDirectory> {
+        let lazy = self
+            .lazy
+            .as_ref()
+            .expect("an undecoded slot has a lazy source");
+        let directory = lazy.decode(slot)?;
+        Ok(self.slots[slot].get_or_init(|| directory))
+    }
+
+    /// Whether any segment was traversed in `slot`; decodes nothing.
+    pub(crate) fn is_populated(&self, slot: usize) -> bool {
+        self.slots[slot].get().is_none_or(|d| !d.is_empty())
+    }
+
+    /// Every directory, decoding the slots not decoded yet.
+    pub(crate) fn directories(&self) -> StorageResult<Vec<&SlotDirectory>> {
+        (0..self.len() as u32).map(|slot| self.get(slot)).collect()
+    }
+
+    /// Reads, checks and decodes every populated slot's chunk of the
+    /// snapshot this index was opened from (decoded slots included, from
+    /// disk again), keeping the slots not decoded yet. Returns the first
+    /// failure.
+    fn scrub(&self) -> StorageResult<()> {
+        let Some(lazy) = &self.lazy else {
+            return Ok(());
+        };
+        for slot in (0..self.len()).filter(|&slot| lazy.heads[slot].is_some()) {
+            let directory = lazy.decode(slot)?;
+            self.slots[slot].get_or_init(|| directory);
+        }
+        Ok(())
+    }
+
+    /// Populated slots whose directory is decoded.
+    #[cfg(test)]
+    pub(crate) fn decoded_slots(&self) -> Vec<u32> {
+        (0..self.len())
+            .filter(|&slot| self.slots[slot].get().is_some_and(|d| !d.is_empty()))
+            .map(|slot| slot as u32)
+            .collect()
+    }
 }
 
 /// Number of Δt slots in one day: the length of the temporal index.
@@ -345,8 +483,7 @@ impl DeltaTail {
 /// heap. Produced by [`StIndex::build`], a snapshot open or a compaction —
 /// and never mutated afterwards; compaction replaces it wholesale.
 struct SealedBase {
-    /// The temporal index: [`slots_per_day`] directories indexed by slot.
-    temporal: Vec<SlotDirectory>,
+    temporal: TemporalIndex,
     postings: PostingStore<StIndexStore>,
 }
 
@@ -362,13 +499,18 @@ impl IndexState {
     /// Directory lookup of the blob handle for (segment, slot) — the slot
     /// already wrapped into the day. A delta entry holds the fully merged
     /// list and therefore overrides the base entry; with no deltas the
-    /// check is one relaxed atomic load.
-    fn lookup(&self, segment: SegmentId, slot: u32) -> Option<ListRef> {
+    /// check is one relaxed atomic load. Fails only when the slot's
+    /// directory chunk cannot be decoded.
+    fn lookup(&self, segment: SegmentId, slot: u32) -> StorageResult<Option<ListRef>> {
         if let Some(handle) = self.delta.lookup(slot, segment) {
-            return Some(ListRef::Delta(handle));
+            return Ok(Some(ListRef::Delta(handle)));
         }
-        let directory = self.base.temporal.get(slot as usize)?;
-        directory.get(segment).map(ListRef::Base)
+        Ok(self
+            .base
+            .temporal
+            .get(slot)?
+            .get(segment)
+            .map(ListRef::Base))
     }
 
     /// Reads a located list from whichever heap owns it.
@@ -405,8 +547,7 @@ impl IndexState {
     where
         F: FnMut(usize, &[u8]) -> StorageResult<()>,
     {
-        let no_base = SlotDirectory::default();
-        let directory = self.base.temporal.get(slot as usize).unwrap_or(&no_base);
+        let directory = self.base.temporal.get(slot)?;
         let mut run = self.base.postings.run();
         let mut next = 0;
         for (i, &segment) in segments.iter().enumerate() {
@@ -449,7 +590,7 @@ impl PinnedState {
     }
 
     /// The temporal directory, one [`SlotDirectory`] per slot of the day.
-    pub(crate) fn directory(&self) -> &[SlotDirectory] {
+    pub(crate) fn directory(&self) -> &TemporalIndex {
         &self.0.base.temporal
     }
 
@@ -589,7 +730,10 @@ impl StIndex {
             slot_s: config.slot_s,
             num_days: AtomicU16::new(dataset.num_days()),
             state: RwLock::new(Arc::new(IndexState {
-                base: SealedBase { temporal, postings },
+                base: SealedBase {
+                    temporal: TemporalIndex::built(temporal),
+                    postings,
+                },
                 delta,
             })),
             stats: Mutex::new(stats),
@@ -641,18 +785,18 @@ impl StIndex {
     }
 
     /// Reassembles an ST-Index from snapshot parts: a reopened posting
-    /// store plus the decoded temporal directory (one [`SlotDirectory`] per
-    /// slot of the day), and the delta tail (posting store plus (slot,
-    /// segment) → handle entries; both empty for a snapshot that never
-    /// ingested). Used by [`crate::snapshot`], whose decoder checks the
-    /// directory against the day and the heap.
+    /// store plus its temporal index (one directory per slot of the day,
+    /// decoded on first touch), and the delta tail (posting store plus
+    /// (slot, segment) → handle entries; both empty for a snapshot that
+    /// never ingested). Used by [`crate::snapshot`], whose decoder checks
+    /// the directory heads against the day and the heap.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         network: Arc<RoadNetwork>,
         slot_s: u32,
         num_days: u16,
         stats: StIndexStats,
-        temporal: Vec<SlotDirectory>,
+        temporal: TemporalIndex,
         postings: PostingStore<StIndexStore>,
         delta_postings: PostingStore<StIndexStore>,
         delta_directory: Vec<((u32, u32), BlobHandle)>,
@@ -748,7 +892,7 @@ impl StIndex {
     /// serving process degrades instead of aborting.
     pub fn time_list(&self, segment: SegmentId, slot: u32) -> StorageResult<Option<TimeList>> {
         let state = self.current();
-        match state.lookup(segment, self.wrap_slot(slot)) {
+        match state.lookup(segment, self.wrap_slot(slot))? {
             Some(list_ref) => Ok(Some(state.read_time_list(list_ref)?)),
             None => Ok(None),
         }
@@ -785,7 +929,7 @@ impl StIndex {
         slot: u32,
         buf: &mut Vec<u8>,
     ) -> StorageResult<bool> {
-        match pin.0.lookup(segment, self.wrap_slot(slot)) {
+        match pin.0.lookup(segment, self.wrap_slot(slot))? {
             Some(list_ref) => {
                 pin.0.read_into(list_ref, buf)?;
                 Ok(true)
@@ -823,7 +967,7 @@ impl StIndex {
         let single_slot = slots.size_hint().0 == 1;
         let mut out: Vec<u32> = Vec::new();
         for slot in &mut slots {
-            if let Some(list_ref) = state.lookup(segment, self.wrap_slot(slot)) {
+            if let Some(list_ref) = state.lookup(segment, self.wrap_slot(slot))? {
                 if let Some(ids) = state.read_time_list(list_ref)?.ids_on(date) {
                     out.extend_from_slice(ids);
                 }
@@ -838,25 +982,14 @@ impl StIndex {
         Ok(out)
     }
 
-    /// Returns `true` if any trajectory traversed `segment` during `slot` on
-    /// any day (reads the directories only — no posting I/O).
-    pub fn has_entry(&self, segment: SegmentId, slot: u32) -> bool {
-        self.current()
-            .lookup(segment, self.wrap_slot(slot))
-            .is_some()
-    }
-
     /// All slots that have at least one time list (base or delta), in
-    /// ascending order.
+    /// ascending order. Decodes no directory.
     pub fn populated_slots(&self) -> impl Iterator<Item = u32> + '_ {
         let state = self.current();
-        let mut slots: std::collections::BTreeSet<u32> = state
-            .base
-            .temporal
-            .iter()
-            .enumerate()
-            .filter(|(_, dir)| !dir.is_empty())
-            .map(|(slot, _)| slot as u32)
+        let temporal = &state.base.temporal;
+        let mut slots: std::collections::BTreeSet<u32> = (0..temporal.len())
+            .filter(|&slot| temporal.is_populated(slot))
+            .map(|slot| slot as u32)
             .collect();
         if state.delta.len.load(Ordering::Relaxed) > 0 {
             for stripe in &state.delta.stripes {
@@ -864,6 +997,34 @@ impl StIndex {
             }
         }
         slots.into_iter()
+    }
+
+    /// Decodes the base directories of `slots` (wrapped into the day) that
+    /// are not decoded yet, so later reads of them cannot fail on the
+    /// directory. A chunk that cannot be read or decoded is a typed error
+    /// naming `st_index_slots` and the slot. Queries and ingest call this
+    /// before anything else; a compaction publishes a fully decoded base.
+    pub(crate) fn resolve_slots(&self, slots: impl IntoIterator<Item = u32>) -> StorageResult<()> {
+        let state = self.current();
+        for slot in slots {
+            state.base.temporal.get(self.wrap_slot(slot))?;
+        }
+        Ok(())
+    }
+
+    /// Reads and checks everything the sealed base serves from disk: every
+    /// directory chunk and every base and delta page with a recorded CRC
+    /// (read past the buffer pool). Returns the first failure.
+    pub(crate) fn scrub(&self) -> StorageResult<()> {
+        let state = self.current();
+        state.base.temporal.scrub()?;
+        for postings in [&state.base.postings, &state.delta.postings] {
+            let store = postings.store().inner();
+            for page in 0..store.num_pages() {
+                store.read_page(page)?;
+            }
+        }
+        Ok(())
     }
 
     /// Applies a batch of ingested trajectory points to the delta tail.
@@ -932,7 +1093,7 @@ impl StIndex {
             TimeList::new,
             |list: &mut TimeList, &(start, end)| -> StorageResult<(Vec<u8>, bool)> {
                 let (slot, segment) = (obs[start].0, obs[start].1);
-                let is_new = match state.lookup(SegmentId(segment), self.wrap_slot(slot)) {
+                let is_new = match state.lookup(SegmentId(segment), self.wrap_slot(slot))? {
                     Some(list_ref) => {
                         *list = state.read_time_list(list_ref)?;
                         false
@@ -1002,7 +1163,7 @@ impl StIndex {
         // Merged directory: base entries overridden by delta entries, in
         // (slot, segment) order — the clustered layout `build` produces.
         let mut merged: BTreeMap<(u32, u32), ListRef> = BTreeMap::new();
-        for (slot, dir) in state.base.temporal.iter().enumerate() {
+        for (slot, dir) in state.base.temporal.directories()?.into_iter().enumerate() {
             for (segment, handle) in dir.entries() {
                 merged.insert((slot as u32, segment.0), ListRef::Base(handle));
             }
@@ -1051,7 +1212,7 @@ impl StIndex {
         // fresh sealed base and an empty delta tail.
         let new_state = Arc::new(IndexState {
             base: SealedBase {
-                temporal,
+                temporal: TemporalIndex::built(temporal),
                 postings: new_postings,
             },
             delta: Self::empty_delta(io, read_latency, pool_pages, read_retries),
@@ -1085,6 +1246,10 @@ impl crate::query::verifier::PostingSource for StIndex {
 
     fn pin(&self) -> PinnedState {
         StIndex::pin(self)
+    }
+
+    fn resolve(&self, slots: SlotWindow) -> StorageResult<()> {
+        self.resolve_slots(slots)
     }
 
     fn read_pinned(
@@ -1217,7 +1382,14 @@ mod tests {
                 StIndex::build(network.clone(), &dataset, &config)
             });
             let pin = index.pin();
-            assert_eq!(pin.directory(), &directory[..], "workers = {workers}");
+            let built: Vec<SlotDirectory> = pin
+                .directory()
+                .directories()
+                .unwrap()
+                .into_iter()
+                .cloned()
+                .collect();
+            assert_eq!(built, directory, "workers = {workers}");
             assert_eq!(
                 heap_pages(pin.base_postings()),
                 oracle_pages,
@@ -1301,7 +1473,6 @@ mod tests {
         // from 08:00, so no list exists there.
         let seg = network.segment_ids().next().unwrap();
         assert_eq!(index.time_list(seg, 0).unwrap(), None);
-        assert!(!index.has_entry(seg, 0));
         assert!(index.ids_in_window(seg, 0, 300, 0).unwrap().is_empty());
     }
 

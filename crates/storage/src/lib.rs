@@ -24,7 +24,8 @@
 //! * [`postings`] — an append-only blob heap storing the serialized time
 //!   lists (trajectory-ID posting lists) across pages,
 //! * [`snapshot`] — the versioned, checksummed snapshot container format
-//!   used by engine snapshots (named sections + CRC-32 seals),
+//!   used by engine snapshots (named eager and lazy sections, CRC-32 per
+//!   table, payload and chunk),
 //! * [`wal`] — the CRC-framed, generation-stamped write-ahead log behind
 //!   streaming ingest (deterministic torn-tail recovery, scriptable append
 //!   faults).
@@ -48,13 +49,15 @@ pub use iostats::{IoStats, IoStatsSnapshot};
 pub use mmap::{MmapPageStore, StorageBackend};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pagestore::{
-    FilePageStore, InMemoryPageStore, PageStore, SimulatedDiskStore, StorageError, StorageResult,
+    ChecksummedPageStore, FilePageStore, InMemoryPageStore, PageStore, SimulatedDiskStore,
+    StorageError, StorageResult,
 };
 pub use postings::{
     encode_sorted, fixed_width_size, get_varint_u32, posting_sizes, put_varint_u32, visit_posting,
     BlobHandle, BlobRun, IdIter, PostingStore, PostingWriter, TimeList, TimeListEntry,
 };
 pub use snapshot::{
-    Crc32, SnapshotReader, SnapshotWriter, MIN_SNAPSHOT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    crc32, Crc32, LazySection, SnapshotReader, SnapshotWriter, MIN_SNAPSHOT_VERSION,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use wal::{FollowerLog, ShippedBatch, Wal, WalRecovery, WalTail, WAL_MAGIC, WAL_VERSION};

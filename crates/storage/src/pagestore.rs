@@ -547,6 +547,65 @@ impl<S: PageStore> PageStore for SimulatedDiskStore<S> {
     }
 }
 
+/// Checks every page read from the wrapped store against the CRC-32 that
+/// was recorded for it when the page file was written (a snapshot's
+/// `pages_meta`). Pages past the recorded list are passed through
+/// unchecked: that is the appendable tail of a delta heap, whose bytes
+/// change after the record was taken.
+///
+/// Under a [`crate::BufferPool`] the check runs on the miss path only, once
+/// per physical read. A mismatch is [`StorageError::Corrupt`] naming the
+/// page; the pool does not retry it.
+pub struct ChecksummedPageStore<S: PageStore> {
+    inner: S,
+    crcs: Arc<[u32]>,
+}
+
+impl<S: PageStore> ChecksummedPageStore<S> {
+    /// Wraps `inner`, page `i` checked against `crcs[i]`.
+    pub fn new(inner: S, crcs: Arc<[u32]>) -> Self {
+        Self { inner, crcs }
+    }
+}
+
+impl<S: PageStore> PageStore for ChecksummedPageStore<S> {
+    fn allocate(&self) -> StorageResult<PageId> {
+        self.inner.allocate()
+    }
+
+    fn read_page(&self, id: PageId) -> StorageResult<Page> {
+        let page = self.inner.read_page(id)?;
+        match self.crcs.get(id as usize) {
+            Some(&crc) if crate::snapshot::crc32(page.bytes()) != crc => {
+                Err(StorageError::corrupt(format!(
+                    "page {id} fails its checksum (torn write or bit rot)"
+                )))
+            }
+            _ => Ok(page),
+        }
+    }
+
+    fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
+        self.inner.write_page(id, page)
+    }
+
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+
+    fn flush(&self) -> StorageResult<()> {
+        self.inner.flush()
+    }
+
+    fn io_stats(&self) -> Arc<IoStats> {
+        self.inner.io_stats()
+    }
+
+    fn backend_name(&self) -> &'static str {
+        self.inner.backend_name()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,6 +730,27 @@ mod tests {
             Err(StorageError::Corrupt { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checksummed_store_rejects_a_page_that_fails_its_crc() {
+        let inner = InMemoryPageStore::new();
+        for fill in [1u8, 2, 3] {
+            let id = inner.allocate().unwrap();
+            inner.write_page(id, &Page::from_slice(&[fill; 8])).unwrap();
+        }
+        let crc = |fill: u8| crate::snapshot::crc32(Page::from_slice(&[fill; 8]).bytes());
+        // Page 2 has no recorded CRC: it is read unchecked.
+        let store = ChecksummedPageStore::new(inner, vec![crc(1), crc(9)].into());
+        assert!(store.read_page(0).is_ok());
+        assert!(store.read_page(2).is_ok());
+        match store.read_page(1) {
+            Err(StorageError::Corrupt { context }) => {
+                assert!(context.contains("page 1 fails its checksum"), "{context}")
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        assert!(!StorageError::corrupt("x").is_transient());
     }
 
     #[test]

@@ -1,62 +1,60 @@
 //! The on-disk snapshot container format.
 //!
-//! An engine snapshot is a directory with two files: a page file holding the
-//! raw posting pages (read back through [`crate::FilePageStore`]) and a
+//! An engine snapshot is a directory with a page file holding the raw
+//! posting pages (read back through [`crate::FilePageStore`]) and a
 //! *snapshot container* holding everything else — index directories, speed
 //! statistics, configuration — as named, checksummed sections.
 //!
-//! # Layout
+//! # Layout (version 8)
 //!
 //! ```text
 //! [magic "STRSNAP\0" : 8 bytes]
-//! [format version    : u32 LE]
+//! [format version    : u32 LE]   -- 8
 //! [section count     : u32 LE]
-//! per section:
+//! [table length      : u32 LE]   -- bytes of the section table below
+//! section table, per section:
 //!     [name length   : u16 LE]
 //!     [name          : UTF-8 bytes]
+//!     [kind          : u8]       -- 0 eager, 1 lazy
 //!     [payload length: u64 LE]
 //!     [payload CRC-32: u32 LE]
-//!     [payload bytes]
-//! [file CRC-32       : u32 LE]   -- over everything before it
+//! [table CRC-32      : u32 LE]   -- over every byte before it
+//! payloads, back to back in table order: the eager sections, then the
+//! lazy ones; the file ends with the last payload
 //! ```
 //!
-//! Every payload carries its own CRC-32 (IEEE), and the whole file is sealed
-//! by a trailing CRC, so truncation, bit rot and foreign files are all
-//! rejected with [`StorageError::Corrupt`] instead of being deserialized
-//! into garbage. A version bump turns old files into
-//! [`StorageError::UnsupportedVersion`] — never a silent misread.
+//! # What an open reads
 //!
-//! # One checksum pass per byte
+//! [`SnapshotReader::open`] reads the header and the table, checks the
+//! table CRC, checks that the payloads tile the rest of the file exactly,
+//! and reads and CRC-checks every **eager** payload. It reads no byte of a
+//! **lazy** payload: a lazy section is a block of independently checksummed
+//! chunks whose offsets, lengths and CRCs live in an eager section beside
+//! it (the snapshot's `st_index` and `speed_stats` heads). The caller reads
+//! a chunk on first use through a [`LazySection`] — a positional read
+//! checked against the chunk's own CRC — so an open costs time in
+//! proportion to the structure it validates, not to the file. Every byte
+//! of the file is still covered by a checksum: the header and table by the
+//! table CRC, an eager payload by its CRC at open, and a lazy payload by
+//! the chunk CRCs when a chunk is read (the whole-payload CRC in the table
+//! also lets [`LazySection::read_all`] check a lazy section in one pass).
 //!
-//! Both checks stay, but each byte is checksummed once. The reader walks the
-//! sections, computes each payload's CRC and compares it with the section
-//! header; it then folds that same CRC — and the CRC of the few header bytes
-//! before it — into the running seal with `crc32_combine` instead of
-//! re-reading the payload. After the last section the folded value *is*
-//! `crc32(everything before the seal)`, and is compared with the trailer.
-//! [`SnapshotWriter::finish`] builds the seal the same way.
-//!
-//! `crc32_combine` is exact, not an approximation. Without its init value
-//! and final xor, a CRC is the remainder of the message polynomial times
-//! `x^32` modulo the generator `P`, so it is linear over GF(2). Appending `B`
-//! to `A` multiplies `A`'s polynomial by `x^(8·|B|)`, hence
-//! `crc(A‖B) = crc(A)·x^(8·|B|) ⊕ crc(B) (mod P)`. The init value and the
-//! final xor are both all-ones of the register width and cancel in that
-//! identity (the init term of `B` absorbs `A`'s final xor), so the same
-//! formula holds for the standard CRC-32 — zlib's `crc32_combine` relies on
-//! it too. `x^(8n) mod P` is computed by square-and-multiply from a table of
-//! `x^(2^k) mod P`, so a combine costs `O(log n)` 32-bit products, whatever
-//! the payload size.
-//!
-//! An unknown version may lay its sections out differently, so such a file
-//! is judged by the seal alone (one pass over the body): a sealed file
-//! reports [`StorageError::UnsupportedVersion`], a damaged one
-//! [`StorageError::Corrupt`].
+//! Truncation, bit rot and foreign files are rejected with
+//! [`StorageError::Corrupt`] instead of being deserialized into garbage. A
+//! version bump turns old files into [`StorageError::UnsupportedVersion`] —
+//! never a silent misread. Versions 1 to 7 laid their sections out
+//! differently but all ended with a CRC-32 of every byte before it, so such
+//! a file is judged by that seal alone: a sealed file reports
+//! `UnsupportedVersion`, a damaged one `Corrupt`. A newer version is
+//! `UnsupportedVersion` outright.
 
+use std::fmt::Display;
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 
@@ -69,11 +67,20 @@ mod clmul;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"STRSNAP\0";
 
 /// Snapshot format version written by this build — the only one it reads.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Oldest snapshot format version this build reads: older containers fail
 /// with [`StorageError::UnsupportedVersion`]; there is no converter.
 pub const MIN_SNAPSHOT_VERSION: u32 = SNAPSHOT_VERSION;
+
+/// Byte length of the fixed header: magic, version, section count, table
+/// length.
+const HEADER_LEN: usize = 20;
+
+/// How many bytes an open reads in its first read: the header, the table
+/// and the eager payloads of a snapshot all fit in it unless the container
+/// embeds a large road network.
+const OPEN_PREFIX: u64 = 64 << 10;
 
 /// The CRC-32 (IEEE 802.3) generator polynomial, bit-reflected.
 const POLY: u32 = 0xEDB8_8320;
@@ -184,59 +191,60 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc.finalize()
 }
 
-/// `a · b mod P` over GF(2), both operands in the reflected representation
-/// (bit 31 is the coefficient of `x^0`).
-const fn multmodp(a: u32, mut b: u32) -> u32 {
-    let mut product = 0;
-    let mut i = 0;
-    while i < 32 {
-        if a & (1 << (31 - i)) != 0 {
-            product ^= b;
+/// Where a container's bytes come from: the file it was opened from, or a
+/// buffer parsed in memory.
+#[derive(Clone)]
+enum Source {
+    File(Arc<File>),
+    Memory(Arc<[u8]>),
+}
+
+impl Source {
+    fn len(&self) -> StorageResult<u64> {
+        Ok(match self {
+            Source::File(file) => file.metadata()?.len(),
+            Source::Memory(bytes) => bytes.len() as u64,
+        })
+    }
+
+    /// Reads the `len` bytes at `offset`. Bytes past the end are
+    /// [`StorageError::Corrupt`]: the container shrank under its table.
+    fn read_at(&self, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
+        let past_end = || StorageError::corrupt("snapshot container is shorter than its table");
+        match self {
+            Source::File(file) => {
+                let mut buf = vec![0u8; len];
+                file.read_exact_at(&mut buf, offset).map_err(|e| {
+                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                        past_end()
+                    } else {
+                        e.into()
+                    }
+                })?;
+                Ok(buf)
+            }
+            Source::Memory(bytes) => offset
+                .checked_add(len as u64)
+                .filter(|&end| end <= bytes.len() as u64)
+                .map(|end| bytes[offset as usize..end as usize].to_vec())
+                .ok_or_else(past_end),
         }
-        // b ← b · x mod P.
-        b = (b >> 1) ^ (POLY & (b & 1).wrapping_neg());
-        i += 1;
     }
-    product
 }
 
-/// `X2N[k] = x^(2^k) mod P`. The multiplicative order of `x` divides
-/// `2^32 − 1`, so `x^(2^32) = x` and the table repeats with period 32.
-static X2N: [u32; 32] = {
-    let mut table = [0u32; 32];
-    table[0] = 1 << 30; // x^1
-    let mut k = 1;
-    while k < 32 {
-        table[k] = multmodp(table[k - 1], table[k - 1]);
-        k += 1;
-    }
-    table
-};
-
-/// `x^(8·len) mod P`: the factor that shifts a CRC past `len` bytes.
-fn x8nmodp(mut len: u64) -> u32 {
-    let mut p = 1 << 31; // x^0
-    let mut k = 3; // 8·len = len · 2^3
-    while len != 0 {
-        if len & 1 != 0 {
-            p = multmodp(X2N[k & 31], p);
-        }
-        len >>= 1;
-        k += 1;
-    }
-    p
+/// One entry of the section table.
+struct Section {
+    name: String,
+    lazy: bool,
+    /// File offsets of the payload.
+    range: Range<u64>,
+    crc: u32,
 }
 
-/// `crc32(A‖B)` from `crc32(A)`, `crc32(B)` and `|B|`, without touching the
-/// bytes (see the module docs for why this is exact).
-fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-    multmodp(x8nmodp(len_b), crc_a) ^ crc_b
-}
-
-/// Writes a snapshot container: named sections appended in order, sealed by
+/// Writes a snapshot container: named sections, sealed by
 /// [`SnapshotWriter::finish`].
 pub struct SnapshotWriter {
-    sections: Vec<(String, Vec<u8>)>,
+    sections: Vec<(String, bool, Vec<u8>)>,
 }
 
 impl SnapshotWriter {
@@ -247,40 +255,55 @@ impl SnapshotWriter {
         }
     }
 
-    /// Appends a named section. Names must be unique within one container:
-    /// the reader rejects a container with a repeated name as corrupt.
+    /// Appends an eager section: read and checksummed by every open. Names
+    /// must be unique within one container: the reader rejects a container
+    /// with a repeated name as corrupt.
     pub fn add_section(&mut self, name: &str, payload: Vec<u8>) {
+        self.push(name, false, payload);
+    }
+
+    /// Appends a lazy section: an open reads none of it; readers fetch its
+    /// chunks through [`LazySection`] (see the module docs). Lazy sections
+    /// are laid out after every eager one.
+    pub fn add_lazy_section(&mut self, name: &str, payload: Vec<u8>) {
+        self.push(name, true, payload);
+    }
+
+    fn push(&mut self, name: &str, lazy: bool, payload: Vec<u8>) {
         assert!(
-            self.sections.iter().all(|(n, _)| n != name),
+            self.sections.iter().all(|(n, ..)| n != name),
             "duplicate snapshot section {name}"
         );
-        self.sections.push((name.to_string(), payload));
+        self.sections.push((name.to_string(), lazy, payload));
     }
 
     /// Serializes the container to `path` and fsyncs it. Each payload is
-    /// checksummed once; its CRC goes into the section header and is folded
-    /// into the file seal.
-    pub fn finish<P: AsRef<Path>>(self, path: P) -> StorageResult<()> {
+    /// checksummed once, for its table entry.
+    pub fn finish<P: AsRef<Path>>(mut self, path: P) -> StorageResult<()> {
+        // Eager payloads first, so an open reads one contiguous prefix.
+        self.sections.sort_by_key(|(_, lazy, _)| *lazy);
+        let mut table = Vec::new();
+        for (name, lazy, payload) in &self.sections {
+            table.put_u16_le(name.len() as u16);
+            table.put_slice(name.as_bytes());
+            table.put_u8(u8::from(*lazy));
+            table.put_u64_le(payload.len() as u64);
+            table.put_u32_le(crc32(payload));
+        }
+        let mut head = Vec::with_capacity(HEADER_LEN + table.len() + 4);
+        head.put_slice(&SNAPSHOT_MAGIC);
+        head.put_u32_le(SNAPSHOT_VERSION);
+        head.put_u32_le(self.sections.len() as u32);
+        head.put_u32_le(table.len() as u32);
+        head.put_slice(&table);
+        let table_crc = crc32(&head);
+        head.put_u32_le(table_crc);
+
         let mut out = BufWriter::new(File::create(path)?);
-        let mut header: Vec<u8> = Vec::with_capacity(64);
-        header.put_slice(&SNAPSHOT_MAGIC);
-        header.put_u32_le(SNAPSHOT_VERSION);
-        header.put_u32_le(self.sections.len() as u32);
-        let mut seal = crc32(&header);
-        out.write_all(&header)?;
-        for (name, payload) in &self.sections {
-            let payload_crc = crc32(payload);
-            header.clear();
-            header.put_u16_le(name.len() as u16);
-            header.put_slice(name.as_bytes());
-            header.put_u64_le(payload.len() as u64);
-            header.put_u32_le(payload_crc);
-            seal = crc32_combine(seal, crc32(&header), header.len() as u64);
-            seal = crc32_combine(seal, payload_crc, payload.len() as u64);
-            out.write_all(&header)?;
+        out.write_all(&head)?;
+        for (_, _, payload) in &self.sections {
             out.write_all(payload)?;
         }
-        out.write_all(&seal.to_le_bytes())?;
         let file = out.into_inner().map_err(|e| e.into_error())?;
         file.sync_all()?;
         Ok(())
@@ -293,20 +316,23 @@ impl Default for SnapshotWriter {
     }
 }
 
-/// Reads and validates a snapshot container into memory. The reader keeps
-/// the one buffer it validated; sections are borrowed slices of it.
+/// A validated snapshot container: its section table, the eager payloads
+/// (checked at open and held in memory) and a handle for reading the lazy
+/// ones.
 pub struct SnapshotReader {
-    bytes: Vec<u8>,
-    sections: Vec<(String, Range<usize>)>,
+    source: Source,
+    /// The container from its first byte through the last eager payload.
+    eager: Vec<u8>,
+    sections: Vec<Section>,
 }
 
 impl SnapshotReader {
-    /// Opens, checksums and parses the container at `path`.
+    /// Opens the container at `path`: reads and checks its table and its
+    /// eager payloads, and keeps the file open for lazy reads.
     pub fn open<P: AsRef<Path>>(path: P) -> StorageResult<Self> {
         let path = path.as_ref();
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        Self::parse(bytes).map_err(|e| match e {
+        let file = File::open(path)?;
+        Self::read(Source::File(Arc::new(file))).map_err(|e| match e {
             StorageError::Corrupt { context } => StorageError::Corrupt {
                 context: format!("{}: {context}", path.display()),
             },
@@ -314,102 +340,277 @@ impl SnapshotReader {
         })
     }
 
-    /// Parses a container held in memory, checking the file seal and every
-    /// section's CRC in one pass over the bytes.
+    /// Parses a container held in memory, with the same checks as
+    /// [`SnapshotReader::open`].
     pub fn parse(bytes: Vec<u8>) -> StorageResult<Self> {
-        let header_len = SNAPSHOT_MAGIC.len() + 4 + 4;
-        if bytes.len() < header_len + 4 {
+        Self::read(Source::Memory(bytes.into()))
+    }
+
+    fn read(source: Source) -> StorageResult<Self> {
+        let len = source.len()?;
+        if len < (HEADER_LEN + 4) as u64 {
             return Err(StorageError::corrupt("snapshot shorter than its header"));
         }
-        let (body, seal) = bytes.split_at(bytes.len() - 4);
-        let expected_seal = u32::from_le_bytes(seal.try_into().expect("4 bytes"));
-        let seal_mismatch =
-            || StorageError::corrupt("file checksum mismatch (truncated or corrupted snapshot)");
-
-        let mut cursor: &[u8] = body;
+        let mut prefix = source.read_at(0, len.min(OPEN_PREFIX) as usize)?;
+        let mut header = &prefix[..HEADER_LEN];
         let mut magic = [0u8; 8];
-        cursor.copy_to_slice(&mut magic);
+        header.copy_to_slice(&mut magic);
         if magic != SNAPSHOT_MAGIC {
             return Err(StorageError::corrupt("bad snapshot magic"));
         }
-        let version = cursor.get_u32_le();
+        let version = header.get_u32_le();
         if version != SNAPSHOT_VERSION {
-            if crc32(body) != expected_seal {
-                return Err(seal_mismatch());
-            }
-            return Err(StorageError::UnsupportedVersion {
-                found: version,
-                expected: SNAPSHOT_VERSION,
-            });
+            return Err(judge_other_version(&source, len, version));
         }
-        let count = cursor.get_u32_le() as usize;
-        let mut seal = crc32(&body[..header_len]);
-        let offset = |cursor: &[u8]| body.len() - cursor.remaining();
-        // The count is attacker-controlled until each section proves itself;
-        // never pre-allocate more than the remaining bytes could hold (a
-        // section is at least 14 bytes: name length + payload length + CRC).
-        let mut sections: Vec<(String, Range<usize>)> =
-            Vec::with_capacity(count.min(cursor.remaining() / 14));
+        let count = header.get_u32_le() as usize;
+        let table_end = HEADER_LEN as u64 + header.get_u32_le() as u64 + 4;
+        if table_end > len {
+            return Err(StorageError::corrupt("section table runs past the end"));
+        }
+        extend_to(&source, &mut prefix, table_end)?;
+        let (body, crc) = prefix[..table_end as usize].split_at(table_end as usize - 4);
+        if crc32(body) != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
+            return Err(StorageError::corrupt("section table checksum mismatch"));
+        }
+
+        let mut table = &body[HEADER_LEN..];
+        // The count is only as trustworthy as the table CRC: never reserve
+        // more entries than the table could hold (at least 15 bytes each).
+        let mut sections: Vec<Section> = Vec::with_capacity(count.min(table.len() / 15));
+        let mut offset = table_end;
         for i in 0..count {
-            let header_start = offset(cursor);
-            if cursor.remaining() < 2 {
+            if table.remaining() < 2 {
                 return Err(StorageError::corrupt(format!("section {i}: missing name")));
             }
-            let name_len = cursor.get_u16_le() as usize;
-            if cursor.remaining() < name_len + 12 {
+            let name_len = table.get_u16_le() as usize;
+            if table.remaining() < name_len + 13 {
                 return Err(StorageError::corrupt(format!("section {i}: truncated")));
             }
-            let name = std::str::from_utf8(&cursor[..name_len])
-                .map_err(|_| StorageError::corrupt(format!("section {i}: non-UTF-8 name")))?;
-            cursor.advance(name_len);
-            let payload_len = cursor.get_u64_le();
-            let payload_crc = cursor.get_u32_le();
-            if (cursor.remaining() as u64) < payload_len {
+            let name = std::str::from_utf8(&table[..name_len])
+                .map_err(|_| StorageError::corrupt(format!("section {i}: non-UTF-8 name")))?
+                .to_string();
+            table.advance(name_len);
+            let lazy = match table.get_u8() {
+                0 => false,
+                1 => true,
+                kind => {
+                    return Err(StorageError::corrupt(format!(
+                        "section {name}: unknown kind {kind}"
+                    )))
+                }
+            };
+            let payload_len = table.get_u64_le();
+            let crc = table.get_u32_le();
+            if !lazy && sections.last().is_some_and(|s| s.lazy) {
                 return Err(StorageError::corrupt(format!(
-                    "section {name}: payload truncated"
+                    "section {name}: eager section after a lazy one"
                 )));
             }
-            let payload_start = offset(cursor);
-            let payload = payload_start..payload_start + payload_len as usize;
-            let crc = crc32(&body[payload.clone()]);
-            if crc != payload_crc {
-                return Err(StorageError::corrupt(format!(
-                    "section {name}: checksum mismatch"
-                )));
-            }
-            if sections.iter().any(|(n, _)| n == name) {
+            if sections.iter().any(|s| s.name == name) {
                 return Err(StorageError::corrupt(format!(
                     "section {name}: duplicate section name"
                 )));
             }
-            let header = &body[header_start..payload_start];
-            seal = crc32_combine(seal, crc32(header), header.len() as u64);
-            seal = crc32_combine(seal, crc, payload_len);
-            cursor.advance(payload.len());
-            sections.push((name.to_string(), payload));
+            let end = offset
+                .checked_add(payload_len)
+                .filter(|&end| end <= len)
+                .ok_or_else(|| {
+                    StorageError::corrupt(format!("section {name}: payload truncated"))
+                })?;
+            sections.push(Section {
+                name,
+                lazy,
+                range: offset..end,
+                crc,
+            });
+            offset = end;
         }
-        if cursor.remaining() != 0 {
+        if table.remaining() != 0 {
+            return Err(StorageError::corrupt("trailing bytes in the section table"));
+        }
+        if offset != len {
             return Err(StorageError::corrupt("trailing bytes after last section"));
         }
-        if seal != expected_seal {
-            return Err(seal_mismatch());
+
+        let eager_end = sections
+            .iter()
+            .filter(|s| !s.lazy)
+            .map(|s| s.range.end)
+            .max()
+            .unwrap_or(table_end);
+        extend_to(&source, &mut prefix, eager_end)?;
+        prefix.truncate(eager_end as usize);
+        for section in sections.iter().filter(|s| !s.lazy) {
+            let range = section.range.start as usize..section.range.end as usize;
+            if crc32(&prefix[range]) != section.crc {
+                return Err(StorageError::corrupt(format!(
+                    "section {}: checksum mismatch",
+                    section.name
+                )));
+            }
         }
-        Ok(Self { bytes, sections })
+        Ok(Self {
+            source,
+            eager: prefix,
+            sections,
+        })
     }
 
     /// Names of the sections in file order.
     pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
+        self.sections.iter().map(|s| s.name.as_str())
     }
 
-    /// The payload of a named section, or a [`StorageError::Corrupt`]
-    /// explaining which section is missing.
-    pub fn section(&self, name: &str) -> StorageResult<&[u8]> {
+    /// Whether the container has a section called `name`.
+    pub fn has_section(&self, name: &str) -> bool {
+        self.sections.iter().any(|s| s.name == name)
+    }
+
+    /// Whether `name` is a lazy section (`false` when there is none).
+    pub fn is_lazy(&self, name: &str) -> bool {
+        self.find(name).is_ok_and(|s| s.lazy)
+    }
+
+    fn find(&self, name: &str) -> StorageResult<&Section> {
         self.sections
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, range)| &self.bytes[range.clone()])
+            .find(|s| s.name == name)
             .ok_or_else(|| StorageError::corrupt(format!("missing snapshot section {name}")))
+    }
+
+    /// The file offsets of a named section's payload.
+    pub fn section_range(&self, name: &str) -> StorageResult<Range<u64>> {
+        self.find(name).map(|s| s.range.clone())
+    }
+
+    /// The payload of a named eager section, or a [`StorageError::Corrupt`]
+    /// explaining which section is missing (or that it is lazy).
+    pub fn section(&self, name: &str) -> StorageResult<&[u8]> {
+        let section = self.find(name)?;
+        if section.lazy {
+            return Err(StorageError::corrupt(format!(
+                "snapshot section {name} is lazy"
+            )));
+        }
+        Ok(&self.eager[section.range.start as usize..section.range.end as usize])
+    }
+
+    /// A handle for reading the lazy section `name`.
+    pub fn lazy_section(&self, name: &str) -> StorageResult<LazySection> {
+        let section = self.find(name)?;
+        if !section.lazy {
+            return Err(StorageError::corrupt(format!(
+                "snapshot section {name} is not lazy"
+            )));
+        }
+        Ok(LazySection {
+            source: self.source.clone(),
+            name: section.name.as_str().into(),
+            range: section.range.clone(),
+            crc: section.crc,
+        })
+    }
+
+    /// The whole payload of any section, checked against its CRC.
+    pub fn read_section(&self, name: &str) -> StorageResult<Vec<u8>> {
+        if self.is_lazy(name) {
+            self.lazy_section(name)?.read_all()
+        } else {
+            self.section(name).map(<[u8]>::to_vec)
+        }
+    }
+}
+
+/// Grows `buf`, which holds the source's bytes from offset 0, to `end`.
+fn extend_to(source: &Source, buf: &mut Vec<u8>, end: u64) -> StorageResult<()> {
+    let have = buf.len() as u64;
+    if have < end {
+        buf.extend_from_slice(&source.read_at(have, (end - have) as usize)?);
+    }
+    Ok(())
+}
+
+/// The error for a container of another version: an older one is judged by
+/// the whole-file seal versions 1 to 7 ended with, a newer one cannot be.
+fn judge_other_version(source: &Source, len: u64, version: u32) -> StorageError {
+    let unsupported = StorageError::UnsupportedVersion {
+        found: version,
+        expected: SNAPSHOT_VERSION,
+    };
+    if version > SNAPSHOT_VERSION {
+        return unsupported;
+    }
+    let bytes = match source.read_at(0, len as usize) {
+        Ok(bytes) => bytes,
+        Err(e) => return e,
+    };
+    let (body, seal) = bytes.split_at(bytes.len() - 4);
+    if crc32(body) != u32::from_le_bytes(seal.try_into().expect("4 bytes")) {
+        return StorageError::corrupt("file checksum mismatch (truncated or corrupted snapshot)");
+    }
+    unsupported
+}
+
+/// A lazy section of an open container: its chunks are read on demand, each
+/// checked against the CRC its owner recorded for it. Cheap to clone; the
+/// clones share the open file.
+#[derive(Clone)]
+pub struct LazySection {
+    source: Source,
+    name: Arc<str>,
+    /// File offsets of the payload.
+    range: Range<u64>,
+    crc: u32,
+}
+
+impl LazySection {
+    /// The section's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Payload length in bytes.
+    pub fn len(&self) -> u64 {
+        self.range.end - self.range.start
+    }
+
+    /// `true` for an empty payload.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Reads the payload bytes `chunk` (offsets within the payload) and
+    /// checks them against `crc`. A chunk past the payload or a CRC
+    /// mismatch is [`StorageError::Corrupt`] naming the section and `what`
+    /// (the chunk's owner, such as `slot 17`).
+    pub fn read_chunk(
+        &self,
+        chunk: Range<u64>,
+        crc: u32,
+        what: impl Display,
+    ) -> StorageResult<Vec<u8>> {
+        if chunk.start > chunk.end || chunk.end > self.len() {
+            return Err(StorageError::corrupt(format!(
+                "{} {what}: chunk runs past its section",
+                self.name
+            )));
+        }
+        let bytes = self.source.read_at(
+            self.range.start + chunk.start,
+            (chunk.end - chunk.start) as usize,
+        )?;
+        if crc32(&bytes) != crc {
+            return Err(StorageError::corrupt(format!(
+                "{} {what}: chunk checksum mismatch",
+                self.name
+            )));
+        }
+        Ok(bytes)
+    }
+
+    /// The whole payload, checked against the CRC in the section table.
+    pub fn read_all(&self) -> StorageResult<Vec<u8>> {
+        self.read_chunk(0..self.len(), self.crc, "payload")
     }
 }
 
@@ -436,112 +637,269 @@ mod tests {
         dir.join(name)
     }
 
+    /// Writes `sections` (name, lazy, payload) to a fresh container file
+    /// and returns its bytes.
+    fn written(name: &str, sections: &[(&str, bool, Vec<u8>)]) -> Vec<u8> {
+        let path = tmp(name);
+        let mut w = SnapshotWriter::new();
+        for (name, lazy, payload) in sections {
+            if *lazy {
+                w.add_lazy_section(name, payload.clone());
+            } else {
+                w.add_section(name, payload.clone());
+            }
+        }
+        w.finish(&path).unwrap();
+        std::fs::read(&path).unwrap()
+    }
+
+    fn is_corrupt<T>(result: StorageResult<T>) -> bool {
+        matches!(result, Err(StorageError::Corrupt { .. }))
+    }
+
     #[test]
     fn writer_reader_roundtrip() {
         let path = tmp("roundtrip.snap");
         let mut w = SnapshotWriter::new();
+        w.add_lazy_section("chunks", (0..=255u8).collect());
         w.add_section("alpha", b"hello".to_vec());
         w.add_section("beta", vec![7u8; 10_000]);
         w.add_section("empty", Vec::new());
         w.finish(&path).unwrap();
 
-        let r = SnapshotReader::open(&path).unwrap();
-        assert_eq!(
-            r.section_names().collect::<Vec<_>>(),
-            vec!["alpha", "beta", "empty"]
-        );
-        assert_eq!(r.section("alpha").unwrap(), b"hello");
-        assert_eq!(r.section("beta").unwrap(), &[7u8; 10_000][..]);
-        assert_eq!(r.section("empty").unwrap(), b"");
-        assert!(matches!(
-            r.section("gamma"),
-            Err(StorageError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn truncated_file_is_rejected() {
-        let path = tmp("truncated.snap");
-        let mut w = SnapshotWriter::new();
-        w.add_section("data", vec![42u8; 5000]);
-        w.finish(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        for cut in [bytes.len() - 1, bytes.len() / 2, 10, 0] {
-            assert!(
-                matches!(
-                    SnapshotReader::parse(bytes[..cut].to_vec()),
-                    Err(StorageError::Corrupt { .. })
-                ),
-                "truncation at {cut} must be rejected"
+        for r in [
+            SnapshotReader::open(&path).unwrap(),
+            SnapshotReader::parse(std::fs::read(&path).unwrap()).unwrap(),
+        ] {
+            // Eager sections come first, in the order they were added.
+            assert_eq!(
+                r.section_names().collect::<Vec<_>>(),
+                vec!["alpha", "beta", "empty", "chunks"]
             );
+            assert_eq!(r.section("alpha").unwrap(), b"hello");
+            assert_eq!(r.section("beta").unwrap(), &[7u8; 10_000][..]);
+            assert_eq!(r.section("empty").unwrap(), b"");
+            assert!(is_corrupt(r.section("gamma")));
+            assert!(r.has_section("chunks") && r.is_lazy("chunks") && !r.is_lazy("alpha"));
+            assert!(
+                is_corrupt(r.section("chunks")),
+                "a lazy section is not eager"
+            );
+            assert!(is_corrupt(r.lazy_section("alpha")));
+            let lazy = r.lazy_section("chunks").unwrap();
+            assert_eq!((lazy.name(), lazy.len()), ("chunks", 256));
+            assert_eq!(lazy.read_all().unwrap(), (0..=255u8).collect::<Vec<_>>());
+            assert_eq!(r.read_section("chunks").unwrap(), lazy.read_all().unwrap());
+            assert_eq!(r.read_section("beta").unwrap(), vec![7u8; 10_000]);
+            let chunk = lazy.read_chunk(10..20, crc32(&(10..20u8).collect::<Vec<_>>()), "x");
+            assert_eq!(chunk.unwrap(), (10..20u8).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn corrupted_header_and_payload_are_rejected() {
-        let path = tmp("corrupt.snap");
-        let mut w = SnapshotWriter::new();
-        w.add_section("data", b"payload-bytes".to_vec());
-        w.finish(&path).unwrap();
-        let clean = std::fs::read(&path).unwrap();
-
-        // Flip a magic byte.
-        let mut bad = clean.clone();
-        bad[0] ^= 0xFF;
-        assert!(matches!(
-            SnapshotReader::parse(bad),
-            Err(StorageError::Corrupt { .. })
-        ));
-
-        // Flip a payload byte (both the section CRC and the seal catch it).
-        let mut bad = clean.clone();
-        let n = bad.len();
-        bad[n - 10] ^= 0x01;
-        assert!(matches!(
-            SnapshotReader::parse(bad),
-            Err(StorageError::Corrupt { .. })
-        ));
-
-        // Every byte, header fields included: a flipped section name still
-        // parses structurally, so only the seal folded over the header
-        // bytes rejects it.
-        for offset in 0..clean.len() {
-            for mask in [0x01u8, 0x20, 0x80] {
-                let mut bad = clean.clone();
-                bad[offset] ^= mask;
-                assert!(
-                    matches!(
-                        SnapshotReader::parse(bad),
-                        Err(StorageError::Corrupt { .. })
-                    ),
-                    "flip {mask:#04x} at offset {offset} was not rejected"
-                );
+    fn lazy_chunks_are_checked_on_read() {
+        let bytes = written("lazy.snap", &[("rows", true, vec![0x5A; 100])]);
+        let r = SnapshotReader::parse(bytes).unwrap();
+        let rows = r.lazy_section("rows").unwrap();
+        let good = crc32(&[0x5A; 40]);
+        assert!(rows.read_chunk(60..100, good, "slot 3").is_ok());
+        for (chunk, crc, expected) in [
+            (60..100, good ^ 1, "rows slot 3: chunk checksum mismatch"),
+            (61..101, good, "rows slot 3: chunk runs past its section"),
+        ] {
+            match rows.read_chunk(chunk, crc, "slot 3") {
+                Err(StorageError::Corrupt { context }) => assert_eq!(context, expected),
+                other => panic!("expected Corrupt, got {:?}", other.map(|b| b.len())),
             }
         }
     }
 
     #[test]
-    fn future_version_is_rejected_as_unsupported() {
-        let path = tmp("version.snap");
-        let mut w = SnapshotWriter::new();
-        w.add_section("data", b"x".to_vec());
-        w.finish(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Bump the version field and re-seal the file checksum.
-        bytes[8] = 99;
+    fn truncated_file_is_rejected() {
+        let bytes = written(
+            "truncated.snap",
+            &[
+                ("data", false, vec![42u8; 5000]),
+                ("rows", true, vec![1; 300]),
+            ],
+        );
+        for cut in [bytes.len() - 1, bytes.len() - 300, bytes.len() / 2, 10, 0] {
+            assert!(
+                is_corrupt(SnapshotReader::parse(bytes[..cut].to_vec())),
+                "truncation at {cut} must be rejected"
+            );
+        }
+        let mut padded = bytes;
+        padded.push(0);
+        assert!(is_corrupt(SnapshotReader::parse(padded)));
+    }
+
+    #[test]
+    fn corrupted_header_and_payload_are_rejected() {
+        let clean = written(
+            "corrupt.snap",
+            &[("data", false, b"payload-bytes".to_vec())],
+        );
+        // Every byte, header fields included: a flipped section name still
+        // parses structurally, so only the table CRC rejects it.
+        for offset in 0..clean.len() {
+            for mask in [0x01u8, 0x20, 0x80] {
+                let mut bad = clean.clone();
+                bad[offset] ^= mask;
+                match SnapshotReader::parse(bad) {
+                    Err(StorageError::Corrupt { .. }) => {}
+                    // The version field: a newer version is not damage.
+                    Err(StorageError::UnsupportedVersion { .. }) if (8..12).contains(&offset) => {}
+                    Err(e) => panic!("flip {mask:#04x} at offset {offset}: {e}"),
+                    Ok(_) => panic!("flip {mask:#04x} at offset {offset} was not rejected"),
+                }
+            }
+        }
+        // A lazy payload is not read at open: a flip in it is caught by
+        // the reads that check it.
+        let clean = written("corrupt-lazy.snap", &[("rows", true, vec![9u8; 64])]);
+        let mut bad = clean.clone();
+        let n = bad.len();
+        bad[n - 5] ^= 0x04;
+        let r = SnapshotReader::parse(bad).unwrap();
+        let rows = r.lazy_section("rows").unwrap();
+        assert!(is_corrupt(rows.read_all()));
+        assert!(is_corrupt(rows.read_chunk(
+            32..64,
+            crc32(&[9u8; 32]),
+            "slot 1"
+        )));
+        assert!(rows.read_chunk(0..32, crc32(&[9u8; 32]), "slot 0").is_ok());
+    }
+
+    /// `bytes` with its version field set to `version` and, like the
+    /// containers of versions 1 to 7, sealed by a trailing CRC.
+    fn resealed_as(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let n = bytes.len();
         let seal = crc32(&bytes[..n - 4]);
         bytes[n - 4..].copy_from_slice(&seal.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn future_version_is_rejected_as_unsupported() {
+        let bytes = written("version.snap", &[("data", false, b"x".to_vec())]);
+        let mut future = bytes.clone();
+        future[8] = 99;
         assert!(matches!(
-            SnapshotReader::parse(bytes.clone()),
+            SnapshotReader::parse(future),
             Err(StorageError::UnsupportedVersion { found: 99, .. })
         ));
-        // An unknown version with a broken seal is damage, not a new format.
-        bytes[n - 6] ^= 0x01;
+        // A newer layout is unknown, so its seal cannot be judged.
+        let mut damaged = resealed_as(bytes, 99);
+        let n = damaged.len();
+        damaged[n - 2] ^= 0x01;
         assert!(matches!(
-            SnapshotReader::parse(bytes),
-            Err(StorageError::Corrupt { .. })
+            SnapshotReader::parse(damaged),
+            Err(StorageError::UnsupportedVersion { found: 99, .. })
         ));
+    }
+
+    #[test]
+    fn previous_version_is_rejected() {
+        let bytes = written("previous.snap", &[("data", false, b"payload".to_vec())]);
+        let v7 = resealed_as(bytes, 7);
+        assert!(matches!(
+            SnapshotReader::parse(v7.clone()),
+            Err(StorageError::UnsupportedVersion {
+                found: 7,
+                expected: 8
+            })
+        ));
+        // An old version with a broken seal is damage, not an old format.
+        let mut damaged = v7;
+        let n = damaged.len();
+        damaged[n - 6] ^= 0x01;
+        assert!(is_corrupt(SnapshotReader::parse(damaged)));
+    }
+
+    /// The container assembled by hand, the table sealed with the bitwise
+    /// oracle: `sections` in the order given (eager first).
+    fn by_hand(sections: &[(&str, u8, Vec<u8>)]) -> Vec<u8> {
+        let mut table = Vec::new();
+        for (name, kind, payload) in sections {
+            table.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            table.extend_from_slice(name.as_bytes());
+            table.push(*kind);
+            table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            table.extend_from_slice(&bitwise_crc32(payload).to_le_bytes());
+        }
+        let mut out = Vec::new();
+        out.extend_from_slice(&SNAPSHOT_MAGIC);
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(table.len() as u32).to_le_bytes());
+        out.extend_from_slice(&table);
+        let crc = bitwise_crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        for (_, _, payload) in sections {
+            out.extend_from_slice(payload);
+        }
+        out
+    }
+
+    #[test]
+    fn writer_output_is_byte_identical_to_the_documented_layout() {
+        let bulk = random_bytes(3, 70_001);
+        let written = written(
+            "layout.snap",
+            &[
+                (
+                    "config",
+                    false,
+                    b"0123456789abcdef0123456789abcdef".to_vec(),
+                ),
+                ("rows", true, bulk.clone()),
+                ("empty", false, Vec::new()),
+                ("tail", false, vec![0xFF; 17]),
+            ],
+        );
+        let expected = by_hand(&[
+            ("config", 0, b"0123456789abcdef0123456789abcdef".to_vec()),
+            ("empty", 0, Vec::new()),
+            ("tail", 0, vec![0xFF; 17]),
+            ("rows", 1, bulk.clone()),
+        ]);
+        assert_eq!(written, expected);
+        let r = SnapshotReader::parse(expected).unwrap();
+        assert_eq!(r.section("tail").unwrap(), &[0xFF; 17]);
+        assert_eq!(r.read_section("rows").unwrap(), bulk);
+    }
+
+    #[test]
+    fn malformed_tables_are_rejected() {
+        let cases = [
+            (
+                "duplicate",
+                by_hand(&[
+                    ("config", 0, b"first".to_vec()),
+                    ("config", 0, b"second".to_vec()),
+                ]),
+            ),
+            (
+                "eager section after a lazy one",
+                by_hand(&[
+                    ("rows", 1, b"lazy".to_vec()),
+                    ("config", 0, b"eager".to_vec()),
+                ]),
+            ),
+            ("unknown kind", by_hand(&[("config", 2, b"x".to_vec())])),
+        ];
+        for (expected, bytes) in cases {
+            match SnapshotReader::parse(bytes) {
+                Err(StorageError::Corrupt { context }) => {
+                    assert!(context.contains(expected), "{context}")
+                }
+                Err(e) => panic!("{expected}: expected Corrupt, got {e}"),
+                Ok(_) => panic!("{expected}: a malformed table parsed"),
+            }
+        }
     }
 
     /// The textbook bit-at-a-time CRC-32: the oracle the table-driven
@@ -641,110 +999,5 @@ mod tests {
             assert_eq!(streamed.finalize(), expected, "seed {seed}");
             assert_eq!(!table, expected, "seed {seed}, table path");
         }
-    }
-
-    #[test]
-    fn crc32_combine_equals_crc_of_concatenation() {
-        let data = random_bytes(0xAB, 5000);
-        for (split, end) in [
-            (0, 0),
-            (0, 1),
-            (0, 5000),
-            (1, 1),
-            (5000, 5000),
-            (7, 8),
-            (16, 4096),
-            (1234, 5000),
-        ] {
-            let (a, b) = (&data[..split], &data[split..end]);
-            assert_eq!(
-                crc32_combine(crc32(a), crc32(b), b.len() as u64),
-                crc32(&data[..end]),
-                "|A| = {}, |B| = {}",
-                a.len(),
-                b.len()
-            );
-        }
-    }
-
-    #[test]
-    fn writer_output_is_byte_identical_to_the_documented_layout() {
-        let sections: Vec<(&str, Vec<u8>)> = vec![
-            ("config", b"0123456789abcdef0123456789abcdef".to_vec()),
-            ("empty", Vec::new()),
-            ("bulk", random_bytes(3, 70_001)),
-            ("tail", vec![0xFF; 17]),
-        ];
-        // The container assembled by hand, sealed with the bitwise oracle.
-        let mut expected = Vec::new();
-        expected.extend_from_slice(&SNAPSHOT_MAGIC);
-        expected.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        expected.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        for (name, payload) in &sections {
-            expected.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            expected.extend_from_slice(name.as_bytes());
-            expected.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            expected.extend_from_slice(&bitwise_crc32(payload).to_le_bytes());
-            expected.extend_from_slice(payload);
-        }
-        let seal = bitwise_crc32(&expected);
-        expected.extend_from_slice(&seal.to_le_bytes());
-
-        let path = tmp("layout.snap");
-        let mut w = SnapshotWriter::new();
-        for (name, payload) in &sections {
-            w.add_section(name, payload.clone());
-        }
-        w.finish(&path).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), expected);
-        let r = SnapshotReader::parse(expected).unwrap();
-        for (name, payload) in &sections {
-            assert_eq!(r.section(name).unwrap(), payload.as_slice());
-        }
-    }
-
-    #[test]
-    fn duplicate_section_names_are_rejected() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        for payload in [&b"first"[..], &b"second"[..]] {
-            bytes.extend_from_slice(&6u16.to_le_bytes());
-            bytes.extend_from_slice(b"config");
-            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(&bitwise_crc32(payload).to_le_bytes());
-            bytes.extend_from_slice(payload);
-        }
-        let seal = bitwise_crc32(&bytes);
-        bytes.extend_from_slice(&seal.to_le_bytes());
-        match SnapshotReader::parse(bytes) {
-            Err(StorageError::Corrupt { context }) => {
-                assert!(context.contains("duplicate"), "{context}")
-            }
-            Err(e) => panic!("expected Corrupt, got {e}"),
-            Ok(_) => panic!("a container with two config sections must not parse"),
-        }
-    }
-
-    #[test]
-    fn previous_version_is_rejected() {
-        let path = tmp("previous.snap");
-        let mut w = SnapshotWriter::new();
-        w.add_section("data", b"payload".to_vec());
-        w.finish(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Step the version field back to 6 and re-seal the file checksum.
-        bytes[8] = 6;
-        let n = bytes.len();
-        let seal = crc32(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&seal.to_le_bytes());
-        assert!(matches!(
-            SnapshotReader::parse(bytes),
-            Err(StorageError::UnsupportedVersion {
-                found: 6,
-                expected: 7
-            })
-        ));
     }
 }

@@ -514,40 +514,29 @@ fn corrupted_incremental_snapshot_is_rejected() {
     ));
     std::fs::write(&delta_path, &clean_deltas).unwrap();
 
-    // A flipped byte inside each delta section's payload (walking the
-    // documented container layout) is caught by the per-section CRC.
+    // A flipped byte inside each delta section's payload is caught by the
+    // section's CRC, which every open checks.
     let container = dir.join(streach::core::snapshot::CONTAINER_FILE);
     let clean = std::fs::read(&container).unwrap();
-    let section_count = u32::from_le_bytes(clean[12..16].try_into().unwrap()) as usize;
-    let mut cursor = 16usize;
+    let reader = streach::storage::SnapshotReader::parse(clean.clone()).unwrap();
     let mut delta_sections = 0;
-    for _ in 0..section_count {
-        let name_len = u16::from_le_bytes(clean[cursor..cursor + 2].try_into().unwrap()) as usize;
-        let name = String::from_utf8(clean[cursor + 2..cursor + 2 + name_len].to_vec()).unwrap();
-        let payload_len = u64::from_le_bytes(
-            clean[cursor + 2 + name_len..cursor + 10 + name_len]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let payload_start = cursor + 14 + name_len;
-        if matches!(
-            name.as_str(),
-            "delta_pages_meta" | "delta_dir" | "ingest_meta"
-        ) && payload_len > 0
-        {
-            delta_sections += 1;
-            let mut bad = clean.clone();
-            bad[payload_start + payload_len / 2] ^= 0x10;
-            std::fs::write(&container, &bad).unwrap();
-            assert!(
-                matches!(
-                    ReachabilityEngine::open_snapshot(&dir, s.network.clone()),
-                    Err(StorageError::Corrupt { .. })
-                ),
-                "flipped byte in section {name} must be rejected"
-            );
+    for name in ["delta_pages_meta", "delta_dir", "ingest_meta"] {
+        let payload = reader.section_range(name).unwrap();
+        assert!(!reader.is_lazy(name), "{name} is read at open");
+        if payload.is_empty() {
+            continue;
         }
-        cursor = payload_start + payload_len;
+        delta_sections += 1;
+        let mut bad = clean.clone();
+        bad[((payload.start + payload.end) / 2) as usize] ^= 0x10;
+        std::fs::write(&container, &bad).unwrap();
+        assert!(
+            matches!(
+                ReachabilityEngine::open_snapshot(&dir, s.network.clone()),
+                Err(StorageError::Corrupt { .. })
+            ),
+            "flipped byte in section {name} must be rejected"
+        );
     }
     assert!(
         delta_sections >= 2,
