@@ -1,7 +1,7 @@
 //! Benchmarks for the offline index-construction stages: the ST-Index build
-//! (per-slot counting-sort grouping), the per-slot Con-Index connection tables
-//! and the two spatial index loading strategies (ablation: R-tree STR bulk
-//! load vs incremental insert).
+//! (per-slot counting-sort grouping), one slot's Con-Index connection table
+//! as the reference oracle builds it, and the two spatial index loading
+//! strategies (ablation: R-tree STR bulk load vs incremental insert).
 //!
 //! Run with `cargo bench -p streach-bench --bench index_construction`.
 
@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use streach_bench::timing::measure;
 use streach_bench::ScenarioSize;
+use streach_core::query::reference::SlotTable;
 use streach_core::{ConIndex, IndexConfig, SpeedStats, StIndex};
 use streach_roadnet::SyntheticCity;
 use streach_spatial::RTree;
@@ -33,12 +34,8 @@ fn main() {
     report("index_build", "speed_stats", m.median_ms());
 
     let stats = Arc::new(SpeedStats::from_dataset(&network, &dataset, 300));
-    let m = measure(1, 9, || {
-        // A fresh index each iteration so the slot is really rebuilt.
-        let con = ConIndex::new(network.clone(), stats.clone(), &IndexConfig::default());
-        con.build_slots(&[132]);
-        con
-    });
+    let con = ConIndex::new(network.clone(), stats, &IndexConfig::default());
+    let m = measure(1, 9, || SlotTable::build(&con, 132));
     report("index_build", "con_index_one_slot", m.median_ms());
 
     let items: Vec<_> = network.segments().iter().map(|s| (s.mbr, s.id)).collect();

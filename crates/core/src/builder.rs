@@ -130,7 +130,6 @@ mod tests {
             .index_config(IndexConfig {
                 slot_s: 600,
                 pool_pages: 16,
-                read_latency_us: 0,
                 ..Default::default()
             })
             .build();

@@ -11,16 +11,9 @@ pub struct IndexConfig {
     /// Buffer-pool capacity, in pages, for the posting store backing the
     /// ST-Index time lists.
     pub pool_pages: usize,
-    /// Simulated latency per physical page read, in microseconds, spun on
-    /// the reading thread. The default, zero, disables the simulated disk:
-    /// reads cost what the page store really costs. A positive value models
-    /// a slower device (40 µs is an inexpensive SSD) for experiments that
-    /// want the paper's I/O-bound cost structure without its 194 GB
-    /// dataset.
+    /// Ignored: no page read is delayed. Kept, and persisted in the
+    /// snapshot config, only so existing callers that set it still compile.
     pub read_latency_us: u64,
-    /// Maximum number of time slots for which Con-Index connection tables
-    /// are kept in memory at once (least-recently-used slots are evicted).
-    pub max_cached_con_slots: usize,
     /// Fallback minimum speed (m/s) used in Near-list construction for
     /// segments with no historical observation in a slot.
     pub fallback_min_speed_ms: f64,
@@ -46,7 +39,6 @@ impl Default for IndexConfig {
             slot_s: 300,
             pool_pages: 256,
             read_latency_us: 0,
-            max_cached_con_slots: 64,
             fallback_min_speed_ms: 2.0,
             read_retries: streach_storage::DEFAULT_READ_RETRIES,
             auto_checkpoint_bytes: 8 * 1024 * 1024,

@@ -262,8 +262,7 @@ impl ReachabilityEngine {
     /// [`crate::snapshot`]): the ST-Index posting heap as a real page file,
     /// the delta heap of any ingested data as a second page file, plus a
     /// checksummed container holding the temporal and delta directories,
-    /// the speed statistics, the cached Con-Index tables, the ingest
-    /// bookkeeping and the configuration. All files are fsynced before this
+    /// the speed statistics, the ingest bookkeeping and the configuration. All files are fsynced before this
     /// returns. The ingest lock is held throughout, so the saved state is a
     /// consistent cut even while other threads keep querying.
     pub fn save_snapshot<P: AsRef<std::path::Path>>(
@@ -514,8 +513,7 @@ impl ReachabilityEngine {
     /// survives a crash; without one, ingest is volatile (tests, bulk
     /// loads). Application folds the points into the ST-Index delta
     /// postings, derives consecutive-visit speed observations for the
-    /// Con-Index statistics (cached connection tables are invalidated when
-    /// any were produced) and raises the day count `m` — after which every
+    /// Con-Index statistics and raises the day count `m` — after which every
     /// query pipeline answers over base + delta exactly as a from-scratch
     /// rebuild on the combined data would.
     ///
@@ -1031,10 +1029,7 @@ mod tests {
         let network = Arc::new(city.network);
         let dataset = TrajectoryDataset::simulate(&network, FleetConfig::tiny());
         EngineBuilder::new(network, &dataset)
-            .index_config(IndexConfig {
-                read_latency_us: 0,
-                ..Default::default()
-            })
+            .index_config(IndexConfig::default())
             .build()
     }
 

@@ -76,7 +76,7 @@ pub struct IngestOutcome {
     /// Number of (slot, segment) delta time lists created or re-merged.
     pub lists_touched: usize,
     /// Number of valid speed observations folded into the Con-Index
-    /// statistics (cached connection tables are invalidated when > 0).
+    /// statistics.
     pub speed_observations: usize,
     /// WAL record ordinal the batch was logged under, when a WAL is
     /// attached.

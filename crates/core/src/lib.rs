@@ -9,7 +9,8 @@
 //!   (segment, slot) *time lists* (date → trajectory IDs) stored on pages,
 //! * [`con_index`] — the **Con-Index**: per time slot and road segment, the
 //!   Near ID list (reachable within one Δt at the historical minimum speed)
-//!   and the Far ID list (at the historical maximum speed),
+//!   and the Far ID list (at the historical maximum speed), evaluated as
+//!   one bounded expansion over the speed statistics per hop, never stored,
 //! * [`query`] — the query processing algorithms: the exhaustive-search
 //!   baseline (**ES**), the single-location maximum/minimum bounding region
 //!   search (**SQMB**), the trace back search (**TBS**) and the
@@ -54,8 +55,8 @@
 //!   the minimum region, ES answers the start alone, and MQMB skips that
 //!   start's batch — no annulus posting is read, and no answer bit moves.
 //! * **Parallel stages.** The embarrassingly parallel stages — annulus
-//!   verification in ES/TBS/MQMB, per-segment Con-Index table construction,
-//!   and the sort-based (slot, segment) grouping of
+//!   verification in ES/TBS/MQMB, the reference oracle's per-segment
+//!   Con-Index table construction, and the (slot, segment) grouping of
 //!   [`StIndex::build`](st_index::StIndex::build) — run on scoped threads
 //!   via `streach_par` (results in input order).
 //!   [`QueryStats`] reports per-stage `bounding_time`/`verify_time` so the
@@ -143,7 +144,7 @@ pub mod time;
 mod worker;
 
 pub use builder::EngineBuilder;
-pub use con_index::{ConIndex, ConnectionLists};
+pub use con_index::ConIndex;
 pub use config::IndexConfig;
 pub use engine::ReachabilityEngine;
 pub use ingest::{IngestObserver, IngestOutcome, IngestTouch, WalAttach};

@@ -311,7 +311,6 @@ mod tests {
             .collect();
         EngineBuilder::new(network.clone(), &base)
             .index_config(IndexConfig {
-                read_latency_us: 0,
                 auto_checkpoint_bytes,
                 ..Default::default()
             })

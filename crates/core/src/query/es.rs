@@ -129,14 +129,7 @@ mod tests {
                 ..FleetConfig::tiny()
             },
         );
-        let st = StIndex::build(
-            network.clone(),
-            &dataset,
-            &IndexConfig {
-                read_latency_us: 0,
-                ..Default::default()
-            },
-        );
+        let st = StIndex::build(network.clone(), &dataset, &IndexConfig::default());
         (network, st, center)
     }
 

@@ -348,10 +348,7 @@ mod tests {
                 ..FleetConfig::tiny()
             },
         );
-        let config = IndexConfig {
-            read_latency_us: 0,
-            ..Default::default()
-        };
+        let config = IndexConfig::default();
         let st = StIndex::build(network.clone(), &dataset, &config);
         let stats = Arc::new(SpeedStats::from_dataset(&network, &dataset, config.slot_s));
         let con = ConIndex::new(network.clone(), stats, &config);

@@ -4,7 +4,8 @@
 //! `HashMap<date, Vec<u32>>` construction with sort+dedup in the verifier,
 //! hash-map Dijkstra for the distance cap, strictly sequential verification,
 //! and the literal Algorithm 1/3 walk over materialised Con-Index slot
-//! tables — and exist for two purposes:
+//! tables ([`SlotTable`], the only place the paper's per-slot Near/Far
+//! lists still exist) — and exist for two purposes:
 //!
 //! 1. **Equivalence regression**: the `equivalence` integration test asserts
 //!    that the optimized ES/SQMB+TBS/MQMB pipeline returns bit-identical
@@ -21,7 +22,9 @@
 //! fault-injection campaign drives both paths through the same scripts.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use parking_lot::Mutex;
 use streach_geo::GeoPoint;
 use streach_roadnet::{segment_distances_from, RoadClass, RoadNetwork, SegmentId};
 use streach_storage::StorageResult;
@@ -31,8 +34,125 @@ use crate::query::mqmb::{MqmbBounds, OwnershipDistances, NO_OWNER};
 use crate::query::sqmb::{hop_slots, BoundingRegions};
 use crate::query::{Algorithm, MQuery, SQuery};
 use crate::region::ReachableRegion;
+use crate::speed_stats::SpeedStats;
 use crate::st_index::StIndex;
 use crate::time::slots_overlapping;
+
+/// The connection table of one time slot (Section 3.2.2): per segment, the
+/// Near and Far ID lists, each sorted and without the segment itself. Each
+/// list is one single-source Con-Index hop, the primitive whose
+/// multi-source form the query pipeline evaluates, so the table walks
+/// below check that form against the paper's definition.
+#[derive(Debug, PartialEq, Eq)]
+pub struct SlotTable {
+    far: Vec<Vec<SegmentId>>,
+    near: Vec<Vec<SegmentId>>,
+}
+
+impl SlotTable {
+    /// Builds the table of `slot` over `con_index`'s current speed
+    /// statistics.
+    pub fn build(con_index: &ConIndex, slot: u32) -> Self {
+        Self::build_over(con_index, &con_index.speed_stats(), slot)
+    }
+
+    fn build_over(con_index: &ConIndex, stats: &SpeedStats, slot: u32) -> Self {
+        // One independent pair of single-source hops per segment —
+        // embarrassingly parallel, each on its worker's thread workspace.
+        let seg_ids: Vec<u32> = (0..con_index.network().num_segments() as u32).collect();
+        let (far, near) = streach_par::par_map(&seg_ids, |&seg_idx| {
+            let seg = SegmentId(seg_idx);
+            con_index.bounding_pass_over(stats, |pass| {
+                let mut list = |use_far| {
+                    let mut ids: Vec<SegmentId> = pass
+                        .hop(&[seg], slot, use_far)
+                        .filter(|s| *s != seg)
+                        .collect();
+                    ids.sort_unstable();
+                    ids
+                };
+                (list(true), list(false))
+            })
+        })
+        .into_iter()
+        .unzip();
+        Self { far, near }
+    }
+
+    /// Far ID list (upper bound) of a segment.
+    pub fn far(&self, segment: SegmentId) -> &[SegmentId] {
+        &self.far[segment.index()]
+    }
+
+    /// Near ID list (lower bound) of a segment.
+    pub fn near(&self, segment: SegmentId) -> &[SegmentId] {
+        &self.near[segment.index()]
+    }
+}
+
+/// Counters of a [`ConIndex`]'s table memo.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConIndexStats {
+    /// Number of tables in the memo.
+    pub cached_slots: usize,
+    /// Number of tables built since creation.
+    pub slots_built: u64,
+    /// Number of tables dropped because the speed statistics changed.
+    pub slots_evicted: u64,
+}
+
+/// The tables of one [`ConIndex`], pinned to one version of its speed
+/// statistics. A lookup under a different version drops every table and
+/// re-pins. The pinned `Arc` makes ingest's `Arc::make_mut` copy, so a
+/// changed version is always a different pointer, and a build in flight
+/// keeps reading the version it is stored under. Tables build under the
+/// lock, so a slot is never built twice for one version.
+#[derive(Default)]
+pub(crate) struct TableMemo(Mutex<Memo>);
+
+#[derive(Default)]
+struct Memo {
+    pinned: Option<Arc<SpeedStats>>,
+    tables: HashMap<u32, Arc<SlotTable>>,
+    built: u64,
+    evicted: u64,
+}
+
+impl TableMemo {
+    /// The table of `slot` (wrapped into the day) over `con_index`'s
+    /// current speed statistics, built on first use.
+    pub(crate) fn get(&self, con_index: &ConIndex, slot: u32) -> Arc<SlotTable> {
+        let mut memo = self.0.lock();
+        let current = con_index.speed_stats();
+        if memo
+            .pinned
+            .as_ref()
+            .is_none_or(|p| !Arc::ptr_eq(p, &current))
+        {
+            memo.evicted += memo.tables.len() as u64;
+            memo.tables.clear();
+            memo.pinned = Some(Arc::clone(&current));
+        }
+        let slot = slot % streach_traj::SECONDS_PER_DAY.div_ceil(con_index.slot_s());
+        if let Some(table) = memo.tables.get(&slot) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(SlotTable::build_over(con_index, &current, slot));
+        memo.built += 1;
+        memo.tables.insert(slot, Arc::clone(&table));
+        table
+    }
+
+    pub(crate) fn stats(&self) -> ConIndexStats {
+        let memo = self.0.lock();
+        ConIndexStats {
+            cached_slots: memo.tables.len(),
+            slots_built: memo.built,
+            slots_evicted: memo.evicted,
+        }
+    }
+}
 
 /// Reads the per-day trajectory IDs of `segment` over `[start_s, end_s)`,
 /// allocating a fresh map per call (the pre-optimization verifier layout).
@@ -199,7 +319,7 @@ pub fn naive_trace_back_search(
 }
 
 /// Algorithm 1 as written: per hop, fetch the slot's connection table
-/// (building all of it on a miss) and union the Far (Near) ID lists of every
+/// (building all of it on a miss, see [`TableMemo`]) and union the Far (Near) ID lists of every
 /// segment in the bounding set.
 pub fn naive_sqmb(
     con_index: &ConIndex,
@@ -213,7 +333,7 @@ pub fn naive_sqmb(
         member[start_segment.index()] = true;
         let mut bounding = vec![start_segment];
         for slot in hop_slots(start_time_s, duration_s, con_index.slot_s()) {
-            let table = con_index.slot_table(slot);
+            let table = con_index.tables.get(con_index, slot);
             for idx in 0..bounding.len() {
                 let r = bounding[idx];
                 let list = if use_far { table.far(r) } else { table.near(r) };
@@ -257,7 +377,7 @@ pub fn naive_mqmb(
             }
         }
         for slot in hop_slots(start_time_s, duration_s, con_index.slot_s()) {
-            let table = con_index.slot_table(slot);
+            let table = con_index.tables.get(con_index, slot);
             // Segments claimed during this hop expand in the next one.
             for idx in 0..bounding.len() {
                 let r = bounding[idx];
@@ -329,4 +449,119 @@ pub fn naive_m_query(
         }
     }
     Ok(ReachableRegion::from_segments(network, segments))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::IndexConfig;
+    use streach_roadnet::{GeneratorConfig, SyntheticCity};
+    use streach_traj::{FleetConfig, TrajectoryDataset};
+
+    fn setup() -> (Arc<RoadNetwork>, ConIndex) {
+        let city = SyntheticCity::generate(GeneratorConfig::small());
+        let network = Arc::new(city.network);
+        let dataset = TrajectoryDataset::simulate(&network, FleetConfig::tiny());
+        let config = IndexConfig::default();
+        let stats = Arc::new(SpeedStats::from_dataset(&network, &dataset, config.slot_s));
+        let con = ConIndex::new(network.clone(), stats, &config);
+        (network, con)
+    }
+
+    #[test]
+    fn near_is_subset_of_far() {
+        let (network, con) = setup();
+        let slot = 100; // 08:20, inside the tiny fleet's operating window
+        let table = con.slot_table(slot);
+        for seg in network.segment_ids() {
+            let (near, far) = (table.near(seg), table.far(seg));
+            for n in near {
+                assert!(
+                    far.contains(n),
+                    "near segment {n} missing from far list of {seg}"
+                );
+            }
+            // Lists never contain the segment itself and are sorted.
+            assert!(!far.contains(&seg));
+            assert!(!near.contains(&seg));
+            assert!(far.windows(2).all(|w| w[0] < w[1]));
+            assert!(near.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    fn far_lists_are_nonempty_and_contain_successors() {
+        let (network, con) = setup();
+        let table = con.slot_table(110);
+        for seg in network.segment_ids().take(50) {
+            let far = table.far(seg);
+            assert!(!far.is_empty(), "far list of {seg} empty");
+            // Direct successors are always reachable within a 5-minute slot
+            // on a 500 m grid.
+            for succ in network.successors(seg) {
+                assert!(
+                    far.contains(&succ),
+                    "successor {succ} of {seg} not in far list"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unchanged_statistics_serve_the_memoised_table() {
+        let (_, con) = setup();
+        let first = con.slot_table(100);
+        let again = con.slot_table(100);
+        assert!(Arc::ptr_eq(&first, &again), "same version, same table");
+        let stats = con.stats();
+        assert_eq!((stats.slots_built, stats.cached_slots), (1, 1));
+        assert_eq!(stats.slots_evicted, 0);
+    }
+
+    #[test]
+    fn build_slots_dedups() {
+        let (_, con) = setup();
+        con.build_slots(&[100, 101, 102, 100]);
+        let stats = con.stats();
+        assert_eq!((stats.slots_built, stats.cached_slots), (3, 3));
+    }
+
+    #[test]
+    fn slot_wraps_around_day() {
+        let (_, con) = setup();
+        let a = con.slot_table(5);
+        let b = con.slot_table(5 + 288);
+        assert!(Arc::ptr_eq(&a, &b), "a wrapped slot is the same table");
+        assert_eq!(con.stats().slots_built, 1);
+    }
+
+    /// An observation landing in slot `s` makes the memo re-pin: the next
+    /// table of `s` is the one a fresh Con-Index builds over the new
+    /// statistics, not the one built before.
+    #[test]
+    fn an_observation_in_the_slot_rebuilds_its_table() {
+        let (network, con) = setup();
+        let slot = 100;
+        let before = con.slot_table(slot);
+        let _other = con.slot_table(slot + 1);
+        // Every segment traversed at close to the plausible maximum speed
+        // within the slot: Far lists can only grow.
+        let enter = slot * con.slot_s();
+        let pairs: Vec<(SegmentId, u32, u32)> = network
+            .segment_ids()
+            .map(|seg| {
+                let dt = (network.segment(seg).length_m / 40.0).ceil().max(1.0) as u32;
+                (seg, enter, enter + dt)
+            })
+            .collect();
+        assert!(con.apply_speed_pairs(&network, &pairs) > 0);
+
+        let after = con.slot_table(slot);
+        let fresh = ConIndex::new(network.clone(), con.speed_stats(), &IndexConfig::default());
+        assert_eq!(*after, SlotTable::build(&fresh, slot));
+        assert_ne!(*after, *before, "the observations moved the Far lists");
+        let stats = con.stats();
+        assert_eq!(stats.slots_evicted, 2, "both tables of the old version");
+        assert_eq!((stats.slots_built, stats.cached_slots), (3, 1));
+    }
 }

@@ -103,10 +103,7 @@ mod tests {
                 ..FleetConfig::tiny()
             },
         );
-        let config = IndexConfig {
-            read_latency_us: 0,
-            ..Default::default()
-        };
+        let config = IndexConfig::default();
         let st = StIndex::build(network.clone(), &dataset, &config);
         let stats = Arc::new(SpeedStats::from_dataset(&network, &dataset, config.slot_s));
         let con = crate::con_index::ConIndex::new(network.clone(), stats, &config);

@@ -819,10 +819,7 @@ mod tests {
         );
         let leader = Arc::new(
             EngineBuilder::new(network.clone(), &dataset)
-                .index_config(IndexConfig {
-                    read_latency_us: 0,
-                    ..IndexConfig::default()
-                })
+                .index_config(IndexConfig::default())
                 .build(),
         );
         leader
@@ -887,10 +884,7 @@ mod tests {
         );
         let leader = Arc::new(
             EngineBuilder::new(network.clone(), &dataset)
-                .index_config(IndexConfig {
-                    read_latency_us: 0,
-                    ..IndexConfig::default()
-                })
+                .index_config(IndexConfig::default())
                 .build(),
         );
         let home = root.join("leader");

@@ -615,10 +615,7 @@ mod tests {
                 ..FleetConfig::tiny()
             },
         );
-        let config = IndexConfig {
-            read_latency_us: 0,
-            ..IndexConfig::default()
-        };
+        let config = IndexConfig::default();
         let single = EngineBuilder::new(network.clone(), &dataset)
             .index_config(config.clone())
             .build();

@@ -104,14 +104,13 @@
 use std::fmt::Display;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::{Buf, BufMut};
 use streach_roadnet::{RoadNetwork, SegmentId, ShardMap};
 use streach_storage::{
     crc32, get_varint_u32, put_varint_u32, BlobHandle, ChecksummedPageStore, FilePageStore,
-    InMemoryPageStore, LazySection, MmapPageStore, PageStore, PostingStore, SimulatedDiskStore,
-    SnapshotReader, SnapshotWriter, StorageBackend, StorageError, StorageResult, PAGE_SIZE,
+    InMemoryPageStore, LazySection, MmapPageStore, PageStore, PostingStore, SnapshotReader,
+    SnapshotWriter, StorageBackend, StorageError, StorageResult, PAGE_SIZE,
 };
 
 use crate::con_index::ConIndex;
@@ -211,7 +210,9 @@ fn encode_config(config: &IndexConfig) -> Vec<u8> {
     buf.put_u32_le(config.slot_s);
     buf.put_u64_le(config.pool_pages as u64);
     buf.put_u64_le(config.read_latency_us);
-    buf.put_u64_le(config.max_cached_con_slots as u64);
+    // Formerly the Con-Index table cache's capacity: written as 0, skipped
+    // on read.
+    buf.put_u64_le(0);
     buf.put_u64_le(config.fallback_min_speed_ms.to_bits());
     buf.put_u32_le(config.read_retries);
     buf.put_u64_le(config.auto_checkpoint_bytes);
@@ -228,8 +229,11 @@ fn decode_config(mut buf: &[u8]) -> StorageResult<IndexConfig> {
         slot_s: buf.get_u32_le(),
         pool_pages: buf.get_u64_le() as usize,
         read_latency_us: buf.get_u64_le(),
-        max_cached_con_slots: buf.get_u64_le() as usize,
-        fallback_min_speed_ms: f64::from_bits(buf.get_u64_le()),
+        // Skips the 8 bytes that held the Con-Index table cache's capacity.
+        fallback_min_speed_ms: {
+            buf.advance(8);
+            f64::from_bits(buf.get_u64_le())
+        },
         read_retries: buf.get_u32_le(),
         auto_checkpoint_bytes: buf.get_u64_le(),
         storage_backend: StorageBackend::from_config_byte(buf.get_u8())
@@ -648,7 +652,7 @@ pub(crate) fn save(
         Some(crcs) => crcs,
         None => {
             let tmp = dir.join(format!("{PAGES_FILE}.tmp"));
-            let crcs = export_pages(pinned.base_postings().store().inner(), &tmp)?;
+            let crcs = export_pages(pinned.base_postings().store().as_ref(), &tmp)?;
             base_tmp = Some(tmp);
             crcs
         }
@@ -660,7 +664,7 @@ pub(crate) fn save(
     let delta_seq = engine.next_delta_seq();
     let delta_name = delta_pages_file(delta_seq);
     let delta_tmp = dir.join(format!("{delta_name}.tmp"));
-    let delta_crcs = export_pages(pinned.delta_postings().store().inner(), &delta_tmp)?;
+    let delta_crcs = export_pages(pinned.delta_postings().store().as_ref(), &delta_tmp)?;
 
     // 3. Everything else goes into the checksummed container.
     let mut writer = SnapshotWriter::new();
@@ -955,12 +959,9 @@ where
         speed_stats,
         ingest_meta,
     } = checked;
-    let latency = Duration::from_micros(config.read_latency_us);
 
     // Reopen the posting heap — read-only, so snapshots deployed as
-    // immutable artifacts still serve — behind the same latency shim the
-    // in-memory backend uses (zero latency still counts page reads — and
-    // here they are genuine disk reads). Each page is checked on its first
+    // immutable artifacts still serve. Each page is checked on its first
     // physical read.
     let base_store = open_sealed_pages(
         &dir.join(PAGES_FILE),
@@ -968,11 +969,10 @@ where
         page_crcs.len() as u64,
     )?;
     let io = base_store.io_stats();
-    let checked: Box<dyn PageStore> = Box::new(ChecksummedPageStore::new(
+    let store: StIndexStore = Box::new(ChecksummedPageStore::new(
         wrap(StoreRole::Base, base_store),
         Arc::clone(&page_crcs),
     ));
-    let store: StIndexStore = SimulatedDiskStore::with_latency(checked, latency, Duration::ZERO);
     let postings = PostingStore::with_tail_and_retries(
         store,
         config.pool_pages,
@@ -1005,12 +1005,10 @@ where
         }
     }
     let full_delta_pages = (delta_tail / PAGE_SIZE as u64) as usize;
-    let delta_checked: Box<dyn PageStore> = Box::new(ChecksummedPageStore::new(
+    let delta_store: StIndexStore = Box::new(ChecksummedPageStore::new(
         wrap(StoreRole::Delta, Box::new(delta_mem)),
         delta_crcs[..full_delta_pages].into(),
     ));
-    let delta_store: StIndexStore =
-        SimulatedDiskStore::with_latency(delta_checked, latency, Duration::ZERO);
     let delta_postings = PostingStore::with_tail_and_retries(
         delta_store,
         config.pool_pages,
@@ -1115,7 +1113,6 @@ mod tests {
             slot_s: 600,
             pool_pages: 33,
             read_latency_us: 17,
-            max_cached_con_slots: 9,
             fallback_min_speed_ms: 2.75,
             read_retries: 5,
             auto_checkpoint_bytes: 123_456,
@@ -1123,11 +1120,11 @@ mod tests {
         };
         let bytes = encode_config(&config);
         assert_eq!(bytes.len(), CONFIG_LEN);
+        assert_eq!(bytes[20..28], [0; 8], "the dead cache-capacity bytes");
         let decoded = decode_config(&bytes).unwrap();
         assert_eq!(decoded.slot_s, 600);
         assert_eq!(decoded.pool_pages, 33);
         assert_eq!(decoded.read_latency_us, 17);
-        assert_eq!(decoded.max_cached_con_slots, 9);
         assert_eq!(decoded.fallback_min_speed_ms, 2.75);
         assert_eq!(decoded.read_retries, 5);
         assert_eq!(decoded.auto_checkpoint_bytes, 123_456);
@@ -1435,10 +1432,7 @@ mod tests {
         let network = Arc::new(SyntheticCity::generate(GeneratorConfig::small()).network);
         let dataset = TrajectoryDataset::simulate(&network, FleetConfig::tiny());
         let built = EngineBuilder::new(network.clone(), &dataset)
-            .index_config(IndexConfig {
-                read_latency_us: 0,
-                ..Default::default()
-            })
+            .index_config(IndexConfig::default())
             .build();
         let dir = tmp_dir(name);
         built.save_snapshot(&dir).unwrap();

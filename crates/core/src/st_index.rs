@@ -20,7 +20,7 @@
 //!   [`StIndex::locate_segment`],
 //! * the **time lists** are [`TimeList`] posting lists (date → trajectory
 //!   IDs) serialized into a page-based [`PostingStore`]; every read is real
-//!   page I/O, counted and optionally slowed by the simulated disk.
+//!   page I/O, counted per physical read.
 //!
 //! # Streaming ingest: sealed base + delta tail
 //!
@@ -62,14 +62,13 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU16, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 use streach_geo::GeoPoint;
 use streach_roadnet::{RoadNetwork, SegmentId};
 use streach_storage::{
-    BlobHandle, InMemoryPageStore, IoStats, LazySection, PageStore, PostingStore,
-    SimulatedDiskStore, StorageError, StorageResult, TimeList,
+    BlobHandle, InMemoryPageStore, IoStats, LazySection, PageStore, PostingStore, StorageError,
+    StorageResult, TimeList,
 };
 use streach_traj::{MatchedTrajectory, TrajPoint, TrajectoryDataset};
 
@@ -78,9 +77,8 @@ use crate::snapshot::Chunk;
 use crate::time::{slot_of, slots_overlapping, SlotWindow};
 
 /// Page store backing the ST-Index: any [`PageStore`] backend (in-memory for
-/// fresh builds, [`streach_storage::FilePageStore`] for reopened snapshots)
-/// behind the simulated-latency disk wrapper.
-pub type StIndexStore = SimulatedDiskStore<Box<dyn PageStore>>;
+/// fresh builds, a checked file or mmap store for reopened snapshots).
+pub type StIndexStore = Box<dyn PageStore>;
 
 /// Directory of one temporal leaf: for every road segment traversed during
 /// the slot, the handle of its time list in the sealed-base posting store.
@@ -680,19 +678,10 @@ impl StIndex {
         // Base and delta heap share one I/O counter handle, so query
         // accounting covers both read paths.
         let io = IoStats::new_shared();
-        let store = SimulatedDiskStore::with_latency(
-            Box::new(InMemoryPageStore::with_stats(Arc::clone(&io))) as Box<dyn PageStore>,
-            Duration::from_micros(config.read_latency_us),
-            Duration::ZERO,
-        );
+        let store: StIndexStore = Box::new(InMemoryPageStore::with_stats(Arc::clone(&io)));
         let postings =
             PostingStore::with_tail_and_retries(store, config.pool_pages, 0, config.read_retries);
-        let delta = Self::empty_delta(
-            io,
-            Duration::from_micros(config.read_latency_us),
-            config.pool_pages,
-            config.read_retries,
-        );
+        let delta = Self::empty_delta(io, config.pool_pages, config.read_retries);
 
         let mut temporal = Vec::with_capacity(slots.len());
         let mut num_time_lists = 0u64;
@@ -762,19 +751,10 @@ impl StIndex {
         slot % slots_per_day
     }
 
-    /// A fresh, empty delta tail: an in-memory heap behind the same
-    /// simulated-latency shim and I/O counters as the base heap.
-    fn empty_delta(
-        io: Arc<IoStats>,
-        read_latency: Duration,
-        pool_pages: usize,
-        read_retries: u32,
-    ) -> DeltaTail {
-        let store = SimulatedDiskStore::with_latency(
-            Box::new(InMemoryPageStore::with_stats(io)) as Box<dyn PageStore>,
-            read_latency,
-            Duration::ZERO,
-        );
+    /// A fresh, empty delta tail: an in-memory heap sharing the base heap's
+    /// I/O counters.
+    fn empty_delta(io: Arc<IoStats>, pool_pages: usize, read_retries: u32) -> DeltaTail {
+        let store: StIndexStore = Box::new(InMemoryPageStore::with_stats(io));
         DeltaTail {
             postings: PostingStore::with_tail_and_retries(store, pool_pages, 0, read_retries),
             stripes: (0..DELTA_STRIPES)
@@ -1019,7 +999,7 @@ impl StIndex {
         let state = self.current();
         state.base.temporal.scrub()?;
         for postings in [&state.base.postings, &state.delta.postings] {
-            let store = postings.store().inner();
+            let store = postings.store();
             for page in 0..store.num_pages() {
                 store.read_page(page)?;
             }
@@ -1185,14 +1165,9 @@ impl StIndex {
 
         // Lay the new sealed base out in order.
         let io = state.base.postings.io_stats();
-        let read_latency = state.base.postings.store().read_latency();
         let pool_pages = state.base.postings.pool_capacity();
         let read_retries = state.base.postings.read_retries();
-        let store = SimulatedDiskStore::with_latency(
-            Box::new(InMemoryPageStore::with_stats(Arc::clone(&io))) as Box<dyn PageStore>,
-            read_latency,
-            Duration::ZERO,
-        );
+        let store: StIndexStore = Box::new(InMemoryPageStore::with_stats(Arc::clone(&io)));
         let new_postings = PostingStore::with_tail_and_retries(store, pool_pages, 0, read_retries);
         let mut temporal = vec![SlotDirectory::default(); slots_per_day(self.slot_s)];
         let mut writer = new_postings.writer()?;
@@ -1215,7 +1190,7 @@ impl StIndex {
                 temporal: TemporalIndex::built(temporal),
                 postings: new_postings,
             },
-            delta: Self::empty_delta(io, read_latency, pool_pages, read_retries),
+            delta: Self::empty_delta(io, pool_pages, read_retries),
         });
         *self.state.write() = new_state;
         let mut stats = self.stats.lock();
@@ -1291,14 +1266,7 @@ mod tests {
         let city = SyntheticCity::generate(GeneratorConfig::small());
         let network = Arc::new(city.network);
         let dataset = TrajectoryDataset::simulate(&network, FleetConfig::tiny());
-        let index = StIndex::build(
-            network.clone(),
-            &dataset,
-            &IndexConfig {
-                read_latency_us: 0,
-                ..Default::default()
-            },
-        );
+        let index = StIndex::build(network.clone(), &dataset, &IndexConfig::default());
         (network, dataset, index)
     }
 
@@ -1350,10 +1318,7 @@ mod tests {
         let city = SyntheticCity::generate(GeneratorConfig::small());
         let network = Arc::new(city.network);
         let dataset = TrajectoryDataset::simulate(&network, FleetConfig::tiny());
-        let config = IndexConfig {
-            read_latency_us: 0,
-            ..Default::default()
-        };
+        let config = IndexConfig::default();
 
         let mut obs: Vec<(u32, u32, u16, u32)> = Vec::new();
         for traj in dataset.trajectories() {

@@ -65,8 +65,8 @@ impl ExactSizeIterator for SlotWindow {}
 /// All slot indices overlapping the half-open window `[start_s, end_s)`.
 ///
 /// Windows extending past midnight **wrap** onto the beginning of the day,
-/// matching the modular slot arithmetic of `StIndex::lookup` and
-/// `ConIndex::slot_table`: a 10-minute window starting at 23:55 yields the
+/// matching the modular slot arithmetic of `StIndex::lookup` and the
+/// speed statistics' rows: a 10-minute window starting at 23:55 yields the
 /// day's last slot followed by slot 0. At most one full day of slots is
 /// yielded (longer windows already cover every slot), and each slot appears
 /// at most once.

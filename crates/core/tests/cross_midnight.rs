@@ -57,10 +57,7 @@ fn fixture() -> Fixture {
             ..FleetConfig::default()
         },
     );
-    let config = IndexConfig {
-        read_latency_us: 0,
-        ..Default::default()
-    };
+    let config = IndexConfig::default();
     let st = StIndex::build(network.clone(), &dataset, &config);
     let stats = Arc::new(SpeedStats::from_dataset(&network, &dataset, config.slot_s));
     let con = ConIndex::new(network.clone(), stats, &config);

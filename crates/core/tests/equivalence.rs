@@ -57,10 +57,7 @@ fn fixture() -> Fixture {
         },
     );
     let engine = EngineBuilder::new(network.clone(), &dataset)
-        .index_config(IndexConfig {
-            read_latency_us: 0,
-            ..Default::default()
-        })
+        .index_config(IndexConfig::default())
         .build();
     Fixture {
         network,

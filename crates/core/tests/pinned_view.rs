@@ -24,10 +24,7 @@ fn pinned_core_matches_a_fresh_core_across_ingest_and_compaction() {
         },
     );
     let engine = EngineBuilder::new(network.clone(), &dataset)
-        .index_config(IndexConfig {
-            read_latency_us: 0,
-            ..Default::default()
-        })
+        .index_config(IndexConfig::default())
         .build();
 
     let traj = &dataset.trajectories()[0];

@@ -79,8 +79,8 @@ const MIN_SHARD_PAGES: usize = 64;
 const MAX_SHARDS: usize = 16;
 
 /// Base backoff before the first retry; each further retry doubles it. The
-/// wait is spin-based (like [`crate::SimulatedDiskStore`]) so the schedule
-/// is deterministic at microsecond scale.
+/// wait is spin-based so the schedule is deterministic at microsecond
+/// scale.
 const RETRY_BACKOFF_BASE_US: u64 = 50;
 
 /// Slab index standing in for "no node".
@@ -495,7 +495,7 @@ impl<S: PageStore> BufferPool<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagestore::{InMemoryPageStore, SimulatedDiskStore};
+    use crate::pagestore::InMemoryPageStore;
     use std::time::Duration;
 
     fn store_with_pages(n: u64) -> InMemoryPageStore {
@@ -596,13 +596,12 @@ mod tests {
     /// every thread fetch and double-count `page_reads`.
     #[test]
     fn concurrent_misses_coalesce_to_one_read() {
+        use crate::fault::FaultInjectingPageStore;
         // A slow store keeps the fetch in flight long enough for every
         // thread to pile up on the same page.
-        let slow = SimulatedDiskStore::with_latency(
-            store_with_pages(1),
-            Duration::from_millis(20),
-            Duration::ZERO,
-        );
+        let slow = FaultInjectingPageStore::new(Box::new(store_with_pages(1)));
+        slow.controller()
+            .set_read_latency(Duration::from_millis(20));
         let pool = BufferPool::new(slow, 4);
         std::thread::scope(|scope| {
             let pool = &pool;

@@ -256,8 +256,8 @@ impl FaultController {
         self.state.plan.lock().failing_flushes = n;
     }
 
-    /// Adds a fixed latency to every physical read (spin-waited, like
-    /// [`crate::SimulatedDiskStore`], so microsecond scripts stay accurate).
+    /// Adds a fixed latency to every physical read (spin-waited, so
+    /// microsecond scripts stay accurate).
     pub fn set_read_latency(&self, latency: Duration) {
         self.state.plan.lock().read_latency = latency;
     }
@@ -362,8 +362,7 @@ impl PageStore for FaultInjectingPageStore {
             (plan.read_latency, fault)
         };
         // Spin outside the plan lock: concurrent reads must overlap their
-        // latency (and controller calls must not block behind it), exactly
-        // like [`crate::SimulatedDiskStore`].
+        // latency (and controller calls must not block behind it).
         Self::spin(latency);
         match fault {
             None => self.inner.read_page(id),

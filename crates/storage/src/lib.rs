@@ -11,8 +11,7 @@
 //!
 //! * [`page`] — fixed-size pages and page identifiers,
 //! * [`pagestore`] — the [`PageStore`](pagestore::PageStore) trait with an
-//!   in-memory backend, a file backend, and a simulated-latency wrapper that
-//!   emulates the cost of a spinning disk / remote store,
+//!   in-memory backend, a file backend and a per-page CRC check,
 //! * [`buffer_pool`] — an LRU buffer pool in front of any page store,
 //! * [`fault`] — a deterministic, scriptable fault-injection wrapper
 //!   ([`FaultInjectingPageStore`](fault::FaultInjectingPageStore)) used to
@@ -49,8 +48,7 @@ pub use iostats::{IoStats, IoStatsSnapshot};
 pub use mmap::{MmapPageStore, StorageBackend};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pagestore::{
-    ChecksummedPageStore, FilePageStore, InMemoryPageStore, PageStore, SimulatedDiskStore,
-    StorageError, StorageResult,
+    ChecksummedPageStore, FilePageStore, InMemoryPageStore, PageStore, StorageError, StorageResult,
 };
 pub use postings::{
     encode_sorted, fixed_width_size, get_varint_u32, posting_sizes, put_varint_u32, visit_posting,

@@ -4,7 +4,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -249,7 +248,7 @@ impl PageStore for Box<dyn PageStore> {
 ///
 /// This is the default backend for tests and benchmarks: it is deterministic
 /// and its I/O counters stand in for the disk accesses of the original
-/// system. Wrap it in [`SimulatedDiskStore`] to also model per-page latency.
+/// system.
 pub struct InMemoryPageStore {
     pages: Mutex<Vec<Page>>,
     stats: Arc<IoStats>,
@@ -461,92 +460,6 @@ impl PageStore for FilePageStore {
     }
 }
 
-/// Wraps another page store and adds a fixed latency to every physical page
-/// read, emulating a spinning disk or remote object store.
-///
-/// The paper's 194 GB dataset lives on disk; on a laptop-scale reproduction
-/// the working set fits in RAM, which would hide the I/O cost the indexes are
-/// designed to avoid. A small simulated latency (default 50 µs/page — a cheap
-/// SSD random read) restores the relative cost structure without requiring
-/// massive data volumes.
-pub struct SimulatedDiskStore<S: PageStore> {
-    inner: S,
-    read_latency: Duration,
-    write_latency: Duration,
-}
-
-impl<S: PageStore> SimulatedDiskStore<S> {
-    /// Wraps `inner` with the default latency model (50 µs reads, 50 µs
-    /// writes).
-    pub fn new(inner: S) -> Self {
-        Self::with_latency(inner, Duration::from_micros(50), Duration::from_micros(50))
-    }
-
-    /// Wraps `inner` with explicit read/write latencies.
-    pub fn with_latency(inner: S, read_latency: Duration, write_latency: Duration) -> Self {
-        Self {
-            inner,
-            read_latency,
-            write_latency,
-        }
-    }
-
-    /// Read latency applied per page.
-    pub fn read_latency(&self) -> Duration {
-        self.read_latency
-    }
-
-    /// The wrapped store, bypassing the latency model (bulk page export
-    /// during snapshots).
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    fn spin(duration: Duration) {
-        if duration.is_zero() {
-            return;
-        }
-        // Busy-wait: sleep() has millisecond-scale granularity on many
-        // platforms which would distort microsecond-scale latencies.
-        let start = std::time::Instant::now();
-        while start.elapsed() < duration {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-impl<S: PageStore> PageStore for SimulatedDiskStore<S> {
-    fn allocate(&self) -> StorageResult<PageId> {
-        self.inner.allocate()
-    }
-
-    fn read_page(&self, id: PageId) -> StorageResult<Page> {
-        Self::spin(self.read_latency);
-        self.inner.read_page(id)
-    }
-
-    fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        Self::spin(self.write_latency);
-        self.inner.write_page(id, page)
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-
-    fn flush(&self) -> StorageResult<()> {
-        self.inner.flush()
-    }
-
-    fn io_stats(&self) -> Arc<IoStats> {
-        self.inner.io_stats()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        self.inner.backend_name()
-    }
-}
-
 /// Checks every page read from the wrapped store against the CRC-32 that
 /// was recorded for it when the page file was written (a snapshot's
 /// `pages_meta`). Pages past the recorded list are passed through
@@ -669,26 +582,6 @@ mod tests {
         let page = store.read_page(0).unwrap();
         assert_eq!(page.bytes()[0], 0xAB);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn simulated_disk_preserves_semantics_and_adds_latency() {
-        let store = SimulatedDiskStore::with_latency(
-            InMemoryPageStore::new(),
-            Duration::from_micros(200),
-            Duration::ZERO,
-        );
-        roundtrip(&store);
-        let id = store.allocate().unwrap();
-        let t0 = std::time::Instant::now();
-        for _ in 0..20 {
-            store.read_page(id).unwrap();
-        }
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed >= Duration::from_micros(20 * 200),
-            "latency not applied: {elapsed:?}"
-        );
     }
 
     #[test]

@@ -85,12 +85,9 @@ pub fn open_with_fault_script(
     (engine, controller.expect("fault wrapper installed"))
 }
 
-/// The default index configuration without simulated read latency.
+/// The default index configuration.
 pub fn config() -> IndexConfig {
-    IndexConfig {
-        read_latency_us: 0,
-        ..Default::default()
-    }
+    IndexConfig::default()
 }
 
 /// [`config`] with an auto-checkpoint due on any non-empty delta: every
