@@ -11,8 +11,8 @@ pub struct IndexConfig {
     /// Buffer-pool capacity, in pages, for the posting store backing the
     /// ST-Index time lists.
     pub pool_pages: usize,
-    /// Ignored: no page read is delayed. Kept, and persisted in the
-    /// snapshot config, only so existing callers that set it still compile.
+    /// Ignored, not persisted: no page read is delayed. Kept only so
+    /// existing callers that set it still compile.
     pub read_latency_us: u64,
     /// Fallback minimum speed (m/s) used in Near-list construction for
     /// segments with no historical observation in a slot.
@@ -22,7 +22,8 @@ pub struct IndexConfig {
     /// *transient* error (`EIO`-class). `0` surfaces every fault
     /// immediately.
     pub read_retries: u32,
-    /// Delta-heap size (bytes of appended postings) at which the background
+    /// Delta-tail growth ([`crate::DeltaStats::delta_bytes`]: bytes of
+    /// merged lists folded in since the base was sealed) at which the background
     /// maintenance worker ([`crate::maintenance`]) triggers an automatic
     /// incremental checkpoint of the serving engine. `0` disables
     /// auto-checkpointing; the worker then only compacts.

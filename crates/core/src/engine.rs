@@ -43,10 +43,6 @@ pub struct ReachabilityEngine {
     /// skip re-exporting an unchanged base heap. Cleared by
     /// [`ReachabilityEngine::compact`].
     base_pages: Mutex<Option<Arc<[u32]>>>,
-    /// Sequence number of the most recently committed delta page file (see
-    /// [`crate::snapshot::delta_pages_file`]); each save publishes the next
-    /// one so a crash mid-save never clobbers the previous checkpoint.
-    delta_seq: std::sync::atomic::AtomicU64,
     /// The snapshot directory this engine was opened from (or first saved
     /// to): the only directory whose saves may rotate the WAL — a backup
     /// save elsewhere must not discard records the home snapshot has not
@@ -89,7 +85,6 @@ impl ReachabilityEngine {
             ingest: std::sync::Mutex::new(IngestState::default()),
             apply_cv: Condvar::new(),
             base_pages: Mutex::new(None),
-            delta_seq: std::sync::atomic::AtomicU64::new(0),
             snapshot_home: Mutex::new(None),
             shard: std::sync::OnceLock::new(),
             self_contained: std::sync::atomic::AtomicBool::new(false),
@@ -163,17 +158,6 @@ impl ReachabilityEngine {
         guard: std::sync::MutexGuard<'a, IngestState>,
     ) -> std::sync::MutexGuard<'a, IngestState> {
         self.apply_cv.wait(guard).unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The sequence number the next saved delta page file should use.
-    pub(crate) fn next_delta_seq(&self) -> u64 {
-        self.delta_seq.load(std::sync::atomic::Ordering::SeqCst) + 1
-    }
-
-    /// Records the sequence number of a committed delta page file.
-    pub(crate) fn commit_delta_seq(&self, seq: u64) {
-        self.delta_seq
-            .fetch_max(seq, std::sync::atomic::Ordering::SeqCst);
     }
 
     /// Records the directory this engine's snapshot state lives in.
@@ -259,11 +243,11 @@ impl ReachabilityEngine {
     }
 
     /// Persists the engine into a snapshot directory (see
-    /// [`crate::snapshot`]): the ST-Index posting heap as a real page file,
-    /// the delta heap of any ingested data as a second page file, plus a
-    /// checksummed container holding the temporal and delta directories,
-    /// the speed statistics, the ingest bookkeeping and the configuration. All files are fsynced before this
-    /// returns. The ingest lock is held throughout, so the saved state is a
+    /// [`crate::snapshot`]): the ST-Index posting heap as a real page file
+    /// plus a checksummed container holding the temporal directory, the
+    /// delta tail of any ingested data, the speed statistics, the ingest
+    /// bookkeeping and the configuration. Both files are fsynced before
+    /// this returns. The ingest lock is held throughout, so the saved state is a
     /// consistent cut even while other threads keep querying.
     pub fn save_snapshot<P: AsRef<std::path::Path>>(
         &self,
@@ -309,8 +293,8 @@ impl ReachabilityEngine {
     /// per-page CRCs recorded in the container are checked on every page
     /// read, so in-place rot cannot be served) — the fast path for a
     /// serving process that periodically checkpoints its streaming ingest:
-    /// only the container, the small delta heap and the bookkeeping are
-    /// rewritten.
+    /// only the container, which holds the delta tail and the bookkeeping,
+    /// is rewritten.
     pub fn save_incremental_snapshot<P: AsRef<std::path::Path>>(
         &self,
         dir: P,
@@ -391,10 +375,10 @@ impl ReachabilityEngine {
         Self::open_snapshot_with_stores_and_backend(dir, network, Some(backend), |_, store| store)
     }
 
-    /// The most general snapshot open. `wrap` is called once per page store
-    /// the engine will read from — the sealed **base** heap and the
-    /// **delta** heap of previously ingested data (in that order) — before
-    /// the engine takes ownership: the hook behind fault injection
+    /// The most general snapshot open. `wrap` is called once, with the
+    /// sealed base heap ([`StoreRole::Base`]), the one page store the
+    /// engine reads from, before the engine takes ownership: the hook
+    /// behind fault injection
     /// ([`streach_storage::FaultInjectingPageStore`] in
     /// `tests/fault_injection.rs`) and any instrumentation wrapper that
     /// should sit under the buffer pool. `backend` overrides the
@@ -419,10 +403,10 @@ impl ReachabilityEngine {
     }
 
     /// Reads and checks everything an open leaves for later: every page of
-    /// the sealed base heap and every copied delta page against its
-    /// recorded CRC-32 (past the buffer pool), and every directory and
-    /// speed-row chunk against its CRC and decoder. Chunks not decoded yet
-    /// stay decoded afterwards. Returns the first failure, a typed
+    /// the sealed base heap against its recorded CRC-32 (past the buffer
+    /// pool), and every directory and speed-row chunk against its CRC and
+    /// decoder. Chunks not decoded yet stay decoded afterwards. The delta
+    /// tail needs no pass: an open checks all of it. Returns the first failure, a typed
     /// [`StorageError::Corrupt`] (or the read's I/O error) naming the page,
     /// or the section and slot. A built engine has nothing on disk to
     /// check. Safe to call on a serving engine.
@@ -925,7 +909,7 @@ impl ReachabilityEngine {
 
     /// Folds the ingested delta tail into a new sealed ST-Index base (see
     /// [`StIndex::compact`]): queries afterwards are bit-identical, the
-    /// delta heap is empty, and the next snapshot save re-exports the (new)
+    /// delta tail is empty, and the next snapshot save re-exports the (new)
     /// base page file. Statistics-wise the result matches a from-scratch
     /// build on the combined data. Returns what was folded.
     ///

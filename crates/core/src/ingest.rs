@@ -16,10 +16,10 @@
 //!    order — into the ST-Index delta postings, the online
 //!    [`crate::SpeedStats`] and the day count.
 //! 3. [`ReachabilityEngine::save_incremental_snapshot`](crate::ReachabilityEngine::save_incremental_snapshot)
-//!    chains the delta sections onto the snapshot container, after which
+//!    writes the delta tail into the snapshot container, after which
 //!    the WAL is rotated — folded records never replay again. The
 //!    background [`crate::maintenance::MaintenanceController`] triggers
-//!    this automatically when the delta heap crosses
+//!    this automatically when the delta tail's folded bytes cross
 //!    [`IndexConfig::auto_checkpoint_bytes`](crate::IndexConfig::auto_checkpoint_bytes).
 //!
 //! Replay and re-application are **idempotent** (time-list merges are

@@ -14,7 +14,7 @@
 //! protocol — that watches the engine and triggers:
 //!
 //! * an **incremental checkpoint** ([`ReachabilityEngine::save_incremental_snapshot`])
-//!   whenever the delta heap crosses
+//!   whenever the delta tail's folded bytes cross
 //!   [`IndexConfig::auto_checkpoint_bytes`](crate::IndexConfig::auto_checkpoint_bytes),
 //! * a **compaction** ([`ReachabilityEngine::compact`]) when the delta/base
 //!   size ratio crosses [`MaintenanceConfig::compact_delta_ratio`].
@@ -23,7 +23,7 @@
 //! with one atomic pointer swap; a checkpoint pins one immutable state) and
 //! exclude only ingest for their duration. Failures are reported back as
 //! typed [`MaintenanceError`]s retrievable from the controller — a
-//! maintenance fault (full disk, dead delta store) never kills the worker
+//! maintenance fault (full disk, dead base disk) never kills the worker
 //! or the serving process, and the failed pass is retried on the next
 //! trigger.
 //!
@@ -164,7 +164,7 @@ impl MaintenanceController {
         Self { shared, worker }
     }
 
-    /// One trigger-evaluation pass: checkpoint if the delta heap crossed
+    /// One trigger-evaluation pass: checkpoint if the delta tail crossed
     /// the auto-checkpoint threshold **and grew since the last successful
     /// checkpoint** (a checkpoint does not shrink the delta — only
     /// compaction does — so the absolute size alone would re-save forever),

@@ -24,26 +24,23 @@
 //!
 //! A snapshot directory holds:
 //!
-//! * `index.snap` — the [`streach_storage::snapshot`] container (version 8:
+//! * `index.snap` — the [`streach_storage::snapshot`] container (version 9:
 //!   a checksummed section table, eager sections read at open and lazy
 //!   sections read a checksummed chunk at a time),
 //! * `postings.pages` — the sealed-base ST-Index posting heap, one 4 KiB
-//!   page per [`streach_storage::PAGE_SIZE`] slot, written with `fsync`,
-//! * `deltas.<seq>.pages` — the streaming-ingest delta posting heap (empty
-//!   when nothing was ingested since the base was sealed).
+//!   page per [`streach_storage::PAGE_SIZE`] slot, written with `fsync`.
 //!
 //! # An open reads structure only
 //!
 //! An open validates the container's table, its eager sections and the
-//! page files' lengths, in time proportional to the number of slots and
-//! pages. It reads no posting page and decodes no slot:
+//! page file's length, in time proportional to the number of slots and
+//! pages plus the size of the delta tail. It reads no posting page and
+//! decodes no slot:
 //!
-//! * `pages_meta` and `delta_pages_meta` hold one CRC-32 per page. A base
-//!   page is checked when the buffer pool misses it
-//!   ([`streach_storage::ChecksummedPageStore`]); a mismatch is a typed
-//!   [`StorageError::Corrupt`] naming the page, never a different answer.
-//!   The delta heap is copied into memory at open, each page checked as it
-//!   is copied.
+//! * `pages_meta` holds one CRC-32 per page. A page is checked when the
+//!   buffer pool misses it ([`streach_storage::ChecksummedPageStore`]); a
+//!   mismatch is a typed [`StorageError::Corrupt`] naming the page, never a
+//!   different answer.
 //! * The temporal directory and the speed statistics are each a small
 //!   eager head plus one lazy chunk per slot. The head holds every chunk's
 //!   offset, length and CRC; a slot's directory or speed row is read,
@@ -53,7 +50,7 @@
 //!   them.
 //!
 //! [`ReachabilityEngine::scrub`] reads and checks everything an open
-//! skipped: every page with a recorded CRC and every chunk.
+//! skipped: every page and every chunk.
 //!
 //! # The temporal directory (`st_index` + `st_index_slots`)
 //!
@@ -81,25 +78,33 @@
 //! decodes only if its entry count matches and its lengths sum to exactly
 //! its span. An entry costs about two bytes. The decoder fills the
 //! in-memory `SlotDirectory`, which keeps the same implied offsets at eight
-//! bytes per entry. The delta directory keeps explicit offsets, because the
-//! delta heap also holds superseded versions of re-ingested lists.
+//! bytes per entry.
 //!
 //! The speed statistics (`speed_stats` + `speed_stats_rows`) follow the
 //! same shape; the layout is on [`SpeedStats`]'s encoder.
 //!
 //! # Incremental snapshots
 //!
-//! Streaming ingest ([`crate::ingest`]) chains three *delta sections* onto
-//! the container — `delta_pages_meta` (page count, heap tail, sequence and
-//! per-page CRCs of the delta file), `delta_dir` (the (slot, segment) →
-//! handle override directory) and `ingest_meta` (WAL generation,
+//! Streaming ingest ([`crate::ingest`]) adds two eager sections: `delta`,
+//! the delta tail's merged lists, and `ingest_meta` (WAL generation,
 //! applied-record prefix, per-trajectory last-visit table).
+//!
+//! ```text
+//! delta (eager):
+//!     [folded bytes u64][entry count u32]
+//!     per entry, in strictly ascending (slot, segment) order:
+//!         [slot u32][segment u32][len u32][encoded time list: len bytes]
+//! ```
+//!
+//! The folded bytes are [`crate::DeltaStats::delta_bytes`]: every
+//! merged list folded in since the base was sealed, so at least the live
+//! lists' bytes. The open checks each key against the day and the network
+//! and each list against the strict posting decoder.
 //! [`ReachabilityEngine::save_incremental_snapshot`] skips re-exporting
 //! `postings.pages` when the target directory already holds the base heap
 //! the engine was opened from (length-checked at save; the page CRCs
 //! pinned in the container are checked on every read), so a periodic
-//! checkpoint of a serving process rewrites only the container and the
-//! small delta heap.
+//! checkpoint of a serving process rewrites only the container.
 
 use std::fmt::Display;
 use std::path::Path;
@@ -108,9 +113,9 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut};
 use streach_roadnet::{RoadNetwork, SegmentId, ShardMap};
 use streach_storage::{
-    crc32, get_varint_u32, put_varint_u32, BlobHandle, ChecksummedPageStore, FilePageStore,
-    InMemoryPageStore, LazySection, MmapPageStore, PageStore, PostingStore, SnapshotReader,
-    SnapshotWriter, StorageBackend, StorageError, StorageResult, PAGE_SIZE,
+    crc32, get_varint_u32, put_varint_u32, visit_posting, ChecksummedPageStore, FilePageStore,
+    LazySection, MmapPageStore, PageStore, PostingStore, SnapshotReader, SnapshotWriter,
+    StorageBackend, StorageError, StorageResult, PAGE_SIZE,
 };
 
 use crate::con_index::ConIndex;
@@ -119,7 +124,8 @@ use crate::engine::ReachabilityEngine;
 use crate::ingest::IngestState;
 use crate::speed_stats::SpeedStats;
 use crate::st_index::{
-    LazyDirectory, SlotDirectory, SlotHead, StIndex, StIndexStats, StIndexStore, TemporalIndex,
+    DeltaEntry, LazyDirectory, SlotDirectory, SlotHead, StIndex, StIndexStats, StIndexStore,
+    TemporalIndex,
 };
 
 /// File name of the snapshot container inside a snapshot directory.
@@ -127,33 +133,14 @@ pub const CONTAINER_FILE: &str = "index.snap";
 /// File name of the base posting-heap page file inside a snapshot
 /// directory.
 pub const PAGES_FILE: &str = "postings.pages";
-/// File-name prefix of the delta posting-heap page files inside a snapshot
-/// directory (see [`delta_pages_file`]).
-pub const DELTA_PAGES_PREFIX: &str = "deltas";
-
-/// File name of the delta page file with the given save sequence number.
-///
-/// Unlike the base heap, the delta heap is rewritten on **every**
-/// checkpoint, and the WAL records it covers may have been rotated away —
-/// overwriting the previous delta file in place would make a crash between
-/// the two publish renames destroy the only remaining copy of ingested
-/// data. Each save therefore writes a fresh `deltas.<seq>.pages`; the
-/// container names the sequence it belongs to, and superseded delta files
-/// are deleted only after the new container is committed.
-pub fn delta_pages_file(seq: u64) -> String {
-    format!("{DELTA_PAGES_PREFIX}.{seq}.pages")
-}
-
 /// Which page store a snapshot-open wrapper is being offered (see
-/// [`ReachabilityEngine::open_snapshot_with_stores_and_backend`]).
+/// [`ReachabilityEngine::open_snapshot_with_stores_and_backend`]). A
+/// snapshot has one page store; the role keeps the wrapper's two-argument
+/// shape that callers' closures bind to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreRole {
     /// The sealed-base posting heap (`postings.pages`, read-only).
     Base,
-    /// The delta posting heap of previously ingested data, loaded into a
-    /// writable in-memory store so further ingest never mutates the
-    /// snapshot artifacts.
-    Delta,
 }
 
 const SEC_CONFIG: &str = "config";
@@ -165,8 +152,7 @@ const SEC_ST_INDEX_SLOTS: &str = "st_index_slots";
 const SEC_SPEED_STATS: &str = "speed_stats";
 /// Lazy: the speed rows the `speed_stats` head points into.
 const SEC_SPEED_STATS_ROWS: &str = "speed_stats_rows";
-const SEC_DELTA_PAGES_META: &str = "delta_pages_meta";
-const SEC_DELTA_DIR: &str = "delta_dir";
+const SEC_DELTA: &str = "delta";
 const SEC_INGEST_META: &str = "ingest_meta";
 /// Optional: shard id (u16 LE) + encoded
 /// [`ShardMap`]. Present only for shard engines; restores the ownership
@@ -203,16 +189,15 @@ pub fn network_fingerprint(network: &RoadNetwork) -> u64 {
 }
 
 /// Byte length of the `config` section.
-const CONFIG_LEN: usize = 49;
+const CONFIG_LEN: usize = 33;
 
+/// Encodes the `config` section: slot_s u32, pool_pages u64, fallback
+/// speed f64 bits, read_retries u32, auto_checkpoint_bytes u64, backend u8.
+/// `read_latency_us` is ignored and not persisted.
 fn encode_config(config: &IndexConfig) -> Vec<u8> {
     let mut buf = Vec::with_capacity(CONFIG_LEN);
     buf.put_u32_le(config.slot_s);
     buf.put_u64_le(config.pool_pages as u64);
-    buf.put_u64_le(config.read_latency_us);
-    // Formerly the Con-Index table cache's capacity: written as 0, skipped
-    // on read.
-    buf.put_u64_le(0);
     buf.put_u64_le(config.fallback_min_speed_ms.to_bits());
     buf.put_u32_le(config.read_retries);
     buf.put_u64_le(config.auto_checkpoint_bytes);
@@ -228,16 +213,12 @@ fn decode_config(mut buf: &[u8]) -> StorageResult<IndexConfig> {
     let config = IndexConfig {
         slot_s: buf.get_u32_le(),
         pool_pages: buf.get_u64_le() as usize,
-        read_latency_us: buf.get_u64_le(),
-        // Skips the 8 bytes that held the Con-Index table cache's capacity.
-        fallback_min_speed_ms: {
-            buf.advance(8);
-            f64::from_bits(buf.get_u64_le())
-        },
+        fallback_min_speed_ms: f64::from_bits(buf.get_u64_le()),
         read_retries: buf.get_u32_le(),
         auto_checkpoint_bytes: buf.get_u64_le(),
         storage_backend: StorageBackend::from_config_byte(buf.get_u8())
             .ok_or_else(|| StorageError::corrupt("config section has unknown storage backend"))?,
+        ..IndexConfig::default()
     };
     if config.slot_s == 0 || config.pool_pages == 0 {
         return Err(StorageError::corrupt("config section has invalid values"));
@@ -512,70 +493,98 @@ pub(crate) fn decode_slot_chunk(
     Ok(SlotDirectory::new(head.first, segments, ends))
 }
 
-/// The delta directory: ((slot, segment), handle) entries in key order.
-fn encode_delta_dir(entries: &[((u32, u32), BlobHandle)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + entries.len() * 20);
+/// The delta tail as the snapshot holds it: ((slot, segment), encoded
+/// list) entries in key order, and the bytes folded in.
+type DeltaSection = (Vec<DeltaEntry>, u64);
+
+/// Byte length of the `delta` section's fixed head, and of each entry's.
+const DELTA_HEAD_LEN: usize = 12;
+
+/// Encodes the `delta` section (layout in the module docs).
+fn encode_delta((entries, folded_bytes): &DeltaSection) -> Vec<u8> {
+    let live: usize = entries.iter().map(|(_, bytes)| bytes.len()).sum();
+    let mut buf = Vec::with_capacity(DELTA_HEAD_LEN * (1 + entries.len()) + live);
+    buf.put_u64_le(*folded_bytes);
     buf.put_u32_le(entries.len() as u32);
-    for ((slot, segment), handle) in entries {
+    for ((slot, segment), bytes) in entries {
         buf.put_u32_le(*slot);
         buf.put_u32_le(*segment);
-        buf.put_u64_le(handle.offset);
-        buf.put_u32_le(handle.len);
+        buf.put_u32_le(u32::try_from(bytes.len()).expect("a time list spans at most 4 GiB"));
+        buf.put_slice(bytes);
     }
     buf
 }
 
-fn decode_delta_dir(
+/// Decodes and validates the `delta` section: keys ascend strictly inside
+/// the day and the network, every list passes the strict posting decoder,
+/// the entries fill the section exactly and the live lists hold no more
+/// bytes than were folded in. Any deviation is [`StorageError::Corrupt`]
+/// naming the section.
+fn decode_delta(
     mut buf: &[u8],
-    tail: u64,
     slots_per_day: u32,
-) -> StorageResult<Vec<((u32, u32), BlobHandle)>> {
-    let corrupt = || StorageError::corrupt("delta_dir section truncated");
-    if buf.remaining() < 4 {
-        return Err(corrupt());
+    num_segments: usize,
+) -> StorageResult<DeltaSection> {
+    let bad = |what: String| StorageError::corrupt(format!("delta section: {what}"));
+    if buf.remaining() < DELTA_HEAD_LEN {
+        return Err(bad("truncated head".into()));
     }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() != n * 20 {
-        return Err(corrupt());
+    let folded_bytes = buf.get_u64_le();
+    let count = buf.get_u32_le() as usize;
+    // The count is only as trustworthy as the section CRC: never reserve
+    // more entries than the section could hold.
+    let mut entries: Vec<DeltaEntry> =
+        Vec::with_capacity(count.min(buf.remaining() / DELTA_HEAD_LEN));
+    let mut live = 0u64;
+    for _ in 0..count {
+        if buf.remaining() < DELTA_HEAD_LEN {
+            return Err(bad("truncated entry".into()));
+        }
+        let (slot, segment) = (buf.get_u32_le(), buf.get_u32_le());
+        let len = buf.get_u32_le() as usize;
+        let at = format!("slot {slot} segment {segment}");
+        if entries
+            .last()
+            .is_some_and(|(prev, _)| *prev >= (slot, segment))
+        {
+            return Err(bad(format!("{at} is out of order or repeated")));
+        }
+        if slot >= slots_per_day {
+            return Err(bad(format!(
+                "{at} is outside the day ({slots_per_day} slots)"
+            )));
+        }
+        if segment as usize >= num_segments {
+            return Err(bad(format!(
+                "{at} is outside the network ({num_segments} segments)"
+            )));
+        }
+        if len > buf.remaining() {
+            return Err(bad(format!("{at} runs past the section")));
+        }
+        let (bytes, rest) = buf.split_at(len);
+        if !visit_posting(bytes, |_, _| {}) {
+            return Err(bad(format!("{at} holds a malformed time list")));
+        }
+        live += len as u64;
+        entries.push(((slot, segment), bytes.into()));
+        buf = rest;
     }
-    let mut entries = Vec::with_capacity(n);
-    let mut prev: Option<(u32, u32)> = None;
-    for _ in 0..n {
-        let key = (buf.get_u32_le(), buf.get_u32_le());
-        if prev.is_some_and(|p| p >= key) {
-            return Err(StorageError::corrupt("delta_dir entries not sorted"));
-        }
-        if key.0 >= slots_per_day {
-            return Err(StorageError::corrupt("delta_dir slot is outside the day"));
-        }
-        prev = Some(key);
-        let offset = buf.get_u64_le();
-        let len = buf.get_u32_le();
-        if offset.checked_add(len as u64).is_none_or(|end| end > tail) {
-            return Err(StorageError::corrupt(
-                "delta_dir blob handle points past the delta heap",
-            ));
-        }
-        entries.push((key, BlobHandle { offset, len }));
+    if !buf.is_empty() {
+        return Err(bad("trailing bytes".into()));
     }
-    Ok(entries)
-}
-
-/// Reads `count` page CRCs, which must be all that is left of `buf`.
-fn decode_page_crcs(mut buf: &[u8], count: u64, section: &str) -> StorageResult<Arc<[u32]>> {
-    if buf.remaining() as u64 != count.saturating_mul(4) {
-        return Err(StorageError::corrupt(format!(
-            "{section} section has wrong length"
+    if live > folded_bytes {
+        return Err(bad(format!(
+            "live lists hold {live} bytes, more than the {folded_bytes} folded in"
         )));
     }
-    Ok((0..count).map(|_| buf.get_u32_le()).collect())
+    Ok((entries, folded_bytes))
 }
 
 /// Exports every page of `source` into a fresh page file at `path`,
-/// returning each page's CRC-32. The source is read underneath the latency
-/// shim — export is an offline bulk copy, not simulated query I/O — but
-/// through the page checksums of a reopened heap, so a save never copies a
-/// rotten page.
+/// returning each page's CRC-32. The source is read past the buffer pool
+/// but through the page checksums of a reopened heap, so a save never
+/// copies a rotten page.
 fn export_pages(source: &dyn PageStore, path: &Path) -> StorageResult<Arc<[u32]>> {
     let target = FilePageStore::create(path)?;
     let mut crcs = Vec::with_capacity(source.num_pages() as usize);
@@ -591,16 +600,16 @@ fn export_pages(source: &dyn PageStore, path: &Path) -> StorageResult<Arc<[u32]>
 }
 
 /// Writes the engine's snapshot into `dir` (created if missing): the
-/// container file plus the base and delta posting page files, all fsynced.
-/// The caller holds the engine's ingest lock, so the delta tail cannot
-/// move underneath the export.
+/// container file plus the base posting page file, both fsynced. The
+/// caller holds the engine's ingest lock, so the delta tail cannot move
+/// underneath the export.
 ///
 /// Every slot directory and speed row is decoded before the first file is
 /// written, so a damaged source snapshot fails the save before it touches
 /// the target. Files are staged under `.tmp` names and renamed into place
 /// only after they are fully written and synced, so re-saving over an
 /// existing snapshot never destroys it on a crash mid-save. The container
-/// stores each page file's page count and per-page CRCs, so a torn set
+/// stores the page file's page count and per-page CRCs, so a torn pair
 /// (crash between the renames) is rejected at open by its length, and any
 /// later bit rot in a page is rejected when the page is read.
 ///
@@ -658,15 +667,8 @@ pub(crate) fn save(
         }
     };
 
-    // 2. The delta posting heap (empty file when nothing was ingested),
-    //    under a fresh sequence-numbered name: the previous delta file is
-    //    never touched until the new container is committed.
-    let delta_seq = engine.next_delta_seq();
-    let delta_name = delta_pages_file(delta_seq);
-    let delta_tmp = dir.join(format!("{delta_name}.tmp"));
-    let delta_crcs = export_pages(pinned.delta_postings().store().as_ref(), &delta_tmp)?;
-
-    // 3. Everything else goes into the checksummed container.
+    // 2. Everything else, the delta tail included, goes into the
+    //    checksummed container.
     let mut writer = SnapshotWriter::new();
     writer.add_section(SEC_CONFIG, encode_config(engine.config()));
     let mut network = Vec::with_capacity(8);
@@ -680,18 +682,7 @@ pub(crate) fn save(
     writer.add_lazy_section(SEC_ST_INDEX_SLOTS, st_chunks);
     writer.add_section(SEC_SPEED_STATS, speed_head);
     writer.add_lazy_section(SEC_SPEED_STATS_ROWS, speed_rows);
-    let mut delta_meta = Vec::with_capacity(24 + delta_crcs.len() * 4);
-    delta_meta.put_u64_le(delta_crcs.len() as u64);
-    delta_meta.put_u64_le(pinned.delta_postings().size_bytes());
-    delta_meta.put_u64_le(delta_seq);
-    delta_crcs
-        .iter()
-        .for_each(|&crc| delta_meta.put_u32_le(crc));
-    writer.add_section(SEC_DELTA_PAGES_META, delta_meta);
-    writer.add_section(
-        SEC_DELTA_DIR,
-        encode_delta_dir(&pinned.delta_directory_entries()),
-    );
+    writer.add_section(SEC_DELTA, encode_delta(&pinned.delta()));
     writer.add_section(
         SEC_INGEST_META,
         ReachabilityEngine::encode_ingest_meta(ingest_state),
@@ -711,37 +702,19 @@ pub(crate) fn save(
     }
     writer.finish(&container_tmp)?;
 
-    // 4. Publish: every artifact was staged under a `.tmp` (or fresh
-    //    sequence-numbered) name, so a failure before the container rename
-    //    leaves the previous snapshot fully openable — the old container
-    //    still references the old, untouched delta file. The container
-    //    rename is the commit point. Residual window (pre-existing, full
-    //    saves only): when the base heap itself was re-exported over an
-    //    existing snapshot, a crash between the two renames below leaves a
-    //    torn base/container pair that is rejected at open or at the first
-    //    read of a mismatched page; the engine still holds that state and
-    //    can simply re-save.
-    std::fs::rename(&delta_tmp, dir.join(&delta_name))?;
+    // 3. Publish: every artifact was staged under a `.tmp` name, so a
+    //    failure before the container rename leaves the previous snapshot
+    //    fully openable. The container rename is the commit point.
+    //    Residual window (full saves only): when the base heap itself was
+    //    re-exported over an existing snapshot, a crash between the two
+    //    renames below leaves a torn base/container pair that is rejected
+    //    at open or at the first read of a mismatched page; the engine
+    //    still holds that state and can simply re-save.
     if let Some(tmp) = base_tmp {
         std::fs::rename(&tmp, &pages_path)?;
         engine.set_base_pages_identity(page_crcs);
     }
     std::fs::rename(&container_tmp, dir.join(CONTAINER_FILE))?;
-    engine.commit_delta_seq(delta_seq);
-
-    // 5. Garbage-collect superseded delta files — everything matching the
-    //    prefix except the one the just-committed container references.
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(DELTA_PAGES_PREFIX)
-                && name.ends_with(".pages")
-                && name != delta_name
-            {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    }
     Ok(())
 }
 
@@ -772,10 +745,10 @@ fn open_sealed_pages(
 /// Reopens an engine from the snapshot in `dir` against the given road
 /// network. Fails with [`StorageError::Corrupt`] when the snapshot's
 /// structure is damaged or was built over a different network. `wrap`
-/// sees each page store — [`StoreRole::Base`], then [`StoreRole::Delta`] —
-/// before the engine takes ownership (identity for plain opens; a
-/// fault-injection or instrumentation wrapper otherwise); the page
-/// checksums sit above it, so they check what the wrapper returns.
+/// sees the base page store ([`StoreRole::Base`]) once, before the engine
+/// takes ownership (identity for plain opens; a fault-injection or
+/// instrumentation wrapper otherwise); the page checksums sit above it, so
+/// they check what the wrapper returns.
 /// `backend_override` replaces the [`StorageBackend`] recorded in the
 /// snapshot config for this open (and for every subsequent save from the
 /// opened engine).
@@ -813,10 +786,7 @@ struct CheckedSnapshot {
     config: IndexConfig,
     page_crcs: Arc<[u32]>,
     st_index: StIndexHead,
-    delta_tail: u64,
-    delta_seq: u64,
-    delta_crcs: Arc<[u32]>,
-    delta_directory: Vec<((u32, u32), BlobHandle)>,
+    delta: DeltaSection,
     speed_stats: SpeedStats,
     ingest_meta: (u64, u64, crate::ingest::LastVisitMap),
 }
@@ -863,12 +833,17 @@ fn read_checked(
         config.storage_backend = backend;
     }
 
+    // [page count u64], then one CRC-32 per page.
     let mut pages_meta = reader.section(SEC_PAGES_META)?;
+    let wrong_length = || StorageError::corrupt("pages_meta section has wrong length");
     if pages_meta.remaining() < 8 {
-        return Err(StorageError::corrupt("pages_meta section has wrong length"));
+        return Err(wrong_length());
     }
     let num_pages = pages_meta.get_u64_le();
-    let page_crcs = decode_page_crcs(pages_meta, num_pages, SEC_PAGES_META)?;
+    if pages_meta.remaining() as u64 != num_pages.saturating_mul(4) {
+        return Err(wrong_length());
+    }
+    let page_crcs: Arc<[u32]> = (0..num_pages).map(|_| pages_meta.get_u32_le()).collect();
 
     let st_index = decode_st_index_head(
         reader.section(SEC_ST_INDEX)?,
@@ -885,25 +860,10 @@ fn read_checked(
         ));
     }
 
-    let mut delta_meta = reader.section(SEC_DELTA_PAGES_META)?;
-    if delta_meta.remaining() < 24 {
-        return Err(StorageError::corrupt(
-            "delta_pages_meta section has wrong length",
-        ));
-    }
-    let delta_pages = delta_meta.get_u64_le();
-    let delta_tail = delta_meta.get_u64_le();
-    let delta_seq = delta_meta.get_u64_le();
-    let delta_crcs = decode_page_crcs(delta_meta, delta_pages, SEC_DELTA_PAGES_META)?;
-    if delta_tail.div_ceil(PAGE_SIZE as u64) > delta_pages {
-        return Err(StorageError::corrupt(
-            "delta page file is shorter than the delta heap",
-        ));
-    }
-    let delta_directory = decode_delta_dir(
-        reader.section(SEC_DELTA_DIR)?,
-        delta_tail,
+    let delta = decode_delta(
+        reader.section(SEC_DELTA)?,
         config.slots_per_day(),
+        network.num_segments(),
     )?;
 
     let speed_stats = SpeedStats::open(
@@ -926,18 +886,15 @@ fn read_checked(
         config,
         page_crcs,
         st_index,
-        delta_tail,
-        delta_seq,
-        delta_crcs,
-        delta_directory,
+        delta,
         speed_stats,
         ingest_meta,
     })
 }
 
-/// Builds the engine over a [`CheckedSnapshot`]: opens the page stores,
-/// offers each to `wrap`, checks the pages they return against the
-/// recorded CRCs, and restores the optional sections.
+/// Builds the engine over a [`CheckedSnapshot`]: opens the page store,
+/// offers it to `wrap`, checks the pages it returns against the recorded
+/// CRCs, and restores the optional sections.
 fn assemble<F>(
     dir: &Path,
     checked: CheckedSnapshot,
@@ -952,10 +909,7 @@ where
         config,
         page_crcs,
         st_index: head,
-        delta_tail,
-        delta_seq,
-        delta_crcs,
-        delta_directory,
+        delta,
         speed_stats,
         ingest_meta,
     } = checked;
@@ -968,7 +922,6 @@ where
         config.storage_backend,
         page_crcs.len() as u64,
     )?;
-    let io = base_store.io_stats();
     let store: StIndexStore = Box::new(ChecksummedPageStore::new(
         wrap(StoreRole::Base, base_store),
         Arc::clone(&page_crcs),
@@ -977,42 +930,6 @@ where
         store,
         config.pool_pages,
         head.tail,
-        config.read_retries,
-    );
-
-    // The delta heap of previously ingested data, copied into a writable
-    // in-memory store (further ingest must never mutate the snapshot
-    // artifacts), each page checked as it is copied. The copy shares the
-    // base heap's I/O counters, so base and delta reads are accounted
-    // identically; its full pages stay checked on every read, while its
-    // last partial page is where ingest appends.
-    let delta_path = dir.join(delta_pages_file(delta_seq));
-    let delta_mem = InMemoryPageStore::with_stats(io);
-    {
-        let delta_src =
-            open_sealed_pages(&delta_path, config.storage_backend, delta_crcs.len() as u64)?;
-        for (page_id, &crc) in (0..delta_src.num_pages()).zip(delta_crcs.iter()) {
-            let page = delta_src.read_page(page_id)?;
-            if crc32(page.bytes()) != crc {
-                return Err(StorageError::corrupt(format!(
-                    "delta page file {}: page {page_id} fails its checksum (torn save or bit rot)",
-                    delta_path.display()
-                )));
-            }
-            let id = delta_mem.allocate()?;
-            debug_assert_eq!(id, page_id);
-            delta_mem.write_page(page_id, &page)?;
-        }
-    }
-    let full_delta_pages = (delta_tail / PAGE_SIZE as u64) as usize;
-    let delta_store: StIndexStore = Box::new(ChecksummedPageStore::new(
-        wrap(StoreRole::Delta, Box::new(delta_mem)),
-        delta_crcs[..full_delta_pages].into(),
-    ));
-    let delta_postings = PostingStore::with_tail_and_retries(
-        delta_store,
-        config.pool_pages,
-        delta_tail,
         config.read_retries,
     );
 
@@ -1031,8 +948,7 @@ where
         head.stats,
         temporal,
         postings,
-        delta_postings,
-        delta_directory,
+        delta,
     );
 
     let con_index = ConIndex::new(network.clone(), Arc::new(speed_stats), &config);
@@ -1040,7 +956,6 @@ where
     let (wal_generation, wal_applied, last_visit) = ingest_meta;
     let engine = ReachabilityEngine::new(network, st_index, con_index, config);
     engine.install_snapshot_meta(page_crcs, wal_generation, wal_applied, last_visit);
-    engine.commit_delta_seq(delta_seq);
     engine.set_snapshot_home(dir);
 
     // Optional sections, presence-checked: unsharded engines have no shard
@@ -1092,6 +1007,7 @@ mod tests {
     use crate::builder::EngineBuilder;
     use crate::query::{Algorithm, SQuery};
     use streach_roadnet::{GeneratorConfig, SyntheticCity};
+    use streach_storage::BlobHandle;
     use streach_traj::{FleetConfig, TrajectoryDataset};
 
     #[test]
@@ -1119,12 +1035,19 @@ mod tests {
             storage_backend: StorageBackend::Mmap,
         };
         let bytes = encode_config(&config);
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&600u32.to_le_bytes());
+        expected.extend_from_slice(&33u64.to_le_bytes());
+        expected.extend_from_slice(&2.75f64.to_bits().to_le_bytes());
+        expected.extend_from_slice(&5u32.to_le_bytes());
+        expected.extend_from_slice(&123_456u64.to_le_bytes());
+        expected.push(StorageBackend::Mmap.config_byte());
+        assert_eq!(bytes, expected, "33 bytes, read_latency_us not among them");
         assert_eq!(bytes.len(), CONFIG_LEN);
-        assert_eq!(bytes[20..28], [0; 8], "the dead cache-capacity bytes");
         let decoded = decode_config(&bytes).unwrap();
         assert_eq!(decoded.slot_s, 600);
         assert_eq!(decoded.pool_pages, 33);
-        assert_eq!(decoded.read_latency_us, 17);
+        assert_eq!(decoded.read_latency_us, 0, "ignored, not persisted");
         assert_eq!(decoded.fallback_min_speed_ms, 2.75);
         assert_eq!(decoded.read_retries, 5);
         assert_eq!(decoded.auto_checkpoint_bytes, 123_456);
@@ -1246,7 +1169,7 @@ mod tests {
                 assert!(context.contains(needle), "{what}: {context}")
             }
             Err(e) => panic!("{what}: expected Corrupt, got {e}"),
-            Ok(_) => panic!("{what}: a malformed st_index decoded"),
+            Ok(_) => panic!("{what}: a malformed section decoded"),
         }
     }
 
@@ -1331,14 +1254,127 @@ mod tests {
             "section st_index: checksum mismatch",
         );
         std::fs::remove_file(&path).ok();
-        // Compaction indexes the temporal array by delta slot, so the delta
-        // directory must stay inside the day as well.
-        let delta = encode_delta_dir(&[((288, 1), BlobHandle { offset: 0, len: 4 })]);
-        assert!(decode_delta_dir(&delta, 4, 289).is_ok());
-        assert!(matches!(
-            decode_delta_dir(&delta, 4, 288),
-            Err(StorageError::Corrupt { .. })
-        ));
+    }
+
+    /// Two delta lists: segment 3 in slot 5 (dates 0 and 2) and segment 9
+    /// in slot 200 (date 1), 14 bytes between them, 20 bytes folded in.
+    fn sample_delta() -> DeltaSection {
+        let list = |entries: &[(u16, &[u32])]| -> Arc<[u8]> {
+            let mut list = streach_storage::TimeList::new();
+            for &(date, ids) in entries {
+                ids.iter().for_each(|&id| list.add(date, id));
+            }
+            list.encode().into()
+        };
+        (
+            vec![
+                ((5, 3), list(&[(0, &[4]), (2, &[1, 7])])),
+                ((200, 9), list(&[(1, &[2])])),
+            ],
+            20,
+        )
+    }
+
+    /// [`sample_delta`]'s section, written out field by field.
+    fn sample_delta_bytes() -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&20u64.to_le_bytes()); // folded bytes
+        bytes.extend_from_slice(&2u32.to_le_bytes()); // entry count
+        for (slot, segment, list) in [
+            // tag, 2 dates: date 0, 1 id: 4; gap 2 → date 2, 2 ids: 1, +6
+            (
+                5u32,
+                3u32,
+                &[0x01, 0x02, 0x00, 0x01, 0x04, 0x02, 0x02, 0x01, 0x06][..],
+            ),
+            // tag, 1 date: date 1, 1 id: 2
+            (200, 9, &[0x01, 0x01, 0x01, 0x01, 0x02][..]),
+        ] {
+            bytes.extend_from_slice(&slot.to_le_bytes());
+            bytes.extend_from_slice(&segment.to_le_bytes());
+            bytes.extend_from_slice(&(list.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(list);
+        }
+        bytes
+    }
+
+    #[test]
+    fn delta_golden_bytes() {
+        let bytes = sample_delta_bytes();
+        assert_eq!(encode_delta(&sample_delta()), bytes);
+        assert_eq!(decode_delta(&bytes, 288, 10).unwrap(), sample_delta());
+        // An empty tail is its head alone.
+        assert_eq!(encode_delta(&(Vec::new(), 0)), [0; DELTA_HEAD_LEN]);
+        assert_eq!(decode_delta(&[0; 12], 288, 10).unwrap(), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn delta_decoder_rejects_malformed_sections() {
+        let clean = sample_delta_bytes();
+        // Offsets of the second entry's fields, and of the first list.
+        let second = DELTA_HEAD_LEN + DELTA_HEAD_LEN + 9;
+        let set = |at: usize, bytes: &[u8]| {
+            let mut b = clean.clone();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            b
+        };
+        let cases: Vec<(&str, Vec<u8>, u32, usize)> = vec![
+            (
+                "keys out of order",
+                set(second, &4u32.to_le_bytes()),
+                288,
+                10,
+            ),
+            (
+                "duplicate key",
+                set(second, &[5, 0, 0, 0, 3, 0, 0, 0]),
+                288,
+                10,
+            ),
+            ("slot outside the day", clean.clone(), 200, 10),
+            ("segment outside the network", clean.clone(), 288, 9),
+            (
+                "list fails strict decode (zero id gap)",
+                set(2 * DELTA_HEAD_LEN + 8, &[0x00]),
+                288,
+                10,
+            ),
+            (
+                "length past the section",
+                set(second + 8, &6u32.to_le_bytes()),
+                288,
+                10,
+            ),
+            ("trailing bytes", [clean.as_slice(), &[0]].concat(), 288, 10),
+            (
+                "live bytes above folded bytes",
+                set(0, &13u64.to_le_bytes()),
+                288,
+                10,
+            ),
+            (
+                "count past the entries",
+                set(8, &3u32.to_le_bytes()),
+                288,
+                10,
+            ),
+        ];
+        for (what, bytes, slots_per_day, num_segments) in cases {
+            expect_corrupt(
+                what,
+                decode_delta(&bytes, slots_per_day, num_segments),
+                "delta section",
+            );
+        }
+        for cut in 0..clean.len() {
+            expect_corrupt(
+                &format!("prefix of {cut} bytes"),
+                decode_delta(&clean[..cut], 288, 10),
+                "delta section",
+            );
+        }
+        // Exactly as many bytes folded in as live is fine.
+        assert!(decode_delta(&set(0, &14u64.to_le_bytes()), 288, 10).is_ok());
     }
 
     #[test]

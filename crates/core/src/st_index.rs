@@ -27,18 +27,18 @@
 //! The index is split into a **sealed base** (the temporal directory and
 //! posting heap produced by [`StIndex::build`] or reopened from a snapshot
 //! — never mutated) and a **delta tail** that absorbs trajectory points
-//! ingested after open ([`StIndex::apply_points`]). The delta keeps, per
-//! (slot, segment) pair it has touched, a *fully merged* time list (base
-//! observations ∪ ingested observations) appended to its own posting heap;
-//! a delta entry therefore **overrides** the base entry on the read path,
-//! which keeps every reader — [`StIndex::time_list`],
+//! ingested after open ([`StIndex::apply_points`]). The delta is a
+//! memtable: per (slot, segment) pair it has touched, the encoded bytes of
+//! the *fully merged* time list (base observations ∪ ingested
+//! observations). A delta entry therefore **overrides** the base entry on
+//! the read path, which keeps every reader — [`StIndex::time_list`],
 //! [`StIndex::read_time_list_into`], [`StIndex::ids_in_window`] — a single
 //! posting read with unchanged circular-day slot semantics. When no point
 //! was ever ingested the delta check is one relaxed atomic load, so the
 //! sealed-base hot path is untouched. [`StIndex::compact`] folds the delta
 //! back into a fresh sealed base (bit-identical to a from-scratch build on
 //! the combined data) and empties the tail.
-//!
+
 //! # Online maintenance: the atomic state swap
 //!
 //! The sealed base and the delta tail live together in one immutable
@@ -60,7 +60,7 @@
 //! serialized by the engine's ingest lock, which queries never touch.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU16, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
@@ -404,76 +404,103 @@ pub struct StIndexStats {
 pub struct DeltaStats {
     /// Number of (slot, segment) pairs currently overridden by the delta.
     pub delta_lists: u64,
-    /// Bytes appended to the delta posting heap (including superseded
-    /// versions of re-ingested lists; compaction reclaims them).
+    /// Bytes of every merged list folded into the delta since the base was
+    /// sealed, superseded versions of re-ingested lists included: the
+    /// growth checkpoints and compaction gate on. Compaction resets it.
     pub delta_bytes: u64,
-    /// Pages allocated in the delta posting heap.
-    pub delta_pages: u64,
 }
 
 /// Where a (segment, slot) time list currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum ListRef {
     /// In the sealed base heap.
     Base(BlobHandle),
-    /// In the delta heap — a fully merged list that overrides the base.
-    Delta(BlobHandle),
+    /// In the delta tail — a fully merged list that overrides the base.
+    Delta(Arc<[u8]>),
 }
 
-/// Number of lock stripes in the delta directory. Striping is by slot, so
+/// Number of lock stripes in the delta tail. Striping is by slot, so
 /// queries reading one time-of-day never contend with WAL application
 /// folding observations into another.
 const DELTA_STRIPES: usize = 16;
 
-/// The mutable delta tail: merged override lists keyed by (slot, segment),
-/// stored in their own append-only posting heap.
+/// One list of the delta tail: (slot, segment) and the merged list's
+/// encoded bytes.
+pub(crate) type DeltaEntry = ((u32, u32), Arc<[u8]>);
+
+/// One stripe of the delta tail: (slot, segment) → the merged list's
+/// encoded bytes. A `BTreeMap`, so snapshots and compaction see the
+/// entries in key order after one merge across stripes.
+type DeltaStripe = BTreeMap<(u32, u32), Arc<[u8]>>;
+
+/// The mutable delta tail: a memtable of merged override lists keyed by
+/// (slot, segment).
 struct DeltaTail {
-    postings: PostingStore<StIndexStore>,
-    /// (slot, segment) → handle of the current merged list in the delta
-    /// heap, striped by `slot % DELTA_STRIPES` so the apply lock is sharded:
+    /// Striped by `slot % DELTA_STRIPES`, so the apply lock is sharded:
     /// disjoint ingest batches (and concurrent readers) touching different
-    /// slots take different locks. Each stripe is a `BTreeMap` so snapshot
-    /// serialization and compaction stay deterministic after one merge-sort
-    /// across stripes.
-    stripes: Vec<RwLock<BTreeMap<(u32, u32), BlobHandle>>>,
-    /// Total number of directory entries across stripes, readable without
-    /// any lock: the hot path's fast "no deltas" check.
+    /// slots take different locks.
+    stripes: Vec<RwLock<DeltaStripe>>,
+    /// Total number of entries across stripes, readable without any lock:
+    /// the hot path's fast "no deltas" check.
     len: AtomicUsize,
+    /// [`DeltaStats::delta_bytes`].
+    folded_bytes: AtomicU64,
 }
 
 impl DeltaTail {
+    /// A tail holding `entries`, with `folded_bytes` folded in so far.
+    fn new(entries: Vec<DeltaEntry>, folded_bytes: u64) -> Self {
+        let tail = Self {
+            stripes: (0..DELTA_STRIPES)
+                .map(|_| RwLock::new(BTreeMap::new()))
+                .collect(),
+            len: AtomicUsize::new(0),
+            folded_bytes: AtomicU64::new(folded_bytes),
+        };
+        for ((slot, segment), bytes) in entries {
+            tail.insert(slot, segment, bytes);
+        }
+        tail
+    }
+
     fn stripe_of(slot: u32) -> usize {
         slot as usize % DELTA_STRIPES
     }
 
-    fn lookup(&self, slot: u32, segment: SegmentId) -> Option<BlobHandle> {
+    fn get(&self, slot: u32, segment: SegmentId) -> Option<Arc<[u8]>> {
         if self.len.load(Ordering::Relaxed) == 0 {
             return None;
         }
         self.stripes[Self::stripe_of(slot)]
             .read()
             .get(&(slot, segment.0))
-            .copied()
+            .cloned()
     }
 
-    /// Inserts (or replaces) one directory entry, maintaining the global
-    /// lock-free length counter.
-    fn insert(&self, slot: u32, segment: u32, handle: BlobHandle) {
+    /// Inserts (or replaces) one list, maintaining the lock-free length.
+    fn insert(&self, slot: u32, segment: u32, bytes: Arc<[u8]>) {
         let mut stripe = self.stripes[Self::stripe_of(slot)].write();
-        if stripe.insert((slot, segment), handle).is_none() {
+        if stripe.insert((slot, segment), bytes).is_none() {
             self.len.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// All directory entries in (slot, segment) order — the deterministic
-    /// view snapshots and compaction serialize.
-    fn sorted_entries(&self) -> Vec<((u32, u32), BlobHandle)> {
+    /// All entries in (slot, segment) order — the deterministic view
+    /// snapshots and compaction serialize.
+    fn sorted_entries(&self) -> Vec<DeltaEntry> {
         let mut out = Vec::with_capacity(self.len.load(Ordering::Relaxed));
         for stripe in &self.stripes {
-            out.extend(stripe.read().iter().map(|(k, v)| (*k, *v)));
+            out.extend(stripe.read().iter().map(|(k, v)| (*k, Arc::clone(v))));
         }
         out.sort_unstable_by_key(|(k, _)| *k);
         out
+    }
+
+    fn stats(&self) -> DeltaStats {
+        DeltaStats {
+            delta_lists: self.len.load(Ordering::Relaxed) as u64,
+            delta_bytes: self.folded_bytes.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -494,14 +521,14 @@ struct IndexState {
 }
 
 impl IndexState {
-    /// Directory lookup of the blob handle for (segment, slot) — the slot
-    /// already wrapped into the day. A delta entry holds the fully merged
-    /// list and therefore overrides the base entry; with no deltas the
-    /// check is one relaxed atomic load. Fails only when the slot's
-    /// directory chunk cannot be decoded.
+    /// Where the list of (segment, slot) lives — the slot already wrapped
+    /// into the day. A delta entry holds the fully merged list and
+    /// therefore overrides the base entry; with no deltas the check is one
+    /// relaxed atomic load. Fails only when the slot's directory chunk
+    /// cannot be decoded.
     fn lookup(&self, segment: SegmentId, slot: u32) -> StorageResult<Option<ListRef>> {
-        if let Some(handle) = self.delta.lookup(slot, segment) {
-            return Ok(Some(ListRef::Delta(handle)));
+        if let Some(bytes) = self.delta.get(slot, segment) {
+            return Ok(Some(ListRef::Delta(bytes)));
         }
         Ok(self
             .base
@@ -511,20 +538,32 @@ impl IndexState {
             .map(ListRef::Base))
     }
 
-    /// Reads a located list from whichever heap owns it.
-    fn read_time_list(&self, list_ref: ListRef) -> StorageResult<TimeList> {
+    /// Reads and strictly decodes a located list; a delta list is decoded
+    /// with the same decode accounting as a base one.
+    fn read_time_list(&self, list_ref: &ListRef) -> StorageResult<TimeList> {
         match list_ref {
-            ListRef::Base(handle) => self.base.postings.read_time_list(handle),
-            ListRef::Delta(handle) => self.delta.postings.read_time_list(handle),
+            ListRef::Base(handle) => self.base.postings.read_time_list(*handle),
+            ListRef::Delta(bytes) => {
+                let list = TimeList::decode(bytes)
+                    .ok_or_else(|| StorageError::corrupt("delta time list failed to decode"))?;
+                self.base
+                    .postings
+                    .io_stats()
+                    .record_posting_decode(list.fixed_width_size(), bytes.len() as u64);
+                Ok(list)
+            }
         }
     }
 
-    /// Reads a located list's encoded bytes into `buf` from whichever heap
-    /// owns it.
-    fn read_into(&self, list_ref: ListRef, buf: &mut Vec<u8>) -> StorageResult<()> {
+    /// Reads a located list's encoded bytes into `buf`.
+    fn read_into(&self, list_ref: &ListRef, buf: &mut Vec<u8>) -> StorageResult<()> {
         match list_ref {
-            ListRef::Base(handle) => self.base.postings.read_into(handle, buf),
-            ListRef::Delta(handle) => self.delta.postings.read_into(handle, buf),
+            ListRef::Base(handle) => self.base.postings.read_into(*handle, buf),
+            ListRef::Delta(bytes) => {
+                buf.clear();
+                buf.extend_from_slice(bytes);
+                Ok(())
+            }
         }
     }
 
@@ -533,8 +572,8 @@ impl IndexState {
     /// merging them with the slot's directory yields the base blobs in heap
     /// order, and one [`BlobRun`](streach_storage::BlobRun) reads them a
     /// page at a time, lending in-page blobs. A delta entry overrides the
-    /// base entry, as in [`IndexState::lookup`]; its bytes are copied into
-    /// `buf`.
+    /// base entry, as in [`IndexState::lookup`], and its bytes are lent
+    /// too.
     fn visit_slot<F>(
         &self,
         segments: &[SegmentId],
@@ -549,23 +588,13 @@ impl IndexState {
         let mut run = self.base.postings.run();
         let mut next = 0;
         for (i, &segment) in segments.iter().enumerate() {
-            if let Some(handle) = self.delta.lookup(slot, segment) {
-                self.delta.postings.read_into(handle, buf)?;
-                visit(i, buf)?;
+            if let Some(bytes) = self.delta.get(slot, segment) {
+                visit(i, &bytes)?;
             } else if let Some(entry) = directory.seek(&mut next, segment) {
                 visit(i, run.read(directory.handle(entry), buf)?)?;
             }
         }
         Ok(())
-    }
-
-    /// Size statistics of this state's delta tail.
-    fn delta_stats(&self) -> DeltaStats {
-        DeltaStats {
-            delta_lists: self.delta.len.load(Ordering::Relaxed) as u64,
-            delta_bytes: self.delta.postings.size_bytes(),
-            delta_pages: self.delta.postings.num_pages(),
-        }
     }
 }
 
@@ -582,19 +611,18 @@ impl PinnedState {
         &self.0.base.postings
     }
 
-    /// The delta posting store.
-    pub(crate) fn delta_postings(&self) -> &PostingStore<StIndexStore> {
-        &self.0.delta.postings
-    }
-
     /// The temporal directory, one [`SlotDirectory`] per slot of the day.
     pub(crate) fn directory(&self) -> &TemporalIndex {
         &self.0.base.temporal
     }
 
-    /// The delta directory as ((slot, segment), handle) pairs in key order.
-    pub(crate) fn delta_directory_entries(&self) -> Vec<((u32, u32), BlobHandle)> {
-        self.0.delta.sorted_entries()
+    /// The delta tail as ((slot, segment), encoded list) pairs in key
+    /// order, and its [`DeltaStats::delta_bytes`].
+    pub(crate) fn delta(&self) -> (Vec<DeltaEntry>, u64) {
+        (
+            self.0.delta.sorted_entries(),
+            self.0.delta.stats().delta_bytes,
+        )
     }
 }
 
@@ -675,13 +703,9 @@ impl StIndex {
         });
         drop(parts);
 
-        // Base and delta heap share one I/O counter handle, so query
-        // accounting covers both read paths.
-        let io = IoStats::new_shared();
-        let store: StIndexStore = Box::new(InMemoryPageStore::with_stats(Arc::clone(&io)));
+        let store: StIndexStore = Box::new(InMemoryPageStore::new());
         let postings =
             PostingStore::with_tail_and_retries(store, config.pool_pages, 0, config.read_retries);
-        let delta = Self::empty_delta(io, config.pool_pages, config.read_retries);
 
         let mut temporal = Vec::with_capacity(slots.len());
         let mut num_time_lists = 0u64;
@@ -723,7 +747,7 @@ impl StIndex {
                     temporal: TemporalIndex::built(temporal),
                     postings,
                 },
-                delta,
+                delta: DeltaTail::new(Vec::new(), 0),
             })),
             stats: Mutex::new(stats),
         }
@@ -751,26 +775,13 @@ impl StIndex {
         slot % slots_per_day
     }
 
-    /// A fresh, empty delta tail: an in-memory heap sharing the base heap's
-    /// I/O counters.
-    fn empty_delta(io: Arc<IoStats>, pool_pages: usize, read_retries: u32) -> DeltaTail {
-        let store: StIndexStore = Box::new(InMemoryPageStore::with_stats(io));
-        DeltaTail {
-            postings: PostingStore::with_tail_and_retries(store, pool_pages, 0, read_retries),
-            stripes: (0..DELTA_STRIPES)
-                .map(|_| RwLock::new(BTreeMap::new()))
-                .collect(),
-            len: AtomicUsize::new(0),
-        }
-    }
-
     /// Reassembles an ST-Index from snapshot parts: a reopened posting
     /// store plus its temporal index (one directory per slot of the day,
-    /// decoded on first touch), and the delta tail (posting store plus
-    /// (slot, segment) → handle entries; both empty for a snapshot that
-    /// never ingested). Used by [`crate::snapshot`], whose decoder checks
-    /// the directory heads against the day and the heap.
-    #[allow(clippy::too_many_arguments)]
+    /// decoded on first touch), and the delta tail ((slot, segment) →
+    /// encoded merged list, empty for a snapshot that never ingested, and
+    /// its [`DeltaStats::delta_bytes`]). Used by [`crate::snapshot`], whose
+    /// decoder checks the directory heads against the day and the heap and
+    /// every delta list against the day, the network and the decoder.
     pub(crate) fn from_parts(
         network: Arc<RoadNetwork>,
         slot_s: u32,
@@ -778,33 +789,16 @@ impl StIndex {
         stats: StIndexStats,
         temporal: TemporalIndex,
         postings: PostingStore<StIndexStore>,
-        delta_postings: PostingStore<StIndexStore>,
-        delta_directory: Vec<((u32, u32), BlobHandle)>,
+        (delta, delta_bytes): (Vec<DeltaEntry>, u64),
     ) -> Self {
         debug_assert_eq!(temporal.len(), slots_per_day(slot_s));
-        let mut stripes: Vec<BTreeMap<(u32, u32), BlobHandle>> =
-            (0..DELTA_STRIPES).map(|_| BTreeMap::new()).collect();
-        let mut delta_len = 0usize;
-        for ((slot, segment), handle) in delta_directory {
-            if stripes[DeltaTail::stripe_of(slot)]
-                .insert((slot, segment), handle)
-                .is_none()
-            {
-                delta_len += 1;
-            }
-        }
-        let delta = DeltaTail {
-            postings: delta_postings,
-            stripes: stripes.into_iter().map(RwLock::new).collect(),
-            len: AtomicUsize::new(delta_len),
-        };
         Self {
             network,
             slot_s,
             num_days: AtomicU16::new(num_days),
             state: RwLock::new(Arc::new(IndexState {
                 base: SealedBase { temporal, postings },
-                delta,
+                delta: DeltaTail::new(delta, delta_bytes),
             })),
             stats: Mutex::new(stats),
         }
@@ -838,20 +832,18 @@ impl StIndex {
 
     /// Size statistics of the mutable delta tail.
     pub fn delta_stats(&self) -> DeltaStats {
-        self.current().delta_stats()
+        self.current().delta.stats()
     }
 
-    /// Shared I/O counters of the posting stores (base and delta).
+    /// I/O counters of the sealed-base posting store, shared across
+    /// compactions.
     pub fn io_stats(&self) -> Arc<IoStats> {
         self.current().base.postings.io_stats()
     }
 
-    /// Drops all cached posting pages (for cold-cache measurements) from
-    /// both the base and the delta buffer pool.
+    /// Drops all cached posting pages (for cold-cache measurements).
     pub fn clear_cache(&self) {
-        let state = self.current();
-        state.base.postings.clear_cache();
-        state.delta.postings.clear_cache();
+        self.current().base.postings.clear_cache();
     }
 
     /// Maps a query location to its start road segment `r0` using the
@@ -873,7 +865,7 @@ impl StIndex {
     pub fn time_list(&self, segment: SegmentId, slot: u32) -> StorageResult<Option<TimeList>> {
         let state = self.current();
         match state.lookup(segment, self.wrap_slot(slot))? {
-            Some(list_ref) => Ok(Some(state.read_time_list(list_ref)?)),
+            Some(list_ref) => Ok(Some(state.read_time_list(&list_ref)?)),
             None => Ok(None),
         }
     }
@@ -911,7 +903,7 @@ impl StIndex {
     ) -> StorageResult<bool> {
         match pin.0.lookup(segment, self.wrap_slot(slot))? {
             Some(list_ref) => {
-                pin.0.read_into(list_ref, buf)?;
+                pin.0.read_into(&list_ref, buf)?;
                 Ok(true)
             }
             None => Ok(false),
@@ -948,7 +940,7 @@ impl StIndex {
         let mut out: Vec<u32> = Vec::new();
         for slot in &mut slots {
             if let Some(list_ref) = state.lookup(segment, self.wrap_slot(slot))? {
-                if let Some(ids) = state.read_time_list(list_ref)?.ids_on(date) {
+                if let Some(ids) = state.read_time_list(&list_ref)?.ids_on(date) {
                     out.extend_from_slice(ids);
                 }
             }
@@ -993,16 +985,14 @@ impl StIndex {
     }
 
     /// Reads and checks everything the sealed base serves from disk: every
-    /// directory chunk and every base and delta page with a recorded CRC
-    /// (read past the buffer pool). Returns the first failure.
+    /// directory chunk and every page against its recorded CRC (read past
+    /// the buffer pool). Returns the first failure.
     pub(crate) fn scrub(&self) -> StorageResult<()> {
         let state = self.current();
         state.base.temporal.scrub()?;
-        for postings in [&state.base.postings, &state.delta.postings] {
-            let store = postings.store();
-            for page in 0..store.num_pages() {
-                store.read_page(page)?;
-            }
+        let store = state.base.postings.store();
+        for page in 0..store.num_pages() {
+            store.read_page(page)?;
         }
         Ok(())
     }
@@ -1012,8 +1002,9 @@ impl StIndex {
     /// Points are grouped by (slot, segment), the groups
     /// [`StIndex::build`] makes of its observations; for every touched
     /// pair the current list (delta if present, else base, else empty) is
-    /// merged with the new (date, trajectory) observations, and the merged
-    /// encodings are appended to the delta heap in one batch. Since
+    /// merged with the new (date, trajectory) observations, and once every
+    /// group has merged, the merged encodings replace the pairs' delta
+    /// entries. Since
     /// [`TimeList::add`] is a sorted-set insert, the merge is idempotent and
     /// order-insensitive: re-applying a batch (WAL replay after a crash) or
     /// applying batches in any interleaving converges to the same lists a
@@ -1023,9 +1014,9 @@ impl StIndex {
     /// keys the batch overrode — sorted ascending and deduplicated (one
     /// entry per group), with the slot wrapped into the day grid. Result
     /// caches use exactly this list to invalidate answers whose window
-    /// read one of the pairs. On `Err` (a read fault on a current list, or
-    /// a write fault appending the merged ones) no group of the batch is
-    /// published: the applied prefix is empty, and retrying the same batch
+    /// read one of the pairs. The only failure is a read fault on a current
+    /// base list, and every read happens before the first insert: on `Err`
+    /// no group of the batch is published, and retrying the same batch
     /// applies all of it. Because the merge is idempotent, a retry after a
     /// partly acknowledged application duplicates nothing either.
     ///
@@ -1066,8 +1057,7 @@ impl StIndex {
         // Read + merge + encode per group in parallel: the groups are
         // disjoint (slot, segment) pairs, so each worker reads the current
         // list (delta if present, else base), folds its observations in and
-        // produces the merged encoding independently. Only the heap append
-        // below is ordered.
+        // produces the merged encoding independently.
         let merged: Vec<(Vec<u8>, bool)> = streach_par::try_par_map_with(
             &groups,
             TimeList::new,
@@ -1075,7 +1065,7 @@ impl StIndex {
                 let (slot, segment) = (obs[start].0, obs[start].1);
                 let is_new = match state.lookup(SegmentId(segment), self.wrap_slot(slot))? {
                     Some(list_ref) => {
-                        *list = state.read_time_list(list_ref)?;
+                        *list = state.read_time_list(&list_ref)?;
                         false
                     }
                     None => {
@@ -1090,26 +1080,24 @@ impl StIndex {
             },
         )?;
 
-        // One batch, in sorted group order, keeps the delta heap's byte
-        // layout deterministic for snapshots and compaction. Its handles
-        // are readable once it finishes, so the directory entries and the
-        // stats are published after that, all or none.
-        let mut writer = state.delta.postings.writer()?;
-        let handles = merged
-            .iter()
-            .map(|(bytes, _)| writer.push(bytes))
-            .collect::<StorageResult<Vec<BlobHandle>>>()?;
-        writer.finish()?;
+        // Every group merged: publish the lists, then the stats.
+        let new_lists = merged.iter().filter(|(_, is_new)| *is_new).count() as u64;
         let mut touched = Vec::with_capacity(groups.len());
-        for (&(start, _), handle) in groups.iter().zip(handles) {
+        let mut folded = 0u64;
+        for (&(start, _), (bytes, _)) in groups.iter().zip(merged) {
             let (slot, segment) = (obs[start].0, obs[start].1);
-            state.delta.insert(slot, segment, handle);
+            folded += bytes.len() as u64;
+            state.delta.insert(slot, segment, bytes.into());
             touched.push((self.wrap_slot(slot), segment));
         }
+        state
+            .delta
+            .folded_bytes
+            .fetch_add(folded, Ordering::Relaxed);
+        let mut stats = self.stats.lock();
+        stats.num_time_lists += new_lists;
         // A re-applied batch (WAL replay) counts its points again: the
         // documented at-least-once semantics of `num_observations`.
-        let mut stats = self.stats.lock();
-        stats.num_time_lists += merged.iter().filter(|(_, is_new)| *is_new).count() as u64;
         stats.num_observations += obs.len() as u64;
         Ok(touched)
     }
@@ -1122,9 +1110,9 @@ impl StIndex {
     /// combined data, so post-compaction queries and snapshots are
     /// bit-exact with a from-scratch rebuild.
     ///
-    /// The per-list blob copies are read in parallel via `streach_par`
-    /// worker threads (the dominant cost); the ordered append into the new
-    /// heap is one batch. On `Err` (a read fault while copying)
+    /// The base blobs are read in parallel via `streach_par` worker threads
+    /// (the dominant cost); the ordered append into the new heap is one
+    /// batch. On `Err` (a read fault while copying)
     /// the index is left untouched: the old base keeps serving and the
     /// compaction is retryable.
     ///
@@ -1135,7 +1123,7 @@ impl StIndex {
     /// between the pin and the swap.
     pub(crate) fn compact(&self) -> StorageResult<DeltaStats> {
         let state = self.current();
-        let folded = state.delta_stats();
+        let folded = state.delta.stats();
         if folded.delta_lists == 0 {
             return Ok(folded);
         }
@@ -1148,17 +1136,17 @@ impl StIndex {
                 merged.insert((slot as u32, segment.0), ListRef::Base(handle));
             }
         }
-        for (key, handle) in state.delta.sorted_entries() {
-            merged.insert(key, ListRef::Delta(handle));
+        for (key, bytes) in state.delta.sorted_entries() {
+            merged.insert(key, ListRef::Delta(bytes));
         }
 
-        // Copy every blob out (parallel reads against both heaps).
+        // Copy every blob out (parallel reads of the base heap).
         let entries: Vec<((u32, u32), ListRef)> = merged.into_iter().collect();
         let blobs: Vec<Vec<u8>> = streach_par::try_par_map_with(
             &entries,
             Vec::new,
             |buf: &mut Vec<u8>, (_, list_ref)| -> StorageResult<Vec<u8>> {
-                state.read_into(*list_ref, buf)?;
+                state.read_into(list_ref, buf)?;
                 Ok(buf.clone())
             },
         )?;
@@ -1190,7 +1178,7 @@ impl StIndex {
                 temporal: TemporalIndex::built(temporal),
                 postings: new_postings,
             },
-            delta: Self::empty_delta(io, pool_pages, read_retries),
+            delta: DeltaTail::new(Vec::new(), 0),
         });
         *self.state.write() = new_state;
         let mut stats = self.stats.lock();

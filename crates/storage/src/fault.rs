@@ -24,8 +24,8 @@
 //! reopened snapshot.
 //!
 //! The controller also scripts the **write path** of the streaming-ingest
-//! subsystem: ordinal-addressed page-write `EIO`s (the delta posting heap
-//! appends through `write_page`) and WAL append faults (`EIO` before any
+//! subsystem: ordinal-addressed page-write `EIO`s (a posting heap appends
+//! through `write_page`) and WAL append faults (`EIO` before any
 //! byte lands, or a torn append simulating a crash mid-write — see
 //! [`AppendFault`] and [`crate::Wal::open_with_controller`]). A detached
 //! controller ([`FaultController::detached`]) can drive a WAL alone or be

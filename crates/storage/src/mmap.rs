@@ -1,7 +1,7 @@
 //! Read-only memory-mapped page store.
 //!
-//! [`MmapPageStore`] maps a sealed page file (`postings.pages`,
-//! `deltas.<seq>.pages`) into the address space once at open time and then
+//! [`MmapPageStore`] maps a sealed page file (a snapshot's
+//! `postings.pages`) into the address space once at open time and then
 //! serves every [`read_page`](crate::PageStore::read_page) as a
 //! bounds-checked copy out of the mapping — no `read` syscall, no seek, no
 //! file-lock contention on the hot path. This is the cold-path complement to

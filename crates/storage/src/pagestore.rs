@@ -463,8 +463,8 @@ impl PageStore for FilePageStore {
 /// Checks every page read from the wrapped store against the CRC-32 that
 /// was recorded for it when the page file was written (a snapshot's
 /// `pages_meta`). Pages past the recorded list are passed through
-/// unchecked: that is the appendable tail of a delta heap, whose bytes
-/// change after the record was taken.
+/// unchecked; a snapshot open checks that its page file holds exactly the
+/// recorded pages.
 ///
 /// Under a [`crate::BufferPool`] the check runs on the miss path only, once
 /// per physical read. A mismatch is [`StorageError::Corrupt`] naming the

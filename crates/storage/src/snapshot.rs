@@ -5,11 +5,11 @@
 //! *snapshot container* holding everything else — index directories, speed
 //! statistics, configuration — as named, checksummed sections.
 //!
-//! # Layout (version 8)
+//! # Layout (version 9)
 //!
 //! ```text
 //! [magic "STRSNAP\0" : 8 bytes]
-//! [format version    : u32 LE]   -- 8
+//! [format version    : u32 LE]   -- 9
 //! [section count     : u32 LE]
 //! [table length      : u32 LE]   -- bytes of the section table below
 //! section table, per section:
@@ -45,8 +45,9 @@
 //! never a silent misread. Versions 1 to 7 laid their sections out
 //! differently but all ended with a CRC-32 of every byte before it, so such
 //! a file is judged by that seal alone: a sealed file reports
-//! `UnsupportedVersion`, a damaged one `Corrupt`. A newer version is
-//! `UnsupportedVersion` outright.
+//! `UnsupportedVersion`, a damaged one `Corrupt`. Version 8 is framed like
+//! this version, so its table CRC judges it the same way. A newer version
+//! is `UnsupportedVersion` outright.
 
 use std::fmt::Display;
 use std::fs::File;
@@ -67,11 +68,15 @@ mod clmul;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"STRSNAP\0";
 
 /// Snapshot format version written by this build — the only one it reads.
-pub const SNAPSHOT_VERSION: u32 = 8;
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Oldest snapshot format version this build reads: older containers fail
 /// with [`StorageError::UnsupportedVersion`]; there is no converter.
 pub const MIN_SNAPSHOT_VERSION: u32 = SNAPSHOT_VERSION;
+
+/// Oldest version framed like this one: header, section table and table
+/// CRC.
+const FRAMED_SINCE: u32 = 8;
 
 /// Byte length of the fixed header: magic, version, section count, table
 /// length.
@@ -359,7 +364,7 @@ impl SnapshotReader {
             return Err(StorageError::corrupt("bad snapshot magic"));
         }
         let version = header.get_u32_le();
-        if version != SNAPSHOT_VERSION {
+        if !(FRAMED_SINCE..=SNAPSHOT_VERSION).contains(&version) {
             return Err(judge_other_version(&source, len, version));
         }
         let count = header.get_u32_le() as usize;
@@ -371,6 +376,12 @@ impl SnapshotReader {
         let (body, crc) = prefix[..table_end as usize].split_at(table_end as usize - 4);
         if crc32(body) != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
             return Err(StorageError::corrupt("section table checksum mismatch"));
+        }
+        if version != SNAPSHOT_VERSION {
+            return Err(StorageError::UnsupportedVersion {
+                found: version,
+                expected: SNAPSHOT_VERSION,
+            });
         }
 
         let mut table = &body[HEADER_LEN..];
@@ -802,14 +813,14 @@ mod tests {
     }
 
     #[test]
-    fn previous_version_is_rejected() {
+    fn previous_versions_are_rejected() {
         let bytes = written("previous.snap", &[("data", false, b"payload".to_vec())]);
-        let v7 = resealed_as(bytes, 7);
+        let v7 = resealed_as(bytes.clone(), 7);
         assert!(matches!(
             SnapshotReader::parse(v7.clone()),
             Err(StorageError::UnsupportedVersion {
                 found: 7,
-                expected: 8
+                expected: SNAPSHOT_VERSION
             })
         ));
         // An old version with a broken seal is damage, not an old format.
@@ -817,6 +828,22 @@ mod tests {
         let n = damaged.len();
         damaged[n - 6] ^= 0x01;
         assert!(is_corrupt(SnapshotReader::parse(damaged)));
+
+        // Version 8 is framed like this one: its table CRC is its seal.
+        let mut v8 = bytes;
+        v8[8..12].copy_from_slice(&8u32.to_le_bytes());
+        let table_end = HEADER_LEN + u32::from_le_bytes(v8[16..20].try_into().unwrap()) as usize;
+        let crc = crc32(&v8[..table_end]);
+        v8[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            SnapshotReader::parse(v8.clone()),
+            Err(StorageError::UnsupportedVersion {
+                found: 8,
+                expected: SNAPSHOT_VERSION
+            })
+        ));
+        v8[table_end] ^= 0x01;
+        assert!(is_corrupt(SnapshotReader::parse(v8)));
     }
 
     /// The container assembled by hand, the table sealed with the bitwise

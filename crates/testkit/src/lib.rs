@@ -1,7 +1,7 @@
 //! Shared scaffolding of the root integration suites (`tests/*.rs`).
 //!
 //! Every bit-identity campaign needs the same pieces: the pinned fault
-//! seed, scratch directories, a zero-latency index config, a snapshot
+//! seed, scratch directories, a checkpointing index config, a snapshot
 //! opened under a scripted fault wrapper, the small live-feed and fault
 //! scenarios, slot-disjoint ingest batches, the morning query pool with
 //! its quiesced answers, and the seeded race of query threads against
@@ -22,7 +22,6 @@ use streach_core::prelude::*;
 use streach_core::query::sqmb::{sqmb, BoundingRegions};
 use streach_core::query::verifier::VerifierCore;
 use streach_core::query::MQueryAlgorithm;
-use streach_core::StoreRole;
 use streach_storage::{FaultController, FaultInjectingPageStore, StorageBackend};
 
 pub use streach_storage::fault::mix;
@@ -57,14 +56,13 @@ pub fn copy_dir(src: &Path, dst: &Path) {
 }
 
 /// Opens the snapshot in `dir` with a seeded [`FaultInjectingPageStore`]
-/// under the buffer pool of the `faulty` store (the sealed base heap or
-/// the delta store), returning the engine and the script's controller.
-/// `backend` overrides the sealed-page backend recorded in the snapshot.
+/// under the buffer pool of its sealed base heap, returning the engine and
+/// the script's controller. `backend` overrides the sealed-page backend
+/// recorded in the snapshot.
 pub fn open_with_fault_script(
     dir: &Path,
     network: Arc<RoadNetwork>,
     backend: Option<StorageBackend>,
-    faulty: StoreRole,
     seed: u64,
 ) -> (ReachabilityEngine, FaultController) {
     let mut controller = None;
@@ -72,10 +70,7 @@ pub fn open_with_fault_script(
         dir,
         network,
         backend,
-        |role, store| {
-            if role != faulty {
-                return store;
-            }
+        |_, store| {
             let wrapped = FaultInjectingPageStore::with_seed(store, seed);
             controller = Some(wrapped.controller());
             Box::new(wrapped)
@@ -85,17 +80,12 @@ pub fn open_with_fault_script(
     (engine, controller.expect("fault wrapper installed"))
 }
 
-/// The default index configuration.
-pub fn config() -> IndexConfig {
-    IndexConfig::default()
-}
-
-/// [`config`] with an auto-checkpoint due on any non-empty delta: every
-/// maintenance pass does real checkpoint work.
+/// The default index configuration with an auto-checkpoint due on any
+/// non-empty delta: every maintenance pass does real checkpoint work.
 pub fn checkpointing_config() -> IndexConfig {
     IndexConfig {
         auto_checkpoint_bytes: 1,
-        ..config()
+        ..IndexConfig::default()
     }
 }
 

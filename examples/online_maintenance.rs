@@ -4,7 +4,7 @@
 //!
 //! The walkthrough: open a snapshot → attach the WAL → spawn the
 //! [`MaintenanceController`] → ingest under concurrent query load (the
-//! delta heap crosses `IndexConfig::auto_checkpoint_bytes`, so checkpoints
+//! delta tail crosses `IndexConfig::auto_checkpoint_bytes`, so checkpoints
 //! fire on their own; the delta/base ratio trigger folds the delta into a
 //! fresh sealed base with one atomic pointer swap) → "crash" → recover from
 //! the auto-checkpoint plus the WAL tail, bit-identically.

@@ -6,7 +6,7 @@
 //! and drives N query threads against a live serving engine while, on other
 //! threads:
 //!
-//! * a [`MaintenanceController`] runs auto-checkpoints (the delta heap
+//! * a [`MaintenanceController`] runs auto-checkpoints (the delta tail
 //!   crosses `IndexConfig::auto_checkpoint_bytes` every round) and
 //!   ratio-triggered compactions — `run_now` turns "maintenance exactly
 //!   here" into a scripted trigger point, and the worker's own poll cadence

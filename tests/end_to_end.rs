@@ -9,7 +9,6 @@ use std::sync::Arc;
 use streach::prelude::*;
 use streach::traj::map_matching::map_match;
 use streach::traj::FleetSimulator;
-use streach_testkit::config;
 
 fn build_engine(
     num_taxis: usize,
@@ -27,7 +26,7 @@ fn build_engine(
         },
     );
     let engine = EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
     (network, engine, center)
 }
@@ -53,7 +52,7 @@ fn full_preprocessing_pipeline_produces_queryable_indexes() {
 
     let dataset = TrajectoryDataset::from_matched(matched, fleet.num_taxis, fleet.num_days);
     let engine = EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
 
     // The indexes are non-trivial.

@@ -29,9 +29,8 @@
 //!
 //! The streaming-ingest subsystem gets its own crash-recovery campaign:
 //! a torn WAL append ("kill") at **every record ordinal**, reopen, assert
-//! the consistent prefix; plus delta-heap write faults at every page-write
-//! ordinal of an ingest batch and persistent delta read faults under live
-//! queries.
+//! the consistent prefix; plus a dead base disk at a spread of read
+//! ordinals of an ingest batch's merge, which must fail the batch whole.
 //!
 //! The online-maintenance campaigns extend the crash story to background
 //! work: EIO / torn appends at every attempt ordinal **while a
@@ -46,9 +45,9 @@ use std::sync::Arc;
 use streach::prelude::*;
 use streach::storage::{AppendFault, FaultController, FaultInjectingPageStore, ReadFault};
 use streach_core::query::MQueryAlgorithm;
-use streach_core::{MaintenanceConfig, MaintenanceController, StoreRole};
+use streach_core::{MaintenanceConfig, MaintenanceController};
 use streach_testkit::{
-    checkpointing_config, config, fault_scenario, fault_seed, open_with_fault_script, tmp_dir,
+    checkpointing_config, fault_scenario, fault_seed, open_with_fault_script, tmp_dir,
 };
 
 /// Sealed-page backend override for the campaign matrix: CI runs the suite
@@ -69,7 +68,7 @@ fn build_snapshot_with_retries(dir: &PathBuf, read_retries: u32) -> Arc<RoadNetw
     streach::core::EngineBuilder::new(network.clone(), &dataset)
         .index_config(IndexConfig {
             read_retries,
-            ..config()
+            ..IndexConfig::default()
         })
         .save_snapshot(dir)
         .expect("save snapshot");
@@ -180,8 +179,7 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
     let dir = tmp_dir("eio-campaign");
     let network = build_snapshot(&dir);
     let center = network.bounds().center();
-    let (engine, ctl) =
-        open_with_fault_script(&dir, network, store_backend(), StoreRole::Base, seed);
+    let (engine, ctl) = open_with_fault_script(&dir, network, store_backend(), seed);
     let budget = engine.config().read_retries;
     assert!(budget > 0, "campaign requires the default retry budget");
     // Every campaign query verifies segments beyond its start: a query its
@@ -307,8 +305,7 @@ fn torn_and_zeroed_pages_never_shift_a_region() {
     let dir = tmp_dir("torn-pages");
     let network = build_snapshot(&dir);
     let center = network.bounds().center();
-    let (engine, ctl) =
-        open_with_fault_script(&dir, network, store_backend(), StoreRole::Base, seed);
+    let (engine, ctl) = open_with_fault_script(&dir, network, store_backend(), seed);
 
     for pipeline in pipelines(center) {
         let name = pipeline.name;
@@ -361,8 +358,7 @@ fn probabilistic_fault_storm_degrades_gracefully_and_deterministically() {
     let dir = tmp_dir("fault-storm");
     let network = build_snapshot_with_retries(&dir, 0);
     let center = network.bounds().center();
-    let (engine, ctl) =
-        open_with_fault_script(&dir, network, store_backend(), StoreRole::Base, seed);
+    let (engine, ctl) = open_with_fault_script(&dir, network, store_backend(), seed);
 
     let pipeline = &pipelines(center)[0]; // SQMB+TBS, the paper's main path
     engine.st_index().clear_cache();
@@ -503,60 +499,64 @@ fn ingest_crash_at_every_wal_record_ordinal_recovers_the_consistent_prefix() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Delta-heap write faults: an `EIO` at a spread of page-write ordinals of
-/// an ingest batch (first, last, and evenly spaced between — the batch is
-/// one trajectory, so the spread covers new-list creation and re-merges)
-/// fails the ingest cleanly (typed error, engine keeps serving), and —
-/// because the delta merge is idempotent — a clean retry of the same batch
-/// converges to the exact pre-fault state.
+/// Ingest read faults: a batch merges each touched list with the base
+/// list it overrides, so a dead base disk from a spread of read ordinals
+/// of that merge (first, last, and evenly spaced between — the batch is
+/// one trajectory) fails the ingest with a typed error and applies none of
+/// it: every region stays as before. Because the merge is idempotent, a
+/// clean retry of the same batch converges to the state a clean ingest
+/// reaches. Each ordinal runs on a fresh open, so the merge's reads start
+/// cold; a one-shot `EIO` would be absorbed by the read retries, so the
+/// fault persists.
 #[test]
 fn delta_write_faults_fail_ingest_cleanly_and_retry_converges() {
     let seed = fault_seed();
-    let dir = tmp_dir("delta-write");
+    let dir = tmp_dir("ingest-read");
     let network = build_snapshot(&dir);
     let center = network.bounds().center();
     let batch: Vec<TrajPoint> = extra_batches(&network).swap_remove(0);
+    // One worker: the merge reads the base in one order on every open.
+    let ingest = |engine: &ReachabilityEngine| {
+        streach_par::with_worker_override(1, || engine.ingest(&batch))
+    };
 
-    let (engine, ctl) = open_with_fault_script(&dir, network.clone(), None, StoreRole::Delta, seed);
-
-    // Clean first ingest: the converged target state, and the write count
-    // one application of this batch performs.
-    let writes_before = ctl.writes_observed();
-    engine.ingest(&batch).expect("clean ingest");
-    let writes_per_ingest = ctl.writes_observed() - writes_before;
+    // Clean ingest: the regions before and after, and the base reads one
+    // application of this batch performs.
+    let (engine, ctl) = open_with_fault_script(&dir, network.clone(), None, seed);
+    let before = all_regions(&engine, center);
+    engine.st_index().clear_cache();
+    let reads_before = ctl.reads_observed();
+    ingest(&engine).expect("clean ingest");
+    let reads_per_ingest = ctl.reads_observed() - reads_before;
     assert!(
-        writes_per_ingest > 0,
-        "[seed {seed}] ingest must write delta pages"
+        reads_per_ingest > 0,
+        "[seed {seed}] ingest must merge with base lists — the fault lever is void"
     );
     let target = all_regions(&engine, center);
+    assert_ne!(before, target, "[seed {seed}] the batch must move a region");
 
-    let mut ordinals: Vec<u64> = (0..8)
-        .map(|i| i * writes_per_ingest.saturating_sub(1) / 7)
-        .collect();
+    let mut ordinals: Vec<u64> = (0..8).map(|i| i * (reads_per_ingest - 1) / 7).collect();
     ordinals.dedup();
     for ordinal in ordinals {
-        // Re-apply the same batch (idempotent), failing its ordinal-th
-        // delta page write.
-        ctl.fail_write_at(ctl.writes_observed() + ordinal);
-        let err = engine
-            .ingest(&batch)
-            .expect_err("scripted write fault must fail the ingest");
+        let (engine, ctl) = open_with_fault_script(&dir, network.clone(), None, seed);
+        ctl.fail_reads_from(ctl.reads_observed() + ordinal);
+        let err = ingest(&engine).expect_err("a dead base disk must fail the ingest");
         assert!(
-            err.to_string().contains("injected EIO on write"),
-            "[seed {seed}] write #{ordinal}: {err}"
+            err.to_string().contains("injected EIO"),
+            "[seed {seed}] read #{ordinal}: {err}"
         );
-        // The engine keeps serving, then a clean retry converges.
+        // Nothing of the batch applied, then a clean retry converges.
         ctl.clear();
         assert_eq!(
             all_regions(&engine, center),
-            target,
-            "[seed {seed}] write #{ordinal}: partial ingest must not shift any region"
+            before,
+            "[seed {seed}] read #{ordinal}: a failed ingest must not shift any region"
         );
-        engine.ingest(&batch).expect("retry after fault");
+        ingest(&engine).expect("retry after fault");
         assert_eq!(
             all_regions(&engine, center),
             target,
-            "[seed {seed}] write #{ordinal}: retried ingest diverged"
+            "[seed {seed}] read #{ordinal}: retried ingest diverged"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -856,70 +856,5 @@ fn group_commit_fsync_eio_freezes_the_applied_prefix_for_the_whole_group() {
         target,
         "[seed {seed}] replayed engine diverged"
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Delta-heap read faults under live queries: after an ingest, a dead delta
-/// disk surfaces as a typed storage error on every pipeline that touches
-/// delta postings, and recovery restores the exact post-ingest regions.
-#[test]
-fn delta_read_faults_surface_as_typed_errors_and_recover() {
-    let seed = fault_seed();
-    let dir = tmp_dir("delta-read");
-    let network = build_snapshot(&dir);
-    let center = network.bounds().center();
-    let batch: Vec<TrajPoint> = extra_batches(&network)
-        .into_iter()
-        .take(4)
-        .flatten()
-        .collect();
-
-    let (engine, ctl) = open_with_fault_script(&dir, network.clone(), None, StoreRole::Delta, seed);
-    engine.ingest(&batch).expect("ingest");
-
-    for pipeline in pipelines(center) {
-        let name = pipeline.name;
-        ctl.clear();
-        engine.st_index().clear_cache();
-        let before = ctl.reads_observed();
-        let baseline = pipeline
-            .region(&engine)
-            .unwrap_or_else(|e| panic!("[seed {seed}] {name}: post-ingest baseline: {e}"));
-        let delta_reads = ctl.reads_observed() - before;
-        assert!(
-            delta_reads > 0,
-            "[seed {seed}] {name}: the query must read delta postings after ingest"
-        );
-
-        // A spread of ordinals caps the sweep on delta-heavy queries.
-        let step = (delta_reads / 12).max(1) as usize;
-        for ordinal in (0..delta_reads).step_by(step) {
-            engine.st_index().clear_cache();
-            ctl.fail_reads_from(ctl.reads_observed() + ordinal);
-            match pipeline.region(&engine) {
-                Err(QueryError::Storage { context, .. }) => assert!(
-                    context.contains("injected EIO"),
-                    "[seed {seed}] {name} delta read #{ordinal}: {context}"
-                ),
-                Err(other) => panic!(
-                    "[seed {seed}] {name} delta read #{ordinal}: \
-                     expected QueryError::Storage, got {other}"
-                ),
-                Ok(_) => panic!(
-                    "[seed {seed}] {name} delta read #{ordinal}: \
-                     a dead delta disk must not produce a region"
-                ),
-            }
-            ctl.clear();
-            engine.st_index().clear_cache();
-            let after = pipeline
-                .region(&engine)
-                .unwrap_or_else(|e| panic!("[seed {seed}] {name}: recovery query: {e}"));
-            assert_eq!(
-                after, baseline,
-                "[seed {seed}] {name} delta read #{ordinal}: recovery diverged"
-            );
-        }
-    }
     std::fs::remove_dir_all(&dir).ok();
 }

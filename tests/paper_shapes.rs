@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use streach::prelude::*;
-use streach_testkit::{config, decided, sqmb_bounds};
+use streach_testkit::{decided, sqmb_bounds};
 
 fn engine_with_all_day_fleet() -> (ReachabilityEngine, GeoPoint) {
     let city = SyntheticCity::generate(GeneratorConfig::small());
@@ -30,7 +30,7 @@ fn engine_with_all_day_fleet() -> (ReachabilityEngine, GeoPoint) {
         },
     );
     let engine = EngineBuilder::new(network, &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
     (engine, center)
 }
@@ -173,7 +173,10 @@ fn time_interval_granularity_leaves_result_roughly_stable() {
     let mut lengths = Vec::new();
     for slot_s in [300u32, 600] {
         let engine = EngineBuilder::new(network.clone(), &dataset)
-            .index_config(IndexConfig { slot_s, ..config() })
+            .index_config(IndexConfig {
+                slot_s,
+                ..IndexConfig::default()
+            })
             .build();
         let q = SQuery {
             location: center,

@@ -49,10 +49,10 @@
 //!   own thread while query threads sweep the replica and the caller
 //!   ingests slot-disjoint data at the leader; every record is shipped
 //!   exactly once.
-//! * **Apply-fault SLO** — scripted delta-store write EIOs on the replica
-//!   make apply fail: lag grows past the configured SLO (typed breach
-//!   event), and after the disk heals shipping re-converges with zero
-//!   re-replayed records.
+//! * **Apply-fault SLO** — a scripted dead base disk on the replica makes
+//!   apply fail on the base lists it merges: lag grows past the configured
+//!   SLO (typed breach event), and after the disk heals shipping
+//!   re-converges with zero re-replayed records.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -60,10 +60,9 @@ use std::sync::Arc;
 use streach::prelude::*;
 use streach::storage::StorageError;
 use streach_core::sharded::PROBATION_READS;
-use streach_core::StoreRole;
 use streach_testkit::{
-    answer_of, assert_pool_answers, config, copy_dir, disjoint_batch, fault_scenario, fault_seed,
-    mix, open_with_fault_script, pool, pool_answers, race_queries, scenario, tmp_dir, Race,
+    answer_of, assert_pool_answers, copy_dir, disjoint_batch, fault_scenario, fault_seed, mix,
+    open_with_fault_script, pool, pool_answers, race_queries, scenario, tmp_dir, Race,
 };
 
 /// Base fleet-days built offline; the remaining days arrive via ingest.
@@ -98,7 +97,7 @@ fn build_fleet(
         let home = root.join(format!("shard{shard_id}"));
         let leader = Arc::new(
             EngineBuilder::new(network.clone(), base)
-                .index_config(config())
+                .index_config(IndexConfig::default())
                 .shard(map.clone(), shard_id)
                 .build(),
         );
@@ -157,7 +156,7 @@ fn sharded_replicated_serving_stays_bit_identical() {
 
     // The quiesced single-engine reference: full index, volatile ingest.
     let reference = EngineBuilder::new(network.clone(), &base)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
 
     let (homes, leaders, sets) = build_fleet(&root, seed, &network, &base, &map);
@@ -387,7 +386,7 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
     let cfg = IndexConfig {
         pool_pages: 1,
         read_retries: 1,
-        ..config()
+        ..IndexConfig::default()
     };
     let single = EngineBuilder::new(network.clone(), &dataset)
         .index_config(cfg.clone())
@@ -404,15 +403,9 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
     let replica_home = root.join("shard0-replica");
     copy_dir(&home, &replica_home);
 
-    let (leader0, leader_disk) =
-        open_with_fault_script(&home, network.clone(), None, StoreRole::Base, seed);
-    let (replica0, replica_disk) = open_with_fault_script(
-        &replica_home,
-        network.clone(),
-        None,
-        StoreRole::Base,
-        mix(seed, 1),
-    );
+    let (leader0, leader_disk) = open_with_fault_script(&home, network.clone(), None, seed);
+    let (replica0, replica_disk) =
+        open_with_fault_script(&replica_home, network.clone(), None, mix(seed, 1));
     let leader1 = Arc::new(
         EngineBuilder::new(network.clone(), &dataset)
             .index_config(cfg)
@@ -578,7 +571,7 @@ fn split_brain_promotion_fences_the_deposed_leader() {
     let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let map = Arc::new(ShardMap::partition(&network, NUM_SHARDS));
     let reference = EngineBuilder::new(network.clone(), &base)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
     let (_homes, leaders, sets) = build_fleet(&root, seed, &network, &base, &map);
     let mut router = ShardedEngine::new(map.clone(), leaders.clone());
@@ -685,7 +678,7 @@ fn background_controller_ships_under_live_ingest() {
     let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let leader = Arc::new(
         EngineBuilder::new(network.clone(), &base)
-            .index_config(config())
+            .index_config(IndexConfig::default())
             .build(),
     );
     let home = root.join("leader");
@@ -794,8 +787,9 @@ fn background_controller_ships_under_live_ingest() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Apply-fault campaign: scripted write EIOs on the replica's delta store
-/// make replicated apply fail. The controller keeps the records staged
+/// Apply-fault campaign: a scripted dead base disk on the replica makes
+/// replicated apply fail, since every shipped record lands on a (slot,
+/// segment) pair with a base list that apply must read to merge. The controller keeps the records staged
 /// (never dropping or re-polling them), lag grows past the SLO and fires
 /// the typed breach event, and after the disk heals one kick re-converges
 /// the fleet with zero re-replayed records.
@@ -818,7 +812,7 @@ fn controller_rides_out_replica_apply_faults_with_slo_events() {
     );
     let leader = Arc::new(
         EngineBuilder::new(network.clone(), &dataset)
-            .index_config(config())
+            .index_config(IndexConfig::default())
             .build(),
     );
     let home = root.join("leader");
@@ -831,8 +825,8 @@ fn controller_rides_out_replica_apply_faults_with_slo_events() {
     let replica_home = root.join("replica");
     copy_dir(&home, &replica_home);
     let _ = std::fs::remove_file(replica_home.join("ingest.wal"));
-    let (replica, replica_delta) =
-        open_with_fault_script(&replica_home, network.clone(), None, StoreRole::Delta, seed);
+    let (replica, replica_disk) =
+        open_with_fault_script(&replica_home, network.clone(), None, seed);
     let replica = Arc::new(replica);
     let set = Arc::new(ReplicaSet::new(leader.clone(), home.join("ingest.wal")));
     set.add_replica(replica.clone(), replica_home.join("follower.wal"))
@@ -847,16 +841,32 @@ fn controller_rides_out_replica_apply_faults_with_slo_events() {
             max_backoff: std::time::Duration::from_millis(10),
         },
     );
+    // One point per record, each on its own (slot, segment) pair of the
+    // base dataset: its visits in order, one per pair, so every record's
+    // apply reads a base list no earlier record overrode.
+    let mut pairs = std::collections::BTreeSet::new();
+    let visits: Vec<(SegmentId, u32)> = dataset
+        .trajectories()
+        .iter()
+        .flat_map(|t| t.visits.iter())
+        .filter(|v| pairs.insert((v.enter_time_s / 300, v.segment)))
+        .map(|v| (v.segment, v.enter_time_s))
+        .collect();
+    let burst = 3 * slo as u32;
+    assert!(visits.len() > 2 + burst as usize);
     let batch = |i: u32| -> Vec<TrajPoint> {
+        let (segment, enter_time_s) = visits[i as usize];
         vec![TrajPoint {
             traj_id: 900 + i,
             date: 1,
-            segment: SegmentId((i * 13) % network.num_segments() as u32),
-            enter_time_s: 9 * 3600 + i * 20,
+            segment,
+            enter_time_s,
         }]
     };
 
-    // Healthy baseline: two records ship and apply.
+    // Healthy baseline: two records ship and apply, reading base lists.
+    replica.st_index().clear_cache();
+    let reads_before = replica_disk.reads_observed();
     for i in 0..2 {
         leader
             .ingest(&batch(i))
@@ -865,18 +875,18 @@ fn controller_rides_out_replica_apply_faults_with_slo_events() {
     ctl.run_now();
     assert!(set.converged(), "[seed {seed}] baseline converged");
     assert!(
-        replica_delta.writes_observed() > 0,
-        "[seed {seed}] replicated apply never wrote the delta store — the fault lever is void"
+        replica_disk.reads_observed() > reads_before,
+        "[seed {seed}] replicated apply never read the base store — the fault lever is void"
     );
 
-    // Dead replica disk: every delta write EIOs, so apply fails while the
+    // Dead replica disk: every base read EIOs, so apply fails while the
     // leader keeps ingesting. Lag must grow past the SLO and fire the
     // typed events; the shipped records stay staged.
-    replica_delta.fail_writes_from(0);
-    let burst = 3 * slo as u32;
-    for i in 0..burst {
+    replica.st_index().clear_cache();
+    replica_disk.fail_reads_from(0);
+    for i in 2..2 + burst {
         leader
-            .ingest(&batch(100 + i))
+            .ingest(&batch(i))
             .unwrap_or_else(|e| panic!("[seed {seed}] burst ingest #{i}: {e}"));
     }
     ctl.run_now();
@@ -910,7 +920,7 @@ fn controller_rides_out_replica_apply_faults_with_slo_events() {
     // and re-converges. Zero re-replay: the follower log holds exactly the
     // leader's record count — a re-shipped record would have broken the
     // log's contiguity check — and the engines agree on the position.
-    replica_delta.clear();
+    replica_disk.clear();
     ctl.run_now();
     assert!(
         set.converged(),

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use streach::core::query::MQueryAlgorithm;
 use streach::prelude::*;
 use streach::storage::{SnapshotReader, SnapshotWriter, StorageError};
-use streach_testkit::{answer_of, config, pool, pool_answers, run_pool_entry, tmp_dir, Answer};
+use streach_testkit::{answer_of, pool, pool_answers, run_pool_entry, tmp_dir, Answer};
 
 fn build_inputs() -> (Arc<RoadNetwork>, TrajectoryDataset) {
     let city = SyntheticCity::generate(GeneratorConfig::small());
@@ -63,7 +63,7 @@ fn snapshot_roundtrip_answers_bit_identically() {
     let center = network.bounds().center();
 
     let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
     built.save_snapshot(&dir).expect("save snapshot");
 
@@ -145,7 +145,7 @@ fn corrupted_container_is_rejected() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("corrupt");
     streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .save_snapshot(&dir)
         .expect("save snapshot");
 
@@ -176,7 +176,7 @@ fn truncated_page_file_is_rejected() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("truncated-pages");
     streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .save_snapshot(&dir)
         .expect("save snapshot");
 
@@ -224,7 +224,7 @@ fn read_only_snapshot_opens_and_serves() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("read-only");
     let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
     built.save_snapshot(&dir).expect("save snapshot");
     for entry in std::fs::read_dir(&dir).unwrap().flatten() {
@@ -253,7 +253,7 @@ fn resave_over_existing_snapshot_keeps_it_openable() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("resave");
     let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
     built.save_snapshot(&dir).expect("first save");
     built.save_snapshot(&dir).expect("re-save over existing");
@@ -277,7 +277,7 @@ fn snapshot_rejects_a_different_network() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("wrong-network");
     streach::core::EngineBuilder::new(network, &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .save_snapshot(&dir)
         .expect("save snapshot");
 
@@ -386,7 +386,7 @@ fn assert_rejected_or_harmless(
     }
 }
 
-/// One target byte in every part of the v8 container: the header fields,
+/// One target byte in every part of the v9 container: the header fields,
 /// every section-table field, the table CRC and the middle of every
 /// payload, eager and lazy. Walks the documented layout.
 fn container_targets(clean: &[u8]) -> Vec<(String, usize, String)> {
@@ -439,7 +439,7 @@ fn corruption_matrix_every_container_section_and_sampled_page_bytes() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("corruption-matrix");
     streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .save_snapshot(&dir)
         .expect("save snapshot");
     let intact = sweep_answers(&ReachabilityEngine::open_snapshot(&dir, network.clone()).unwrap());
@@ -518,7 +518,7 @@ fn flips_inside_compressed_blobs_surface_as_corrupt() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("compressed-flips");
     streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .save_snapshot(&dir)
         .expect("save snapshot");
     let intact = sweep_answers(&ReachabilityEngine::open_snapshot(&dir, network.clone()).unwrap());
@@ -573,7 +573,7 @@ fn v7_snapshot_is_rejected_as_unsupported() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("v7-rejected");
     streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build()
         .save_snapshot_self_contained(&dir)
         .expect("save snapshot");
@@ -600,6 +600,52 @@ fn v7_snapshot_is_rejected_as_unsupported() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Rewrites the container's version field and reseals its section table,
+/// as a genuine version 8 container (framed like this version) would be.
+fn reseal_as_v8(container: &std::path::Path) {
+    let mut bytes = std::fs::read(container).unwrap();
+    bytes[8..12].copy_from_slice(&8u32.to_le_bytes());
+    let table_end = 20 + u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    let crc = crc32(&bytes[..table_end]);
+    bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(container, &bytes).unwrap();
+}
+
+/// A v8 container — the previous layout, which kept the delta tail in a
+/// page file of its own — is `UnsupportedVersion` from every open path,
+/// never misread and never reported as damage.
+#[test]
+fn v8_snapshot_is_rejected_as_unsupported() {
+    let (network, dataset) = build_inputs();
+    let dir = tmp_dir("v8-rejected");
+    streach::core::EngineBuilder::new(network.clone(), &dataset)
+        .index_config(IndexConfig::default())
+        .build()
+        .save_snapshot_self_contained(&dir)
+        .expect("save snapshot");
+    reseal_as_v8(&dir.join(streach::core::snapshot::CONTAINER_FILE));
+
+    for (what, opened) in [
+        (
+            "open_snapshot",
+            ReachabilityEngine::open_snapshot(&dir, network.clone()),
+        ),
+        (
+            "open_snapshot_standalone",
+            ReachabilityEngine::open_snapshot_standalone(&dir),
+        ),
+    ] {
+        match opened {
+            Err(StorageError::UnsupportedVersion { found: 8, expected }) => {
+                assert_eq!(expected, streach::storage::SNAPSHOT_VERSION, "{what}")
+            }
+            Err(e) => panic!("{what}: expected UnsupportedVersion, got {e}"),
+            Ok(_) => panic!("{what}: a v8 snapshot must not open"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A `road_network` section whose road count claims ~2^32 roads with no
 /// bytes behind it fails a standalone open as a typed error — the decoder
 /// must not abort reserving memory for the claimed count.
@@ -608,7 +654,7 @@ fn oversized_road_count_fails_standalone_open_typed() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("huge-road-count");
     streach::core::EngineBuilder::new(network, &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build()
         .save_snapshot_self_contained(&dir)
         .expect("save snapshot");
@@ -755,7 +801,7 @@ fn edited_st_index_directories_fail_open_typed() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("edited-st-index");
     streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .save_snapshot(&dir)
         .expect("save snapshot");
     let container = dir.join(streach::core::snapshot::CONTAINER_FILE);
@@ -780,7 +826,7 @@ fn edited_st_index_directories_fail_open_typed() {
     );
     let intact = sweep_answers(&ReachabilityEngine::open_snapshot(&dir, network.clone()).unwrap());
 
-    let slots_per_day = 86_400u32.div_ceil(config().slot_s);
+    let slots_per_day = 86_400u32.div_ceil(IndexConfig::default().slot_s);
     let edit = |change: &dyn Fn(&mut Vec<Slot>)| {
         let mut edited = slots.clone();
         change(&mut edited);
@@ -869,7 +915,7 @@ fn malformed_ingest_meta_fails_open_typed() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("ingest-meta");
     streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .save_snapshot(&dir)
         .expect("save snapshot");
     let container = dir.join(streach::core::snapshot::CONTAINER_FILE);
@@ -927,7 +973,7 @@ fn self_contained_sharded_snapshot_reopens_standalone() {
     let center = network.bounds().center();
     let map = Arc::new(ShardMap::partition(&network, 2));
     let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .shard(map.clone(), 1)
         .build();
     built
@@ -972,7 +1018,7 @@ fn mmap_backend_answers_bit_identically_to_file_backend() {
     let dir = tmp_dir("mmap-vs-file");
     let center = network.bounds().center();
     streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .save_snapshot(&dir)
         .expect("save snapshot");
 
@@ -1024,7 +1070,7 @@ fn racing_first_touches_answer_like_the_built_engine() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("racing-first-touch");
     let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
     built.save_snapshot(&dir).expect("save snapshot");
     let center = network.bounds().center();
@@ -1074,10 +1120,10 @@ fn a_damaged_slot_fails_every_query_that_touches_it() {
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("damaged-slot");
     let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
     built.save_snapshot(&dir).expect("save snapshot");
-    let slot_s = config().slot_s;
+    let slot_s = IndexConfig::default().slot_s;
 
     // Locate both chunks through the documented heads and flip a byte in
     // the middle of each.

@@ -40,8 +40,8 @@ use std::sync::Arc;
 use streach::prelude::*;
 use streach::storage::{FaultController, FaultInjectingPageStore};
 use streach_testkit::{
-    config, decided, disjoint_batch, fault_scenario, fault_seed, region_bits, scenario,
-    split_start, sqmb_bounds, tmp_dir,
+    decided, disjoint_batch, fault_scenario, fault_seed, region_bits, scenario, split_start,
+    sqmb_bounds, tmp_dir,
 };
 
 /// Base fleet-days built offline; the remaining days arrive via ingest.
@@ -120,7 +120,7 @@ fn incremental_matches_full_reevaluation() {
     let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let engine = Arc::new(
         EngineBuilder::new(network.clone(), &base)
-            .index_config(config())
+            .index_config(IndexConfig::default())
             .build(),
     );
     let manager = SubscriptionManager::spawn(engine.clone(), SubscribeConfig::default());
@@ -195,13 +195,13 @@ fn sharded_subscriptions_stay_bit_identical() {
     let map = Arc::new(ShardMap::partition(&network, NUM_SHARDS));
 
     let reference = EngineBuilder::new(network.clone(), &base)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
     let leaders = (0..NUM_SHARDS)
         .map(|shard_id| {
             Arc::new(
                 EngineBuilder::new(network.clone(), &base)
-                    .index_config(config())
+                    .index_config(IndexConfig::default())
                     .shard(map.clone(), shard_id)
                     .build(),
             )
@@ -252,7 +252,7 @@ fn untouched_batches_issue_zero_engine_queries() {
     let (network, base, round_batches) = scenario(BASE_DAYS, EXTRA_DAYS);
     let engine = Arc::new(
         EngineBuilder::new(network.clone(), &base)
-            .index_config(config())
+            .index_config(IndexConfig::default())
             .build(),
     );
     let manager = SubscriptionManager::spawn(engine.clone(), SubscribeConfig::default());
@@ -314,7 +314,7 @@ fn decided_subscription_sleeps_until_its_start_slot_is_touched() {
     let (network, base, _) = scenario(BASE_DAYS, EXTRA_DAYS);
     let engine = Arc::new(
         EngineBuilder::new(network.clone(), &base)
-            .index_config(config())
+            .index_config(IndexConfig::default())
             .build(),
     );
     let (undecided, decided_query, start) = split_start(&engine, &base, 600);
@@ -384,7 +384,7 @@ fn threshold_trigger_fires_exactly_at_the_crossing_batch() {
     // first query that ever shrinks (new ingest days raise the probability
     // denominator, so shrinks exist; guard-checked below).
     let shadow = EngineBuilder::new(network.clone(), &base)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .build();
     let candidates: Vec<SQuery> = standing_pool(&network)
         .into_iter()
@@ -427,7 +427,7 @@ fn threshold_trigger_fires_exactly_at_the_crossing_batch() {
     // Live campaign: the manager must fire on exactly the expected batches.
     let engine = Arc::new(
         EngineBuilder::new(network.clone(), &base)
-            .index_config(config())
+            .index_config(IndexConfig::default())
             .build(),
     );
     let manager = SubscriptionManager::spawn(engine.clone(), SubscribeConfig::default());
@@ -484,7 +484,7 @@ fn evaluation_fault_emits_typed_event_and_converges() {
     // something to hit.
     let (network, dataset) = fault_scenario();
     EngineBuilder::new(network.clone(), &dataset)
-        .index_config(config())
+        .index_config(IndexConfig::default())
         .save_snapshot(&dir)
         .expect("save snapshot");
     let live_batch: Vec<TrajPoint> = {
