@@ -33,6 +33,39 @@
 //!   when a posting's IDs for that day meet the start segment's, and `m*`
 //!   is the popcount once every slot was visited.
 //!
+//! # Verifying forward
+//!
+//! The segment-major read decodes every posting of the batch, although
+//! only the start's few (day, trajectory) pairs can set a bit. The bit
+//! (r, d) is set iff some ID of `start_ids[d]` is in r's list for day d,
+//! so the same bits come from walking those pairs forward: for each pair,
+//! the segments its trajectory passed in the slot. A window slot whose
+//! **trajectory view** exists is read that way
+//! ([`PostingSource::forward`]):
+//!
+//! * A view inverts one (sealed base, slot): sorted (day, trajectory) keys,
+//!   each with its ascending segments. [`StIndex`] derives it in memory
+//!   from one heap-order read of the slot's blobs, on the slot's *second*
+//!   verification on that base, and keeps it beside the slot's directory
+//!   for the life of the base. A slot verified once per open builds
+//!   nothing. A compaction publishes a base with no views; a reader pinned
+//!   to the old base keeps the old base's views.
+//! * The delta tail overrides base lists with merged supersets of them, so
+//!   the slot's delta lists that meet the batch are still read
+//!   segment-major and OR-ed into the view's bits. New days and
+//!   mid-trajectory continuations live only there.
+//! * A build that meets a read fault or a malformed blob is not kept, and
+//!   the slot is read segment-major, so every error surfaces where it
+//!   would without views. The build's decodes are charged to the query
+//!   that triggers it; a forward read decodes no base posting.
+//!
+//! A core plans its reads on its first verification: it asks the source
+//! once per window slot, which is that core's one touch of the slot, and
+//! keeps the plan for its later batches. The forward slots are walked
+//! inline after the segment-major slots were read across workers; a batch
+//! whose every slot has a view never fans out. The router offers no view,
+//! so a sharded query reads segment-major.
+//!
 //! # Deciding before verifying
 //!
 //! `m*` only counts days on which the start segment itself was active, so
@@ -47,14 +80,14 @@
 //! query, and the pipeline then skips what only feeds the verification
 //! (SQMB's Far expansion, ES's network expansion).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use streach_roadnet::SegmentId;
 use streach_storage::{
     fixed_width_size, visit_posting, IoStats, IoStatsSnapshot, StorageError, StorageResult,
 };
 
-use crate::st_index::StIndex;
+use crate::st_index::{SlotForward, StIndex};
 use crate::time::{slots_overlapping, SlotWindow};
 
 /// The read-side surface the verifiers need from a posting index.
@@ -149,6 +182,17 @@ pub trait PostingSource: Sync {
         Ok(())
     }
 
+    /// A forward reader of `slot` as seen by `pin` (see the module docs),
+    /// or `None` when the caller must read the slot through
+    /// [`visit_slot`](Self::visit_slot). A verification asks once per
+    /// window slot, before it reads any. [`StIndex`] answers with the
+    /// slot's trajectory view on the pinned sealed base, built on the
+    /// slot's second ask; the default offers none.
+    fn forward<'p>(&self, pin: &'p Self::Pin, slot: u32) -> Option<SlotForward<'p>> {
+        let _ = (pin, slot);
+        None
+    }
+
     /// The typed error describing a structurally invalid posting at
     /// `(segment, slot)`.
     fn malformed_posting(&self, segment: SegmentId, slot: u32) -> StorageError;
@@ -177,6 +221,10 @@ pub struct VerifierCore<'a, I: PostingSource + ?Sized = StIndex> {
     /// (fixed-width-equivalent) vs resident (stored) byte counts, making the
     /// compression win observable per query.
     io: Arc<IoStats>,
+    /// Per window slot, whether it is read forward: asked of the source on
+    /// the core's first verification, which is the core's one touch of
+    /// each slot.
+    plan: OnceLock<Box<[bool]>>,
 }
 
 /// Returns `true` if the sorted `start` IDs share an element with the
@@ -260,6 +308,7 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
             window: (start_time_s, end),
             num_days,
             io,
+            plan: OnceLock::new(),
         })
     }
 
@@ -313,9 +362,10 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
     /// strictly (an annulus, or sorted candidates); the call panics
     /// otherwise, since the scan would miss postings.
     ///
-    /// The batch is split into one contiguous range per worker, and each
-    /// range reads its postings a window slot at a time (see the module
-    /// docs). Every call reads postings, so the result is a
+    /// Window slots with a trajectory view are read forward, inline; the
+    /// batch is split into one contiguous range per worker for the rest,
+    /// and each range reads its postings a window slot at a time (see the
+    /// module docs). Every call may read postings, so the result is a
     /// [`StorageResult`]: a disk fault (`EIO`, truncation after open) or a
     /// structurally invalid posting (torn/zeroed page) is reported as `Err`
     /// naming the segment and slot — never a panic, and never a silently
@@ -325,47 +375,32 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
             segments.windows(2).all(|w| w[0] < w[1]),
             "a verification batch must ascend strictly"
         );
-        if self.num_days == 0 || self.active_days == 0 {
+        if segments.is_empty() || self.num_days == 0 || self.active_days == 0 {
             return Ok(vec![0.0; segments.len()]);
         }
-        streach_par::try_par_chunks(segments, |range| self.verify_range(range))
-    }
-
-    /// Eq. 3.1 over one worker's range.
-    fn verify_range(&self, segments: &[SegmentId]) -> StorageResult<Vec<f64>> {
-        // One bit per (segment, day) whose posting met the start IDs.
-        let words = (self.num_days as usize).div_ceil(64);
-        let mut met = vec![0u64; segments.len() * words];
-        // Sized so that copying a blob of up to a page never grows it.
-        let mut buf = Vec::with_capacity(streach_storage::PAGE_SIZE);
-        for slot in self.window_slots.clone() {
-            self.source
-                .visit_slot(&self.pin, segments, slot, &mut buf, |i, bytes| {
-                    let met = &mut met[i * words..(i + 1) * words];
-                    let (mut dates, mut ids_seen) = (0u64, 0u64);
-                    let well_formed = visit_posting(bytes, |date, ids| {
-                        dates += 1;
-                        ids_seen += ids.len() as u64;
-                        // Days on which the start segment saw no trajectory
-                        // (or past the pinned day count) cannot count.
-                        let day = date as usize;
-                        let (word, bit) = (day / 64, 1u64 << (day % 64));
-                        if day < self.start_ids.len()
-                            && met[word] & bit == 0
-                            && meets(&self.start_ids[day], ids)
-                        {
-                            met[word] |= bit;
-                        }
-                    });
-                    if !well_formed {
-                        return Err(self.source.malformed_posting(segments[i], slot));
-                    }
-                    self.io.record_posting_decode(
-                        fixed_width_size(dates, ids_seen),
-                        bytes.len() as u64,
-                    );
-                    Ok(())
-                })?;
+        let words = self.words();
+        let plan = self.plan.get_or_init(|| {
+            self.window_slots
+                .clone()
+                .map(|slot| self.source.forward(&self.pin, slot).is_some())
+                .collect()
+        });
+        let mut met = if plan.contains(&false) {
+            streach_par::try_par_chunks(segments, |range| self.scan_range(range, plan))?
+        } else {
+            vec![0u64; segments.len() * words]
+        };
+        for (slot, _) in self
+            .window_slots
+            .clone()
+            .zip(plan.iter())
+            .filter(|(_, &f)| f)
+        {
+            let forward = self
+                .source
+                .forward(&self.pin, slot)
+                .expect("a built view stays with its sealed base");
+            self.walk_forward(&forward, slot, segments, &mut met)?;
         }
         Ok(met
             .chunks(words)
@@ -374,6 +409,96 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
                 matching_days as f64 / self.num_days as f64
             })
             .collect())
+    }
+
+    /// Words of day bits per segment.
+    fn words(&self) -> usize {
+        (self.num_days as usize).div_ceil(64)
+    }
+
+    /// The day bits, one per (segment, day), that the window slots `plan`
+    /// does not read forward set over one worker's range.
+    fn scan_range(&self, segments: &[SegmentId], plan: &[bool]) -> StorageResult<Vec<u64>> {
+        let words = self.words();
+        let mut met = vec![0u64; segments.len() * words];
+        // Sized so that copying a blob of up to a page never grows it.
+        let mut buf = Vec::with_capacity(streach_storage::PAGE_SIZE);
+        for (slot, _) in self.window_slots.clone().zip(plan).filter(|(_, &f)| !f) {
+            self.source
+                .visit_slot(&self.pin, segments, slot, &mut buf, |i, bytes| {
+                    self.meet(
+                        &mut met[i * words..(i + 1) * words],
+                        bytes,
+                        segments[i],
+                        slot,
+                    )
+                })?;
+        }
+        Ok(met)
+    }
+
+    /// Sets the day bits of `met` that `slot` sets through its trajectory
+    /// view: the segments each start (day, trajectory) passed in the slot,
+    /// then the slot's delta lists read segment-major.
+    fn walk_forward(
+        &self,
+        forward: &SlotForward<'_>,
+        slot: u32,
+        segments: &[SegmentId],
+        met: &mut [u64],
+    ) -> StorageResult<()> {
+        let words = self.words();
+        for (day, ids) in self.start_ids.iter().enumerate() {
+            let (word, bit) = (day / 64, 1u64 << (day % 64));
+            for &id in ids {
+                for segment in forward.segments(day as u16, id) {
+                    if let Ok(i) = segments.binary_search(segment) {
+                        met[i * words + word] |= bit;
+                    }
+                }
+            }
+        }
+        forward.visit_delta(segments, |i, bytes| {
+            self.meet(
+                &mut met[i * words..(i + 1) * words],
+                bytes,
+                segments[i],
+                slot,
+            )
+        })
+    }
+
+    /// Sets the bit of every day on which `bytes`, the time list of
+    /// `segment` in `slot`, meets the start IDs, in `met`, that segment's
+    /// day bits.
+    fn meet(
+        &self,
+        met: &mut [u64],
+        bytes: &[u8],
+        segment: SegmentId,
+        slot: u32,
+    ) -> StorageResult<()> {
+        let (mut dates, mut ids_seen) = (0u64, 0u64);
+        let well_formed = visit_posting(bytes, |date, ids| {
+            dates += 1;
+            ids_seen += ids.len() as u64;
+            // Days on which the start segment saw no trajectory (or past
+            // the pinned day count) cannot count.
+            let day = date as usize;
+            let (word, bit) = (day / 64, 1u64 << (day % 64));
+            if day < self.start_ids.len()
+                && met[word] & bit == 0
+                && meets(&self.start_ids[day], ids)
+            {
+                met[word] |= bit;
+            }
+        });
+        if !well_formed {
+            return Err(self.source.malformed_posting(segment, slot));
+        }
+        self.io
+            .record_posting_decode(fixed_width_size(dates, ids_seen), bytes.len() as u64);
+        Ok(())
     }
 }
 
@@ -385,7 +510,7 @@ mod tests {
     use crate::st_index::PinnedState;
     use std::sync::Arc;
     use streach_roadnet::{GeneratorConfig, SyntheticCity};
-    use streach_storage::{fault::mix, Page, PageStore, PAGE_SIZE};
+    use streach_storage::{fault::mix, BlobHandle, Page, PageStore, PAGE_SIZE};
     use streach_traj::{
         FleetConfig, MatchedTrajectory, SegmentVisit, TrajPoint, TrajectoryDataset,
     };
@@ -750,8 +875,6 @@ mod tests {
             (23 * 3600 + 3300, 600),
         ] {
             let naive = NaiveVerifier::new(st, start, t, l).unwrap();
-            let core = VerifierCore::new(st, start, t, l).unwrap();
-            assert!(core.active_days() > 0, "T={t}: the start must be active");
             let expected: Vec<u64> = segments
                 .iter()
                 .map(|&s| naive.probability(s).unwrap().to_bits())
@@ -760,14 +883,20 @@ mod tests {
                 expected.iter().any(|&p| p != 0),
                 "T={t}: some segment is reachable"
             );
-            for workers in [1, 2] {
-                let got: Vec<u64> =
-                    streach_par::with_worker_override(workers, || core.probabilities(&segments))
-                        .unwrap()
-                        .into_iter()
-                        .map(f64::to_bits)
-                        .collect();
-                assert_eq!(got, expected, "T={t} L={l} workers={workers}");
+            // Segment-major, then build, then forward.
+            for ask in 0..3 {
+                let core = VerifierCore::new(st, start, t, l).unwrap();
+                assert!(core.active_days() > 0, "T={t}: the start must be active");
+                for workers in [1, 2] {
+                    let got: Vec<u64> = streach_par::with_worker_override(workers, || {
+                        core.probabilities(&segments)
+                    })
+                    .unwrap()
+                    .into_iter()
+                    .map(f64::to_bits)
+                    .collect();
+                    assert_eq!(got, expected, "T={t} L={l} workers={workers} ask {ask}");
+                }
             }
         }
     }
@@ -781,15 +910,11 @@ mod tests {
         assert_matches_oracle(&st, &network);
     }
 
-    #[test]
-    fn batch_scan_zeroed_page_mid_run_is_typed_corrupt() {
-        // Half-hour slots: a slot's run of blobs covers several pages.
-        let (_, _, st) = around_the_clock(1800);
-        let pin = st.pin();
-        // A slot whose run covers at least three pages; zero its second.
+    /// A slot's run of blobs covering at least three pages, and its
+    /// entries.
+    fn slot_over_three_pages(pin: &PinnedState) -> (u32, Vec<(SegmentId, BlobHandle)>) {
         let page_of = |offset: u64| offset / PAGE_SIZE as u64;
-        let (slot, entries) = pin
-            .directory()
+        pin.directory()
             .directories()
             .unwrap()
             .into_iter()
@@ -801,7 +926,58 @@ mod tests {
                     page_of(last.offset + last.len as u64 - 1) >= page_of(first.offset) + 2
                 }
             })
-            .expect("a slot whose blobs span three pages");
+            .expect("a slot whose blobs span three pages")
+    }
+
+    /// A view build meeting a damaged page keeps no view and the slot is
+    /// read segment-major, bit-identically when the batch's own blobs are
+    /// intact; once the page reads cleanly again, the next touch builds.
+    #[test]
+    fn a_failed_view_build_is_not_kept_and_falls_back() {
+        let (_, _, st) = around_the_clock(1800);
+        let pin = st.pin();
+        let (slot, entries) = slot_over_three_pages(&pin);
+        let page_of = |offset: u64| offset / PAGE_SIZE as u64;
+        let damaged = page_of(entries[0].1.offset) + 1;
+        // The start and the batch: the entries wholly before the page.
+        let batch: Vec<SegmentId> = entries
+            .iter()
+            .filter(|(_, h)| page_of(h.offset + h.len as u64 - 1) < damaged)
+            .map(|(segment, _)| *segment)
+            .collect();
+        let ask = || {
+            let core = VerifierCore::new(&st, batch[0], slot * st.slot_s(), st.slot_s()).unwrap();
+            assert!(core.active_days() > 0);
+            core.probabilities(&batch).unwrap()
+        };
+        let segment_major = ask();
+
+        let store = pin.base_postings().store();
+        let intact = store.read_page(damaged).unwrap();
+        store.write_page(damaged, &Page::zeroed()).unwrap();
+        st.clear_cache();
+        assert_eq!(ask(), segment_major, "the fallback reads only intact blobs");
+        assert_eq!(
+            st.view_stats(),
+            Default::default(),
+            "a failed build kept a view"
+        );
+
+        store.write_page(damaged, &intact).unwrap();
+        st.clear_cache();
+        assert_eq!(ask(), segment_major);
+        assert_eq!(st.view_stats().views_built, 1);
+        assert_eq!(ask(), segment_major);
+    }
+
+    #[test]
+    fn batch_scan_zeroed_page_mid_run_is_typed_corrupt() {
+        // Half-hour slots: a slot's run of blobs covers several pages.
+        let (_, _, st) = around_the_clock(1800);
+        let pin = st.pin();
+        // A slot whose run covers at least three pages; zero its second.
+        let page_of = |offset: u64| offset / PAGE_SIZE as u64;
+        let (slot, entries) = slot_over_three_pages(&pin);
         let zeroed = page_of(entries[0].1.offset) + 1;
         // The start segment's list lies wholly before the zeroed page.
         let (start, _) = entries

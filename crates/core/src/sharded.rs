@@ -729,6 +729,14 @@ mod tests {
                 decisions.contains(&true) && decisions.contains(&false),
                 "the sweep must hold decided and undecided queries"
             );
+            // The single engine reads its windows forward: two passes
+            // build the trajectory views. The router stays segment-major.
+            for _ in 0..2 {
+                for query in &queries {
+                    single.try_s_query(query, Algorithm::SqmbTbs).unwrap();
+                }
+            }
+            assert!(single.st_index().view_stats().views_built > 0);
             for query in &queries {
                 for algo in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
                     let want = single.try_s_query(query, algo).unwrap();
@@ -758,6 +766,9 @@ mod tests {
                     want.stats.segments_verified, got.stats.segments_verified,
                     "{label}"
                 );
+            }
+            for entry in sharded.shards.iter().flat_map(|shard| &shard.entries) {
+                assert_eq!(entry.engine.st_index().view_stats(), Default::default());
             }
         }
     }
@@ -829,7 +840,10 @@ mod tests {
 
     /// A coalesced answer reports the same I/O as the serial path for the
     /// same query, on the single engine and through the router, whose page
-    /// counters live in the shard engines rather than in the router.
+    /// counters live in the shard engines rather than in the router. Both
+    /// runs read under the same view state: the query is asked twice first,
+    /// so the single engine's window slots have their trajectory views
+    /// built, while the router reads segment-major throughout.
     #[test]
     fn coalesced_io_matches_the_serial_path() {
         let (network, dataset, single, sharded) = setup(2);
@@ -856,6 +870,9 @@ mod tests {
                 ("2 shards", &sharded, &clear_sharded),
             ];
             for (label, backend, clear) in backends {
+                for _ in 0..2 {
+                    backend.try_s_query(&query, Algorithm::SqmbTbs).unwrap();
+                }
                 clear();
                 let serial = backend
                     .try_s_query(&query, Algorithm::SqmbTbs)

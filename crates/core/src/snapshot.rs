@@ -926,12 +926,7 @@ where
         wrap(StoreRole::Base, base_store),
         Arc::clone(&page_crcs),
     ));
-    let postings = PostingStore::with_tail_and_retries(
-        store,
-        config.pool_pages,
-        head.tail,
-        config.read_retries,
-    );
+    let postings = PostingStore::sealed(store, config.pool_pages, head.tail, config.read_retries);
 
     let mut heads = vec![None; config.slots_per_day() as usize];
     for (slot, slot_head) in head.slots {

@@ -38,6 +38,13 @@
 //! sealed-base hot path is untouched. [`StIndex::compact`] folds the delta
 //! back into a fresh sealed base (bit-identical to a from-scratch build on
 //! the combined data) and empties the tail.
+//!
+//! A sealed base also carries one lazily built **trajectory view** per
+//! slot, derived in memory from its blobs on the slot's second
+//! verification and never saved; the verifier reads a slot forward through
+//! it and ORs the slot's delta lists in (see
+//! [`crate::query::verifier`], "Verifying forward"). [`StIndex::view_stats`]
+//! reports the views built and the memory they hold.
 
 //! # Online maintenance: the atomic state swap
 //!
@@ -60,7 +67,7 @@
 //! serialized by the engine's ingest lock, which queries never touch.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU16, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
@@ -504,12 +511,148 @@ impl DeltaTail {
     }
 }
 
+/// The trajectory view of one (sealed base, slot): the slot's time lists
+/// inverted, so that for every (date, trajectory) pair with a posting in
+/// the slot it lists the segments the trajectory passed there, ascending.
+/// ~12 B per pair and 4 B per observation.
+struct TrajectoryView {
+    /// `(date << 32) | trajectory id` of every pair, ascending.
+    keys: Vec<u64>,
+    /// `ends[i]`: end of key `i`'s run in `segments` (it starts where key
+    /// `i - 1`'s ends).
+    ends: Vec<u32>,
+    /// Each key's segments, ascending.
+    segments: Vec<SegmentId>,
+}
+
+impl TrajectoryView {
+    fn key(date: u16, id: u32) -> u64 {
+        (date as u64) << 32 | id as u64
+    }
+
+    /// Inverts the slot whose directory is `directory`, reading its blobs
+    /// in heap order, a page at a time, and charging their decodes to the
+    /// heap's [`IoStats`]. `None` on the first read fault or malformed blob.
+    fn build(directory: &SlotDirectory, postings: &PostingStore<StIndexStore>) -> Option<Self> {
+        let io = postings.io_stats();
+        let mut run = postings.run();
+        let mut buf = Vec::new();
+        let mut pairs: Vec<(u64, SegmentId)> = Vec::new();
+        for (segment, handle) in directory.entries() {
+            let bytes = run.read(handle, &mut buf).ok()?;
+            let (mut dates, mut ids_seen) = (0u64, 0u64);
+            let well_formed = streach_storage::visit_posting(bytes, |date, ids| {
+                dates += 1;
+                ids_seen += ids.len() as u64;
+                pairs.extend(ids.map(|id| (Self::key(date, id), segment)));
+            });
+            if !well_formed {
+                return None;
+            }
+            io.record_posting_decode(
+                streach_storage::fixed_width_size(dates, ids_seen),
+                bytes.len() as u64,
+            );
+        }
+        // A list holds each pair once, so (key, segment) is unique.
+        pairs.sort_unstable();
+        let mut view = Self {
+            keys: Vec::new(),
+            ends: Vec::new(),
+            segments: Vec::with_capacity(pairs.len()),
+        };
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            view.keys.push(group[0].0);
+            view.segments
+                .extend(group.iter().map(|&(_, segment)| segment));
+            view.ends.push(u32::try_from(view.segments.len()).ok()?);
+        }
+        Some(view)
+    }
+
+    /// The segments trajectory `id` passed in the slot on `date`.
+    fn segments_of(&self, date: u16, id: u32) -> &[SegmentId] {
+        match self.keys.binary_search(&Self::key(date, id)) {
+            Ok(i) => {
+                let start = if i == 0 { 0 } else { self.ends[i - 1] };
+                &self.segments[start as usize..self.ends[i] as usize]
+            }
+            Err(_) => &[],
+        }
+    }
+
+    /// Heap bytes the view holds.
+    fn resident_bytes(&self) -> u64 {
+        (self.keys.capacity() * 8 + self.ends.capacity() * 4 + self.segments.capacity() * 4) as u64
+    }
+}
+
+/// The trajectory views of one sealed base, one lazily built cell per slot
+/// of the day. A slot's view is built on its second verification touch of
+/// the base, so a slot verified once pays nothing extra.
+struct SlotViews {
+    views: Vec<OnceLock<TrajectoryView>>,
+    /// Whether a verification touched the slot while it had no view.
+    touched: Vec<AtomicBool>,
+}
+
+impl SlotViews {
+    fn new(num_slots: usize) -> Self {
+        Self {
+            views: (0..num_slots).map(|_| OnceLock::new()).collect(),
+            touched: (0..num_slots).map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+}
+
+/// Views built on an index's current sealed base and the memory they hold;
+/// see [`StIndex::view_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ViewStats {
+    /// Slots whose trajectory view is built.
+    pub views_built: u64,
+    /// Heap bytes those views hold.
+    pub resident_bytes: u64,
+}
+
 /// The sealed base of the index: the temporal directory plus its posting
 /// heap. Produced by [`StIndex::build`], a snapshot open or a compaction —
-/// and never mutated afterwards; compaction replaces it wholesale.
+/// and never mutated afterwards; compaction replaces it wholesale. Its
+/// per-slot trajectory views are derived from it in memory, never saved.
 struct SealedBase {
     temporal: TemporalIndex,
     postings: PostingStore<StIndexStore>,
+    views: SlotViews,
+}
+
+impl SealedBase {
+    fn new(temporal: TemporalIndex, postings: PostingStore<StIndexStore>) -> Self {
+        let views = SlotViews::new(temporal.len());
+        Self {
+            temporal,
+            postings,
+            views,
+        }
+    }
+
+    /// The trajectory view of `slot` (wrapped into the day), verified by
+    /// the caller. A slot's first touch gets `None`; a later one builds the
+    /// view from one clean read of the whole slot. A build that fails is
+    /// not kept: it gets `None`, and the caller's own read of the slot
+    /// meets the fault.
+    fn view(&self, slot: u32) -> Option<&TrajectoryView> {
+        let cell = &self.views.views[slot as usize];
+        if let Some(view) = cell.get() {
+            return Some(view);
+        }
+        // Relaxed: the flag publishes nothing; the view is published
+        // through its `OnceLock`.
+        if !self.views.touched[slot as usize].swap(true, Ordering::Relaxed) {
+            return None;
+        }
+        let view = TrajectoryView::build(self.temporal.get(slot).ok()?, &self.postings)?;
+        Some(cell.get_or_init(|| view))
+    }
 }
 
 /// One consistent (sealed base, delta tail) pair. Readers pin the current
@@ -592,6 +735,54 @@ impl IndexState {
                 visit(i, &bytes)?;
             } else if let Some(entry) = directory.seek(&mut next, segment) {
                 visit(i, run.read(directory.handle(entry), buf)?)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A forward reader of one window slot, taken through
+/// [`PostingSource::forward`](crate::query::verifier::PostingSource::forward):
+/// the slot's trajectory view on the pinned sealed base, and the pinned
+/// delta tail's lists of the slot. Every delta list is the merged superset
+/// of its base list, so the view's bits OR-ed with the delta lists' bits
+/// are exactly the bits of the lists a segment-major read sees.
+pub struct SlotForward<'p> {
+    view: &'p TrajectoryView,
+    delta: &'p DeltaTail,
+    /// The slot, wrapped into the day.
+    slot: u32,
+}
+
+impl<'p> SlotForward<'p> {
+    /// The segments trajectory `id` passed in the slot on `date`, by the
+    /// sealed base, ascending.
+    pub fn segments(&self, date: u16, id: u32) -> &'p [SegmentId] {
+        self.view.segments_of(date, id)
+    }
+
+    /// Calls `visit(i, bytes)` with the delta list of every `segments[i]`
+    /// that has one in the slot, in ascending `i`, and stops at the first
+    /// error `visit` returns. `segments` must ascend strictly.
+    pub fn visit_delta<F>(&self, segments: &[SegmentId], mut visit: F) -> StorageResult<()>
+    where
+        F: FnMut(usize, &[u8]) -> StorageResult<()>,
+    {
+        let (Some(first), Some(last)) = (segments.first(), segments.last()) else {
+            return Ok(());
+        };
+        if self.delta.len.load(Ordering::Relaxed) == 0 {
+            return Ok(());
+        }
+        let stripe = self.delta.stripes[DeltaTail::stripe_of(self.slot)].read();
+        let mut next = 0;
+        for (&(_, segment), bytes) in stripe.range((self.slot, first.0)..=(self.slot, last.0)) {
+            match segments[next..].binary_search(&SegmentId(segment)) {
+                Ok(k) => {
+                    visit(next + k, bytes)?;
+                    next += k + 1;
+                }
+                Err(k) => next += k,
             }
         }
         Ok(())
@@ -704,14 +895,11 @@ impl StIndex {
         drop(parts);
 
         let store: StIndexStore = Box::new(InMemoryPageStore::new());
-        let postings =
-            PostingStore::with_tail_and_retries(store, config.pool_pages, 0, config.read_retries);
+        let postings = PostingStore::with_retries(store, config.pool_pages, config.read_retries);
 
         let mut temporal = Vec::with_capacity(slots.len());
         let mut num_time_lists = 0u64;
-        let mut writer = postings
-            .writer()
-            .expect("in-memory posting store cannot fail");
+        let mut writer = postings.writer();
         for slot in slots {
             num_time_lists += slot.segments.len() as u64;
             temporal.push(if slot.segments.is_empty() {
@@ -743,10 +931,7 @@ impl StIndex {
             slot_s: config.slot_s,
             num_days: AtomicU16::new(dataset.num_days()),
             state: RwLock::new(Arc::new(IndexState {
-                base: SealedBase {
-                    temporal: TemporalIndex::built(temporal),
-                    postings,
-                },
+                base: SealedBase::new(TemporalIndex::built(temporal), postings),
                 delta: DeltaTail::new(Vec::new(), 0),
             })),
             stats: Mutex::new(stats),
@@ -797,7 +982,7 @@ impl StIndex {
             slot_s,
             num_days: AtomicU16::new(num_days),
             state: RwLock::new(Arc::new(IndexState {
-                base: SealedBase { temporal, postings },
+                base: SealedBase::new(temporal, postings),
                 delta: DeltaTail::new(delta, delta_bytes),
             })),
             stats: Mutex::new(stats),
@@ -833,6 +1018,17 @@ impl StIndex {
     /// Size statistics of the mutable delta tail.
     pub fn delta_stats(&self) -> DeltaStats {
         self.current().delta.stats()
+    }
+
+    /// The trajectory views built on the current sealed base and the heap
+    /// bytes they hold. A compaction publishes a base with none.
+    pub fn view_stats(&self) -> ViewStats {
+        let state = self.current();
+        let built = state.base.views.views.iter().filter_map(OnceLock::get);
+        ViewStats {
+            views_built: built.clone().count() as u64,
+            resident_bytes: built.map(TrajectoryView::resident_bytes).sum(),
+        }
     }
 
     /// I/O counters of the sealed-base posting store, shared across
@@ -1156,9 +1352,9 @@ impl StIndex {
         let pool_pages = state.base.postings.pool_capacity();
         let read_retries = state.base.postings.read_retries();
         let store: StIndexStore = Box::new(InMemoryPageStore::with_stats(Arc::clone(&io)));
-        let new_postings = PostingStore::with_tail_and_retries(store, pool_pages, 0, read_retries);
+        let new_postings = PostingStore::with_retries(store, pool_pages, read_retries);
         let mut temporal = vec![SlotDirectory::default(); slots_per_day(self.slot_s)];
-        let mut writer = new_postings.writer()?;
+        let mut writer = new_postings.writer();
         for (((slot, segment), _), blob) in entries.iter().zip(&blobs) {
             let handle = writer.push(blob)?;
             temporal[*slot as usize]
@@ -1174,10 +1370,7 @@ impl StIndex {
         // state (kept alive by their pinned `Arc`s); new readers see the
         // fresh sealed base and an empty delta tail.
         let new_state = Arc::new(IndexState {
-            base: SealedBase {
-                temporal: TemporalIndex::built(temporal),
-                postings: new_postings,
-            },
+            base: SealedBase::new(TemporalIndex::built(temporal), new_postings),
             delta: DeltaTail::new(Vec::new(), 0),
         });
         *self.state.write() = new_state;
@@ -1237,6 +1430,15 @@ impl crate::query::verifier::PostingSource for StIndex {
         F: FnMut(usize, &[u8]) -> StorageResult<()>,
     {
         pin.0.visit_slot(segments, self.wrap_slot(slot), buf, visit)
+    }
+
+    fn forward<'p>(&self, pin: &'p PinnedState, slot: u32) -> Option<SlotForward<'p>> {
+        let slot = self.wrap_slot(slot);
+        Some(SlotForward {
+            view: pin.0.base.view(slot)?,
+            delta: &pin.0.delta,
+            slot,
+        })
     }
 
     fn malformed_posting(&self, segment: SegmentId, slot: u32) -> StorageError {

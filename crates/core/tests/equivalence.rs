@@ -3,6 +3,12 @@
 //! (b) the exhaustive-search baseline, across a grid of query parameters on
 //! a seeded scenario. A perf refactor that changes any result breaks this
 //! test.
+//!
+//! Every query is asked [`ASKS`] times, each ask on a fresh verifier core.
+//! A window slot's first verification on a sealed base reads it
+//! segment-major, its second builds the slot's trajectory view and every
+//! later one reads it forward, so the first query over untouched slots
+//! takes all three paths in turn and later queries mix them slot by slot.
 
 use std::sync::Arc;
 
@@ -23,7 +29,10 @@ use streach_core::st_index::StIndex;
 use streach_core::{EngineBuilder, ReachabilityEngine, ReachableRegion};
 use streach_geo::GeoPoint;
 use streach_roadnet::{GeneratorConfig, RoadNetwork, SegmentId, SyntheticCity};
-use streach_traj::{FleetConfig, TrajectoryDataset};
+use streach_traj::{FleetConfig, TrajPoint, TrajectoryDataset};
+
+/// Times each query is asked: segment-major, build, forward.
+const ASKS: usize = 3;
 
 struct Fixture {
     network: Arc<RoadNetwork>,
@@ -89,12 +98,14 @@ fn optimized_verifier_matches_naive_probabilities() {
     let start = f.network.nearest_segment(&f.center).unwrap().0;
     for (t, l, _) in grid() {
         let naive = NaiveVerifier::new(f.st(), start, t, l).unwrap();
-        let core = VerifierCore::new(f.st(), start, t, l).unwrap();
         let segments: Vec<SegmentId> = f.network.segment_ids().step_by(3).collect();
-        let got = core.probabilities(&segments).unwrap();
-        for (&seg, got) in segments.iter().zip(got) {
-            let expected = naive.probability(seg).unwrap();
-            assert_eq!(got, expected, "T={t} L={l} segment {seg}");
+        for ask in 0..ASKS {
+            let core = VerifierCore::new(f.st(), start, t, l).unwrap();
+            let got = core.probabilities(&segments).unwrap();
+            for (&seg, got) in segments.iter().zip(got) {
+                let expected = naive.probability(seg).unwrap();
+                assert_eq!(got, expected, "T={t} L={l} segment {seg} ask {ask}");
+            }
         }
     }
 }
@@ -111,12 +122,14 @@ fn optimized_es_matches_naive_es() {
             duration_s: l,
             prob,
         };
-        let optimized = exhaustive_search(&f.network, f.st(), &q, start).unwrap();
         let naive = naive_exhaustive_search(&f.network, f.st(), &q, start).unwrap();
-        assert_eq!(
-            optimized.region.segments, naive.segments,
-            "ES mismatch at T={t} L={l} prob={prob}"
-        );
+        for ask in 0..ASKS {
+            let optimized = exhaustive_search(&f.network, f.st(), &q, start).unwrap();
+            assert_eq!(
+                optimized.region.segments, naive.segments,
+                "ES mismatch at T={t} L={l} prob={prob} ask {ask}"
+            );
+        }
     }
 }
 
@@ -128,14 +141,16 @@ fn optimized_tbs_matches_naive_tbs() {
     let start = f.network.nearest_segment(&f.center).unwrap().0;
     for (t, l, prob) in grid() {
         let bounds = sqmb(f.con(), f.network.num_segments(), start, t, l);
-        let core = VerifierCore::new(f.st(), start, t, l).unwrap();
-        let optimized = trace_back_search(&f.network, &core, &bounds, prob).unwrap();
         let naive =
             naive_trace_back_search(&f.network, f.st(), &bounds, start, t, l, prob).unwrap();
-        assert_eq!(
-            optimized.region.segments, naive.segments,
-            "TBS mismatch at T={t} L={l} prob={prob}"
-        );
+        for ask in 0..ASKS {
+            let core = VerifierCore::new(f.st(), start, t, l).unwrap();
+            let optimized = trace_back_search(&f.network, &core, &bounds, prob).unwrap();
+            assert_eq!(
+                optimized.region.segments, naive.segments,
+                "TBS mismatch at T={t} L={l} prob={prob} ask {ask}"
+            );
+        }
     }
 }
 
@@ -164,13 +179,23 @@ fn sqmb_tbs_matches_es_baseline_on_verified_segments() {
             duration_s: l,
             prob,
         };
-        let es = exhaustive_search(&f.network, f.st(), &q, start).unwrap();
         let bounds = sqmb(f.con(), f.network.num_segments(), start, t, l);
-        let core = VerifierCore::new(f.st(), start, t, l).unwrap();
-        let tbs = trace_back_search(&f.network, &core, &bounds, prob).unwrap();
+        let asks: Vec<_> = (0..ASKS)
+            .map(|_| {
+                let es = exhaustive_search(&f.network, f.st(), &q, start).unwrap();
+                let core = VerifierCore::new(f.st(), start, t, l).unwrap();
+                let tbs = trace_back_search(&f.network, &core, &bounds, prob).unwrap();
+                (es.region, tbs.region)
+            })
+            .collect();
+        assert!(
+            asks.windows(2).all(|w| w[0] == w[1]),
+            "T={t} L={l} prob={prob}"
+        );
+        let (es, tbs) = &asks[0];
 
-        let es_set: std::collections::HashSet<_> = es.region.segments.iter().copied().collect();
-        let tbs_set: std::collections::HashSet<_> = tbs.region.segments.iter().copied().collect();
+        let es_set: std::collections::HashSet<_> = es.segments.iter().copied().collect();
+        let tbs_set: std::collections::HashSet<_> = tbs.segments.iter().copied().collect();
         let min_set: std::collections::HashSet<_> = bounds.min_region.iter().copied().collect();
         let max_set: std::collections::HashSet<_> = bounds.max_region.iter().copied().collect();
 
@@ -206,22 +231,23 @@ fn single_location_mqmb_matches_squery_pipeline() {
     let start = f.network.nearest_segment(&f.center).unwrap().0;
     for (t, l, prob) in grid() {
         let bounds = sqmb(f.con(), f.network.num_segments(), start, t, l);
-        let core = VerifierCore::new(f.st(), start, t, l).unwrap();
-        let s_region = trace_back_search(&f.network, &core, &bounds, prob)
-            .unwrap()
-            .region;
-
         let m_bounds = mqmb(f.con(), &f.network, &[start], &[f.center], t, l);
-        let m_region = mqmb_trace_back(&f.network, f.st(), &m_bounds, &[start], t, l, prob)
-            .unwrap()
-            .region;
-        // The m-query result additionally pins the start segment into the
-        // region; the s-query pipeline includes it through the minimum
-        // bounding region, so the sets must agree exactly.
-        assert_eq!(
-            m_region.segments, s_region.segments,
-            "single-location MQMB diverges at T={t} L={l} prob={prob}"
-        );
+        for ask in 0..ASKS {
+            let core = VerifierCore::new(f.st(), start, t, l).unwrap();
+            let s_region = trace_back_search(&f.network, &core, &bounds, prob)
+                .unwrap()
+                .region;
+            let m_region = mqmb_trace_back(&f.network, f.st(), &m_bounds, &[start], t, l, prob)
+                .unwrap()
+                .region;
+            // The m-query result additionally pins the start segment into
+            // the region; the s-query pipeline includes it through the
+            // minimum bounding region, so the sets must agree exactly.
+            assert_eq!(
+                m_region.segments, s_region.segments,
+                "single-location MQMB diverges at T={t} L={l} prob={prob} ask {ask}"
+            );
+        }
     }
 }
 
@@ -241,7 +267,6 @@ fn multi_location_mqmb_matches_naive_owner_verification() {
         .collect();
     for (t, l, prob) in [(9 * 3600u32, 900u32, 0.2f64), (11 * 3600, 1500, 0.5)] {
         let bounds = mqmb(f.con(), &f.network, &starts, &start_points, t, l);
-        let optimized = mqmb_trace_back(&f.network, f.st(), &bounds, &starts, t, l, prob).unwrap();
 
         // Naive: sequential owner-routed verification with fresh hash maps.
         let verifiers: Vec<NaiveVerifier<'_>> = starts
@@ -257,10 +282,14 @@ fn multi_location_mqmb_matches_naive_owner_verification() {
             }
         }
         let naive = streach_core::ReachableRegion::from_segments(&f.network, segments);
-        assert_eq!(
-            optimized.region.segments, naive.segments,
-            "MQMB mismatch at T={t} L={l} prob={prob}"
-        );
+        for ask in 0..ASKS {
+            let optimized =
+                mqmb_trace_back(&f.network, f.st(), &bounds, &starts, t, l, prob).unwrap();
+            assert_eq!(
+                optimized.region.segments, naive.segments,
+                "MQMB mismatch at T={t} L={l} prob={prob} ask {ask}"
+            );
+        }
     }
 }
 
@@ -301,11 +330,13 @@ fn pipeline_matches_the_full_reference_whether_or_not_the_start_decides() {
             undecided += 1;
         }
         for algorithm in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
-            let got = f.engine.try_s_query(&q, algorithm).unwrap();
             let want = naive_s_query(&f.network, f.con(), f.st(), &q, start, algorithm).unwrap();
-            assert_eq!(got.region, want, "{algorithm:?} at {at}");
-            if is_decided {
-                assert_eq!(got.stats.segments_verified, 0, "{algorithm:?} at {at}");
+            for ask in 0..ASKS {
+                let got = f.engine.try_s_query(&q, algorithm).unwrap();
+                assert_eq!(got.region, want, "{algorithm:?} at {at}, ask {ask}");
+                if is_decided {
+                    assert_eq!(got.stats.segments_verified, 0, "{algorithm:?} at {at}");
+                }
             }
         }
         // A decided query runs the Near expansion only: its maximum bound is
@@ -326,9 +357,11 @@ fn pipeline_matches_the_full_reference_whether_or_not_the_start_decides() {
             duration_s: l,
             prob,
         };
-        let got = f.engine.try_m_query(&m, MQueryAlgorithm::MqmbTbs).unwrap();
         let want = naive_m_query(&f.network, f.con(), f.st(), &m, &starts).unwrap();
-        assert_eq!(got.region, want, "MQMB at {at}");
+        for ask in 0..ASKS {
+            let got = f.engine.try_m_query(&m, MQueryAlgorithm::MqmbTbs).unwrap();
+            assert_eq!(got.region, want, "MQMB at {at}, ask {ask}");
+        }
         let got = f
             .engine
             .try_m_query(&m, MQueryAlgorithm::RepeatedSQuery)
@@ -469,4 +502,252 @@ fn direct_bounding_matches_table_walk_on_21x21_city() {
     let stats = Arc::new(SpeedStats::from_dataset(&network, &dataset, config.slot_s));
     let con = ConIndex::new(network.clone(), stats, &config);
     assert_direct_bounding_matches_table_walk(&network, &con, "21x21");
+}
+
+/// SQMB+TBS, ES and MQMB against the naive references on `engine`, each
+/// query asked [`ASKS`] times: a 3×3 origin grid (±1 500 m) around
+/// `center` at 09:00 and 10:00 for `durations`, Prob 0.25.
+fn assert_grid_matches_reference(
+    engine: &ReachabilityEngine,
+    center: GeoPoint,
+    durations: &[u32],
+    label: &str,
+) {
+    let (network, con, st) = (engine.network(), engine.con_index(), engine.st_index());
+    let mut undecided = 0;
+    for dx in [-1500.0, 0.0, 1500.0] {
+        for dy in [-1500.0, 0.0, 1500.0] {
+            for t in [9 * 3600, 10 * 3600] {
+                for &l in durations {
+                    let q = SQuery {
+                        location: center.offset_m(dx, dy),
+                        start_time_s: t,
+                        duration_s: l,
+                        prob: 0.25,
+                    };
+                    let start = engine.locate(&q.location).unwrap();
+                    if !VerifierCore::new(st, start, t, l).unwrap().decided(q.prob) {
+                        undecided += 1;
+                    }
+                    let at = format!("{label}: {q:?}");
+                    for algorithm in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
+                        let want = naive_s_query(network, con, st, &q, start, algorithm).unwrap();
+                        for ask in 0..ASKS {
+                            let got = engine.try_s_query(&q, algorithm).unwrap();
+                            assert_eq!(got.region, want, "{algorithm:?} at {at}, ask {ask}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        undecided > 0,
+        "{label}: every query decided before verifying"
+    );
+    let locations = vec![
+        center,
+        center.offset_m(1500.0, 0.0),
+        center.offset_m(0.0, -1500.0),
+    ];
+    let starts: Vec<SegmentId> = locations
+        .iter()
+        .map(|p| engine.locate(p).unwrap())
+        .collect();
+    for &l in durations {
+        let m = MQuery {
+            locations: locations.clone(),
+            start_time_s: 9 * 3600,
+            duration_s: l,
+            prob: 0.25,
+        };
+        let want = naive_m_query(network, con, st, &m, &starts).unwrap();
+        for ask in 0..ASKS {
+            let got = engine.try_m_query(&m, MQueryAlgorithm::MqmbTbs).unwrap();
+            assert_eq!(got.region, want, "{label}: MQMB L={l}, ask {ask}");
+        }
+    }
+}
+
+/// The same contract at paper density: 230 taxis × 8 days on the small
+/// city (~0.5 taxis per segment), where a start has many trajectories and
+/// the views are dense.
+#[test]
+fn every_ask_matches_the_reference_at_paper_density() {
+    let city = SyntheticCity::generate(GeneratorConfig::small());
+    let center = city.central_point();
+    let network = Arc::new(city.network);
+    let dataset = TrajectoryDataset::simulate(
+        &network,
+        FleetConfig {
+            num_taxis: 230,
+            num_days: 8,
+            ..FleetConfig::tiny()
+        },
+    );
+    let engine = EngineBuilder::new(network, &dataset)
+        .index_config(IndexConfig::default())
+        .build();
+    assert_grid_matches_reference(&engine, center, &[300, 600], "paper density");
+    assert!(engine.st_index().view_stats().views_built > 0);
+}
+
+/// Ingest after the views are built: a delta list overrides its base list,
+/// so a forward read ORs the slot's delta lists into the view's bits. A
+/// mid-trajectory continuation (a start trajectory passing new segments
+/// later in the window, on a day it already has) and a new day (day-0
+/// trajectories driven again under the next date) must both show, and
+/// every ask must still match the references, which read the merged lists.
+#[test]
+fn forward_reads_fold_in_delta_overrides() {
+    let city = SyntheticCity::generate(GeneratorConfig::small());
+    let center = city.central_point();
+    let network = Arc::new(city.network);
+    let dataset = TrajectoryDataset::simulate(
+        &network,
+        FleetConfig {
+            num_taxis: 30,
+            num_days: 5,
+            day_start_s: 8 * 3600,
+            day_end_s: 14 * 3600,
+            seed: 7,
+            ..FleetConfig::default()
+        },
+    );
+    let engine = EngineBuilder::new(network.clone(), &dataset)
+        .index_config(IndexConfig::default())
+        .build();
+    let st = engine.st_index();
+    assert_grid_matches_reference(&engine, center, &[600], "before ingest");
+    let built = st.view_stats().views_built;
+    assert!(built > 0, "the asks must have built views");
+
+    // The start trajectory of a window, and segments it does not reach.
+    let traj = dataset
+        .trajectories()
+        .iter()
+        .find(|t| {
+            t.visits
+                .iter()
+                .any(|v| (9 * 3600..9 * 3600 + 300).contains(&v.enter_time_s))
+        })
+        .expect("a trajectory driving at 09:00");
+    let start = traj
+        .visits
+        .iter()
+        .find(|v| v.enter_time_s >= 9 * 3600)
+        .unwrap();
+    let (t, l) = (9 * 3600, 600);
+    let segments: Vec<SegmentId> = network.segment_ids().collect();
+    let ask = || {
+        VerifierCore::new(st, start.segment, t, l)
+            .unwrap()
+            .probabilities(&segments)
+            .unwrap()
+    };
+    let before = ask();
+    let targets: Vec<SegmentId> = segments
+        .iter()
+        .zip(&before)
+        .filter(|&(&s, &p)| s != start.segment && p == 0.0)
+        .map(|(&s, _)| s)
+        .take(4)
+        .collect();
+    let mut points: Vec<TrajPoint> = targets
+        .iter()
+        .enumerate()
+        .map(|(i, &segment)| TrajPoint {
+            traj_id: traj.traj_id,
+            date: traj.date,
+            segment,
+            enter_time_s: t + 240 + 60 * i as u32,
+        })
+        .collect();
+    let new_day = dataset.num_days();
+    for day0 in dataset
+        .trajectories()
+        .iter()
+        .filter(|t| t.date == 0)
+        .take(10)
+    {
+        points.extend(day0.visits.iter().map(|v| TrajPoint {
+            traj_id: day0.traj_id,
+            date: new_day,
+            segment: v.segment,
+            enter_time_s: v.enter_time_s,
+        }));
+    }
+    engine.ingest(&points).unwrap();
+    assert_eq!(st.num_days(), new_day + 1);
+    assert_eq!(
+        st.view_stats().views_built,
+        built,
+        "ingest keeps the base's views"
+    );
+
+    let naive = NaiveVerifier::new(st, start.segment, t, l).unwrap();
+    for ask_no in 0..ASKS {
+        let got = ask();
+        for (&seg, p) in segments.iter().zip(&got) {
+            assert_eq!(*p, naive.probability(seg).unwrap(), "{seg}, ask {ask_no}");
+        }
+        for &target in &targets {
+            let i = segments.binary_search(&target).unwrap();
+            assert!(
+                got[i] > 0.0,
+                "the continuation reaches {target}, ask {ask_no}"
+            );
+        }
+    }
+    assert_grid_matches_reference(&engine, center, &[600], "after ingest");
+}
+
+/// The forward path is real: on a fresh engine the first ask of an
+/// undecided query builds no view, the second builds its window's views,
+/// and the third decodes at least 10× fewer posting bytes than the first.
+/// A query stream that verifies each slot once builds none.
+#[test]
+fn the_third_ask_reads_forward_and_one_touch_builds_nothing() {
+    let f = fixture();
+    let q = SQuery {
+        location: f.center,
+        start_time_s: 9 * 3600,
+        duration_s: 900,
+        prob: 0.2,
+    };
+    let start = f.network.nearest_segment(&f.center).unwrap().0;
+    assert!(
+        !VerifierCore::new(f.st(), start, q.start_time_s, q.duration_s)
+            .unwrap()
+            .decided(q.prob)
+    );
+    let decoded = || {
+        let got = f.engine.try_s_query(&q, Algorithm::SqmbTbs).unwrap();
+        assert!(got.stats.segments_verified > 0);
+        got.stats.io.bytes_decoded
+    };
+    let first = decoded();
+    assert_eq!(f.st().view_stats(), Default::default());
+    decoded();
+    let views = f.st().view_stats();
+    assert!(
+        views.views_built >= 3 && views.resident_bytes > 0,
+        "{views:?}"
+    );
+    let third = decoded();
+    assert!(
+        third * 10 <= first,
+        "the forward ask decoded {third} B against {first} B segment-major"
+    );
+
+    // One touch per slot: three-slot windows an hour apart, each once.
+    let f = fixture();
+    for h in 8..14 {
+        let q = SQuery {
+            start_time_s: h * 3600,
+            ..q
+        };
+        f.engine.try_s_query(&q, Algorithm::SqmbTbs).unwrap();
+    }
+    assert_eq!(f.st().view_stats().views_built, 0);
 }

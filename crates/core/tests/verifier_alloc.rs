@@ -1,12 +1,15 @@
 //! The verification hot path allocates nothing per segment: after warm-up,
 //! a [`VerifierCore::probabilities`] batch makes the same few allocations
-//! (its output, its day bits and its copy buffer) whether it verifies one
-//! segment or a hundred and twenty.
+//! (its output, its day bits and, reading segment-major, its copy buffer)
+//! whether it verifies one segment or a hundred and twenty.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` while armed.
 //! The test warms the verifier (the buffer pool caches every posting page
 //! the batch touches), then re-verifies the same batches with the counter
-//! armed, on the calling thread so that no worker spawn is counted.
+//! armed, on the calling thread so that no worker spawn is counted. A core
+//! plans its window slots on its first call, so the first core reads
+//! segment-major throughout; a second core's first call builds the window's
+//! trajectory views, and its measured calls read forward.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -110,6 +113,21 @@ fn warm_batches_allocate_nothing_per_segment() {
             all <= 3,
             "a warm batch allocates its output, its day bits and its copy \
              buffer, nothing more ({all} allocations)"
+        );
+
+        // The same batches read forward.
+        let forward = VerifierCore::new(&st, start.segment, start.enter_time_s, 900).unwrap();
+        assert_eq!(forward.probabilities(&candidates).unwrap(), warm);
+        assert!(st.view_stats().views_built > 0);
+        let (one, single) = counted(&forward, &candidates[..1]);
+        let (all, measured) = counted(&forward, &candidates);
+        assert_eq!(warm, measured, "forward and segment-major reads must agree");
+        assert_eq!(single, warm[..1]);
+        assert_eq!(all, one, "a forward batch allocates nothing per segment");
+        assert!(
+            all <= 2,
+            "a forward batch allocates its output and its day bits, nothing \
+             more ({all} allocations)"
         );
     });
 }

@@ -462,13 +462,13 @@ impl PageStore for FilePageStore {
 
 /// Checks every page read from the wrapped store against the CRC-32 that
 /// was recorded for it when the page file was written (a snapshot's
-/// `pages_meta`). Pages past the recorded list are passed through
-/// unchecked; a snapshot open checks that its page file holds exactly the
-/// recorded pages.
+/// `pages_meta`). A snapshot open checks that its page file holds exactly
+/// the recorded pages, so a page past the recorded list has no checksum to
+/// meet and is refused too.
 ///
 /// Under a [`crate::BufferPool`] the check runs on the miss path only, once
-/// per physical read. A mismatch is [`StorageError::Corrupt`] naming the
-/// page; the pool does not retry it.
+/// per physical read. A mismatch or a missing checksum is
+/// [`StorageError::Corrupt`] naming the page; the pool does not retry it.
 pub struct ChecksummedPageStore<S: PageStore> {
     inner: S,
     crcs: Arc<[u32]>,
@@ -489,12 +489,13 @@ impl<S: PageStore> PageStore for ChecksummedPageStore<S> {
     fn read_page(&self, id: PageId) -> StorageResult<Page> {
         let page = self.inner.read_page(id)?;
         match self.crcs.get(id as usize) {
-            Some(&crc) if crate::snapshot::crc32(page.bytes()) != crc => {
-                Err(StorageError::corrupt(format!(
-                    "page {id} fails its checksum (torn write or bit rot)"
-                )))
-            }
-            _ => Ok(page),
+            Some(&crc) if crate::snapshot::crc32(page.bytes()) == crc => Ok(page),
+            Some(_) => Err(StorageError::corrupt(format!(
+                "page {id} fails its checksum (torn write or bit rot)"
+            ))),
+            None => Err(StorageError::corrupt(format!(
+                "page {id} has no recorded checksum"
+            ))),
         }
     }
 
@@ -633,15 +634,19 @@ mod tests {
             inner.write_page(id, &Page::from_slice(&[fill; 8])).unwrap();
         }
         let crc = |fill: u8| crate::snapshot::crc32(Page::from_slice(&[fill; 8]).bytes());
-        // Page 2 has no recorded CRC: it is read unchecked.
+        // Page 2 has no recorded CRC: it is refused, not read unchecked.
         let store = ChecksummedPageStore::new(inner, vec![crc(1), crc(9)].into());
         assert!(store.read_page(0).is_ok());
-        assert!(store.read_page(2).is_ok());
-        match store.read_page(1) {
-            Err(StorageError::Corrupt { context }) => {
-                assert!(context.contains("page 1 fails its checksum"), "{context}")
+        for (id, expected) in [
+            (1, "page 1 fails its checksum"),
+            (2, "page 2 has no recorded checksum"),
+        ] {
+            match store.read_page(id) {
+                Err(StorageError::Corrupt { context }) => {
+                    assert!(context.contains(expected), "{context}")
+                }
+                other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
             }
-            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }
         assert!(!StorageError::corrupt("x").is_transient());
     }

@@ -430,47 +430,50 @@ impl BlobHandle {
 /// each page it fills to the store exactly once, and its partial last page
 /// once, when it [finishes](PostingWriter::finish). The heap keeps that
 /// partial page in memory next to the tail, so no append reads a page back.
+/// A heap reopened from disk is [sealed](Self::sealed): it is read, never
+/// appended to.
 pub struct PostingStore<S: PageStore> {
     pool: BufferPool<S>,
     tail: Mutex<Tail>,
+    /// A reopened heap, which takes no batch.
+    sealed: bool,
 }
 
 /// The end of a heap: its length and its partial last page.
 struct Tail {
     /// Bytes appended so far.
     len: u64,
-    /// The page holding byte `len`, zeroed past `len`. `None` until the
-    /// first batch of a heap reopened at a length that is not page-aligned,
-    /// which loads it from the store once.
-    page: Option<Page>,
+    /// The page holding byte `len`, zeroed past `len`.
+    page: Page,
 }
 
 impl<S: PageStore> PostingStore<S> {
     /// Creates an empty posting store over `store`, caching up to
     /// `pool_pages` pages, with the default transient-read retry budget.
     pub fn new(store: S, pool_pages: usize) -> Self {
-        Self::with_tail_and_retries(
-            store,
-            pool_pages,
-            0,
-            crate::buffer_pool::DEFAULT_READ_RETRIES,
-        )
+        Self::with_retries(store, pool_pages, crate::buffer_pool::DEFAULT_READ_RETRIES)
     }
 
-    /// Opens a posting store over `store` with the append cursor at `tail`
-    /// bytes (0 for a fresh heap; the heap length when reopening an
-    /// already-populated page store such as a snapshot's posting file) and
-    /// an explicit transient-read retry budget.
-    pub fn with_tail_and_retries(
-        store: S,
-        pool_pages: usize,
-        tail: u64,
-        read_retries: u32,
-    ) -> Self {
-        let page = tail.is_multiple_of(PAGE_SIZE as u64).then(Page::zeroed);
+    /// Creates an empty posting store over `store` with an explicit
+    /// transient-read retry budget.
+    pub fn with_retries(store: S, pool_pages: usize, read_retries: u32) -> Self {
+        Self {
+            sealed: false,
+            ..Self::sealed(store, pool_pages, 0, read_retries)
+        }
+    }
+
+    /// Opens the sealed heap of `len` bytes that `store` already holds,
+    /// such as a snapshot's posting file: readable through the pool, but
+    /// [`writer`](Self::writer) refuses it.
+    pub fn sealed(store: S, pool_pages: usize, len: u64, read_retries: u32) -> Self {
         Self {
             pool: BufferPool::with_retries(store, pool_pages, read_retries),
-            tail: Mutex::new(Tail { len: tail, page }),
+            tail: Mutex::new(Tail {
+                len,
+                page: Page::zeroed(),
+            }),
+            sealed: true,
         }
     }
 
@@ -516,32 +519,26 @@ impl<S: PageStore> PostingStore<S> {
     }
 
     /// Starts a batch of appends (see [`PostingWriter`]). The batch holds
-    /// the heap's append lock until it finishes or is dropped. A heap
-    /// reopened at a length that is not page-aligned reads its partial last
-    /// page here, once.
-    pub fn writer(&self) -> StorageResult<PostingWriter<'_, S>> {
-        let mut tail = self.tail.lock();
-        let page = match &tail.page {
-            Some(page) => page.clone(),
-            None => {
-                let mut page = self.pool.store().read_page(tail.len / PAGE_SIZE as u64)?;
-                page.bytes_mut()[(tail.len % PAGE_SIZE as u64) as usize..].fill(0);
-                tail.page = Some(page.clone());
-                page
-            }
-        };
-        Ok(PostingWriter {
+    /// the heap's append lock until it finishes or is dropped.
+    ///
+    /// # Panics
+    ///
+    /// On a [sealed](Self::sealed) heap, which is never appended to.
+    pub fn writer(&self) -> PostingWriter<'_, S> {
+        assert!(!self.sealed, "a sealed posting heap is read-only");
+        let tail = self.tail.lock();
+        PostingWriter {
             len: tail.len,
+            page: tail.page.clone(),
             store: self,
             tail,
-            page,
             failed: false,
-        })
+        }
     }
 
     /// Appends a blob as a batch of one and returns its handle.
     pub fn append(&self, bytes: &[u8]) -> StorageResult<BlobHandle> {
-        let mut writer = self.writer()?;
+        let mut writer = self.writer();
         let handle = writer.push(bytes)?;
         writer.finish()?;
         Ok(handle)
@@ -676,7 +673,7 @@ impl<S: PageStore> PostingWriter<'_, S> {
             self.write_page(self.len / PAGE_SIZE as u64)?;
         }
         self.tail.len = self.len;
-        self.tail.page = Some(self.page);
+        self.tail.page = self.page;
         Ok(())
     }
 
@@ -1085,7 +1082,7 @@ mod tests {
 
     #[test]
     fn time_list_storage_roundtrip() {
-        let store = PostingStore::with_tail_and_retries(InMemoryPageStore::new(), 4, 0, 0);
+        let store = PostingStore::with_retries(InMemoryPageStore::new(), 4, 0);
         let mut handles = Vec::new();
         for seg in 0..50u32 {
             let mut list = TimeList::new();
@@ -1250,16 +1247,6 @@ mod tests {
             .collect()
     }
 
-    /// A copy of a heap's pages in a fresh store, reopened at `tail`.
-    fn reopen(pages: &[Vec<u8>], tail: u64) -> PostingStore<InMemoryPageStore> {
-        let store = InMemoryPageStore::new();
-        for bytes in pages {
-            let id = store.allocate().unwrap();
-            store.write_page(id, &Page::from_slice(bytes)).unwrap();
-        }
-        PostingStore::with_tail_and_retries(store, 4, tail, 0)
-    }
-
     /// Pages `[offset, end)` of the heap touch.
     fn pages_touched(offset: u64, end: u64) -> u64 {
         let page = PAGE_SIZE as u64;
@@ -1274,7 +1261,7 @@ mod tests {
     fn batch_and_single_appends_lay_out_the_same_heap() {
         let blobs = random_blobs(0xBA7C_0001, 400);
         let batched = PostingStore::new(InMemoryPageStore::new(), 4);
-        let mut writer = batched.writer().unwrap();
+        let mut writer = batched.writer();
         let batch_handles: Vec<BlobHandle> =
             blobs.iter().map(|b| writer.push(b).unwrap()).collect();
         writer.finish().unwrap();
@@ -1303,7 +1290,7 @@ mod tests {
         ] {
             io.reset();
             let start = store.size_bytes();
-            let mut writer = store.writer().unwrap();
+            let mut writer = store.writer();
             for blob in &blobs {
                 writer.push(blob).unwrap();
             }
@@ -1314,45 +1301,28 @@ mod tests {
         }
         // An empty batch writes nothing.
         io.reset();
-        store.writer().unwrap().finish().unwrap();
+        store.writer().finish().unwrap();
         assert_eq!(io.snapshot().page_writes, 0);
     }
 
-    /// A heap reopened at a tail inside a page loads that page once, on
-    /// its first batch, and appends after the earlier bytes.
+    /// A reopened heap serves its blobs and takes no batch.
     #[test]
-    fn a_reopened_heap_appends_at_an_unaligned_tail() {
-        let blobs = random_blobs(0x5EED_7A11, 120);
-        let (first, second) = blobs.split_at(70);
-        let whole = PostingStore::new(InMemoryPageStore::new(), 4);
-        let handles: Vec<BlobHandle> = blobs.iter().map(|b| whole.append(b).unwrap()).collect();
-
+    #[should_panic(expected = "a sealed posting heap is read-only")]
+    fn a_sealed_heap_reads_and_refuses_appends() {
+        let blobs = random_blobs(0x5EED_7A11, 70);
         let before = PostingStore::new(InMemoryPageStore::new(), 4);
-        for blob in first {
-            before.append(blob).unwrap();
+        let handles: Vec<BlobHandle> = blobs.iter().map(|b| before.append(b).unwrap()).collect();
+        let store = InMemoryPageStore::new();
+        for bytes in pages_of(&before) {
+            let id = store.allocate().unwrap();
+            store.write_page(id, &Page::from_slice(&bytes)).unwrap();
         }
-        let tail = before.size_bytes();
-        assert_ne!(
-            tail % PAGE_SIZE as u64,
-            0,
-            "the tail must sit inside a page"
-        );
-        let reopened = reopen(&pages_of(&before), tail);
-        let io = reopened.io_stats();
-        io.reset();
-        let mut reads = Vec::new();
-        for (blob, &expected) in second.iter().zip(&handles[first.len()..]) {
-            assert_eq!(reopened.append(blob).unwrap(), expected);
-            reads.push(io.snapshot().page_reads);
-        }
-        assert!(
-            reads.iter().all(|&r| r == 1),
-            "the partial page is loaded once, by the first append: {reads:?}"
-        );
-        assert_eq!(pages_of(&reopened), pages_of(&whole));
+        let sealed = PostingStore::sealed(store, 4, before.size_bytes(), 0);
+        assert_eq!(sealed.size_bytes(), before.size_bytes());
         for (blob, &handle) in blobs.iter().zip(&handles) {
-            assert_eq!(&reopened.read(handle).unwrap(), blob);
+            assert_eq!(&sealed.read(handle).unwrap(), blob);
         }
+        let _ = sealed.append(b"more");
     }
 
     /// A write EIO in mid-batch fails the batch with a typed error and
@@ -1364,7 +1334,7 @@ mod tests {
         let blobs = random_blobs(0xFA17_0003, 200);
         let clean = PostingStore::new(InMemoryPageStore::new(), 4);
         clean.append(b"prefix").unwrap();
-        let mut writer = clean.writer().unwrap();
+        let mut writer = clean.writer();
         let expected: Vec<BlobHandle> = blobs.iter().map(|b| writer.push(b).unwrap()).collect();
         writer.finish().unwrap();
         let pages = pages_touched(6, clean.size_bytes());
@@ -1379,7 +1349,7 @@ mod tests {
             store.append(b"prefix").unwrap();
             ctl.fail_write_at(ctl.writes_observed() + fail_at);
             let failed = (|| {
-                let mut writer = store.writer()?;
+                let mut writer = store.writer();
                 for blob in &blobs {
                     writer.push(blob)?;
                 }
@@ -1396,7 +1366,7 @@ mod tests {
                 b"prefix"
             );
 
-            let mut writer = store.writer().unwrap();
+            let mut writer = store.writer();
             let retried: Vec<BlobHandle> = blobs.iter().map(|b| writer.push(b).unwrap()).collect();
             writer.finish().unwrap();
             assert_eq!(retried, expected, "write #{fail_at}");
@@ -1417,7 +1387,7 @@ mod tests {
             4,
         );
         ctl.fail_write_at(0);
-        let mut writer = store.writer().unwrap();
+        let mut writer = store.writer();
         assert!(writer.push(&[1u8; PAGE_SIZE]).is_err());
         let _ = writer.finish();
     }

@@ -14,6 +14,20 @@ fn build_engine(
     num_taxis: usize,
     num_days: u16,
 ) -> (Arc<RoadNetwork>, ReachabilityEngine, GeoPoint) {
+    let (network, _, engine, center) = build_world(num_taxis, num_days);
+    (network, engine, center)
+}
+
+/// [`build_engine`], keeping the dataset too.
+fn build_world(
+    num_taxis: usize,
+    num_days: u16,
+) -> (
+    Arc<RoadNetwork>,
+    TrajectoryDataset,
+    ReachabilityEngine,
+    GeoPoint,
+) {
     let city = SyntheticCity::generate(GeneratorConfig::small());
     let center = city.central_point();
     let network = Arc::new(city.network);
@@ -28,7 +42,7 @@ fn build_engine(
     let engine = EngineBuilder::new(network.clone(), &dataset)
         .index_config(IndexConfig::default())
         .build();
-    (network, engine, center)
+    (network, dataset, engine, center)
 }
 
 #[test]
@@ -131,6 +145,88 @@ fn sqmb_tbs_and_es_agree_on_verified_segments() {
     assert!(
         recall >= 0.95,
         "pooled recall {recall:.3} ({common} of {es_len} ES segments recovered by SQMB+TBS)"
+    );
+}
+
+/// Why recall falls below 1 (ROADMAP 6(c)): 6(b)'s sweep at one hop,
+/// L = 300 s. Every ES segment missing from SQMB+TBS lies outside the
+/// maximum bounding region, so the trace-back never verified it. Eq. 3.1
+/// does not order the two visits, so such a segment can be met by a start
+/// trajectory that passed it *before* the start segment, upstream of the
+/// forward bound. On this sweep that explains every one of them: each
+/// missing segment is met only by trajectories that passed it before r0.
+#[test]
+fn es_segments_missing_from_sqmb_tbs_lie_outside_the_max_bound() {
+    let (_, dataset, engine, center) = build_world(230, 8);
+    let slot_s = engine.config().slot_s;
+    let (mut es_len, mut missing, mut upstream_only) = (0, 0, 0);
+    for dx in [-1500.0, 0.0, 1500.0] {
+        for dy in [-1500.0, 0.0, 1500.0] {
+            for start_time_s in [9 * 3600, 10 * 3600] {
+                let q = SQuery {
+                    location: center.offset_m(dx, dy),
+                    start_time_s,
+                    duration_s: 300,
+                    prob: 0.25,
+                };
+                let es = engine.try_s_query(&q, Algorithm::ExhaustiveSearch).unwrap();
+                let fast = engine.try_s_query(&q, Algorithm::SqmbTbs).unwrap();
+                let bounds = streach_testkit::sqmb_bounds(&engine, &q);
+                let r0 = engine.locate(&q.location).unwrap();
+                es_len += es.region.len();
+                // T0 and the window are both the slot at T (L = Δt).
+                let in_slot = |t: u32| t / slot_s == start_time_s / slot_s;
+                for &r in es
+                    .region
+                    .segments
+                    .iter()
+                    .filter(|&&r| !fast.region.contains(r))
+                {
+                    missing += 1;
+                    assert!(
+                        !bounds.max_region.contains(&r),
+                        "{q:?}: {r} is in ES, not in SQMB+TBS, yet inside the max bound"
+                    );
+                    // The (day, trajectory) pairs meeting r: they passed r0
+                    // and r in the slot. Is every one at r before r0?
+                    let mut met = false;
+                    let mut downstream = false;
+                    for traj in dataset.trajectories() {
+                        let times = |s: SegmentId| {
+                            traj.visits
+                                .iter()
+                                .filter(move |v| v.segment == s && in_slot(v.enter_time_s))
+                                .map(|v| v.enter_time_s)
+                        };
+                        let (Some(first_r0), Some(last_r)) = (times(r0).min(), times(r).max())
+                        else {
+                            continue;
+                        };
+                        met = true;
+                        downstream |= last_r >= first_r0;
+                    }
+                    assert!(
+                        met,
+                        "{q:?}: ES admitted {r}, which no start trajectory meets"
+                    );
+                    if !downstream {
+                        upstream_only += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        missing > 0,
+        "the sweep must show recall below 1 ({es_len} ES segments)"
+    );
+    assert_eq!(
+        upstream_only, missing,
+        "a missing segment is met downstream of r0 by some start trajectory"
+    );
+    println!(
+        "L = 300 s: {missing} of {es_len} ES segments missing from SQMB+TBS, all outside the \
+         max bound; {upstream_only} of them met only by trajectories that passed r before r0"
     );
 }
 

@@ -173,13 +173,18 @@ fn pipelines(center: GeoPoint) -> Vec<Pipeline> {
 /// * a **persistent** `EIO` (dead disk from that ordinal on) exhausts the
 ///   budget and surfaces as a typed storage error annotated with the
 ///   attempt count, after which the engine serves the baseline again.
+///
+/// Every scripted run is a fresh open's first query, so it reads its
+/// window slots segment-major as a first touch does; the view builds of
+/// later touches have their own campaign below.
 #[test]
 fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
     let seed = fault_seed();
     let dir = tmp_dir("eio-campaign");
     let network = build_snapshot(&dir);
     let center = network.bounds().center();
-    let (engine, ctl) = open_with_fault_script(&dir, network, store_backend(), seed);
+    let open = || open_with_fault_script(&dir, network.clone(), store_backend(), seed);
+    let (engine, _) = open();
     let budget = engine.config().read_retries;
     assert!(budget > 0, "campaign requires the default retry budget");
     // Every campaign query verifies segments beyond its start: a query its
@@ -200,8 +205,7 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
                 let name = pipeline.name;
                 // Baseline: fault-free, cold cache — counts the distinct
                 // posting-page reads this query performs.
-                ctl.clear();
-                engine.st_index().clear_cache();
+                let (engine, ctl) = open();
                 let before = ctl.reads_observed();
                 let baseline = pipeline.region(&engine).unwrap_or_else(|e| {
                     panic!("[seed {seed}] {name}/w{workers}: fault-free baseline failed: {e}")
@@ -220,7 +224,7 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
                     // (a) One-shot EIO at this ordinal: the retry absorbs
                     // it — same region, one extra physical attempt, no
                     // error surfaces.
-                    engine.st_index().clear_cache();
+                    let (engine, ctl) = open();
                     let run_start = ctl.reads_observed();
                     ctl.fail_read_at(run_start + ordinal, ReadFault::Eio);
                     let absorbed = pipeline.region(&engine).unwrap_or_else(|e| {
@@ -243,7 +247,7 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
                     // (b) Dead disk from this ordinal on: the budget is
                     // exhausted and a typed error names the page, the
                     // backend failure and the attempts made.
-                    engine.st_index().clear_cache();
+                    let (engine, ctl) = open();
                     ctl.fail_reads_from(ctl.reads_observed() + ordinal);
                     match pipeline.region(&engine) {
                         Err(QueryError::Storage { page, context }) => {
@@ -291,6 +295,126 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
             }
         });
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A window slot's second verification builds its trajectory view from
+/// one read of the whole slot. On a 200-taxi fleet, whose slots span
+/// pages, and for SQMB+TBS and ES over a 15-minute window, whose one query
+/// touches each window slot once, the second run of a fresh open is
+/// scripted at each of its read ordinals, with the read at that ordinal
+/// failing on every attempt, or with a dead disk from that ordinal on. The
+/// answer is the baseline (the failed build fell back to the
+/// segment-major read, which met no fault) or a typed storage error, never
+/// a different region; the slot whose build failed keeps no view, and the
+/// next clean query builds it and answers the baseline.
+#[test]
+fn eio_at_every_read_ordinal_of_a_view_build_falls_back_or_fails_typed() {
+    let seed = fault_seed();
+    let dir = tmp_dir("view-build-campaign");
+    let (network, _) = fault_scenario();
+    let dataset = TrajectoryDataset::simulate(
+        &network,
+        FleetConfig {
+            num_taxis: 200,
+            num_days: 3,
+            day_start_s: 8 * 3600,
+            day_end_s: 12 * 3600,
+            seed: 5,
+            ..FleetConfig::default()
+        },
+    );
+    streach::core::EngineBuilder::new(network.clone(), &dataset)
+        .index_config(IndexConfig::default())
+        .save_snapshot(&dir)
+        .expect("save snapshot");
+    let center = network.bounds().center();
+    let open = || open_with_fault_script(&dir, network.clone(), store_backend(), seed);
+    let budget = open().0.config().read_retries as u64;
+    let views = |engine: &ReachabilityEngine| engine.st_index().view_stats().views_built;
+    streach_par::with_worker_override(1, || {
+        let query = SQuery {
+            location: center,
+            start_time_s: 9 * 3600,
+            duration_s: 900,
+            prob: 0.25,
+        };
+        for (name, algorithm) in [
+            ("sqmb_tbs", Algorithm::SqmbTbs),
+            ("es", Algorithm::ExhaustiveSearch),
+        ] {
+            let pipeline = Pipeline {
+                name,
+                run: Box::new(move |e| e.try_s_query(&query, algorithm)),
+            };
+            // A fresh open's first run touches each window slot once, the
+            // second builds; count the build run's reads from a cold pool.
+            let (engine, ctl) = open();
+            let baseline = pipeline.region(&engine).expect("fault-free baseline");
+            assert_eq!(
+                views(&engine),
+                0,
+                "[seed {seed}] {name}: one touch builds no view"
+            );
+            engine.st_index().clear_cache();
+            let before = ctl.reads_observed();
+            assert_eq!(pipeline.region(&engine).unwrap(), baseline);
+            let reads = ctl.reads_observed() - before;
+            let built = views(&engine);
+            assert!(
+                built > 0,
+                "[seed {seed}] {name}: the second run must build views"
+            );
+
+            assert!(
+                reads > 2,
+                "[seed {seed}] {name}: a build reads pages ({reads})"
+            );
+            let (mut fell_back, mut failed) = (0, 0);
+            for ordinal in 0..reads {
+                for dead_disk in [false, true] {
+                    let at = format!("[seed {seed}] {name} read #{ordinal} dead_disk={dead_disk}");
+                    let (engine, ctl) = open();
+                    assert_eq!(pipeline.region(&engine).unwrap(), baseline, "{at}");
+                    engine.st_index().clear_cache();
+                    let run_start = ctl.reads_observed();
+                    if dead_disk {
+                        ctl.fail_reads_from(run_start + ordinal);
+                    } else {
+                        for attempt in 0..=budget {
+                            ctl.fail_read_at(run_start + ordinal + attempt, ReadFault::Eio);
+                        }
+                    }
+                    match pipeline.region(&engine) {
+                        Ok(region) => {
+                            assert_eq!(region, baseline, "{at}: a fallback changed the answer");
+                            fell_back += 1;
+                        }
+                        Err(QueryError::Storage { page, context }) => {
+                            assert!(page.is_some(), "{at}: {context}");
+                            assert!(context.contains("injected EIO"), "{at}: {context}");
+                            failed += 1;
+                        }
+                        Err(other) => panic!("{at}: expected QueryError::Storage, got {other}"),
+                    }
+                    // Each scripted read belongs to the start segment's
+                    // lists (the query fails before any build) or to one
+                    // slot's build, which must then leave no view; the
+                    // slots built before the fault hit were read cleanly.
+                    assert!(views(&engine) < built, "{at}: a failed build left a view");
+                    ctl.clear();
+                    engine.st_index().clear_cache();
+                    assert_eq!(pipeline.region(&engine).unwrap(), baseline, "{at}");
+                    assert_eq!(views(&engine), built, "{at}: a clean query must build");
+                }
+            }
+            assert!(
+                fell_back > 0 && failed > 0,
+                "[seed {seed}] {name}: the sweep must see fallbacks ({fell_back}) \
+                 and typed errors ({failed})"
+            );
+        }
+    });
     std::fs::remove_dir_all(&dir).ok();
 }
 

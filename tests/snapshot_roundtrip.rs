@@ -347,7 +347,10 @@ fn sweep_answers(engine: &ReachabilityEngine) -> Vec<Answer> {
 /// The corruption promise for the damaged snapshot in `dir`: rejected,
 /// typed, at open — or it opens, every sweep query answers like `intact`
 /// bit for bit or fails with a typed `QueryError::Storage`, and a scrub
-/// then rejects it as `Corrupt` whose description contains `needle`.
+/// then rejects it as `Corrupt` whose description contains `needle`. The
+/// sweep runs three times, so its window slots are read segment-major,
+/// then build their trajectory views from the damaged heap, then are read
+/// forward.
 fn assert_rejected_or_harmless(
     dir: &std::path::Path,
     network: &Arc<RoadNetwork>,
@@ -367,14 +370,16 @@ fn assert_rejected_or_harmless(
         Err(e) => panic!("{label}: unexpected error at open: {e}"),
         Ok(engine) => engine,
     };
-    for (i, (got, want)) in sweep(&engine).into_iter().zip(intact).enumerate() {
-        match got {
-            Ok(answer) => assert_eq!(
-                &answer, want,
-                "{label}: sweep query #{i} answered differently from the intact engine"
-            ),
-            Err(QueryError::Storage { .. }) => {}
-            Err(e) => panic!("{label}: sweep query #{i}: unexpected error {e}"),
+    for ask in 0..3 {
+        for (i, (got, want)) in sweep(&engine).into_iter().zip(intact).enumerate() {
+            match got {
+                Ok(answer) => assert_eq!(
+                    &answer, want,
+                    "{label}: sweep query #{i}, ask {ask}, answered differently from the intact engine"
+                ),
+                Err(QueryError::Storage { .. }) => {}
+                Err(e) => panic!("{label}: sweep query #{i}, ask {ask}: unexpected error {e}"),
+            }
         }
     }
     match engine.scrub() {
