@@ -73,11 +73,23 @@
 //! [`trace_back_search`](crate::query::tbs::trace_back_search) exactly like
 //! a serial query, so a single large query still uses all cores while
 //! independent groups proceed on separate workers.
+//!
+//! An uncached query costs two hand-offs: the submitter wakes a worker, and
+//! the worker wakes the ticket's waiter. A parked thread's wake-up takes
+//! tens of microseconds, and on a virtual machine, where waking an idle
+//! vCPU goes through the hypervisor, that time swings with the host's load.
+//! With most window slots read forward, a miss costs about half a
+//! millisecond, so the wake-ups became a visible and unsteady share of it.
+//! An idle worker and a waiting ticket therefore poll for up to [`SPIN`]
+//! (1 ms), yielding the CPU between polls, before they park. A steady
+//! stream of misses is handed over and answered without parking anyone.
+//! A server with no requests parks all its workers 1 ms after its last
+//! one. The price is up to 1 ms of polling per wait.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use streach_geo::GeoPoint;
 use streach_roadnet::SegmentId;
@@ -445,9 +457,24 @@ struct Request {
     slot: Arc<ResponseSlot>,
 }
 
+/// How long a waiting ticket or an idle worker polls before it parks on
+/// its condition variable (see "Threads" in the module docs).
+const SPIN: Duration = Duration::from_millis(1);
+
+/// Polls `ready`, yielding the CPU between polls, until it holds or
+/// [`SPIN`] has passed.
+fn spin_until(ready: impl Fn() -> bool) {
+    let began = Instant::now();
+    while !ready() && began.elapsed() < SPIN {
+        std::thread::yield_now();
+    }
+}
+
 struct ResponseSlot {
     state: Mutex<Option<(Result<QueryOutcome, QueryError>, Instant)>>,
     done: Condvar,
+    /// Set once `state` holds the answer; what a spinning waiter polls.
+    answered: AtomicBool,
 }
 
 impl ResponseSlot {
@@ -455,6 +482,7 @@ impl ResponseSlot {
         Self {
             state: Mutex::new(None),
             done: Condvar::new(),
+            answered: AtomicBool::new(false),
         }
     }
 
@@ -462,6 +490,7 @@ impl ResponseSlot {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.is_none() {
             *state = Some((result, Instant::now()));
+            self.answered.store(true, Ordering::Release);
             self.done.notify_all();
         }
     }
@@ -482,6 +511,7 @@ impl Ticket {
     /// was produced — open-loop latency harnesses subtract their scheduled
     /// send time from it without blocking a client thread per request.
     pub fn wait_timed(self) -> (Result<QueryOutcome, QueryError>, Instant) {
+        spin_until(|| self.slot.answered.load(Ordering::Acquire));
         let mut state = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(answer) = state.take() {
@@ -505,6 +535,9 @@ struct ServerInner<B: ServeBackend> {
     backend: Arc<B>,
     config: ServeConfig,
     queue: Mutex<QueueState>,
+    /// `queue.len()`, written under the queue lock; what a spinning idle
+    /// worker polls.
+    queued: AtomicUsize,
     not_empty: Condvar,
     not_full: Condvar,
     cache: Option<Arc<ResultCache>>,
@@ -546,6 +579,7 @@ impl<B: ServeBackend> QueryServer<B> {
                 queue: VecDeque::new(),
                 shutdown: false,
             }),
+            queued: AtomicUsize::new(0),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             cache: cache.clone(),
@@ -616,6 +650,9 @@ impl<B: ServeBackend> QueryServer<B> {
             return ticket;
         }
         state.queue.push_back(request);
+        self.inner
+            .queued
+            .store(state.queue.len(), Ordering::Relaxed);
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         drop(state);
         self.inner.not_empty.notify_one();
@@ -718,12 +755,19 @@ impl<B: ServeBackend> ServerInner<B> {
             if !state.queue.is_empty() {
                 let take = state.queue.len().min(MAX_BATCH);
                 let batch: Vec<Request> = state.queue.drain(..take).collect();
+                self.queued.store(state.queue.len(), Ordering::Relaxed);
                 drop(state);
                 self.not_full.notify_all();
                 return Some(batch);
             }
             if state.shutdown {
                 return None;
+            }
+            drop(state);
+            spin_until(|| self.queued.load(Ordering::Relaxed) > 0);
+            state = self.lock_queue();
+            if !state.queue.is_empty() || state.shutdown {
+                continue;
             }
             state = self
                 .not_empty
@@ -878,6 +922,82 @@ mod tests {
         assert!(!state.map.contains_key(&key(2)));
         assert!(state.map.contains_key(&key(3)));
         assert_eq!(state.map[&key(1)].hits, 1);
+    }
+
+    /// Answers every query with an empty region and counts the batches.
+    struct Echo {
+        batches: AtomicU64,
+    }
+
+    impl ServeBackend for Echo {
+        fn slot_s(&self) -> u32 {
+            300
+        }
+        fn try_locate(&self, _: &GeoPoint) -> Result<SegmentId, QueryError> {
+            Ok(SegmentId(0))
+        }
+        fn try_s_query(&self, _: &SQuery, _: Algorithm) -> Result<QueryOutcome, QueryError> {
+            Ok(entry().outcome)
+        }
+        fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<CoalescedAnswer> {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            queries
+                .iter()
+                .map(|_| CoalescedAnswer {
+                    outcome: Ok(entry().outcome),
+                    max_region: Vec::new(),
+                    shared_bounding: false,
+                })
+                .collect()
+        }
+        fn observe_ingest(&self, _: &Arc<IngestObserver>) {}
+    }
+
+    fn query(start_time_s: u32) -> SQuery {
+        SQuery {
+            location: GeoPoint::new(0.0, 0.0),
+            start_time_s,
+            duration_s: 600,
+            prob: 0.2,
+        }
+    }
+
+    #[test]
+    fn a_ticket_answered_after_its_spin_parks_and_still_wakes() {
+        let slot = Arc::new(ResponseSlot::new());
+        let ticket = Ticket { slot: slot.clone() };
+        let answerer = std::thread::spawn(move || {
+            std::thread::sleep(SPIN * 20);
+            slot.fulfill(Ok(entry().outcome));
+        });
+        let began = Instant::now();
+        assert!(ticket.wait().is_ok());
+        assert!(began.elapsed() >= SPIN * 20, "answered before it was given");
+        answerer.join().unwrap();
+    }
+
+    #[test]
+    fn parked_workers_wake_for_a_late_submission() {
+        let backend = Arc::new(Echo {
+            batches: AtomicU64::new(0),
+        });
+        let server = QueryServer::start(
+            backend.clone(),
+            ServeConfig {
+                workers: 2,
+                queue_depth: 4,
+                cache_capacity: 0,
+            },
+        );
+        for round in 0..3 {
+            // Past every worker's spin: all of them are parked.
+            std::thread::sleep(SPIN * 20);
+            assert!(server
+                .query(query(9 * 3600 + round), Algorithm::SqmbTbs)
+                .is_ok());
+        }
+        assert_eq!(backend.batches.load(Ordering::Relaxed), 3);
+        assert_eq!(server.stats().completed, 3);
     }
 
     #[test]
