@@ -50,10 +50,15 @@
 //!   for the life of the base. A slot verified once per open builds
 //!   nothing. A compaction publishes a base with no views; a reader pinned
 //!   to the old base keeps the old base's views.
-//! * The delta tail overrides base lists with merged supersets of them, so
-//!   the slot's delta lists that meet the batch are still read
+//! * The delta tail overrides base lists with merged supersets of them.
+//!   Each delta list also keeps what it adds to the pinned base's list
+//!   (the ingested observations the base lacks), so the slot's delta lists
+//!   that meet the batch contribute only those observations, decoded
 //!   segment-major and OR-ed into the view's bits. New days and
-//!   mid-trajectory continuations live only there.
+//!   mid-trajectory continuations live only there. A list reopened from a
+//!   snapshot's `delta` section does not know what it adds, and neither
+//!   does a list merged onto one: the whole merged list is OR-ed in, which
+//!   is exact too, since it holds the base list.
 //! * A build that meets a read fault or a malformed blob is not kept, and
 //!   the slot is read segment-major, so every error surfaces where it
 //!   would without views. The build's decodes are charged to the query
@@ -63,8 +68,14 @@
 //! once per window slot, which is that core's one touch of the slot, and
 //! keeps the plan for its later batches. The forward slots are walked
 //! inline after the segment-major slots were read across workers; a batch
-//! whose every slot has a view never fans out. The router offers no view,
-//! so a sharded query reads segment-major.
+//! whose every slot has a view never fans out.
+//!
+//! A sharded router reads forward too ([`crate::sharded`]): a slot is
+//! forward when every shard's first-choice engine is live and offers its
+//! view, and the walk ORs one part per shard. Each shard's view and delta
+//! hold only the segments it owns, so the parts never overlap and together
+//! set exactly the single index's bits. A shard whose first choice is dead
+//! makes the slot segment-major, read through the router's failover.
 //!
 //! # Deciding before verifying
 //!
@@ -185,9 +196,11 @@ pub trait PostingSource: Sync {
     /// A forward reader of `slot` as seen by `pin` (see the module docs),
     /// or `None` when the caller must read the slot through
     /// [`visit_slot`](Self::visit_slot). A verification asks once per
-    /// window slot, before it reads any. [`StIndex`] answers with the
-    /// slot's trajectory view on the pinned sealed base, built on the
-    /// slot's second ask; the default offers none.
+    /// window slot, before it reads any, and asks again for each slot it
+    /// then walks forward, which must answer `Some` again under the same
+    /// pin. [`StIndex`] answers with the slot's trajectory view on the
+    /// pinned sealed base, built on the slot's second ask; the router joins
+    /// its shards' answers; the default offers none.
     fn forward<'p>(&self, pin: &'p Self::Pin, slot: u32) -> Option<SlotForward<'p>> {
         let _ = (pin, slot);
         None
@@ -438,8 +451,9 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
     }
 
     /// Sets the day bits of `met` that `slot` sets through its trajectory
-    /// view: the segments each start (day, trajectory) passed in the slot,
-    /// then the slot's delta lists read segment-major.
+    /// views: the segments each start (day, trajectory) passed in the slot,
+    /// then what the slot's delta lists add to the base, read
+    /// segment-major.
     fn walk_forward(
         &self,
         forward: &SlotForward<'_>,
@@ -452,7 +466,7 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
             let (word, bit) = (day / 64, 1u64 << (day % 64));
             for &id in ids {
                 for segment in forward.segments(day as u16, id) {
-                    if let Ok(i) = segments.binary_search(segment) {
+                    if let Ok(i) = segments.binary_search(&segment) {
                         met[i * words + word] |= bit;
                     }
                 }

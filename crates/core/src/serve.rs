@@ -68,7 +68,11 @@
 //!
 //! A submission whose answer is cached is served on the submitting thread
 //! and never enters the queue. Everything else goes to the workers: the
-//! server runs `workers` long-lived threads; each drained batch's
+//! server runs `workers` long-lived threads. A worker drains up to
+//! [`MAX_BATCH`] queued requests at once, except while another worker is
+//! idle: then it takes the head request and the queued ones with the same
+//! origin segment (those that can share a bounding pass), and leaves the
+//! unrelated rest to the idle worker. Each drained batch's
 //! verification stage fans out on `streach_par` inside
 //! [`trace_back_search`](crate::query::tbs::trace_back_search) exactly like
 //! a serial query, so a single large query still uses all cores while
@@ -457,6 +461,28 @@ struct Request {
     slot: Arc<ResponseSlot>,
 }
 
+/// Removes the head request and, up to [`MAX_BATCH`] in all, the
+/// queued requests with its origin segment, keeping the others in
+/// order. A head with no key (an uncached or invalid query) goes alone.
+fn take_origin(queue: &mut VecDeque<Request>) -> Vec<Request> {
+    let head = queue.pop_front().expect("a non-empty queue");
+    let Some(origin) = head.key.map(|key| key.segment) else {
+        return vec![head];
+    };
+    let mut batch = vec![head];
+    // One turn of the queue: each request is taken or put back behind
+    // the ones not yet looked at, so the rest keep their order.
+    for _ in 0..queue.len() {
+        let request = queue.pop_front().expect("a request not yet looked at");
+        if batch.len() < MAX_BATCH && request.key.is_some_and(|key| key.segment == origin) {
+            batch.push(request);
+        } else {
+            queue.push_back(request);
+        }
+    }
+    batch
+}
+
 /// How long a waiting ticket or an idle worker polls before it parks on
 /// its condition variable (see "Threads" in the module docs).
 const SPIN: Duration = Duration::from_millis(1);
@@ -538,6 +564,9 @@ struct ServerInner<B: ServeBackend> {
     /// `queue.len()`, written under the queue lock; what a spinning idle
     /// worker polls.
     queued: AtomicUsize,
+    /// Workers waiting for a request, spinning or parked: a hint for how
+    /// much a worker takes (see `pop_batch`), so it publishes nothing.
+    idle: AtomicUsize,
     not_empty: Condvar,
     not_full: Condvar,
     cache: Option<Arc<ResultCache>>,
@@ -580,6 +609,7 @@ impl<B: ServeBackend> QueryServer<B> {
                 shutdown: false,
             }),
             queued: AtomicUsize::new(0),
+            idle: AtomicUsize::new(0),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             cache: cache.clone(),
@@ -749,30 +779,45 @@ impl<B: ServeBackend> ServerInner<B> {
     }
 
     /// Blocks for the next batch; `None` once shut down and drained.
+    ///
+    /// With no worker idle, a batch is the queue's head, up to
+    /// [`MAX_BATCH`] requests. While another worker is idle, a batch is the
+    /// head request and the queued requests with its origin segment, the
+    /// ones that can share its bounding pass; the rest is left to the idle
+    /// worker instead of waiting behind this batch.
     fn pop_batch(&self) -> Option<Vec<Request>> {
         let mut state = self.lock_queue();
         loop {
             if !state.queue.is_empty() {
-                let take = state.queue.len().min(MAX_BATCH);
-                let batch: Vec<Request> = state.queue.drain(..take).collect();
-                self.queued.store(state.queue.len(), Ordering::Relaxed);
+                let batch = if self.idle.load(Ordering::Relaxed) > 0 {
+                    take_origin(&mut state.queue)
+                } else {
+                    let take = state.queue.len().min(MAX_BATCH);
+                    state.queue.drain(..take).collect()
+                };
+                let left = state.queue.len();
+                self.queued.store(left, Ordering::Relaxed);
                 drop(state);
                 self.not_full.notify_all();
+                if left > 0 {
+                    self.not_empty.notify_one();
+                }
                 return Some(batch);
             }
             if state.shutdown {
                 return None;
             }
+            self.idle.fetch_add(1, Ordering::Relaxed);
             drop(state);
             spin_until(|| self.queued.load(Ordering::Relaxed) > 0);
             state = self.lock_queue();
-            if !state.queue.is_empty() || state.shutdown {
-                continue;
+            if state.queue.is_empty() && !state.shutdown {
+                state = self
+                    .not_empty
+                    .wait(state)
+                    .unwrap_or_else(|e| e.into_inner());
             }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+            self.idle.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -887,6 +932,48 @@ mod tests {
             },
             ReadFootprint::default(),
         )
+    }
+
+    #[test]
+    fn an_origin_batch_takes_the_heads_segment_and_leaves_the_rest_in_order() {
+        let queue_of = |requests: &[(Option<u32>, u32)]| -> VecDeque<Request> {
+            requests
+                .iter()
+                .map(|&(segment, start_time_s)| Request {
+                    query: SQuery {
+                        location: GeoPoint::new(0.0, 0.0),
+                        start_time_s,
+                        duration_s: 600,
+                        prob: 0.2,
+                    },
+                    algorithm: Algorithm::SqmbTbs,
+                    key: segment.map(key),
+                    slot: Arc::new(ResponseSlot::new()),
+                })
+                .collect()
+        };
+        let starts = |requests: &mut dyn Iterator<Item = &Request>| -> Vec<u32> {
+            requests.map(|r| r.query.start_time_s).collect()
+        };
+        let mut queue = queue_of(&[
+            (Some(1), 0),
+            (Some(2), 1),
+            (Some(1), 2),
+            (None, 3),
+            (Some(1), 4),
+            (Some(3), 5),
+        ]);
+        let batch = take_origin(&mut queue);
+        assert_eq!(starts(&mut batch.iter()), [0, 2, 4]);
+        assert_eq!(starts(&mut queue.iter()), [1, 3, 5]);
+        // A head with no key goes alone.
+        let mut queue = queue_of(&[(None, 0), (None, 1), (Some(1), 2)]);
+        assert_eq!(starts(&mut take_origin(&mut queue).iter()), [0]);
+        assert_eq!(starts(&mut queue.iter()), [1, 2]);
+        // At most MAX_BATCH requests.
+        let mut queue = queue_of(&vec![(Some(7), 0); MAX_BATCH + 3]);
+        assert_eq!(take_origin(&mut queue).len(), MAX_BATCH);
+        assert_eq!(queue.len(), 3);
     }
 
     #[test]

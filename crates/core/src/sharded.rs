@@ -31,6 +31,18 @@
 //!   existing `streach_par` parallel sweep* — scatter-gather without a
 //!   second merge pass, because every segment is verified exactly once
 //!   against the byte-identical posting the single engine holds.
+//! * **Verification reads forward.** A window slot is read forward (see
+//!   [`crate::query::verifier`], "Verifying forward") when every shard's
+//!   first-choice engine — the first of its serving list in the read
+//!   preference's order — is live and offers the slot's trajectory view.
+//!   Each query's plan asks every such engine, so each counts the plan as
+//!   its touch of the slot and builds the view on its second. The walk ORs
+//!   one part per shard, which is exact because a shard's view and delta
+//!   hold only the segments it owns. The router's pin records each shard's
+//!   chosen engine, so a dead-marking during the query cannot make its plan
+//!   and its walk disagree. A **degraded** shard, whose first choice was
+//!   dead at pin time, makes the slot segment-major: its reads go through
+//!   the failover path below, which keeps re-probing the dead engine.
 //! * **Answers are bit-identical by construction.** The router holds no
 //!   query code: its `try_*` methods hand the shared query pipeline
 //!   (`crate::query::pipeline`) the statistics leader's Con-Index and the
@@ -55,8 +67,8 @@
 //! engine — converged replicas hold byte-identical postings, so the
 //! answer is unchanged.
 //!
-//! Dead is a *probation*, not a life sentence: every routed read ticks a
-//! skip counter on **every** dead engine in the try-order — the ones
+//! Dead is a *probation*, not a life sentence: every routed posting read
+//! ticks a skip counter on **every** dead engine in the try-order — the ones
 //! passed over before the serving engine and the ones behind it (an
 //! engine behind a healthy one would otherwise never be reconsidered and
 //! a transient fault would be a permanent capacity loss). Every
@@ -70,6 +82,11 @@
 //! of a shard is dead (and no probe heals one) the read surfaces a typed
 //! [`StorageError`] that reaches the caller as [`QueryError::Storage`]:
 //! a partial region is never returned.
+//!
+//! A forward read touches no store and ticks no counter, which is why a
+//! degraded shard reads segment-major: a dead first choice that kept
+//! serving forward from its in-memory views would never be re-probed. The
+//! start segment's reads and the segment-major slots tick as before.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -82,7 +99,7 @@ use crate::engine::ReachabilityEngine;
 use crate::query::pipeline::{CoalescedAnswer, QueryContext};
 use crate::query::verifier::PostingSource;
 use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
-use crate::st_index::PinnedState;
+use crate::st_index::{PinnedState, SlotForward};
 
 /// Which engine of a shard's serving list answers posting reads first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -502,19 +519,36 @@ impl ShardedEngine {
 }
 
 /// The routed [`PostingSource`]: resolves each `(segment, slot)` read
-/// against the shard owning the segment, with sticky replica failover.
+/// against the shard owning the segment, with sticky replica failover, and
+/// reads a window slot forward through every shard's first-choice engine.
 /// Index scalars come from the reference engine — they are replicated, so
 /// any engine (dead store or not; these never touch disk) answers them.
 struct RoutedPostings<'a> {
     sharded: &'a ShardedEngine,
 }
 
+/// The router's pin: per shard, one [`StIndex`](crate::StIndex) pin per
+/// serving entry, so failover and probation probes read pinned views too,
+/// and the entry forward reads go to. Topology changes take
+/// `&mut ShardedEngine` and therefore cannot happen while a query holds
+/// this pin.
+struct RoutedPin {
+    shards: Vec<ShardPin>,
+}
+
+struct ShardPin {
+    /// One pin per serving entry, in entry order.
+    entries: Vec<PinnedState>,
+    /// The shard's first-choice entry, when it was live at pin time: the
+    /// engine this pin's forward reads go to. Recorded here, so a
+    /// concurrent dead-marking cannot make a query's plan and its walk ask
+    /// different engines. `None` for a degraded shard, which reads
+    /// segment-major through the failover path.
+    forward: Option<usize>,
+}
+
 impl PostingSource for RoutedPostings<'_> {
-    /// One [`StIndex`](crate::StIndex) pin per serving entry of every shard
-    /// (`[shard][entry]`), so failover and probation probes read pinned
-    /// views too. Topology changes take `&mut ShardedEngine` and therefore
-    /// cannot happen while a query holds this pin.
-    type Pin = Vec<Vec<PinnedState>>;
+    type Pin = RoutedPin;
 
     fn slot_s(&self) -> u32 {
         self.sharded.reference().st_index().slot_s()
@@ -547,17 +581,23 @@ impl PostingSource for RoutedPostings<'_> {
     }
 
     fn pin(&self) -> Self::Pin {
-        self.sharded
+        let shards = self
+            .sharded
             .shards
             .iter()
             .map(|shard| {
-                shard
-                    .entries
-                    .iter()
-                    .map(|entry| entry.engine.st_index().pin())
-                    .collect()
+                let first = self.sharded.order(shard.entries.len()).next();
+                ShardPin {
+                    entries: shard
+                        .entries
+                        .iter()
+                        .map(|entry| entry.engine.st_index().pin())
+                        .collect(),
+                    forward: first.filter(|&idx| !shard.entries[idx].dead.load(Ordering::Relaxed)),
+                }
             })
-            .collect()
+            .collect();
+        RoutedPin { shards }
     }
 
     fn read_pinned(
@@ -571,12 +611,40 @@ impl PostingSource for RoutedPostings<'_> {
         let serving = &self.sharded.shards[shard_id as usize];
         serving.read_time_list_into(
             shard_id,
-            &pin[shard_id as usize],
+            &pin.shards[shard_id as usize].entries,
             self.sharded.order(serving.entries.len()),
             segment,
             slot,
             buf,
         )
+    }
+
+    /// The slot read forward through every shard's pinned first-choice
+    /// engine, one part per shard, when each of them offers the slot's
+    /// view. Every such engine is asked, even after one declined, so each
+    /// counts this plan as its touch of the slot; a degraded shard makes
+    /// the slot segment-major.
+    fn forward<'p>(&self, pin: &'p Self::Pin, slot: u32) -> Option<SlotForward<'p>> {
+        let mut parts = Vec::with_capacity(pin.shards.len());
+        let mut whole = true;
+        for (shard, shard_pin) in self.sharded.shards.iter().zip(&pin.shards) {
+            let part = shard_pin.forward.and_then(|idx| {
+                PostingSource::forward(
+                    shard.entries[idx].engine.st_index(),
+                    &shard_pin.entries[idx],
+                    slot,
+                )
+            });
+            match part {
+                Some(part) => parts.push(part),
+                None => whole = false,
+            }
+        }
+        if whole {
+            SlotForward::join(parts)
+        } else {
+            None
+        }
     }
 
     fn malformed_posting(&self, segment: SegmentId, slot: u32) -> StorageError {
@@ -730,7 +798,8 @@ mod tests {
                 "the sweep must hold decided and undecided queries"
             );
             // The single engine reads its windows forward: two passes
-            // build the trajectory views. The router stays segment-major.
+            // build the trajectory views. The router's own asks below read
+            // each window segment-major, then build, then forward.
             for _ in 0..2 {
                 for query in &queries {
                     single.try_s_query(query, Algorithm::SqmbTbs).unwrap();
@@ -767,8 +836,10 @@ mod tests {
                     "{label}"
                 );
             }
+            // Every plan asked every shard's engine, so each built the
+            // views of the windows the router verified twice.
             for entry in sharded.shards.iter().flat_map(|shard| &shard.entries) {
-                assert_eq!(entry.engine.st_index().view_stats(), Default::default());
+                assert!(entry.engine.st_index().view_stats().views_built > 0);
             }
         }
     }
@@ -842,8 +913,8 @@ mod tests {
     /// same query, on the single engine and through the router, whose page
     /// counters live in the shard engines rather than in the router. Both
     /// runs read under the same view state: the query is asked twice first,
-    /// so the single engine's window slots have their trajectory views
-    /// built, while the router reads segment-major throughout.
+    /// so the window slots have their trajectory views built, on the single
+    /// engine and on every shard engine, and both runs read forward.
     #[test]
     fn coalesced_io_matches_the_serial_path() {
         let (network, dataset, single, sharded) = setup(2);
@@ -900,6 +971,10 @@ mod tests {
                 assert!(a + b + c + d > 0, "{label}: the query read nothing");
             }
         });
+        assert!(single.st_index().view_stats().views_built > 0);
+        for shard in &sharded.shards {
+            assert!(shard.entries[0].engine.st_index().view_stats().views_built > 0);
+        }
     }
 
     #[test]

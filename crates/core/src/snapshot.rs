@@ -1460,6 +1460,19 @@ mod tests {
 
     /// A small engine over the tiny fleet, saved to a fresh directory.
     fn saved_engine(name: &str) -> (Arc<RoadNetwork>, ReachabilityEngine, std::path::PathBuf) {
+        let (network, _, built, dir) = saved_world(name);
+        (network, built, dir)
+    }
+
+    /// [`saved_engine`] and the dataset it was built from.
+    fn saved_world(
+        name: &str,
+    ) -> (
+        Arc<RoadNetwork>,
+        TrajectoryDataset,
+        ReachabilityEngine,
+        std::path::PathBuf,
+    ) {
         let network = Arc::new(SyntheticCity::generate(GeneratorConfig::small()).network);
         let dataset = TrajectoryDataset::simulate(&network, FleetConfig::tiny());
         let built = EngineBuilder::new(network.clone(), &dataset)
@@ -1467,7 +1480,7 @@ mod tests {
             .build();
         let dir = tmp_dir(name);
         built.save_snapshot(&dir).unwrap();
-        (network, built, dir)
+        (network, dataset, built, dir)
     }
 
     #[test]
@@ -1522,31 +1535,84 @@ mod tests {
 
     /// An open reads no posting page and decodes no slot; one query then
     /// decodes exactly the directory slots of its window and the speed
-    /// rows of its hops.
+    /// rows of its hops, and builds no trajectory view: it touched each
+    /// window slot once.
     #[test]
     fn fresh_open_decodes_nothing_and_a_query_only_its_slots() {
-        let (network, built, dir) = saved_engine("lazy-open");
+        let (network, dataset, built, dir) = saved_world("lazy-open");
         let engine = ReachabilityEngine::open_snapshot(&dir, network.clone()).unwrap();
         let decoded_dirs = || engine.st_index().pin().directory().decoded_slots();
         let decoded_rows = || engine.con_index().speed_stats().decoded_slots();
         assert_eq!(engine.st_index().io_stats().snapshot().page_reads, 0);
         assert!(decoded_dirs().is_empty() && decoded_rows().is_empty());
 
-        let query = SQuery {
-            location: network.bounds().center(),
-            start_time_s: 9 * 3600 + 100,
-            duration_s: 900,
-            prob: 0.2,
-        };
+        // An undecided start, picked on the built engine the way the
+        // integration suites pick one (`streach_testkit::split_start`):
+        // where and when a taxi entered a segment that is its own nearest
+        // match, active on some but not all days, with a non-empty annulus,
+        // asked at exactly its active share of days.
+        let duration_s = 900;
+        let num_days = built.st_index().num_days() as usize;
+        let query = dataset
+            .trajectories()
+            .iter()
+            .flat_map(|traj| traj.visits.iter().take(4))
+            .find_map(|visit| {
+                let location = network.segment(visit.segment).mbr.center();
+                if built.try_locate(&location) != Ok(visit.segment) {
+                    return None;
+                }
+                let t = visit.enter_time_s;
+                let active = crate::query::verifier::VerifierCore::new(
+                    built.st_index(),
+                    visit.segment,
+                    t,
+                    duration_s,
+                )
+                .ok()?
+                .active_days();
+                let bounds = crate::query::sqmb::sqmb(
+                    built.con_index(),
+                    network.num_segments(),
+                    visit.segment,
+                    t,
+                    duration_s,
+                );
+                (active > 0 && active < num_days && !bounds.annulus().is_empty()).then_some(
+                    SQuery {
+                        location,
+                        start_time_s: t,
+                        duration_s,
+                        prob: active as f64 / num_days as f64,
+                    },
+                )
+            })
+            .expect("a start active on some but not all days");
         let answer = engine.try_s_query(&query, Algorithm::SqmbTbs).unwrap();
         let expected = built.try_s_query(&query, Algorithm::SqmbTbs).unwrap();
         assert_eq!(answer.region.segments, expected.region.segments);
-        // 09:01:40 + 15 min reads slots 108..=111 and hops over 108..=110.
+        assert!(answer.stats.segments_verified > 0, "the query verified");
+        assert_eq!(
+            engine.st_index().view_stats(),
+            Default::default(),
+            "one touch of a slot builds no view"
+        );
+
+        let slot_s = engine.st_index().slot_s();
+        let slots_per_day = streach_traj::SECONDS_PER_DAY.div_ceil(slot_s);
         let populated: Vec<u32> = engine.st_index().populated_slots().collect();
-        let window: Vec<u32> = (108..=111).filter(|s| populated.contains(s)).collect();
+        let mut window: Vec<u32> =
+            crate::time::slots_overlapping(query.start_time_s, query.end_time_s(), slot_s)
+                .map(|slot| slot % slots_per_day)
+                .filter(|slot| populated.contains(slot))
+                .collect();
+        window.sort_unstable();
         assert!(!window.is_empty());
         assert_eq!(decoded_dirs(), window);
-        assert_eq!(decoded_rows(), [108, 109, 110]);
+        let mut rows = crate::query::sqmb::hop_slots(query.start_time_s, duration_s, slot_s);
+        rows.sort_unstable();
+        rows.dedup();
+        assert_eq!(decoded_rows(), rows);
 
         // A scrub checks and decodes the rest.
         engine.scrub().unwrap();

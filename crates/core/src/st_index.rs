@@ -30,7 +30,8 @@
 //! ingested after open ([`StIndex::apply_points`]). The delta is a
 //! memtable: per (slot, segment) pair it has touched, the encoded bytes of
 //! the *fully merged* time list (base observations ∪ ingested
-//! observations). A delta entry therefore **overrides** the base entry on
+//! observations), and beside them, when known, the observations the base
+//! list lacks. A delta entry therefore **overrides** the base entry on
 //! the read path, which keeps every reader — [`StIndex::time_list`],
 //! [`StIndex::read_time_list_into`], [`StIndex::ids_in_window`] — a single
 //! posting read with unchanged circular-day slot semantics. When no point
@@ -42,7 +43,7 @@
 //! A sealed base also carries one lazily built **trajectory view** per
 //! slot, derived in memory from its blobs on the slot's second
 //! verification and never saved; the verifier reads a slot forward through
-//! it and ORs the slot's delta lists in (see
+//! it and ORs in what the slot's delta lists add to the base (see
 //! [`crate::query::verifier`], "Verifying forward"). [`StIndex::view_stats`]
 //! reports the views built and the memory they hold.
 
@@ -423,7 +424,7 @@ enum ListRef {
     /// In the sealed base heap.
     Base(BlobHandle),
     /// In the delta tail — a fully merged list that overrides the base.
-    Delta(Arc<[u8]>),
+    Delta(Arc<DeltaList>),
 }
 
 /// Number of lock stripes in the delta tail. Striping is by slot, so
@@ -431,17 +432,42 @@ enum ListRef {
 /// folding observations into another.
 const DELTA_STRIPES: usize = 16;
 
-/// One list of the delta tail: (slot, segment) and the merged list's
-/// encoded bytes.
+/// One list of the delta tail as snapshots save it: (slot, segment) and
+/// the merged list's encoded bytes.
 pub(crate) type DeltaEntry = ((u32, u32), Arc<[u8]>);
 
-/// One stripe of the delta tail: (slot, segment) → the merged list's
-/// encoded bytes. A `BTreeMap`, so snapshots and compaction see the
-/// entries in key order after one merge across stripes.
-type DeltaStripe = BTreeMap<(u32, u32), Arc<[u8]>>;
+/// One list of the delta tail. Both encodings sit behind one `Arc`, so a
+/// reader always sees a consistent pair.
+#[derive(Debug, PartialEq, Eq)]
+struct DeltaList {
+    /// The fully merged list (base observations ∪ ingested ones): what
+    /// segment-major reads, saves and compaction use.
+    merged: Arc<[u8]>,
+    /// The observations absent from the pinned sealed base's list: all a
+    /// forward read has to add to the base's trajectory view. `None` where
+    /// the merged list stands in for it: for a pair the base has no list
+    /// of (every observation is added), and, since what the base lacks is
+    /// unknown there, for a list decoded from a snapshot's `delta` section
+    /// and any list merged onto one. Standing in is exact, as the merged
+    /// list is a superset of the base list.
+    added: Option<Box<[u8]>>,
+}
+
+impl DeltaList {
+    /// The bytes a forward read ORs into the base's view: `added`, or the
+    /// merged list when `added` is unknown.
+    fn beyond_base(&self) -> &[u8] {
+        self.added.as_deref().unwrap_or(&self.merged)
+    }
+}
+
+/// One stripe of the delta tail: (slot, segment) → its [`DeltaList`]. A
+/// `BTreeMap`, so snapshots and compaction see the entries in key order
+/// after one merge across stripes.
+type DeltaStripe = BTreeMap<(u32, u32), Arc<DeltaList>>;
 
 /// The mutable delta tail: a memtable of merged override lists keyed by
-/// (slot, segment).
+/// (slot, segment), each with what it adds to the sealed base.
 struct DeltaTail {
     /// Striped by `slot % DELTA_STRIPES`, so the apply lock is sharded:
     /// disjoint ingest batches (and concurrent readers) touching different
@@ -455,7 +481,9 @@ struct DeltaTail {
 }
 
 impl DeltaTail {
-    /// A tail holding `entries`, with `folded_bytes` folded in so far.
+    /// A tail holding the merged lists `entries` (with no `added` list:
+    /// what the base lacks is unknown), with `folded_bytes` folded in so
+    /// far.
     fn new(entries: Vec<DeltaEntry>, folded_bytes: u64) -> Self {
         let tail = Self {
             stripes: (0..DELTA_STRIPES)
@@ -464,8 +492,15 @@ impl DeltaTail {
             len: AtomicUsize::new(0),
             folded_bytes: AtomicU64::new(folded_bytes),
         };
-        for ((slot, segment), bytes) in entries {
-            tail.insert(slot, segment, bytes);
+        for ((slot, segment), merged) in entries {
+            tail.insert(
+                slot,
+                segment,
+                DeltaList {
+                    merged,
+                    added: None,
+                },
+            );
         }
         tail
     }
@@ -474,7 +509,7 @@ impl DeltaTail {
         slot as usize % DELTA_STRIPES
     }
 
-    fn get(&self, slot: u32, segment: SegmentId) -> Option<Arc<[u8]>> {
+    fn get(&self, slot: u32, segment: SegmentId) -> Option<Arc<DeltaList>> {
         if self.len.load(Ordering::Relaxed) == 0 {
             return None;
         }
@@ -485,16 +520,16 @@ impl DeltaTail {
     }
 
     /// Inserts (or replaces) one list, maintaining the lock-free length.
-    fn insert(&self, slot: u32, segment: u32, bytes: Arc<[u8]>) {
+    fn insert(&self, slot: u32, segment: u32, list: DeltaList) {
         let mut stripe = self.stripes[Self::stripe_of(slot)].write();
-        if stripe.insert((slot, segment), bytes).is_none() {
+        if stripe.insert((slot, segment), Arc::new(list)).is_none() {
             self.len.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// All entries in (slot, segment) order — the deterministic view
     /// snapshots and compaction serialize.
-    fn sorted_entries(&self) -> Vec<DeltaEntry> {
+    fn sorted_entries(&self) -> Vec<((u32, u32), Arc<DeltaList>)> {
         let mut out = Vec::with_capacity(self.len.load(Ordering::Relaxed));
         for stripe in &self.stripes {
             out.extend(stripe.read().iter().map(|(k, v)| (*k, Arc::clone(v))));
@@ -670,8 +705,8 @@ impl IndexState {
     /// relaxed atomic load. Fails only when the slot's directory chunk
     /// cannot be decoded.
     fn lookup(&self, segment: SegmentId, slot: u32) -> StorageResult<Option<ListRef>> {
-        if let Some(bytes) = self.delta.get(slot, segment) {
-            return Ok(Some(ListRef::Delta(bytes)));
+        if let Some(list) = self.delta.get(slot, segment) {
+            return Ok(Some(ListRef::Delta(list)));
         }
         Ok(self
             .base
@@ -686,7 +721,8 @@ impl IndexState {
     fn read_time_list(&self, list_ref: &ListRef) -> StorageResult<TimeList> {
         match list_ref {
             ListRef::Base(handle) => self.base.postings.read_time_list(*handle),
-            ListRef::Delta(bytes) => {
+            ListRef::Delta(delta) => {
+                let bytes = &delta.merged;
                 let list = TimeList::decode(bytes)
                     .ok_or_else(|| StorageError::corrupt("delta time list failed to decode"))?;
                 self.base
@@ -702,9 +738,9 @@ impl IndexState {
     fn read_into(&self, list_ref: &ListRef, buf: &mut Vec<u8>) -> StorageResult<()> {
         match list_ref {
             ListRef::Base(handle) => self.base.postings.read_into(*handle, buf),
-            ListRef::Delta(bytes) => {
+            ListRef::Delta(delta) => {
                 buf.clear();
-                buf.extend_from_slice(bytes);
+                buf.extend_from_slice(&delta.merged);
                 Ok(())
             }
         }
@@ -731,8 +767,8 @@ impl IndexState {
         let mut run = self.base.postings.run();
         let mut next = 0;
         for (i, &segment) in segments.iter().enumerate() {
-            if let Some(bytes) = self.delta.get(slot, segment) {
-                visit(i, &bytes)?;
+            if let Some(list) = self.delta.get(slot, segment) {
+                visit(i, &list.merged)?;
             } else if let Some(entry) = directory.seek(&mut next, segment) {
                 visit(i, run.read(directory.handle(entry), buf)?)?;
             }
@@ -743,11 +779,26 @@ impl IndexState {
 
 /// A forward reader of one window slot, taken through
 /// [`PostingSource::forward`](crate::query::verifier::PostingSource::forward):
-/// the slot's trajectory view on the pinned sealed base, and the pinned
-/// delta tail's lists of the slot. Every delta list is the merged superset
-/// of its base list, so the view's bits OR-ed with the delta lists' bits
-/// are exactly the bits of the lists a segment-major read sees.
+/// one part per index the source reads — a single [`StIndex`] has one, a
+/// router one per shard. A part is the slot's trajectory view on an index's
+/// pinned sealed base and that pinned delta tail's lists of the slot. Each
+/// delta list carries what its base list lacks (or, when that is unknown,
+/// the whole merged list, a superset of the base list), so the view's bits
+/// OR-ed with those lists' bits are exactly the bits of the lists a
+/// segment-major read sees. The parts of a router hold disjoint segments
+/// (each shard's base and delta hold only its own), so OR-ing them yields
+/// the single index's bits.
 pub struct SlotForward<'p> {
+    parts: ForwardParts<'p>,
+}
+
+enum ForwardParts<'p> {
+    One(ForwardPart<'p>),
+    Many(Box<[ForwardPart<'p>]>),
+}
+
+/// One index's share of a [`SlotForward`].
+struct ForwardPart<'p> {
     view: &'p TrajectoryView,
     delta: &'p DeltaTail,
     /// The slot, wrapped into the day.
@@ -755,15 +806,43 @@ pub struct SlotForward<'p> {
 }
 
 impl<'p> SlotForward<'p> {
-    /// The segments trajectory `id` passed in the slot on `date`, by the
-    /// sealed base, ascending.
-    pub fn segments(&self, date: u16, id: u32) -> &'p [SegmentId] {
-        self.view.segments_of(date, id)
+    /// One forward reader over the parts of `readers`, one per index, or
+    /// `None` when there are none.
+    pub(crate) fn join(readers: Vec<SlotForward<'p>>) -> Option<Self> {
+        let mut parts: Vec<ForwardPart<'p>> = Vec::with_capacity(readers.len());
+        for reader in readers {
+            match reader.parts {
+                ForwardParts::One(part) => parts.push(part),
+                ForwardParts::Many(more) => parts.extend(more.into_vec()),
+            }
+        }
+        let parts = match parts.len() {
+            0 => return None,
+            1 => ForwardParts::One(parts.pop()?),
+            _ => ForwardParts::Many(parts.into_boxed_slice()),
+        };
+        Some(Self { parts })
     }
 
-    /// Calls `visit(i, bytes)` with the delta list of every `segments[i]`
-    /// that has one in the slot, in ascending `i`, and stops at the first
-    /// error `visit` returns. `segments` must ascend strictly.
+    fn parts(&self) -> &[ForwardPart<'p>] {
+        match &self.parts {
+            ForwardParts::One(part) => std::slice::from_ref(part),
+            ForwardParts::Many(parts) => parts,
+        }
+    }
+
+    /// The segments trajectory `id` passed in the slot on `date`, by the
+    /// sealed bases, ascending within each part.
+    pub fn segments(&self, date: u16, id: u32) -> impl Iterator<Item = SegmentId> + '_ {
+        self.parts()
+            .iter()
+            .flat_map(move |part| part.view.segments_of(date, id).iter().copied())
+    }
+
+    /// Calls `visit(i, bytes)` for every `segments[i]` with a delta list in
+    /// the slot, with the bytes beyond its base list (see
+    /// [`SlotForward`]), in ascending `i` within each part, and stops at the
+    /// first error `visit` returns. `segments` must ascend strictly.
     pub fn visit_delta<F>(&self, segments: &[SegmentId], mut visit: F) -> StorageResult<()>
     where
         F: FnMut(usize, &[u8]) -> StorageResult<()>,
@@ -771,18 +850,20 @@ impl<'p> SlotForward<'p> {
         let (Some(first), Some(last)) = (segments.first(), segments.last()) else {
             return Ok(());
         };
-        if self.delta.len.load(Ordering::Relaxed) == 0 {
-            return Ok(());
-        }
-        let stripe = self.delta.stripes[DeltaTail::stripe_of(self.slot)].read();
-        let mut next = 0;
-        for (&(_, segment), bytes) in stripe.range((self.slot, first.0)..=(self.slot, last.0)) {
-            match segments[next..].binary_search(&SegmentId(segment)) {
-                Ok(k) => {
-                    visit(next + k, bytes)?;
-                    next += k + 1;
+        for part in self.parts() {
+            if part.delta.len.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let stripe = part.delta.stripes[DeltaTail::stripe_of(part.slot)].read();
+            let mut next = 0;
+            for (&(_, segment), list) in stripe.range((part.slot, first.0)..=(part.slot, last.0)) {
+                match segments[next..].binary_search(&SegmentId(segment)) {
+                    Ok(k) => {
+                        visit(next + k, list.beyond_base())?;
+                        next += k + 1;
+                    }
+                    Err(k) => next += k,
                 }
-                Err(k) => next += k,
             }
         }
         Ok(())
@@ -810,8 +891,12 @@ impl PinnedState {
     /// The delta tail as ((slot, segment), encoded list) pairs in key
     /// order, and its [`DeltaStats::delta_bytes`].
     pub(crate) fn delta(&self) -> (Vec<DeltaEntry>, u64) {
+        let entries = self.0.delta.sorted_entries();
         (
-            self.0.delta.sorted_entries(),
+            entries
+                .into_iter()
+                .map(|(key, list)| (key, Arc::clone(&list.merged)))
+                .collect(),
             self.0.delta.stats().delta_bytes,
         )
     }
@@ -1200,7 +1285,8 @@ impl StIndex {
     /// pair the current list (delta if present, else base, else empty) is
     /// merged with the new (date, trajectory) observations, and once every
     /// group has merged, the merged encodings replace the pairs' delta
-    /// entries. Since
+    /// entries, each with the observations its base list lacks (see
+    /// [`DeltaList`]). Since
     /// [`TimeList::add`] is a sorted-set insert, the merge is idempotent and
     /// order-insensitive: re-applying a batch (WAL replay after a crash) or
     /// applying batches in any interleaving converges to the same lists a
@@ -1253,26 +1339,54 @@ impl StIndex {
         // Read + merge + encode per group in parallel: the groups are
         // disjoint (slot, segment) pairs, so each worker reads the current
         // list (delta if present, else base), folds its observations in and
-        // produces the merged encoding independently.
-        let merged: Vec<(Vec<u8>, bool)> = streach_par::try_par_map_with(
+        // produces the merged encoding independently, with what the merged
+        // list adds to the base's: a base list's `added` is the new
+        // observations it lacks, a delta list's is its old `added` plus
+        // those the old merged list lacks, and a pair with no list has none
+        // (the merged list is all added).
+        let merged: Vec<(DeltaList, bool)> = streach_par::try_par_map_with(
             &groups,
             TimeList::new,
-            |list: &mut TimeList, &(start, end)| -> StorageResult<(Vec<u8>, bool)> {
+            |list: &mut TimeList, &(start, end)| -> StorageResult<(DeltaList, bool)> {
                 let (slot, segment) = (obs[start].0, obs[start].1);
-                let is_new = match state.lookup(SegmentId(segment), self.wrap_slot(slot))? {
+                let current = state.lookup(SegmentId(segment), self.wrap_slot(slot))?;
+                let mut added = match &current {
                     Some(list_ref) => {
-                        *list = state.read_time_list(&list_ref)?;
-                        false
+                        *list = state.read_time_list(list_ref)?;
+                        match list_ref {
+                            ListRef::Base(_) => Some(TimeList::new()),
+                            ListRef::Delta(prior) => match prior.added.as_deref() {
+                                Some(bytes) => Some(TimeList::decode(bytes).ok_or_else(|| {
+                                    StorageError::corrupt("delta added list failed to decode")
+                                })?),
+                                None => None,
+                            },
+                        }
                     }
                     None => {
                         list.entries.clear();
-                        true
+                        None
                     }
                 };
-                for &(_, _, date, traj_id) in &obs[start..end] {
+                let group = &obs[start..end];
+                if let Some(added) = &mut added {
+                    for &(_, _, date, traj_id) in group {
+                        let held = list
+                            .ids_on(date)
+                            .is_some_and(|ids| ids.binary_search(&traj_id).is_ok());
+                        if !held {
+                            added.add(date, traj_id);
+                        }
+                    }
+                }
+                for &(_, _, date, traj_id) in group {
                     list.add(date, traj_id);
                 }
-                Ok((list.encode(), is_new))
+                let merged = DeltaList {
+                    merged: list.encode().into(),
+                    added: added.map(|added| added.encode().into()),
+                };
+                Ok((merged, current.is_none()))
             },
         )?;
 
@@ -1280,10 +1394,10 @@ impl StIndex {
         let new_lists = merged.iter().filter(|(_, is_new)| *is_new).count() as u64;
         let mut touched = Vec::with_capacity(groups.len());
         let mut folded = 0u64;
-        for (&(start, _), (bytes, _)) in groups.iter().zip(merged) {
+        for (&(start, _), (list, _)) in groups.iter().zip(merged) {
             let (slot, segment) = (obs[start].0, obs[start].1);
-            folded += bytes.len() as u64;
-            state.delta.insert(slot, segment, bytes.into());
+            folded += list.merged.len() as u64;
+            state.delta.insert(slot, segment, list);
             touched.push((self.wrap_slot(slot), segment));
         }
         state
@@ -1332,8 +1446,8 @@ impl StIndex {
                 merged.insert((slot as u32, segment.0), ListRef::Base(handle));
             }
         }
-        for (key, bytes) in state.delta.sorted_entries() {
-            merged.insert(key, ListRef::Delta(bytes));
+        for (key, list) in state.delta.sorted_entries() {
+            merged.insert(key, ListRef::Delta(list));
         }
 
         // Copy every blob out (parallel reads of the base heap).
@@ -1435,9 +1549,11 @@ impl crate::query::verifier::PostingSource for StIndex {
     fn forward<'p>(&self, pin: &'p PinnedState, slot: u32) -> Option<SlotForward<'p>> {
         let slot = self.wrap_slot(slot);
         Some(SlotForward {
-            view: pin.0.base.view(slot)?,
-            delta: &pin.0.delta,
-            slot,
+            parts: ForwardParts::One(ForwardPart {
+                view: pin.0.base.view(slot)?,
+                delta: &pin.0.delta,
+                slot,
+            }),
         })
     }
 

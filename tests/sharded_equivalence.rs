@@ -59,10 +59,13 @@ use std::sync::Arc;
 
 use streach::prelude::*;
 use streach::storage::StorageError;
+use streach_core::query::reference::{naive_m_query, naive_s_query};
+use streach_core::query::MQueryAlgorithm;
 use streach_core::sharded::PROBATION_READS;
 use streach_testkit::{
     answer_of, assert_pool_answers, copy_dir, disjoint_batch, fault_scenario, fault_seed, mix,
-    open_with_fault_script, pool, pool_answers, race_queries, scenario, tmp_dir, Race,
+    open_with_fault_script, pool, pool_answers, race_queries, region_bits, scenario, split_start,
+    tmp_dir, Race,
 };
 
 /// Base fleet-days built offline; the remaining days arrive via ingest.
@@ -559,6 +562,133 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A shard whose first-choice engine is marked dead reads segment-major
+/// through the failover path, even where that engine holds the window's
+/// trajectory views in memory, so its reads keep re-probing the dead
+/// engine and a healed one rejoins. The start is owned by the other shard,
+/// so only the window's reads can reach the dead engine: forwarding from it
+/// would never re-probe it.
+#[test]
+fn a_degraded_shard_reads_segment_major_so_probation_revives_its_first_choice() {
+    let seed = fault_seed();
+    let root = tmp_dir("degraded");
+    let (network, dataset) = fault_scenario();
+    let cfg = IndexConfig {
+        pool_pages: 1,
+        read_retries: 1,
+        ..IndexConfig::default()
+    };
+    let single = EngineBuilder::new(network.clone(), &dataset)
+        .index_config(cfg.clone())
+        .build();
+    let map = Arc::new(ShardMap::partition(&network, 2));
+    let home = root.join("shard0");
+    EngineBuilder::new(network.clone(), &dataset)
+        .index_config(cfg.clone())
+        .shard(map.clone(), 0)
+        .build()
+        .save_snapshot(&home)
+        .unwrap_or_else(|e| panic!("[seed {seed}] save shard 0 snapshot: {e}"));
+    let replica_home = root.join("shard0-replica");
+    copy_dir(&home, &replica_home);
+    let leader0 = ReachabilityEngine::open_snapshot(&home, network.clone())
+        .unwrap_or_else(|e| panic!("[seed {seed}] open shard 0 leader: {e}"));
+    let (replica0, replica_disk) =
+        open_with_fault_script(&replica_home, network.clone(), None, mix(seed, 2));
+    let replica0 = Arc::new(replica0);
+    let leader1 = EngineBuilder::new(network.clone(), &dataset)
+        .index_config(cfg)
+        .shard(map.clone(), 1)
+        .build();
+    let mut router = ShardedEngine::new(map, vec![Arc::new(leader0), Arc::new(leader1)]);
+    router.add_replica(0, replica0.clone());
+    router.set_read_preference(ReadPreference::ReplicaFirst);
+
+    // Where and when a taxi entered a segment of `shard` that is its own
+    // nearest match, asked at one day's share, so the start is undecided;
+    // for shard 1, one whose ES answer holds shard-0 segments.
+    let num_days = single.st_index().num_days();
+    let start_in = |shard: u16| {
+        dataset
+            .trajectories()
+            .iter()
+            .flat_map(|traj| traj.visits.iter().take(4))
+            .find_map(|visit| {
+                let location = network.segment(visit.segment).mbr.center();
+                if single.try_locate(&location) != Ok(visit.segment)
+                    || router.route_of(visit.segment) != shard
+                {
+                    return None;
+                }
+                let query = SQuery {
+                    location,
+                    start_time_s: visit.enter_time_s,
+                    duration_s: 600,
+                    prob: 1.0 / num_days as f64,
+                };
+                let answer = single
+                    .try_s_query(&query, Algorithm::ExhaustiveSearch)
+                    .ok()?;
+                (shard == 0
+                    || answer
+                        .region
+                        .segments
+                        .iter()
+                        .any(|&s| router.route_of(s) == 0))
+                .then_some(query)
+            })
+            .unwrap_or_else(|| panic!("[seed {seed}] no start in shard {shard}"))
+    };
+    let straddling = start_in(1);
+    let ask = |query: &SQuery| {
+        for algorithm in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
+            let want = single.try_s_query(query, algorithm).unwrap();
+            let got = router
+                .try_s_query(query, algorithm)
+                .unwrap_or_else(|e| panic!("[seed {seed}] routed {algorithm:?}: {e}"));
+            assert_eq!(
+                answer_of(&want),
+                answer_of(&got),
+                "[seed {seed}] {query:?} {algorithm:?} diverged"
+            );
+        }
+    };
+    // Healthy: the asks build the window's views on both first choices.
+    ask(&straddling);
+    assert!(
+        replica0.st_index().view_stats().views_built > 0,
+        "[seed {seed}] the first-choice replica built no view"
+    );
+
+    // The replica's disk dies: the first physical read of a shard-0 start
+    // marks it dead.
+    replica_disk.fail_reads_from(0);
+    replica0.st_index().clear_cache();
+    let _ = router.try_s_query(&start_in(0), Algorithm::SqmbTbs);
+    assert_eq!(
+        router.live_engines(0),
+        1,
+        "[seed {seed}] the replica's dead disk was not detected"
+    );
+
+    // Healed, still marked dead: shard 0 is degraded, so the straddling
+    // window is read segment-major and its shard-0 reads re-probe the
+    // replica, which rejoins within a few queries.
+    replica_disk.clear();
+    let mut asked = 0;
+    while router.live_engines(0) < 2 && asked < 4 {
+        ask(&straddling);
+        asked += 1;
+    }
+    assert_eq!(
+        router.live_engines(0),
+        2,
+        "[seed {seed}] the healed first choice was not revived after {asked} queries"
+    );
+    ask(&straddling);
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// Split-brain campaign: a partitioned-but-alive deposed leader must
 /// reject writes loudly after a fenced promotion — it can never ack a
 /// record the promoted fleet does not see — and the promoted fleet keeps
@@ -943,6 +1073,267 @@ fn controller_rides_out_replica_apply_faults_with_slo_events() {
         "[seed {seed}] recovery fires the typed event: {events:?}"
     );
     ctl.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The queries of the forward campaign: SQMB+TBS and ES s-queries from the
+/// spread locations, from an undecided start of the base days
+/// (`split_start`) and from where and when a taxi of the `live` points
+/// entered a segment, and an MQMB m-query per window over two spread
+/// locations and those starts.
+fn forward_queries(
+    network: &RoadNetwork,
+    reference: &ReachabilityEngine,
+    base: &TrajectoryDataset,
+    live: &[TrajPoint],
+) -> (Vec<(SQuery, Algorithm)>, Vec<MQuery>) {
+    let locations = spread_locations(network);
+    let (undecided, _, _) = split_start(reference, base, 600);
+    let (live_location, live_at) = live
+        .iter()
+        .find_map(|p| {
+            let location = network.segment(p.segment).mbr.center();
+            (reference.try_locate(&location) == Ok(p.segment)).then_some((location, p.enter_time_s))
+        })
+        .expect("a live point on a segment that is its own nearest match");
+    let windows = [
+        (8 * 3600 + 1800, 300u32, 0.25),
+        (9 * 3600, 600, 0.25),
+        (9 * 3600 + 900, 900, 0.6),
+        (undecided.start_time_s, undecided.duration_s, undecided.prob),
+        (live_at, 600, 0.25),
+    ];
+    let mut s_queries = Vec::new();
+    let mut m_queries = Vec::new();
+    for (start_time_s, duration_s, prob) in windows {
+        for location in locations
+            .iter()
+            .copied()
+            .chain([undecided.location, live_location])
+        {
+            let q = SQuery {
+                location,
+                start_time_s,
+                duration_s,
+                prob,
+            };
+            s_queries.push((q, Algorithm::SqmbTbs));
+            s_queries.push((q, Algorithm::ExhaustiveSearch));
+        }
+        m_queries.push(MQuery {
+            locations: vec![locations[0], undecided.location, live_location],
+            start_time_s,
+            duration_s,
+            prob,
+        });
+    }
+    (s_queries, m_queries)
+}
+
+/// Asks every query of the forward campaign three times on `router` — a
+/// window slot's first verification reads it segment-major, the second
+/// builds each first-choice engine's view of it, later ones read forward —
+/// and asserts each answer equals the single `reference` engine's, which
+/// equals the naive oracle (`query::reference`), bit for bit.
+fn assert_three_asks(
+    seed: u64,
+    label: &str,
+    router: &ShardedEngine,
+    reference: &ReachabilityEngine,
+    (s_queries, m_queries): &(Vec<(SQuery, Algorithm)>, Vec<MQuery>),
+) {
+    let locate = |location: &GeoPoint| reference.try_locate(location).expect("on the network");
+    let mut verified = 0;
+    let mut s_expected = Vec::new();
+    for (q, algorithm) in s_queries {
+        let want = reference
+            .try_s_query(q, *algorithm)
+            .expect("reference s-query");
+        let oracle = naive_s_query(
+            reference.network(),
+            reference.con_index(),
+            reference.st_index(),
+            q,
+            locate(&q.location),
+            *algorithm,
+        )
+        .expect("oracle s-query");
+        assert_eq!(
+            answer_of(&want),
+            region_bits(&oracle),
+            "[seed {seed}] {label}: reference diverged from the oracle on {q:?} {algorithm:?}"
+        );
+        verified += want.stats.segments_verified;
+        s_expected.push(answer_of(&want));
+    }
+    assert!(verified > 0, "[seed {seed}] {label}: no query verified");
+    let mut m_expected = Vec::new();
+    for m in m_queries {
+        let want = reference
+            .try_m_query(m, MQueryAlgorithm::MqmbTbs)
+            .expect("reference m-query");
+        let starts: Vec<SegmentId> = m.locations.iter().map(locate).collect();
+        let oracle = naive_m_query(
+            reference.network(),
+            reference.con_index(),
+            reference.st_index(),
+            m,
+            &starts,
+        )
+        .expect("oracle m-query");
+        assert_eq!(
+            answer_of(&want),
+            region_bits(&oracle),
+            "[seed {seed}] {label}: reference diverged from the oracle on {m:?}"
+        );
+        m_expected.push(answer_of(&want));
+    }
+    for ask in 0..3 {
+        for ((q, algorithm), want) in s_queries.iter().zip(&s_expected) {
+            let got = router
+                .try_s_query(q, *algorithm)
+                .unwrap_or_else(|e| panic!("[seed {seed}] {label}: routed s-query: {e}"));
+            assert_eq!(
+                &answer_of(&got),
+                want,
+                "[seed {seed}] {label}, ask {ask}: {q:?} {algorithm:?}"
+            );
+        }
+        for (m, want) in m_queries.iter().zip(&m_expected) {
+            let got = router
+                .try_m_query(m, MQueryAlgorithm::MqmbTbs)
+                .unwrap_or_else(|e| panic!("[seed {seed}] {label}: routed m-query: {e}"));
+            assert_eq!(
+                &answer_of(&got),
+                want,
+                "[seed {seed}] {label}, ask {ask}: {m:?}"
+            );
+        }
+    }
+}
+
+/// Forward campaign: 2 shards × 1 replica, replica-first reads. The router
+/// reads window slots forward through each shard's first-choice engine (the
+/// replica) and ORs the shards' parts; every answer stays bit-identical to
+/// the single engine and the oracle — on the built fleet, after a routed
+/// ingest (delta lists carrying what the base lacks), after a re-ingest
+/// into the same pairs (their `added` lists grow), and on a fleet reopened
+/// from snapshots whose `delta` sections are not empty (lists whose
+/// `added` is unknown), before and after ingest onto those lists.
+#[test]
+fn routed_forward_reads_match_the_single_engine_and_the_oracle() {
+    let seed = fault_seed();
+    let root = tmp_dir("routed-forward");
+    let (network, base, batches) = scenario(BASE_DAYS, EXTRA_DAYS);
+    let map = Arc::new(ShardMap::partition(&network, 2));
+    let reference = EngineBuilder::new(network.clone(), &base)
+        .index_config(IndexConfig::default())
+        .build();
+    let (_homes, leaders, sets) = build_fleet(&root, seed, &network, &base, &map);
+    let mut router = ShardedEngine::new(map.clone(), leaders.clone());
+    for (shard_id, set) in sets.iter().enumerate() {
+        router.add_replica(shard_id as u16, set.replica(0));
+    }
+    router.set_read_preference(ReadPreference::ReplicaFirst);
+    // The first extra day, whole: one live batch per trajectory.
+    let live_day: Vec<TrajPoint> = batches
+        .iter()
+        .flatten()
+        .filter(|p| p.date == BASE_DAYS)
+        .copied()
+        .collect();
+    let queries = forward_queries(&network, &reference, &base, &live_day);
+
+    assert_three_asks(seed, "built fleet", &router, &reference, &queries);
+    for (shard_id, (set, leader)) in sets.iter().zip(&leaders).enumerate() {
+        assert!(
+            set.replica(0).st_index().view_stats().views_built > 0,
+            "[seed {seed}] shard {shard_id}: the first-choice replica built no view"
+        );
+        assert_eq!(
+            leader.st_index().view_stats().views_built,
+            0,
+            "[seed {seed}] shard {shard_id}: a view was built off the first choice"
+        );
+    }
+
+    // A new day through the router: the replicas' delta lists carry what
+    // their base lists lack. Then the same pairs again, under new IDs on a
+    // base day: each list's `added` grows, and must keep the new day.
+    let again: Vec<TrajPoint> = live_day
+        .iter()
+        .map(|p| TrajPoint {
+            traj_id: p.traj_id + 1_000_000,
+            date: 0,
+            ..*p
+        })
+        .collect();
+    for (label, batch) in [("after ingest", &live_day), ("after re-ingest", &again)] {
+        reference
+            .ingest(batch)
+            .unwrap_or_else(|e| panic!("[seed {seed}] {label}: reference ingest: {e}"));
+        router
+            .ingest(batch)
+            .unwrap_or_else(|e| panic!("[seed {seed}] {label}: routed ingest: {e}"));
+        for (shard_id, set) in sets.iter().enumerate() {
+            set.ship()
+                .unwrap_or_else(|e| panic!("[seed {seed}] {label}: ship shard {shard_id}: {e}"));
+            assert!(
+                set.converged(),
+                "[seed {seed}] {label}: shard {shard_id} did not converge"
+            );
+            assert!(set.replica(0).st_index().delta_stats().delta_lists > 0);
+        }
+        assert_three_asks(seed, label, &router, &reference, &queries);
+    }
+
+    // Reopen every shard from a snapshot holding its delta tail: the
+    // reopened lists carry no `added`, and neither do lists merged onto
+    // them.
+    let reopened: Vec<Arc<ReachabilityEngine>> = leaders
+        .iter()
+        .enumerate()
+        .map(|(shard_id, leader)| {
+            let dir = root.join(format!("reopened{shard_id}"));
+            leader
+                .save_snapshot(&dir)
+                .unwrap_or_else(|e| panic!("[seed {seed}] save shard {shard_id}: {e}"));
+            let engine = ReachabilityEngine::open_snapshot(&dir, network.clone())
+                .unwrap_or_else(|e| panic!("[seed {seed}] reopen shard {shard_id}: {e}"));
+            assert!(engine.st_index().delta_stats().delta_lists > 0);
+            Arc::new(engine)
+        })
+        .collect();
+    drop(router);
+    let router = ShardedEngine::new(map, reopened.clone());
+    assert_three_asks(seed, "reopened fleet", &router, &reference, &queries);
+    let later: Vec<TrajPoint> = live_day
+        .iter()
+        .map(|p| TrajPoint {
+            traj_id: p.traj_id + 2_000_000,
+            date: 1,
+            ..*p
+        })
+        .collect();
+    reference
+        .ingest(&later)
+        .unwrap_or_else(|e| panic!("[seed {seed}] reference ingest onto the reopened lists: {e}"));
+    router
+        .ingest(&later)
+        .unwrap_or_else(|e| panic!("[seed {seed}] ingest onto the reopened lists: {e}"));
+    assert_three_asks(
+        seed,
+        "reopened fleet after ingest",
+        &router,
+        &reference,
+        &queries,
+    );
+    for (shard_id, engine) in reopened.iter().enumerate() {
+        assert!(
+            engine.st_index().view_stats().views_built > 0,
+            "[seed {seed}] reopened shard {shard_id} built no view"
+        );
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 
