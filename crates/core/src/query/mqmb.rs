@@ -30,7 +30,10 @@
 //! exactly the union of their lists — see [`crate::query::sqmb`] for why
 //! that is exact in floating point) and applies the unchanged claim rule:
 //! regions *and* owners are bit-identical to the list walk, which survives
-//! as [`crate::query::reference::naive_mqmb`].
+//! as [`crate::query::reference::naive_mqmb`]. Each start's expansion seeds
+//! only its own frontier (the members it owns that may still have a
+//! successor it does not own), for the reason SQMB's does: what a start
+//! owns only grows.
 
 use std::time::Instant;
 
@@ -174,15 +177,22 @@ fn expand(
         }
     }
 
+    // Each start's frontier, as in SQMB's: the members of `mine` that may
+    // still have a successor outside it (a duplicated start owns nothing,
+    // so its frontier is empty). `mine` only grows, so a member whose
+    // successors are all its own stays useless as a seed.
+    let mut frontiers = owned.clone();
+    let network = pass.network();
     for &slot in hop_slots {
-        for (i, mine) in owned.iter_mut().enumerate() {
-            if mine.is_empty() {
-                continue; // a duplicated start owns nothing
+        for (i, (mine, frontier)) in owned.iter_mut().zip(&mut frontiers).enumerate() {
+            if frontier.is_empty() {
+                continue;
             }
             // Claims land in `mine` only after this start's expansion ran,
             // and no other start's claims ever do, so every start expands
             // exactly what it owned when the hop began.
-            for next in pass.hop(mine, slot, use_far) {
+            let claimed_from = mine.len();
+            for (next, _) in pass.hop(mine, frontier, slot, use_far).settled() {
                 // Overlap elimination: keep `next` only if its nearest start
                 // location is the one whose expansion reached it.
                 if owner[next.index()] == NO_OWNER && distances.nearest_start(next) == i {
@@ -190,6 +200,9 @@ fn expand(
                     mine.push(next);
                 }
             }
+            let i = i as u32;
+            frontier.retain(|&s| network.successors(s).iter().any(|n| owner[n.index()] != i));
+            frontier.extend_from_slice(&mine[claimed_from..]);
         }
     }
     let mut bounding = owned.concat();

@@ -21,7 +21,8 @@
 //! the optimized pipeline, it propagates storage faults as `Err` — the
 //! fault-injection campaign drives both paths through the same scripts.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -40,9 +41,9 @@ use crate::time::slots_overlapping;
 
 /// The connection table of one time slot (Section 3.2.2): per segment, the
 /// Near and Far ID lists, each sorted and without the segment itself. Each
-/// list is one single-source Con-Index hop, the primitive whose
-/// multi-source form the query pipeline evaluates, so the table walks
-/// below check that form against the paper's definition.
+/// list is one textbook single-source expansion (`reach_within`) that
+/// shares no code with the pipeline's bounding hops, so the table walks
+/// below check the hops against the paper's definition.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SlotTable {
     far: Vec<Vec<SegmentId>>,
@@ -57,22 +58,22 @@ impl SlotTable {
     }
 
     fn build_over(con_index: &ConIndex, stats: &SpeedStats, slot: u32) -> Self {
-        // One independent pair of single-source hops per segment —
-        // embarrassingly parallel, each on its worker's thread workspace.
-        let seg_ids: Vec<u32> = (0..con_index.network().num_segments() as u32).collect();
+        let network = con_index.network();
+        let budget_s = con_index.slot_s() as f64;
+        let fallback = con_index.fallback_min_speed_ms();
+        let row = stats.row(slot);
+        let far = |s| row.max_speed_ms(network, s);
+        let near = |s| row.min_speed_ms(network, s, fallback);
+        // One independent pair of single-source expansions per segment —
+        // embarrassingly parallel.
+        let seg_ids: Vec<u32> = (0..network.num_segments() as u32).collect();
         let (far, near) = streach_par::par_map(&seg_ids, |&seg_idx| {
             let seg = SegmentId(seg_idx);
-            con_index.bounding_pass_over(stats, |pass| {
-                let mut list = |use_far| {
-                    let mut ids: Vec<SegmentId> = pass
-                        .hop(&[seg], slot, use_far)
-                        .filter(|s| *s != seg)
-                        .collect();
-                    ids.sort_unstable();
-                    ids
-                };
-                (list(true), list(false))
-            })
+            let mut dist = vec![f64::INFINITY; network.num_segments()];
+            (
+                reach_within(network, seg, budget_s, far, &mut dist),
+                reach_within(network, seg, budget_s, near, &mut dist),
+            )
         })
         .into_iter()
         .unzip();
@@ -88,6 +89,58 @@ impl SlotTable {
     pub fn near(&self, segment: SegmentId) -> &[SegmentId] {
         &self.near[segment.index()]
     }
+}
+
+/// The "modified conventional network expansion" of Section 3.2.2 as a
+/// textbook single-source Dijkstra: from the head of `source` at time 0,
+/// entering segment `s` takes `length_m / speed_ms(s)` seconds (a segment
+/// whose speed is not positive is impassable), and no U-turn onto a twin.
+/// Returns every other segment whose earliest arrival is within
+/// `budget_s`, sorted. `dist` is a dense arrival array, all `+∞` on entry
+/// and on return.
+fn reach_within(
+    network: &RoadNetwork,
+    source: SegmentId,
+    budget_s: f64,
+    speed_ms: impl Fn(SegmentId) -> f64,
+    dist: &mut [f64],
+) -> Vec<SegmentId> {
+    // Arrivals are non-negative and never NaN, so their bit patterns sort
+    // like their values.
+    let mut heap = BinaryHeap::new();
+    let mut reached = Vec::new();
+    dist[source.index()] = 0.0;
+    heap.push(Reverse((0f64.to_bits(), source)));
+    while let Some(Reverse((bits, seg))) = heap.pop() {
+        let t = f64::from_bits(bits);
+        if t > dist[seg.index()] {
+            continue;
+        }
+        let here = network.segment(seg);
+        for &next in network.segments_out_of(here.end_node) {
+            if Some(next) == here.twin {
+                continue;
+            }
+            let speed = speed_ms(next);
+            if speed <= 0.0 {
+                continue;
+            }
+            let nt = t + network.segment(next).length_m / speed;
+            if nt <= budget_s && nt < dist[next.index()] {
+                if dist[next.index()] == f64::INFINITY {
+                    reached.push(next);
+                }
+                dist[next.index()] = nt;
+                heap.push(Reverse((nt.to_bits(), next)));
+            }
+        }
+    }
+    dist[source.index()] = f64::INFINITY;
+    for s in &reached {
+        dist[s.index()] = f64::INFINITY;
+    }
+    reached.sort_unstable();
+    reached
 }
 
 /// Counters of a [`ConIndex`]'s table memo.
@@ -266,7 +319,7 @@ pub fn naive_exhaustive_search(
     frontier.push_back(start_segment);
     visited.insert(start_segment);
     while let Some(seg) = frontier.pop_front() {
-        for next in network.successors(seg) {
+        for &next in network.successors(seg) {
             if !visited.insert(next) {
                 continue;
             }
@@ -498,7 +551,7 @@ mod tests {
             assert!(!far.is_empty(), "far list of {seg} empty");
             // Direct successors are always reachable within a 5-minute slot
             // on a 500 m grid.
-            for succ in network.successors(seg) {
+            for &succ in network.successors(seg) {
                 assert!(
                     far.contains(&succ),
                     "successor {succ} of {seg} not in far list"

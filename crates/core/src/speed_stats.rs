@@ -8,6 +8,7 @@
 //! never observed. A snapshot stores the table as one chunk per slot, and a
 //! reopened table decodes a slot's row when it is first touched.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use bytes::{Buf, BufMut};
@@ -61,24 +62,72 @@ impl MinMax {
 }
 
 /// One slot's statistics: the per-class fallback cells and one cell per
-/// segment.
-#[derive(Clone)]
+/// segment, plus the traversal-cost rows a bounding hop reads, derived from
+/// them on first use.
 pub(crate) struct SpeedRow {
     per_class: [MinMax; 4],
     cells: Vec<MinMax>,
+    /// `length_m / max_speed_ms` per segment (see [`SpeedRow::far_costs`]).
+    far_costs: OnceLock<Box<[f64]>>,
+    /// `length_m / min_speed_ms` per segment, with the fallback minimum
+    /// speed it was derived under (see [`SpeedRow::near_costs`]).
+    near_costs: OnceLock<(f64, Box<[f64]>)>,
+}
+
+/// The cells only: a copy is about to change (the copy-on-write update
+/// path), so it derives its cost rows afresh.
+impl Clone for SpeedRow {
+    fn clone(&self) -> Self {
+        Self::new(self.per_class, self.cells.clone())
+    }
 }
 
 impl SpeedRow {
-    fn empty(num_segments: usize) -> Self {
+    fn new(per_class: [MinMax; 4], cells: Vec<MinMax>) -> Self {
         Self {
-            per_class: [MinMax::EMPTY; 4],
-            cells: vec![MinMax::EMPTY; num_segments],
+            per_class,
+            cells,
+            far_costs: OnceLock::new(),
+            near_costs: OnceLock::new(),
         }
+    }
+
+    fn empty(num_segments: usize) -> Self {
+        Self::new([MinMax::EMPTY; 4], vec![MinMax::EMPTY; num_segments])
     }
 
     fn observe(&mut self, segment: SegmentId, class: RoadClass, speed: f64) {
         self.cells[segment.index()].observe(speed);
         self.per_class[class_index(class)].observe(speed);
+        // The cell and its class fallback moved: so may any cost.
+        self.far_costs.take();
+        self.near_costs.take();
+    }
+
+    /// The Far traversal costs of the slot: entering segment `s` takes
+    /// `length_m / max_speed_ms(s)` seconds, `+∞` where that speed is not
+    /// positive. The same `f64` quotient the expansion used to compute per
+    /// relaxation, derived once per row (8 B per segment) and dropped when
+    /// an observation lands in the row.
+    pub(crate) fn far_costs(&self, network: &RoadNetwork) -> &[f64] {
+        self.far_costs
+            .get_or_init(|| costs(network, |s| self.max_speed_ms(network, s)))
+    }
+
+    /// The Near traversal costs of the slot, as [`SpeedRow::far_costs`] at
+    /// `min_speed_ms(s, fallback_min)`. The row keeps the costs of the
+    /// first fallback it is asked for (a Con-Index has one); another
+    /// fallback gets its costs derived afresh.
+    pub(crate) fn near_costs(&self, network: &RoadNetwork, fallback_min: f64) -> Cow<'_, [f64]> {
+        let near = |fallback_min| costs(network, |s| self.min_speed_ms(network, s, fallback_min));
+        let (kept, costs) = self
+            .near_costs
+            .get_or_init(|| (fallback_min, near(fallback_min)));
+        if kept.to_bits() == fallback_min.to_bits() {
+            Cow::Borrowed(costs)
+        } else {
+            Cow::Owned(near(fallback_min).into_vec())
+        }
     }
 
     /// See [`SpeedStats::max_speed_ms`]. The class is looked up only for a
@@ -137,11 +186,31 @@ impl SpeedRow {
         let (cells, rest) = bytes.as_chunks::<8>();
         debug_assert!(rest.is_empty() && cells.len() >= 4);
         let (per_class, cells) = cells.split_at(4);
-        Self {
-            per_class: std::array::from_fn(|class| MinMax::from_le_bytes(&per_class[class])),
-            cells: cells.iter().map(MinMax::from_le_bytes).collect(),
-        }
+        Self::new(
+            std::array::from_fn(|class| MinMax::from_le_bytes(&per_class[class])),
+            cells.iter().map(MinMax::from_le_bytes).collect(),
+        )
     }
+
+    /// Bytes held by the derived cost rows.
+    #[cfg(test)]
+    pub(crate) fn cost_bytes(&self) -> usize {
+        let far = self.far_costs.get().map_or(0, |c| c.len());
+        let near = self.near_costs.get().map_or(0, |(_, c)| c.len());
+        (far + near) * std::mem::size_of::<f64>()
+    }
+}
+
+/// Traversal cost (s) of every segment at `speed_ms`, `+∞` where the speed
+/// is not positive (the segment is impassable).
+fn costs(network: &RoadNetwork, speed_ms: impl Fn(SegmentId) -> f64) -> Box<[f64]> {
+    network
+        .segment_ids()
+        .map(|s| match speed_ms(s) {
+            v if v > 0.0 => network.segment(s).length_m / v,
+            _ => f64::INFINITY,
+        })
+        .collect()
 }
 
 /// Where the rows of a reopened snapshot come from: its lazy
@@ -615,9 +684,8 @@ mod tests {
     /// A two-slot day over two segments, cells set by hand.
     fn tiny() -> SpeedStats {
         let cell = |min, max| MinMax { min, max };
-        let row = |class: MinMax, cells: Vec<MinMax>| SpeedRow {
-            per_class: [class, MinMax::EMPTY, MinMax::EMPTY, MinMax::EMPTY],
-            cells,
+        let row = |class: MinMax, cells: Vec<MinMax>| {
+            SpeedRow::new([class, MinMax::EMPTY, MinMax::EMPTY, MinMax::EMPTY], cells)
         };
         let rows = vec![
             row(cell(1.0, 2.0), vec![cell(1.0, 2.0), MinMax::EMPTY]),

@@ -57,8 +57,8 @@ pub struct DijkstraWorkspace {
     stamp: Vec<u32>,
     epoch: u32,
     heap: BinaryHeap<Reverse<HeapEntry>>,
-    /// Segment indices settled by the current run, in settling order.
-    settled: Vec<u32>,
+    /// Segments settled by the current run, in settling order.
+    settled: Vec<SegmentId>,
 }
 
 impl DijkstraWorkspace {
@@ -137,11 +137,11 @@ impl DijkstraWorkspace {
             if d > self.tentative(item as usize) {
                 continue; // stale heap entry
             }
-            self.settled.push(item);
+            self.settled.push(seg);
             if done(seg) {
                 return;
             }
-            for next in network.successors_iter(seg) {
+            for &next in network.successors(seg) {
                 let nd = d + network.segment(next).length_m;
                 if nd <= max_distance_m && nd < self.tentative(next.index()) {
                     self.relax(next.index(), nd);
@@ -150,85 +150,78 @@ impl DijkstraWorkspace {
         }
     }
 
-    /// Multi-source time-budgeted expansion (the "modified conventional
-    /// network expansion" of Section 3.2.2): every segment of `sources`
-    /// starts at arrival time 0, each segment is traversed at the speed
-    /// (m/s) `speed_ms` returns for it, and every segment whose earliest
-    /// arrival is within `budget_s` seconds is settled. Arrival times are
-    /// read like distances — [`DijkstraWorkspace::distance`],
-    /// [`DijkstraWorkspace::settled`] — until the next run.
+    /// One time-budgeted hop of a bounding pass (the "modified conventional
+    /// network expansion" of Section 3.2.2): every segment of `region` is at
+    /// arrival 0, entering segment `s` costs `cost_s[s]` seconds (`+∞` where
+    /// it is impassable), and every other segment whose earliest arrival is
+    /// within `budget_s` is settled. Only the successors of `seeds` (a
+    /// subset of `region`) are scanned out of the region. Arrival times are
+    /// read like distances ([`DijkstraWorkspace::distance`],
+    /// [`DijkstraWorkspace::reached`], which count the region as reached)
+    /// until the next run; [`DijkstraWorkspace::settled`] yields only the
+    /// segments the hop added, in settling order. Duplicates in `region`
+    /// are harmless.
     ///
     /// Traversal cost is charged when *entering* a segment (the expansion
-    /// starts at the head of the source segments, matching the paper's
+    /// starts at the head of the region's segments, matching the paper's
     /// convention that the query location lies on the start road segment).
-    /// Segments for which `speed_ms` returns a non-positive value are
-    /// impassable. Duplicate sources are settled once.
     ///
     /// A path's arrival time is the left fold `((0 + c1) + c2) + …` of
     /// non-negative costs, and `a + c` rounds monotonically in `a`, so the
     /// settled arrival of a segment is exactly the minimum fold over all
-    /// paths from all sources, prefixes never exceed the final sum (budget
-    /// pruning never cuts a valid path), and the settled set of a
-    /// multi-source run is bit-for-bit the union of the single-source runs.
-    pub fn expand_within_time<F>(
+    /// paths from the region, and prefixes never exceed the final sum
+    /// (budget pruning never cuts a valid path). The suffix of a path from
+    /// its *last* region member folds from 0 over a subset of its costs, so
+    /// it arrives no later: the minimum is always attained by a path that
+    /// leaves the region once and never re-enters it. Its first segment is
+    /// a region member with a successor outside the region. Seeding every
+    /// such member therefore settles bit-for-bit the same set, at the same
+    /// arrivals, as seeding the whole region, and a hop costs in
+    /// proportion to its seeds and what it adds, not to the region.
+    pub fn expand_within_time(
         &mut self,
         network: &RoadNetwork,
-        sources: &[SegmentId],
+        region: &[SegmentId],
+        seeds: &[SegmentId],
         budget_s: f64,
-        mut speed_ms: F,
-    ) where
-        F: FnMut(SegmentId) -> f64,
-    {
+        cost_s: &[f64],
+    ) {
         self.begin(network.num_segments());
-        // Arrival 0 is final — no path undercuts it — so the sources are
-        // settled up front instead of cycling through the heap; a hop from
-        // a whole bounding region then costs one successor scan per
-        // interior segment.
-        for &s in sources {
-            let idx = s.index();
-            if self.stamp[idx] != self.epoch {
-                self.dist[idx] = 0.0;
-                self.stamp[idx] = self.epoch;
-                self.settled.push(s.0);
-            }
+        // Arrival 0 is final (no path undercuts it), so the region is
+        // settled up front instead of cycling through the heap.
+        for &s in region {
+            self.dist[s.index()] = 0.0;
+            self.stamp[s.index()] = self.epoch;
         }
-        for i in 0..self.settled.len() {
-            self.relax_successors(network, self.settled[i], 0.0, budget_s, &mut speed_ms);
+        for &s in seeds {
+            debug_assert!(self.reached(s), "seed {s} outside the region");
+            self.relax_successors(network, s, 0.0, budget_s, cost_s);
         }
         while let Some(Reverse(HeapEntry { dist: t, item })) = self.heap.pop() {
             if t > self.tentative(item as usize) {
                 continue; // stale heap entry
             }
-            self.settled.push(item);
-            self.relax_successors(network, item, t, budget_s, &mut speed_ms);
+            let seg = SegmentId(item);
+            self.settled.push(seg);
+            self.relax_successors(network, seg, t, budget_s, cost_s);
         }
     }
 
-    /// Offers arrival `t + cost` to every successor of `item`.
+    /// Offers arrival `t + cost_s[next]` to every successor of `seg`.
     #[inline]
-    fn relax_successors<F>(
+    fn relax_successors(
         &mut self,
         network: &RoadNetwork,
-        item: u32,
+        seg: SegmentId,
         t: f64,
         budget_s: f64,
-        speed_ms: &mut F,
-    ) where
-        F: FnMut(SegmentId) -> f64,
-    {
-        for next in network.successors_iter(SegmentId(item)) {
-            // Costs are non-negative: a successor already at or below `t`
-            // cannot improve, whatever its speed.
-            if self.tentative(next.index()) <= t {
-                continue;
-            }
-            let speed = speed_ms(next);
-            if speed <= 0.0 {
-                continue;
-            }
-            let nt = t + network.segment(next).length_m / speed;
-            if nt <= budget_s && nt < self.tentative(next.index()) {
-                self.relax(next.index(), nt);
+        cost_s: &[f64],
+    ) {
+        for &next in network.successors(seg) {
+            let idx = next.index();
+            let nt = t + cost_s[idx];
+            if nt <= budget_s && nt < self.tentative(idx) {
+                self.relax(idx, nt);
             }
         }
     }
@@ -253,11 +246,11 @@ impl DijkstraWorkspace {
     }
 
     /// Segments settled by the most recent run with their distances, in
-    /// settling (ascending-distance) order.
+    /// settling (ascending-distance) order. After
+    /// [`DijkstraWorkspace::expand_within_time`], the segments the hop
+    /// added to its region.
     pub fn settled(&self) -> impl Iterator<Item = (SegmentId, f64)> + '_ {
-        self.settled
-            .iter()
-            .map(|&i| (SegmentId(i), self.dist[i as usize]))
+        self.settled.iter().map(|&s| (s, self.dist[s.index()]))
     }
 
     /// Number of segments settled by the most recent run.
@@ -633,14 +626,33 @@ mod tests {
         ws.distance(SegmentId(i)).expect("segment reached")
     }
 
+    /// A hop seeded from the whole region, at per-segment speeds (m/s).
+    fn hop(
+        ws: &mut DijkstraWorkspace,
+        net: &RoadNetwork,
+        region: &[SegmentId],
+        budget_s: f64,
+        speed_ms: impl Fn(SegmentId) -> f64,
+    ) {
+        let cost: Vec<f64> = net
+            .segment_ids()
+            .map(|s| match speed_ms(s) {
+                v if v > 0.0 => net.segment(s).length_m / v,
+                _ => f64::INFINITY,
+            })
+            .collect();
+        ws.expand_within_time(net, region, region, budget_s, &cost);
+    }
+
     #[test]
     fn expansion_respects_time_budget() {
         let net = chain();
         let mut ws = DijkstraWorkspace::new();
         // 10 m/s on every segment: each 500 m segment costs 50 s.
-        ws.expand_within_time(&net, &[SegmentId(0)], 120.0, |_| 10.0);
-        // Start + two more segments (50 s, 100 s); the fourth would arrive at 150 s.
-        assert_eq!(ws.num_settled(), 3);
+        hop(&mut ws, &net, &[SegmentId(0)], 120.0, |_| 10.0);
+        // Two segments past the start (50 s, 100 s); the fourth would arrive
+        // at 150 s.
+        assert_eq!(ws.num_settled(), 2);
         assert!(ws.reached(SegmentId(0)));
         assert!(ws.reached(SegmentId(1)));
         assert!(ws.reached(SegmentId(2)));
@@ -653,9 +665,9 @@ mod tests {
     fn faster_speed_reaches_farther() {
         let net = chain();
         let mut ws = DijkstraWorkspace::new();
-        ws.expand_within_time(&net, &[SegmentId(0)], 200.0, |_| 5.0);
+        hop(&mut ws, &net, &[SegmentId(0)], 200.0, |_| 5.0);
         let slow: Vec<SegmentId> = ws.settled().map(|(seg, _)| seg).collect();
-        ws.expand_within_time(&net, &[SegmentId(0)], 200.0, |_| 20.0);
+        hop(&mut ws, &net, &[SegmentId(0)], 200.0, |_| 20.0);
         assert!(ws.num_settled() > slow.len());
         // Every segment reached slowly is also reached quickly (monotonicity).
         for seg in slow {
@@ -668,7 +680,7 @@ mod tests {
         let net = chain();
         let mut ws = DijkstraWorkspace::new();
         // Segment 2 is impassable.
-        ws.expand_within_time(&net, &[SegmentId(0)], 1e6, |s| {
+        hop(&mut ws, &net, &[SegmentId(0)], 1e6, |s| {
             if s == SegmentId(2) {
                 0.0
             } else {
@@ -684,10 +696,10 @@ mod tests {
     fn multiple_starts_take_minimum_arrival() {
         let net = chain();
         let mut ws = DijkstraWorkspace::new();
-        // A duplicated source is settled once.
+        // A duplicated source changes nothing.
         let sources = [SegmentId(0), SegmentId(5), SegmentId(0)];
-        ws.expand_within_time(&net, &sources, 60.0, |_| 10.0);
-        assert_eq!(ws.num_settled(), 4);
+        hop(&mut ws, &net, &sources, 60.0, |_| 10.0);
+        assert_eq!(ws.num_settled(), 2);
         assert!(ws.reached(SegmentId(6)));
         assert!((arrival(&ws, 6) - 50.0).abs() < 1.0);
         assert!(ws.reached(SegmentId(1)));
@@ -699,17 +711,38 @@ mod tests {
     fn zero_budget_reaches_only_starts() {
         let net = chain();
         let mut ws = DijkstraWorkspace::new();
-        ws.expand_within_time(&net, &[SegmentId(3)], 0.0, |_| 10.0);
-        assert_eq!(ws.num_settled(), 1);
+        hop(&mut ws, &net, &[SegmentId(3)], 0.0, |_| 10.0);
+        assert_eq!(ws.num_settled(), 0);
         assert!(ws.reached(SegmentId(3)));
+    }
+
+    /// Seeding only the region members with a successor outside it (here
+    /// the last of a run of chain segments) adds what seeding all of them
+    /// adds, at the same arrivals.
+    #[test]
+    fn seeding_the_region_boundary_adds_what_seeding_all_of_it_adds() {
+        let net = chain();
+        let region: Vec<SegmentId> = (0..4).map(SegmentId).collect();
+        let cost: Vec<f64> = net.segments().iter().map(|s| s.length_m / 9.0).collect();
+        let mut ws = DijkstraWorkspace::new();
+        ws.expand_within_time(&net, &region, &region, 150.0, &cost);
+        let all: Vec<(SegmentId, u64)> = ws.settled().map(|(s, t)| (s, t.to_bits())).collect();
+        ws.expand_within_time(&net, &region, &[SegmentId(3)], 150.0, &cost);
+        let boundary: Vec<(SegmentId, u64)> = ws.settled().map(|(s, t)| (s, t.to_bits())).collect();
+        assert_eq!(all.len(), 2);
+        assert_eq!(all, boundary);
+        assert!(region.iter().all(|&s| ws.reached(s)));
+        // No seed, nothing added.
+        ws.expand_within_time(&net, &region, &[], 150.0, &cost);
+        assert_eq!(ws.num_settled(), 0);
     }
 
     #[test]
     fn arrival_times_are_monotone_along_the_chain() {
         let net = chain();
         let mut ws = DijkstraWorkspace::new();
-        ws.expand_within_time(&net, &[SegmentId(0)], 1e6, |_| 12.0);
-        assert_eq!(ws.num_settled(), 10);
+        hop(&mut ws, &net, &[SegmentId(0)], 1e6, |_| 12.0);
+        assert_eq!(ws.num_settled(), 9);
         for i in 1..10u32 {
             assert!(
                 arrival(&ws, i) > arrival(&ws, i - 1),

@@ -320,7 +320,7 @@ mod tests {
         let mut stack = vec![start];
         seen.insert(start);
         while let Some(seg) = stack.pop() {
-            for next in net.successors(seg) {
+            for &next in net.successors(seg) {
                 if seen.insert(next) {
                     stack.push(next);
                 }

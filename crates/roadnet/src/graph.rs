@@ -42,6 +42,11 @@ pub struct RoadNetwork {
     out_segments: Vec<Vec<SegmentId>>,
     /// Incoming segments per node.
     in_segments: Vec<Vec<SegmentId>>,
+    /// Directed successors of every segment, flattened: those of segment
+    /// `i` are `successor_ids[successor_offsets[i]..successor_offsets[i + 1]]`,
+    /// in `out_segments` order with the twin (the U-turn) left out.
+    successor_offsets: Vec<u32>,
+    successor_ids: Vec<SegmentId>,
     /// Geometric midpoint of every segment, memoized at construction time:
     /// the MQMB overlap-elimination rule compares `dis(r0, b)` for every
     /// newly reached segment, and recomputing the midpoint from the polyline
@@ -116,6 +121,18 @@ impl RoadNetwork {
             in_segments[seg.end_node.index()].push(seg.id);
         }
 
+        let mut successor_offsets = Vec::with_capacity(segments.len() + 1);
+        let mut successor_ids = Vec::new();
+        successor_offsets.push(0);
+        for seg in &segments {
+            successor_ids.extend(
+                out_segments[seg.end_node.index()]
+                    .iter()
+                    .filter(|&&next| Some(next) != seg.twin),
+            );
+            successor_offsets.push(successor_ids.len() as u32);
+        }
+
         let rtree = RTree::bulk_load(segments.iter().map(|s| (s.mbr, s.id)).collect());
         let midpoints = segments
             .iter()
@@ -127,6 +144,8 @@ impl RoadNetwork {
             segments,
             out_segments,
             in_segments,
+            successor_offsets,
+            successor_ids,
             midpoints,
             rtree,
         }
@@ -179,19 +198,15 @@ impl RoadNetwork {
     }
 
     /// Directed successors of a segment: the segments one can continue onto
-    /// after traversing `id` (excluding an immediate U-turn onto its twin).
-    pub fn successors(&self, id: SegmentId) -> Vec<SegmentId> {
-        self.successors_iter(id).collect()
-    }
-
-    /// [`RoadNetwork::successors`] without the allocation, for the
-    /// expansion loops that visit thousands of segments per query.
-    pub fn successors_iter(&self, id: SegmentId) -> impl Iterator<Item = SegmentId> + '_ {
-        let seg = self.segment(id);
-        self.out_segments[seg.end_node.index()]
-            .iter()
-            .copied()
-            .filter(move |next| Some(*next) != seg.twin)
+    /// after traversing `id` (excluding an immediate U-turn onto its twin),
+    /// in the order they leave its end node. A slice of one flat array
+    /// built with the network, so the expansion loops that visit thousands
+    /// of segments per query neither allocate nor filter.
+    #[inline]
+    pub fn successors(&self, id: SegmentId) -> &[SegmentId] {
+        let i = id.index();
+        &self.successor_ids
+            [self.successor_offsets[i] as usize..self.successor_offsets[i + 1] as usize]
     }
 
     /// Directed predecessors of a segment.
@@ -319,9 +334,17 @@ mod tests {
         for seg in net.segments() {
             let succ = net.successors(seg.id);
             assert!(!succ.contains(&seg.twin.unwrap()));
-            for s in &succ {
+            for s in succ {
                 assert_eq!(net.segment(*s).start_node, seg.end_node);
             }
+            // Every other segment leaving the end node, in its order.
+            let leaving: Vec<SegmentId> = net
+                .segments_out_of(seg.end_node)
+                .iter()
+                .copied()
+                .filter(|&next| Some(next) != seg.twin)
+                .collect();
+            assert_eq!(succ, leaving);
         }
     }
 
@@ -415,7 +438,7 @@ mod tests {
         ];
         let net = RoadNetwork::from_roads(&roads);
         assert_eq!(net.num_segments(), 2);
-        assert_eq!(net.successors(SegmentId(0)), vec![SegmentId(1)]);
+        assert_eq!(net.successors(SegmentId(0)), [SegmentId(1)]);
         assert!(net.successors(SegmentId(1)).is_empty());
         assert!(net.segment(SegmentId(0)).twin.is_none());
         assert_eq!(net.predecessors(SegmentId(1)), vec![SegmentId(0)]);

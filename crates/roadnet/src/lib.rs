@@ -16,11 +16,11 @@
 //!   chops long roads to a configurable spatial granularity (default 500 m),
 //! * [`generator`] — a synthetic metropolis generator standing in for the
 //!   Shenzhen road network used in the paper's evaluation,
-//! * [`dijkstra`] — shortest-path and distance-map computations, and the
-//!   time-budgeted network expansion
+//! * [`dijkstra`] — shortest-path and distance-map computations (the
+//!   exhaustive-search baseline's travel cap, MQMB's ownership distances),
+//!   and the time-budgeted network expansion
 //!   ([`DijkstraWorkspace::expand_within_time`], Papadias et al. \[21\] in the
-//!   paper) used both by the Con-Index construction and by the
-//!   exhaustive-search baseline.
+//!   paper) that evaluates every Con-Index hop.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

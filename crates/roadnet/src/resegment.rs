@@ -100,7 +100,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         seen.insert(start);
         while let Some(seg) = frontier.pop() {
-            for next in net.successors(seg) {
+            for &next in net.successors(seg) {
                 if seen.insert(next) {
                     frontier.push(next);
                 }

@@ -91,7 +91,7 @@ fn network_construction_invariants() {
 
         for seg in net.segments() {
             // Successor segments start where this segment ends.
-            for next in net.successors(seg.id) {
+            for &next in net.successors(seg.id) {
                 assert_eq!(net.segment(next).start_node, seg.end_node, "case {case}");
                 assert!(Some(next) != seg.twin, "case {case}");
             }
@@ -144,18 +144,14 @@ fn expansion_monotonicity() {
         });
         let net = &city.network;
         let (start, _) = net.nearest_segment(&city.central_point()).unwrap();
+        let slow_cost = costs(net, |s| net.segment(s).class.free_flow_ms() * 0.5);
+        let fast_cost = costs(net, |s| net.segment(s).class.free_flow_ms());
         let mut slow = DijkstraWorkspace::new();
-        slow.expand_within_time(net, &[start], budget, |s| {
-            net.segment(s).class.free_flow_ms() * 0.5
-        });
+        slow.expand_within_time(net, &[start], &[start], budget, &slow_cost);
         let mut fast = DijkstraWorkspace::new();
-        fast.expand_within_time(net, &[start], budget, |s| {
-            net.segment(s).class.free_flow_ms()
-        });
+        fast.expand_within_time(net, &[start], &[start], budget, &fast_cost);
         let mut longer = DijkstraWorkspace::new();
-        longer.expand_within_time(net, &[start], budget * 2.0, |s| {
-            net.segment(s).class.free_flow_ms() * 0.5
-        });
+        longer.expand_within_time(net, &[start], &[start], budget * 2.0, &slow_cost);
         for (seg, _) in slow.settled() {
             assert!(
                 fast.reached(seg),
@@ -171,6 +167,17 @@ fn expansion_monotonicity() {
             assert!(t <= budget + 1e-9, "case {case}");
         }
     }
+}
+
+/// Per-segment traversal costs (s) at `speed_ms`, `+∞` where it is not
+/// positive: what a Con-Index hop reads.
+fn costs(net: &RoadNetwork, speed_ms: impl Fn(SegmentId) -> f64) -> Vec<f64> {
+    net.segment_ids()
+        .map(|s| match speed_ms(s) {
+            v if v > 0.0 => net.segment(s).length_m / v,
+            _ => f64::INFINITY,
+        })
+        .collect()
 }
 
 /// The pre-workspace expansion, kept verbatim as the oracle: a per-call
@@ -206,7 +213,7 @@ fn hashmap_expansion(
         if t > *arrival.get(&seg).unwrap_or(&f64::INFINITY) {
             continue;
         }
-        for next in net.successors(seg) {
+        for &next in net.successors(seg) {
             let speed = speed_ms(next);
             if speed <= 0.0 {
                 continue;
@@ -221,10 +228,13 @@ fn hashmap_expansion(
     arrival
 }
 
-/// The dense workspace expansion reproduces the `HashMap` implementation bit
-/// for bit, and a multi-source run reaches exactly the union of the
-/// single-source runs (each segment at the minimum of their arrivals) — the
-/// identity that lets a Con-Index hop replace a union of Far/Near lists.
+/// The dense workspace expansion over cost rows reproduces the `HashMap`
+/// implementation over speeds bit for bit; a multi-source run reaches
+/// exactly the union of the single-source runs (each segment at the
+/// minimum of their arrivals) — the identity that lets a Con-Index hop
+/// replace a union of Far/Near lists — and seeding only the sources with a
+/// successor outside the source set adds the same segments at the same
+/// arrivals.
 #[test]
 fn dense_expansion_matches_hashmap_and_multi_source_is_the_union() {
     let mut rng = StdRng::seed_from_u64(406);
@@ -247,17 +257,28 @@ fn dense_expansion_matches_hashmap_and_multi_source_is_the_union() {
             })
             .collect();
         let speed = |s: SegmentId| net.segment(s).class.free_flow_ms() * factors[s.index()];
+        let cost = costs(net, speed);
         let mut sources: Vec<SegmentId> = (0..rng.gen_range(1..40usize))
             .map(|_| SegmentId(rng.gen_range(0..net.num_segments() as u32)))
             .collect();
         sources.push(sources[0]); // a duplicate changes nothing
 
+        // What a hop settles: the region at 0 plus what it added.
+        let settled = |ws: &DijkstraWorkspace, region: &[SegmentId]| {
+            let mut all: std::collections::HashMap<SegmentId, f64> =
+                region.iter().map(|&s| (s, 0.0)).collect();
+            for (seg, t) in ws.settled() {
+                assert!(all.insert(seg, t).is_none(), "case {case}: {seg} twice");
+            }
+            all
+        };
         let mut union: std::collections::HashMap<SegmentId, f64> = Default::default();
         for &s in &sources {
             let single = hashmap_expansion(net, &[s], budget, speed);
-            ws.expand_within_time(net, &[s], budget, speed);
-            assert_eq!(ws.num_settled(), single.len(), "case {case} source {s}");
-            for (seg, t) in ws.settled() {
+            ws.expand_within_time(net, &[s], &[s], budget, &cost);
+            let got = settled(&ws, &[s]);
+            assert_eq!(got.len(), single.len(), "case {case} source {s}");
+            for (seg, t) in got {
                 assert_eq!(
                     t.to_bits(),
                     single[&seg].to_bits(),
@@ -269,17 +290,27 @@ fn dense_expansion_matches_hashmap_and_multi_source_is_the_union() {
         }
 
         let multi = hashmap_expansion(net, &sources, budget, speed);
-        ws.expand_within_time(net, &sources, budget, speed);
-        assert_eq!(
-            ws.num_settled(),
-            union.len(),
-            "case {case}: reached != union"
-        );
+        ws.expand_within_time(net, &sources, &sources, budget, &cost);
+        let got = settled(&ws, &sources);
+        assert_eq!(got.len(), union.len(), "case {case}: reached != union");
         assert_eq!(multi.len(), union.len(), "case {case}");
-        for (seg, t) in ws.settled() {
+        for (&seg, &t) in &got {
             assert_eq!(t.to_bits(), union[&seg].to_bits(), "case {case} seg {seg}");
             assert_eq!(t.to_bits(), multi[&seg].to_bits(), "case {case} seg {seg}");
             assert!(t <= budget, "case {case}");
+        }
+
+        let member: std::collections::HashSet<SegmentId> = sources.iter().copied().collect();
+        let boundary: Vec<SegmentId> = member
+            .iter()
+            .copied()
+            .filter(|&s| net.successors(s).iter().any(|n| !member.contains(n)))
+            .collect();
+        ws.expand_within_time(net, &sources, &boundary, budget, &cost);
+        let seeded = settled(&ws, &sources);
+        assert_eq!(seeded.len(), got.len(), "case {case}: boundary seeds");
+        for (seg, t) in seeded {
+            assert_eq!(t.to_bits(), got[&seg].to_bits(), "case {case} seg {seg}");
         }
     }
 }
@@ -300,7 +331,7 @@ fn dijkstra_distances_are_consistent() {
         let dist = segment_distances_from(net, start, 2500.0);
         assert_eq!(dist[&start], 0.0, "case {case}");
         for (&seg, &d) in &dist {
-            for next in net.successors(seg) {
+            for &next in net.successors(seg) {
                 if let Some(&dn) = dist.get(&next) {
                     let edge = net.segment(next).length_m;
                     assert!(dn <= d + edge + 1e-6, "case {case}: relaxation violated");

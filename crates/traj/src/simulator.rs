@@ -171,18 +171,18 @@ impl<'a> FleetSimulator<'a> {
     /// square of their free-flow speed (taxis prefer arterials), with a dead
     /// end falling back to the twin (U-turn).
     fn pick_next_segment(&self, current: SegmentId, rng: &mut StdRng) -> Option<SegmentId> {
-        let successors = || self.network.successors_iter(current);
-        if successors().next().is_none() {
+        let successors = self.network.successors(current);
+        if successors.is_empty() {
             return self.network.segment(current).twin;
         }
         let weight = |s: SegmentId| {
             let v = self.network.segment(s).class.free_flow_ms();
             v * v
         };
-        let total: f64 = successors().map(weight).sum();
+        let total: f64 = successors.iter().copied().map(weight).sum();
         let mut pick = rng.gen_range(0.0..total);
         let mut last = None;
-        for seg in successors() {
+        for &seg in successors {
             let w = weight(seg);
             if pick < w {
                 return Some(seg);

@@ -374,6 +374,50 @@ fn sharded_replicated_serving_stays_bit_identical() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// Where and when a taxi entered a segment of `shard` that is its own
+/// nearest match, asked at one day's share, so the start is undecided; for
+/// shard 1, one whose ES answer holds shard-0 segments, so its window reads
+/// reach shard 0 though its start's reads do not.
+fn start_in(
+    single: &ReachabilityEngine,
+    router: &ShardedEngine,
+    dataset: &TrajectoryDataset,
+    shard: u16,
+    seed: u64,
+) -> SQuery {
+    let network = single.network();
+    let num_days = single.st_index().num_days();
+    dataset
+        .trajectories()
+        .iter()
+        .flat_map(|traj| traj.visits.iter().take(4))
+        .find_map(|visit| {
+            let location = network.segment(visit.segment).mbr.center();
+            if single.try_locate(&location) != Ok(visit.segment)
+                || router.route_of(visit.segment) != shard
+            {
+                return None;
+            }
+            let query = SQuery {
+                location,
+                start_time_s: visit.enter_time_s,
+                duration_s: 600,
+                prob: 1.0 / num_days as f64,
+            };
+            let answer = single
+                .try_s_query(&query, Algorithm::ExhaustiveSearch)
+                .ok()?;
+            (shard == 0
+                || answer
+                    .region
+                    .segments
+                    .iter()
+                    .any(|&s| router.route_of(s) == 0))
+            .then_some(query)
+        })
+        .unwrap_or_else(|| panic!("[seed {seed}] no start in shard {shard}"))
+}
+
 /// Satellite campaign: a dead disk on a replica mid-campaign fails reads
 /// over to the leader bit-identically; shard exhaustion is a typed error;
 /// and a healed engine is revived by the probation re-probe instead of
@@ -409,6 +453,7 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
     let (leader0, leader_disk) = open_with_fault_script(&home, network.clone(), None, seed);
     let (replica0, replica_disk) =
         open_with_fault_script(&replica_home, network.clone(), None, mix(seed, 1));
+    let replica0 = Arc::new(replica0);
     let leader1 = Arc::new(
         EngineBuilder::new(network.clone(), &dataset)
             .index_config(cfg)
@@ -416,7 +461,7 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
             .build(),
     );
     let mut router = ShardedEngine::new(map, vec![Arc::new(leader0), leader1]);
-    router.add_replica(0, Arc::new(replica0));
+    router.add_replica(0, replica0.clone());
     router.set_read_preference(ReadPreference::ReplicaFirst);
 
     let center = network.bounds().center();
@@ -440,6 +485,23 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
     assert!(
         replica_disk.reads_observed() > 0,
         "[seed {seed}] the replica never served a physical read — the failover premise is void"
+    );
+    // A start in shard 1 whose window reaches shard 0: asked three times,
+    // its window slots get trajectory views on the replica (the first
+    // choice), so a dead replica could serve them from memory.
+    let straddling = start_in(&single, &router, &dataset, 1, seed);
+    let straddling_want = single.try_s_query(&straddling, Algorithm::SqmbTbs).unwrap();
+    for _ in 0..3 {
+        let got = router.try_s_query(&straddling, Algorithm::SqmbTbs).unwrap();
+        assert_eq!(
+            answer_of(&straddling_want),
+            answer_of(&got),
+            "[seed {seed}] healthy straddling answer diverged"
+        );
+    }
+    assert!(
+        replica0.st_index().view_stats().views_built > 0,
+        "[seed {seed}] the replica built no view"
     );
 
     // Dead disk on the replica mid-campaign: the next physical read marks
@@ -538,15 +600,42 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
         "[seed {seed}] revival must be visible in the live count"
     );
 
-    // The replica heals too and rejoins within a few probation windows —
-    // replica-first preference probes it on every posting read.
+    // A probation probe reads through the engine's buffer pool, so a page
+    // pooled before the disk died may have revived the replica while its
+    // disk is still dead. Drive it dead again past the pool, so that only
+    // a probe of the healed disk can revive it below.
+    replica0.st_index().clear_cache();
+    for _ in 0..(4 * PROBATION_READS) {
+        if router.live_engines(0) == 1 {
+            break;
+        }
+        let got = router
+            .try_s_query(&healed, Algorithm::SqmbTbs)
+            .unwrap_or_else(|e| panic!("[seed {seed}] query over a dead replica failed: {e}"));
+        assert_eq!(
+            answer_of(&want),
+            answer_of(&got),
+            "[seed {seed}] answer diverged while the replica died again"
+        );
+    }
+    assert_eq!(
+        router.live_engines(0),
+        1,
+        "[seed {seed}] the replica was live before its disk healed"
+    );
+    let reads_before_heal = replica_disk.reads_observed();
+
+    // The replica heals too and rejoins within a few probation windows.
+    // Only the straddling query's window reads reach shard 0, and they
+    // read segment-major while its first choice is dead, so they re-probe
+    // the replica: served from the dead replica's views, they never would.
     replica_disk.clear();
     for _ in 0..(4 * PROBATION_READS) {
         let got = router
-            .try_s_query(&healed, Algorithm::SqmbTbs)
+            .try_s_query(&straddling, Algorithm::SqmbTbs)
             .unwrap_or_else(|e| panic!("[seed {seed}] post-revival query failed: {e}"));
         assert_eq!(
-            answer_of(&want),
+            answer_of(&straddling_want),
             answer_of(&got),
             "[seed {seed}] answer diverged while the replica rejoined"
         );
@@ -558,6 +647,10 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
         router.live_engines(0),
         2,
         "[seed {seed}] the healed replica was never revived by probation"
+    );
+    assert!(
+        replica_disk.reads_observed() > reads_before_heal,
+        "[seed {seed}] the replica rejoined without reading its healed disk"
     );
     std::fs::remove_dir_all(&root).ok();
 }
@@ -604,41 +697,7 @@ fn a_degraded_shard_reads_segment_major_so_probation_revives_its_first_choice() 
     router.add_replica(0, replica0.clone());
     router.set_read_preference(ReadPreference::ReplicaFirst);
 
-    // Where and when a taxi entered a segment of `shard` that is its own
-    // nearest match, asked at one day's share, so the start is undecided;
-    // for shard 1, one whose ES answer holds shard-0 segments.
-    let num_days = single.st_index().num_days();
-    let start_in = |shard: u16| {
-        dataset
-            .trajectories()
-            .iter()
-            .flat_map(|traj| traj.visits.iter().take(4))
-            .find_map(|visit| {
-                let location = network.segment(visit.segment).mbr.center();
-                if single.try_locate(&location) != Ok(visit.segment)
-                    || router.route_of(visit.segment) != shard
-                {
-                    return None;
-                }
-                let query = SQuery {
-                    location,
-                    start_time_s: visit.enter_time_s,
-                    duration_s: 600,
-                    prob: 1.0 / num_days as f64,
-                };
-                let answer = single
-                    .try_s_query(&query, Algorithm::ExhaustiveSearch)
-                    .ok()?;
-                (shard == 0
-                    || answer
-                        .region
-                        .segments
-                        .iter()
-                        .any(|&s| router.route_of(s) == 0))
-                .then_some(query)
-            })
-            .unwrap_or_else(|| panic!("[seed {seed}] no start in shard {shard}"))
-    };
+    let start_in = |shard| start_in(&single, &router, &dataset, shard, seed);
     let straddling = start_in(1);
     let ask = |query: &SQuery| {
         for algorithm in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
