@@ -1,8 +1,10 @@
 //! Index construction configuration.
 
-use streach_storage::StorageBackend;
-
 /// Configuration of the ST-Index and Con-Index construction.
+///
+/// Persisted in a snapshot's `config` section (all fields but
+/// `read_latency_us`). It names no storage backend: a reopened snapshot
+/// always serves its sealed heap through the file page store.
 #[derive(Debug, Clone)]
 pub struct IndexConfig {
     /// Temporal granularity Δt in seconds (the paper evaluates
@@ -28,10 +30,6 @@ pub struct IndexConfig {
     /// incremental checkpoint of the serving engine. `0` disables
     /// auto-checkpointing; the worker then only compacts.
     pub auto_checkpoint_bytes: u64,
-    /// Physical backend serving the snapshot's sealed page files on open:
-    /// buffered file reads or a read-only memory mapping. Recorded in the
-    /// snapshot config; overridable per open (benchmarks compare both).
-    pub storage_backend: StorageBackend,
 }
 
 impl Default for IndexConfig {
@@ -43,7 +41,6 @@ impl Default for IndexConfig {
             fallback_min_speed_ms: 2.0,
             read_retries: streach_storage::DEFAULT_READ_RETRIES,
             auto_checkpoint_bytes: 8 * 1024 * 1024,
-            storage_backend: StorageBackend::default(),
         }
     }
 }

@@ -14,9 +14,17 @@ use crate::ingest::{
 };
 use crate::query::pipeline::{CoalescedAnswer, QueryContext};
 use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
-use crate::snapshot::StoreRole;
 use crate::st_index::{DeltaStats, StIndex};
 use crate::time::slot_of;
+
+/// A sealed-page backend name the open wrappers still accept and ignore:
+/// every snapshot heap is served through the file page store.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StorageBackend {
+    File,
+    Mmap,
+}
 
 /// The spatio-temporal reachability query engine: the ST-Index, the
 /// Con-Index and the query processing algorithms behind one façade.
@@ -343,7 +351,7 @@ impl ReachabilityEngine {
         dir: P,
         network: Arc<RoadNetwork>,
     ) -> streach_storage::StorageResult<Self> {
-        Self::open_snapshot_with_stores_and_backend(dir, network, None, |_, store| store)
+        Self::open_snapshot_with_store(dir, network, |store| store)
     }
 
     /// Reopens an engine from a **self-contained** snapshot (one saved with
@@ -361,45 +369,44 @@ impl ReachabilityEngine {
         crate::snapshot::open_standalone(dir.as_ref())
     }
 
-    /// Like [`ReachabilityEngine::open_snapshot`], but serves the sealed
-    /// page files through an explicit [`streach_storage::StorageBackend`]
-    /// instead of the one recorded in the snapshot config: buffered file
-    /// reads (`File`) or a read-only memory mapping (`Mmap`). The override
-    /// only affects how pages are *read*; the on-disk bytes and every query
-    /// answer are identical across backends.
+    /// Like [`ReachabilityEngine::open_snapshot`], with a hook under the
+    /// buffer pool. `wrap` is called once, with the sealed base heap's
+    /// read-only file page store, the one page store the engine reads
+    /// from, before the engine takes ownership: the hook behind fault
+    /// injection ([`streach_storage::FaultInjectingPageStore`] in
+    /// `tests/fault_injection.rs`) and any instrumentation wrapper. The
+    /// page checksums sit above the hook, so they check what it returns.
+    pub fn open_snapshot_with_store<P: AsRef<std::path::Path>>(
+        dir: P,
+        network: Arc<RoadNetwork>,
+        wrap: impl FnOnce(Box<dyn streach_storage::PageStore>) -> Box<dyn streach_storage::PageStore>,
+    ) -> streach_storage::StorageResult<Self> {
+        crate::snapshot::open(dir.as_ref(), network, wrap)
+    }
+
+    /// [`ReachabilityEngine::open_snapshot`]; the backend is ignored.
+    #[doc(hidden)]
     pub fn open_snapshot_with_backend<P: AsRef<std::path::Path>>(
         dir: P,
         network: Arc<RoadNetwork>,
-        backend: streach_storage::StorageBackend,
+        _backend: StorageBackend,
     ) -> streach_storage::StorageResult<Self> {
-        Self::open_snapshot_with_stores_and_backend(dir, network, Some(backend), |_, store| store)
+        Self::open_snapshot(dir, network)
     }
 
-    /// The most general snapshot open. `wrap` is called once, with the
-    /// sealed base heap ([`StoreRole::Base`]), the one page store the
-    /// engine reads from, before the engine takes ownership: the hook
-    /// behind fault injection
-    /// ([`streach_storage::FaultInjectingPageStore`] in
-    /// `tests/fault_injection.rs`) and any instrumentation wrapper that
-    /// should sit under the buffer pool. `backend` overrides the
-    /// [`streach_storage::StorageBackend`] of the sealed page files (`None`
-    /// uses the one recorded in the snapshot config); fault campaigns use it
-    /// to run one wrap script against both the buffered-file and the
-    /// memory-mapped backend.
-    pub fn open_snapshot_with_stores_and_backend<P, F>(
+    /// [`ReachabilityEngine::open_snapshot_with_store`]; the backend is
+    /// ignored and the hook's first argument is `()`.
+    #[doc(hidden)]
+    pub fn open_snapshot_with_stores_and_backend<P: AsRef<std::path::Path>>(
         dir: P,
         network: Arc<RoadNetwork>,
-        backend: Option<streach_storage::StorageBackend>,
-        wrap: F,
-    ) -> streach_storage::StorageResult<Self>
-    where
-        P: AsRef<std::path::Path>,
-        F: FnMut(
-            StoreRole,
+        _backend: Option<StorageBackend>,
+        wrap: impl FnOnce(
+            (),
             Box<dyn streach_storage::PageStore>,
         ) -> Box<dyn streach_storage::PageStore>,
-    {
-        crate::snapshot::open(dir.as_ref(), network, backend, wrap)
+    ) -> streach_storage::StorageResult<Self> {
+        Self::open_snapshot_with_store(dir, network, |store| wrap((), store))
     }
 
     /// Reads and checks everything an open leaves for later: every page of

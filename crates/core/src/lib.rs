@@ -72,7 +72,7 @@
 //!   [`QueryError::Storage`](query::QueryError::Storage) (page id +
 //!   backend context) and the engine keeps serving. The deterministic
 //!   fault-injection harness (`streach_storage::FaultInjectingPageStore`
-//!   under [`ReachabilityEngine::open_snapshot_with_stores_and_backend`](engine::ReachabilityEngine::open_snapshot_with_stores_and_backend),
+//!   under [`ReachabilityEngine::open_snapshot_with_store`](engine::ReachabilityEngine::open_snapshot_with_store),
 //!   driven by `tests/fault_injection.rs`) scripts an EIO at every
 //!   physical page read of every pipeline to keep the error paths honest.
 //! * **Online maintenance.** The ST-Index state (sealed base + delta tail)
@@ -147,6 +147,8 @@ pub use builder::EngineBuilder;
 pub use con_index::ConIndex;
 pub use config::IndexConfig;
 pub use engine::ReachabilityEngine;
+#[doc(hidden)]
+pub use engine::StorageBackend;
 pub use ingest::{IngestObserver, IngestOutcome, IngestTouch, WalAttach};
 pub use maintenance::{
     MaintenanceConfig, MaintenanceController, MaintenanceError, MaintenanceStats,
@@ -159,11 +161,9 @@ pub use replicate::{
 };
 pub use serve::{QueryServer, ServeConfig, ServerStats, Ticket};
 pub use sharded::{ReadPreference, ShardedEngine};
-pub use snapshot::StoreRole;
 pub use speed_stats::SpeedStats;
 pub use st_index::{DeltaStats, StIndex};
 pub use stats::QueryStats;
-pub use streach_storage::StorageBackend;
 pub use subscribe::{
     ReachabilityEvent, SubscribeConfig, SubscribeError, SubscribeStats, SubscriptionEvent,
     SubscriptionId, SubscriptionManager, Trigger,

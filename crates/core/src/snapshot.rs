@@ -114,8 +114,8 @@ use bytes::{Buf, BufMut};
 use streach_roadnet::{RoadNetwork, SegmentId, ShardMap};
 use streach_storage::{
     crc32, get_varint_u32, put_varint_u32, visit_posting, ChecksummedPageStore, FilePageStore,
-    LazySection, MmapPageStore, PageStore, PostingStore, SnapshotReader, SnapshotWriter,
-    StorageBackend, StorageError, StorageResult, PAGE_SIZE,
+    LazySection, PageStore, PostingStore, SnapshotReader, SnapshotWriter, StorageError,
+    StorageResult, PAGE_SIZE,
 };
 
 use crate::con_index::ConIndex;
@@ -133,16 +133,6 @@ pub const CONTAINER_FILE: &str = "index.snap";
 /// File name of the base posting-heap page file inside a snapshot
 /// directory.
 pub const PAGES_FILE: &str = "postings.pages";
-/// Which page store a snapshot-open wrapper is being offered (see
-/// [`ReachabilityEngine::open_snapshot_with_stores_and_backend`]). A
-/// snapshot has one page store; the role keeps the wrapper's two-argument
-/// shape that callers' closures bind to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreRole {
-    /// The sealed-base posting heap (`postings.pages`, read-only).
-    Base,
-}
-
 const SEC_CONFIG: &str = "config";
 const SEC_NETWORK: &str = "network";
 const SEC_PAGES_META: &str = "pages_meta";
@@ -192,8 +182,10 @@ pub fn network_fingerprint(network: &RoadNetwork) -> u64 {
 const CONFIG_LEN: usize = 33;
 
 /// Encodes the `config` section: slot_s u32, pool_pages u64, fallback
-/// speed f64 bits, read_retries u32, auto_checkpoint_bytes u64, backend u8.
-/// `read_latency_us` is ignored and not persisted.
+/// speed f64 bits, read_retries u32, auto_checkpoint_bytes u64, and one
+/// byte written as 0. A decode also accepts a 1 there, which v9 snapshots
+/// saved with the removed mmap backend hold. `read_latency_us` is ignored
+/// and not persisted.
 fn encode_config(config: &IndexConfig) -> Vec<u8> {
     let mut buf = Vec::with_capacity(CONFIG_LEN);
     buf.put_u32_le(config.slot_s);
@@ -201,7 +193,7 @@ fn encode_config(config: &IndexConfig) -> Vec<u8> {
     buf.put_u64_le(config.fallback_min_speed_ms.to_bits());
     buf.put_u32_le(config.read_retries);
     buf.put_u64_le(config.auto_checkpoint_bytes);
-    buf.put_u8(config.storage_backend.config_byte());
+    buf.put_u8(0);
     buf
 }
 
@@ -216,10 +208,13 @@ fn decode_config(mut buf: &[u8]) -> StorageResult<IndexConfig> {
         fallback_min_speed_ms: f64::from_bits(buf.get_u64_le()),
         read_retries: buf.get_u32_le(),
         auto_checkpoint_bytes: buf.get_u64_le(),
-        storage_backend: StorageBackend::from_config_byte(buf.get_u8())
-            .ok_or_else(|| StorageError::corrupt("config section has unknown storage backend"))?,
         ..IndexConfig::default()
     };
+    if buf.get_u8() > 1 {
+        return Err(StorageError::corrupt(
+            "config section has unknown storage backend",
+        ));
+    }
     if config.slot_s == 0 || config.pool_pages == 0 {
         return Err(StorageError::corrupt("config section has invalid values"));
     }
@@ -718,20 +713,10 @@ pub(crate) fn save(
     Ok(())
 }
 
-/// Opens a sealed (read-only) page file through the chosen physical
-/// backend and checks that it holds exactly `expected_pages` pages. Both
-/// backends apply the same alignment validation and return bit-identical
-/// pages; they differ only in the transport (read syscalls vs a shared
-/// memory mapping).
-fn open_sealed_pages(
-    path: &Path,
-    backend: StorageBackend,
-    expected_pages: u64,
-) -> StorageResult<Box<dyn PageStore>> {
-    let store: Box<dyn PageStore> = match backend {
-        StorageBackend::File => Box::new(FilePageStore::open_read_only(path)?),
-        StorageBackend::Mmap => Box::new(MmapPageStore::open(path)?),
-    };
+/// Opens a sealed page file read-only and checks that it holds exactly
+/// `expected_pages` pages.
+fn open_sealed_pages(path: &Path, expected_pages: u64) -> StorageResult<Box<dyn PageStore>> {
+    let store = FilePageStore::open_read_only(path)?;
     if store.num_pages() != expected_pages {
         return Err(StorageError::corrupt(format!(
             "page file {} has {} pages, expected {expected_pages}",
@@ -739,33 +724,22 @@ fn open_sealed_pages(
             store.num_pages()
         )));
     }
-    Ok(store)
+    Ok(Box::new(store))
 }
 
 /// Reopens an engine from the snapshot in `dir` against the given road
 /// network. Fails with [`StorageError::Corrupt`] when the snapshot's
 /// structure is damaged or was built over a different network. `wrap`
-/// sees the base page store ([`StoreRole::Base`]) once, before the engine
-/// takes ownership (identity for plain opens; a fault-injection or
-/// instrumentation wrapper otherwise); the page checksums sit above it, so
-/// they check what the wrapper returns.
-/// `backend_override` replaces the [`StorageBackend`] recorded in the
-/// snapshot config for this open (and for every subsequent save from the
-/// opened engine).
-pub(crate) fn open<F>(
+/// sees the sealed base page store once, before the engine takes ownership
+/// (identity for plain opens; a fault-injection or instrumentation wrapper
+/// otherwise); the page checksums sit above it, so they check what the
+/// wrapper returns.
+pub(crate) fn open(
     dir: &Path,
     network: Arc<RoadNetwork>,
-    backend_override: Option<StorageBackend>,
-    wrap: F,
-) -> StorageResult<ReachabilityEngine>
-where
-    F: FnMut(StoreRole, Box<dyn PageStore>) -> Box<dyn PageStore>,
-{
-    assemble(
-        dir,
-        read_checked(dir, Some(network), backend_override)?,
-        wrap,
-    )
+    wrap: impl FnOnce(Box<dyn PageStore>) -> Box<dyn PageStore>,
+) -> StorageResult<ReachabilityEngine> {
+    assemble(dir, read_checked(dir, Some(network))?, wrap)
 }
 
 /// Reopens a self-contained snapshot (see
@@ -775,7 +749,7 @@ where
 /// file's index. The fingerprint check in [`read_checked`] cross-validates
 /// the codec roundtrip against the structural hash taken at save.
 pub(crate) fn open_standalone(dir: &Path) -> StorageResult<ReachabilityEngine> {
-    assemble(dir, read_checked(dir, None, None)?, |_, store| store)
+    assemble(dir, read_checked(dir, None)?, |store| store)
 }
 
 /// A parsed container whose eager sections decoded and cross-checked.
@@ -795,11 +769,7 @@ struct CheckedSnapshot {
 /// against the network embedded in the container when `network` is `None`:
 /// the fingerprint, the config, the page CRC lists, and every head and
 /// eager section, cross-checked. Reads no page and no chunk.
-fn read_checked(
-    dir: &Path,
-    network: Option<Arc<RoadNetwork>>,
-    backend_override: Option<StorageBackend>,
-) -> StorageResult<CheckedSnapshot> {
+fn read_checked(dir: &Path, network: Option<Arc<RoadNetwork>>) -> StorageResult<CheckedSnapshot> {
     let reader = SnapshotReader::open(dir.join(CONTAINER_FILE))?;
     let network = match network {
         Some(network) => network,
@@ -828,10 +798,7 @@ fn read_checked(
         )));
     }
 
-    let mut config = decode_config(reader.section(SEC_CONFIG)?)?;
-    if let Some(backend) = backend_override {
-        config.storage_backend = backend;
-    }
+    let config = decode_config(reader.section(SEC_CONFIG)?)?;
 
     // [page count u64], then one CRC-32 per page.
     let mut pages_meta = reader.section(SEC_PAGES_META)?;
@@ -895,14 +862,11 @@ fn read_checked(
 /// Builds the engine over a [`CheckedSnapshot`]: opens the page store,
 /// offers it to `wrap`, checks the pages it returns against the recorded
 /// CRCs, and restores the optional sections.
-fn assemble<F>(
+fn assemble(
     dir: &Path,
     checked: CheckedSnapshot,
-    mut wrap: F,
-) -> StorageResult<ReachabilityEngine>
-where
-    F: FnMut(StoreRole, Box<dyn PageStore>) -> Box<dyn PageStore>,
-{
+    wrap: impl FnOnce(Box<dyn PageStore>) -> Box<dyn PageStore>,
+) -> StorageResult<ReachabilityEngine> {
     let CheckedSnapshot {
         reader,
         network,
@@ -917,13 +881,9 @@ where
     // Reopen the posting heap — read-only, so snapshots deployed as
     // immutable artifacts still serve. Each page is checked on its first
     // physical read.
-    let base_store = open_sealed_pages(
-        &dir.join(PAGES_FILE),
-        config.storage_backend,
-        page_crcs.len() as u64,
-    )?;
+    let base_store = open_sealed_pages(&dir.join(PAGES_FILE), page_crcs.len() as u64)?;
     let store: StIndexStore = Box::new(ChecksummedPageStore::new(
-        wrap(StoreRole::Base, base_store),
+        wrap(base_store),
         Arc::clone(&page_crcs),
     ));
     let postings = PostingStore::sealed(store, config.pool_pages, head.tail, config.read_retries);
@@ -1027,7 +987,6 @@ mod tests {
             fallback_min_speed_ms: 2.75,
             read_retries: 5,
             auto_checkpoint_bytes: 123_456,
-            storage_backend: StorageBackend::Mmap,
         };
         let bytes = encode_config(&config);
         let mut expected = Vec::new();
@@ -1036,7 +995,7 @@ mod tests {
         expected.extend_from_slice(&2.75f64.to_bits().to_le_bytes());
         expected.extend_from_slice(&5u32.to_le_bytes());
         expected.extend_from_slice(&123_456u64.to_le_bytes());
-        expected.push(StorageBackend::Mmap.config_byte());
+        expected.push(0);
         assert_eq!(bytes, expected, "33 bytes, read_latency_us not among them");
         assert_eq!(bytes.len(), CONFIG_LEN);
         let decoded = decode_config(&bytes).unwrap();
@@ -1046,16 +1005,26 @@ mod tests {
         assert_eq!(decoded.fallback_min_speed_ms, 2.75);
         assert_eq!(decoded.read_retries, 5);
         assert_eq!(decoded.auto_checkpoint_bytes, 123_456);
-        assert_eq!(decoded.storage_backend, StorageBackend::Mmap);
-        // Any other length, and an unknown backend byte, are corruption.
+        // A v9 snapshot saved with the old mmap backend stored a 1 there:
+        // it still decodes, to the same config.
+        let mut mmap_saved = bytes.clone();
+        mmap_saved[CONFIG_LEN - 1] = 1;
+        let decoded = decode_config(&mmap_saved).unwrap();
+        assert_eq!(encode_config(&decoded), bytes);
+        // Any other length, and any other last byte, are corruption.
         assert!(decode_config(&[1, 2, 3]).is_err());
         assert!(decode_config(&bytes[..CONFIG_LEN - 1]).is_err());
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode_config(&padded).is_err());
-        let mut bad = bytes;
-        bad[CONFIG_LEN - 1] = 0xEE;
-        assert!(decode_config(&bad).is_err());
+        for byte in [2, 0xEE] {
+            let mut bad = bytes.clone();
+            bad[CONFIG_LEN - 1] = byte;
+            assert!(matches!(
+                decode_config(&bad),
+                Err(StorageError::Corrupt { .. })
+            ));
+        }
     }
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {

@@ -85,7 +85,7 @@ use crate::snapshot::Chunk;
 use crate::time::{slot_of, slots_overlapping, SlotWindow};
 
 /// Page store backing the ST-Index: any [`PageStore`] backend (in-memory for
-/// fresh builds, a checked file or mmap store for reopened snapshots).
+/// fresh builds, a checked file store for reopened snapshots).
 pub type StIndexStore = Box<dyn PageStore>;
 
 /// Directory of one temporal leaf: for every road segment traversed during

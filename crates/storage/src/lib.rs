@@ -11,13 +11,13 @@
 //!
 //! * [`page`] — fixed-size pages and page identifiers,
 //! * [`pagestore`] — the [`PageStore`](pagestore::PageStore) trait with an
-//!   in-memory backend, a file backend and a per-page CRC check,
+//!   in-memory backend, a file backend (positional reads and writes, the
+//!   one store every sealed snapshot heap is served from) and a per-page
+//!   CRC check,
 //! * [`buffer_pool`] — an LRU buffer pool in front of any page store,
 //! * [`fault`] — a deterministic, scriptable fault-injection wrapper
 //!   ([`FaultInjectingPageStore`](fault::FaultInjectingPageStore)) used to
 //!   drive the query pipelines through EIO, torn pages and zeroed pages,
-//! * [`mmap`] — a read-only memory-mapped backend for sealed snapshot page
-//!   files, serving `read_page` straight out of the mapping,
 //! * [`iostats`] — shared atomic I/O counters, so query processing code can
 //!   report page reads/hits exactly like the paper reports running time,
 //! * [`postings`] — an append-only blob heap storing the serialized time
@@ -35,7 +35,6 @@
 pub mod buffer_pool;
 pub mod fault;
 pub mod iostats;
-pub mod mmap;
 pub mod page;
 pub mod pagestore;
 pub mod postings;
@@ -45,7 +44,6 @@ pub mod wal;
 pub use buffer_pool::{BufferPool, DEFAULT_READ_RETRIES};
 pub use fault::{AppendFault, FaultController, FaultInjectingPageStore, ReadFault};
 pub use iostats::{IoStats, IoStatsSnapshot};
-pub use mmap::{MmapPageStore, StorageBackend};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pagestore::{
     ChecksummedPageStore, FilePageStore, InMemoryPageStore, PageStore, StorageError, StorageResult,

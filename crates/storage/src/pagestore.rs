@@ -1,8 +1,9 @@
 //! Page store backends.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -332,59 +333,42 @@ impl PageStore for InMemoryPageStore {
 ///
 /// Pages are stored contiguously in a single file at page-aligned offsets
 /// (`page_id * PAGE_SIZE`), so every `read_page`/`write_page` is one aligned
-/// `pread`/`pwrite`-shaped access. [`PageStore::flush`] calls `fsync`, and
-/// physical reads/writes are counted through the same [`IoStats`] handle the
-/// in-memory backend uses — query I/O accounting is backend-independent.
+/// positional `pread`/`pwrite`: no seek and no lock, so concurrent readers
+/// of a sealed heap never queue on each other. [`PageStore::flush`] calls
+/// `fsync`, and physical reads/writes are counted through the same
+/// [`IoStats`] handle the in-memory backend uses — query I/O accounting is
+/// backend-independent.
 pub struct FilePageStore {
-    file: Mutex<File>,
-    num_pages: Mutex<u64>,
+    file: File,
+    /// Pages readable so far; `allocate` publishes a page only after its
+    /// zeroes are on file.
+    num_pages: AtomicU64,
+    /// Serialises `allocate`, so two callers never zero the same page.
+    grow: Mutex<()>,
     stats: Arc<IoStats>,
 }
 
 impl FilePageStore {
     /// Creates (or truncates) a page file at `path`.
     pub fn create<P: AsRef<Path>>(path: P) -> StorageResult<Self> {
-        Self::create_with_stats(path, IoStats::new_shared())
-    }
-
-    /// Creates (or truncates) a page file sharing the given statistics
-    /// handle.
-    pub fn create_with_stats<P: AsRef<Path>>(path: P, stats: Arc<IoStats>) -> StorageResult<Self> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(Self {
-            file: Mutex::new(file),
-            num_pages: Mutex::new(0),
-            stats,
-        })
+        Ok(Self::over(file, 0))
     }
 
-    /// Opens an existing page file at `path` for reading and writing.
+    /// Opens an existing page file at `path` **read-only** — the mode
+    /// snapshot cold opens use, so a snapshot deployed as a read-only
+    /// artifact (chmod 444, read-only volume mount) still serves queries.
     /// Rejects files whose length is not page-aligned (a truncated or
-    /// foreign file).
-    pub fn open<P: AsRef<Path>>(path: P) -> StorageResult<Self> {
-        Self::open_with_stats(path, IoStats::new_shared())
-    }
-
-    /// Opens an existing page file sharing the given statistics handle.
-    pub fn open_with_stats<P: AsRef<Path>>(path: P, stats: Arc<IoStats>) -> StorageResult<Self> {
-        Self::open_impl(path.as_ref(), stats, true)
-    }
-
-    /// Opens an existing page file **read-only** — the mode snapshot cold
-    /// opens use, so a snapshot deployed as a read-only artifact (chmod 444,
-    /// read-only volume mount) still serves queries. `write_page` and
-    /// `allocate` on a read-only store fail with [`StorageError::Io`].
+    /// foreign file). `write_page` and `allocate` on a read-only store fail
+    /// with [`StorageError::Io`].
     pub fn open_read_only<P: AsRef<Path>>(path: P) -> StorageResult<Self> {
-        Self::open_impl(path.as_ref(), IoStats::new_shared(), false)
-    }
-
-    fn open_impl(path: &Path, stats: Arc<IoStats>, writable: bool) -> StorageResult<Self> {
-        let file = OpenOptions::new().read(true).write(writable).open(path)?;
+        let path = path.as_ref();
+        let file = File::open(path)?;
         let len = file.metadata()?.len();
         if len % PAGE_SIZE as u64 != 0 {
             return Err(StorageError::corrupt(format!(
@@ -392,62 +376,63 @@ impl FilePageStore {
                 path.display()
             )));
         }
-        Ok(Self {
-            file: Mutex::new(file),
-            num_pages: Mutex::new(len / PAGE_SIZE as u64),
-            stats,
-        })
+        Ok(Self::over(file, len / PAGE_SIZE as u64))
+    }
+
+    /// A store over `file`, which holds `num_pages` pages.
+    fn over(file: File, num_pages: u64) -> Self {
+        Self {
+            file,
+            num_pages: AtomicU64::new(num_pages),
+            grow: Mutex::new(()),
+            stats: IoStats::new_shared(),
+        }
+    }
+
+    /// The file offset of page `id`, which must be allocated.
+    fn offset_of(&self, id: PageId) -> StorageResult<u64> {
+        let allocated = self.num_pages();
+        if id >= allocated {
+            return Err(StorageError::PageOutOfBounds {
+                requested: id,
+                allocated,
+            });
+        }
+        Ok(id * PAGE_SIZE as u64)
     }
 }
 
 impl PageStore for FilePageStore {
     fn allocate(&self) -> StorageResult<PageId> {
-        let mut n = self.num_pages.lock();
-        let id = *n;
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
-        file.write_all(&[0u8; PAGE_SIZE])?;
-        *n += 1;
+        let _grow = self.grow.lock();
+        let id = self.num_pages();
+        self.file
+            .write_all_at(&[0u8; PAGE_SIZE], id * PAGE_SIZE as u64)?;
+        self.num_pages.store(id + 1, Ordering::Release);
         Ok(id)
     }
 
     fn read_page(&self, id: PageId) -> StorageResult<Page> {
-        let n = *self.num_pages.lock();
-        if id >= n {
-            return Err(StorageError::PageOutOfBounds {
-                requested: id,
-                allocated: n,
-            });
-        }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
+        let offset = self.offset_of(id)?;
         let mut page = Page::zeroed();
-        file.read_exact(page.bytes_mut())?;
+        self.file.read_exact_at(page.bytes_mut(), offset)?;
         self.stats.record_reads(1);
         Ok(page)
     }
 
     fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        let n = *self.num_pages.lock();
-        if id >= n {
-            return Err(StorageError::PageOutOfBounds {
-                requested: id,
-                allocated: n,
-            });
-        }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
-        file.write_all(page.bytes())?;
+        let offset = self.offset_of(id)?;
+        self.file.write_all_at(page.bytes(), offset)?;
         self.stats.record_writes(1);
         Ok(())
     }
 
     fn num_pages(&self) -> u64 {
-        *self.num_pages.lock()
+        self.num_pages.load(Ordering::Acquire)
     }
 
     fn flush(&self) -> StorageResult<()> {
-        self.file.lock().sync_all()?;
+        self.file.sync_all()?;
         Ok(())
     }
 
@@ -567,10 +552,36 @@ mod tests {
         assert_eq!(store.num_pages(), 10);
     }
 
+    /// A fresh scratch directory for `tag`, unique to this process.
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("streach-pagestore-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Writes `pages` pages to a fresh file at `path`, page `i` filled with
+    /// `i + 1` and tagged `0xA0 + i` in its first byte.
+    fn write_pages(path: &Path, pages: u8) -> Vec<Page> {
+        let store = FilePageStore::create(path).unwrap();
+        let written: Vec<Page> = (0..pages)
+            .map(|i| {
+                let mut page = Page::zeroed();
+                page.bytes_mut().fill(i + 1);
+                page.bytes_mut()[0] = 0xA0 + i;
+                let id = store.allocate().unwrap();
+                store.write_page(id, &page).unwrap();
+                page
+            })
+            .collect();
+        store.flush().unwrap();
+        written
+    }
+
     #[test]
     fn file_store_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("streach-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("roundtrip");
         let path = dir.join("pages.bin");
         {
             let store = FilePageStore::create(&path).unwrap();
@@ -578,10 +589,70 @@ mod tests {
             assert_eq!(store.num_pages(), 1);
         }
         // Re-open and check persistence.
-        let store = FilePageStore::open(&path).unwrap();
+        let store = FilePageStore::open_read_only(&path).unwrap();
         assert_eq!(store.num_pages(), 1);
         let page = store.read_page(0).unwrap();
         assert_eq!(page.bytes()[0], 0xAB);
+        assert_eq!(store.io_stats().snapshot().page_reads, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_only_file_store_refuses_writes_and_reads_past_its_end() {
+        let dir = temp_dir("readonly");
+        let path = dir.join("pages.bin");
+        write_pages(&path, 1);
+        let store = FilePageStore::open_read_only(&path).unwrap();
+        assert_eq!(store.backend_name(), "file");
+        assert!(matches!(
+            store.read_page(1),
+            Err(StorageError::PageOutOfBounds {
+                requested: 1,
+                allocated: 1
+            })
+        ));
+        assert!(matches!(store.allocate(), Err(StorageError::Io(_))));
+        assert!(matches!(
+            store.write_page(0, &Page::zeroed()),
+            Err(StorageError::Io(_))
+        ));
+        assert_eq!(store.num_pages(), 1, "a refused allocate adds no page");
+        assert!(store.flush().is_ok());
+
+        // An empty page file is a valid, empty heap.
+        let empty = dir.join("empty.bin");
+        std::fs::write(&empty, []).unwrap();
+        let store = FilePageStore::open_read_only(&empty).unwrap();
+        assert_eq!(store.num_pages(), 0);
+        assert!(matches!(
+            store.read_page(0),
+            Err(StorageError::PageOutOfBounds {
+                requested: 0,
+                allocated: 0
+            })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_store_readers_on_four_threads_see_the_same_bytes() {
+        let dir = temp_dir("threads");
+        let path = dir.join("pages.bin");
+        let written = write_pages(&path, 5);
+        let store = FilePageStore::open_read_only(&path).unwrap();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        for (id, want) in written.iter().enumerate() {
+                            let page = store.read_page(id as PageId).unwrap();
+                            assert_eq!(page.bytes(), want.bytes(), "page {id}");
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(store.io_stats().snapshot().page_reads, 4 * 50 * 5);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -604,8 +675,7 @@ mod tests {
 
     #[test]
     fn file_store_flush_persists_and_rejects_misaligned_files() {
-        let dir = std::env::temp_dir().join(format!("streach-flush-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("flush");
         let path = dir.join("pages.bin");
         {
             let store = FilePageStore::create(&path).unwrap();
@@ -613,6 +683,8 @@ mod tests {
             store.write_page(id, &Page::from_slice(b"durable")).unwrap();
             store.flush().unwrap();
         }
+        let store = FilePageStore::open_read_only(&path).unwrap();
+        assert_eq!(&store.read_page(0).unwrap().bytes()[..7], b"durable");
         // Append garbage so the length is no longer page-aligned.
         {
             use std::io::Write as _;
@@ -620,7 +692,7 @@ mod tests {
             f.write_all(&[0xFF; 17]).unwrap();
         }
         assert!(matches!(
-            FilePageStore::open(&path),
+            FilePageStore::open_read_only(&path),
             Err(StorageError::Corrupt { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();

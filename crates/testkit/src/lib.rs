@@ -22,7 +22,7 @@ use streach_core::prelude::*;
 use streach_core::query::sqmb::{sqmb, BoundingRegions};
 use streach_core::query::verifier::VerifierCore;
 use streach_core::query::MQueryAlgorithm;
-use streach_storage::{FaultController, FaultInjectingPageStore, StorageBackend};
+use streach_storage::{FaultController, FaultInjectingPageStore};
 
 pub use streach_storage::fault::mix;
 
@@ -57,25 +57,18 @@ pub fn copy_dir(src: &Path, dst: &Path) {
 
 /// Opens the snapshot in `dir` with a seeded [`FaultInjectingPageStore`]
 /// under the buffer pool of its sealed base heap, returning the engine and
-/// the script's controller. `backend` overrides the sealed-page backend
-/// recorded in the snapshot.
+/// the script's controller.
 pub fn open_with_fault_script(
     dir: &Path,
     network: Arc<RoadNetwork>,
-    backend: Option<StorageBackend>,
     seed: u64,
 ) -> (ReachabilityEngine, FaultController) {
     let mut controller = None;
-    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
-        dir,
-        network,
-        backend,
-        |_, store| {
-            let wrapped = FaultInjectingPageStore::with_seed(store, seed);
-            controller = Some(wrapped.controller());
-            Box::new(wrapped)
-        },
-    )
+    let engine = ReachabilityEngine::open_snapshot_with_store(dir, network, |store| {
+        let wrapped = FaultInjectingPageStore::with_seed(store, seed);
+        controller = Some(wrapped.controller());
+        Box::new(wrapped)
+    })
     .expect("open snapshot with fault wrapper");
     (engine, controller.expect("fault wrapper installed"))
 }

@@ -20,13 +20,6 @@
 //!   run is reproducible from the seed printed in its assertion message
 //!   (override with `STREACH_FAULT_SEED`).
 //!
-//! The campaign runs against both sealed-page backends: CI sets
-//! `STREACH_STORE_BACKEND={file,mmap}` to serve the snapshot's page files
-//! through buffered file reads or the read-only memory mapping — the fault
-//! wrapper sits *on top* of either backend, so torn/zeroed/EIO scripting
-//! covers the mmap read path too (unset = the backend recorded in the
-//! snapshot config).
-//!
 //! The streaming-ingest subsystem gets its own crash-recovery campaign:
 //! a torn WAL append ("kill") at **every record ordinal**, reopen, assert
 //! the consistent prefix; plus a dead base disk at a spread of read
@@ -49,16 +42,6 @@ use streach_core::{MaintenanceConfig, MaintenanceController};
 use streach_testkit::{
     checkpointing_config, fault_scenario, fault_seed, open_with_fault_script, tmp_dir,
 };
-
-/// Sealed-page backend override for the campaign matrix: CI runs the suite
-/// once per `STREACH_STORE_BACKEND` value; unset uses the backend recorded
-/// in the snapshot config.
-fn store_backend() -> Option<streach::storage::StorageBackend> {
-    std::env::var("STREACH_STORE_BACKEND").ok().map(|s| {
-        s.parse()
-            .expect("STREACH_STORE_BACKEND must be `file` or `mmap`")
-    })
-}
 
 /// A small all-day scenario: every pipeline below has live postings to
 /// read. `read_retries` is persisted in the snapshot's config, so the
@@ -183,7 +166,7 @@ fn eio_at_every_posting_read_ordinal_yields_typed_error_and_engine_survives() {
     let dir = tmp_dir("eio-campaign");
     let network = build_snapshot(&dir);
     let center = network.bounds().center();
-    let open = || open_with_fault_script(&dir, network.clone(), store_backend(), seed);
+    let open = || open_with_fault_script(&dir, network.clone(), seed);
     let (engine, _) = open();
     let budget = engine.config().read_retries;
     assert!(budget > 0, "campaign requires the default retry budget");
@@ -329,7 +312,7 @@ fn eio_at_every_read_ordinal_of_a_view_build_falls_back_or_fails_typed() {
         .save_snapshot(&dir)
         .expect("save snapshot");
     let center = network.bounds().center();
-    let open = || open_with_fault_script(&dir, network.clone(), store_backend(), seed);
+    let open = || open_with_fault_script(&dir, network.clone(), seed);
     let budget = open().0.config().read_retries as u64;
     let views = |engine: &ReachabilityEngine| engine.st_index().view_stats().views_built;
     streach_par::with_worker_override(1, || {
@@ -429,7 +412,7 @@ fn torn_and_zeroed_pages_never_shift_a_region() {
     let dir = tmp_dir("torn-pages");
     let network = build_snapshot(&dir);
     let center = network.bounds().center();
-    let (engine, ctl) = open_with_fault_script(&dir, network, store_backend(), seed);
+    let (engine, ctl) = open_with_fault_script(&dir, network, seed);
 
     for pipeline in pipelines(center) {
         let name = pipeline.name;
@@ -482,7 +465,7 @@ fn probabilistic_fault_storm_degrades_gracefully_and_deterministically() {
     let dir = tmp_dir("fault-storm");
     let network = build_snapshot_with_retries(&dir, 0);
     let center = network.bounds().center();
-    let (engine, ctl) = open_with_fault_script(&dir, network, store_backend(), seed);
+    let (engine, ctl) = open_with_fault_script(&dir, network, seed);
 
     let pipeline = &pipelines(center)[0]; // SQMB+TBS, the paper's main path
     engine.st_index().clear_cache();
@@ -646,7 +629,7 @@ fn delta_write_faults_fail_ingest_cleanly_and_retry_converges() {
 
     // Clean ingest: the regions before and after, and the base reads one
     // application of this batch performs.
-    let (engine, ctl) = open_with_fault_script(&dir, network.clone(), None, seed);
+    let (engine, ctl) = open_with_fault_script(&dir, network.clone(), seed);
     let before = all_regions(&engine, center);
     engine.st_index().clear_cache();
     let reads_before = ctl.reads_observed();
@@ -662,7 +645,7 @@ fn delta_write_faults_fail_ingest_cleanly_and_retry_converges() {
     let mut ordinals: Vec<u64> = (0..8).map(|i| i * (reads_per_ingest - 1) / 7).collect();
     ordinals.dedup();
     for ordinal in ordinals {
-        let (engine, ctl) = open_with_fault_script(&dir, network.clone(), None, seed);
+        let (engine, ctl) = open_with_fault_script(&dir, network.clone(), seed);
         ctl.fail_reads_from(ctl.reads_observed() + ordinal);
         let err = ingest(&engine).expect_err("a dead base disk must fail the ingest");
         assert!(
@@ -839,16 +822,11 @@ fn compaction_failing_mid_copy_leaves_old_base_serving_and_is_retryable() {
     let batches = extra_batches(&network);
 
     let ctl = FaultController::detached(seed);
-    let engine = ReachabilityEngine::open_snapshot_with_stores_and_backend(
-        &dir,
-        network.clone(),
-        store_backend(),
-        {
-            let ctl = ctl.clone();
-            move |_role, store| Box::new(FaultInjectingPageStore::with_controller(store, &ctl))
-        },
-    )
-    .expect("open snapshot with fault wrapper on both heaps");
+    let engine = ReachabilityEngine::open_snapshot_with_store(&dir, network.clone(), {
+        let ctl = ctl.clone();
+        move |store| Box::new(FaultInjectingPageStore::with_controller(store, &ctl))
+    })
+    .expect("open snapshot with fault wrapper");
     for batch in &batches {
         engine.ingest(batch).expect("ingest");
     }

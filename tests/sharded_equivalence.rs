@@ -450,9 +450,9 @@ fn replica_dead_disk_fails_over_and_shard_exhaustion_is_typed() {
     let replica_home = root.join("shard0-replica");
     copy_dir(&home, &replica_home);
 
-    let (leader0, leader_disk) = open_with_fault_script(&home, network.clone(), None, seed);
+    let (leader0, leader_disk) = open_with_fault_script(&home, network.clone(), seed);
     let (replica0, replica_disk) =
-        open_with_fault_script(&replica_home, network.clone(), None, mix(seed, 1));
+        open_with_fault_script(&replica_home, network.clone(), mix(seed, 1));
     let replica0 = Arc::new(replica0);
     let leader1 = Arc::new(
         EngineBuilder::new(network.clone(), &dataset)
@@ -687,7 +687,7 @@ fn a_degraded_shard_reads_segment_major_so_probation_revives_its_first_choice() 
     let leader0 = ReachabilityEngine::open_snapshot(&home, network.clone())
         .unwrap_or_else(|e| panic!("[seed {seed}] open shard 0 leader: {e}"));
     let (replica0, replica_disk) =
-        open_with_fault_script(&replica_home, network.clone(), None, mix(seed, 2));
+        open_with_fault_script(&replica_home, network.clone(), mix(seed, 2));
     let replica0 = Arc::new(replica0);
     let leader1 = EngineBuilder::new(network.clone(), &dataset)
         .index_config(cfg)
@@ -1014,8 +1014,7 @@ fn controller_rides_out_replica_apply_faults_with_slo_events() {
     let replica_home = root.join("replica");
     copy_dir(&home, &replica_home);
     let _ = std::fs::remove_file(replica_home.join("ingest.wal"));
-    let (replica, replica_disk) =
-        open_with_fault_script(&replica_home, network.clone(), None, seed);
+    let (replica, replica_disk) = open_with_fault_script(&replica_home, network.clone(), seed);
     let replica = Arc::new(replica);
     let set = Arc::new(ReplicaSet::new(leader.clone(), home.join("ingest.wal")));
     set.add_replica(replica.clone(), replica_home.join("follower.wal"))

@@ -15,7 +15,10 @@ use std::sync::Arc;
 use streach::core::query::MQueryAlgorithm;
 use streach::prelude::*;
 use streach::storage::{SnapshotReader, SnapshotWriter, StorageError};
-use streach_testkit::{answer_of, pool, pool_answers, run_pool_entry, tmp_dir, Answer};
+use streach_testkit::{
+    answer_of, fault_seed, open_with_fault_script, pool, pool_answers, run_pool_entry, tmp_dir,
+    Answer,
+};
 
 fn build_inputs() -> (Arc<RoadNetwork>, TrajectoryDataset) {
     let city = SyntheticCity::generate(GeneratorConfig::small());
@@ -1012,48 +1015,48 @@ fn self_contained_sharded_snapshot_reopens_standalone() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The mmap backend must be a pure read-path substitution: same snapshot,
-/// same queries, bit-identical regions and lengths — and the per-query
-/// decode accounting shows the compressed heap expanding at least 1.5x.
+/// A cold open under the open hook is a pure read-path substitution: on
+/// a fresh open (nothing cleared, nothing reset) the query sweep answers
+/// bit-identically to the built engine on both algorithms, every physical
+/// page read passes through the hook, and the per-query decode accounting
+/// shows the compressed heap expanding at least 1.5x.
 #[test]
-fn mmap_backend_answers_bit_identically_to_file_backend() {
-    use streach::storage::StorageBackend;
-
+fn cold_open_sweep_answers_bit_identically_to_the_built_engine() {
     let (network, dataset) = build_inputs();
-    let dir = tmp_dir("mmap-vs-file");
+    let dir = tmp_dir("cold-open-sweep");
     let center = network.bounds().center();
-    streach::core::EngineBuilder::new(network.clone(), &dataset)
+    let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
         .index_config(IndexConfig::default())
-        .save_snapshot(&dir)
-        .expect("save snapshot");
-
-    let file =
-        ReachabilityEngine::open_snapshot_with_backend(&dir, network.clone(), StorageBackend::File)
-            .expect("open with file backend");
-    let mmap =
-        ReachabilityEngine::open_snapshot_with_backend(&dir, network.clone(), StorageBackend::Mmap)
-            .expect("open with mmap backend");
+        .build();
+    built.save_snapshot(&dir).expect("save snapshot");
+    let (cold, hook) = open_with_fault_script(&dir, network.clone(), fault_seed());
 
     for (i, q) in squery_suite(center).iter().enumerate() {
         for algo in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
-            let a = file.try_s_query(q, algo).expect("s-query");
-            let b = mmap.try_s_query(q, algo).expect("s-query");
+            let a = built.try_s_query(q, algo).expect("s-query");
+            let b = cold.try_s_query(q, algo).expect("s-query");
             assert_eq!(
                 a.region.segments, b.region.segments,
-                "query #{i} ({algo:?}): mmap region diverged from file"
+                "query #{i} ({algo:?}): cold open's region diverged"
             );
             assert_eq!(
                 a.region.total_length_km.to_bits(),
                 b.region.total_length_km.to_bits(),
-                "query #{i} ({algo:?}): mmap length diverged from file"
+                "query #{i} ({algo:?}): cold open's length diverged"
             );
         }
     }
 
+    let io = cold.st_index().io_stats().snapshot();
+    assert!(io.page_reads > 0, "a cold sweep reads pages");
+    assert_eq!(
+        hook.reads_observed(),
+        io.page_reads,
+        "every physical page read passes through the open hook"
+    );
     // The default heap is compressed: the verifier's decode accounting must
     // show at least 1.5x more decoded (fixed-width-equivalent) bytes than
     // resident bytes over the same sweep.
-    let io = mmap.st_index().io_stats().snapshot();
     assert!(
         io.bytes_resident > 0 && io.decode_ratio() >= 1.5,
         "decode ratio {:.3} below 1.5 (decoded {} vs resident {})",
@@ -1067,11 +1070,9 @@ fn mmap_backend_answers_bit_identically_to_file_backend() {
 /// Threads race on the same untouched slots of a freshly opened engine —
 /// four of them start the same pool walk at once, so every slot's first
 /// touch is contended — and every answer is bit-identical to the built
-/// engine's, on both backends.
+/// engine's.
 #[test]
 fn racing_first_touches_answer_like_the_built_engine() {
-    use streach::storage::StorageBackend;
-
     let (network, dataset) = build_inputs();
     let dir = tmp_dir("racing-first-touch");
     let built = streach::core::EngineBuilder::new(network.clone(), &dataset)
@@ -1087,28 +1088,24 @@ fn racing_first_touches_answer_like_the_built_engine() {
     let pool = pool(&locations, &locations[..2]);
     let expected = pool_answers(&built, &pool);
 
-    for backend in [StorageBackend::File, StorageBackend::Mmap] {
-        let engine = ReachabilityEngine::open_snapshot_with_backend(&dir, network.clone(), backend)
-            .expect("open snapshot");
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for thread in 0..4 {
-                let (engine, pool, expected, start) = (&engine, &pool, &expected, &start);
-                scope.spawn(move || {
-                    streach_par::with_worker_override(1, || {
-                        start.wait();
-                        for (i, want) in expected.iter().enumerate() {
-                            let got = run_pool_entry(engine, pool, i).unwrap_or_else(|e| {
-                                panic!("{backend:?} thread {thread}: #{i}: {e}")
-                            });
-                            assert_eq!(&got, want, "{backend:?} thread {thread}: pool entry #{i}");
-                        }
-                    })
-                });
-            }
-        });
-        engine.scrub().expect("an intact snapshot scrubs clean");
-    }
+    let engine = ReachabilityEngine::open_snapshot(&dir, network.clone()).expect("open snapshot");
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for thread in 0..4 {
+            let (engine, pool, expected, start) = (&engine, &pool, &expected, &start);
+            scope.spawn(move || {
+                streach_par::with_worker_override(1, || {
+                    start.wait();
+                    for (i, want) in expected.iter().enumerate() {
+                        let got = run_pool_entry(engine, pool, i)
+                            .unwrap_or_else(|e| panic!("thread {thread}: #{i}: {e}"));
+                        assert_eq!(&got, want, "thread {thread}: pool entry #{i}");
+                    }
+                })
+            });
+        }
+    });
+    engine.scrub().expect("an intact snapshot scrubs clean");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -512,9 +512,9 @@ fn evaluation_fault_emits_typed_event_and_converges() {
     };
     let ctl = FaultController::detached(seed);
     let engine = Arc::new(
-        ReachabilityEngine::open_snapshot_with_stores_and_backend(&dir, network.clone(), None, {
+        ReachabilityEngine::open_snapshot_with_store(&dir, network.clone(), {
             let ctl = ctl.clone();
-            move |_role, store| Box::new(FaultInjectingPageStore::with_controller(store, &ctl))
+            move |store| Box::new(FaultInjectingPageStore::with_controller(store, &ctl))
         })
         .expect("open snapshot with fault wrapper"),
     );
