@@ -12,8 +12,10 @@ use crate::config::IndexConfig;
 use crate::ingest::{
     IngestObserver, IngestOutcome, IngestState, IngestTouch, LastVisit, LastVisitMap, WalAttach,
 };
-use crate::query::pipeline::{CoalescedAnswer, QueryContext};
-use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
+use crate::query::pipeline::QueryContext;
+use crate::query::{
+    Algorithm, BatchAnswer, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery,
+};
 use crate::st_index::{DeltaStats, StIndex};
 use crate::time::slot_of;
 
@@ -937,12 +939,6 @@ impl ReachabilityEngine {
         Ok(folded)
     }
 
-    /// Maps a query location to its start road segment via the ST-Index
-    /// spatial component.
-    pub fn locate(&self, location: &streach_geo::GeoPoint) -> Option<SegmentId> {
-        self.st_index.locate_segment(location)
-    }
-
     /// Maps a query location to its start road segment, returning a typed
     /// error instead of `None` when the location matches nothing — either
     /// because the network is empty or because the nearest segment is
@@ -979,14 +975,14 @@ impl ReachabilityEngine {
         self.queries().s_query(query, algorithm)
     }
 
-    /// Answers a batch of SQMB+TBS s-queries with **one shared MQMB
-    /// bounding pass** per (origin segment, slot window) group — the
-    /// cross-user coalescing primitive behind [`crate::serve::QueryServer`].
-    /// Results are in input order and bit-identical to calling
-    /// [`ReachabilityEngine::try_s_query`] with [`Algorithm::SqmbTbs`] per
-    /// query; failures surface as that caller's [`QueryError`].
-    pub fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<CoalescedAnswer> {
-        self.queries().s_query_coalesced(queries)
+    /// Answers a batch of s-queries in input order, for the query server
+    /// and the subscriptions. SQMB+TBS members that share a start segment
+    /// and a hop-slot sequence share one bounding pass; ES members run
+    /// alone. Each answer is bit-identical to [`Self::try_s_query`] on its
+    /// member and carries what it read ([`BatchAnswer::footprint`]); a
+    /// failure is that member's [`QueryError`].
+    pub fn try_s_query_batch(&self, queries: &[(SQuery, Algorithm)]) -> Vec<BatchAnswer> {
+        self.queries().s_queries(queries)
     }
 
     /// Answers a multi-location ST reachability query, reporting malformed
@@ -1061,8 +1057,6 @@ mod tests {
             }
             other => panic!("expected LocationOffNetwork, got {other:?}"),
         }
-        // The Option-returning nearest lookup still matches (uncapped).
-        assert!(e.locate(&far).is_some());
     }
 
     #[test]

@@ -146,7 +146,7 @@ mod tests {
     fn region_contains_start_and_respects_distance_cap() {
         let (network, st, center) = setup();
         let q = query(center, 300, 0.2);
-        let r0 = st.locate_segment(&q.location).unwrap();
+        let r0 = network.nearest_segment(&q.location).unwrap().0;
         let out = exhaustive_search(&network, &st, &q, r0).unwrap();
         assert!(out.region.contains(r0));
         assert!(out.verifications > 0);
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn longer_duration_reaches_at_least_as_much() {
         let (network, st, center) = setup();
-        let r0 = st.locate_segment(&center).unwrap();
+        let r0 = network.nearest_segment(&center).unwrap().0;
         let short = exhaustive_search(&network, &st, &query(center, 300, 0.2), r0).unwrap();
         let long = exhaustive_search(&network, &st, &query(center, 1200, 0.2), r0).unwrap();
         assert!(long.region.total_length_km >= short.region.total_length_km);
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn higher_probability_gives_smaller_region() {
         let (network, st, center) = setup();
-        let r0 = st.locate_segment(&center).unwrap();
+        let r0 = network.nearest_segment(&center).unwrap().0;
         let low = exhaustive_search(&network, &st, &query(center, 900, 0.2), r0).unwrap();
         let high = exhaustive_search(&network, &st, &query(center, 900, 0.9), r0).unwrap();
         assert!(high.region.len() <= low.region.len());
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn a_decided_search_reads_only_the_start_and_answers_it_alone() {
         let (network, st, center) = setup();
-        let r0 = st.locate_segment(&center).unwrap();
+        let r0 = network.nearest_segment(&center).unwrap().0;
         let (mut decided, mut undecided) = (0, 0);
         for (t, prob) in [
             (9 * 3600, 0.2),
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn query_outside_operating_hours_returns_only_start() {
         let (network, st, center) = setup();
-        let r0 = st.locate_segment(&center).unwrap();
+        let r0 = network.nearest_segment(&center).unwrap().0;
         let q = SQuery {
             location: center,
             start_time_s: 2 * 3600,

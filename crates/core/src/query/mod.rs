@@ -8,7 +8,8 @@
 //! * [`tbs`] — the trace back search (Algorithm 2),
 //! * [`mqmb`] — the m-query maximum bounding region search (Algorithm 3),
 //! * `pipeline` — the one procedure that runs them for every tier: locate,
-//!   bound, verify, measure.
+//!   bound, verify, measure, and record what each answer read
+//!   ([`ReadFootprint`]).
 
 pub mod es;
 pub mod mqmb;
@@ -17,6 +18,8 @@ pub mod reference;
 pub mod sqmb;
 pub mod tbs;
 pub mod verifier;
+
+pub use pipeline::{BatchAnswer, ReadFootprint};
 
 use streach_geo::GeoPoint;
 

@@ -4,32 +4,33 @@
 //! The paper's MQMB algorithm is multi-query batching, but as a library API
 //! every caller batches only its own queries. A [`QueryServer`] promotes
 //! batching to a *server policy*: callers submit s-queries into a bounded
-//! queue, worker threads drain the queue in batches, and a **coalescer**
-//! folds concurrent queries that share (origin segment, slot window) into
-//! one MQMB bounding pass before fanning verification out per caller —
+//! queue, worker threads drain the queue in batches, and the pipeline
+//! folds concurrent queries that share (origin segment, hop-slot sequence)
+//! into one SQMB bounding pass before verifying per caller —
 //! concurrent users sharing an origin and time window pay the bounding
 //! phase once instead of once each.
 //!
 //! # Bit-identity
 //!
-//! Coalescing must not change answers. Two SQMB/MQMB facts make that easy:
+//! Coalescing must not change answers, and it cannot: the server hands each
+//! drained batch to the query pipeline's one s-query procedure
+//! (`crate::query::pipeline`), which answers a single query as a batch of
+//! one. Two SQMB facts make sharing sound there:
 //!
 //! * the bounding expansion depends only on the start segment and the
 //!   **hop-slot sequence** `slot_of(T + k·Δt)` for `k < num_hops(L)`, so
 //!   queries grouped by (start segment, exact hop-slot sequence) share one
-//!   bounding region that equals each member's serial `sqmb` result, and
-//! * with a single start, `mqmb` reduces to `sqmb` exactly (pinned by
-//!   `single_location_mqmb_equals_sqmb`), so the group's one bounding pass
-//!   is the paper's MQMB with one location.
+//!   bounding region that equals each member's own `sqmb` result, and
+//! * verification then runs per caller with its exact `(T, L, Prob)` — a
+//!   [`VerifierCore`](crate::query::verifier::VerifierCore) per distinct
+//!   `(T, L)`, shared across probability thresholds.
 //!
-//! Verification then runs per caller with its exact `(T, L, Prob)` — a
-//! [`VerifierCore`](crate::query::verifier::VerifierCore) per distinct
-//! `(T, L)`, shared across probability thresholds — so every answer is
-//! bit-identical to serial [`ReachabilityEngine::try_s_query`], and
-//! per-caller failures surface as that caller's typed [`QueryError`]. The
-//! coalesced path lives beside the serial one in the shared query pipeline
-//! (`crate::query::pipeline`), which the engine and the router both run
-//! over their own posting source. `tests/serving_equivalence.rs` pins this.
+//! So every answer is bit-identical to [`ReachabilityEngine::try_s_query`]
+//! on its query, and a failure is that caller's typed [`QueryError`]. ES
+//! queries have no bounding pass to share and run alone inside the batch.
+//! The engine and the router both run the pipeline over their own posting
+//! source. `tests/serving_equivalence.rs` pins this against the naive
+//! reference, which shares no code with the pipeline.
 //!
 //! # Result cache and why it is never stale
 //!
@@ -40,25 +41,26 @@
 //! legitimately differ.
 //!
 //! Invalidation is driven by [`IngestTouch`], delivered under the engine's
-//! ingest lock after every applied batch (live, replayed or replicated):
+//! ingest lock after every applied batch (live, replayed or replicated).
+//! Each entry keeps the [`ReadFootprint`] the pipeline returned with its
+//! answer — the slots it resolved and the maximum bounding region it was
+//! verified in — and [`ReadFootprint::touched_by`] decides:
 //!
-//! * **Posting pairs** — a touched (slot, segment) kills every entry whose
-//!   slot set contains the slot *and* whose maximum bounding region
-//!   contains the segment: postings only affect verification, and
-//!   verification only reads segments inside the max region. A decided
-//!   answer (its start segment's active days cannot reach Prob) records
-//!   its minimum region as its max region: only the start segment's own
-//!   postings, which lie inside it, or a day-count raise can undecide it.
-//!   ES entries keep an empty region sentinel and match any segment.
+//! * **Posting pairs** — a touched (slot, segment) kills every entry that
+//!   read the slot *and* whose maximum bounding region contains the
+//!   segment: postings only affect verification, and verification only
+//!   reads segments inside the max region. A decided answer (its start
+//!   segment's active days cannot reach Prob) records its minimum region:
+//!   only the start segment's own postings, which lie inside it, or a
+//!   day-count raise can undecide it. ES entries record an empty region,
+//!   which matches any segment.
 //! * **Speed slots** — a slot whose Con-Index statistics moved kills every
-//!   entry whose slot set contains it, regardless of segment: speed stats
-//!   feed the bounding expansion, which may reach any segment on re-run.
+//!   entry that read it, regardless of segment: speed stats feed the
+//!   bounding expansion, which may reach any segment on re-run.
 //! * **Day-count raise** — flushes the whole cache: the day count is every
 //!   probability's denominator.
 //!
-//! An entry's slot set is the union of its bounding hop slots, the
-//! verifier's T0 window and its probability window — every slot the answer
-//! reads. Inserts are **epoch-guarded**: a worker snapshots the cache epoch
+//! Inserts are **epoch-guarded**: a worker snapshots the cache epoch
 //! before computing and the insert is dropped if any invalidation ran in
 //! between, so an answer computed from pre-ingest state can never be cached
 //! over a newer invalidation. Compaction needs no hook — it is
@@ -69,13 +71,14 @@
 //! A submission whose answer is cached is served on the submitting thread
 //! and never enters the queue. Everything else goes to the workers: the
 //! server runs `workers` long-lived threads. A worker drains up to
-//! [`MAX_BATCH`] queued requests at once, except while another worker is
-//! idle: then it takes the head request and the queued ones with the same
-//! origin segment (those that can share a bounding pass), and leaves the
-//! unrelated rest to the idle worker. Each drained batch's
-//! verification stage fans out on `streach_par` inside
+//! [`MAX_BATCH`] queued requests at once and answers them with one backend
+//! call, except while another worker is idle: then it takes the head
+//! request and the queued ones with the same origin segment (those that
+//! can share a bounding pass), and leaves the unrelated rest to the idle
+//! worker. Each drained batch's verification stage fans out on
+//! `streach_par` inside
 //! [`trace_back_search`](crate::query::tbs::trace_back_search) exactly like
-//! a serial query, so a single large query still uses all cores while
+//! a single query, so a single large query still uses all cores while
 //! independent groups proceed on separate workers.
 //!
 //! An uncached query costs two hand-offs: the submitter wakes a worker, and
@@ -100,12 +103,8 @@ use streach_roadnet::SegmentId;
 
 use crate::engine::ReachabilityEngine;
 use crate::ingest::{IngestObserver, IngestTouch};
-use crate::query::sqmb::hop_slots;
-use crate::query::{Algorithm, QueryError, QueryOutcome, SQuery};
+use crate::query::{Algorithm, BatchAnswer, QueryError, QueryOutcome, ReadFootprint, SQuery};
 use crate::sharded::ShardedEngine;
-
-pub use crate::query::pipeline::CoalescedAnswer;
-use crate::time::slots_overlapping;
 
 /// Maximum requests one worker drains per pass — the coalescing window.
 const MAX_BATCH: usize = 64;
@@ -156,38 +155,22 @@ pub struct ServerStats {
 /// A query target a [`QueryServer`] can front: the single engine or the
 /// sharded scatter-gather router.
 pub trait ServeBackend: Send + Sync + 'static {
-    /// Δt slot length of the backing index.
-    fn slot_s(&self) -> u32;
     /// Snaps a query location to its road segment (the cache-key origin).
     fn try_locate(&self, location: &GeoPoint) -> Result<SegmentId, QueryError>;
-    /// The serial (uncoalesced) s-query path.
-    fn try_s_query(&self, query: &SQuery, algorithm: Algorithm)
-        -> Result<QueryOutcome, QueryError>;
-    /// The batched SQMB path sharing one bounding pass per group.
-    fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<CoalescedAnswer>;
+    /// Answers a batch of s-queries in input order, each with its footprint
+    /// ([`ReachabilityEngine::try_s_query_batch`]).
+    fn try_s_query_batch(&self, queries: &[(SQuery, Algorithm)]) -> Vec<BatchAnswer>;
     /// Registers an ingest observer on every underlying leader engine.
     fn observe_ingest(&self, observer: &Arc<IngestObserver>);
 }
 
 impl ServeBackend for ReachabilityEngine {
-    fn slot_s(&self) -> u32 {
-        self.st_index().slot_s()
-    }
-
     fn try_locate(&self, location: &GeoPoint) -> Result<SegmentId, QueryError> {
         ReachabilityEngine::try_locate(self, location)
     }
 
-    fn try_s_query(
-        &self,
-        query: &SQuery,
-        algorithm: Algorithm,
-    ) -> Result<QueryOutcome, QueryError> {
-        ReachabilityEngine::try_s_query(self, query, algorithm)
-    }
-
-    fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<CoalescedAnswer> {
-        ReachabilityEngine::try_s_query_coalesced(self, queries)
+    fn try_s_query_batch(&self, queries: &[(SQuery, Algorithm)]) -> Vec<BatchAnswer> {
+        ReachabilityEngine::try_s_query_batch(self, queries)
     }
 
     fn observe_ingest(&self, observer: &Arc<IngestObserver>) {
@@ -196,24 +179,12 @@ impl ServeBackend for ReachabilityEngine {
 }
 
 impl ServeBackend for ShardedEngine {
-    fn slot_s(&self) -> u32 {
-        ShardedEngine::slot_s(self)
-    }
-
     fn try_locate(&self, location: &GeoPoint) -> Result<SegmentId, QueryError> {
         ShardedEngine::try_locate(self, location)
     }
 
-    fn try_s_query(
-        &self,
-        query: &SQuery,
-        algorithm: Algorithm,
-    ) -> Result<QueryOutcome, QueryError> {
-        ShardedEngine::try_s_query(self, query, algorithm)
-    }
-
-    fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<CoalescedAnswer> {
-        ShardedEngine::try_s_query_coalesced(self, queries)
+    fn try_s_query_batch(&self, queries: &[(SQuery, Algorithm)]) -> Vec<BatchAnswer> {
+        ShardedEngine::try_s_query_batch(self, queries)
     }
 
     fn observe_ingest(&self, observer: &Arc<IngestObserver>) {
@@ -236,78 +207,14 @@ struct CacheKey {
     algorithm: Algorithm,
 }
 
-/// The recorded read footprint of one answered s-query — everything an
-/// [`IngestTouch`] needs to be intersected against to decide whether the
-/// answer may have changed. Shared by the result cache (invalidation) and
-/// by standing subscriptions ([`crate::subscribe`], wakeup filtering).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ReadFootprint {
-    /// Every wrapped day slot the answer read (bounding hops + T0 +
-    /// probability window), sorted — the slot overlap test.
-    pub slots: Vec<u32>,
-    /// Maximum bounding region for segment-scoped posting invalidation,
-    /// sorted (a decided answer's is its minimum region, which holds the
-    /// start segment); empty means "any segment" (ES reads wherever its
-    /// expansion goes, so no sound segment scoping exists for it).
-    pub max_region: Vec<SegmentId>,
-}
-
-impl ReadFootprint {
-    /// The footprint of query `q` answered under bounding region
-    /// `max_region` (already sorted, as `BoundingRegions` produces it).
-    pub(crate) fn record(q: &SQuery, slot_s: u32, max_region: Vec<SegmentId>) -> Self {
-        Self {
-            slots: query_slots(q, slot_s),
-            max_region,
-        }
-    }
-
-    /// Whether `touch` may have changed an answer with this footprint:
-    /// a day raise always does; a moved speed slot the answer read does
-    /// (speed feeds bounding, which may reach any segment on re-run); a
-    /// touched posting pair does when its slot was read *and* its segment
-    /// lies inside the maximum bounding region (verification never reads
-    /// outside it).
-    pub(crate) fn touched_by(&self, touch: &IngestTouch) -> bool {
-        if touch.num_days_raised {
-            return true;
-        }
-        if touch
-            .speed_slots
-            .iter()
-            .any(|slot| self.slots.binary_search(slot).is_ok())
-        {
-            return true;
-        }
-        touch.posting_pairs.iter().any(|&(slot, segment)| {
-            self.slots.binary_search(&slot).is_ok()
-                && (self.max_region.is_empty()
-                    || self.max_region.binary_search(&SegmentId(segment)).is_ok())
-        })
-    }
-}
-
 struct CacheEntry {
     outcome: QueryOutcome,
     /// What the answer read; an [`IngestTouch`] intersecting it kills the
     /// entry.
     footprint: ReadFootprint,
-    /// Lookups this entry served.
-    hits: u64,
     /// Cache-clock stamp of the last hit (the insert stamp until then) —
     /// the eviction order: least-recently-hit goes first.
     last_hit: u64,
-}
-
-impl CacheEntry {
-    fn new(outcome: QueryOutcome, footprint: ReadFootprint) -> Self {
-        Self {
-            outcome,
-            footprint,
-            hits: 0,
-            last_hit: 0,
-        }
-    }
 }
 
 struct CacheState {
@@ -325,22 +232,6 @@ struct ResultCache {
     misses: AtomicU64,
     invalidated: AtomicU64,
     flushes: AtomicU64,
-}
-
-/// Every day slot query `q` reads: bounding hop slots, the verifier's T0
-/// window and the probability window, wrapped into the day grid.
-fn query_slots(q: &SQuery, slot_s: u32) -> Vec<u32> {
-    let slots_per_day = streach_traj::SECONDS_PER_DAY.div_ceil(slot_s);
-    let mut slots = hop_slots(q.start_time_s, q.duration_s, slot_s);
-    slots.iter_mut().for_each(|s| *s %= slots_per_day);
-    let t0_end = q.start_time_s.saturating_add(slot_s);
-    slots.extend(slots_overlapping(q.start_time_s, t0_end, slot_s).map(|s| s % slots_per_day));
-    slots.extend(
-        slots_overlapping(q.start_time_s, q.end_time_s(), slot_s).map(|s| s % slots_per_day),
-    );
-    slots.sort_unstable();
-    slots.dedup();
-    slots
 }
 
 impl ResultCache {
@@ -385,7 +276,6 @@ impl ResultCache {
         state.clock += 1;
         let stamp = state.clock;
         let entry = state.map.get_mut(key)?;
-        entry.hits += 1;
         entry.last_hit = stamp;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(entry.outcome.clone())
@@ -406,13 +296,19 @@ impl ResultCache {
     /// A full cache evicts the **least-recently-hit** entry: a hot entry
     /// keeps refreshing its stamp on every lookup and survives a flood of
     /// one-shot cold entries, which FIFO would let push it out.
-    fn insert(&self, key: CacheKey, mut entry: CacheEntry, epoch_at_read: u64) {
+    fn insert(
+        &self,
+        key: CacheKey,
+        outcome: QueryOutcome,
+        footprint: ReadFootprint,
+        epoch_at_read: u64,
+    ) {
         let mut state = self.lock();
         if state.epoch != epoch_at_read || self.capacity == 0 {
             return;
         }
         state.clock += 1;
-        entry.last_hit = state.clock;
+        let last_hit = state.clock;
         while state.map.len() >= self.capacity && !state.map.contains_key(&key) {
             let coldest = state
                 .map
@@ -426,6 +322,11 @@ impl ResultCache {
                 None => break,
             }
         }
+        let entry = CacheEntry {
+            outcome,
+            footprint,
+            last_hit,
+        };
         state.map.insert(key, entry);
     }
 
@@ -849,58 +750,19 @@ impl<B: ServeBackend> ServerInner<B> {
             return;
         }
 
-        let (coalescable, serial): (Vec<Request>, Vec<Request>) = to_compute
-            .into_iter()
-            .partition(|r| r.algorithm == Algorithm::SqmbTbs);
-
-        // Serial path: ES queries have no bounding pass to share and no
-        // bounding region, so their cache entries keep the any-segment
-        // sentinel (genuinely "any segment").
-        for request in serial {
-            let epoch = cache.map(|c| c.epoch());
-            let result = self.backend.try_s_query(&request.query, request.algorithm);
-            if let (Some(cache), Some(epoch), Ok(outcome), Some(key)) =
-                (cache, epoch, &result, request.key)
-            {
-                cache.insert(
-                    key,
-                    CacheEntry::new(
-                        outcome.clone(),
-                        ReadFootprint::record(&request.query, self.backend.slot_s(), Vec::new()),
-                    ),
-                    epoch,
-                );
-            }
-            request.slot.fulfill(result);
-            self.completed.fetch_add(1, Ordering::Relaxed);
-        }
-
-        if coalescable.is_empty() {
-            return;
-        }
         let epoch = cache.map(|c| c.epoch());
-        let queries: Vec<SQuery> = coalescable.iter().map(|r| r.query).collect();
-        let answers = self.backend.try_s_query_coalesced(&queries);
-        debug_assert_eq!(answers.len(), coalescable.len());
-        for (request, answer) in coalescable.into_iter().zip(answers) {
+        let queries: Vec<(SQuery, Algorithm)> =
+            to_compute.iter().map(|r| (r.query, r.algorithm)).collect();
+        let answers = self.backend.try_s_query_batch(&queries);
+        debug_assert_eq!(answers.len(), to_compute.len());
+        for (request, answer) in to_compute.into_iter().zip(answers) {
             if answer.shared_bounding {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
             }
             if let (Some(cache), Some(epoch), Ok(outcome), Some(key)) =
                 (cache, epoch, &answer.outcome, request.key)
             {
-                cache.insert(
-                    key,
-                    CacheEntry::new(
-                        outcome.clone(),
-                        ReadFootprint::record(
-                            &request.query,
-                            self.backend.slot_s(),
-                            answer.max_region,
-                        ),
-                    ),
-                    epoch,
-                );
+                cache.insert(key, outcome.clone(), answer.footprint, epoch);
             }
             request.slot.fulfill(answer.outcome);
             self.completed.fetch_add(1, Ordering::Relaxed);
@@ -924,14 +786,15 @@ mod tests {
         }
     }
 
-    fn entry() -> CacheEntry {
-        CacheEntry::new(
-            QueryOutcome {
-                region: ReachableRegion::empty(),
-                stats: QueryStats::default(),
-            },
-            ReadFootprint::default(),
-        )
+    fn outcome() -> QueryOutcome {
+        QueryOutcome {
+            region: ReachableRegion::empty(),
+            stats: QueryStats::default(),
+        }
+    }
+
+    fn insert(cache: &ResultCache, key: CacheKey, epoch: u64) {
+        cache.insert(key, outcome(), ReadFootprint::default(), epoch);
     }
 
     #[test]
@@ -980,13 +843,13 @@ mod tests {
     fn hot_entry_survives_cold_entry_flood() {
         let cache = ResultCache::new(4);
         let epoch = cache.epoch();
-        cache.insert(key(0), entry(), epoch);
+        insert(&cache, key(0), epoch);
         // Flood with cold entries, touching the hot key between inserts —
         // the flood exceeds capacity many times over, so FIFO would have
         // evicted the hot entry long before the end.
         for i in 1..64 {
             assert!(cache.get(&key(0)).is_some(), "hot entry evicted at {i}");
-            cache.insert(key(i), entry(), epoch);
+            insert(&cache, key(i), epoch);
         }
         assert!(cache.get(&key(0)).is_some(), "hot entry must survive");
         let state = cache.lock();
@@ -999,16 +862,15 @@ mod tests {
     fn least_recently_hit_goes_first() {
         let cache = ResultCache::new(2);
         let epoch = cache.epoch();
-        cache.insert(key(1), entry(), epoch);
-        cache.insert(key(2), entry(), epoch);
+        insert(&cache, key(1), epoch);
+        insert(&cache, key(2), epoch);
         // Hit key 1; key 2 is now the least-recently-hit.
         assert!(cache.get(&key(1)).is_some());
-        cache.insert(key(3), entry(), epoch);
+        insert(&cache, key(3), epoch);
         let state = cache.lock();
         assert!(state.map.contains_key(&key(1)));
         assert!(!state.map.contains_key(&key(2)));
         assert!(state.map.contains_key(&key(3)));
-        assert_eq!(state.map[&key(1)].hits, 1);
     }
 
     /// Answers every query with an empty region and counts the batches.
@@ -1017,22 +879,16 @@ mod tests {
     }
 
     impl ServeBackend for Echo {
-        fn slot_s(&self) -> u32 {
-            300
-        }
         fn try_locate(&self, _: &GeoPoint) -> Result<SegmentId, QueryError> {
             Ok(SegmentId(0))
         }
-        fn try_s_query(&self, _: &SQuery, _: Algorithm) -> Result<QueryOutcome, QueryError> {
-            Ok(entry().outcome)
-        }
-        fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<CoalescedAnswer> {
+        fn try_s_query_batch(&self, queries: &[(SQuery, Algorithm)]) -> Vec<BatchAnswer> {
             self.batches.fetch_add(1, Ordering::Relaxed);
             queries
                 .iter()
-                .map(|_| CoalescedAnswer {
-                    outcome: Ok(entry().outcome),
-                    max_region: Vec::new(),
+                .map(|_| BatchAnswer {
+                    outcome: Ok(outcome()),
+                    footprint: ReadFootprint::default(),
                     shared_bounding: false,
                 })
                 .collect()
@@ -1055,7 +911,7 @@ mod tests {
         let ticket = Ticket { slot: slot.clone() };
         let answerer = std::thread::spawn(move || {
             std::thread::sleep(SPIN * 20);
-            slot.fulfill(Ok(entry().outcome));
+            slot.fulfill(Ok(outcome()));
         });
         let began = Instant::now();
         assert!(ticket.wait().is_ok());
@@ -1085,51 +941,5 @@ mod tests {
         }
         assert_eq!(backend.batches.load(Ordering::Relaxed), 3);
         assert_eq!(server.stats().completed, 3);
-    }
-
-    #[test]
-    fn footprint_touch_intersection() {
-        let fp = ReadFootprint {
-            slots: vec![3, 4, 5],
-            max_region: vec![SegmentId(10), SegmentId(20)],
-        };
-        // Day raise always touches.
-        assert!(fp.touched_by(&IngestTouch {
-            posting_pairs: vec![],
-            speed_slots: vec![],
-            num_days_raised: true,
-        }));
-        // Speed slot inside the read window touches regardless of segment.
-        assert!(fp.touched_by(&IngestTouch {
-            posting_pairs: vec![],
-            speed_slots: vec![4],
-            num_days_raised: false,
-        }));
-        // Posting pair needs slot AND segment inside the max region.
-        assert!(fp.touched_by(&IngestTouch {
-            posting_pairs: vec![(4, 20)],
-            speed_slots: vec![],
-            num_days_raised: false,
-        }));
-        assert!(!fp.touched_by(&IngestTouch {
-            posting_pairs: vec![(4, 30)],
-            speed_slots: vec![],
-            num_days_raised: false,
-        }));
-        assert!(!fp.touched_by(&IngestTouch {
-            posting_pairs: vec![(7, 20)],
-            speed_slots: vec![6],
-            num_days_raised: false,
-        }));
-        // The empty max region is the any-segment sentinel (ES).
-        let es = ReadFootprint {
-            slots: vec![3],
-            max_region: Vec::new(),
-        };
-        assert!(es.touched_by(&IngestTouch {
-            posting_pairs: vec![(3, 999)],
-            speed_slots: vec![],
-            num_days_raised: false,
-        }));
     }
 }

@@ -96,9 +96,11 @@ use streach_roadnet::{RoadNetwork, SegmentId, ShardMap};
 use streach_storage::{IoStats, IoStatsSnapshot, StorageError, StorageResult};
 
 use crate::engine::ReachabilityEngine;
-use crate::query::pipeline::{CoalescedAnswer, QueryContext};
+use crate::query::pipeline::QueryContext;
 use crate::query::verifier::PostingSource;
-use crate::query::{Algorithm, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery};
+use crate::query::{
+    Algorithm, BatchAnswer, MQuery, MQueryAlgorithm, QueryError, QueryOutcome, SQuery,
+};
 use crate::st_index::{PinnedState, SlotForward};
 
 /// Which engine of a shard's serving list answers posting reads first.
@@ -483,12 +485,6 @@ impl ShardedEngine {
         self.queries(|q| q.m_query(query, algorithm))
     }
 
-    /// Δt slot length of the backing index (replicated, so any engine's
-    /// value is authoritative).
-    pub fn slot_s(&self) -> u32 {
-        self.reference().st_index().slot_s()
-    }
-
     /// Snaps a location to its road segment; every engine holds the full
     /// network, so this answers exactly like a single engine would.
     pub fn try_locate(&self, location: &streach_geo::GeoPoint) -> Result<SegmentId, QueryError> {
@@ -508,13 +504,11 @@ impl ShardedEngine {
         }
     }
 
-    /// Answers a batch of SQMB+TBS s-queries with one shared bounding pass
-    /// per (origin segment, slot window) group, reading postings through
-    /// the scatter-gather router. Results are in input order and
-    /// bit-identical to per-query [`ShardedEngine::try_s_query`] with
-    /// [`Algorithm::SqmbTbs`]; failures surface as that caller's error.
-    pub fn try_s_query_coalesced(&self, queries: &[SQuery]) -> Vec<CoalescedAnswer> {
-        self.queries(|q| q.s_query_coalesced(queries))
+    /// Answers a batch of s-queries across the shards, in input order; see
+    /// [`ReachabilityEngine::try_s_query_batch`]. Each answer is
+    /// bit-identical to [`ShardedEngine::try_s_query`] on its member.
+    pub fn try_s_query_batch(&self, queries: &[(SQuery, Algorithm)]) -> Vec<BatchAnswer> {
+        self.queries(|q| q.s_queries(queries))
     }
 }
 
@@ -822,17 +816,25 @@ mod tests {
                     assert_eq!(w.segments_visited, g.segments_visited, "{label}");
                 }
             }
-            // The whole list as one coalesced batch through the router
-            // answers like the single engine's serial path, query by query.
-            let coalesced = sharded.try_s_query_coalesced(&queries);
-            assert_eq!(coalesced.len(), queries.len());
-            for (query, answer) in queries.iter().zip(coalesced) {
-                let want = single.try_s_query(query, Algorithm::SqmbTbs).unwrap();
+            // The whole list, on both algorithms, as one batch through the
+            // router answers like the single engine, query by query.
+            let batch: Vec<(SQuery, Algorithm)> = queries
+                .iter()
+                .flat_map(|q| [(*q, Algorithm::SqmbTbs), (*q, Algorithm::ExhaustiveSearch)])
+                .collect();
+            let answers = sharded.try_s_query_batch(&batch);
+            assert_eq!(answers.len(), batch.len());
+            for ((query, algo), answer) in batch.iter().zip(answers) {
+                let want = single.try_s_query(query, *algo).unwrap();
                 let got = answer.outcome.unwrap();
-                let label = format!("{shards} shards, coalesced, {query:?}");
+                let label = format!("{shards} shards, batched, {query:?}, {algo:?}");
                 assert_eq!(want.region, got.region, "{label}");
                 assert_eq!(
                     want.stats.segments_verified, got.stats.segments_verified,
+                    "{label}"
+                );
+                assert_eq!(
+                    want.stats.max_bounding_size, got.stats.max_bounding_size,
                     "{label}"
                 );
             }
@@ -909,11 +911,13 @@ mod tests {
         }
     }
 
-    /// A coalesced answer reports the same I/O as the serial path for the
-    /// same query, on the single engine and through the router, whose page
-    /// counters live in the shard engines rather than in the router. Both
-    /// runs read under the same view state: the query is asked twice first,
-    /// so the window slots have their trajectory views built, on the single
+    /// A batch member reports the I/O its query reports alone, on the
+    /// single engine and through the router, whose page counters live in
+    /// the shard engines rather than in the router. The member leads a
+    /// two-member group (a second threshold shares its bounds and core), so
+    /// the other member's work must not leak into its counts. Both runs
+    /// read under the same view state: the query is asked twice first, so
+    /// the window slots have their trajectory views built, on the single
     /// engine and on every shard engine, and both runs read forward.
     #[test]
     fn coalesced_io_matches_the_serial_path() {
@@ -941,23 +945,23 @@ mod tests {
                 ("2 shards", &sharded, &clear_sharded),
             ];
             for (label, backend, clear) in backends {
+                let alone = || {
+                    let mut answers = backend.try_s_query_batch(&[(query, Algorithm::SqmbTbs)]);
+                    answers.remove(0).outcome.unwrap().stats.io
+                };
                 for _ in 0..2 {
-                    backend.try_s_query(&query, Algorithm::SqmbTbs).unwrap();
+                    alone();
                 }
                 clear();
-                let serial = backend
-                    .try_s_query(&query, Algorithm::SqmbTbs)
-                    .unwrap()
-                    .stats
-                    .io;
+                let serial = alone();
                 clear();
-                let coalesced = backend
-                    .try_s_query_coalesced(&[query])
-                    .remove(0)
-                    .outcome
-                    .unwrap()
-                    .stats
-                    .io;
+                let group = [
+                    (query, Algorithm::SqmbTbs),
+                    (SQuery { prob: 0.5, ..query }, Algorithm::SqmbTbs),
+                ];
+                let lead = backend.try_s_query_batch(&group).remove(0);
+                assert!(lead.shared_bounding, "{label}: the thresholds must share");
+                let coalesced = lead.outcome.unwrap().stats.io;
                 let counters = |io: streach_storage::IoStatsSnapshot| {
                     (
                         io.page_reads,

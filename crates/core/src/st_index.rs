@@ -16,8 +16,8 @@
 //! * the **spatial index** is the R-tree over the static road network — as
 //!   the paper notes, "essentially all the leaf nodes in the temporal index
 //!   have the same spatial index structure", so a single shared tree (owned
-//!   by the [`RoadNetwork`]) is used and exposed through
-//!   [`StIndex::locate_segment`],
+//!   by the [`RoadNetwork`]) is used, and a query locates its start segment
+//!   in it with [`RoadNetwork::nearest_segment`],
 //! * the **time lists** are [`TimeList`] posting lists (date → trajectory
 //!   IDs) serialized into a page-based [`PostingStore`]; every read is real
 //!   page I/O, counted per physical read.
@@ -72,7 +72,6 @@ use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
-use streach_geo::GeoPoint;
 use streach_roadnet::{RoadNetwork, SegmentId};
 use streach_storage::{
     BlobHandle, InMemoryPageStore, IoStats, LazySection, PageStore, PostingStore, StorageError,
@@ -1127,13 +1126,6 @@ impl StIndex {
         self.current().base.postings.clear_cache();
     }
 
-    /// Maps a query location to its start road segment `r0` using the
-    /// spatial index ("with the start location S and time stamp T from q, we
-    /// identify the start road segment r0 in the R-tree from ST-Index").
-    pub fn locate_segment(&self, location: &GeoPoint) -> Option<SegmentId> {
-        self.network.nearest_segment(location).map(|(id, _)| id)
-    }
-
     /// Reads the time list of `segment` in `slot` from the posting store.
     /// Returns `Ok(None)` when no trajectory traversed the segment in that
     /// slot on any day.
@@ -1745,16 +1737,6 @@ mod tests {
         let seg = network.segment_ids().next().unwrap();
         assert_eq!(index.time_list(seg, 0).unwrap(), None);
         assert!(index.ids_in_window(seg, 0, 300, 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn locate_segment_matches_network_lookup() {
-        let (network, _, index) = build_small();
-        let p = network.bounds().center();
-        assert_eq!(
-            index.locate_segment(&p),
-            network.nearest_segment(&p).map(|(id, _)| id)
-        );
     }
 
     #[test]

@@ -12,7 +12,8 @@ use streach_storage::IoStatsSnapshot;
 /// which explains *why* one algorithm beats another.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryStats {
-    /// Wall-clock time spent answering the query.
+    /// Wall-clock time spent answering the query; in a batch, its own
+    /// stages, not the time it waited behind other members.
     pub wall_time: Duration,
     /// Time spent computing the bounding regions (SQMB/MQMB Con-Index hops,
     /// or the network expansion for the ES baseline) — the expansions only.

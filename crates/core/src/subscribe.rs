@@ -27,9 +27,10 @@
 //!
 //! Re-evaluation is bit-identical to re-running every subscription from
 //! scratch after every batch (`tests/subscription_equivalence.rs` pins
-//! this): affected SQMB subscriptions are batched through the existing
-//! [`ServeBackend::try_s_query_coalesced`] group pass — co-located
-//! subscriptions share one bounding — and ES subscriptions run serially.
+//! this): a pass hands every affected subscription to one
+//! [`ServeBackend::try_s_query_batch`] call, so co-located SQMB
+//! subscriptions share one bounding, and keeps the footprint each answer
+//! comes back with.
 //!
 //! The worker runs on `worker::Worker`, the crate's one kick / run_now /
 //! shutdown protocol: a dedicated thread woken by ingest observers (the
@@ -59,9 +60,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::ingest::{IngestObserver, IngestTouch};
-use crate::query::{Algorithm, QueryError, SQuery};
+use crate::query::{Algorithm, QueryError, ReadFootprint, SQuery};
 use crate::region::ReachableRegion;
-use crate::serve::{ReadFootprint, ServeBackend};
+use crate::serve::ServeBackend;
 use crate::worker::Worker;
 
 /// Identifier of one registered subscription, unique within its manager.
@@ -214,8 +215,7 @@ pub struct SubscribeStats {
 
 /// One registered standing query and its incremental-evaluation state.
 struct SubState {
-    query: SQuery,
-    algorithm: Algorithm,
+    query: (SQuery, Algorithm),
     trigger: Trigger,
     /// What the last answer read; an [`IngestTouch`] intersecting it
     /// schedules a re-evaluation.
@@ -331,25 +331,23 @@ impl<B: ServeBackend> SubscriptionManager<B> {
     }
 
     /// One evaluation pass: drain the pending touches, intersect them with
-    /// every subscription's footprint, re-evaluate the affected ones
-    /// (affected SQMB subscriptions share bounding through one coalesced
-    /// batch; ES runs serially), and apply the results — events, updated
-    /// footprints, dirty marks for failures. Unaffected subscriptions do
-    /// zero work. Evaluation runs **outside** the state lock, so
-    /// subscribing/unsubscribing and event draining never block on engine
-    /// I/O.
+    /// every subscription's footprint, re-evaluate the affected ones as one
+    /// batch, and apply the results — events, updated footprints, dirty
+    /// marks for failures. Unaffected subscriptions do zero work.
+    /// Evaluation runs **outside** the state lock, so subscribing,
+    /// unsubscribing and event draining never block on engine I/O.
     fn run_pass(shared: &Shared<B>) {
         let (to_eval, generation) = {
             let mut state = shared.lock();
             let touches = std::mem::take(&mut state.pending);
             let generation = state.touch_seq;
-            let mut to_eval: Vec<(u64, SQuery, Algorithm)> = Vec::new();
+            let mut to_eval: Vec<(u64, (SQuery, Algorithm))> = Vec::new();
             for (&id, sub) in state.subs.iter_mut() {
                 let affected =
                     sub.dirty || touches.iter().any(|touch| sub.footprint.touched_by(touch));
                 if affected {
                     sub.dirty = false;
-                    to_eval.push((id, sub.query, sub.algorithm));
+                    to_eval.push((id, sub.query));
                 }
             }
             (to_eval, generation)
@@ -358,19 +356,20 @@ impl<B: ServeBackend> SubscriptionManager<B> {
             return;
         }
 
-        let results = Self::evaluate(&shared.backend, &to_eval);
+        let queries: Vec<(SQuery, Algorithm)> = to_eval.iter().map(|&(_, q)| q).collect();
+        let answers = shared.backend.try_s_query_batch(&queries);
 
-        let slot_s = shared.backend.slot_s();
         let mut state = shared.lock();
         state.stats.engine_queries += to_eval.len() as u64;
-        for ((id, query, _), (outcome, max_region)) in to_eval.iter().zip(results) {
+        for ((id, _), answer) in to_eval.iter().zip(answers) {
             // Unsubscribed while we evaluated: drop the result.
             let Some(sub) = state.subs.get_mut(id) else {
                 continue;
             };
-            match outcome {
-                Ok(new_region) => {
-                    sub.footprint = ReadFootprint::record(query, slot_s, max_region);
+            match answer.outcome {
+                Ok(outcome) => {
+                    let new_region = outcome.region;
+                    sub.footprint = answer.footprint;
                     let old = sub.last_region.take();
                     let fired = sub.trigger.fired(old.as_ref(), &new_region);
                     let changed = old.as_ref() != Some(&new_region);
@@ -403,41 +402,6 @@ impl<B: ServeBackend> SubscriptionManager<B> {
         shared.events_cv.notify_all();
     }
 
-    /// Evaluates a set of standing queries, in input order: SQMB members
-    /// share bounding through one coalesced batch, ES runs serially. Each
-    /// result carries the answer's maximum bounding region (empty for ES —
-    /// its expansion has no sound segment scoping).
-    #[allow(clippy::type_complexity)]
-    fn evaluate(
-        backend: &B,
-        to_eval: &[(u64, SQuery, Algorithm)],
-    ) -> Vec<(
-        Result<ReachableRegion, QueryError>,
-        Vec<streach_roadnet::SegmentId>,
-    )> {
-        let sqmb: Vec<SQuery> = to_eval
-            .iter()
-            .filter(|(_, _, a)| *a == Algorithm::SqmbTbs)
-            .map(|&(_, q, _)| q)
-            .collect();
-        let mut coalesced = backend.try_s_query_coalesced(&sqmb).into_iter();
-        to_eval
-            .iter()
-            .map(|(_, query, algorithm)| match algorithm {
-                Algorithm::SqmbTbs => {
-                    let answer = coalesced.next().expect("one answer per query");
-                    (answer.outcome.map(|o| o.region), answer.max_region)
-                }
-                Algorithm::ExhaustiveSearch => (
-                    backend
-                        .try_s_query(query, Algorithm::ExhaustiveSearch)
-                        .map(|o| o.region),
-                    Vec::new(),
-                ),
-            })
-            .collect()
-    }
-
     /// Registers a standing query. The initial answer is computed
     /// synchronously (so the footprint exists before the next batch lands)
     /// and delivered as the subscription's first
@@ -450,18 +414,15 @@ impl<B: ServeBackend> SubscriptionManager<B> {
         algorithm: Algorithm,
         trigger: Trigger,
     ) -> Result<SubscriptionId, SubscribeError> {
-        query.validate()?;
-        self.shared.backend.try_locate(&query.location)?;
         // Stamp the touch sequence before evaluating: if a batch lands
         // while we evaluate (the observer enqueues concurrently), the new
         // subscription is marked dirty so the next pass re-converges it —
         // its footprint may describe pre-batch state.
         let seq_before = self.shared.lock().touch_seq;
-        let results = Self::evaluate(&self.shared.backend, &[(0, query, algorithm)]);
-        let (outcome, max_region) = results.into_iter().next().expect("one result");
-        let region = outcome?;
+        let mut answers = self.shared.backend.try_s_query_batch(&[(query, algorithm)]);
+        let answer = answers.pop().expect("one answer per query");
+        let region = answer.outcome?.region;
 
-        let slot_s = self.shared.backend.slot_s();
         let mut state = self.shared.lock();
         let id = state.next_id;
         state.next_id += 1;
@@ -471,10 +432,9 @@ impl<B: ServeBackend> SubscriptionManager<B> {
         state.subs.insert(
             id,
             SubState {
-                query,
-                algorithm,
+                query: (query, algorithm),
                 trigger,
-                footprint: ReadFootprint::record(&query, slot_s, max_region),
+                footprint: answer.footprint,
                 last_region: Some(region.clone()),
                 dirty: raced_ingest,
             },

@@ -295,8 +295,8 @@ fn multi_location_mqmb_matches_naive_owner_verification() {
 
 /// The engine's query pipeline builds the start segment's verifier core
 /// first and, when its active days cannot reach Prob, answers from the
-/// minimum bound alone. Every answer — serial SQMB+TBS and ES, one
-/// coalesced batch of the whole grid, MQMB and repeated s-queries — must
+/// minimum bound alone. Every answer — single SQMB+TBS and ES queries, one
+/// batch of the whole grid, MQMB and repeated s-queries — must
 /// equal the full naive reference, which verifies every annulus segment.
 #[test]
 fn pipeline_matches_the_full_reference_whether_or_not_the_start_decides() {
@@ -386,16 +386,18 @@ fn pipeline_matches_the_full_reference_whether_or_not_the_start_decides() {
         "the grid must hold decided ({decided}) and undecided ({undecided}) queries"
     );
 
-    // One coalesced batch: the groups share an origin and hop slots across
+    // One batch: the groups share an origin and hop slots across
     // thresholds, so decided and undecided members ride one bounding pass.
-    for (q, answer) in queries.iter().zip(f.engine.try_s_query_coalesced(&queries)) {
+    let batch: Vec<(SQuery, Algorithm)> =
+        queries.iter().map(|q| (*q, Algorithm::SqmbTbs)).collect();
+    for (q, answer) in queries.iter().zip(f.engine.try_s_query_batch(&batch)) {
         let want = naive_s_query(&f.network, f.con(), f.st(), q, start, Algorithm::SqmbTbs);
         let got = answer.outcome.unwrap();
-        assert_eq!(got.region, want.unwrap(), "coalesced {q:?}");
+        assert_eq!(got.region, want.unwrap(), "batched {q:?}");
         assert_eq!(
-            answer.max_region.len(),
+            answer.footprint.max_region().len(),
             got.stats.max_bounding_size,
-            "coalesced {q:?}"
+            "batched {q:?}"
         );
     }
 }
@@ -525,7 +527,7 @@ fn assert_grid_matches_reference(
                         duration_s: l,
                         prob: 0.25,
                     };
-                    let start = engine.locate(&q.location).unwrap();
+                    let start = engine.try_locate(&q.location).unwrap();
                     if !VerifierCore::new(st, start, t, l).unwrap().decided(q.prob) {
                         undecided += 1;
                     }
@@ -552,7 +554,7 @@ fn assert_grid_matches_reference(
     ];
     let starts: Vec<SegmentId> = locations
         .iter()
-        .map(|p| engine.locate(p).unwrap())
+        .map(|p| engine.try_locate(p).unwrap())
         .collect();
     for &l in durations {
         let m = MQuery {

@@ -340,10 +340,10 @@ impl PageStore for InMemoryPageStore {
 /// backend-independent.
 pub struct FilePageStore {
     file: File,
-    /// Pages readable so far; `allocate` publishes a page only after its
-    /// zeroes are on file.
+    /// Pages readable so far; `allocate` publishes a page only after the
+    /// file has grown to hold it.
     num_pages: AtomicU64,
-    /// Serialises `allocate`, so two callers never zero the same page.
+    /// Serialises `allocate`, so two callers never take the same page.
     grow: Mutex<()>,
     stats: Arc<IoStats>,
 }
@@ -406,8 +406,9 @@ impl PageStore for FilePageStore {
     fn allocate(&self) -> StorageResult<PageId> {
         let _grow = self.grow.lock();
         let id = self.num_pages();
-        self.file
-            .write_all_at(&[0u8; PAGE_SIZE], id * PAGE_SIZE as u64)?;
+        // Growing the file reads back zeroes without writing them, so a
+        // page that `write_page` fills next is written once, not twice.
+        self.file.set_len((id + 1) * PAGE_SIZE as u64)?;
         self.num_pages.store(id + 1, Ordering::Release);
         Ok(id)
     }
@@ -511,6 +512,8 @@ mod tests {
 
     fn roundtrip(store: &dyn PageStore) {
         let id = store.allocate().unwrap();
+        let fresh = store.read_page(id).unwrap();
+        assert!(fresh.bytes().iter().all(|&b| b == 0));
         let mut page = Page::zeroed();
         page.bytes_mut()[0] = 0xAB;
         page.bytes_mut()[PAGE_SIZE - 1] = 0xCD;
@@ -525,7 +528,7 @@ mod tests {
         let store = InMemoryPageStore::new();
         roundtrip(&store);
         let snap = store.io_stats().snapshot();
-        assert_eq!(snap.page_reads, 1);
+        assert_eq!(snap.page_reads, 2);
         assert_eq!(snap.page_writes, 1);
         assert_eq!(store.num_pages(), 1);
     }
@@ -588,6 +591,7 @@ mod tests {
             roundtrip(&store);
             assert_eq!(store.num_pages(), 1);
         }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), PAGE_SIZE as u64);
         // Re-open and check persistence.
         let store = FilePageStore::open_read_only(&path).unwrap();
         assert_eq!(store.num_pages(), 1);
@@ -729,6 +733,6 @@ mod tests {
         roundtrip(&boxed);
         assert_eq!(boxed.num_pages(), 1);
         assert!(boxed.flush().is_ok());
-        assert_eq!(boxed.io_stats().snapshot().page_reads, 1);
+        assert_eq!(boxed.io_stats().snapshot().page_reads, 2);
     }
 }

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use streach_core::prelude::*;
+use streach_core::query::reference::naive_s_query;
 use streach_core::query::sqmb::{sqmb, BoundingRegions};
 use streach_core::query::verifier::VerifierCore;
 use streach_core::query::MQueryAlgorithm;
@@ -175,6 +176,24 @@ pub fn decided(engine: &ReachabilityEngine, query: &SQuery) -> bool {
     )
     .expect("start segment postings")
     .decided(query.prob)
+}
+
+/// The naive reference answer of `query` on `engine`'s indexes: the
+/// oracle of `query::reference`, which shares no code with the pipeline.
+pub fn oracle(engine: &ReachabilityEngine, query: &SQuery, algorithm: Algorithm) -> Answer {
+    let start = engine
+        .try_locate(&query.location)
+        .expect("start on the network");
+    let region = naive_s_query(
+        engine.network(),
+        engine.con_index(),
+        engine.st_index(),
+        query,
+        start,
+        algorithm,
+    )
+    .expect("oracle s-query");
+    region_bits(&region)
 }
 
 /// The SQMB bounds of `query` on `engine`, read through `sqmb` itself: the

@@ -1,6 +1,6 @@
 //! Serving front end: many concurrent clients submit s-queries through a
 //! [`QueryServer`], which folds queries sharing an (origin, slot window)
-//! into **one MQMB bounding pass** (cross-user coalescing), serves repeats
+//! into **one bounding pass** (cross-user coalescing), serves repeats
 //! from an ingest-invalidated **result cache**, and stays bit-identical to
 //! the serial engine path throughout — including across a live ingest that
 //! invalidates exactly the affected cache entries.

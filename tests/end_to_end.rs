@@ -81,7 +81,7 @@ fn full_preprocessing_pipeline_produces_queryable_indexes() {
         prob: 0.2,
     };
     let outcome = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
-    let r0 = engine.locate(&center).unwrap();
+    let r0 = engine.try_locate(&center).unwrap();
     assert!(outcome.region.contains(r0));
     assert!(outcome.region.total_length_km > 0.0);
 }
@@ -107,7 +107,7 @@ fn sqmb_tbs_and_es_agree_on_verified_segments() {
                     .try_s_query(&q, Algorithm::ExhaustiveSearch)
                     .expect("s-query");
                 let fast = engine.try_s_query(&q, Algorithm::SqmbTbs).expect("s-query");
-                let r0 = engine.locate(&q.location).unwrap();
+                let r0 = engine.try_locate(&q.location).unwrap();
                 assert!(es.region.contains(r0) && fast.region.contains(r0));
                 // The index-based algorithm must not verify more segments
                 // than ES does.
@@ -172,7 +172,7 @@ fn es_segments_missing_from_sqmb_tbs_lie_outside_the_max_bound() {
                 let es = engine.try_s_query(&q, Algorithm::ExhaustiveSearch).unwrap();
                 let fast = engine.try_s_query(&q, Algorithm::SqmbTbs).unwrap();
                 let bounds = streach_testkit::sqmb_bounds(&engine, &q);
-                let r0 = engine.locate(&q.location).unwrap();
+                let r0 = engine.try_locate(&q.location).unwrap();
                 es_len += es.region.len();
                 // T0 and the window are both the slot at T (L = Δt).
                 let in_slot = |t: u32| t / slot_s == start_time_s / slot_s;
@@ -255,7 +255,7 @@ fn mquery_union_semantics_and_efficiency() {
 
     // Every start segment is in both results.
     for loc in &q.locations {
-        let seg = engine.locate(loc).unwrap();
+        let seg = engine.try_locate(loc).unwrap();
         assert!(repeated.region.contains(seg));
         assert!(unified.region.contains(seg));
     }

@@ -237,7 +237,7 @@ fn assert_bounding_matches_table_walk(engine: &ReachabilityEngine, tables: &ConI
     let n = network.num_segments();
     for (i, (sq, mq)) in workload(network.bounds().center()).iter().enumerate() {
         let (t, l) = (sq.start_time_s, sq.duration_s);
-        let start = engine.locate(&sq.location).expect("on-network start");
+        let start = engine.try_locate(&sq.location).expect("on-network start");
         let direct = sqmb(engine.con_index(), n, start, t, l);
         let naive = naive_sqmb(tables, n, start, t, l);
         assert_eq!(
@@ -248,7 +248,7 @@ fn assert_bounding_matches_table_walk(engine: &ReachabilityEngine, tables: &ConI
         let starts: Vec<SegmentId> = mq
             .locations
             .iter()
-            .map(|p| engine.locate(p).expect("on-network start"))
+            .map(|p| engine.try_locate(p).expect("on-network start"))
             .collect();
         let direct = mqmb(engine.con_index(), network, &starts, &mq.locations, t, l);
         let naive = naive_mqmb(tables, network, &starts, &mq.locations, t, l);

@@ -4,13 +4,15 @@
 //! Three layers of pinning, all seeded (`STREACH_FAULT_SEED`, printed in
 //! every assertion):
 //!
-//! * **Coalesced batches are bit-identical to serial queries.** A batch
-//!   mixing duplicates, shared (origin, slot window) groups with distinct
-//!   probability thresholds, distinct windows, an invalid query and an
-//!   off-network location is answered by `try_s_query_coalesced` — every
-//!   outcome must equal the serial `try_s_query` answer bit for bit, and
-//!   every failure must be the same typed error. Checked on the single
-//!   engine and on a two-shard scatter-gather router.
+//! * **Batches are bit-identical to single queries and to the oracle.** A
+//!   batch mixing duplicates, shared (origin, slot window) groups with
+//!   distinct probability thresholds, distinct windows, ES members, an
+//!   invalid query and an off-network location is answered by
+//!   `try_s_query_batch` — every outcome must equal the member's own
+//!   `try_s_query` answer (a batch of one) and the naive reference of
+//!   `query::reference`, which shares no code with the pipeline, bit for
+//!   bit, and every failure must be the same typed error. Checked on the
+//!   single engine and on a two-shard scatter-gather router.
 //! * **The result cache races live ingest + compaction.** A [`QueryServer`]
 //!   with cache and coalescing on serves a morning query pool while other
 //!   threads ingest slot-disjoint afternoon batches through the WAL and a
@@ -32,7 +34,7 @@ use std::sync::Arc;
 use streach::prelude::*;
 use streach_core::MaintenanceConfig;
 use streach_testkit::{
-    answer_of, checkpointing_config, decided, disjoint_batch, fault_seed, mix, scenario,
+    answer_of, checkpointing_config, decided, disjoint_batch, fault_seed, mix, oracle, scenario,
     split_start, sqmb_bounds, tmp_dir, Answer,
 };
 
@@ -99,8 +101,9 @@ fn morning_batch(batch: &[TrajPoint], round: usize) -> Vec<TrajPoint> {
         .collect()
 }
 
-/// Coalesced answers must be bit-identical to serial answers — including
-/// the typed errors — on a batch mixing every grouping shape.
+/// Batched answers must be bit-identical to each member alone and to the
+/// oracle — including the typed errors — on a batch mixing every grouping
+/// shape and both algorithms.
 #[test]
 fn coalesced_batch_is_bit_identical_to_serial() {
     let seed = fault_seed();
@@ -109,83 +112,85 @@ fn coalesced_batch_is_bit_identical_to_serial() {
         .index_config(checkpointing_config())
         .build();
     let center = network.bounds().center();
+    let sq = |location, start_time_s, duration_s, prob| SQuery {
+        location,
+        start_time_s,
+        duration_s,
+        prob,
+    };
 
-    let mut batch: Vec<SQuery> = Vec::new();
-    // Two exact duplicates + a third sharing the (origin, window) group
-    // with a different threshold: one bounding pass, three verifications.
-    for prob in [0.25, 0.25, 0.6] {
-        batch.push(SQuery {
-            location: center,
-            start_time_s: 9 * 3600,
-            duration_s: 600,
-            prob,
-        });
-    }
-    // Same origin, different window → its own group.
-    batch.push(SQuery {
-        location: center,
-        start_time_s: 10 * 3600,
-        duration_s: 300,
-        prob: 0.25,
-    });
-    // Different origin → its own group.
-    batch.push(SQuery {
-        location: center.offset_m(900.0, -600.0),
-        start_time_s: 9 * 3600,
-        duration_s: 600,
-        prob: 0.25,
-    });
-    // Same slot window as the first group, but an unaligned start second:
-    // must NOT collapse into the duplicates' verification.
-    batch.push(SQuery {
-        location: center,
-        start_time_s: 9 * 3600 + 7,
-        duration_s: 600,
-        prob: 0.25,
-    });
-    // Invalid (probability out of range) and off-network entries: the
-    // failure stays the caller's, the rest of the batch is answered.
-    batch.push(SQuery {
-        location: center,
-        start_time_s: 9 * 3600,
-        duration_s: 600,
-        prob: 1.5,
-    });
-    batch.push(SQuery {
-        location: center.offset_m(500_000.0, 500_000.0),
-        start_time_s: 9 * 3600,
-        duration_s: 600,
-        prob: 0.25,
-    });
-    // Prob 1.0 in the first group: the start segment decides it before
-    // verifying, so it rides the group's bounding pass but reads nothing.
-    batch.push(SQuery {
-        location: center,
-        start_time_s: 9 * 3600,
-        duration_s: 600,
-        prob: 1.0,
-    });
+    let mut batch: Vec<(SQuery, Algorithm)> = vec![
+        // #0-2: two exact duplicates + a third sharing the (origin, window)
+        // group with a different threshold: one bounding pass, three
+        // verifications.
+        sq(center, 9 * 3600, 600, 0.25),
+        sq(center, 9 * 3600, 600, 0.25),
+        sq(center, 9 * 3600, 600, 0.6),
+        // #3: same origin, different window → its own group.
+        sq(center, 10 * 3600, 300, 0.25),
+        // #4: different origin → its own group.
+        sq(center.offset_m(900.0, -600.0), 9 * 3600, 600, 0.25),
+        // #5: same slot window as the first group, but an unaligned start
+        // second: must NOT collapse into the duplicates' verification.
+        sq(center, 9 * 3600 + 7, 600, 0.25),
+        // #6, #7: invalid (probability out of range) and off-network: the
+        // failure stays the caller's, the rest of the batch is answered.
+        sq(center, 9 * 3600, 600, 1.5),
+        sq(center.offset_m(500_000.0, 500_000.0), 9 * 3600, 600, 0.25),
+        // #8: Prob 1.0 in the first group: the start segment decides it
+        // before verifying, so it rides the group's bounding pass but reads
+        // nothing.
+        sq(center, 9 * 3600, 600, 1.0),
+    ]
+    .into_iter()
+    .map(|q| (q, Algorithm::SqmbTbs))
+    .collect();
+    // #9: ES from the first group's origin and window: it bounds nothing,
+    // so it shares nothing. #10: ES elsewhere.
+    batch.push((sq(center, 9 * 3600, 600, 0.25), Algorithm::ExhaustiveSearch));
+    batch.push((
+        sq(center.offset_m(-700.0, 500.0), 10 * 3600, 300, 0.25),
+        Algorithm::ExhaustiveSearch,
+    ));
     assert!(
-        decided(&engine, &batch[8]),
+        decided(&engine, &batch[8].0),
         "[seed {seed}] the Prob 1.0 member must be decided"
     );
 
-    let coalesced = engine.try_s_query_coalesced(&batch);
-    assert_eq!(coalesced.len(), batch.len(), "[seed {seed}] answer count");
-    for (i, (query, answer)) in batch.iter().zip(&coalesced).enumerate() {
-        let serial = engine.try_s_query(query, Algorithm::SqmbTbs);
-        match (&answer.outcome, &serial) {
+    let answers = engine.try_s_query_batch(&batch);
+    assert_eq!(answers.len(), batch.len(), "[seed {seed}] answer count");
+    for (i, ((query, algorithm), answer)) in batch.iter().zip(&answers).enumerate() {
+        let alone = engine.try_s_query(query, *algorithm);
+        match (&answer.outcome, &alone) {
             (Ok(got), Ok(want)) => {
                 assert_eq!(
                     answer_of(got),
                     answer_of(want),
-                    "[seed {seed}] batch entry #{i} diverged from serial"
+                    "[seed {seed}] batch entry #{i} diverged from its batch of one"
+                );
+                assert_eq!(
+                    answer_of(got),
+                    oracle(&engine, query, *algorithm),
+                    "[seed {seed}] batch entry #{i} diverged from the oracle"
                 );
                 assert_eq!(
                     (got.stats.max_bounding_size, got.stats.min_bounding_size),
                     (want.stats.max_bounding_size, want.stats.min_bounding_size),
                     "[seed {seed}] batch entry #{i}: bounding sizes diverged"
                 );
+                // An SQMB+TBS answer read inside its maximum bound; ES
+                // reads wherever its expansion goes ("any segment").
+                let region = answer.footprint.max_region().len();
+                match algorithm {
+                    Algorithm::SqmbTbs => assert_eq!(
+                        region, got.stats.max_bounding_size,
+                        "[seed {seed}] batch entry #{i}: footprint region"
+                    ),
+                    Algorithm::ExhaustiveSearch => assert_eq!(
+                        region, 0,
+                        "[seed {seed}] batch entry #{i}: an ES footprint is any segment"
+                    ),
+                }
             }
             (Err(got), Err(want)) => assert_eq!(
                 got.to_string(),
@@ -193,14 +198,15 @@ fn coalesced_batch_is_bit_identical_to_serial() {
                 "[seed {seed}] batch entry #{i}: error diverged"
             ),
             (got, want) => {
-                panic!("[seed {seed}] batch entry #{i}: coalesced {got:?} vs serial {want:?}")
+                panic!("[seed {seed}] batch entry #{i}: batched {got:?} vs alone {want:?}")
             }
         }
     }
     // The duplicates, the shared-threshold members and the unaligned-start
     // member (same hop-slot fingerprint → same bounds, own verifier) rode
-    // one bounding pass; the other windows/origins and the failures did not.
-    for (i, answer) in coalesced.iter().enumerate() {
+    // one bounding pass; the other windows/origins, the failures and the
+    // ES members did not.
+    for (i, answer) in answers.iter().enumerate() {
         let want_shared = matches!(i, 0 | 1 | 2 | 5 | 8);
         assert_eq!(
             answer.shared_bounding, want_shared,
@@ -233,26 +239,24 @@ fn sharded_coalescing_and_server_cache_stay_bit_identical() {
     let center = network.bounds().center();
     let pool = serving_pool(center);
 
-    let queries: Vec<SQuery> = pool
-        .iter()
-        .filter(|(_, a)| *a == Algorithm::SqmbTbs)
-        .map(|(q, _)| *q)
-        .collect();
-    for (i, (query, answer)) in queries
-        .iter()
-        .zip(router.try_s_query_coalesced(&queries))
-        .enumerate()
+    for (i, ((query, algorithm), answer)) in
+        pool.iter().zip(router.try_s_query_batch(&pool)).enumerate()
     {
         let got = answer
             .outcome
-            .unwrap_or_else(|e| panic!("[seed {seed}] sharded coalesced entry #{i} failed: {e}"));
+            .unwrap_or_else(|e| panic!("[seed {seed}] sharded batch entry #{i} failed: {e}"));
         let want = single
-            .try_s_query(query, Algorithm::SqmbTbs)
+            .try_s_query(query, *algorithm)
             .expect("single-engine reference");
         assert_eq!(
             answer_of(&got),
             answer_of(&want),
-            "[seed {seed}] sharded coalesced entry #{i} diverged from the single engine"
+            "[seed {seed}] sharded batch entry #{i} diverged from the single engine"
+        );
+        assert_eq!(
+            answer_of(&got),
+            oracle(&single, query, *algorithm),
+            "[seed {seed}] sharded batch entry #{i} diverged from the oracle"
         );
     }
 

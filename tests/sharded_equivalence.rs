@@ -59,13 +59,13 @@ use std::sync::Arc;
 
 use streach::prelude::*;
 use streach::storage::StorageError;
-use streach_core::query::reference::{naive_m_query, naive_s_query};
+use streach_core::query::reference::naive_m_query;
 use streach_core::query::MQueryAlgorithm;
 use streach_core::sharded::PROBATION_READS;
 use streach_testkit::{
     answer_of, assert_pool_answers, copy_dir, disjoint_batch, fault_scenario, fault_seed, mix,
-    open_with_fault_script, pool, pool_answers, race_queries, region_bits, scenario, split_start,
-    tmp_dir, Race,
+    open_with_fault_script, oracle, pool, pool_answers, race_queries, region_bits, scenario,
+    split_start, tmp_dir, Race,
 };
 
 /// Base fleet-days built offline; the remaining days arrive via ingest.
@@ -1207,18 +1207,9 @@ fn assert_three_asks(
         let want = reference
             .try_s_query(q, *algorithm)
             .expect("reference s-query");
-        let oracle = naive_s_query(
-            reference.network(),
-            reference.con_index(),
-            reference.st_index(),
-            q,
-            locate(&q.location),
-            *algorithm,
-        )
-        .expect("oracle s-query");
         assert_eq!(
             answer_of(&want),
-            region_bits(&oracle),
+            oracle(reference, q, *algorithm),
             "[seed {seed}] {label}: reference diverged from the oracle on {q:?} {algorithm:?}"
         );
         verified += want.stats.segments_verified;
