@@ -31,7 +31,7 @@ use streach_roadnet::{segment_distances_from, RoadClass, RoadNetwork, SegmentId}
 use streach_storage::StorageResult;
 
 use crate::con_index::ConIndex;
-use crate::query::mqmb::{MqmbBounds, OwnershipDistances, NO_OWNER};
+use crate::query::mqmb::{MqmbBounds, NO_OWNER};
 use crate::query::sqmb::{hop_slots, BoundingRegions};
 use crate::query::{Algorithm, MQuery, SQuery};
 use crate::region::ReachableRegion;
@@ -407,9 +407,74 @@ pub fn naive_sqmb(
     }
 }
 
+/// The start nearest to every segment, by its own textbook Dijkstra that
+/// shares no code with the pipeline's ownership distances: per start, dense
+/// network distances that sum the lengths of the segments entered after the
+/// start (0 at the start, no U-turn onto a twin), capped at free-flow
+/// highway travel over the duration with 10 % slack. Strictly less keeps
+/// the lowest start index on a tie. A segment no start reaches within the
+/// cap goes to the start euclidean-nearest its midpoint, again the lowest
+/// index on a tie.
+fn nearest_starts(
+    network: &RoadNetwork,
+    starts: &[SegmentId],
+    start_points: &[GeoPoint],
+    duration_s: u32,
+) -> Vec<usize> {
+    let cap_m = duration_s as f64 * RoadClass::Highway.free_flow_ms() * 1.1;
+    let n = network.num_segments();
+    let mut best = vec![f64::INFINITY; n];
+    let mut nearest = vec![None; n];
+    let mut dist = vec![f64::INFINITY; n];
+    for (i, &start) in starts.iter().enumerate() {
+        dist.fill(f64::INFINITY);
+        dist[start.index()] = 0.0;
+        // Distances are non-negative and never NaN, so their bit patterns
+        // sort like their values.
+        let mut heap = BinaryHeap::from([Reverse((0f64.to_bits(), start))]);
+        while let Some(Reverse((bits, seg))) = heap.pop() {
+            let d = f64::from_bits(bits);
+            if d > dist[seg.index()] {
+                continue;
+            }
+            let here = network.segment(seg);
+            for &next in network.segments_out_of(here.end_node) {
+                let nd = d + network.segment(next).length_m;
+                if Some(next) != here.twin && nd <= cap_m && nd < dist[next.index()] {
+                    dist[next.index()] = nd;
+                    heap.push(Reverse((nd.to_bits(), next)));
+                }
+            }
+        }
+        for (seg, &d) in dist.iter().enumerate() {
+            if d < best[seg] {
+                best[seg] = d;
+                nearest[seg] = Some(i);
+            }
+        }
+    }
+    network
+        .segment_ids()
+        .zip(nearest)
+        .map(|(seg, nearest)| {
+            nearest.unwrap_or_else(|| {
+                let mid = network.segment_midpoint(seg);
+                let mut best = (0, f64::INFINITY);
+                for (i, p) in start_points.iter().enumerate() {
+                    let d = p.fast_distance_m(&mid);
+                    if d < best.1 {
+                        best = (i, d);
+                    }
+                }
+                best.0
+            })
+        })
+        .collect()
+}
+
 /// Algorithm 3 as written: the same table walk, a newly reached segment
 /// kept only when the start whose expansion reached it is also its nearest
-/// start (the ownership distances are shared with the optimized path).
+/// start ([`nearest_starts`]).
 pub fn naive_mqmb(
     con_index: &ConIndex,
     network: &RoadNetwork,
@@ -419,7 +484,7 @@ pub fn naive_mqmb(
     duration_s: u32,
 ) -> MqmbBounds {
     assert!(!starts.is_empty() && starts.len() == start_points.len());
-    let distances = OwnershipDistances::new(network, starts, start_points, duration_s);
+    let nearest = nearest_starts(network, starts, start_points, duration_s);
     let walk = |use_far: bool| {
         let mut owner = vec![NO_OWNER; network.num_segments()];
         let mut bounding: Vec<SegmentId> = Vec::new();
@@ -437,9 +502,7 @@ pub fn naive_mqmb(
                 let owner_r = owner[r.index()];
                 let list = if use_far { table.far(r) } else { table.near(r) };
                 for &next in list {
-                    if owner[next.index()] == NO_OWNER
-                        && distances.nearest_start(next) as u32 == owner_r
-                    {
+                    if owner[next.index()] == NO_OWNER && nearest[next.index()] as u32 == owner_r {
                         owner[next.index()] = owner_r;
                         bounding.push(next);
                     }

@@ -74,8 +74,8 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::{Mutex, RwLock};
 use streach_roadnet::{RoadNetwork, SegmentId};
 use streach_storage::{
-    BlobHandle, InMemoryPageStore, IoStats, LazySection, PageStore, PostingStore, StorageError,
-    StorageResult, TimeList,
+    BlobHandle, InMemoryPageStore, IoStats, LazySection, PageStore, PostingStore, PostingWriter,
+    StorageError, StorageResult, TimeList,
 };
 use streach_traj::{MatchedTrajectory, TrajPoint, TrajectoryDataset};
 
@@ -923,7 +923,7 @@ impl StIndex {
     /// stable counting sort, which leaves every group in (date, id) order,
     /// and encoded, the slots split across the workers. Slot by slot,
     /// segment by segment *is* the clustered on-disk layout, so the encoded
-    /// slots go to the heap in one batch, in slot order.
+    /// slots go to the heap through one writer, in slot order.
     pub fn build(
         network: Arc<RoadNetwork>,
         dataset: &TrajectoryDataset,
@@ -979,11 +979,10 @@ impl StIndex {
         drop(parts);
 
         let store: StIndexStore = Box::new(InMemoryPageStore::new());
-        let postings = PostingStore::with_retries(store, config.pool_pages, config.read_retries);
+        let mut writer = PostingWriter::new(store);
 
         let mut temporal = Vec::with_capacity(slots.len());
         let mut num_time_lists = 0u64;
-        let mut writer = postings.writer();
         for slot in slots {
             num_time_lists += slot.segments.len() as u64;
             temporal.push(if slot.segments.is_empty() {
@@ -995,8 +994,8 @@ impl StIndex {
                 SlotDirectory::new(run.offset, slot.segments, slot.ends)
             });
         }
-        writer
-            .finish()
+        let postings = writer
+            .finish(config.pool_pages, config.read_retries)
             .expect("in-memory posting store cannot fail");
 
         // Index construction is not part of any timed experiment; reset the
@@ -1413,9 +1412,9 @@ impl StIndex {
     /// bit-exact with a from-scratch rebuild.
     ///
     /// The base blobs are read in parallel via `streach_par` worker threads
-    /// (the dominant cost); the ordered append into the new heap is one
-    /// batch. On `Err` (a read fault while copying)
-    /// the index is left untouched: the old base keeps serving and the
+    /// (the dominant cost); one [`PostingWriter`] writes them into the new
+    /// heap in order. On `Err` (a read fault while copying) no heap is
+    /// sealed and the index is left untouched: the old base keeps serving and the
     /// compaction is retryable.
     ///
     /// The whole fold runs against a pinned state **off to the side** —
@@ -1458,16 +1457,15 @@ impl StIndex {
         let pool_pages = state.base.postings.pool_capacity();
         let read_retries = state.base.postings.read_retries();
         let store: StIndexStore = Box::new(InMemoryPageStore::with_stats(Arc::clone(&io)));
-        let new_postings = PostingStore::with_retries(store, pool_pages, read_retries);
+        let mut writer = PostingWriter::new(store);
         let mut temporal = vec![SlotDirectory::default(); slots_per_day(self.slot_s)];
-        let mut writer = new_postings.writer();
         for (((slot, segment), _), blob) in entries.iter().zip(&blobs) {
             let handle = writer.push(blob)?;
             temporal[*slot as usize]
                 .push(SegmentId(*segment), handle)
                 .ok_or_else(|| oversized_slot(*slot))?;
         }
-        writer.finish()?;
+        let new_postings = writer.finish(pool_pages, read_retries)?;
         let num_time_lists = entries.len() as u64;
         let posting_bytes = new_postings.size_bytes();
         let posting_pages = new_postings.num_pages();
@@ -1610,7 +1608,8 @@ mod tests {
 
     /// The build lays out the heap and the directory of the straightforward
     /// build — every observation sorted by (slot, segment, date, id), one
-    /// `TimeList` per group, appended in order — on one worker or two.
+    /// `TimeList` per group, pushed in order through one writer — on one worker
+    /// or two.
     #[test]
     fn build_layout_matches_one_global_sort_on_any_worker_count() {
         let city = SyntheticCity::generate(GeneratorConfig::small());
@@ -1626,18 +1625,19 @@ mod tests {
             }
         }
         obs.sort_unstable();
-        let oracle = PostingStore::new(InMemoryPageStore::new(), 4);
+        let mut oracle = PostingWriter::new(InMemoryPageStore::new());
         let mut directory = vec![SlotDirectory::default(); slots_per_day(config.slot_s)];
         for group in obs.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             let mut list = TimeList::new();
             for &(_, _, date, id) in group {
                 list.add(date, id);
             }
-            let handle = oracle.append_time_list(&list).unwrap();
+            let handle = oracle.push(&list.encode()).unwrap();
             directory[group[0].0 as usize]
                 .push(SegmentId(group[0].1), handle)
                 .unwrap();
         }
+        let oracle = oracle.finish(4, 0).unwrap();
         let oracle_pages = heap_pages(&oracle);
 
         for workers in [1, 2] {

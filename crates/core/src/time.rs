@@ -18,12 +18,6 @@ pub fn slot_of(time_s: u32, slot_s: u32) -> u32 {
     (time_s % streach_traj::SECONDS_PER_DAY) / slot_s
 }
 
-/// Start time (seconds after midnight) of slot `slot`.
-#[inline]
-pub fn slot_start(slot: u32, slot_s: u32) -> u32 {
-    slot * slot_s
-}
-
 /// Iterator over the slot indices covered by a (possibly cross-midnight)
 /// time window. See [`slots_overlapping`].
 #[derive(Debug, Clone)]
@@ -121,13 +115,6 @@ mod tests {
         assert_eq!(slot_of(11 * 3600, 300), 132);
         // Times past midnight wrap.
         assert_eq!(slot_of(streach_traj::SECONDS_PER_DAY + 30, 300), 0);
-    }
-
-    #[test]
-    fn slot_start_inverts_slot_of() {
-        for slot in [0u32, 1, 100, 287] {
-            assert_eq!(slot_of(slot_start(slot, 300), 300), slot);
-        }
     }
 
     #[test]

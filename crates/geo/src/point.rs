@@ -52,18 +52,6 @@ impl GeoPoint {
         self.lerp(other, 0.5)
     }
 
-    /// Initial bearing from `self` to `other` in degrees, clockwise from
-    /// north, in `[0, 360)`.
-    pub fn bearing_deg(&self, other: &GeoPoint) -> f64 {
-        let phi1 = self.lat.to_radians();
-        let phi2 = other.lat.to_radians();
-        let dl = (other.lon - self.lon).to_radians();
-        let y = dl.sin() * phi2.cos();
-        let x = phi1.cos() * phi2.sin() - phi1.sin() * phi2.cos() * dl.cos();
-        let theta = y.atan2(x).to_degrees();
-        (theta + 360.0) % 360.0
-    }
-
     /// Returns a point displaced by `dx_m` meters east and `dy_m` meters
     /// north of `self`, using a local tangent-plane approximation.
     pub fn offset_m(&self, dx_m: f64, dy_m: f64) -> GeoPoint {
@@ -126,19 +114,6 @@ mod tests {
             (d - 1200.0).abs() < 2.0,
             "offset south by 1200m measured {d}"
         );
-    }
-
-    #[test]
-    fn bearing_cardinal_directions() {
-        let p = shenzhen_center();
-        let north = p.offset_m(0.0, 1000.0);
-        let east = p.offset_m(1000.0, 0.0);
-        let south = p.offset_m(0.0, -1000.0);
-        let west = p.offset_m(-1000.0, 0.0);
-        assert!(p.bearing_deg(&north).abs() < 1.0 || (p.bearing_deg(&north) - 360.0).abs() < 1.0);
-        assert!((p.bearing_deg(&east) - 90.0).abs() < 1.0);
-        assert!((p.bearing_deg(&south) - 180.0).abs() < 1.0);
-        assert!((p.bearing_deg(&west) - 270.0).abs() < 1.0);
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl RoadSegment {
             twin: None,
         }
     }
-
-    /// Free-flow traversal time of the segment in seconds.
-    pub fn free_flow_travel_time_s(&self) -> f64 {
-        self.length_m / self.class.free_flow_ms()
-    }
 }
 
 #[cfg(test)]
@@ -169,8 +164,6 @@ mod tests {
         assert!((seg.length_m - 600.0).abs() < 2.0);
         assert!(seg.mbr.contains_point(&a));
         assert!(seg.mbr.contains_point(&b));
-        // 600 m at 60 km/h is 36 s.
-        assert!((seg.free_flow_travel_time_s() - 36.0).abs() < 0.5);
         assert!(seg.twin.is_none());
     }
 }

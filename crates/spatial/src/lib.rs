@@ -1,4 +1,4 @@
-//! From-scratch spatial indexes for the `streach` workspace.
+//! The from-scratch spatial index of the `streach` workspace.
 //!
 //! The ST-Index keeps one spatial index over the (re-segmented) road network:
 //! "A spatial index (e.g., R-tree) is built based on the re-segmented road
@@ -9,17 +9,15 @@
 //!   quadratic splits, window (MBR) queries, point queries and best-first
 //!   nearest-neighbour search with an exact-distance refinement callback.
 //!   The query processing algorithms use it to map a query location `S` to
-//!   its start road segment `r0`.
-//! * [`GridIndex`] — a uniform grid used by map matching to fetch candidate
-//!   segments around each GPS point in O(1).
+//!   its start road segment `r0`, and map matching to fetch the candidate
+//!   segments around each GPS point.
+//! * [`kd_partition`] — the k-d split of the road network into shards.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod grid;
 pub mod partition;
 pub mod rtree;
 
-pub use grid::GridIndex;
 pub use partition::kd_partition;
 pub use rtree::RTree;

@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streach_geo::{GeoPoint, Mbr};
-use streach_spatial::{GridIndex, RTree};
+use streach_spatial::RTree;
 
 const CASES: usize = 64;
 
@@ -120,56 +120,5 @@ fn rtree_nearest_matches_scan() {
             (centers[*got as usize].haversine_m(&q) - best).abs() < 1e-9,
             "case {case}"
         );
-    }
-}
-
-/// Grid candidate sets are supersets of the exact answer for point
-/// neighbourhood queries within one cell size.
-#[test]
-fn grid_candidates_cover_nearby_items() {
-    let mut rng = StdRng::seed_from_u64(305);
-    for case in 0..CASES {
-        let n = rng.gen_range(1..150usize);
-        let centers: Vec<GeoPoint> = (0..n).map(|_| city_point(&mut rng)).collect();
-        let q = city_point(&mut rng);
-        let cell_m = rng.gen_range(200.0..800.0);
-        let bounds = Mbr::new(113.8, 22.45, 114.4, 22.8);
-        let mut grid = GridIndex::new(bounds, cell_m);
-        for (i, c) in centers.iter().enumerate() {
-            grid.insert(&Mbr::of_point(c), i as u32);
-        }
-        let candidates = grid.candidates_near(&q);
-        // Every item within one cell size of the query must be a candidate.
-        for (i, c) in centers.iter().enumerate() {
-            if c.haversine_m(&q) <= cell_m {
-                assert!(
-                    candidates.contains(&(i as u32)),
-                    "case {case}: item {i} at distance {} missing from candidates",
-                    c.haversine_m(&q)
-                );
-            }
-        }
-    }
-}
-
-/// Grid window queries are supersets of the exact containment answer.
-#[test]
-fn grid_window_candidates_cover_contained_items() {
-    let mut rng = StdRng::seed_from_u64(306);
-    for case in 0..CASES {
-        let n = rng.gen_range(1..150usize);
-        let centers: Vec<GeoPoint> = (0..n).map(|_| city_point(&mut rng)).collect();
-        let window = small_mbr(&mut rng);
-        let bounds = Mbr::new(113.8, 22.45, 114.4, 22.8);
-        let mut grid = GridIndex::new(bounds, 400.0);
-        for (i, c) in centers.iter().enumerate() {
-            grid.insert(&Mbr::of_point(c), i as u32);
-        }
-        let candidates = grid.candidates_in(&window);
-        for (i, c) in centers.iter().enumerate() {
-            if window.contains_point(c) {
-                assert!(candidates.contains(&(i as u32)), "case {case}: item {i}");
-            }
-        }
     }
 }

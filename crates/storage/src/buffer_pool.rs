@@ -1,7 +1,6 @@
 //! An LRU buffer pool in front of a page store.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 use parking_lot::{Mutex, MutexGuard};
@@ -28,6 +27,10 @@ use crate::pagestore::{PageStore, StorageError, StorageResult};
 ///
 /// # Concurrency
 ///
+/// The pool only reads: it has no write path, because every heap it
+/// serves is sealed before its first read (see [`crate::postings`]). A
+/// cached page therefore never goes stale.
+///
 /// * **Page-sharded LRU.** The pool is split into LRU shards keyed by page
 ///   id (`id % shards`), each behind its own lock on its own cache line, so
 ///   parallel verification workers hitting different pages do not write to
@@ -47,12 +50,6 @@ use crate::pagestore::{PageStore, StorageError, StorageResult};
 ///   for the leader; followers record cache hits, since their request is
 ///   served from memory. If the leader's read fails, followers fall back to
 ///   their own store read.
-/// * **Writes make racing fetches stale.** [`BufferPool::write_page`]
-///   writes the store, then refreshes a resident copy — and if a fetch of
-///   the page is in flight, detaches it and marks it stale: its leader may
-///   have copied the bytes before the write, so it hands them to its
-///   waiters (whose reads overlapped the write) but does not cache them,
-///   and a fetch arriving after the write starts a fresh physical read.
 /// * **O(1) eviction.** Recency order lives in an intrusive doubly-linked
 ///   list threaded through a slab of nodes, so refreshing a page on a cache
 ///   hit and selecting the LRU victim on a miss are both constant time.
@@ -128,11 +125,6 @@ struct InFlight {
     /// their own).
     slot: StdMutex<Option<Option<Arc<Page>>>>,
     ready: Condvar,
-    /// Set by a [`BufferPool::write_page`] that landed while this fetch was
-    /// in flight: the leader's bytes may predate the write, so they must not
-    /// be cached. Written and read only under the shard lock, which orders
-    /// the two (hence `Relaxed`).
-    stale: AtomicBool,
 }
 
 impl InFlight {
@@ -140,7 +132,6 @@ impl InFlight {
         Self {
             slot: StdMutex::new(None),
             ready: Condvar::new(),
-            stale: AtomicBool::new(false),
         }
     }
 
@@ -216,17 +207,11 @@ impl LruShard {
         Some(Arc::clone(&self.nodes[idx as usize].page))
     }
 
-    /// Inserts (or refreshes) a page, evicting the LRU victim when full.
-    /// O(1): the victim is the list tail, its slab slot is reused in place.
+    /// Inserts a page that is not resident, evicting the LRU victim when
+    /// full. O(1): the victim is the list tail, its slab slot is reused in
+    /// place.
     fn insert(&mut self, id: PageId, page: Arc<Page>) {
-        if let Some(&idx) = self.map.get(&id) {
-            self.nodes[idx as usize].page = page;
-            if self.head != idx {
-                self.unlink(idx);
-                self.push_front(idx);
-            }
-            return;
-        }
+        debug_assert!(!self.map.contains_key(&id));
         let idx = if self.map.len() >= self.capacity {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
@@ -353,17 +338,17 @@ impl<S: PageStore> BufferPool<S> {
         Arc::clone(&self.stats)
     }
 
-    /// Access to the wrapped store (e.g. for allocation during bulk loads).
+    /// Access to the wrapped store.
     pub fn store(&self) -> &S {
         &self.store
     }
 
-    /// Allocates a new page in the underlying store.
-    pub fn allocate(&self) -> StorageResult<PageId> {
-        self.store.allocate()
-    }
-
-    /// Fetches a page through the cache, coalescing concurrent misses.
+    /// Fetches a page through the cache, coalescing concurrent misses, and
+    /// returns the pooled page itself, retained with one `Arc` bump: a
+    /// reader that walks a run of blobs keeps it while the run stays on
+    /// the page, so the page is fetched (and counted) once however many
+    /// blobs it lends.
+    ///
     /// The leader's physical read runs the bounded transient-retry loop
     /// ([`BufferPool::with_retries`]), so a one-shot `EIO` is absorbed
     /// without any waiter observing it.
@@ -374,7 +359,7 @@ impl<S: PageStore> BufferPool<S> {
     /// its own retried read) and a later fetch goes back to the store
     /// instead of being served a phantom page. Errors are annotated with
     /// the page id, backend and attempt count ([`StorageError::PageRead`]).
-    fn fetch(&self, id: PageId) -> StorageResult<Arc<Page>> {
+    pub(crate) fn page(&self, id: PageId) -> StorageResult<Arc<Page>> {
         enum Role {
             Hit(Arc<Page>),
             Follower(Arc<InFlight>),
@@ -413,18 +398,11 @@ impl<S: PageStore> BufferPool<S> {
                     self.stats.record_miss();
                     let (result, attempts) = self.read_with_retries(id);
                     let mut shard = self.shard(id);
-                    // A racing write already detached a stale entry (and a
-                    // later fetch may have registered its own since).
-                    let stale = pending.stale.load(Ordering::Relaxed);
-                    if !stale {
-                        shard.in_flight.remove(&id);
-                    }
+                    shard.in_flight.remove(&id);
                     match result {
                         Ok(page) => {
                             let page = Arc::new(page);
-                            if !stale {
-                                shard.insert(id, Arc::clone(&page));
-                            }
+                            shard.insert(id, Arc::clone(&page));
                             drop(shard);
                             pending.publish(Some(page.clone()));
                             return Ok(page);
@@ -445,43 +423,9 @@ impl<S: PageStore> BufferPool<S> {
         }
     }
 
-    /// Runs `f` against a page without handing out an owned copy: on a cache
-    /// hit the pooled page is retained with one `Arc` bump (no allocation,
-    /// no byte copy) and the closure runs *outside* the shard lock, so
-    /// parallel verification workers never serialize on each other's reads.
-    /// This is the backbone of the query hot path — posting reads copy the
-    /// bytes they need straight into a caller-owned scratch buffer.
-    pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R> {
-        let page = self.fetch(id)?;
-        Ok(f(&page))
-    }
-
-    /// The pooled page itself, retained with one `Arc` bump: a reader that
-    /// walks a run of blobs keeps it while the run stays on the page, so
-    /// the page is fetched (and counted) once however many blobs it lends.
-    pub(crate) fn page(&self, id: PageId) -> StorageResult<Arc<Page>> {
-        self.fetch(id)
-    }
-
-    /// Reads a page through the cache.
+    /// Reads a page through the cache, as an owned copy.
     pub fn read_page(&self, id: PageId) -> StorageResult<Page> {
-        self.with_page(id, |page| page.clone())
-    }
-
-    /// Writes a page through the cache (write-through: the underlying store
-    /// is updated immediately and the cached copy refreshed). A fetch of the
-    /// page still in flight is marked stale so its possibly pre-write bytes
-    /// are never cached (see the type docs).
-    pub fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        self.store.write_page(id, page)?;
-        let mut shard = self.shard(id);
-        if let Some(pending) = shard.in_flight.remove(&id) {
-            pending.stale.store(true, Ordering::Relaxed);
-        }
-        if shard.map.contains_key(&id) {
-            shard.insert(id, Arc::new(page.clone()));
-        }
-        Ok(())
+        Ok(Page::clone(&*self.page(id)?))
     }
 
     /// Drops every cached page (counters are unaffected).
@@ -545,21 +489,6 @@ mod tests {
             pool.read_page(i).unwrap();
             assert!(pool.cached_pages() <= 3);
         }
-    }
-
-    #[test]
-    fn write_through_updates_cache_and_store() {
-        let pool = BufferPool::new(store_with_pages(1), 2);
-        pool.read_page(0).unwrap();
-        let mut page = Page::zeroed();
-        page.bytes_mut()[0] = 99;
-        pool.write_page(0, &page).unwrap();
-        // Cached copy must reflect the write.
-        let cached = pool.read_page(0).unwrap();
-        assert_eq!(cached.bytes()[0], 99);
-        // And the underlying store as well.
-        let direct = pool.store().read_page(0).unwrap();
-        assert_eq!(direct.bytes()[0], 99);
     }
 
     #[test]
@@ -710,7 +639,7 @@ mod tests {
 
         let results: Vec<StorageResult<Arc<Page>>> = std::thread::scope(|scope| {
             let pool = &pool;
-            let handles: Vec<_> = (0..8).map(|_| scope.spawn(move || pool.fetch(0))).collect();
+            let handles: Vec<_> = (0..8).map(|_| scope.spawn(move || pool.page(0))).collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for (i, r) in results.iter().enumerate() {
@@ -754,7 +683,7 @@ mod tests {
 
         let results: Vec<StorageResult<Arc<Page>>> = std::thread::scope(|scope| {
             let pool = &pool;
-            let handles: Vec<_> = (0..6).map(|_| scope.spawn(move || pool.fetch(0))).collect();
+            let handles: Vec<_> = (0..6).map(|_| scope.spawn(move || pool.page(0))).collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         // The leader fails; every follower retries and succeeds on read #1+.
@@ -838,78 +767,6 @@ mod tests {
             pool.io_stats().snapshot().cache_hits,
             1,
             "hot page must still be resident"
-        );
-    }
-
-    /// A store whose first read copies the page and *then* stalls until the
-    /// test releases it, so a write can land between the copy and the fetch
-    /// completing. Later reads are not gated.
-    struct StallAfterCopy {
-        inner: InMemoryPageStore,
-        armed: std::sync::atomic::AtomicBool,
-        copied: std::sync::Barrier,
-        release: std::sync::Barrier,
-    }
-
-    impl PageStore for StallAfterCopy {
-        fn allocate(&self) -> StorageResult<PageId> {
-            self.inner.allocate()
-        }
-        fn read_page(&self, id: PageId) -> StorageResult<Page> {
-            let page = self.inner.read_page(id)?;
-            if self.armed.swap(false, Ordering::SeqCst) {
-                self.copied.wait();
-                self.release.wait();
-            }
-            Ok(page)
-        }
-        fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
-            self.inner.write_page(id, page)
-        }
-        fn num_pages(&self) -> u64 {
-            self.inner.num_pages()
-        }
-        fn flush(&self) -> StorageResult<()> {
-            Ok(())
-        }
-        fn io_stats(&self) -> Arc<IoStats> {
-            self.inner.io_stats()
-        }
-    }
-
-    /// Regression: a write landing while a miss on the same page is in
-    /// flight used to leave the leader's pre-write copy in the pool (the
-    /// write only refreshed resident pages), so every later read returned
-    /// the old bytes — the delta-tail append racing a query's miss.
-    #[test]
-    fn write_during_in_flight_miss_does_not_cache_stale_bytes() {
-        let pool = BufferPool::new(
-            StallAfterCopy {
-                inner: store_with_pages(1),
-                armed: std::sync::atomic::AtomicBool::new(true),
-                copied: std::sync::Barrier::new(2),
-                release: std::sync::Barrier::new(2),
-            },
-            4,
-        );
-        let mut written = Page::zeroed();
-        written.bytes_mut()[0] = 42;
-        std::thread::scope(|scope| {
-            let leader = scope.spawn(|| pool.read_page(0).unwrap());
-            pool.store().copied.wait(); // the leader holds the old bytes
-            pool.write_page(0, &written).unwrap();
-            // A read issued after the write must not join the stale fetch.
-            let after_write = scope.spawn(|| pool.read_page(0).unwrap());
-            pool.store().release.wait();
-            assert_eq!(after_write.join().unwrap().bytes()[0], 42);
-            // The leader's read overlapped the write; it returns its copy.
-            assert_eq!(leader.join().unwrap().bytes()[0], 0);
-        });
-        assert_eq!(pool.store().read_page(0).unwrap().bytes()[0], 42);
-        assert_eq!(
-            pool.read_page(0).unwrap().bytes()[0],
-            42,
-            "the pool must not serve the pre-write copy"
         );
     }
 

@@ -24,8 +24,8 @@
 //! reopened snapshot.
 //!
 //! The controller also scripts the **write path** of the streaming-ingest
-//! subsystem: ordinal-addressed page-write `EIO`s (a posting heap appends
-//! through `write_page`) and WAL append faults (`EIO` before any
+//! subsystem: ordinal-addressed page-write `EIO`s (a posting writer writes
+//! each heap page through `write_page`) and WAL append faults (`EIO` before any
 //! byte lands, or a torn append simulating a crash mid-write — see
 //! [`AppendFault`] and [`crate::Wal::open_with_controller`]). A detached
 //! controller ([`FaultController::detached`]) can drive a WAL alone or be
@@ -87,12 +87,8 @@ struct FaultPlan {
     /// Attempt-ordinal-addressed one-shot WAL append faults: stable under
     /// WAL rotation, which resets record ordinals per generation.
     append_attempt_faults: std::collections::HashMap<u64, AppendFault>,
-    /// Attempt-ordinal-addressed one-shot WAL fsync `EIO`s.
-    sync_faults: std::collections::HashSet<u64>,
     /// Number of upcoming WAL fsync attempts to fail with `EIO`.
     failing_syncs: u64,
-    /// Number of upcoming `flush` calls to fail with `EIO`.
-    failing_flushes: u64,
     /// Extra latency per physical read.
     read_latency: Duration,
 }
@@ -103,7 +99,6 @@ struct FaultState {
     writes: AtomicU64,
     appends: AtomicU64,
     syncs: AtomicU64,
-    flushes: AtomicU64,
     plan: Mutex<FaultPlan>,
 }
 
@@ -128,7 +123,6 @@ impl FaultController {
                 writes: AtomicU64::new(0),
                 appends: AtomicU64::new(0),
                 syncs: AtomicU64::new(0),
-                flushes: AtomicU64::new(0),
                 plan: Mutex::new(FaultPlan::default()),
             }),
         }
@@ -151,11 +145,6 @@ impl FaultController {
         self.state.writes.load(Ordering::SeqCst)
     }
 
-    /// Number of WAL append attempts consulted against this script.
-    pub fn appends_observed(&self) -> u64 {
-        self.state.appends.load(Ordering::SeqCst)
-    }
-
     /// Scripts a one-shot fault for the read with the given lifetime
     /// ordinal (0-based).
     pub fn fail_read_at(&self, ordinal: u64, fault: ReadFault) {
@@ -175,8 +164,7 @@ impl FaultController {
     }
 
     /// Scripts a one-shot `EIO` for the page write with the given lifetime
-    /// ordinal (0-based). Page writes are the delta-heap append path of the
-    /// streaming-ingest subsystem.
+    /// ordinal (0-based): the page writes of a posting heap's writer.
     pub fn fail_write_at(&self, ordinal: u64) {
         self.state.plan.lock().write_faults.insert(ordinal);
     }
@@ -222,12 +210,6 @@ impl FaultController {
         self.state.syncs.load(Ordering::SeqCst)
     }
 
-    /// Scripts a one-shot `EIO` for the WAL fsync with the given lifetime
-    /// **attempt ordinal** (0-based, counted per physical `sync_all`).
-    pub fn fail_sync_at(&self, ordinal: u64) {
-        self.state.plan.lock().sync_faults.insert(ordinal);
-    }
-
     /// Fails the next `n` WAL fsync attempts with `EIO` — the scripting
     /// shape for multi-writer group-commit campaigns, where the number of
     /// physical fsyncs under a concurrent batch depends on timing.
@@ -241,19 +223,11 @@ impl FaultController {
     pub(crate) fn next_sync_fault(&self) -> Option<u64> {
         let ordinal = self.state.syncs.fetch_add(1, Ordering::SeqCst);
         let mut plan = self.state.plan.lock();
-        if plan.sync_faults.remove(&ordinal) {
-            return Some(ordinal);
-        }
         if plan.failing_syncs > 0 {
             plan.failing_syncs -= 1;
             return Some(ordinal);
         }
         None
-    }
-
-    /// Fails the next `n` `flush` calls with `EIO`.
-    pub fn fail_next_flushes(&self, n: u64) {
-        self.state.plan.lock().failing_flushes = n;
     }
 
     /// Adds a fixed latency to every physical read (spin-waited, so
@@ -399,14 +373,6 @@ impl PageStore for FaultInjectingPageStore {
     }
 
     fn flush(&self) -> StorageResult<()> {
-        let ordinal = self.state.flushes.fetch_add(1, Ordering::SeqCst);
-        {
-            let mut plan = self.state.plan.lock();
-            if plan.failing_flushes > 0 {
-                plan.failing_flushes -= 1;
-                return Err(Self::injected_eio(ordinal, self.state.seed, "flush"));
-            }
-        }
         self.inner.flush()
     }
 
@@ -540,17 +506,6 @@ mod tests {
         assert!(store.read_page(0).is_ok());
         assert_eq!(ctl.reads_observed(), 2);
         assert_eq!(ctl.writes_observed(), 0);
-        assert_eq!(ctl.appends_observed(), 0);
-    }
-
-    #[test]
-    fn flush_faults_are_counted_down() {
-        let store = store_with_pages(1);
-        let ctl = store.controller();
-        ctl.fail_next_flushes(2);
-        assert!(store.flush().is_err());
-        assert!(store.flush().is_err());
-        assert!(store.flush().is_ok());
     }
 
     #[test]

@@ -14,14 +14,16 @@
 //!   in-memory backend, a file backend (positional reads and writes, the
 //!   one store every sealed snapshot heap is served from) and a per-page
 //!   CRC check,
-//! * [`buffer_pool`] — an LRU buffer pool in front of any page store,
+//! * [`buffer_pool`] — a read-only LRU buffer pool in front of any page
+//!   store,
 //! * [`fault`] — a deterministic, scriptable fault-injection wrapper
 //!   ([`FaultInjectingPageStore`](fault::FaultInjectingPageStore)) used to
 //!   drive the query pipelines through EIO, torn pages and zeroed pages,
 //! * [`iostats`] — shared atomic I/O counters, so query processing code can
 //!   report page reads/hits exactly like the paper reports running time,
-//! * [`postings`] — an append-only blob heap storing the serialized time
-//!   lists (trajectory-ID posting lists) across pages,
+//! * [`postings`] — a write-once blob heap storing the serialized time
+//!   lists (trajectory-ID posting lists) across pages: a writer seals it
+//!   into a read-only store,
 //! * [`snapshot`] — the versioned, checksummed snapshot container format
 //!   used by engine snapshots (named eager and lazy sections, CRC-32 per
 //!   table, payload and chunk),

@@ -6,10 +6,12 @@
 //! stores these lists on disk — reading them is the expensive operation that
 //! SQMB/Con-Index pruning is designed to avoid.
 //!
-//! [`PostingStore`] is an append-only blob heap over a [`PageStore`]: blobs
-//! are written contiguously (spanning page boundaries when necessary) and
-//! addressed by a [`BlobHandle`]. Reads go through a [`BufferPool`], so every
-//! posting access pays for exactly the pages it touches unless cached.
+//! [`PostingStore`] is a write-once blob heap over a [`PageStore`]: a
+//! [`PostingWriter`] lays blobs out contiguously (spanning page boundaries
+//! when necessary), writes each page once and seals the heap; a
+//! [`BlobHandle`] addresses a blob. Reads go through a [`BufferPool`], so
+//! every posting access pays for exactly the pages it touches unless
+//! cached.
 //!
 //! # Wire format
 //!
@@ -55,8 +57,6 @@
 //! shorter valid list.
 
 use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::buffer_pool::BufferPool;
 use crate::iostats::IoStats;
@@ -421,59 +421,26 @@ impl BlobHandle {
     }
 }
 
-/// An append-only heap of byte blobs stored across fixed-size pages, read
-/// through an LRU buffer pool. Time lists appended through
-/// [`append_time_list`](Self::append_time_list) are stored in the one
-/// delta/varint layout.
-///
-/// Blobs are appended in batches ([`PostingStore::writer`]): a batch writes
-/// each page it fills to the store exactly once, and its partial last page
-/// once, when it [finishes](PostingWriter::finish). The heap keeps that
-/// partial page in memory next to the tail, so no append reads a page back.
-/// A heap reopened from disk is [sealed](Self::sealed): it is read, never
-/// appended to.
+/// A sealed heap of byte blobs stored across fixed-size pages, read through
+/// an LRU buffer pool. A heap is written once, by a [`PostingWriter`] that
+/// [finishes](PostingWriter::finish) into it, or opened
+/// [sealed](Self::sealed) over the pages a store already holds, such as a
+/// snapshot's posting file. Nothing appends to it afterwards: compaction
+/// writes a fresh heap. Every read is a [`BlobRun`] ([`PostingStore::run`]).
 pub struct PostingStore<S: PageStore> {
     pool: BufferPool<S>,
-    tail: Mutex<Tail>,
-    /// A reopened heap, which takes no batch.
-    sealed: bool,
-}
-
-/// The end of a heap: its length and its partial last page.
-struct Tail {
-    /// Bytes appended so far.
+    /// Bytes in the heap.
     len: u64,
-    /// The page holding byte `len`, zeroed past `len`.
-    page: Page,
 }
 
 impl<S: PageStore> PostingStore<S> {
-    /// Creates an empty posting store over `store`, caching up to
-    /// `pool_pages` pages, with the default transient-read retry budget.
-    pub fn new(store: S, pool_pages: usize) -> Self {
-        Self::with_retries(store, pool_pages, crate::buffer_pool::DEFAULT_READ_RETRIES)
-    }
-
-    /// Creates an empty posting store over `store` with an explicit
-    /// transient-read retry budget.
-    pub fn with_retries(store: S, pool_pages: usize, read_retries: u32) -> Self {
-        Self {
-            sealed: false,
-            ..Self::sealed(store, pool_pages, 0, read_retries)
-        }
-    }
-
-    /// Opens the sealed heap of `len` bytes that `store` already holds,
-    /// such as a snapshot's posting file: readable through the pool, but
-    /// [`writer`](Self::writer) refuses it.
+    /// Opens the sealed heap of `len` bytes that `store` holds, read
+    /// through a pool of `pool_pages` pages that retries a transient read
+    /// failure `read_retries` times.
     pub fn sealed(store: S, pool_pages: usize, len: u64, read_retries: u32) -> Self {
         Self {
             pool: BufferPool::with_retries(store, pool_pages, read_retries),
-            tail: Mutex::new(Tail {
-                len,
-                page: Page::zeroed(),
-            }),
-            sealed: true,
+            len,
         }
     }
 
@@ -487,15 +454,9 @@ impl<S: PageStore> PostingStore<S> {
         self.pool.read_retries()
     }
 
-    /// Access to the underlying page store (page export during snapshots,
-    /// direct allocation during bulk loads).
+    /// Access to the underlying page store (page export during snapshots).
     pub fn store(&self) -> &S {
         self.pool.store()
-    }
-
-    /// Flushes the underlying store (fsync for file backends).
-    pub fn flush(&self) -> StorageResult<()> {
-        self.pool.store().flush()
     }
 
     /// The shared I/O statistics handle.
@@ -503,9 +464,9 @@ impl<S: PageStore> PostingStore<S> {
         self.pool.io_stats()
     }
 
-    /// Total bytes appended so far by finished batches.
+    /// Bytes in the heap.
     pub fn size_bytes(&self) -> u64 {
-        self.tail.lock().len
+        self.len
     }
 
     /// Number of pages allocated in the underlying store.
@@ -518,57 +479,27 @@ impl<S: PageStore> PostingStore<S> {
         self.pool.clear();
     }
 
-    /// Starts a batch of appends (see [`PostingWriter`]). The batch holds
-    /// the heap's append lock until it finishes or is dropped.
-    ///
-    /// # Panics
-    ///
-    /// On a [sealed](Self::sealed) heap, which is never appended to.
-    pub fn writer(&self) -> PostingWriter<'_, S> {
-        assert!(!self.sealed, "a sealed posting heap is read-only");
-        let tail = self.tail.lock();
-        PostingWriter {
-            len: tail.len,
-            page: tail.page.clone(),
-            store: self,
-            tail,
-            failed: false,
-        }
-    }
-
-    /// Appends a blob as a batch of one and returns its handle.
-    pub fn append(&self, bytes: &[u8]) -> StorageResult<BlobHandle> {
-        let mut writer = self.writer();
-        let handle = writer.push(bytes)?;
-        writer.finish()?;
-        Ok(handle)
-    }
-
     /// Reads a blob back.
     pub fn read(&self, handle: BlobHandle) -> StorageResult<Vec<u8>> {
-        let mut out = Vec::with_capacity(handle.len as usize);
+        let mut out = Vec::new();
         self.read_into(handle, &mut out)?;
         Ok(out)
     }
 
-    /// Reads a blob into a caller-owned buffer (cleared first). Cache hits
-    /// copy straight out of the pooled page, so a warm read performs no
-    /// allocation beyond what `out`'s capacity already covers. A reader of
-    /// many blobs in heap order uses [`PostingStore::run`] instead.
+    /// Reads a blob into a caller-owned buffer (cleared first), so a warm
+    /// read performs no allocation beyond what `out`'s capacity already
+    /// covers. A reader of many blobs in heap order uses
+    /// [`PostingStore::run`] instead.
     pub fn read_into(&self, handle: BlobHandle, out: &mut Vec<u8>) -> StorageResult<()> {
-        out.clear();
-        out.reserve(handle.len as usize);
-        let mut remaining = handle.len as usize;
-        let mut offset = handle.offset;
-        while remaining > 0 {
-            let page_id = offset / PAGE_SIZE as u64;
-            let in_page = (offset % PAGE_SIZE as u64) as usize;
-            let chunk = (PAGE_SIZE - in_page).min(remaining);
-            self.pool.with_page(page_id, |page| {
-                out.extend_from_slice(&page.bytes()[in_page..in_page + chunk]);
-            })?;
-            remaining -= chunk;
-            offset += chunk as u64;
+        let mut run = self.run();
+        if handle.pages_spanned() > 1 {
+            // A run copies a straddling blob into the buffer it is given.
+            run.read(handle, out)?;
+        } else {
+            let mut unused = Vec::new();
+            let bytes = run.read(handle, &mut unused)?;
+            out.clear();
+            out.extend_from_slice(bytes);
         }
         Ok(())
     }
@@ -582,11 +513,6 @@ impl<S: PageStore> PostingStore<S> {
         }
     }
 
-    /// Appends an encoded [`TimeList`] and returns its handle.
-    pub fn append_time_list(&self, list: &TimeList) -> StorageResult<BlobHandle> {
-        self.append(&list.encode())
-    }
-
     /// Reads a [`TimeList`] back. A blob that fails to decode — a torn or
     /// zeroed page under a range-valid handle, or a mismatched handle — is
     /// reported as [`crate::StorageError::Corrupt`], never a panic: a disk
@@ -595,8 +521,9 @@ impl<S: PageStore> PostingStore<S> {
     /// [`bytes_decoded`/`bytes_resident`](IoStats::record_posting_decode)
     /// accounting on the shared [`IoStats`].
     pub fn read_time_list(&self, handle: BlobHandle) -> StorageResult<TimeList> {
-        let bytes = self.read(handle)?;
-        let list = TimeList::decode(&bytes).ok_or_else(|| {
+        let mut buf = Vec::new();
+        let mut run = self.run();
+        let list = TimeList::decode(run.read(handle, &mut buf)?).ok_or_else(|| {
             crate::StorageError::corrupt(format!(
                 "time list blob at offset {} (len {}) failed to decode \
                  (torn page or corrupted posting heap)",
@@ -610,35 +537,49 @@ impl<S: PageStore> PostingStore<S> {
     }
 }
 
-/// One batch of appends to a [`PostingStore`], made by
-/// [`PostingStore::writer`]. [`push`](Self::push) copies a blob into the
-/// page being filled and writes each page to the store once, when it
-/// fills; [`finish`](Self::finish) writes the partial last page and moves
-/// the heap's tail past the batch.
+/// The one way to write a posting heap: [`push`](Self::push) copies each
+/// blob into the page being filled and writes a page to the store once,
+/// when it fills; [`finish`](Self::finish) writes the partial last page and
+/// seals the heap into a read-only [`PostingStore`]. So a handle from
+/// `push` is readable only once the heap is sealed, and callers publish
+/// directory entries after `finish` returns.
 ///
-/// A handle from [`push`](Self::push) is readable once the batch has
-/// finished: callers publish directory entries after `finish` returns.
-/// After an `Err` from `push` or `finish`, or when the writer is dropped
-/// unfinished, the heap's tail does not move: the batch appended nothing,
-/// and a retry writes the same bytes at the same handles. A writer whose
-/// `push` failed is abandoned: pushing to it again or finishing it panics.
-pub struct PostingWriter<'a, S: PageStore> {
-    store: &'a PostingStore<S>,
-    tail: MutexGuard<'a, Tail>,
+/// The writer owns a fresh page store. After an `Err` from `push` or
+/// `finish` the writer is abandoned: nothing is sealed, and a retry writes
+/// a fresh store with the same bytes at the same handles. Pushing to a
+/// writer whose `push` failed, or finishing it, panics: it holds a page it
+/// never wrote.
+pub struct PostingWriter<S: PageStore> {
+    store: S,
     /// The page holding byte `len`, filled up to `len`.
     page: Page,
-    /// The heap's length once this batch finishes.
+    /// Bytes pushed so far.
     len: u64,
-    /// A page write of this batch failed.
+    /// A page write failed.
     failed: bool,
 }
 
-impl<S: PageStore> PostingWriter<'_, S> {
-    /// Appends a blob to the batch and returns its handle.
+impl<S: PageStore> PostingWriter<S> {
+    /// Starts a heap on `store`, which must hold no page.
+    pub fn new(store: S) -> Self {
+        assert_eq!(
+            store.num_pages(),
+            0,
+            "a posting heap is written to a fresh store"
+        );
+        Self {
+            store,
+            page: Page::zeroed(),
+            len: 0,
+            failed: false,
+        }
+    }
+
+    /// Appends a blob to the heap and returns its handle.
     pub fn push(&mut self, bytes: &[u8]) -> StorageResult<BlobHandle> {
         assert!(
             !self.failed,
-            "a posting batch is abandoned after a failed push"
+            "a posting writer is abandoned after a failed push"
         );
         let handle = BlobHandle {
             offset: self.len,
@@ -652,7 +593,7 @@ impl<S: PageStore> PostingWriter<'_, S> {
             rest = &rest[chunk..];
             self.len += chunk as u64;
             if self.len.is_multiple_of(PAGE_SIZE as u64) {
-                if let Err(e) = self.write_page(self.len / PAGE_SIZE as u64 - 1) {
+                if let Err(e) = self.write_page() {
                     self.failed = true;
                     return Err(e);
                 }
@@ -662,29 +603,35 @@ impl<S: PageStore> PostingWriter<'_, S> {
         Ok(handle)
     }
 
-    /// Writes the batch's partial last page, if it holds bytes of this
-    /// batch, and moves the heap's tail to the end of the batch.
-    pub fn finish(mut self) -> StorageResult<()> {
+    /// Writes the partial last page, if any, and seals the heap, read
+    /// through a pool of `pool_pages` pages that retries a transient read
+    /// failure `read_retries` times.
+    pub fn finish(
+        mut self,
+        pool_pages: usize,
+        read_retries: u32,
+    ) -> StorageResult<PostingStore<S>> {
         assert!(
             !self.failed,
-            "a posting batch is abandoned after a failed push"
+            "a posting writer is abandoned after a failed push"
         );
-        if self.len > self.tail.len && !self.len.is_multiple_of(PAGE_SIZE as u64) {
-            self.write_page(self.len / PAGE_SIZE as u64)?;
+        if !self.len.is_multiple_of(PAGE_SIZE as u64) {
+            self.write_page()?;
         }
-        self.tail.len = self.len;
-        self.tail.page = self.page;
-        Ok(())
+        Ok(PostingStore::sealed(
+            self.store,
+            pool_pages,
+            self.len,
+            read_retries,
+        ))
     }
 
-    /// Writes the page being filled to the store as page `id`, allocating
-    /// pages up to it.
-    fn write_page(&self, id: PageId) -> StorageResult<()> {
-        let store = self.store.pool.store();
-        while store.num_pages() <= id {
-            store.allocate()?;
-        }
-        self.store.pool.write_page(id, &self.page)
+    /// Writes the page being filled as the store's next page. Pages are
+    /// written in order, once each, so the next page is the one allocated.
+    fn write_page(&mut self) -> StorageResult<()> {
+        let id = self.store.allocate()?;
+        debug_assert_eq!(id, (self.len - 1) / PAGE_SIZE as u64);
+        self.store.write_page(id, &self.page)
     }
 }
 
@@ -1055,58 +1002,67 @@ mod tests {
         );
     }
 
+    /// A sealed in-memory heap holding `blobs` in order, and their handles.
+    fn heap<B: AsRef<[u8]>>(
+        blobs: impl IntoIterator<Item = B>,
+        pool_pages: usize,
+    ) -> (PostingStore<InMemoryPageStore>, Vec<BlobHandle>) {
+        let mut writer = PostingWriter::new(InMemoryPageStore::new());
+        let handles = blobs
+            .into_iter()
+            .map(|b| writer.push(b.as_ref()).unwrap())
+            .collect();
+        (writer.finish(pool_pages, 0).unwrap(), handles)
+    }
+
     #[test]
-    fn append_read_roundtrip_small() {
-        let store = PostingStore::new(InMemoryPageStore::new(), 8);
-        let h1 = store.append(b"hello").unwrap();
-        let h2 = store.append(b"world!").unwrap();
-        assert_eq!(store.read(h1).unwrap(), b"hello");
-        assert_eq!(store.read(h2).unwrap(), b"world!");
+    fn write_read_roundtrip_small() {
+        let (store, h) = heap([&b"hello"[..], &b"world!"[..]], 8);
+        assert_eq!(store.read(h[0]).unwrap(), b"hello");
+        assert_eq!(store.read(h[1]).unwrap(), b"world!");
         assert_eq!(store.size_bytes(), 11);
         assert_eq!(store.num_pages(), 1);
     }
 
     #[test]
-    fn append_read_roundtrip_across_pages() {
-        let store = PostingStore::new(InMemoryPageStore::new(), 8);
+    fn write_read_roundtrip_across_pages() {
         let blob: Vec<u8> = (0..(PAGE_SIZE * 3 + 123))
             .map(|i| (i % 251) as u8)
             .collect();
-        let before = store.append(b"prefix").unwrap();
-        let handle = store.append(&blob).unwrap();
-        assert_eq!(store.read(handle).unwrap(), blob);
-        assert_eq!(store.read(before).unwrap(), b"prefix");
+        let (store, h) = heap([&b"prefix"[..], blob.as_slice()], 8);
+        assert_eq!(store.read(h[1]).unwrap(), blob);
+        assert_eq!(store.read(h[0]).unwrap(), b"prefix");
         assert!(store.num_pages() >= 4);
-        assert_eq!(handle.pages_spanned(), 4);
+        assert_eq!(h[1].pages_spanned(), 4);
     }
 
     #[test]
     fn time_list_storage_roundtrip() {
-        let store = PostingStore::with_retries(InMemoryPageStore::new(), 4, 0);
-        let mut handles = Vec::new();
-        for seg in 0..50u32 {
-            let mut list = TimeList::new();
-            for date in 0..10u16 {
-                list.add(date, seg * 1000 + date as u32);
-                list.add(date, seg * 1000 + 500);
-            }
-            handles.push((list.clone(), store.append_time_list(&list).unwrap()));
-        }
-        for (list, handle) in &handles {
+        let lists: Vec<TimeList> = (0..50u32)
+            .map(|seg| {
+                let mut list = TimeList::new();
+                for date in 0..10u16 {
+                    list.add(date, seg * 1000 + date as u32);
+                    list.add(date, seg * 1000 + 500);
+                }
+                list
+            })
+            .collect();
+        let (store, handles) = heap(lists.iter().map(TimeList::encode), 4);
+        for (list, handle) in lists.iter().zip(&handles) {
             assert_eq!(&store.read_time_list(*handle).unwrap(), list);
         }
     }
 
     #[test]
     fn read_time_list_records_decode_accounting() {
-        let store = PostingStore::new(InMemoryPageStore::new(), 4);
         let list = sample_list();
-        let handle = store.append_time_list(&list).unwrap();
+        let (store, h) = heap([list.encode()], 4);
         store.io_stats().reset();
-        store.read_time_list(handle).unwrap();
+        store.read_time_list(h[0]).unwrap();
         let snap = store.io_stats().snapshot();
         assert_eq!(snap.bytes_decoded, list.fixed_width_size());
-        assert_eq!(snap.bytes_resident, handle.len as u64);
+        assert_eq!(snap.bytes_resident, h[0].len as u64);
         assert!(snap.bytes_resident < snap.bytes_decoded);
     }
 
@@ -1115,7 +1071,6 @@ mod tests {
     /// `Corrupt`, never a shorter valid list.
     #[test]
     fn foreign_layouts_and_torn_blobs_are_corrupt() {
-        let store = PostingStore::new(InMemoryPageStore::new(), 4);
         let list = sample_list();
         let mut torn = list.encode();
         let n = torn.len();
@@ -1123,16 +1078,17 @@ mod tests {
         let untagged_one_entry = [1, 0, 0, 0, 3, 0, 1, 0, 0, 0, 42, 0, 0, 0];
         let mut tagged_fixed_width = vec![0x00];
         tagged_fixed_width.extend_from_slice(&untagged_one_entry);
-        for (what, bytes) in [
+        let cases = [
             ("tag 0x00", tagged_fixed_width),
             ("untagged fixed-width", untagged_one_entry.to_vec()),
             ("tag 0x02", vec![0x02, 0x00]),
             ("zeroed tail", torn),
             ("empty", Vec::new()),
-        ] {
-            assert!(TimeList::decode(&bytes).is_none(), "{what} decoded");
-            assert!(posting_sizes(&bytes).is_none(), "{what} sized");
-            let handle = store.append(&bytes).unwrap();
+        ];
+        let (store, handles) = heap(cases.iter().map(|(_, bytes)| bytes), 4);
+        for ((what, bytes), handle) in cases.iter().zip(handles) {
+            assert!(TimeList::decode(bytes).is_none(), "{what} decoded");
+            assert!(posting_sizes(bytes).is_none(), "{what} sized");
             let err = store.read_time_list(handle).unwrap_err();
             assert!(
                 matches!(err, crate::StorageError::Corrupt { .. }),
@@ -1143,14 +1099,12 @@ mod tests {
 
     #[test]
     fn reads_are_counted_and_cached() {
-        let store = PostingStore::new(InMemoryPageStore::new(), 4);
-        let handle = store.append(&[7u8; 100]).unwrap();
-        store.clear_cache();
+        let (store, h) = heap([[7u8; 100]], 4);
         store.io_stats().reset();
-        store.read(handle).unwrap();
+        store.read(h[0]).unwrap();
         let after_first = store.io_stats().snapshot();
         assert_eq!(after_first.cache_misses, 1);
-        store.read(handle).unwrap();
+        store.read(h[0]).unwrap();
         let after_second = store.io_stats().snapshot();
         assert_eq!(
             after_second.cache_misses, 1,
@@ -1182,17 +1136,17 @@ mod tests {
 
     #[test]
     fn read_into_reuses_buffer() {
-        let store = PostingStore::new(InMemoryPageStore::new(), 8);
-        let h1 = store.append(b"first blob").unwrap();
-        let h2 = store.append(&[9u8; 6000]).unwrap();
+        let (store, h) = heap([&b"first blob"[..], &[9u8; 6000][..]], 8);
         let mut buf = Vec::new();
-        store.read_into(h1, &mut buf).unwrap();
+        store.read_into(h[0], &mut buf).unwrap();
         assert_eq!(buf, b"first blob");
-        store.read_into(h2, &mut buf).unwrap();
+        store.read_into(h[1], &mut buf).unwrap();
         assert_eq!(buf, vec![9u8; 6000]);
         let cap = buf.capacity();
-        store.read_into(h1, &mut buf).unwrap();
+        store.read_into(h[0], &mut buf).unwrap();
         assert_eq!(buf, b"first blob");
+        assert_eq!(buf.capacity(), cap, "re-read must not reallocate");
+        store.read_into(h[1], &mut buf).unwrap();
         assert_eq!(buf.capacity(), cap, "re-read must not reallocate");
     }
 
@@ -1200,16 +1154,12 @@ mod tests {
     /// straddling blob into the buffer, and yields the bytes `read` does.
     #[test]
     fn blob_run_fetches_each_page_once() {
-        let store = PostingStore::new(InMemoryPageStore::new(), 8);
-        let mut handles: Vec<BlobHandle> = (0..300u32)
-            .map(|i| store.append(&[i as u8; 29]).unwrap())
-            .collect();
-        handles.push(store.append(b"").unwrap());
+        let blobs = (0..300u32).map(|i| vec![i as u8; 29]).chain([Vec::new()]);
+        let (store, handles) = heap(blobs, 8);
         let pages = store.num_pages();
         assert!(pages >= 3);
         let straddlers = handles.iter().filter(|h| h.pages_spanned() > 1).count();
         assert!(straddlers >= 2);
-        store.clear_cache();
         store.io_stats().reset();
         let mut run = store.run();
         let mut buf = Vec::new();
@@ -1241,155 +1191,115 @@ mod tests {
     }
 
     /// Every page of a store, in order.
-    fn pages_of<S: PageStore>(store: &PostingStore<S>) -> Vec<Vec<u8>> {
+    fn pages_of<S: PageStore>(store: &S) -> Vec<Vec<u8>> {
         (0..store.num_pages())
-            .map(|id| store.store().read_page(id).unwrap().bytes().to_vec())
+            .map(|id| store.read_page(id).unwrap().bytes().to_vec())
             .collect()
     }
 
-    /// Pages `[offset, end)` of the heap touch.
-    fn pages_touched(offset: u64, end: u64) -> u64 {
-        let page = PAGE_SIZE as u64;
-        if end == offset {
-            0
-        } else {
-            (end - 1) / page - offset / page + 1
-        }
+    /// Pages `[0, len)` of a heap touch.
+    fn pages_touched(len: u64) -> u64 {
+        len.div_ceil(PAGE_SIZE as u64)
     }
 
-    #[test]
-    fn batch_and_single_appends_lay_out_the_same_heap() {
-        let blobs = random_blobs(0xBA7C_0001, 400);
-        let batched = PostingStore::new(InMemoryPageStore::new(), 4);
-        let mut writer = batched.writer();
-        let batch_handles: Vec<BlobHandle> =
-            blobs.iter().map(|b| writer.push(b).unwrap()).collect();
-        writer.finish().unwrap();
-        let single = PostingStore::new(InMemoryPageStore::new(), 4);
-        let single_handles: Vec<BlobHandle> =
-            blobs.iter().map(|b| single.append(b).unwrap()).collect();
-        assert_eq!(batch_handles, single_handles);
-        assert_eq!(batched.size_bytes(), single.size_bytes());
-        assert_eq!(pages_of(&batched), pages_of(&single));
-        for (blob, &handle) in blobs.iter().zip(&batch_handles) {
-            assert_eq!(&batched.read(handle).unwrap(), blob);
-        }
-    }
-
-    /// A batch writes each page it touches once and reads none back; so
-    /// does a one-blob append on a partial page.
+    /// A writer writes each page once, its partial last page at `finish`,
+    /// and reads none back; an empty heap writes nothing.
     #[test]
     fn a_batch_writes_each_page_once() {
-        let store = PostingStore::new(InMemoryPageStore::new(), 4);
-        let io = store.io_stats();
-        store.append(&[3u8; 100]).unwrap();
         for blobs in [
             random_blobs(7, 300),
             random_blobs(8, 1),
             random_blobs(9, 50),
+            Vec::new(),
         ] {
-            io.reset();
-            let start = store.size_bytes();
-            let mut writer = store.writer();
+            let store = InMemoryPageStore::new();
+            let io = store.io_stats();
+            let mut writer = PostingWriter::new(store);
             for blob in &blobs {
                 writer.push(blob).unwrap();
             }
-            writer.finish().unwrap();
+            let heap = writer.finish(4, 0).unwrap();
             let snap = io.snapshot();
-            assert_eq!(snap.page_writes, pages_touched(start, store.size_bytes()));
+            assert_eq!(snap.page_writes, pages_touched(heap.size_bytes()));
             assert_eq!(snap.page_reads, 0, "no page is read back");
+            assert_eq!(heap.num_pages(), pages_touched(heap.size_bytes()));
         }
-        // An empty batch writes nothing.
-        io.reset();
-        store.writer().finish().unwrap();
-        assert_eq!(io.snapshot().page_writes, 0);
     }
 
-    /// A reopened heap serves its blobs and takes no batch.
+    /// A heap reopened sealed over the pages a writer wrote serves the
+    /// writer's blobs.
     #[test]
-    #[should_panic(expected = "a sealed posting heap is read-only")]
-    fn a_sealed_heap_reads_and_refuses_appends() {
+    fn a_sealed_heap_reads_what_the_writer_wrote() {
         let blobs = random_blobs(0x5EED_7A11, 70);
-        let before = PostingStore::new(InMemoryPageStore::new(), 4);
-        let handles: Vec<BlobHandle> = blobs.iter().map(|b| before.append(b).unwrap()).collect();
+        let (written, handles) = heap(&blobs, 4);
         let store = InMemoryPageStore::new();
-        for bytes in pages_of(&before) {
+        for bytes in pages_of(written.store()) {
             let id = store.allocate().unwrap();
             store.write_page(id, &Page::from_slice(&bytes)).unwrap();
         }
-        let sealed = PostingStore::sealed(store, 4, before.size_bytes(), 0);
-        assert_eq!(sealed.size_bytes(), before.size_bytes());
+        let sealed = PostingStore::sealed(store, 4, written.size_bytes(), 0);
+        assert_eq!(sealed.size_bytes(), written.size_bytes());
         for (blob, &handle) in blobs.iter().zip(&handles) {
             assert_eq!(&sealed.read(handle).unwrap(), blob);
         }
-        let _ = sealed.append(b"more");
     }
 
-    /// A write EIO in mid-batch fails the batch with a typed error and
-    /// leaves the tail where it was; the retried batch yields the same
-    /// handles and bytes as a batch that never failed.
+    /// A write EIO anywhere in a heap fails the write with a typed error
+    /// and seals nothing; a rewrite on a fresh store (what a failed
+    /// compaction's retry does) yields the same handles and bytes as a
+    /// write that never failed.
     #[test]
-    fn a_write_fault_in_mid_batch_appends_nothing_and_the_retry_converges() {
+    fn a_write_fault_yields_no_heap_and_a_rewrite_writes_the_same_bytes() {
         use crate::fault::{FaultController, FaultInjectingPageStore};
         let blobs = random_blobs(0xFA17_0003, 200);
-        let clean = PostingStore::new(InMemoryPageStore::new(), 4);
-        clean.append(b"prefix").unwrap();
-        let mut writer = clean.writer();
-        let expected: Vec<BlobHandle> = blobs.iter().map(|b| writer.push(b).unwrap()).collect();
-        writer.finish().unwrap();
-        let pages = pages_touched(6, clean.size_bytes());
+        let (clean, expected) = heap(&blobs, 4);
+        let pages = clean.num_pages();
         assert!(pages >= 4);
 
         for fail_at in [0, 1, pages / 2, pages - 1] {
             let ctl = FaultController::detached(fail_at);
-            let store = PostingStore::new(
-                FaultInjectingPageStore::with_controller(Box::new(InMemoryPageStore::new()), &ctl),
-                4,
-            );
-            store.append(b"prefix").unwrap();
-            ctl.fail_write_at(ctl.writes_observed() + fail_at);
+            ctl.fail_write_at(fail_at);
+            let faulty =
+                FaultInjectingPageStore::with_controller(Box::new(InMemoryPageStore::new()), &ctl);
             let failed = (|| {
-                let mut writer = store.writer();
+                let mut writer = PostingWriter::new(faulty);
                 for blob in &blobs {
                     writer.push(blob)?;
                 }
-                writer.finish()
+                writer.finish(4, 0)
             })();
-            let err = failed.expect_err("the scripted write fault must fail the batch");
+            let err = failed
+                .err()
+                .expect("the scripted write fault must fail the write");
             assert!(
                 matches!(&err, crate::StorageError::Io(e) if e.to_string().contains("injected EIO on write")),
                 "write #{fail_at}: {err:?}"
             );
-            assert_eq!(store.size_bytes(), 6, "write #{fail_at}: the tail moved");
-            assert_eq!(
-                store.read(BlobHandle { offset: 0, len: 6 }).unwrap(),
-                b"prefix"
-            );
 
-            let mut writer = store.writer();
-            let retried: Vec<BlobHandle> = blobs.iter().map(|b| writer.push(b).unwrap()).collect();
-            writer.finish().unwrap();
-            assert_eq!(retried, expected, "write #{fail_at}");
-            assert_eq!(store.size_bytes(), clean.size_bytes());
-            assert_eq!(pages_of(&store), pages_of(&clean), "write #{fail_at}");
+            let (retried, handles) = heap(&blobs, 4);
+            assert_eq!(handles, expected, "write #{fail_at}");
+            assert_eq!(retried.size_bytes(), clean.size_bytes());
+            assert_eq!(
+                pages_of(retried.store()),
+                pages_of(clean.store()),
+                "write #{fail_at}"
+            );
         }
     }
 
     /// A writer whose page write failed holds a page it never wrote, so
-    /// finishing it would move the tail past lost bytes.
+    /// sealing it would lose bytes under valid handles.
     #[test]
     #[should_panic(expected = "abandoned after a failed push")]
     fn a_writer_whose_push_failed_cannot_finish() {
         use crate::fault::{FaultController, FaultInjectingPageStore};
         let ctl = FaultController::detached(0);
-        let store = PostingStore::new(
-            FaultInjectingPageStore::with_controller(Box::new(InMemoryPageStore::new()), &ctl),
-            4,
-        );
+        let store =
+            FaultInjectingPageStore::with_controller(Box::new(InMemoryPageStore::new()), &ctl);
         ctl.fail_write_at(0);
-        let mut writer = store.writer();
+        let mut writer = PostingWriter::new(store);
         assert!(writer.push(&[1u8; PAGE_SIZE]).is_err());
-        let _ = writer.finish();
+        let _ = writer.finish(4, 0);
     }
 
     #[test]
@@ -1419,9 +1329,9 @@ mod tests {
 
     #[test]
     fn empty_blob() {
-        let store = PostingStore::new(InMemoryPageStore::new(), 4);
-        let h = store.append(b"").unwrap();
-        assert_eq!(h.len, 0);
-        assert_eq!(store.read(h).unwrap(), Vec::<u8>::new());
+        let (store, h) = heap([b""], 4);
+        assert_eq!(h[0].len, 0);
+        assert_eq!(store.read(h[0]).unwrap(), Vec::<u8>::new());
+        assert_eq!(store.num_pages(), 0);
     }
 }

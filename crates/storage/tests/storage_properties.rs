@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use streach_storage::{BufferPool, InMemoryPageStore, PageStore, PostingStore, TimeList};
+use streach_storage::{BufferPool, InMemoryPageStore, PageStore, PostingWriter, TimeList};
 
 /// Any set of blobs written to the posting store reads back bit-exact,
 /// regardless of interleaving and page-boundary crossings.
@@ -22,8 +22,9 @@ fn posting_store_blob_roundtrip() {
                 (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect()
             })
             .collect();
-        let store = PostingStore::new(InMemoryPageStore::new(), pool_pages);
-        let handles: Vec<_> = blobs.iter().map(|b| store.append(b).unwrap()).collect();
+        let mut writer = PostingWriter::new(InMemoryPageStore::new());
+        let handles: Vec<_> = blobs.iter().map(|b| writer.push(b).unwrap()).collect();
+        let store = writer.finish(pool_pages, 0).unwrap();
         for (blob, handle) in blobs.iter().zip(&handles) {
             assert_eq!(&store.read(*handle).unwrap(), blob, "case {case}");
         }
@@ -55,8 +56,9 @@ fn time_list_roundtrip() {
         let decoded = TimeList::decode(&list.encode()).unwrap();
         assert_eq!(&decoded, &list, "case {case}");
 
-        let store = PostingStore::new(InMemoryPageStore::new(), 2);
-        let handle = store.append_time_list(&list).unwrap();
+        let mut writer = PostingWriter::new(InMemoryPageStore::new());
+        let handle = writer.push(&list.encode()).unwrap();
+        let store = writer.finish(2, 0).unwrap();
         assert_eq!(store.read_time_list(handle).unwrap(), list, "case {case}");
     }
 }

@@ -72,15 +72,6 @@ impl RawTrajectory {
             _ => 0,
         }
     }
-
-    /// Straight-line sampled length: the sum of distances between
-    /// consecutive fixes, in meters.
-    pub fn sampled_length_m(&self) -> f64 {
-        self.records
-            .windows(2)
-            .map(|w| w[0].point.haversine_m(&w[1].point))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +94,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert_eq!(t.duration_s(), 0);
-        assert_eq!(t.sampled_length_m(), 0.0);
     }
 
     #[test]
@@ -117,7 +107,6 @@ mod tests {
         t.push(record(160, p2.lon, p2.lat));
         assert_eq!(t.len(), 3);
         assert_eq!(t.duration_s(), 60);
-        assert!((t.sampled_length_m() - 700.0).abs() < 3.0);
     }
 
     // The ordering check is a `debug_assert!`, compiled out in release.

@@ -13,7 +13,6 @@
 
 use streach_geo::Mbr;
 use streach_roadnet::{RoadNetwork, SegmentId};
-use streach_spatial::GridIndex;
 
 use crate::gps::RawTrajectory;
 
@@ -74,10 +73,11 @@ impl MatchedTrajectory {
     }
 }
 
-/// A reusable map-matcher holding the candidate grid for a road network.
+/// A reusable map-matcher over a road network. Its candidates for a GPS
+/// point are the segments the network's R-tree finds in the window around
+/// the point padded by the matching radius.
 pub struct MapMatcher<'a> {
     network: &'a RoadNetwork,
-    grid: GridIndex<SegmentId>,
     /// GPS points farther than this from every segment are dropped as noise.
     max_match_distance_m: f64,
     /// Bonus (in meters of equivalent distance) granted to candidates that
@@ -90,14 +90,8 @@ impl<'a> MapMatcher<'a> {
     /// largest GPS-to-segment distance still considered a valid match
     /// (50 m by default in [`map_match`]).
     pub fn new(network: &'a RoadNetwork, max_match_distance_m: f64) -> Self {
-        let bounds = network.bounds().padded(0.01);
-        let mut grid = GridIndex::new(bounds, 250.0);
-        for seg in network.segments() {
-            grid.insert(&seg.mbr, seg.id);
-        }
         Self {
             network,
-            grid,
             max_match_distance_m,
             continuity_bonus_m: 25.0,
         }
@@ -107,8 +101,18 @@ impl<'a> MapMatcher<'a> {
     pub fn match_trajectory(&self, raw: &RawTrajectory) -> MatchedTrajectory {
         let mut matched = MatchedTrajectory::new(raw.traj_id, raw.date);
         let mut previous: Option<SegmentId> = None;
+        // A thousandth over the radius absorbs the difference between the
+        // point's tangent plane (the window) and each segment's (its
+        // distance), so every segment within the radius is a candidate.
+        let pad_m = self.max_match_distance_m * 1.001;
         for rec in &raw.records {
-            let candidates = self.grid.candidates_near(&rec.point);
+            let window = Mbr::of_points(&[
+                rec.point.offset_m(-pad_m, -pad_m),
+                rec.point.offset_m(pad_m, pad_m),
+            ]);
+            let mut candidates = self.network.segments_in_window(&window);
+            // In id order, so an exact tie goes to the lower id.
+            candidates.sort_unstable();
             let mut best: Option<(SegmentId, f64)> = None;
             for cand in candidates {
                 let seg = self.network.segment(cand);
@@ -129,14 +133,7 @@ impl<'a> MapMatcher<'a> {
                     best = Some((cand, score));
                 }
             }
-            // Fall back to the R-tree when the grid neighbourhood was empty.
-            let chosen = best.map(|(c, _)| c).or_else(|| {
-                self.network
-                    .nearest_segment(&rec.point)
-                    .filter(|(_, d)| *d <= self.max_match_distance_m)
-                    .map(|(id, _)| id)
-            });
-            if let Some(seg) = chosen {
+            if let Some((seg, _)) = best {
                 matched.push(SegmentVisit {
                     segment: seg,
                     enter_time_s: rec.time_s,
@@ -180,15 +177,6 @@ pub fn match_agreement(
         .filter(|v| truth_set.contains(&v.segment))
         .count();
     hits as f64 / matched.visits.len() as f64
-}
-
-/// A window, used by tests, that covers all geometry of a matched trajectory.
-pub fn matched_mbr(network: &RoadNetwork, matched: &MatchedTrajectory) -> Mbr {
-    let mut mbr = Mbr::EMPTY;
-    for v in &matched.visits {
-        mbr.expand(&network.segment(v.segment).mbr);
-    }
-    mbr
 }
 
 #[cfg(test)]
@@ -317,16 +305,5 @@ mod tests {
         assert_eq!(agreement, 1.0);
         let empty = MatchedTrajectory::new(1, 0);
         assert_eq!(match_agreement(&net, &empty, &matched), 0.0);
-    }
-
-    #[test]
-    fn matched_mbr_covers_visited_segments() {
-        let net = straight_net();
-        let raw = gps_along_road(&[50.0, 700.0, 1200.0], 5.0);
-        let matched = map_match(&net, &[raw])[0].clone();
-        let mbr = matched_mbr(&net, &matched);
-        for v in &matched.visits {
-            assert!(mbr.contains(&net.segment(v.segment).mbr));
-        }
     }
 }

@@ -16,7 +16,7 @@
 //! |---|---|
 //! | [`geo`] | geometry primitives (points, MBRs, polylines) |
 //! | [`storage`] | page store, buffer pool, posting lists, snapshot container, WAL |
-//! | [`spatial`] | R-tree and grid index |
+//! | [`spatial`] | R-tree, k-d shard partition |
 //! | [`roadnet`] | road network, re-segmentation, synthetic city generator |
 //! | [`traj`] | taxi-fleet simulator, map matching, trajectory datasets |
 //! | [`core`] | ST-Index, Con-Index, ES / SQMB / TBS / MQMB, the engine |
