@@ -52,54 +52,17 @@
 //! [`ReachabilityEngine::scrub`] reads and checks everything an open
 //! skipped: every page and every chunk.
 //!
-//! # The temporal directory (`st_index` + `st_index_slots`)
-//!
-//! ```text
-//! st_index (eager):
-//!     [slot_s u32][num_days u16]
-//!     [num_time_lists u64][num_observations u64][posting_bytes u64]
-//!     [posting_pages u64][tail u64][slot count u32]        -- 50 bytes, LE
-//!     per populated slot, in ascending slot order:          -- 36 bytes
-//!         [slot u32][entry count u32][first blob offset u64][span u32]
-//!         [chunk offset u64][chunk len u32][chunk CRC-32 u32]
-//! st_index_slots (lazy): the chunks, back to back; one slot's chunk is
-//!     per entry, in ascending segment order:
-//!         [segment   : varint]   -- the id for the first entry of the
-//!                                --   slot, the gap ≥ 1 to the previous
-//!                                --   id after it
-//!         [blob len  : varint]   -- ≥ 1
-//! ```
-//!
-//! The blob offsets are implied: build and compaction append the sealed
-//! base's blobs in exactly (slot, segment) order with no gap, so a slot's
-//! blobs are one run of the heap, `span` bytes from `first`, and each blob
-//! starts where the previous one ended. The open checks that the runs tile
-//! `[0, tail)` and the chunks tile `st_index_slots` exactly; a chunk
-//! decodes only if its entry count matches and its lengths sum to exactly
-//! its span. An entry costs about two bytes. The decoder fills the
-//! in-memory `SlotDirectory`, which keeps the same implied offsets at eight
-//! bytes per entry.
-//!
-//! The speed statistics (`speed_stats` + `speed_stats_rows`) follow the
-//! same shape; the layout is on [`SpeedStats`]'s encoder.
+//! The layouts of the ST-Index's sections (`st_index`, `st_index_slots`
+//! and `delta`) are on the modules that encode them,
+//! [`crate::st_index`]'s `directory` and `delta`; the speed statistics
+//! (`speed_stats` + `speed_stats_rows`) follow the same head + chunk shape,
+//! with the layout on [`SpeedStats`]'s encoder.
 //!
 //! # Incremental snapshots
 //!
 //! Streaming ingest ([`crate::ingest`]) adds two eager sections: `delta`,
 //! the delta tail's merged lists, and `ingest_meta` (WAL generation,
 //! applied-record prefix, per-trajectory last-visit table).
-//!
-//! ```text
-//! delta (eager):
-//!     [folded bytes u64][entry count u32]
-//!     per entry, in strictly ascending (slot, segment) order:
-//!         [slot u32][segment u32][len u32][encoded time list: len bytes]
-//! ```
-//!
-//! The folded bytes are [`crate::DeltaStats::delta_bytes`]: every
-//! merged list folded in since the base was sealed, so at least the live
-//! lists' bytes. The open checks each key against the day and the network
-//! and each list against the strict posting decoder.
 //! [`ReachabilityEngine::save_incremental_snapshot`] skips re-exporting
 //! `postings.pages` when the target directory already holds the base heap
 //! the engine was opened from (length-checked at save; the page CRCs
@@ -111,11 +74,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
-use streach_roadnet::{RoadNetwork, SegmentId, ShardMap};
+use streach_roadnet::{RoadNetwork, ShardMap};
 use streach_storage::{
-    crc32, get_varint_u32, put_varint_u32, visit_posting, ChecksummedPageStore, FilePageStore,
-    LazySection, PageStore, PostingStore, SnapshotReader, SnapshotWriter, StorageError,
-    StorageResult, PAGE_SIZE,
+    crc32, ChecksummedPageStore, FilePageStore, LazySection, PageStore, SnapshotReader,
+    SnapshotWriter, StorageError, StorageResult, PAGE_SIZE,
 };
 
 use crate::con_index::ConIndex;
@@ -123,10 +85,7 @@ use crate::config::IndexConfig;
 use crate::engine::ReachabilityEngine;
 use crate::ingest::IngestState;
 use crate::speed_stats::SpeedStats;
-use crate::st_index::{
-    DeltaEntry, LazyDirectory, SlotDirectory, SlotHead, StIndex, StIndexStats, StIndexStore,
-    TemporalIndex,
-};
+use crate::st_index::{StIndex, StIndexStore};
 
 /// File name of the snapshot container inside a snapshot directory.
 pub const CONTAINER_FILE: &str = "index.snap";
@@ -287,295 +246,6 @@ impl Chunk {
     }
 }
 
-/// The head of the `st_index` section: ST-Index scalars, construction
-/// stats and where every populated slot's directory lives.
-struct StIndexHead {
-    slot_s: u32,
-    num_days: u16,
-    stats: StIndexStats,
-    tail: u64,
-    /// `(slot, head)` of every populated slot, ascending.
-    slots: Vec<(u32, SlotHead)>,
-}
-
-/// Byte length of the fixed-width part of the `st_index` head.
-const ST_INDEX_HEAD_LEN: usize = 50;
-/// Byte length of one slot's record in the `st_index` head.
-const ST_INDEX_SLOT_LEN: usize = 36;
-
-/// Encodes the `st_index` head and its `st_index_slots` chunks (layout in
-/// the module docs) from one directory per slot of the day.
-fn encode_st_index(
-    slot_s: u32,
-    num_days: u16,
-    stats: StIndexStats,
-    tail: u64,
-    directory: &[&SlotDirectory],
-) -> (Vec<u8>, Vec<u8>) {
-    let entries: usize = directory.iter().map(|d| d.len()).sum();
-    let mut chunks = Vec::with_capacity(entries * 3);
-    let mut slots = Vec::new();
-    for (slot, dir) in directory.iter().enumerate().filter(|(_, d)| !d.is_empty()) {
-        let start = chunks.len();
-        let mut prev: Option<SegmentId> = None;
-        for (segment, handle) in dir.entries() {
-            put_varint_u32(&mut chunks, prev.map_or(segment.0, |p| segment.0 - p.0));
-            put_varint_u32(&mut chunks, handle.len);
-            prev = Some(segment);
-        }
-        slots.push((
-            slot as u32,
-            SlotHead {
-                entries: dir.len() as u32,
-                first: dir.first(),
-                span: dir.span(),
-                chunk: Chunk::seal(&chunks, start),
-            },
-        ));
-    }
-    let mut head = Vec::with_capacity(ST_INDEX_HEAD_LEN + slots.len() * ST_INDEX_SLOT_LEN);
-    head.put_u32_le(slot_s);
-    head.put_u16_le(num_days);
-    head.put_u64_le(stats.num_time_lists);
-    head.put_u64_le(stats.num_observations);
-    head.put_u64_le(stats.posting_bytes);
-    head.put_u64_le(stats.posting_pages);
-    head.put_u64_le(tail);
-    head.put_u32_le(slots.len() as u32);
-    for (slot, h) in &slots {
-        head.put_u32_le(*slot);
-        head.put_u32_le(h.entries);
-        head.put_u64_le(h.first);
-        head.put_u32_le(h.span);
-        h.chunk.put(&mut head);
-    }
-    (head, chunks)
-}
-
-/// Decodes and validates the `st_index` head against the length of its
-/// chunk section, in time proportional to the populated slots: slots
-/// ascend inside the day, every slot has an entry and at least a byte per
-/// entry, the slots' runs tile `[0, tail)` and their chunks tile
-/// `[0, chunks_len)` exactly. Any deviation is [`StorageError::Corrupt`].
-fn decode_st_index_head(mut buf: &[u8], chunks_len: u64) -> StorageResult<StIndexHead> {
-    if buf.remaining() < ST_INDEX_HEAD_LEN {
-        return Err(StorageError::corrupt("st_index head truncated"));
-    }
-    let slot_s = buf.get_u32_le();
-    let num_days = buf.get_u16_le();
-    let stats = StIndexStats {
-        num_time_lists: buf.get_u64_le(),
-        num_observations: buf.get_u64_le(),
-        posting_bytes: buf.get_u64_le(),
-        posting_pages: buf.get_u64_le(),
-    };
-    let tail = buf.get_u64_le();
-    let num_slots = buf.get_u32_le() as usize;
-    if slot_s == 0 {
-        return Err(StorageError::corrupt("st_index slot length is zero"));
-    }
-    if buf.remaining() != num_slots.saturating_mul(ST_INDEX_SLOT_LEN) {
-        return Err(StorageError::corrupt("st_index head has the wrong length"));
-    }
-    let slots_per_day = streach_traj::SECONDS_PER_DAY.div_ceil(slot_s);
-    let mut slots: Vec<(u32, SlotHead)> = Vec::with_capacity(num_slots);
-    let mut chunks = Vec::with_capacity(num_slots);
-    let mut end = 0u64;
-    for _ in 0..num_slots {
-        let slot = buf.get_u32_le();
-        let head = SlotHead {
-            entries: buf.get_u32_le(),
-            first: buf.get_u64_le(),
-            span: buf.get_u32_le(),
-            chunk: Chunk::get(&mut buf),
-        };
-        let bad = |what: &str| StorageError::corrupt(format!("st_index head: slot {slot} {what}"));
-        if slot >= slots_per_day {
-            return Err(bad(&format!("is outside the day ({slots_per_day} slots)")));
-        }
-        if slots.last().is_some_and(|&(prev, _)| prev >= slot) {
-            return Err(bad("is out of order"));
-        }
-        if head.entries == 0 {
-            return Err(bad("has no entries"));
-        }
-        if (head.span as u64) < head.entries as u64
-            || (head.chunk.len as u64) < 2 * head.entries as u64
-        {
-            return Err(bad("is shorter than its entries"));
-        }
-        if head.first != end {
-            return Err(bad("does not start where the previous slot's blobs end"));
-        }
-        end += head.span as u64;
-        if end > tail {
-            return Err(bad("runs past the posting heap"));
-        }
-        chunks.push(head.chunk);
-        slots.push((slot, head));
-    }
-    if end != tail {
-        return Err(StorageError::corrupt(
-            "st_index directory does not cover the posting heap",
-        ));
-    }
-    Chunk::check_tiling(&chunks, chunks_len, "st_index_slots")?;
-    Ok(StIndexHead {
-        slot_s,
-        num_days,
-        stats,
-        tail,
-        slots,
-    })
-}
-
-/// Decodes one slot's chunk into its [`SlotDirectory`], rebuilding each
-/// blob offset as the running sum of the lengths before it. The chunk must
-/// hold exactly `head.entries` entries whose lengths sum to exactly
-/// `head.span`; anything else is [`StorageError::Corrupt`] naming
-/// `st_index_slots` and the slot.
-pub(crate) fn decode_slot_chunk(
-    slot: u32,
-    head: &SlotHead,
-    mut buf: &[u8],
-) -> StorageResult<SlotDirectory> {
-    let bad = |what: &str| StorageError::corrupt(format!("st_index_slots slot {slot}: {what}"));
-    // Nearly every varint in a chunk is one byte; only longer ones take the
-    // general (canonical-form checking) path.
-    #[inline(always)]
-    fn varint(buf: &mut &[u8]) -> Option<u32> {
-        match buf.split_first() {
-            Some((&byte, rest)) if byte < 0x80 => {
-                *buf = rest;
-                Some(byte as u32)
-            }
-            _ => get_varint_u32(buf),
-        }
-    }
-    let n = head.entries as usize;
-    let mut segments = Vec::with_capacity(n);
-    let mut ends = Vec::with_capacity(n);
-    let mut end = 0u64;
-    let mut segment = 0u32;
-    for i in 0..n {
-        let step = varint(&mut buf).ok_or_else(|| bad("truncated or overlong varint"))?;
-        segment = if i == 0 {
-            step
-        } else if step == 0 {
-            return Err(bad("zero segment gap"));
-        } else {
-            segment
-                .checked_add(step)
-                .ok_or_else(|| bad("segment id overflows"))?
-        };
-        let len = varint(&mut buf).ok_or_else(|| bad("truncated or overlong varint"))?;
-        if len == 0 {
-            return Err(bad("zero-length blob"));
-        }
-        end += len as u64;
-        if end > head.span as u64 {
-            return Err(bad("blobs run past the slot's span"));
-        }
-        segments.push(SegmentId(segment));
-        ends.push(end as u32);
-    }
-    if !buf.is_empty() {
-        return Err(bad("trailing bytes"));
-    }
-    if end != head.span as u64 {
-        return Err(bad("blobs do not fill the slot's span"));
-    }
-    Ok(SlotDirectory::new(head.first, segments, ends))
-}
-
-/// The delta tail as the snapshot holds it: ((slot, segment), encoded
-/// list) entries in key order, and the bytes folded in.
-type DeltaSection = (Vec<DeltaEntry>, u64);
-
-/// Byte length of the `delta` section's fixed head, and of each entry's.
-const DELTA_HEAD_LEN: usize = 12;
-
-/// Encodes the `delta` section (layout in the module docs).
-fn encode_delta((entries, folded_bytes): &DeltaSection) -> Vec<u8> {
-    let live: usize = entries.iter().map(|(_, bytes)| bytes.len()).sum();
-    let mut buf = Vec::with_capacity(DELTA_HEAD_LEN * (1 + entries.len()) + live);
-    buf.put_u64_le(*folded_bytes);
-    buf.put_u32_le(entries.len() as u32);
-    for ((slot, segment), bytes) in entries {
-        buf.put_u32_le(*slot);
-        buf.put_u32_le(*segment);
-        buf.put_u32_le(u32::try_from(bytes.len()).expect("a time list spans at most 4 GiB"));
-        buf.put_slice(bytes);
-    }
-    buf
-}
-
-/// Decodes and validates the `delta` section: keys ascend strictly inside
-/// the day and the network, every list passes the strict posting decoder,
-/// the entries fill the section exactly and the live lists hold no more
-/// bytes than were folded in. Any deviation is [`StorageError::Corrupt`]
-/// naming the section.
-fn decode_delta(
-    mut buf: &[u8],
-    slots_per_day: u32,
-    num_segments: usize,
-) -> StorageResult<DeltaSection> {
-    let bad = |what: String| StorageError::corrupt(format!("delta section: {what}"));
-    if buf.remaining() < DELTA_HEAD_LEN {
-        return Err(bad("truncated head".into()));
-    }
-    let folded_bytes = buf.get_u64_le();
-    let count = buf.get_u32_le() as usize;
-    // The count is only as trustworthy as the section CRC: never reserve
-    // more entries than the section could hold.
-    let mut entries: Vec<DeltaEntry> =
-        Vec::with_capacity(count.min(buf.remaining() / DELTA_HEAD_LEN));
-    let mut live = 0u64;
-    for _ in 0..count {
-        if buf.remaining() < DELTA_HEAD_LEN {
-            return Err(bad("truncated entry".into()));
-        }
-        let (slot, segment) = (buf.get_u32_le(), buf.get_u32_le());
-        let len = buf.get_u32_le() as usize;
-        let at = format!("slot {slot} segment {segment}");
-        if entries
-            .last()
-            .is_some_and(|(prev, _)| *prev >= (slot, segment))
-        {
-            return Err(bad(format!("{at} is out of order or repeated")));
-        }
-        if slot >= slots_per_day {
-            return Err(bad(format!(
-                "{at} is outside the day ({slots_per_day} slots)"
-            )));
-        }
-        if segment as usize >= num_segments {
-            return Err(bad(format!(
-                "{at} is outside the network ({num_segments} segments)"
-            )));
-        }
-        if len > buf.remaining() {
-            return Err(bad(format!("{at} runs past the section")));
-        }
-        let (bytes, rest) = buf.split_at(len);
-        if !visit_posting(bytes, |_, _| {}) {
-            return Err(bad(format!("{at} holds a malformed time list")));
-        }
-        live += len as u64;
-        entries.push(((slot, segment), bytes.into()));
-        buf = rest;
-    }
-    if !buf.is_empty() {
-        return Err(bad("trailing bytes".into()));
-    }
-    if live > folded_bytes {
-        return Err(bad(format!(
-            "live lists hold {live} bytes, more than the {folded_bytes} folded in"
-        )));
-    }
-    Ok((entries, folded_bytes))
-}
-
 /// Exports every page of `source` into a fresh page file at `path`,
 /// returning each page's CRC-32. The source is read past the buffer pool
 /// but through the page checksums of a reopened heap, so a save never
@@ -622,14 +292,7 @@ pub(crate) fn save(
     // the engine's state for the save's entire duration — while concurrent
     // queries keep being served from it untouched.
     let pinned = engine.st_index().pin();
-    let st = engine.st_index();
-    let (st_head, st_chunks) = encode_st_index(
-        st.slot_s(),
-        st.num_days(),
-        st.stats(),
-        pinned.base_postings().size_bytes(),
-        &pinned.directory().directories()?,
-    );
+    let (st_head, st_slots, st_delta) = engine.st_index().encode_sections(&pinned)?;
     let (speed_head, speed_rows) = engine.con_index().speed_stats().encode()?;
 
     std::fs::create_dir_all(dir)?;
@@ -674,10 +337,10 @@ pub(crate) fn save(
     page_crcs.iter().for_each(|&crc| pages_meta.put_u32_le(crc));
     writer.add_section(SEC_PAGES_META, pages_meta);
     writer.add_section(SEC_ST_INDEX, st_head);
-    writer.add_lazy_section(SEC_ST_INDEX_SLOTS, st_chunks);
+    writer.add_lazy_section(SEC_ST_INDEX_SLOTS, st_slots);
     writer.add_section(SEC_SPEED_STATS, speed_head);
     writer.add_lazy_section(SEC_SPEED_STATS_ROWS, speed_rows);
-    writer.add_section(SEC_DELTA, encode_delta(&pinned.delta()));
+    writer.add_section(SEC_DELTA, st_delta);
     writer.add_section(
         SEC_INGEST_META,
         ReachabilityEngine::encode_ingest_meta(ingest_state),
@@ -739,37 +402,31 @@ pub(crate) fn open(
     network: Arc<RoadNetwork>,
     wrap: impl FnOnce(Box<dyn PageStore>) -> Box<dyn PageStore>,
 ) -> StorageResult<ReachabilityEngine> {
-    assemble(dir, read_checked(dir, Some(network))?, wrap)
+    open_checked(dir, Some(network), wrap)
 }
 
 /// Reopens a self-contained snapshot (see
 /// [`ReachabilityEngine::open_snapshot_standalone`]): the road network is
 /// decoded from the same parsed container the engine is then opened from,
 /// so a concurrent re-save can never pair one file's network with another
-/// file's index. The fingerprint check in [`read_checked`] cross-validates
+/// file's index. The fingerprint check in [`open_checked`] cross-validates
 /// the codec roundtrip against the structural hash taken at save.
 pub(crate) fn open_standalone(dir: &Path) -> StorageResult<ReachabilityEngine> {
-    assemble(dir, read_checked(dir, None)?, |store| store)
+    open_checked(dir, None, |store| store)
 }
 
-/// A parsed container whose eager sections decoded and cross-checked.
-/// Nothing has been opened over a page file yet.
-struct CheckedSnapshot {
-    reader: SnapshotReader,
-    network: Arc<RoadNetwork>,
-    config: IndexConfig,
-    page_crcs: Arc<[u32]>,
-    st_index: StIndexHead,
-    delta: DeltaSection,
-    speed_stats: SpeedStats,
-    ingest_meta: (u64, u64, crate::ingest::LastVisitMap),
-}
-
-/// Reads and checks the snapshot container in `dir` against `network`, or
-/// against the network embedded in the container when `network` is `None`:
-/// the fingerprint, the config, the page CRC lists, and every head and
-/// eager section, cross-checked. Reads no page and no chunk.
-fn read_checked(dir: &Path, network: Option<Arc<RoadNetwork>>) -> StorageResult<CheckedSnapshot> {
+/// Opens the snapshot in `dir` against `network`, or against the network
+/// embedded in the container when `network` is `None`. Checks the
+/// fingerprint, the config, the page CRC list against the page file's
+/// length, and every head and eager section, cross-checked; offers the page
+/// store to `wrap` and checks the pages it returns against the recorded
+/// CRCs on first read; restores the optional sections. Reads no page and
+/// no chunk.
+fn open_checked(
+    dir: &Path,
+    network: Option<Arc<RoadNetwork>>,
+    wrap: impl FnOnce(Box<dyn PageStore>) -> Box<dyn PageStore>,
+) -> StorageResult<ReachabilityEngine> {
     let reader = SnapshotReader::open(dir.join(CONTAINER_FILE))?;
     let network = match network {
         Some(network) => network,
@@ -812,25 +469,21 @@ fn read_checked(dir: &Path, network: Option<Arc<RoadNetwork>>) -> StorageResult<
     }
     let page_crcs: Arc<[u32]> = (0..num_pages).map(|_| pages_meta.get_u32_le()).collect();
 
-    let st_index = decode_st_index_head(
+    // Reopen the posting heap — read-only, so snapshots deployed as
+    // immutable artifacts still serve. Each page is checked on its first
+    // physical read.
+    let base_store = open_sealed_pages(&dir.join(PAGES_FILE), num_pages)?;
+    let store: StIndexStore = Box::new(ChecksummedPageStore::new(
+        wrap(base_store),
+        Arc::clone(&page_crcs),
+    ));
+    let st_index = StIndex::open_sections(
+        network.clone(),
         reader.section(SEC_ST_INDEX)?,
-        reader.lazy_section(SEC_ST_INDEX_SLOTS)?.len(),
-    )?;
-    if st_index.slot_s != config.slot_s {
-        return Err(StorageError::corrupt(
-            "st_index slot length disagrees with the config section",
-        ));
-    }
-    if st_index.tail > num_pages * PAGE_SIZE as u64 {
-        return Err(StorageError::corrupt(
-            "posting page file is shorter than the posting heap",
-        ));
-    }
-
-    let delta = decode_delta(
+        reader.lazy_section(SEC_ST_INDEX_SLOTS)?,
         reader.section(SEC_DELTA)?,
-        config.slots_per_day(),
-        network.num_segments(),
+        &config,
+        store,
     )?;
 
     let speed_stats = SpeedStats::open(
@@ -843,72 +496,13 @@ fn read_checked(dir: &Path, network: Option<Arc<RoadNetwork>>) -> StorageResult<
             "speed_stats granularity disagrees with the config section",
         ));
     }
-    let ingest_meta = crate::ingest::decode_ingest_meta(
+    let (wal_generation, wal_applied, last_visit) = crate::ingest::decode_ingest_meta(
         reader.section(SEC_INGEST_META)?,
         network.num_segments(),
     )?;
-    Ok(CheckedSnapshot {
-        reader,
-        network,
-        config,
-        page_crcs,
-        st_index,
-        delta,
-        speed_stats,
-        ingest_meta,
-    })
-}
-
-/// Builds the engine over a [`CheckedSnapshot`]: opens the page store,
-/// offers it to `wrap`, checks the pages it returns against the recorded
-/// CRCs, and restores the optional sections.
-fn assemble(
-    dir: &Path,
-    checked: CheckedSnapshot,
-    wrap: impl FnOnce(Box<dyn PageStore>) -> Box<dyn PageStore>,
-) -> StorageResult<ReachabilityEngine> {
-    let CheckedSnapshot {
-        reader,
-        network,
-        config,
-        page_crcs,
-        st_index: head,
-        delta,
-        speed_stats,
-        ingest_meta,
-    } = checked;
-
-    // Reopen the posting heap — read-only, so snapshots deployed as
-    // immutable artifacts still serve. Each page is checked on its first
-    // physical read.
-    let base_store = open_sealed_pages(&dir.join(PAGES_FILE), page_crcs.len() as u64)?;
-    let store: StIndexStore = Box::new(ChecksummedPageStore::new(
-        wrap(base_store),
-        Arc::clone(&page_crcs),
-    ));
-    let postings = PostingStore::sealed(store, config.pool_pages, head.tail, config.read_retries);
-
-    let mut heads = vec![None; config.slots_per_day() as usize];
-    for (slot, slot_head) in head.slots {
-        heads[slot as usize] = Some(slot_head);
-    }
-    let temporal = TemporalIndex::lazy(LazyDirectory {
-        section: reader.lazy_section(SEC_ST_INDEX_SLOTS)?,
-        heads,
-    });
-    let st_index = StIndex::from_parts(
-        network.clone(),
-        head.slot_s,
-        head.num_days,
-        head.stats,
-        temporal,
-        postings,
-        delta,
-    );
 
     let con_index = ConIndex::new(network.clone(), Arc::new(speed_stats), &config);
 
-    let (wal_generation, wal_applied, last_visit) = ingest_meta;
     let engine = ReachabilityEngine::new(network, st_index, con_index, config);
     engine.install_snapshot_meta(page_crcs, wal_generation, wal_applied, last_visit);
     engine.set_snapshot_home(dir);
@@ -962,7 +556,6 @@ mod tests {
     use crate::builder::EngineBuilder;
     use crate::query::{Algorithm, SQuery};
     use streach_roadnet::{GeneratorConfig, SyntheticCity};
-    use streach_storage::BlobHandle;
     use streach_traj::{FleetConfig, TrajectoryDataset};
 
     #[test]
@@ -1037,403 +630,8 @@ mod tests {
         dir
     }
 
-    use super::lazy_section;
-
-    /// A hand-built directory: slot 5 holds segments 3 and 131, slot 200
-    /// holds segment 7; blobs of 10, 200 and 1 bytes, back to back.
-    fn sample_directory() -> Vec<SlotDirectory> {
-        let handle = |offset, len| BlobHandle { offset, len };
-        let mut directory = vec![SlotDirectory::default(); 288];
-        for (slot, segment, blob) in [
-            (5, 3, handle(0, 10)),
-            (5, 131, handle(10, 200)),
-            (200, 7, handle(210, 1)),
-        ] {
-            directory[slot].push(SegmentId(segment), blob).unwrap();
-        }
-        directory
-    }
-
-    const SAMPLE_STATS: StIndexStats = StIndexStats {
-        num_time_lists: 3,
-        num_observations: 5,
-        posting_bytes: 211,
-        posting_pages: 1,
-    };
-
-    fn encode_sample() -> (Vec<u8>, Vec<u8>) {
-        let directory = sample_directory();
-        let refs: Vec<&SlotDirectory> = directory.iter().collect();
-        encode_st_index(300, 2, SAMPLE_STATS, 211, &refs)
-    }
-
-    /// The chunks of [`sample_directory`]: slot 5's, then slot 200's.
-    const SAMPLE_CHUNK_5: [u8; 6] = [
-        0x03, 0x0A, // segment 3, len 10
-        0x80, 0x01, 0xC8, 0x01, // gap 128 → segment 131, len 200
-    ];
-    const SAMPLE_CHUNK_200: [u8; 2] = [0x07, 0x01]; // segment 7, len 1
-
-    /// The head of [`sample_directory`]'s encoding, each slot record
-    /// written out field by field.
-    fn sample_head() -> Vec<u8> {
-        let mut head = vec![0x2C, 0x01, 0, 0, 0x02, 0]; // slot_s 300, num_days 2
-        for v in [3u64, 5, 211, 1, 211] {
-            head.extend_from_slice(&v.to_le_bytes()); // stats, tail
-        }
-        head.extend_from_slice(&2u32.to_le_bytes()); // slot count
-        for (slot, entries, first, span, offset, chunk) in [
-            (5u32, 2u32, 0u64, 210u32, 0u64, &SAMPLE_CHUNK_5[..]),
-            (200, 1, 210, 1, 6, &SAMPLE_CHUNK_200[..]),
-        ] {
-            head.extend_from_slice(&slot.to_le_bytes());
-            head.extend_from_slice(&entries.to_le_bytes());
-            head.extend_from_slice(&first.to_le_bytes());
-            head.extend_from_slice(&span.to_le_bytes());
-            head.extend_from_slice(&offset.to_le_bytes());
-            head.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-            head.extend_from_slice(&crc32(chunk).to_le_bytes());
-        }
-        head
-    }
-
-    #[test]
-    fn st_index_golden_bytes() {
-        let head = sample_head();
-        assert_eq!(head.len(), ST_INDEX_HEAD_LEN + 2 * ST_INDEX_SLOT_LEN);
-        let chunks = [&SAMPLE_CHUNK_5[..], &SAMPLE_CHUNK_200[..]].concat();
-        assert_eq!(encode_sample(), (head.clone(), chunks.clone()));
-
-        let decoded = decode_st_index_head(&head, chunks.len() as u64).unwrap();
-        assert_eq!(
-            (
-                decoded.slot_s,
-                decoded.num_days,
-                decoded.stats,
-                decoded.tail
-            ),
-            (300, 2, SAMPLE_STATS, 211)
-        );
-        let section = lazy_section(SEC_ST_INDEX_SLOTS, chunks);
-        let expected = sample_directory();
-        for (slot, slot_head) in &decoded.slots {
-            let bytes = slot_head.chunk.read(&section, slot).unwrap();
-            let directory = decode_slot_chunk(*slot, slot_head, &bytes).unwrap();
-            assert_eq!(directory, expected[*slot as usize], "slot {slot}");
-        }
-        assert_eq!(
-            decoded.slots.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            [5, 200]
-        );
-    }
-
-    fn expect_corrupt<T>(what: &str, result: StorageResult<T>, needle: &str) {
-        match result {
-            Err(StorageError::Corrupt { context }) => {
-                assert!(context.contains(needle), "{what}: {context}")
-            }
-            Err(e) => panic!("{what}: expected Corrupt, got {e}"),
-            Ok(_) => panic!("{what}: a malformed section decoded"),
-        }
-    }
-
-    /// Offset of slot record `i`'s field at `field` bytes into the record.
-    fn field(i: usize, field: usize) -> usize {
-        ST_INDEX_HEAD_LEN + i * ST_INDEX_SLOT_LEN + field
-    }
-
-    #[test]
-    fn st_index_head_decoder_rejects_malformed_heads() {
-        let head = sample_head();
-        let set = |at: usize, bytes: &[u8]| {
-            let mut h = head.clone();
-            h[at..at + bytes.len()].copy_from_slice(bytes);
-            h
-        };
-        let cases: Vec<(&str, Vec<u8>, u64)> = vec![
-            (
-                "slot outside the day (288 at Δt = 300 s)",
-                set(field(1, 0), &288u32.to_le_bytes()),
-                8,
-            ),
-            (
-                "slots out of order",
-                set(field(1, 0), &5u32.to_le_bytes()),
-                8,
-            ),
-            ("empty slot", set(field(0, 4), &0u32.to_le_bytes()), 8),
-            (
-                "span shorter than its entries",
-                set(field(0, 16), &1u32.to_le_bytes()),
-                8,
-            ),
-            (
-                "spans do not tile the heap",
-                set(field(1, 8), &211u64.to_le_bytes()),
-                8,
-            ),
-            (
-                "runs short of the tail",
-                set(field(1, 16), &0u32.to_le_bytes()),
-                8,
-            ),
-            (
-                "runs past the tail",
-                set(field(1, 16), &2u32.to_le_bytes()),
-                8,
-            ),
-            (
-                "chunk offset past its section",
-                set(field(1, 20), &9u64.to_le_bytes()),
-                8,
-            ),
-            ("chunks short of their section", head.clone(), 9),
-            ("chunks past their section", head.clone(), 7),
-            ("slot count off by one", set(46, &3u32.to_le_bytes()), 8),
-            ("zero slot length", set(0, &0u32.to_le_bytes()), 8),
-        ];
-        for (what, bytes, chunks_len) in cases {
-            expect_corrupt(what, decode_st_index_head(&bytes, chunks_len), "st_index");
-        }
-        // Every strict prefix of a valid head is rejected too.
-        for cut in 0..head.len() {
-            expect_corrupt(
-                &format!("prefix of {cut} bytes"),
-                decode_st_index_head(&head[..cut], 8),
-                "st_index",
-            );
-        }
-        // The head is an eager section: a flipped byte fails its CRC when
-        // the container is opened, before the decoder sees it.
-        let path = std::env::temp_dir().join(format!("streach-head-{}.snap", std::process::id()));
-        let mut writer = SnapshotWriter::new();
-        writer.add_section(SEC_ST_INDEX, head.clone());
-        writer.finish(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = bytes.len() - head.len() + field(1, 0);
-        bytes[at] ^= 0x01;
-        expect_corrupt(
-            "head CRC mismatch",
-            SnapshotReader::parse(bytes),
-            "section st_index: checksum mismatch",
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Two delta lists: segment 3 in slot 5 (dates 0 and 2) and segment 9
-    /// in slot 200 (date 1), 14 bytes between them, 20 bytes folded in.
-    fn sample_delta() -> DeltaSection {
-        let list = |entries: &[(u16, &[u32])]| -> Arc<[u8]> {
-            let mut list = streach_storage::TimeList::new();
-            for &(date, ids) in entries {
-                ids.iter().for_each(|&id| list.add(date, id));
-            }
-            list.encode().into()
-        };
-        (
-            vec![
-                ((5, 3), list(&[(0, &[4]), (2, &[1, 7])])),
-                ((200, 9), list(&[(1, &[2])])),
-            ],
-            20,
-        )
-    }
-
-    /// [`sample_delta`]'s section, written out field by field.
-    fn sample_delta_bytes() -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&20u64.to_le_bytes()); // folded bytes
-        bytes.extend_from_slice(&2u32.to_le_bytes()); // entry count
-        for (slot, segment, list) in [
-            // tag, 2 dates: date 0, 1 id: 4; gap 2 → date 2, 2 ids: 1, +6
-            (
-                5u32,
-                3u32,
-                &[0x01, 0x02, 0x00, 0x01, 0x04, 0x02, 0x02, 0x01, 0x06][..],
-            ),
-            // tag, 1 date: date 1, 1 id: 2
-            (200, 9, &[0x01, 0x01, 0x01, 0x01, 0x02][..]),
-        ] {
-            bytes.extend_from_slice(&slot.to_le_bytes());
-            bytes.extend_from_slice(&segment.to_le_bytes());
-            bytes.extend_from_slice(&(list.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(list);
-        }
-        bytes
-    }
-
-    #[test]
-    fn delta_golden_bytes() {
-        let bytes = sample_delta_bytes();
-        assert_eq!(encode_delta(&sample_delta()), bytes);
-        assert_eq!(decode_delta(&bytes, 288, 10).unwrap(), sample_delta());
-        // An empty tail is its head alone.
-        assert_eq!(encode_delta(&(Vec::new(), 0)), [0; DELTA_HEAD_LEN]);
-        assert_eq!(decode_delta(&[0; 12], 288, 10).unwrap(), (Vec::new(), 0));
-    }
-
-    #[test]
-    fn delta_decoder_rejects_malformed_sections() {
-        let clean = sample_delta_bytes();
-        // Offsets of the second entry's fields, and of the first list.
-        let second = DELTA_HEAD_LEN + DELTA_HEAD_LEN + 9;
-        let set = |at: usize, bytes: &[u8]| {
-            let mut b = clean.clone();
-            b[at..at + bytes.len()].copy_from_slice(bytes);
-            b
-        };
-        let cases: Vec<(&str, Vec<u8>, u32, usize)> = vec![
-            (
-                "keys out of order",
-                set(second, &4u32.to_le_bytes()),
-                288,
-                10,
-            ),
-            (
-                "duplicate key",
-                set(second, &[5, 0, 0, 0, 3, 0, 0, 0]),
-                288,
-                10,
-            ),
-            ("slot outside the day", clean.clone(), 200, 10),
-            ("segment outside the network", clean.clone(), 288, 9),
-            (
-                "list fails strict decode (zero id gap)",
-                set(2 * DELTA_HEAD_LEN + 8, &[0x00]),
-                288,
-                10,
-            ),
-            (
-                "length past the section",
-                set(second + 8, &6u32.to_le_bytes()),
-                288,
-                10,
-            ),
-            ("trailing bytes", [clean.as_slice(), &[0]].concat(), 288, 10),
-            (
-                "live bytes above folded bytes",
-                set(0, &13u64.to_le_bytes()),
-                288,
-                10,
-            ),
-            (
-                "count past the entries",
-                set(8, &3u32.to_le_bytes()),
-                288,
-                10,
-            ),
-        ];
-        for (what, bytes, slots_per_day, num_segments) in cases {
-            expect_corrupt(
-                what,
-                decode_delta(&bytes, slots_per_day, num_segments),
-                "delta section",
-            );
-        }
-        for cut in 0..clean.len() {
-            expect_corrupt(
-                &format!("prefix of {cut} bytes"),
-                decode_delta(&clean[..cut], 288, 10),
-                "delta section",
-            );
-        }
-        // Exactly as many bytes folded in as live is fine.
-        assert!(decode_delta(&set(0, &14u64.to_le_bytes()), 288, 10).is_ok());
-    }
-
-    #[test]
-    fn slot_chunk_decoder_rejects_malformed_chunks() {
-        let head = |entries, span| SlotHead {
-            entries,
-            first: 0,
-            span,
-            chunk: Chunk {
-                offset: 0,
-                len: 0,
-                crc: 0,
-            },
-        };
-        let ok = head(2, 210);
-        assert!(decode_slot_chunk(5, &ok, &SAMPLE_CHUNK_5).is_ok());
-        let cases: [(&str, SlotHead, &[u8]); 9] = [
-            ("zero segment gap", ok, &[3, 10, 0, 0xC8, 1]),
-            ("zero-length blob", ok, &[3, 0, 0x80, 1, 0xD2, 1]),
-            ("one byte short of the span", ok, &[3, 10, 0x80, 1, 0xC7, 1]),
-            ("one byte past the span", ok, &[3, 10, 0x80, 1, 0xC9, 1]),
-            ("overlong varint", ok, &[0x83, 0x00, 10, 0x80, 1, 0xC8, 1]),
-            (
-                "segment id overflow",
-                ok,
-                &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 10, 1, 0xC8, 1],
-            ),
-            ("trailing byte", ok, &[3, 10, 0x80, 1, 0xC8, 1, 0]),
-            ("fewer entries than the head", head(3, 210), &SAMPLE_CHUNK_5),
-            ("more entries than the head", head(1, 210), &SAMPLE_CHUNK_5),
-        ];
-        for (what, head, bytes) in cases {
-            expect_corrupt(
-                what,
-                decode_slot_chunk(5, &head, bytes),
-                "st_index_slots slot 5",
-            );
-        }
-        // A chunk that fails its CRC never reaches the decoder.
-        let section = lazy_section(SEC_ST_INDEX_SLOTS, SAMPLE_CHUNK_5.to_vec());
-        let chunk = Chunk::seal(&SAMPLE_CHUNK_5, 0);
-        assert!(chunk.read(&section, "slot 5").is_ok());
-        let flipped = Chunk {
-            crc: chunk.crc ^ 1,
-            ..chunk
-        };
-        expect_corrupt(
-            "chunk CRC mismatch",
-            flipped.read(&section, "slot 5"),
-            "st_index_slots slot 5: chunk checksum mismatch",
-        );
-    }
-
-    #[test]
-    fn slot_chunk_decoder_bounds_a_slot_at_4_gib() {
-        const MAX: u32 = u32::MAX;
-        // Blobs of u32::MAX bytes and one more: past any span a head can
-        // hold, rejected without overflowing.
-        let over = [3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 1];
-        let head = |entries, span| SlotHead {
-            entries,
-            first: 7,
-            span,
-            chunk: Chunk {
-                offset: 0,
-                len: 0,
-                crc: 0,
-            },
-        };
-        expect_corrupt(
-            "over 4 GiB",
-            decode_slot_chunk(5, &head(2, MAX), &over),
-            "slot 5",
-        );
-        // Exactly u32::MAX bytes in one slot fits.
-        let exact = decode_slot_chunk(5, &head(1, MAX), &over[..6]).unwrap();
-        assert_eq!(
-            exact.entries().collect::<Vec<_>>(),
-            vec![(
-                SegmentId(3),
-                BlobHandle {
-                    offset: 7,
-                    len: MAX
-                }
-            )]
-        );
-    }
-
-    /// A small engine over the tiny fleet, saved to a fresh directory.
-    fn saved_engine(name: &str) -> (Arc<RoadNetwork>, ReachabilityEngine, std::path::PathBuf) {
-        let (network, _, built, dir) = saved_world(name);
-        (network, built, dir)
-    }
-
-    /// [`saved_engine`] and the dataset it was built from.
+    /// A small engine over the tiny fleet, saved to a fresh directory, and
+    /// the dataset it was built from.
     fn saved_world(
         name: &str,
     ) -> (
@@ -1450,56 +648,6 @@ mod tests {
         let dir = tmp_dir(name);
         built.save_snapshot(&dir).unwrap();
         (network, dataset, built, dir)
-    }
-
-    #[test]
-    fn st_index_of_a_built_index_round_trips_byte_identically() {
-        let (network, built, dir) = saved_engine("st-index-roundtrip");
-        let index = built.st_index();
-        let pinned = index.pin();
-        let directory = pinned.directory().directories().unwrap();
-        let tail = pinned.base_postings().size_bytes();
-        let (head, chunks) = encode_st_index(
-            index.slot_s(),
-            index.num_days(),
-            index.stats(),
-            tail,
-            &directory,
-        );
-        let decoded = decode_st_index_head(&head, chunks.len() as u64).unwrap();
-        let section = lazy_section(SEC_ST_INDEX_SLOTS, chunks.clone());
-        let mut rebuilt = vec![SlotDirectory::default(); directory.len()];
-        for (slot, slot_head) in &decoded.slots {
-            let bytes = slot_head.chunk.read(&section, slot).unwrap();
-            rebuilt[*slot as usize] = decode_slot_chunk(*slot, slot_head, &bytes).unwrap();
-        }
-        let refs: Vec<&SlotDirectory> = rebuilt.iter().collect();
-        assert_eq!(refs, directory);
-        assert_eq!(
-            encode_st_index(decoded.slot_s, decoded.num_days, decoded.stats, tail, &refs),
-            (head, chunks)
-        );
-        // The reopened engine serves every decoded handle's bytes.
-        let reopened = ReachabilityEngine::open_snapshot(&dir, network).unwrap();
-        let mut entries = 0;
-        for (slot, dir) in rebuilt.iter().enumerate() {
-            for (segment, handle) in dir.entries() {
-                let mut from_index = Vec::new();
-                let mut from_handle = Vec::new();
-                assert!(reopened
-                    .st_index()
-                    .read_time_list_into(segment, slot as u32, &mut from_index)
-                    .unwrap());
-                pinned
-                    .base_postings()
-                    .read_into(handle, &mut from_handle)
-                    .unwrap();
-                assert_eq!(from_index, from_handle, "slot {slot}, {segment}");
-                entries += 1;
-            }
-        }
-        assert_eq!(entries, index.stats().num_time_lists);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// An open reads no posting page and decodes no slot; one query then

@@ -79,8 +79,6 @@ struct FaultPlan {
     read_fault_probability: f64,
     /// Ordinal-addressed one-shot page-write `EIO`s.
     write_faults: std::collections::HashSet<u64>,
-    /// Every page write with ordinal >= this fails with `EIO`.
-    fail_writes_from: Option<u64>,
     /// Record-ordinal-addressed one-shot WAL append faults (consumed on
     /// use).
     append_faults: std::collections::HashMap<u64, AppendFault>,
@@ -139,12 +137,6 @@ impl FaultController {
         self.state.reads.load(Ordering::SeqCst)
     }
 
-    /// Number of page writes the store has been asked for so far (every
-    /// attempt counts, including scripted failures).
-    pub fn writes_observed(&self) -> u64 {
-        self.state.writes.load(Ordering::SeqCst)
-    }
-
     /// Scripts a one-shot fault for the read with the given lifetime
     /// ordinal (0-based).
     pub fn fail_read_at(&self, ordinal: u64, fault: ReadFault) {
@@ -167,11 +159,6 @@ impl FaultController {
     /// ordinal (0-based): the page writes of a posting heap's writer.
     pub fn fail_write_at(&self, ordinal: u64) {
         self.state.plan.lock().write_faults.insert(ordinal);
-    }
-
-    /// Fails every page write from `ordinal` onward with `EIO`.
-    pub fn fail_writes_from(&self, ordinal: u64) {
-        self.state.plan.lock().fail_writes_from = Some(ordinal);
     }
 
     /// Scripts a one-shot fault for the WAL append of the given **record
@@ -357,12 +344,7 @@ impl PageStore for FaultInjectingPageStore {
 
     fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
         let ordinal = self.state.writes.fetch_add(1, Ordering::SeqCst);
-        let faulted = {
-            let mut plan = self.state.plan.lock();
-            plan.write_faults.remove(&ordinal)
-                || plan.fail_writes_from.is_some_and(|from| ordinal >= from)
-        };
-        if faulted {
+        if self.state.plan.lock().write_faults.remove(&ordinal) {
             return Err(Self::injected_eio(ordinal, self.state.seed, "write"));
         }
         self.inner.write_page(id, page)
@@ -485,13 +467,6 @@ mod tests {
         let err = store.write_page(0, &page).unwrap_err(); // ordinal 1
         assert!(err.to_string().contains("injected EIO on write"), "{err}");
         assert!(store.write_page(0, &page).is_ok()); // one-shot
-        assert_eq!(ctl.writes_observed(), 3);
-        // A dead write path stays dead until cleared.
-        ctl.fail_writes_from(3);
-        assert!(store.write_page(1, &page).is_err());
-        assert!(store.write_page(1, &page).is_err());
-        ctl.clear();
-        assert!(store.write_page(1, &page).is_ok());
     }
 
     #[test]
@@ -505,7 +480,6 @@ mod tests {
         assert!(store.read_page(0).is_err());
         assert!(store.read_page(0).is_ok());
         assert_eq!(ctl.reads_observed(), 2);
-        assert_eq!(ctl.writes_observed(), 0);
     }
 
     #[test]

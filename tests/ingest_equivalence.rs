@@ -143,16 +143,35 @@ fn assert_bit_identical(a: &ReachabilityEngine, b: &ReachabilityEngine, label: &
     }
 }
 
+/// What a saved snapshot holds of an engine's sealed base: the posting
+/// page file and the `st_index` and `st_index_slots` sections.
+fn saved_base(engine: &ReachabilityEngine, name: &str) -> [Vec<u8>; 3] {
+    let dir = tmp_dir(name);
+    engine.save_snapshot(&dir).expect("save snapshot");
+    let pages = std::fs::read(dir.join(streach::core::snapshot::PAGES_FILE)).unwrap();
+    let reader =
+        streach::storage::SnapshotReader::open(dir.join(streach::core::snapshot::CONTAINER_FILE))
+            .unwrap();
+    let head = reader.read_section("st_index").unwrap();
+    let slots = reader.read_section("st_index_slots").unwrap();
+    drop(reader);
+    std::fs::remove_dir_all(&dir).ok();
+    [pages, head, slots]
+}
+
 /// The tentpole guarantee: base-engine + point-by-point ingest ==
 /// from-scratch rebuild on the combined dataset, bit-exactly, on every
 /// pipeline — and compaction preserves it while matching the rebuilt
-/// engine's physical layout.
+/// engine's physical layout byte for byte, on one worker and on two.
 #[test]
 fn ingested_engine_matches_rebuilt_engine_bit_exactly() {
     let s = scenario();
-    let ingested = streach::core::EngineBuilder::new(s.network.clone(), &s.base)
-        .index_config(IndexConfig::default())
-        .build();
+    let base_engine = || {
+        streach::core::EngineBuilder::new(s.network.clone(), &s.base)
+            .index_config(IndexConfig::default())
+            .build()
+    };
+    let ingested = base_engine();
     let rebuilt = streach::core::EngineBuilder::new(s.network.clone(), &s.combined)
         .index_config(IndexConfig::default())
         .build();
@@ -192,21 +211,38 @@ fn ingested_engine_matches_rebuilt_engine_bit_exactly() {
     );
 
     // Compaction folds the delta into a sealed base that matches the
-    // rebuilt engine's layout exactly — stats and all.
-    let folded = ingested.compact().expect("compact");
-    assert!(folded.delta_lists > 0);
-    assert_eq!(ingested.st_index().delta_stats(), Default::default());
-    assert_eq!(
-        ingested.st_index().stats(),
-        rebuilt.st_index().stats(),
-        "compacted base must be laid out exactly like a from-scratch build"
-    );
-    assert_bit_identical(&ingested, &rebuilt, "compacted vs rebuilt");
-    // Compacting again is a no-op.
-    assert_eq!(
-        ingested.compact().expect("idempotent compact").delta_lists,
-        0
-    );
+    // rebuilt engine's layout exactly — stats, saved heap pages and saved
+    // directory sections — whether its slots merge on one worker or two.
+    let twin = base_engine();
+    for batch in &s.extra_batches {
+        twin.ingest(batch).expect("ingest batch");
+    }
+    let rebuilt_base = saved_base(&rebuilt, "rebuilt-base");
+    for (workers, engine) in [(1, &ingested), (2, &twin)] {
+        let folded =
+            streach_par::with_worker_override(workers, || engine.compact()).expect("compact");
+        assert!(folded.delta_lists > 0);
+        assert_eq!(engine.st_index().delta_stats(), Default::default());
+        assert_eq!(
+            engine.st_index().stats(),
+            rebuilt.st_index().stats(),
+            "compacted base must be laid out exactly like a from-scratch build"
+        );
+        let [pages, head, slots] = saved_base(engine, &format!("compacted-base-{workers}"));
+        let [rebuilt_pages, rebuilt_head, rebuilt_slots] = &rebuilt_base;
+        assert!(
+            &pages == rebuilt_pages,
+            "postings.pages, workers = {workers}"
+        );
+        assert!(&head == rebuilt_head, "st_index, workers = {workers}");
+        assert!(
+            &slots == rebuilt_slots,
+            "st_index_slots, workers = {workers}"
+        );
+        assert_bit_identical(engine, &rebuilt, "compacted vs rebuilt");
+        // Compacting again is a no-op.
+        assert_eq!(engine.compact().expect("idempotent compact").delta_lists, 0);
+    }
 }
 
 /// Ingest order must not matter: interleaving the batches point-group-wise
