@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use streach_roadnet::{RoadClass, RoadNetwork, SegmentId};
 use streach_storage::StorageResult;
 
-use crate::query::verifier::{PostingSource, VerifierCore};
+use crate::query::verifier::{PostingSource, VerifierCore, WalkCounts};
 use crate::query::SQuery;
 use crate::region::ReachableRegion;
 
@@ -43,6 +43,8 @@ pub struct EsOutcome {
     pub expansion_time: Duration,
     /// Time spent verifying candidate segments against the postings.
     pub verify_time: Duration,
+    /// The forward walk's work in the verification.
+    pub walk: WalkCounts,
 }
 
 /// Answers an s-query by exhaustive search. Fallible: every candidate
@@ -104,6 +106,7 @@ pub fn exhaustive_search<I: PostingSource + ?Sized>(
         visited,
         expansion_time,
         verify_time,
+        walk: core.walk_counts(),
     })
 }
 

@@ -43,7 +43,7 @@ use streach_storage::StorageResult;
 
 use crate::con_index::{BoundingPass, ConIndex};
 use crate::query::sqmb::hop_slots;
-use crate::query::verifier::{PostingSource, VerifierCore};
+use crate::query::verifier::{PostingSource, VerifierCore, WalkCounts};
 use crate::region::ReachableRegion;
 
 /// Sentinel for "segment not in the region / unowned".
@@ -275,6 +275,8 @@ pub struct MqmbTbsOutcome {
     pub setup_time: std::time::Duration,
     /// Time spent verifying the unified annulus.
     pub verify_time: std::time::Duration,
+    /// The forward walk's work, summed over the starts' cores.
+    pub walk: WalkCounts,
 }
 
 /// Verifies the unified annulus: every segment is checked once, against the
@@ -320,6 +322,10 @@ pub fn mqmb_trace_back<I: PostingSource + ?Sized>(
         }
     }
     let verify_time = t1.elapsed();
+    let walk = cores
+        .iter()
+        .map(VerifierCore::walk_counts)
+        .fold(WalkCounts::default(), std::ops::Add::add);
 
     Ok(MqmbTbsOutcome {
         region: ReachableRegion::from_segments(network, result),
@@ -327,6 +333,7 @@ pub fn mqmb_trace_back<I: PostingSource + ?Sized>(
         visited: verifications,
         setup_time,
         verify_time,
+        walk,
     })
 }
 

@@ -298,6 +298,8 @@ impl<'a, P: PostingSource + ?Sized> QueryContext<'a, P> {
             io: self.postings.io_snapshot().delta_since(&io_before),
             segments_verified: out.verifications,
             segments_visited: out.visited,
+            view_pairs_walked: out.walk.view_pairs_walked,
+            delta_lists_read: out.walk.delta_lists_read,
             ..QueryStats::default()
         };
         Ok(BatchAnswer {
@@ -417,6 +419,8 @@ impl<'a, P: PostingSource + ?Sized> QueryContext<'a, P> {
                             max_bounding_size: bounds.max_region.len(),
                             min_bounding_size: bounds.min_region.len(),
                             segments_visited: out.visited,
+                            view_pairs_walked: out.walk.view_pairs_walked,
+                            delta_lists_read: out.walk.delta_lists_read,
                         };
                         let max_region = if *left == 0 {
                             std::mem::take(&mut bounds.max_region)
@@ -509,6 +513,8 @@ impl<'a, P: PostingSource + ?Sized> QueryContext<'a, P> {
                         max_bounding_size: bounds.max_region.len(),
                         min_bounding_size: bounds.min_region.len(),
                         segments_visited: out.visited,
+                        view_pairs_walked: out.walk.view_pairs_walked,
+                        delta_lists_read: out.walk.delta_lists_read,
                     },
                 })
             }

@@ -51,14 +51,24 @@
 //!   nothing. A compaction publishes a base with no views; a reader pinned
 //!   to the old base keeps the old base's views.
 //! * The delta tail overrides base lists with merged supersets of them.
-//!   Each delta list also keeps what it adds to the pinned base's list
-//!   (the ingested observations the base lacks), so the slot's delta lists
-//!   that meet the batch contribute only those observations, decoded
-//!   segment-major and OR-ed into the view's bits. New days and
-//!   mid-trajectory continuations live only there. A list reopened from a
-//!   snapshot's `delta` section does not know what it adds, and neither
-//!   does a list merged onto one: the whole merged list is OR-ed in, which
-//!   is exact too, since it holds the base list.
+//!   Each slot's delta gets the view's layout over what it adds to the
+//!   pinned base: a **delta view**, (day, trajectory) → the ascending
+//!   segments whose delta lists hold the pair and whose base lists do not.
+//!   The walk looks each start pair up in the base view and in the delta
+//!   view, so new days and mid-trajectory continuations, which live only in
+//!   the delta, are walked like the base. A delta list knows what it adds
+//!   (the ingested observations its base list lacks); one reopened from a
+//!   snapshot's `delta` section, or merged onto such a list, does not, and
+//!   its slot's view takes its merged list minus the base's, decoded once
+//!   at build time. A delta view is built on the second forward walk of
+//!   the slot since the last ingest batch that touched it, and every such
+//!   batch drops it, so a slot ingested into between walks stays
+//!   segment-major until two walks meet no ingest between them. Until a
+//!   slot has one, its delta lists that meet the batch are decoded
+//!   segment-major and OR-ed into the view's bits (what each adds, or its
+//!   whole merged list when that is unknown, which is exact too, since it
+//!   holds the base list). A walk reads a slot's delta view and lists
+//!   under one lock, so the two always agree.
 //! * A build that meets a read fault or a malformed blob is not kept, and
 //!   the slot is read segment-major, so every error surfaces where it
 //!   would without views. The build's decodes are charged to the query
@@ -91,6 +101,7 @@
 //! query, and the pipeline then skips what only feeds the verification
 //! (SQMB's Far expansion, ES's network expansion).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use streach_roadnet::SegmentId;
@@ -211,6 +222,42 @@ pub trait PostingSource: Sync {
     fn malformed_posting(&self, segment: SegmentId, slot: u32) -> StorageError;
 }
 
+/// Exact work counts of the forward walk, a function of the query and the
+/// index's view state alone: the same on any number of workers (see
+/// [`QueryStats`](crate::QueryStats)). Each engine of a router keeps its
+/// own delta views, so a router counts what a single engine counts when
+/// every slot saw the same ingest on each shard that holds lists there.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkCounts {
+    /// The start's (day, trajectory) pairs looked up, once per window slot
+    /// read forward, whatever the number of parts.
+    pub view_pairs_walked: u64,
+    /// Delta lists decoded by the segment-major overlay of slots with no
+    /// delta view.
+    pub delta_lists_read: u64,
+}
+
+impl WalkCounts {
+    /// The counts added since `earlier`, a reading of the same core.
+    pub fn since(&self, earlier: &WalkCounts) -> WalkCounts {
+        WalkCounts {
+            view_pairs_walked: self.view_pairs_walked - earlier.view_pairs_walked,
+            delta_lists_read: self.delta_lists_read - earlier.delta_lists_read,
+        }
+    }
+}
+
+impl std::ops::Add for WalkCounts {
+    type Output = WalkCounts;
+
+    fn add(self, other: WalkCounts) -> WalkCounts {
+        WalkCounts {
+            view_pairs_walked: self.view_pairs_walked + other.view_pairs_walked,
+            delta_lists_read: self.delta_lists_read + other.delta_lists_read,
+        }
+    }
+}
+
 /// The verifier of one (start segment, T, Δt, L) combination, shared by
 /// every worker of the query.
 pub struct VerifierCore<'a, I: PostingSource + ?Sized = StIndex> {
@@ -223,6 +270,8 @@ pub struct VerifierCore<'a, I: PostingSource + ?Sized = StIndex> {
     start_ids: Vec<Vec<u32>>,
     /// Number of days with a non-empty start list.
     active_days: usize,
+    /// Number of (day, trajectory) pairs in `start_ids`.
+    start_pairs: u64,
     /// Slots overlapping the query window `[T, T + L)`, wrapping past
     /// midnight (the same circular-day semantics the indexes use).
     window_slots: crate::time::SlotWindow,
@@ -238,6 +287,11 @@ pub struct VerifierCore<'a, I: PostingSource + ?Sized = StIndex> {
     /// the core's first verification, which is the core's one touch of
     /// each slot.
     plan: OnceLock<Box<[bool]>>,
+    /// [`WalkCounts::view_pairs_walked`] and
+    /// [`WalkCounts::delta_lists_read`] so far, each added to once per
+    /// [`VerifierCore::probabilities`] call that walks.
+    pairs_walked: AtomicU64,
+    lists_read: AtomicU64,
 }
 
 /// Returns `true` if the sorted `start` IDs share an element with the
@@ -303,12 +357,13 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
                 io.record_posting_decode(fixed_width_size(dates, ids_seen), bytes.len() as u64);
             }
         }
-        let mut active_days = 0;
+        let (mut active_days, mut start_pairs) = (0, 0);
         for day in &mut start_ids {
             if !day.is_empty() {
                 day.sort_unstable();
                 day.dedup();
                 active_days += 1;
+                start_pairs += day.len() as u64;
             }
         }
 
@@ -317,12 +372,24 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
             pin,
             start_ids,
             active_days,
+            start_pairs,
             window_slots: slots_overlapping(start_time_s, end, slot_s),
             window: (start_time_s, end),
             num_days,
             io,
             plan: OnceLock::new(),
+            pairs_walked: AtomicU64::new(0),
+            lists_read: AtomicU64::new(0),
         })
+    }
+
+    /// The forward walk's work counts of every verification of this core
+    /// so far; a query reports the difference over its own.
+    pub fn walk_counts(&self) -> WalkCounts {
+        WalkCounts {
+            view_pairs_walked: self.pairs_walked.load(Ordering::Relaxed),
+            delta_lists_read: self.lists_read.load(Ordering::Relaxed),
+        }
     }
 
     /// Number of days on which at least one trajectory passed the start
@@ -403,6 +470,7 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
         } else {
             vec![0u64; segments.len() * words]
         };
+        let mut counts = WalkCounts::default();
         for (slot, _) in self
             .window_slots
             .clone()
@@ -413,7 +481,13 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
                 .source
                 .forward(&self.pin, slot)
                 .expect("a built view stays with its sealed base");
-            self.walk_forward(&forward, slot, segments, &mut met)?;
+            self.walk_forward(&forward, slot, segments, &mut met, &mut counts)?;
+        }
+        if counts != WalkCounts::default() {
+            self.pairs_walked
+                .fetch_add(counts.view_pairs_walked, Ordering::Relaxed);
+            self.lists_read
+                .fetch_add(counts.delta_lists_read, Ordering::Relaxed);
         }
         Ok(met
             .chunks(words)
@@ -450,35 +524,41 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
         Ok(met)
     }
 
-    /// Sets the day bits of `met` that `slot` sets through its trajectory
-    /// views: the segments each start (day, trajectory) passed in the slot,
-    /// then what the slot's delta lists add to the base, read
-    /// segment-major.
+    /// Sets the day bits of `met` that `slot` sets through its views, part
+    /// by part: the segments each start (day, trajectory) passed in the
+    /// slot, by the base view and the delta view, then, for a part whose
+    /// slot has no delta view yet, what its delta lists add to the base,
+    /// read segment-major. Adds the walk's work to `counts`.
     fn walk_forward(
         &self,
         forward: &SlotForward<'_>,
         slot: u32,
         segments: &[SegmentId],
         met: &mut [u64],
+        counts: &mut WalkCounts,
     ) -> StorageResult<()> {
         let words = self.words();
-        for (day, ids) in self.start_ids.iter().enumerate() {
-            let (word, bit) = (day / 64, 1u64 << (day % 64));
-            for &id in ids {
-                for segment in forward.segments(day as u16, id) {
-                    if let Ok(i) = segments.binary_search(&segment) {
-                        met[i * words + word] |= bit;
+        counts.view_pairs_walked += self.start_pairs;
+        forward.read(|part| {
+            for (day, ids) in self.start_ids.iter().enumerate() {
+                let (word, bit) = (day / 64, 1u64 << (day % 64));
+                for &id in ids {
+                    for segment in part.segments(day as u16, id) {
+                        if let Ok(i) = segments.binary_search(&segment) {
+                            met[i * words + word] |= bit;
+                        }
                     }
                 }
             }
-        }
-        forward.visit_delta(segments, |i, bytes| {
-            self.meet(
-                &mut met[i * words..(i + 1) * words],
-                bytes,
-                segments[i],
-                slot,
-            )
+            part.visit_delta(segments, |i, bytes| {
+                counts.delta_lists_read += 1;
+                self.meet(
+                    &mut met[i * words..(i + 1) * words],
+                    bytes,
+                    segments[i],
+                    slot,
+                )
+            })
         })
     }
 

@@ -824,6 +824,7 @@ mod tests {
                 .collect();
             let answers = sharded.try_s_query_batch(&batch);
             assert_eq!(answers.len(), batch.len());
+            let mut walked = 0;
             for ((query, algo), answer) in batch.iter().zip(answers) {
                 let want = single.try_s_query(query, *algo).unwrap();
                 let got = answer.outcome.unwrap();
@@ -837,7 +838,19 @@ mod tests {
                     want.stats.max_bounding_size, got.stats.max_bounding_size,
                     "{label}"
                 );
+                // By now both read every window forward: the walk's counts
+                // are the same whatever the number of parts.
+                assert_eq!(
+                    want.stats.view_pairs_walked, got.stats.view_pairs_walked,
+                    "{label}"
+                );
+                assert_eq!(
+                    want.stats.delta_lists_read, got.stats.delta_lists_read,
+                    "{label}"
+                );
+                walked += got.stats.view_pairs_walked;
             }
+            assert!(walked > 0, "{shards} shards: the batch walked nothing");
             // Every plan asked every shard's engine, so each built the
             // views of the windows the router verified twice.
             for entry in sharded.shards.iter().flat_map(|shard| &shard.entries) {

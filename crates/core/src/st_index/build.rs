@@ -221,7 +221,7 @@ impl StIndex {
             num_days: AtomicU16::new(dataset.num_days()),
             state: RwLock::new(Arc::new(IndexState {
                 base,
-                delta: DeltaTail::empty(),
+                delta: DeltaTail::empty(num_slots),
             })),
             num_time_lists: AtomicU64::new(num_time_lists),
             num_observations: AtomicU64::new(num_observations),
@@ -273,7 +273,7 @@ impl StIndex {
         // fresh sealed base and an empty delta tail.
         *self.state.write() = Arc::new(IndexState {
             base,
-            delta: DeltaTail::empty(),
+            delta: DeltaTail::empty(slot_ids.len()),
         });
         Ok(folded)
     }

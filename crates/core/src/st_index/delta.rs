@@ -1,6 +1,19 @@
 //! The delta tail: a memtable of merged override lists keyed by (slot,
-//! segment), each with what it adds to the sealed base, and its snapshot
-//! section.
+//! segment), each with what it adds to the sealed base, the per-slot delta
+//! views a forward walk reads that through, and its snapshot section.
+//!
+//! # Delta views
+//!
+//! A slot's **delta view** is a [`TrajectoryView`] of what the slot's lists
+//! add beyond the pinned base ([`DeltaList::beyond_base`]): (day,
+//! trajectory) → the ascending segments it gained. It is built on the
+//! second forward walk of the slot since the last fold into it, with no
+//! lock held, and kept in the slot's stripe, beside its lists. Every fold
+//! into the slot drops it and resets the slot's walks, under the stripe
+//! write lock the fold takes anyway, so a slot that is folded into between
+//! walks keeps the segment-major read. A walk reads the view and the lists
+//! under one read lock, so it never sees a view older than the lists.
+//! Views are never saved.
 //!
 //! # Layout (`delta`)
 //!
@@ -19,14 +32,15 @@
 
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use bytes::{Buf, BufMut};
 use parking_lot::RwLock;
 use streach_roadnet::SegmentId;
 use streach_storage::{visit_posting, StorageError, StorageResult, TimeList};
 
+use super::view::TrajectoryView;
 use super::ListRef;
 
 /// Size statistics of the mutable delta tail (streaming ingest).
@@ -67,10 +81,15 @@ pub(super) struct DeltaList {
 }
 
 impl DeltaList {
-    /// The bytes a forward read ORs into the base's view: `added`, or the
-    /// merged list when `added` is unknown.
+    /// The bytes a segment-major overlay ORs into the base's view:
+    /// `added`, or the merged list when `added` is unknown.
     pub(super) fn beyond_base(&self) -> &[u8] {
         self.added.as_deref().unwrap_or(&self.merged)
+    }
+
+    /// The observations the base's list lacks, when known.
+    pub(super) fn added(&self) -> Option<&[u8]> {
+        self.added.as_deref()
     }
 
     /// The merge step of ingest: folds `observations` ((date, trajectory)
@@ -115,10 +134,16 @@ impl DeltaList {
     }
 }
 
-/// One stripe of the delta tail: (slot, segment) → its [`DeltaList`]. A
-/// `BTreeMap`, so snapshots and compaction see the entries in key order
-/// after one merge across stripes.
-type DeltaStripe = BTreeMap<(u32, u32), Arc<DeltaList>>;
+/// One stripe of the delta tail: (slot, segment) → its [`DeltaList`], in
+/// a `BTreeMap`, so snapshots and compaction see the entries in key order
+/// after one merge across stripes, and the delta view of each slot of the
+/// stripe.
+struct DeltaStripe {
+    lists: BTreeMap<(u32, u32), Arc<DeltaList>>,
+    /// The delta view of slot `stripe + i * DELTA_STRIPES` at `i`, once
+    /// built. A fold into the slot empties its cell.
+    views: Box<[OnceLock<TrajectoryView>]>,
+}
 
 /// The mutable delta tail: a memtable of merged override lists keyed by
 /// (slot, segment), each with what it adds to the sealed base.
@@ -127,6 +152,13 @@ pub(super) struct DeltaTail {
     /// disjoint ingest batches (and concurrent readers) touching different
     /// slots take different locks.
     stripes: Vec<RwLock<DeltaStripe>>,
+    /// Per slot of the day, the forward walks of the slot since the last
+    /// fold into it: [`FRESH`], [`WALKED`] or [`CLAIMED`]. The second walk
+    /// claims the build of the slot's delta view, and a fold resets the
+    /// state with the view, so a slot folded into between walks keeps
+    /// reading its lists until two walks meet no fold between them. Set by
+    /// every walk, whether or not the slot holds a list.
+    walks: Box<[AtomicU8]>,
     /// Total number of entries across stripes, readable without any lock:
     /// the hot path's fast "no deltas" check.
     len: AtomicUsize,
@@ -134,15 +166,65 @@ pub(super) struct DeltaTail {
     folded_bytes: AtomicU64,
 }
 
+/// No forward walk of the slot since the last fold into it.
+const FRESH: u8 = 0;
+/// One forward walk of the slot since the last fold into it.
+const WALKED: u8 = 1;
+/// A later walk claimed the build of the slot's delta view.
+const CLAIMED: u8 = 2;
+
+/// A slot's delta lists as a view build reads them, outside the stripe
+/// lock: (segment, list), ascending.
+pub(super) type ListsOf = Vec<(SegmentId, Arc<DeltaList>)>;
+
+/// What a forward walk reads of one slot's delta, under its stripe's read
+/// lock ([`DeltaTail::read_slot`]).
+pub(super) enum SlotDelta<'a> {
+    /// The slot holds no list.
+    Empty,
+    /// The slot's delta view.
+    View(&'a TrajectoryView),
+    /// The slot's lists, with no view built yet.
+    Lists(SlotLists<'a>),
+}
+
+/// The delta lists of one slot, borrowed under its stripe's read lock.
+#[derive(Clone, Copy)]
+pub(super) struct SlotLists<'a> {
+    lists: &'a BTreeMap<(u32, u32), Arc<DeltaList>>,
+    slot: u32,
+}
+
+impl<'a> SlotLists<'a> {
+    /// The slot's lists whose segment lies in `segments`, in ascending
+    /// segment order.
+    pub(super) fn range(
+        self,
+        segments: RangeInclusive<u32>,
+    ) -> impl Iterator<Item = (SegmentId, &'a DeltaList)> {
+        let (first, last) = segments.into_inner();
+        self.lists
+            .range((self.slot, first)..=(self.slot, last))
+            .map(|(&(_, segment), list)| (SegmentId(segment), &**list))
+    }
+}
+
 impl DeltaTail {
-    /// A tail holding the merged lists `entries` (with no `added` list:
-    /// what the base lacks is unknown), with `folded_bytes` folded in so
-    /// far.
-    pub(super) fn new((entries, folded_bytes): DeltaSection) -> Self {
+    /// A tail over a day of `num_slots` slots holding the merged lists
+    /// `entries` (with no `added` list: what the base lacks is unknown),
+    /// with `folded_bytes` folded in so far.
+    pub(super) fn new((entries, folded_bytes): DeltaSection, num_slots: usize) -> Self {
+        let per_stripe = num_slots.div_ceil(DELTA_STRIPES);
         let tail = Self {
             stripes: (0..DELTA_STRIPES)
-                .map(|_| RwLock::new(BTreeMap::new()))
+                .map(|_| {
+                    RwLock::new(DeltaStripe {
+                        lists: BTreeMap::new(),
+                        views: (0..per_stripe).map(|_| OnceLock::new()).collect(),
+                    })
+                })
                 .collect(),
+            walks: (0..num_slots).map(|_| AtomicU8::new(FRESH)).collect(),
             len: AtomicUsize::new(0),
             folded_bytes: AtomicU64::new(folded_bytes),
         };
@@ -159,9 +241,9 @@ impl DeltaTail {
         tail
     }
 
-    /// An empty tail.
-    pub(super) fn empty() -> Self {
-        Self::new((Vec::new(), 0))
+    /// An empty tail over a day of `num_slots` slots.
+    pub(super) fn empty(num_slots: usize) -> Self {
+        Self::new((Vec::new(), 0), num_slots)
     }
 
     fn stripe_of(slot: u32) -> usize {
@@ -179,14 +261,26 @@ impl DeltaTail {
         }
         self.stripes[Self::stripe_of(slot)]
             .read()
+            .lists
             .get(&(slot, segment.0))
             .cloned()
     }
 
-    /// Inserts (or replaces) one list, maintaining the lock-free length.
+    /// Inserts (or replaces) one list, dropping its slot's delta view and
+    /// resetting its walks, and maintains the lock-free length.
     fn insert(&self, slot: u32, segment: u32, list: DeltaList) {
         let mut stripe = self.stripes[Self::stripe_of(slot)].write();
-        if stripe.insert((slot, segment), Arc::new(list)).is_none() {
+        if let Some(view) = stripe.views.get_mut(slot as usize / DELTA_STRIPES) {
+            view.take();
+        }
+        if let Some(walks) = self.walks.get(slot as usize) {
+            walks.store(FRESH, Ordering::Relaxed);
+        }
+        if stripe
+            .lists
+            .insert((slot, segment), Arc::new(list))
+            .is_none()
+        {
             self.len.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -218,18 +312,123 @@ impl DeltaTail {
             return Ok(());
         }
         let stripe = self.stripes[Self::stripe_of(slot)].read();
-        let (first, last) = segments.into_inner();
-        for (&(_, segment), list) in stripe.range((slot, first)..=(slot, last)) {
-            visit(SegmentId(segment), list)?;
+        let lists = SlotLists {
+            lists: &stripe.lists,
+            slot,
+        };
+        for (segment, list) in lists.range(segments) {
+            visit(segment, list)?;
         }
         Ok(())
+    }
+
+    /// Calls `read` with what a forward walk reads of `slot`'s delta, all
+    /// under one read lock of its stripe: its delta view, or its lists when
+    /// it has none. The second walk since the last fold into the slot
+    /// builds the view with `build`, from the slot's lists copied out under
+    /// the lock, with no lock held, so a build's base reads never hold up a
+    /// fold. The view is kept only if the slot still holds exactly those
+    /// lists. A failed build keeps no view, and the next walk builds again.
+    pub(super) fn read_slot<R>(
+        &self,
+        slot: u32,
+        build: impl FnOnce(&ListsOf) -> Option<TrajectoryView>,
+        read: impl FnOnce(SlotDelta<'_>) -> R,
+    ) -> R {
+        // Relaxed: the state publishes nothing; a view is published through
+        // its `OnceLock`, under the stripe lock.
+        let walks = &self.walks[slot as usize];
+        let step = |from, to| {
+            walks
+                .compare_exchange(from, to, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+        };
+        let claimed = match walks.load(Ordering::Relaxed) {
+            FRESH => {
+                step(FRESH, WALKED);
+                false
+            }
+            WALKED => step(WALKED, CLAIMED),
+            _ => false,
+        };
+        let built = if claimed && !self.is_empty() {
+            let from: ListsOf = self.stripes[Self::stripe_of(slot)]
+                .read()
+                .lists
+                .range((slot, 0)..=(slot, u32::MAX))
+                .map(|(&(_, segment), list)| (SegmentId(segment), Arc::clone(list)))
+                .collect();
+            match (!from.is_empty()).then(|| build(&from)) {
+                Some(Some(view)) => Some((view, from)),
+                Some(None) => {
+                    step(CLAIMED, WALKED);
+                    None
+                }
+                None => None,
+            }
+        } else {
+            None
+        };
+        if self.is_empty() {
+            return read(SlotDelta::Empty);
+        }
+        let stripe = self.stripes[Self::stripe_of(slot)].read();
+        let lists = SlotLists {
+            lists: &stripe.lists,
+            slot,
+        };
+        if lists.range(0..=u32::MAX).next().is_none() {
+            return read(SlotDelta::Empty);
+        }
+        let cell = &stripe.views[slot as usize / DELTA_STRIPES];
+        if let Some((view, from)) = built {
+            // A fold since the copy replaced at least one list.
+            let current = lists.range(0..=u32::MAX).map(|(_, list)| list as *const _);
+            if current.eq(from.iter().map(|(_, list)| Arc::as_ptr(list))) {
+                cell.get_or_init(|| view);
+            }
+        }
+        read(match cell.get() {
+            Some(view) => SlotDelta::View(view),
+            None => SlotDelta::Lists(lists),
+        })
+    }
+
+    /// The delta views built and the heap bytes they hold.
+    pub(super) fn view_stats(&self) -> (u64, u64) {
+        let (mut built, mut bytes) = (0, 0);
+        for stripe in &self.stripes {
+            for view in stripe.read().views.iter().filter_map(OnceLock::get) {
+                built += 1;
+                bytes += view.resident_bytes();
+            }
+        }
+        (built, bytes)
+    }
+
+    /// Every (slot, date, trajectory, segment) the built delta views hold,
+    /// ascending.
+    #[cfg(test)]
+    pub(super) fn view_triples(&self) -> Vec<(u32, u16, u32, SegmentId)> {
+        let mut triples = Vec::new();
+        for (stripe_no, stripe) in self.stripes.iter().enumerate() {
+            let stripe = stripe.read();
+            for (i, view) in stripe.views.iter().enumerate() {
+                let slot = (stripe_no + i * DELTA_STRIPES) as u32;
+                if let Some(view) = view.get() {
+                    triples.extend(view.triples().map(|(d, id, s)| (slot, d, id, s)));
+                }
+            }
+        }
+        triples.sort_unstable();
+        triples
     }
 
     /// The slots holding at least one list, unordered and repeated.
     pub(super) fn slots(&self) -> Vec<u32> {
         let mut slots = Vec::new();
         for stripe in &self.stripes {
-            slots.extend(stripe.read().keys().map(|&(slot, _)| slot));
+            slots.extend(stripe.read().lists.keys().map(|&(slot, _)| slot));
         }
         slots
     }
@@ -239,7 +438,13 @@ impl DeltaTail {
     pub(super) fn encode(&self) -> Vec<u8> {
         let mut entries: Vec<((u32, u32), Arc<DeltaList>)> = Vec::new();
         for stripe in &self.stripes {
-            entries.extend(stripe.read().iter().map(|(k, list)| (*k, Arc::clone(list))));
+            entries.extend(
+                stripe
+                    .read()
+                    .lists
+                    .iter()
+                    .map(|(k, list)| (*k, Arc::clone(list))),
+            );
         }
         entries.sort_unstable_by_key(|(key, _)| *key);
         let mut buf = Vec::new();
@@ -391,13 +596,55 @@ mod tests {
         bytes
     }
 
+    /// A slot's delta view is built on its second walk since the last
+    /// fold, with no stripe lock held, and kept only if no fold replaced
+    /// the slot's lists while it was built; a fold drops a kept view.
+    #[test]
+    fn a_fold_during_a_view_build_discards_the_view() {
+        let tail = DeltaTail::new(sample_delta(), 288);
+        let view = || TrajectoryView::from_pairs(vec![(4, SegmentId(3))]);
+        let fold = || {
+            let merged = tail.get(5, SegmentId(3)).unwrap().merged.clone();
+            tail.fold([(
+                (5, 3),
+                DeltaList {
+                    merged,
+                    added: None,
+                },
+            )]);
+        };
+        let reads = |delta: SlotDelta<'_>| match delta {
+            SlotDelta::Empty => "empty",
+            SlotDelta::View(_) => "view",
+            SlotDelta::Lists(_) => "lists",
+        };
+        let unbuilt = |_: &ListsOf| -> Option<TrajectoryView> { panic!("built") };
+        assert_eq!(tail.read_slot(5, unbuilt, reads), "lists");
+        // The fold takes the stripe's write lock: a build that held the
+        // lock would never return.
+        let during = |lists: &ListsOf| {
+            assert_eq!(lists.len(), 1);
+            fold();
+            view()
+        };
+        assert_eq!(tail.read_slot(5, during, reads), "lists");
+        assert_eq!(tail.view_stats(), (0, 0));
+        assert_eq!(tail.read_slot(5, unbuilt, reads), "lists");
+        assert_eq!(tail.read_slot(5, |_| view(), reads), "view");
+        assert_eq!(tail.read_slot(5, unbuilt, reads), "view");
+        assert_eq!(tail.view_stats().0, 1);
+        fold();
+        assert_eq!(tail.view_stats(), (0, 0));
+        assert_eq!(tail.read_slot(7, unbuilt, reads), "empty");
+    }
+
     #[test]
     fn delta_golden_bytes() {
         let bytes = sample_delta_bytes();
-        assert_eq!(DeltaTail::new(sample_delta()).encode(), bytes);
+        assert_eq!(DeltaTail::new(sample_delta(), 288).encode(), bytes);
         assert_eq!(decode_delta(&bytes, 288, 10).unwrap(), sample_delta());
         // An empty tail is its head alone.
-        assert_eq!(DeltaTail::empty().encode(), [0; DELTA_HEAD_LEN]);
+        assert_eq!(DeltaTail::empty(288).encode(), [0; DELTA_HEAD_LEN]);
         assert_eq!(decode_delta(&[0; 12], 288, 10).unwrap(), (Vec::new(), 0));
     }
 

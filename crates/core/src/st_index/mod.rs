@@ -46,7 +46,8 @@
 //! empties the tail.
 //!
 //! A sealed base also carries one lazily built **trajectory view** per
-//! slot, never saved ([`view`]).
+//! slot, and the delta tail one **delta view** per slot over what its
+//! lists add to the base; neither is ever saved ([`view`], [`delta`]).
 //!
 //! # Online maintenance: the atomic state swap
 //!
@@ -91,7 +92,7 @@ pub use delta::DeltaStats;
 use delta::{decode_delta, DeltaList, DeltaTail};
 use directory::{decode_st_index_head, encode_st_index, TemporalIndex};
 use view::SlotViews;
-pub use view::{SlotForward, ViewStats};
+pub use view::{PartRead, SlotForward, ViewStats};
 
 /// Page store backing the ST-Index: any [`PageStore`] backend (in-memory for
 /// fresh builds, a checked file store for reopened snapshots).
@@ -348,7 +349,7 @@ impl StIndex {
             num_days: AtomicU16::new(head.num_days),
             state: RwLock::new(Arc::new(IndexState {
                 base: SealedBase::new(TemporalIndex::lazy(slots, head.slots), postings),
-                delta: DeltaTail::new(delta),
+                delta: DeltaTail::new(delta, config.slots_per_day() as usize),
             })),
             num_time_lists: AtomicU64::new(head.stats.num_time_lists),
             num_observations: AtomicU64::new(head.stats.num_observations),
@@ -397,10 +398,25 @@ impl StIndex {
         self.current().delta.stats()
     }
 
-    /// The trajectory views built on the current sealed base and the heap
-    /// bytes they hold. A compaction publishes a base with none.
+    /// The trajectory views built on the current sealed base, the delta
+    /// views built on its delta tail, and the heap bytes each hold. An
+    /// ingest keeps the base views and drops the delta views of the slots
+    /// it touches; a compaction publishes a state with neither.
     pub fn view_stats(&self) -> ViewStats {
-        self.current().base.views.stats()
+        let state = self.current();
+        let (delta_views_built, delta_resident_bytes) = state.delta.view_stats();
+        ViewStats {
+            delta_views_built,
+            delta_resident_bytes,
+            ..state.base.views.stats()
+        }
+    }
+
+    /// Every (slot, date, trajectory, segment) the current delta views
+    /// hold, ascending.
+    #[cfg(test)]
+    pub(crate) fn delta_view_triples(&self) -> Vec<(u32, u16, u32, SegmentId)> {
+        self.current().delta.view_triples()
     }
 
     /// I/O counters of the sealed-base posting store, shared across
@@ -716,7 +732,7 @@ impl crate::query::verifier::PostingSource for StIndex {
 mod tests {
     use super::*;
     use streach_roadnet::{GeneratorConfig, SyntheticCity};
-    use streach_traj::{FleetConfig, TrajectoryDataset};
+    use streach_traj::{FleetConfig, TrajPoint, TrajectoryDataset};
 
     fn build_small() -> (Arc<RoadNetwork>, TrajectoryDataset, StIndex) {
         let city = SyntheticCity::generate(GeneratorConfig::small());
@@ -821,6 +837,87 @@ mod tests {
         let snap2 = index.io_stats().snapshot();
         assert_eq!(snap2.page_reads, snap.page_reads);
         assert!(snap2.cache_hits > snap.cache_hits);
+    }
+
+    /// A delta list reopened from a snapshot does not know what it adds,
+    /// and neither does one merged onto it: its slot's delta view takes the
+    /// merged list minus the base's. After the same batches, a live engine,
+    /// whose lists know, and a reopened copy of its snapshot hold the same
+    /// delta views, and both answer like the oracle. The batches reach
+    /// pairs with a base list (day 0 driven again) and pairs without one
+    /// (day 1 driven three hours later, past the fleet's day).
+    #[test]
+    fn reopened_delta_views_hold_the_live_engines_triples() {
+        use crate::query::reference::NaiveVerifier;
+        use crate::query::verifier::VerifierCore;
+        use crate::ReachabilityEngine;
+
+        let city = SyntheticCity::generate(GeneratorConfig::small());
+        let network = Arc::new(city.network);
+        let dataset = TrajectoryDataset::simulate(
+            &network,
+            FleetConfig {
+                num_taxis: 15,
+                num_days: 4,
+                ..FleetConfig::tiny()
+            },
+        );
+        let live = crate::EngineBuilder::new(network.clone(), &dataset).build();
+        let batch = |date: u16, id_offset: u32| -> Vec<TrajPoint> {
+            let trajectories = dataset.trajectories().iter();
+            trajectories
+                .filter(|t| t.date < 2)
+                .flat_map(|t| {
+                    let shift = u32::from(t.date) * 3 * 3600;
+                    t.visits.iter().map(move |v| TrajPoint {
+                        traj_id: t.traj_id + id_offset,
+                        date,
+                        segment: v.segment,
+                        enter_time_s: v.enter_time_s + shift,
+                    })
+                })
+                .collect()
+        };
+        live.ingest(&batch(4, 0)).unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("streach-reopened-delta-{}", std::process::id()));
+        live.save_snapshot(&dir).unwrap();
+        let reopened = ReachabilityEngine::open_snapshot(&dir, network.clone()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let again = batch(2, 1_000_000);
+        live.ingest(&again).unwrap();
+        reopened.ingest(&again).unwrap();
+
+        let segments: Vec<SegmentId> = network.segment_ids().collect();
+        let step = again.len() / 8;
+        let probes: Vec<&TrajPoint> = (0..8).map(|i| &again[i * step]).collect();
+        for ask in 0..3 {
+            for p in &probes {
+                let (t, l) = (p.enter_time_s, 900);
+                let mut answers = Vec::new();
+                for engine in [&live, &reopened] {
+                    let st = engine.st_index();
+                    let got = VerifierCore::new(st, p.segment, t, l)
+                        .unwrap()
+                        .probabilities(&segments)
+                        .unwrap();
+                    let naive = NaiveVerifier::new(st, p.segment, t, l).unwrap();
+                    for (&s, got) in segments.iter().zip(&got) {
+                        let want = naive.probability(s).unwrap();
+                        assert_eq!(got.to_bits(), want.to_bits(), "{s} at {t}, ask {ask}");
+                    }
+                    answers.push(got);
+                }
+                assert_eq!(answers[0], answers[1], "{} at {t}, ask {ask}", p.segment);
+            }
+        }
+        let triples = live.st_index().delta_view_triples();
+        assert!(!triples.is_empty(), "the asks built delta views");
+        assert_eq!(triples, reopened.st_index().delta_view_triples());
+        assert_eq!(
+            live.st_index().view_stats(),
+            reopened.st_index().view_stats()
+        );
     }
 
     #[test]

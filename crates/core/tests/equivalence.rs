@@ -22,7 +22,7 @@ use streach_core::query::reference::{
 };
 use streach_core::query::sqmb::{sqmb, sqmb_min_only};
 use streach_core::query::tbs::trace_back_search;
-use streach_core::query::verifier::VerifierCore;
+use streach_core::query::verifier::{VerifierCore, WalkCounts};
 use streach_core::query::{Algorithm, MQuery, MQueryAlgorithm, SQuery};
 use streach_core::speed_stats::SpeedStats;
 use streach_core::st_index::StIndex;
@@ -702,6 +702,30 @@ fn forward_reads_fold_in_delta_overrides() {
         }
     }
     assert_grid_matches_reference(&engine, center, &[600], "after ingest");
+
+    // The asks built delta views beside the base views. A batch touching
+    // one slot drops that slot's delta view alone and keeps every base
+    // view; the next ask reads the slot's lists segment-major and the one
+    // after rebuilds the view; a compaction publishes a state with no view
+    // of either kind.
+    let views = st.view_stats();
+    assert!(views.delta_views_built > 1, "{views:?}");
+    assert!(views.delta_resident_bytes > 0, "{views:?}");
+    engine.ingest(&points[..1]).unwrap();
+    let touched = st.view_stats();
+    assert_eq!(touched.views_built, views.views_built);
+    assert_eq!(touched.resident_bytes, views.resident_bytes);
+    assert_eq!(touched.delta_views_built, views.delta_views_built - 1);
+    assert!(touched.delta_resident_bytes < views.delta_resident_bytes);
+    for (ask_no, rebuilt) in [(0, touched), (1, views)] {
+        for (&seg, p) in segments.iter().zip(ask()) {
+            let want = naive.probability(seg).unwrap();
+            assert_eq!(p, want, "{seg}, ask {ask_no} after the touch");
+        }
+        assert_eq!(st.view_stats(), rebuilt, "ask {ask_no} after the touch");
+    }
+    engine.compact().unwrap();
+    assert_eq!(st.view_stats(), Default::default());
 }
 
 /// The forward path is real: on a fresh engine the first ask of an
@@ -752,4 +776,279 @@ fn the_third_ask_reads_forward_and_one_touch_builds_nothing() {
         f.engine.try_s_query(&q, Algorithm::SqmbTbs).unwrap();
     }
     assert_eq!(f.st().view_stats().views_built, 0);
+}
+
+/// The delta campaign's world: 30 taxis × 5 built days, and a live day:
+/// the day-0 trajectories driven again on day 5.
+fn delta_world() -> (Arc<RoadNetwork>, ReachabilityEngine, Vec<TrajPoint>) {
+    let city = SyntheticCity::generate(GeneratorConfig::small());
+    let network = Arc::new(city.network);
+    let dataset = TrajectoryDataset::simulate(
+        &network,
+        FleetConfig {
+            num_taxis: 30,
+            num_days: 5,
+            day_start_s: 8 * 3600,
+            day_end_s: 14 * 3600,
+            seed: 7,
+            ..FleetConfig::default()
+        },
+    );
+    let engine = EngineBuilder::new(network.clone(), &dataset)
+        .index_config(IndexConfig::default())
+        .build();
+    let live = dataset
+        .trajectories()
+        .iter()
+        .filter(|t| t.date == 0)
+        .flat_map(|t| {
+            t.visits.iter().map(|v| TrajPoint {
+                traj_id: t.traj_id,
+                date: dataset.num_days(),
+                segment: v.segment,
+                enter_time_s: v.enter_time_s,
+            })
+        })
+        .collect();
+    (network, engine, live)
+}
+
+/// `live` again under new trajectory IDs on `date`: the same (slot,
+/// segment) pairs, new (day, trajectory) observations in them.
+fn redriven(live: &[TrajPoint], date: u16, id_offset: u32) -> Vec<TrajPoint> {
+    live.iter()
+        .map(|p| TrajPoint {
+            traj_id: p.traj_id + id_offset,
+            date,
+            ..*p
+        })
+        .collect()
+}
+
+/// (start segment, T, L) probes where and when live points were, spread
+/// over the live day: each start is active on the live day.
+fn delta_probes(live: &[TrajPoint]) -> Vec<(SegmentId, u32, u32)> {
+    let step = live.len() / 6;
+    (0..6)
+        .map(|i| {
+            let p = live[i * step + step / 2];
+            (p.segment, p.enter_time_s, [600, 1200][i % 2])
+        })
+        .collect()
+}
+
+/// The probabilities of `segments` from `start` over `[t, t + l)` as bits.
+fn bits(probabilities: Vec<f64>) -> Vec<u64> {
+    probabilities.into_iter().map(f64::to_bits).collect()
+}
+
+/// The oracle's probabilities of `segments` from `start` over `[t, t + l)`
+/// as bits: every list read by itself, segment-major.
+fn oracle_bits(
+    st: &StIndex,
+    (start, t, l): (SegmentId, u32, u32),
+    segments: &[SegmentId],
+) -> Vec<u64> {
+    let naive = NaiveVerifier::new(st, start, t, l).unwrap();
+    segments
+        .iter()
+        .map(|&s| naive.probability(s).unwrap().to_bits())
+        .collect()
+}
+
+/// Asks every probe [`ASKS`] times on fresh cores of `st`, each ask on one
+/// worker and then again on two, and asserts every answer equals the
+/// oracle's, bit for bit. A slot's first walk since the last fold into it
+/// reads its delta lists segment-major, its second builds its delta view,
+/// and the walks after read the view, so the asks compare each of the three
+/// with the oracle; on the third ask every probe walks and reads no delta
+/// list segment-major. Returns the walk counts of every ask's one-worker
+/// call, probe by probe.
+fn assert_walks_match(
+    label: &str,
+    st: &StIndex,
+    probes: &[(SegmentId, u32, u32)],
+    segments: &[SegmentId],
+) -> Vec<WalkCounts> {
+    let mut expected = Vec::new();
+    for &(start, t, l) in probes {
+        let want = oracle_bits(st, (start, t, l), segments);
+        let core = VerifierCore::new(st, start, t, l).unwrap();
+        assert!(
+            core.active_days() > 0,
+            "{label}: probe {start} at {t} is idle"
+        );
+        assert!(
+            want.iter().any(|&p| p != 0),
+            "{label}: {start} reaches nothing"
+        );
+        expected.push(want);
+    }
+    let mut counts = Vec::new();
+    for ask in 0..ASKS {
+        for (&(start, t, l), want) in probes.iter().zip(&expected) {
+            let core = VerifierCore::new(st, start, t, l).unwrap();
+            for workers in [1, 2] {
+                let got =
+                    streach_par::with_worker_override(workers, || core.probabilities(segments))
+                        .unwrap();
+                assert_eq!(
+                    &bits(got),
+                    want,
+                    "{label}: {start} at {t} L {l}, ask {ask}, {workers} workers"
+                );
+                if workers == 1 {
+                    counts.push(core.walk_counts());
+                }
+            }
+            let walked = counts.last().expect("just pushed");
+            if ask == ASKS - 1 {
+                assert!(walked.view_pairs_walked > 0, "{label}: {start} at {t}");
+                assert_eq!(
+                    walked.delta_lists_read, 0,
+                    "{label}: {start} at {t}, ask {ask} read the delta segment-major"
+                );
+            }
+        }
+    }
+    counts
+}
+
+/// Forward through the delta: once a slot's delta view is built, the walk
+/// reads what the delta adds from it, not segment-major. Every step
+/// compares the segment-major read of the delta, the build and the view
+/// walk with the oracle, bit for bit ([`assert_walks_match`]): after an
+/// ingest; after a re-ingest into the same (slot, segment) pairs, which
+/// drops the touched slots' delta views until two walks rebuild them; on a
+/// reopened delta, whose lists do not know what they add; and across a
+/// compaction, on cores that hold the old state's pin.
+#[test]
+fn forward_walks_through_the_delta_match_segment_major_reads_and_the_oracle() {
+    let (network, engine, live) = delta_world();
+    let st = engine.st_index();
+    let segments: Vec<SegmentId> = network.segment_ids().collect();
+    let probes = delta_probes(&live);
+    assert_walks_match("built", st, &probes, &segments);
+    assert_eq!(st.view_stats().delta_views_built, 0);
+
+    engine.ingest(&live).unwrap();
+    let counts = assert_walks_match("after ingest", st, &probes, &segments);
+    let ingested = st.view_stats();
+    assert!(ingested.delta_views_built > 0 && ingested.delta_resident_bytes > 0);
+    // The first walk of a slot after the fold reads its lists
+    // segment-major; the second (the same core on two workers) builds the
+    // view, so the later asks read none.
+    let first_walk_reads = |counts: &[WalkCounts], label: &str| {
+        assert!(counts[0].delta_lists_read > 0, "{label}: {:?}", counts[0]);
+        assert!(
+            counts[probes.len()..]
+                .iter()
+                .all(|c| c.delta_lists_read == 0),
+            "{label}: a second walk built no delta view"
+        );
+    };
+    first_walk_reads(&counts, "after ingest");
+
+    // The same pairs, new trajectories on day 1: every touched slot's
+    // delta view goes, and two walks rebuild it with the new pairs.
+    engine.ingest(&redriven(&live, 1, 1_000_000)).unwrap();
+    let dropped = st.view_stats();
+    assert_eq!(dropped.delta_views_built, 0, "{dropped:?}");
+    assert_eq!(dropped.views_built, ingested.views_built);
+    let counts = assert_walks_match("after re-ingest", st, &probes, &segments);
+    first_walk_reads(&counts, "after re-ingest");
+    assert_eq!(
+        st.view_stats().delta_views_built,
+        ingested.delta_views_built
+    );
+
+    // Reopened: no list knows what it adds, so each delta view is its
+    // merged lists minus the base's.
+    let dir = std::env::temp_dir().join(format!("streach-delta-walk-{}", std::process::id()));
+    engine.save_snapshot(&dir).unwrap();
+    let reopened = ReachabilityEngine::open_snapshot(&dir, network.clone()).unwrap();
+    assert!(reopened.st_index().delta_stats().delta_lists > 0);
+    let counts = assert_walks_match("reopened", reopened.st_index(), &probes, &segments);
+    // A slot's first walk on the reopened engine reads its lists
+    // segment-major, merged lists included.
+    assert!(counts.iter().any(|c| c.delta_lists_read > 0));
+    reopened.ingest(&redriven(&live, 2, 2_000_000)).unwrap();
+    assert_walks_match(
+        "reopened, after ingest",
+        reopened.st_index(),
+        &probes,
+        &segments,
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Cores pinned to the state with delta views keep walking them after
+    // a compaction publishes a state with none.
+    let held: Vec<_> = probes
+        .iter()
+        .map(|&(start, t, l)| {
+            let core = VerifierCore::new(st, start, t, l).unwrap();
+            core.probabilities(&segments).unwrap();
+            core
+        })
+        .collect();
+    engine.compact().unwrap();
+    assert_eq!(st.view_stats(), Default::default());
+    for (core, &probe) in held.iter().zip(&probes) {
+        let before = core.walk_counts();
+        let got = bits(core.probabilities(&segments).unwrap());
+        let walked = core.walk_counts().since(&before);
+        assert!(walked.view_pairs_walked > 0 && walked.delta_lists_read == 0);
+        assert_eq!(
+            got,
+            oracle_bits(st, probe, &segments),
+            "held core {probe:?}"
+        );
+    }
+    assert_walks_match("compacted", st, &probes, &segments);
+}
+
+/// The walk's work counts are a function of the query list and the index
+/// state alone: the same list, asked three times after an ingest on fresh
+/// engines, counts the same on one worker and on two, query by query. The
+/// third ask of an ingested slot reads no delta list segment-major.
+#[test]
+fn walk_counts_do_not_depend_on_the_worker_count() {
+    let run = |workers: usize| {
+        streach_par::with_worker_override(workers, || {
+            let (network, engine, live) = delta_world();
+            engine.ingest(&live).unwrap();
+            let center = network.bounds().center();
+            let mut counts = Vec::new();
+            for ask in 0..ASKS {
+                for &(start, t, l) in &delta_probes(&live) {
+                    let q = SQuery {
+                        location: network.segment(start).mbr.center(),
+                        start_time_s: t,
+                        duration_s: l,
+                        prob: 0.2,
+                    };
+                    for q in [
+                        q,
+                        SQuery {
+                            location: center,
+                            ..q
+                        },
+                    ] {
+                        for algorithm in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
+                            let stats = engine.try_s_query(&q, algorithm).unwrap().stats;
+                            if ask == ASKS - 1 {
+                                assert_eq!(stats.delta_lists_read, 0, "{q:?} {algorithm:?}");
+                            }
+                            counts.push((stats.view_pairs_walked, stats.delta_lists_read));
+                        }
+                    }
+                }
+            }
+            counts
+        })
+    };
+    let one = run(1);
+    assert!(one.iter().any(|&(pairs, _)| pairs > 0));
+    assert!(one.iter().any(|&(_, lists)| lists > 0));
+    assert_eq!(one, run(2));
 }

@@ -62,6 +62,7 @@ use streach::storage::StorageError;
 use streach_core::query::reference::naive_m_query;
 use streach_core::query::MQueryAlgorithm;
 use streach_core::sharded::PROBATION_READS;
+use streach_core::st_index::ViewStats;
 use streach_testkit::{
     answer_of, assert_pool_answers, copy_dir, disjoint_batch, fault_scenario, fault_seed, mix,
     open_with_fault_script, oracle, pool, pool_answers, race_queries, region_bits, scenario,
@@ -1383,6 +1384,176 @@ fn routed_forward_reads_match_the_single_engine_and_the_oracle() {
             "[seed {seed}] reopened shard {shard_id} built no view"
         );
     }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Asks the forward campaign's s-queries three times, in lockstep on the
+/// single `reference` engine and on `router`, so that each engine of both
+/// sees the same touches of every window slot. Every answer equals the
+/// oracle, which reads every list segment-major, bit for bit; the router's
+/// walk counts equal the single engine's, query by query, whatever the
+/// number of parts; and the third ask reads no delta list segment-major,
+/// since every walked slot's delta view is built by then. Returns the
+/// router's delta lists read per ask.
+fn assert_lockstep_walks(
+    seed: u64,
+    label: &str,
+    router: &ShardedEngine,
+    reference: &ReachabilityEngine,
+    s_queries: &[(SQuery, Algorithm)],
+) -> Vec<u64> {
+    let mut lists_read = Vec::new();
+    for ask in 0..3 {
+        let (mut walked, mut lists) = (0, 0);
+        for (q, algorithm) in s_queries {
+            let want = reference
+                .try_s_query(q, *algorithm)
+                .expect("reference s-query");
+            let got = router
+                .try_s_query(q, *algorithm)
+                .unwrap_or_else(|e| panic!("[seed {seed}] {label}: routed s-query: {e}"));
+            let at = format!("[seed {seed}] {label}, ask {ask}: {q:?} {algorithm:?}");
+            assert_eq!(answer_of(&got), oracle(reference, q, *algorithm), "{at}");
+            assert_eq!(answer_of(&got), answer_of(&want), "{at}");
+            let (w, g) = (&want.stats, &got.stats);
+            assert_eq!(w.view_pairs_walked, g.view_pairs_walked, "{at}");
+            assert_eq!(w.delta_lists_read, g.delta_lists_read, "{at}");
+            walked += g.view_pairs_walked;
+            lists += g.delta_lists_read;
+        }
+        if ask == 2 {
+            assert!(
+                walked > 0,
+                "[seed {seed}] {label}: the third ask walked nothing"
+            );
+            assert_eq!(
+                lists, 0,
+                "[seed {seed}] {label}: the third ask read the delta"
+            );
+        }
+        lists_read.push(lists);
+    }
+    lists_read
+}
+
+/// Forward-through-delta campaign, routed: 2 shards × 1 replica,
+/// replica-first reads, so every walk reads the replicas' base and delta
+/// views, and the replicas' deltas arrive by follower apply. Asked in
+/// lockstep with the single engine ([`assert_lockstep_walks`]): on the
+/// built fleet; after a routed ingest; after a re-ingest into the same
+/// (slot, segment) pairs, which drops every touched slot's delta view on
+/// the replicas until two walks rebuild it; on a fleet reopened from
+/// snapshots whose delta lists do not know what they add; and after a
+/// compaction of every engine while a pin of each old state is held.
+#[test]
+fn routed_walks_through_the_delta_match_the_single_engine_and_the_oracle() {
+    let seed = fault_seed();
+    let root = tmp_dir("routed-delta-walk");
+    let (network, base, batches) = scenario(BASE_DAYS, EXTRA_DAYS);
+    let map = Arc::new(ShardMap::partition(&network, 2));
+    let reference = EngineBuilder::new(network.clone(), &base)
+        .index_config(IndexConfig::default())
+        .build();
+    let (_homes, leaders, sets) = build_fleet(&root, seed, &network, &base, &map);
+    let mut router = ShardedEngine::new(map.clone(), leaders.clone());
+    for (shard_id, set) in sets.iter().enumerate() {
+        router.add_replica(shard_id as u16, set.replica(0));
+    }
+    router.set_read_preference(ReadPreference::ReplicaFirst);
+    let live_day: Vec<TrajPoint> = batches
+        .iter()
+        .flatten()
+        .filter(|p| p.date == BASE_DAYS)
+        .copied()
+        .collect();
+    let (s_queries, _) = forward_queries(&network, &reference, &base, &live_day);
+    let replica_views = || -> Vec<ViewStats> {
+        sets.iter()
+            .map(|set| set.replica(0).st_index().view_stats())
+            .collect()
+    };
+
+    assert_lockstep_walks(seed, "built fleet", &router, &reference, &s_queries);
+    // The same pairs again, under new IDs on a base day.
+    let again: Vec<TrajPoint> = live_day
+        .iter()
+        .map(|p| TrajPoint {
+            traj_id: p.traj_id + 1_000_000,
+            date: 1,
+            ..*p
+        })
+        .collect();
+    for (label, batch) in [("after ingest", &live_day), ("after re-ingest", &again)] {
+        reference
+            .ingest(batch)
+            .unwrap_or_else(|e| panic!("[seed {seed}] {label}: reference ingest: {e}"));
+        router
+            .ingest(batch)
+            .unwrap_or_else(|e| panic!("[seed {seed}] {label}: routed ingest: {e}"));
+        for (shard_id, set) in sets.iter().enumerate() {
+            set.ship()
+                .unwrap_or_else(|e| panic!("[seed {seed}] {label}: ship shard {shard_id}: {e}"));
+            assert!(set.converged(), "[seed {seed}] {label}: shard {shard_id}");
+        }
+        for (shard_id, views) in replica_views().iter().enumerate() {
+            assert_eq!(
+                views.delta_views_built, 0,
+                "[seed {seed}] {label}: follower apply kept a touched slot's delta view \
+                 on shard {shard_id}"
+            );
+            assert!(
+                views.views_built > 0,
+                "[seed {seed}] {label}: shard {shard_id}"
+            );
+        }
+        assert_lockstep_walks(seed, label, &router, &reference, &s_queries);
+        for (shard_id, views) in replica_views().iter().enumerate() {
+            assert!(
+                views.delta_views_built > 0 && views.delta_resident_bytes > 0,
+                "[seed {seed}] {label}: shard {shard_id} walked no delta view: {views:?}"
+            );
+        }
+    }
+
+    // Reopened: the single engine and every shard leader from their
+    // snapshots, so the lockstep starts from no view on either side.
+    let reopen = |name: String, engine: &ReachabilityEngine| {
+        let dir = root.join(name);
+        engine
+            .save_snapshot(&dir)
+            .unwrap_or_else(|e| panic!("[seed {seed}] save {dir:?}: {e}"));
+        let engine = ReachabilityEngine::open_snapshot(&dir, network.clone())
+            .unwrap_or_else(|e| panic!("[seed {seed}] reopen {dir:?}: {e}"));
+        assert!(engine.st_index().delta_stats().delta_lists > 0);
+        Arc::new(engine)
+    };
+    let reference = reopen("reference".into(), &reference);
+    let reopened: Vec<Arc<ReachabilityEngine>> = leaders
+        .iter()
+        .enumerate()
+        .map(|(shard_id, leader)| reopen(format!("reopened{shard_id}"), leader))
+        .collect();
+    drop(router);
+    let router = ShardedEngine::new(map, reopened.clone());
+    let lists = assert_lockstep_walks(seed, "reopened", &router, &reference, &s_queries);
+    assert!(
+        lists.iter().any(|&n| n > 0),
+        "[seed {seed}] a first walk of a reopened slot reads its lists"
+    );
+
+    let held: Vec<_> = reopened
+        .iter()
+        .chain([&reference])
+        .map(|engine| engine.st_index().pin())
+        .collect();
+    for engine in reopened.iter().chain([&reference]) {
+        engine
+            .compact()
+            .unwrap_or_else(|e| panic!("[seed {seed}] compact: {e}"));
+        assert_eq!(engine.st_index().view_stats(), ViewStats::default());
+    }
+    assert_lockstep_walks(seed, "compacted", &router, &reference, &s_queries);
+    drop(held);
     std::fs::remove_dir_all(&root).ok();
 }
 
