@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use streach_roadnet::{RoadClass, RoadNetwork, SegmentId};
 use streach_storage::StorageResult;
 
-use crate::query::verifier::{PostingSource, VerifierCore, WalkCounts};
+use crate::query::verifier::{PostingSource, VerifierCore};
 use crate::query::SQuery;
 use crate::region::ReachableRegion;
 
@@ -43,8 +43,9 @@ pub struct EsOutcome {
     pub expansion_time: Duration,
     /// Time spent verifying candidate segments against the postings.
     pub verify_time: Duration,
-    /// The forward walk's work in the verification.
-    pub walk: WalkCounts,
+    /// The start pairs the verification's forward walks looked up
+    /// ([`VerifierCore::view_pairs_walked`]).
+    pub view_pairs_walked: u64,
 }
 
 /// Answers an s-query by exhaustive search. Fallible: every candidate
@@ -106,7 +107,7 @@ pub fn exhaustive_search<I: PostingSource + ?Sized>(
         visited,
         expansion_time,
         verify_time,
-        walk: core.walk_counts(),
+        view_pairs_walked: core.view_pairs_walked(),
     })
 }
 

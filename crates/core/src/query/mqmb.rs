@@ -43,7 +43,7 @@ use streach_storage::StorageResult;
 
 use crate::con_index::{BoundingPass, ConIndex};
 use crate::query::sqmb::hop_slots;
-use crate::query::verifier::{PostingSource, VerifierCore, WalkCounts};
+use crate::query::verifier::{PostingSource, VerifierCore};
 use crate::region::ReachableRegion;
 
 /// Sentinel for "segment not in the region / unowned".
@@ -275,8 +275,9 @@ pub struct MqmbTbsOutcome {
     pub setup_time: std::time::Duration,
     /// Time spent verifying the unified annulus.
     pub verify_time: std::time::Duration,
-    /// The forward walk's work, summed over the starts' cores.
-    pub walk: WalkCounts,
+    /// The start pairs the forward walks looked up, summed over the
+    /// starts' cores ([`VerifierCore::view_pairs_walked`]).
+    pub view_pairs_walked: u64,
 }
 
 /// Verifies the unified annulus: every segment is checked once, against the
@@ -322,10 +323,7 @@ pub fn mqmb_trace_back<I: PostingSource + ?Sized>(
         }
     }
     let verify_time = t1.elapsed();
-    let walk = cores
-        .iter()
-        .map(VerifierCore::walk_counts)
-        .fold(WalkCounts::default(), std::ops::Add::add);
+    let view_pairs_walked = cores.iter().map(VerifierCore::view_pairs_walked).sum();
 
     Ok(MqmbTbsOutcome {
         region: ReachableRegion::from_segments(network, result),
@@ -333,7 +331,7 @@ pub fn mqmb_trace_back<I: PostingSource + ?Sized>(
         visited: verifications,
         setup_time,
         verify_time,
-        walk,
+        view_pairs_walked,
     })
 }
 

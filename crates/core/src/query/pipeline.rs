@@ -298,8 +298,7 @@ impl<'a, P: PostingSource + ?Sized> QueryContext<'a, P> {
             io: self.postings.io_snapshot().delta_since(&io_before),
             segments_verified: out.verifications,
             segments_visited: out.visited,
-            view_pairs_walked: out.walk.view_pairs_walked,
-            delta_lists_read: out.walk.delta_lists_read,
+            view_pairs_walked: out.view_pairs_walked,
             ..QueryStats::default()
         };
         Ok(BatchAnswer {
@@ -419,8 +418,7 @@ impl<'a, P: PostingSource + ?Sized> QueryContext<'a, P> {
                             max_bounding_size: bounds.max_region.len(),
                             min_bounding_size: bounds.min_region.len(),
                             segments_visited: out.visited,
-                            view_pairs_walked: out.walk.view_pairs_walked,
-                            delta_lists_read: out.walk.delta_lists_read,
+                            view_pairs_walked: out.view_pairs_walked,
                         };
                         let max_region = if *left == 0 {
                             std::mem::take(&mut bounds.max_region)
@@ -513,8 +511,7 @@ impl<'a, P: PostingSource + ?Sized> QueryContext<'a, P> {
                         max_bounding_size: bounds.max_region.len(),
                         min_bounding_size: bounds.min_region.len(),
                         segments_visited: out.visited,
-                        view_pairs_walked: out.walk.view_pairs_walked,
-                        delta_lists_read: out.walk.delta_lists_read,
+                        view_pairs_walked: out.view_pairs_walked,
                     },
                 })
             }

@@ -31,7 +31,7 @@ use streach_roadnet::RoadNetwork;
 use streach_storage::StorageResult;
 
 use crate::query::sqmb::BoundingRegions;
-use crate::query::verifier::{PostingSource, VerifierCore, WalkCounts};
+use crate::query::verifier::{PostingSource, VerifierCore};
 use crate::region::ReachableRegion;
 
 /// Outcome of a trace back search.
@@ -43,8 +43,9 @@ pub struct TbsOutcome {
     pub verifications: usize,
     /// Number of annulus segments examined by the search (the same count).
     pub visited: usize,
-    /// The forward walk's work in this search.
-    pub walk: WalkCounts,
+    /// The start pairs this search's forward walks looked up
+    /// ([`VerifierCore::view_pairs_walked`]).
+    pub view_pairs_walked: u64,
 }
 
 /// Runs the trace back search for one start segment.
@@ -61,9 +62,9 @@ pub fn trace_back_search<I: PostingSource + ?Sized>(
     prob: f64,
 ) -> StorageResult<TbsOutcome> {
     let annulus = bounds.annulus();
-    let walked = core.walk_counts();
+    let walked = core.view_pairs_walked();
     let passing = core.passing(&annulus, prob)?;
-    let walk = core.walk_counts().since(&walked);
+    let view_pairs_walked = core.view_pairs_walked() - walked;
     let verifications = if passing.is_some() { annulus.len() } else { 0 };
 
     // Final region: everything reachable even at minimum speed plus the
@@ -74,7 +75,7 @@ pub fn trace_back_search<I: PostingSource + ?Sized>(
         region: ReachableRegion::from_segments(network, segments),
         verifications,
         visited: verifications,
-        walk,
+        view_pairs_walked,
     })
 }
 

@@ -43,49 +43,43 @@
 //! **trajectory view** exists is read that way
 //! ([`PostingSource::forward`]):
 //!
-//! * A view inverts one (sealed base, slot): sorted (day, trajectory) keys,
-//!   each with its ascending segments. [`StIndex`] derives it in memory
-//!   from one heap-order read of the slot's blobs, on the slot's *second*
-//!   verification on that base, and keeps it beside the slot's directory
-//!   for the life of the base. A slot verified once per open builds
-//!   nothing. A compaction publishes a base with no views; a reader pinned
-//!   to the old base keeps the old base's views.
-//! * The delta tail overrides base lists with merged supersets of them.
-//!   Each slot's delta gets the view's layout over what it adds to the
-//!   pinned base: a **delta view**, (day, trajectory) → the ascending
-//!   segments whose delta lists hold the pair and whose base lists do not.
-//!   The walk looks each start pair up in the base view and in the delta
-//!   view, so new days and mid-trajectory continuations, which live only in
-//!   the delta, are walked like the base. A delta list knows what it adds
-//!   (the ingested observations its base list lacks); one reopened from a
-//!   snapshot's `delta` section, or merged onto such a list, does not, and
-//!   its slot's view takes its merged list minus the base's, decoded once
-//!   at build time. A delta view is built on the second forward walk of
-//!   the slot since the last ingest batch that touched it, and every such
-//!   batch drops it, so a slot ingested into between walks stays
-//!   segment-major until two walks meet no ingest between them. Until a
-//!   slot has one, its delta lists that meet the batch are decoded
-//!   segment-major and OR-ed into the view's bits (what each adds, or its
-//!   whole merged list when that is unknown, which is exact too, since it
-//!   holds the base list). A walk reads a slot's delta view and lists
-//!   under one lock, so the two always agree.
+//! * A view inverts one slot of an index state as a segment-major read
+//!   sees it: sorted (day, trajectory) keys, each with its ascending
+//!   segments, taken per segment from the delta list if there is one, else
+//!   from the base list. So one rule covers the delta tail: a delta list
+//!   overrides its base list, in the view as in every other read, and new
+//!   days and mid-trajectory continuations are walked like the base.
+//!   [`StIndex`] derives a view in memory from one walk of the slot's base
+//!   blobs (in heap order) and delta lists, on the slot's *second* forward
+//!   ask since the state was published or last folded into, and keeps it
+//!   beside the slot's delta lists. A slot verified once builds nothing.
+//!   Every ingest batch folding into the slot drops its view, so a slot
+//!   ingested into between asks stays segment-major until two asks meet no
+//!   ingest between them; a compaction publishes a state with no views.
 //! * A build that meets a read fault or a malformed blob is not kept, and
 //!   the slot is read segment-major, so every error surfaces where it
 //!   would without views. The build's decodes are charged to the query
-//!   that triggers it; a forward read decodes no base posting.
+//!   that triggers it; a forward read decodes no posting.
 //!
 //! A core plans its reads on its first verification: it asks the source
 //! once per window slot, which is that core's one touch of the slot, and
 //! keeps the plan for its later batches. The forward slots are walked
 //! inline after the segment-major slots were read across workers; a batch
-//! whose every slot has a view never fans out.
+//! whose every slot has a view never fans out. Each walk asks the source
+//! for the slot's view again: a pinned core keeps seeing ingest folded into
+//! its pinned state, so where a fold dropped the view after the plan, the
+//! walk reads that slot segment-major inline ([`PostingSource::visit_slot`])
+//! instead.
 //!
 //! A sharded router reads forward too ([`crate::sharded`]): a slot is
 //! forward when every shard's first-choice engine is live and offers its
-//! view, and the walk ORs one part per shard. Each shard's view and delta
-//! hold only the segments it owns, so the parts never overlap and together
-//! set exactly the single index's bits. A shard whose first choice is dead
-//! makes the slot segment-major, read through the router's failover.
+//! view, and the walk reads one view per shard. Each shard's view holds
+//! only the segments it owns, so the views never overlap and together
+//! hold exactly the single index's triples. A shard whose first choice is
+//! dead makes the slot segment-major, read through the router's failover.
+//! Every shard is asked even after one declined, and a slot's view is
+//! dropped by any fold into it, so a router reads forward exactly where a
+//! single engine that saw the same asks and folds does.
 //!
 //! # Deciding before verifying
 //!
@@ -204,15 +198,16 @@ pub trait PostingSource: Sync {
         Ok(())
     }
 
-    /// A forward reader of `slot` as seen by `pin` (see the module docs),
-    /// or `None` when the caller must read the slot through
-    /// [`visit_slot`](Self::visit_slot). A verification asks once per
-    /// window slot, before it reads any, and asks again for each slot it
-    /// then walks forward, which must answer `Some` again under the same
-    /// pin. [`StIndex`] answers with the slot's trajectory view on the
-    /// pinned sealed base, built on the slot's second ask; the router joins
-    /// its shards' answers; the default offers none.
-    fn forward<'p>(&self, pin: &'p Self::Pin, slot: u32) -> Option<SlotForward<'p>> {
+    /// A forward reader of `slot` as seen by `pin` now (see the module
+    /// docs), owning the slot's current views, or `None` when the caller
+    /// must read the slot through [`visit_slot`](Self::visit_slot). A
+    /// verification asks once per window slot, before it reads any, and
+    /// again each time it walks a slot it planned forward; an answer may
+    /// change between asks. [`StIndex`] answers with the slot's trajectory
+    /// view on the pinned state, built on the slot's second ask since the
+    /// last fold into it; the router joins its shards' answers; the default
+    /// offers none.
+    fn forward(&self, pin: &Self::Pin, slot: u32) -> Option<SlotForward> {
         let _ = (pin, slot);
         None
     }
@@ -220,42 +215,6 @@ pub trait PostingSource: Sync {
     /// The typed error describing a structurally invalid posting at
     /// `(segment, slot)`.
     fn malformed_posting(&self, segment: SegmentId, slot: u32) -> StorageError;
-}
-
-/// Exact work counts of the forward walk, a function of the query and the
-/// index's view state alone: the same on any number of workers (see
-/// [`QueryStats`](crate::QueryStats)). Each engine of a router keeps its
-/// own delta views, so a router counts what a single engine counts when
-/// every slot saw the same ingest on each shard that holds lists there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalkCounts {
-    /// The start's (day, trajectory) pairs looked up, once per window slot
-    /// read forward, whatever the number of parts.
-    pub view_pairs_walked: u64,
-    /// Delta lists decoded by the segment-major overlay of slots with no
-    /// delta view.
-    pub delta_lists_read: u64,
-}
-
-impl WalkCounts {
-    /// The counts added since `earlier`, a reading of the same core.
-    pub fn since(&self, earlier: &WalkCounts) -> WalkCounts {
-        WalkCounts {
-            view_pairs_walked: self.view_pairs_walked - earlier.view_pairs_walked,
-            delta_lists_read: self.delta_lists_read - earlier.delta_lists_read,
-        }
-    }
-}
-
-impl std::ops::Add for WalkCounts {
-    type Output = WalkCounts;
-
-    fn add(self, other: WalkCounts) -> WalkCounts {
-        WalkCounts {
-            view_pairs_walked: self.view_pairs_walked + other.view_pairs_walked,
-            delta_lists_read: self.delta_lists_read + other.delta_lists_read,
-        }
-    }
 }
 
 /// The verifier of one (start segment, T, Δt, L) combination, shared by
@@ -287,11 +246,9 @@ pub struct VerifierCore<'a, I: PostingSource + ?Sized = StIndex> {
     /// the core's first verification, which is the core's one touch of
     /// each slot.
     plan: OnceLock<Box<[bool]>>,
-    /// [`WalkCounts::view_pairs_walked`] and
-    /// [`WalkCounts::delta_lists_read`] so far, each added to once per
+    /// [`VerifierCore::view_pairs_walked`] so far, added to once per
     /// [`VerifierCore::probabilities`] call that walks.
     pairs_walked: AtomicU64,
-    lists_read: AtomicU64,
 }
 
 /// Returns `true` if the sorted `start` IDs share an element with the
@@ -379,17 +336,16 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
             io,
             plan: OnceLock::new(),
             pairs_walked: AtomicU64::new(0),
-            lists_read: AtomicU64::new(0),
         })
     }
 
-    /// The forward walk's work counts of every verification of this core
-    /// so far; a query reports the difference over its own.
-    pub fn walk_counts(&self) -> WalkCounts {
-        WalkCounts {
-            view_pairs_walked: self.pairs_walked.load(Ordering::Relaxed),
-            delta_lists_read: self.lists_read.load(Ordering::Relaxed),
-        }
+    /// The start's (day, trajectory) pairs the forward walks of every
+    /// verification of this core looked up so far, once per window slot
+    /// walked: a function of the query and the view state alone, the same
+    /// on any number of workers and shards. A query reports the difference
+    /// over its own.
+    pub fn view_pairs_walked(&self) -> u64 {
+        self.pairs_walked.load(Ordering::Relaxed)
     }
 
     /// Number of days on which at least one trajectory passed the start
@@ -470,24 +426,24 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
         } else {
             vec![0u64; segments.len() * words]
         };
-        let mut counts = WalkCounts::default();
+        let (mut walked, mut buf) = (0, Vec::new());
         for (slot, _) in self
             .window_slots
             .clone()
             .zip(plan.iter())
             .filter(|(_, &f)| f)
         {
-            let forward = self
-                .source
-                .forward(&self.pin, slot)
-                .expect("a built view stays with its sealed base");
-            self.walk_forward(&forward, slot, segments, &mut met, &mut counts)?;
+            match self.source.forward(&self.pin, slot) {
+                Some(forward) => {
+                    self.walk_forward(&forward, segments, &mut met);
+                    walked += self.start_pairs;
+                }
+                // A fold dropped the slot's view since the plan.
+                None => self.scan_slot(segments, slot, &mut buf, &mut met)?,
+            }
         }
-        if counts != WalkCounts::default() {
-            self.pairs_walked
-                .fetch_add(counts.view_pairs_walked, Ordering::Relaxed);
-            self.lists_read
-                .fetch_add(counts.delta_lists_read, Ordering::Relaxed);
+        if walked > 0 {
+            self.pairs_walked.fetch_add(walked, Ordering::Relaxed);
         }
         Ok(met
             .chunks(words)
@@ -506,52 +462,26 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
     /// The day bits, one per (segment, day), that the window slots `plan`
     /// does not read forward set over one worker's range.
     fn scan_range(&self, segments: &[SegmentId], plan: &[bool]) -> StorageResult<Vec<u64>> {
-        let words = self.words();
-        let mut met = vec![0u64; segments.len() * words];
+        let mut met = vec![0u64; segments.len() * self.words()];
         // Sized so that copying a blob of up to a page never grows it.
         let mut buf = Vec::with_capacity(streach_storage::PAGE_SIZE);
         for (slot, _) in self.window_slots.clone().zip(plan).filter(|(_, &f)| !f) {
-            self.source
-                .visit_slot(&self.pin, segments, slot, &mut buf, |i, bytes| {
-                    self.meet(
-                        &mut met[i * words..(i + 1) * words],
-                        bytes,
-                        segments[i],
-                        slot,
-                    )
-                })?;
+            self.scan_slot(segments, slot, &mut buf, &mut met)?;
         }
         Ok(met)
     }
 
-    /// Sets the day bits of `met` that `slot` sets through its views, part
-    /// by part: the segments each start (day, trajectory) passed in the
-    /// slot, by the base view and the delta view, then, for a part whose
-    /// slot has no delta view yet, what its delta lists add to the base,
-    /// read segment-major. Adds the walk's work to `counts`.
-    fn walk_forward(
+    /// Sets the day bits of `met` that `slot` sets, read segment-major.
+    fn scan_slot(
         &self,
-        forward: &SlotForward<'_>,
-        slot: u32,
         segments: &[SegmentId],
+        slot: u32,
+        buf: &mut Vec<u8>,
         met: &mut [u64],
-        counts: &mut WalkCounts,
     ) -> StorageResult<()> {
         let words = self.words();
-        counts.view_pairs_walked += self.start_pairs;
-        forward.read(|part| {
-            for (day, ids) in self.start_ids.iter().enumerate() {
-                let (word, bit) = (day / 64, 1u64 << (day % 64));
-                for &id in ids {
-                    for segment in part.segments(day as u16, id) {
-                        if let Ok(i) = segments.binary_search(&segment) {
-                            met[i * words + word] |= bit;
-                        }
-                    }
-                }
-            }
-            part.visit_delta(segments, |i, bytes| {
-                counts.delta_lists_read += 1;
+        self.source
+            .visit_slot(&self.pin, segments, slot, buf, |i, bytes| {
                 self.meet(
                     &mut met[i * words..(i + 1) * words],
                     bytes,
@@ -559,7 +489,22 @@ impl<'a, I: PostingSource + ?Sized> VerifierCore<'a, I> {
                     slot,
                 )
             })
-        })
+    }
+
+    /// Sets the day bits of `met` that a slot sets through its views: the
+    /// segments each start (day, trajectory) passed in the slot.
+    fn walk_forward(&self, forward: &SlotForward, segments: &[SegmentId], met: &mut [u64]) {
+        let words = self.words();
+        for (day, ids) in self.start_ids.iter().enumerate() {
+            let (word, bit) = (day / 64, 1u64 << (day % 64));
+            for &id in ids {
+                for segment in forward.segments(day as u16, id) {
+                    if let Ok(i) = segments.binary_search(&segment) {
+                        met[i * words + word] |= bit;
+                    }
+                }
+            }
+        }
     }
 
     /// Sets the bit of every day on which `bytes`, the time list of

@@ -616,9 +616,9 @@ impl PostingSource for RoutedPostings<'_> {
     /// The slot read forward through every shard's pinned first-choice
     /// engine, one part per shard, when each of them offers the slot's
     /// view. Every such engine is asked, even after one declined, so each
-    /// counts this plan as its touch of the slot; a degraded shard makes
+    /// counts this ask as its touch of the slot; a degraded shard makes
     /// the slot segment-major.
-    fn forward<'p>(&self, pin: &'p Self::Pin, slot: u32) -> Option<SlotForward<'p>> {
+    fn forward(&self, pin: &Self::Pin, slot: u32) -> Option<SlotForward> {
         let mut parts = Vec::with_capacity(pin.shards.len());
         let mut whole = true;
         for (shard, shard_pin) in self.sharded.shards.iter().zip(&pin.shards) {
@@ -838,14 +838,10 @@ mod tests {
                     want.stats.max_bounding_size, got.stats.max_bounding_size,
                     "{label}"
                 );
-                // By now both read every window forward: the walk's counts
-                // are the same whatever the number of parts.
+                // By now both read every window forward: the walk's count
+                // is the same whatever the number of parts.
                 assert_eq!(
                     want.stats.view_pairs_walked, got.stats.view_pairs_walked,
-                    "{label}"
-                );
-                assert_eq!(
-                    want.stats.delta_lists_read, got.stats.delta_lists_read,
                     "{label}"
                 );
                 walked += got.stats.view_pairs_walked;

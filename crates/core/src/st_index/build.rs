@@ -86,36 +86,15 @@ where
     slot
 }
 
-/// Merges the old base's lists of `slot` with the delta tail's, the two
-/// runs walked once each in segment order: where the delta has a list it
-/// wins, as on the read path. The base blobs are read in heap order, a page
-/// at a time, through `buf`.
+/// Merges the old base's lists of `slot` with the delta tail's through the
+/// slot walker the view builds use ([`SealedBase::walk_slot`]): where the
+/// delta has a list it wins, as on the read path.
 fn merge_slot(state: &IndexState, slot: u32, buf: &mut Vec<u8>) -> StorageResult<EncodedSlot> {
-    let directory = state.base.temporal.get(slot)?;
-    let mut delta: Vec<(SegmentId, Arc<[u8]>)> = Vec::new();
-    state
-        .delta
-        .visit_slot(slot, 0..=u32::MAX, |segment, list| {
-            delta.push((segment, Arc::clone(&list.merged)));
-            Ok(())
-        })?;
-    let mut run = state.base.postings.run();
     let mut out = EncodedSlot::default();
-    let mut pending = delta.iter().peekable();
-    for (segment, handle) in directory.entries() {
-        while let Some((added, list)) = pending.next_if(|entry| entry.0 < segment) {
-            out.push(*added, list).ok_or_else(|| oversized_slot(slot))?;
-        }
-        let list = match pending.next_if(|entry| entry.0 == segment) {
-            Some((_, list)) => &list[..],
-            None => run.read(handle, buf)?,
-        };
-        out.push(segment, list)
-            .ok_or_else(|| oversized_slot(slot))?;
-    }
-    for (added, list) in pending {
-        out.push(*added, list).ok_or_else(|| oversized_slot(slot))?;
-    }
+    let delta = state.delta.slot_lists(slot);
+    state.base.walk_slot(slot, &delta, buf, |segment, list| {
+        out.push(segment, list).ok_or_else(|| oversized_slot(slot))
+    })?;
     Ok(out)
 }
 
@@ -140,7 +119,10 @@ fn seal(
         });
     }
     let postings = writer.finish(pool_pages, read_retries)?;
-    Ok(SealedBase::new(TemporalIndex::built(directories), postings))
+    Ok(SealedBase {
+        temporal: TemporalIndex::built(directories),
+        postings,
+    })
 }
 
 impl StIndex {

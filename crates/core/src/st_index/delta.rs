@@ -1,19 +1,19 @@
 //! The delta tail: a memtable of merged override lists keyed by (slot,
-//! segment), each with what it adds to the sealed base, the per-slot delta
-//! views a forward walk reads that through, and its snapshot section.
+//! segment), the per-slot trajectory views held beside them, and its
+//! snapshot section.
 //!
-//! # Delta views
+//! # Trajectory views
 //!
-//! A slot's **delta view** is a [`TrajectoryView`] of what the slot's lists
-//! add beyond the pinned base ([`DeltaList::beyond_base`]): (day,
-//! trajectory) → the ascending segments it gained. It is built on the
-//! second forward walk of the slot since the last fold into it, with no
-//! lock held, and kept in the slot's stripe, beside its lists. Every fold
-//! into the slot drops it and resets the slot's walks, under the stripe
-//! write lock the fold takes anyway, so a slot that is folded into between
-//! walks keeps the segment-major read. A walk reads the view and the lists
-//! under one read lock, so it never sees a view older than the lists.
-//! Views are never saved.
+//! A slot's [`TrajectoryView`] inverts the slot as a segment-major read
+//! sees it: per segment the delta list if there is one, else the base list.
+//! It lives in the slot's cell of its stripe, beside the lists it was built
+//! from. It is built on the second forward ask of the slot since the last
+//! fold into it (a fresh state counts as one), with no lock held, from the
+//! slot's lists copied out under the stripe's read lock, and kept only if
+//! the slot still holds exactly those lists. Every fold into the slot drops
+//! it and resets the slot's asks, under the stripe write lock the fold takes
+//! anyway, so a slot folded into between asks is read segment-major until
+//! two asks meet no fold between them. Views are never saved.
 //!
 //! # Layout (`delta`)
 //!
@@ -27,21 +27,18 @@
 //! The folded bytes are [`DeltaStats::delta_bytes`]: every merged list
 //! folded in since the base was sealed, so at least the live lists' bytes.
 //! The open checks each key against the day and the network and each list
-//! against the strict posting decoder. A list reopened from the section
-//! has no `added` list (see [`DeltaList`]).
+//! against the strict posting decoder.
 
 use std::collections::BTreeMap;
-use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::{Buf, BufMut};
 use parking_lot::RwLock;
 use streach_roadnet::SegmentId;
-use streach_storage::{visit_posting, StorageError, StorageResult, TimeList};
+use streach_storage::{visit_posting, StorageError, StorageResult};
 
-use super::view::TrajectoryView;
-use super::ListRef;
+use super::view::{TrajectoryView, ViewStats};
 
 /// Size statistics of the mutable delta tail (streaming ingest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,105 +56,37 @@ pub struct DeltaStats {
 /// folding observations into another.
 const DELTA_STRIPES: usize = 16;
 
-/// One list of the delta tail as snapshots save it: (slot, segment) and
-/// the merged list's encoded bytes.
+/// One list of the delta tail: (slot, segment) and the fully merged list's
+/// encoded bytes (base observations ∪ ingested ones).
 pub(super) type DeltaEntry = ((u32, u32), Arc<[u8]>);
 
-/// One list of the delta tail. Both encodings sit behind one `Arc`, so a
-/// reader always sees a consistent pair.
-#[derive(Debug, PartialEq, Eq)]
-pub(super) struct DeltaList {
-    /// The fully merged list (base observations ∪ ingested ones): what
-    /// segment-major reads, saves and compaction use.
-    pub merged: Arc<[u8]>,
-    /// The observations absent from the pinned sealed base's list: all a
-    /// forward read has to add to the base's trajectory view. `None` where
-    /// the merged list stands in for it: for a pair the base has no list
-    /// of (every observation is added), and, since what the base lacks is
-    /// unknown there, for a list decoded from a snapshot's `delta` section
-    /// and any list merged onto one. Standing in is exact, as the merged
-    /// list is a superset of the base list.
-    added: Option<Box<[u8]>>,
-}
+/// One slot's delta lists, copied out of the tail: (segment, merged list),
+/// ascending.
+pub(super) type ListsOf = Vec<(SegmentId, Arc<[u8]>)>;
 
-impl DeltaList {
-    /// The bytes a segment-major overlay ORs into the base's view:
-    /// `added`, or the merged list when `added` is unknown.
-    pub(super) fn beyond_base(&self) -> &[u8] {
-        self.added.as_deref().unwrap_or(&self.merged)
-    }
-
-    /// The observations the base's list lacks, when known.
-    pub(super) fn added(&self) -> Option<&[u8]> {
-        self.added.as_deref()
-    }
-
-    /// The merge step of ingest: folds `observations` ((date, trajectory)
-    /// pairs) into `list`, which holds the pair's `current` list (empty
-    /// when it has none), and encodes the result with what it adds to the
-    /// base's list: a base list adds nothing yet, a delta list adds its own
-    /// `added` (unknown stays unknown), and the observations `list` lacks
-    /// join them. A pair with no list is all added.
-    pub(super) fn merge(
-        list: &mut TimeList,
-        current: Option<&ListRef>,
-        observations: impl Iterator<Item = (u16, u32)> + Clone,
-    ) -> StorageResult<Self> {
-        let mut added =
-            match current {
-                Some(ListRef::Base(_)) => Some(TimeList::new()),
-                Some(ListRef::Delta(prior)) => match prior.added.as_deref() {
-                    Some(bytes) => Some(TimeList::decode(bytes).ok_or_else(|| {
-                        StorageError::corrupt("delta added list failed to decode")
-                    })?),
-                    None => None,
-                },
-                None => None,
-            };
-        if let Some(added) = &mut added {
-            for (date, id) in observations.clone() {
-                let held = list
-                    .ids_on(date)
-                    .is_some_and(|ids| ids.binary_search(&id).is_ok());
-                if !held {
-                    added.add(date, id);
-                }
-            }
-        }
-        for (date, id) in observations {
-            list.add(date, id);
-        }
-        Ok(Self {
-            merged: list.encode().into(),
-            added: added.map(|added| added.encode().into()),
-        })
-    }
-}
-
-/// One stripe of the delta tail: (slot, segment) → its [`DeltaList`], in
-/// a `BTreeMap`, so snapshots and compaction see the entries in key order
-/// after one merge across stripes, and the delta view of each slot of the
-/// stripe.
+/// One stripe of the delta tail: (slot, segment) → its merged list, in a
+/// `BTreeMap`, so snapshots and compaction see the entries in key order
+/// after one merge across stripes, and the trajectory view of each slot of
+/// the stripe.
 struct DeltaStripe {
-    lists: BTreeMap<(u32, u32), Arc<DeltaList>>,
-    /// The delta view of slot `stripe + i * DELTA_STRIPES` at `i`, once
-    /// built. A fold into the slot empties its cell.
-    views: Box<[OnceLock<TrajectoryView>]>,
+    lists: BTreeMap<(u32, u32), Arc<[u8]>>,
+    /// The view of slot `stripe + i * DELTA_STRIPES` at `i`, once built. A
+    /// fold into the slot empties its cell.
+    views: Box<[OnceLock<Arc<TrajectoryView>>]>,
 }
 
 /// The mutable delta tail: a memtable of merged override lists keyed by
-/// (slot, segment), each with what it adds to the sealed base.
+/// (slot, segment), and the trajectory views of its state's slots.
 pub(super) struct DeltaTail {
     /// Striped by `slot % DELTA_STRIPES`, so the apply lock is sharded:
     /// disjoint ingest batches (and concurrent readers) touching different
     /// slots take different locks.
     stripes: Vec<RwLock<DeltaStripe>>,
-    /// Per slot of the day, the forward walks of the slot since the last
-    /// fold into it: [`FRESH`], [`WALKED`] or [`CLAIMED`]. The second walk
-    /// claims the build of the slot's delta view, and a fold resets the
-    /// state with the view, so a slot folded into between walks keeps
-    /// reading its lists until two walks meet no fold between them. Set by
-    /// every walk, whether or not the slot holds a list.
+    /// Per slot of the day, the forward asks of the slot since the last
+    /// fold into it: [`FRESH`], [`WALKED`] or [`CLAIMED`]. The second ask
+    /// claims the build of the slot's view, and a fold resets the state
+    /// with the view, so a slot folded into between asks is read
+    /// segment-major until two asks meet no fold between them.
     walks: Box<[AtomicU8]>,
     /// Total number of entries across stripes, readable without any lock:
     /// the hot path's fast "no deltas" check.
@@ -166,53 +95,16 @@ pub(super) struct DeltaTail {
     folded_bytes: AtomicU64,
 }
 
-/// No forward walk of the slot since the last fold into it.
+/// No forward ask of the slot since the last fold into it.
 const FRESH: u8 = 0;
-/// One forward walk of the slot since the last fold into it.
+/// One forward ask of the slot since the last fold into it.
 const WALKED: u8 = 1;
-/// A later walk claimed the build of the slot's delta view.
+/// A later ask claimed the build of the slot's view.
 const CLAIMED: u8 = 2;
-
-/// A slot's delta lists as a view build reads them, outside the stripe
-/// lock: (segment, list), ascending.
-pub(super) type ListsOf = Vec<(SegmentId, Arc<DeltaList>)>;
-
-/// What a forward walk reads of one slot's delta, under its stripe's read
-/// lock ([`DeltaTail::read_slot`]).
-pub(super) enum SlotDelta<'a> {
-    /// The slot holds no list.
-    Empty,
-    /// The slot's delta view.
-    View(&'a TrajectoryView),
-    /// The slot's lists, with no view built yet.
-    Lists(SlotLists<'a>),
-}
-
-/// The delta lists of one slot, borrowed under its stripe's read lock.
-#[derive(Clone, Copy)]
-pub(super) struct SlotLists<'a> {
-    lists: &'a BTreeMap<(u32, u32), Arc<DeltaList>>,
-    slot: u32,
-}
-
-impl<'a> SlotLists<'a> {
-    /// The slot's lists whose segment lies in `segments`, in ascending
-    /// segment order.
-    pub(super) fn range(
-        self,
-        segments: RangeInclusive<u32>,
-    ) -> impl Iterator<Item = (SegmentId, &'a DeltaList)> {
-        let (first, last) = segments.into_inner();
-        self.lists
-            .range((self.slot, first)..=(self.slot, last))
-            .map(|(&(_, segment), list)| (SegmentId(segment), &**list))
-    }
-}
 
 impl DeltaTail {
     /// A tail over a day of `num_slots` slots holding the merged lists
-    /// `entries` (with no `added` list: what the base lacks is unknown),
-    /// with `folded_bytes` folded in so far.
+    /// `entries`, with `folded_bytes` folded in so far.
     pub(super) fn new((entries, folded_bytes): DeltaSection, num_slots: usize) -> Self {
         let per_stripe = num_slots.div_ceil(DELTA_STRIPES);
         let tail = Self {
@@ -229,14 +121,7 @@ impl DeltaTail {
             folded_bytes: AtomicU64::new(folded_bytes),
         };
         for ((slot, segment), merged) in entries {
-            tail.insert(
-                slot,
-                segment,
-                DeltaList {
-                    merged,
-                    added: None,
-                },
-            );
+            tail.insert(slot, segment, merged);
         }
         tail
     }
@@ -255,7 +140,7 @@ impl DeltaTail {
         self.len.load(Ordering::Relaxed) == 0
     }
 
-    pub(super) fn get(&self, slot: u32, segment: SegmentId) -> Option<Arc<DeltaList>> {
+    pub(super) fn get(&self, slot: u32, segment: SegmentId) -> Option<Arc<[u8]>> {
         if self.is_empty() {
             return None;
         }
@@ -266,9 +151,9 @@ impl DeltaTail {
             .cloned()
     }
 
-    /// Inserts (or replaces) one list, dropping its slot's delta view and
-    /// resetting its walks, and maintains the lock-free length.
-    fn insert(&self, slot: u32, segment: u32, list: DeltaList) {
+    /// Inserts (or replaces) one list, dropping its slot's view and
+    /// resetting its asks, and maintains the lock-free length.
+    fn insert(&self, slot: u32, segment: u32, list: Arc<[u8]>) {
         let mut stripe = self.stripes[Self::stripe_of(slot)].write();
         if let Some(view) = stripe.views.get_mut(slot as usize / DELTA_STRIPES) {
             view.take();
@@ -276,65 +161,51 @@ impl DeltaTail {
         if let Some(walks) = self.walks.get(slot as usize) {
             walks.store(FRESH, Ordering::Relaxed);
         }
-        if stripe
-            .lists
-            .insert((slot, segment), Arc::new(list))
-            .is_none()
-        {
+        if stripe.lists.insert((slot, segment), list).is_none() {
             self.len.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Publishes merged lists, each replacing its (slot, segment) pair's,
     /// and counts their bytes as folded in.
-    pub(super) fn fold(&self, lists: impl IntoIterator<Item = ((u32, u32), DeltaList)>) {
+    pub(super) fn fold(&self, lists: impl IntoIterator<Item = DeltaEntry>) {
         let mut folded = 0u64;
         for ((slot, segment), list) in lists {
-            folded += list.merged.len() as u64;
+            folded += list.len() as u64;
             self.insert(slot, segment, list);
         }
         self.folded_bytes.fetch_add(folded, Ordering::Relaxed);
     }
 
-    /// Calls `visit(segment, list)` for every list of `slot` whose segment
-    /// lies in `segments`, in ascending segment order, under the slot's
-    /// stripe lock, and stops at the first error `visit` returns.
-    pub(super) fn visit_slot<F>(
-        &self,
-        slot: u32,
-        segments: RangeInclusive<u32>,
-        mut visit: F,
-    ) -> StorageResult<()>
-    where
-        F: FnMut(SegmentId, &DeltaList) -> StorageResult<()>,
-    {
+    /// The lists of `slot`, copied out under its stripe's read lock.
+    pub(super) fn slot_lists(&self, slot: u32) -> ListsOf {
         if self.is_empty() {
-            return Ok(());
+            return Vec::new();
         }
-        let stripe = self.stripes[Self::stripe_of(slot)].read();
-        let lists = SlotLists {
-            lists: &stripe.lists,
-            slot,
-        };
-        for (segment, list) in lists.range(segments) {
-            visit(segment, list)?;
-        }
-        Ok(())
+        self.stripes[Self::stripe_of(slot)]
+            .read()
+            .lists
+            .range((slot, 0)..=(slot, u32::MAX))
+            .map(|(&(_, segment), list)| (SegmentId(segment), Arc::clone(list)))
+            .collect()
     }
 
-    /// Calls `read` with what a forward walk reads of `slot`'s delta, all
-    /// under one read lock of its stripe: its delta view, or its lists when
-    /// it has none. The second walk since the last fold into the slot
-    /// builds the view with `build`, from the slot's lists copied out under
-    /// the lock, with no lock held, so a build's base reads never hold up a
-    /// fold. The view is kept only if the slot still holds exactly those
-    /// lists. A failed build keeps no view, and the next walk builds again.
-    pub(super) fn read_slot<R>(
+    /// The view of `slot`, if it has one or this ask builds it. The second
+    /// ask since the last fold into the slot builds it with `build`, from
+    /// the slot's lists copied out under the stripe lock, with no lock held,
+    /// so a build's base reads never hold up a fold. The view is kept only
+    /// if the slot still holds exactly those lists. A failed build keeps no
+    /// view, and the next ask builds again.
+    pub(super) fn view(
         &self,
         slot: u32,
         build: impl FnOnce(&ListsOf) -> Option<TrajectoryView>,
-        read: impl FnOnce(SlotDelta<'_>) -> R,
-    ) -> R {
+    ) -> Option<Arc<TrajectoryView>> {
+        let stripe = &self.stripes[Self::stripe_of(slot)];
+        let cell = slot as usize / DELTA_STRIPES;
+        if let Some(view) = stripe.read().views[cell].get() {
+            return Some(Arc::clone(view));
+        }
         // Relaxed: the state publishes nothing; a view is published through
         // its `OnceLock`, under the stripe lock.
         let walks = &self.walks[slot as usize];
@@ -351,77 +222,52 @@ impl DeltaTail {
             WALKED => step(WALKED, CLAIMED),
             _ => false,
         };
-        let built = if claimed && !self.is_empty() {
-            let from: ListsOf = self.stripes[Self::stripe_of(slot)]
-                .read()
-                .lists
-                .range((slot, 0)..=(slot, u32::MAX))
-                .map(|(&(_, segment), list)| (SegmentId(segment), Arc::clone(list)))
-                .collect();
-            match (!from.is_empty()).then(|| build(&from)) {
-                Some(Some(view)) => Some((view, from)),
-                Some(None) => {
-                    step(CLAIMED, WALKED);
-                    None
-                }
-                None => None,
-            }
-        } else {
-            None
+        if !claimed {
+            return None;
+        }
+        let from = self.slot_lists(slot);
+        let Some(view) = build(&from) else {
+            step(CLAIMED, WALKED);
+            return None;
         };
-        if self.is_empty() {
-            return read(SlotDelta::Empty);
-        }
-        let stripe = self.stripes[Self::stripe_of(slot)].read();
-        let lists = SlotLists {
-            lists: &stripe.lists,
-            slot,
-        };
-        if lists.range(0..=u32::MAX).next().is_none() {
-            return read(SlotDelta::Empty);
-        }
-        let cell = &stripe.views[slot as usize / DELTA_STRIPES];
-        if let Some((view, from)) = built {
-            // A fold since the copy replaced at least one list.
-            let current = lists.range(0..=u32::MAX).map(|(_, list)| list as *const _);
-            if current.eq(from.iter().map(|(_, list)| Arc::as_ptr(list))) {
-                cell.get_or_init(|| view);
-            }
-        }
-        read(match cell.get() {
-            Some(view) => SlotDelta::View(view),
-            None => SlotDelta::Lists(lists),
-        })
+        let stripe = stripe.read();
+        // A fold since the copy replaced or added a list.
+        let at = |list: &Arc<[u8]>| Arc::as_ptr(list) as *const u8;
+        let current = stripe.lists.range((slot, 0)..=(slot, u32::MAX));
+        let same = current
+            .map(|(_, list)| at(list))
+            .eq(from.iter().map(|(_, list)| at(list)));
+        same.then(|| Arc::clone(stripe.views[cell].get_or_init(|| Arc::new(view))))
     }
 
-    /// The delta views built and the heap bytes they hold.
-    pub(super) fn view_stats(&self) -> (u64, u64) {
-        let (mut built, mut bytes) = (0, 0);
+    /// The views built and the heap bytes they hold.
+    pub(super) fn view_stats(&self) -> ViewStats {
+        let mut stats = ViewStats::default();
         for stripe in &self.stripes {
             for view in stripe.read().views.iter().filter_map(OnceLock::get) {
-                built += 1;
-                bytes += view.resident_bytes();
+                stats.views_built += 1;
+                stats.resident_bytes += view.resident_bytes();
             }
         }
-        (built, bytes)
+        stats
     }
 
-    /// Every (slot, date, trajectory, segment) the built delta views hold,
-    /// ascending.
+    /// Per slot with a built view, the (date, trajectory, segment) triples
+    /// it holds, ascending.
     #[cfg(test)]
-    pub(super) fn view_triples(&self) -> Vec<(u32, u16, u32, SegmentId)> {
-        let mut triples = Vec::new();
+    pub(super) fn view_triples(&self) -> Vec<(u32, Vec<super::view::Triple>)> {
+        let mut views = Vec::new();
         for (stripe_no, stripe) in self.stripes.iter().enumerate() {
             let stripe = stripe.read();
             for (i, view) in stripe.views.iter().enumerate() {
-                let slot = (stripe_no + i * DELTA_STRIPES) as u32;
                 if let Some(view) = view.get() {
-                    triples.extend(view.triples().map(|(d, id, s)| (slot, d, id, s)));
+                    let slot = (stripe_no + i * DELTA_STRIPES) as u32;
+                    views.push((slot, view.triples().collect()));
                 }
             }
         }
-        triples.sort_unstable();
-        triples
+        views.sort_unstable();
+        views
     }
 
     /// The slots holding at least one list, unordered and repeated.
@@ -436,7 +282,7 @@ impl DeltaTail {
     /// Encodes the `delta` section (layout in the module docs): every
     /// merged list in (slot, segment) order.
     pub(super) fn encode(&self) -> Vec<u8> {
-        let mut entries: Vec<((u32, u32), Arc<DeltaList>)> = Vec::new();
+        let mut entries: Vec<DeltaEntry> = Vec::new();
         for stripe in &self.stripes {
             entries.extend(
                 stripe
@@ -453,8 +299,8 @@ impl DeltaTail {
         for ((slot, segment), list) in &entries {
             buf.put_u32_le(*slot);
             buf.put_u32_le(*segment);
-            buf.put_u32_le(u32::try_from(list.merged.len()).expect("a list spans at most 4 GiB"));
-            buf.put_slice(&list.merged);
+            buf.put_u32_le(u32::try_from(list.len()).expect("a list spans at most 4 GiB"));
+            buf.put_slice(list);
         }
         buf
     }
@@ -543,6 +389,7 @@ pub(super) fn decode_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streach_storage::TimeList;
 
     fn expect_corrupt<T>(what: &str, result: StorageResult<T>, needle: &str) {
         match result {
@@ -596,30 +443,20 @@ mod tests {
         bytes
     }
 
-    /// A slot's delta view is built on its second walk since the last
-    /// fold, with no stripe lock held, and kept only if no fold replaced
-    /// the slot's lists while it was built; a fold drops a kept view.
+    /// A slot's view is built on its second ask since the last fold,
+    /// with no stripe lock held, and kept only if no fold replaced the
+    /// slot's lists while it was built; a fold drops a kept view.
     #[test]
     fn a_fold_during_a_view_build_discards_the_view() {
         let tail = DeltaTail::new(sample_delta(), 288);
         let view = || TrajectoryView::from_pairs(vec![(4, SegmentId(3))]);
         let fold = || {
-            let merged = tail.get(5, SegmentId(3)).unwrap().merged.clone();
-            tail.fold([(
-                (5, 3),
-                DeltaList {
-                    merged,
-                    added: None,
-                },
-            )]);
-        };
-        let reads = |delta: SlotDelta<'_>| match delta {
-            SlotDelta::Empty => "empty",
-            SlotDelta::View(_) => "view",
-            SlotDelta::Lists(_) => "lists",
+            let merged = tail.get(5, SegmentId(3)).unwrap();
+            tail.fold([((5, 3), merged.to_vec().into())]);
         };
         let unbuilt = |_: &ListsOf| -> Option<TrajectoryView> { panic!("built") };
-        assert_eq!(tail.read_slot(5, unbuilt, reads), "lists");
+        let built = |got: Option<Arc<TrajectoryView>>| got.is_some();
+        assert!(!built(tail.view(5, unbuilt)));
         // The fold takes the stripe's write lock: a build that held the
         // lock would never return.
         let during = |lists: &ListsOf| {
@@ -627,15 +464,20 @@ mod tests {
             fold();
             view()
         };
-        assert_eq!(tail.read_slot(5, during, reads), "lists");
-        assert_eq!(tail.view_stats(), (0, 0));
-        assert_eq!(tail.read_slot(5, unbuilt, reads), "lists");
-        assert_eq!(tail.read_slot(5, |_| view(), reads), "view");
-        assert_eq!(tail.read_slot(5, unbuilt, reads), "view");
-        assert_eq!(tail.view_stats().0, 1);
+        assert!(!built(tail.view(5, during)));
+        assert_eq!(tail.view_stats(), ViewStats::default());
+        assert!(!built(tail.view(5, unbuilt)));
+        assert!(built(tail.view(5, |_| view())));
+        assert!(built(tail.view(5, unbuilt)));
+        assert_eq!(tail.view_stats().views_built, 1);
         fold();
-        assert_eq!(tail.view_stats(), (0, 0));
-        assert_eq!(tail.read_slot(7, unbuilt, reads), "empty");
+        assert_eq!(tail.view_stats(), ViewStats::default());
+        // A slot with no list is viewed like any other.
+        assert!(!built(tail.view(7, unbuilt)));
+        assert!(built(tail.view(7, |lists| {
+            assert!(lists.is_empty());
+            view()
+        })));
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   page I/O, counted per physical read.
 //!
 //! [`directory`] holds the temporal index and its snapshot sections,
-//! [`delta`] the delta tail and its section, [`view`] the trajectory views,
-//! and [`build`] the one path that seals a base, for build and compaction.
+//! [`delta`] the delta tail, its section and where views are held, [`view`]
+//! the trajectory views, and [`build`] the one path that seals a base, for
+//! build and compaction.
 //!
 //! # Streaming ingest: sealed base + delta tail
 //!
@@ -34,8 +35,7 @@
 //! ingested after open ([`StIndex::apply_points`]). The delta is a
 //! memtable: per (slot, segment) pair it has touched, the encoded bytes of
 //! the *fully merged* time list (base observations ∪ ingested
-//! observations), and beside them, when known, the observations the base
-//! list lacks. A delta entry therefore **overrides** the base entry on
+//! observations). A delta entry therefore **overrides** the base entry on
 //! the read path, which keeps every reader — [`StIndex::time_list`],
 //! [`StIndex::read_time_list_into`], [`StIndex::ids_in_window`] — a single
 //! posting read with unchanged circular-day slot semantics. When no point
@@ -45,9 +45,12 @@
 //! is bit-identical to a from-scratch build on the combined data, and
 //! empties the tail.
 //!
-//! A sealed base also carries one lazily built **trajectory view** per
-//! slot, and the delta tail one **delta view** per slot over what its
-//! lists add to the base; neither is ever saved ([`view`], [`delta`]).
+//! Each slot of a state has one lazily built **trajectory view**: the slot
+//! inverted as a segment-major read sees it, each segment's delta list
+//! overriding its base list, so it is the slot a compaction would seal.
+//! The delta tail holds it beside the slot's lists, and a fold into the
+//! slot drops it; it is never saved ([`view`], [`delta`]). One slot walker,
+//! [`SealedBase::walk_slot`], feeds both the view build and compaction.
 //!
 //! # Online maintenance: the atomic state swap
 //!
@@ -89,10 +92,10 @@ use streach_traj::TrajPoint;
 use crate::config::IndexConfig;
 use crate::time::{slot_of, slots_overlapping, SlotWindow};
 pub use delta::DeltaStats;
-use delta::{decode_delta, DeltaList, DeltaTail};
+use delta::{decode_delta, DeltaTail, ListsOf};
 use directory::{decode_st_index_head, encode_st_index, TemporalIndex};
-use view::SlotViews;
-pub use view::{PartRead, SlotForward, ViewStats};
+use view::TrajectoryView;
+pub use view::{SlotForward, ViewStats};
 
 /// Page store backing the ST-Index: any [`PageStore`] backend (in-memory for
 /// fresh builds, a checked file store for reopened snapshots).
@@ -122,27 +125,50 @@ enum ListRef {
     /// In the sealed base heap.
     Base(BlobHandle),
     /// In the delta tail — a fully merged list that overrides the base.
-    Delta(Arc<DeltaList>),
+    Delta(Arc<[u8]>),
 }
 
 /// The sealed base of the index: the temporal directory plus its posting
 /// heap. Produced by [`StIndex::build`], a snapshot open or a compaction —
-/// and never mutated afterwards; compaction replaces it wholesale. Its
-/// per-slot trajectory views are derived from it in memory, never saved.
+/// and never mutated afterwards; compaction replaces it wholesale.
 struct SealedBase {
     temporal: TemporalIndex,
     postings: PostingStore<StIndexStore>,
-    views: SlotViews,
 }
 
 impl SealedBase {
-    fn new(temporal: TemporalIndex, postings: PostingStore<StIndexStore>) -> Self {
-        let views = SlotViews::new(temporal.len());
-        Self {
-            temporal,
-            postings,
-            views,
+    /// Calls `visit(segment, bytes)` for every list of `slot` as a
+    /// segment-major read sees it, in ascending segment order: where
+    /// `delta`, the slot's delta lists, has a list it wins, else the base
+    /// list, whose blobs one [`BlobRun`](streach_storage::BlobRun) reads in
+    /// heap order, a page at a time, through `buf`. Stops at the first
+    /// error. The one slot walker: view builds and compaction both use it.
+    fn walk_slot<F>(
+        &self,
+        slot: u32,
+        delta: &ListsOf,
+        buf: &mut Vec<u8>,
+        mut visit: F,
+    ) -> StorageResult<()>
+    where
+        F: FnMut(SegmentId, &[u8]) -> StorageResult<()>,
+    {
+        let directory = self.temporal.get(slot)?;
+        let mut run = self.postings.run();
+        let mut pending = delta.iter().peekable();
+        for (segment, handle) in directory.entries() {
+            while let Some((added, list)) = pending.next_if(|entry| entry.0 < segment) {
+                visit(*added, list)?;
+            }
+            match pending.next_if(|entry| entry.0 == segment) {
+                Some((_, list)) => visit(segment, list)?,
+                None => visit(segment, run.read(handle, buf)?)?,
+            }
         }
+        for (added, list) in pending {
+            visit(*added, list)?;
+        }
+        Ok(())
     }
 }
 
@@ -174,8 +200,7 @@ impl IndexState {
     fn read_time_list(&self, list_ref: &ListRef) -> StorageResult<TimeList> {
         match list_ref {
             ListRef::Base(handle) => self.base.postings.read_time_list(*handle),
-            ListRef::Delta(delta) => {
-                let bytes = &delta.merged;
+            ListRef::Delta(bytes) => {
                 let list = TimeList::decode(bytes)
                     .ok_or_else(|| StorageError::corrupt("delta time list failed to decode"))?;
                 self.base
@@ -191,9 +216,9 @@ impl IndexState {
     fn read_into(&self, list_ref: &ListRef, buf: &mut Vec<u8>) -> StorageResult<()> {
         match list_ref {
             ListRef::Base(handle) => self.base.postings.read_into(*handle, buf),
-            ListRef::Delta(delta) => {
+            ListRef::Delta(bytes) => {
                 buf.clear();
-                buf.extend_from_slice(&delta.merged);
+                buf.extend_from_slice(bytes);
                 Ok(())
             }
         }
@@ -221,7 +246,7 @@ impl IndexState {
         let mut next = 0;
         for (i, &segment) in segments.iter().enumerate() {
             if let Some(list) = self.delta.get(slot, segment) {
-                visit(i, &list.merged)?;
+                visit(i, &list)?;
             } else if let Some(entry) = directory.seek(&mut next, segment) {
                 visit(i, run.read(directory.handle(entry), buf)?)?;
             }
@@ -348,7 +373,10 @@ impl StIndex {
             slot_s: head.slot_s,
             num_days: AtomicU16::new(head.num_days),
             state: RwLock::new(Arc::new(IndexState {
-                base: SealedBase::new(TemporalIndex::lazy(slots, head.slots), postings),
+                base: SealedBase {
+                    temporal: TemporalIndex::lazy(slots, head.slots),
+                    postings,
+                },
                 delta: DeltaTail::new(delta, config.slots_per_day() as usize),
             })),
             num_time_lists: AtomicU64::new(head.stats.num_time_lists),
@@ -398,24 +426,17 @@ impl StIndex {
         self.current().delta.stats()
     }
 
-    /// The trajectory views built on the current sealed base, the delta
-    /// views built on its delta tail, and the heap bytes each hold. An
-    /// ingest keeps the base views and drops the delta views of the slots
-    /// it touches; a compaction publishes a state with neither.
+    /// The trajectory views built on the current state and the heap bytes
+    /// they hold. An ingest drops the views of the slots it touches; a
+    /// compaction publishes a state with none.
     pub fn view_stats(&self) -> ViewStats {
-        let state = self.current();
-        let (delta_views_built, delta_resident_bytes) = state.delta.view_stats();
-        ViewStats {
-            delta_views_built,
-            delta_resident_bytes,
-            ..state.base.views.stats()
-        }
+        self.current().delta.view_stats()
     }
 
-    /// Every (slot, date, trajectory, segment) the current delta views
-    /// hold, ascending.
+    /// Per slot of the current state with a built view, the (date,
+    /// trajectory, segment) triples it holds, ascending.
     #[cfg(test)]
-    pub(crate) fn delta_view_triples(&self) -> Vec<(u32, u16, u32, SegmentId)> {
+    pub(crate) fn view_triples(&self) -> Vec<(u32, Vec<view::Triple>)> {
         self.current().delta.view_triples()
     }
 
@@ -577,8 +598,7 @@ impl StIndex {
     /// pair the current list (delta if present, else base, else empty) is
     /// merged with the new (date, trajectory) observations, and once every
     /// group has merged, the merged encodings replace the pairs' delta
-    /// entries, each with the observations its base list lacks (see
-    /// [`DeltaList::merge`]). Since
+    /// entries. Since
     /// [`TimeList::add`] is a sorted-set insert, the merge is idempotent and
     /// order-insensitive: re-applying a batch (WAL replay after a crash) or
     /// applying batches in any interleaving converges to the same lists a
@@ -629,22 +649,21 @@ impl StIndex {
         // Read + merge + encode per group in parallel: the groups are
         // disjoint (slot, segment) pairs, so each worker reads the current
         // list (delta if present, else base) and merges its observations in
-        // independently, with what the merged list adds to the base's: a
-        // base list adds nothing yet, a delta list its own `added`, and a
-        // pair with no list is all added.
-        let merged: Vec<(DeltaList, bool)> = streach_par::try_par_map_with(
+        // independently.
+        let merged: Vec<(Arc<[u8]>, bool)> = streach_par::try_par_map_with(
             &groups,
             TimeList::new,
-            |list: &mut TimeList, &(start, end)| -> StorageResult<(DeltaList, bool)> {
+            |list: &mut TimeList, &(start, end)| -> StorageResult<(Arc<[u8]>, bool)> {
                 let (slot, segment) = (obs[start].0, obs[start].1);
                 let current = state.lookup(SegmentId(segment), self.wrap_slot(slot))?;
                 match &current {
                     Some(list_ref) => *list = state.read_time_list(list_ref)?,
                     None => list.entries.clear(),
                 }
-                let group = obs[start..end].iter().map(|o| (o.2, o.3));
-                let merged = DeltaList::merge(list, current.as_ref(), group)?;
-                Ok((merged, current.is_none()))
+                for &(_, _, date, id) in &obs[start..end] {
+                    list.add(date, id);
+                }
+                Ok((list.encode().into(), current.is_none()))
             },
         )?;
 
@@ -719,8 +738,12 @@ impl crate::query::verifier::PostingSource for StIndex {
         pin.0.visit_slot(segments, self.wrap_slot(slot), buf, visit)
     }
 
-    fn forward<'p>(&self, pin: &'p PinnedState, slot: u32) -> Option<SlotForward<'p>> {
-        SlotForward::single(&pin.0.base, &pin.0.delta, self.wrap_slot(slot))
+    fn forward(&self, pin: &PinnedState, slot: u32) -> Option<SlotForward> {
+        let (state, slot) = (&pin.0, self.wrap_slot(slot));
+        let view = state.delta.view(slot, |lists| {
+            TrajectoryView::build(&state.base, slot, lists)
+        })?;
+        Some(SlotForward::single(view))
     }
 
     fn malformed_posting(&self, segment: SegmentId, slot: u32) -> StorageError {
@@ -839,15 +862,17 @@ mod tests {
         assert!(snap2.cache_hits > snap.cache_hits);
     }
 
-    /// A delta list reopened from a snapshot does not know what it adds,
-    /// and neither does one merged onto it: its slot's delta view takes the
-    /// merged list minus the base's. After the same batches, a live engine,
-    /// whose lists know, and a reopened copy of its snapshot hold the same
-    /// delta views, and both answer like the oracle. The batches reach
-    /// pairs with a base list (day 0 driven again) and pairs without one
-    /// (day 1 driven three hours later, past the fleet's day).
+    /// Every built view holds exactly the (date, trajectory, segment)
+    /// triples of its slot as a segment-major read sees it: `visit_slot`
+    /// over every segment, a delta list overriding its base list. Checked
+    /// on a built index, after an ingest, after a re-ingest into the same
+    /// (slot, segment) pairs, and on a delta reopened from a snapshot, onto
+    /// which the same batch is then ingested as into the live engine: both
+    /// hold the same views. Every ask answers like the oracle. The batches
+    /// reach pairs with a base list (day 0 driven again) and pairs without
+    /// one (day 1 driven three hours later, past the fleet's day).
     #[test]
-    fn reopened_delta_views_hold_the_live_engines_triples() {
+    fn every_built_view_is_its_slot_as_a_segment_major_read_sees_it() {
         use crate::query::reference::NaiveVerifier;
         use crate::query::verifier::VerifierCore;
         use crate::ReachabilityEngine;
@@ -878,25 +903,19 @@ mod tests {
                 })
                 .collect()
         };
-        live.ingest(&batch(4, 0)).unwrap();
-        let dir =
-            std::env::temp_dir().join(format!("streach-reopened-delta-{}", std::process::id()));
-        live.save_snapshot(&dir).unwrap();
-        let reopened = ReachabilityEngine::open_snapshot(&dir, network.clone()).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        let again = batch(2, 1_000_000);
-        live.ingest(&again).unwrap();
-        reopened.ingest(&again).unwrap();
-
         let segments: Vec<SegmentId> = network.segment_ids().collect();
-        let step = again.len() / 8;
-        let probes: Vec<&TrajPoint> = (0..8).map(|i| &again[i * step]).collect();
-        for ask in 0..3 {
-            for p in &probes {
-                let (t, l) = (p.enter_time_s, 900);
-                let mut answers = Vec::new();
-                for engine in [&live, &reopened] {
-                    let st = engine.st_index();
+        let probes: Vec<TrajPoint> = {
+            let points = batch(4, 0);
+            let step = points.len() / 8;
+            (0..8).map(|i| points[i * step]).collect()
+        };
+        // Three asks of every probe: segment-major, build, walk.
+        let ask = |engine: &ReachabilityEngine, label: &str| -> Vec<Vec<f64>> {
+            let st = engine.st_index();
+            let mut answers = Vec::new();
+            for ask in 0..3 {
+                for p in &probes {
+                    let (t, l) = (p.enter_time_s, 900);
                     let got = VerifierCore::new(st, p.segment, t, l)
                         .unwrap()
                         .probabilities(&segments)
@@ -904,16 +923,64 @@ mod tests {
                     let naive = NaiveVerifier::new(st, p.segment, t, l).unwrap();
                     for (&s, got) in segments.iter().zip(&got) {
                         let want = naive.probability(s).unwrap();
-                        assert_eq!(got.to_bits(), want.to_bits(), "{s} at {t}, ask {ask}");
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{label}: {s} at {t}, ask {ask}"
+                        );
                     }
                     answers.push(got);
                 }
-                assert_eq!(answers[0], answers[1], "{} at {t}, ask {ask}", p.segment);
             }
-        }
-        let triples = live.st_index().delta_view_triples();
-        assert!(!triples.is_empty(), "the asks built delta views");
-        assert_eq!(triples, reopened.st_index().delta_view_triples());
+            answers
+        };
+        let views_are_slots = |engine: &ReachabilityEngine, label: &str| {
+            let st = engine.st_index();
+            let views = st.view_triples();
+            assert!(views.iter().any(|(_, t)| !t.is_empty()), "{label}: no view");
+            let pin = st.pin();
+            for (slot, triples) in &views {
+                let mut read = Vec::new();
+                pin.0
+                    .visit_slot(&segments, *slot, &mut Vec::new(), |i, bytes| {
+                        let well_formed = streach_storage::visit_posting(bytes, |date, ids| {
+                            read.extend(ids.map(|id| (date, id, segments[i])));
+                        });
+                        assert!(well_formed);
+                        Ok(())
+                    })
+                    .unwrap();
+                read.sort_unstable();
+                assert_eq!(triples, &read, "{label}: slot {slot}");
+            }
+            views
+        };
+
+        ask(&live, "built");
+        views_are_slots(&live, "built");
+        live.ingest(&batch(4, 0)).unwrap();
+        ask(&live, "after ingest");
+        views_are_slots(&live, "after ingest");
+        live.ingest(&batch(4, 1_000_000)).unwrap();
+        ask(&live, "after re-ingest");
+        views_are_slots(&live, "after re-ingest");
+
+        let dir =
+            std::env::temp_dir().join(format!("streach-reopened-views-{}", std::process::id()));
+        live.save_snapshot(&dir).unwrap();
+        let reopened = ReachabilityEngine::open_snapshot(&dir, network.clone()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(reopened.st_index().delta_stats().delta_lists > 0);
+        ask(&reopened, "reopened");
+        views_are_slots(&reopened, "reopened");
+        let again = batch(2, 2_000_000);
+        live.ingest(&again).unwrap();
+        reopened.ingest(&again).unwrap();
+        assert_eq!(ask(&live, "live"), ask(&reopened, "reopened, after ingest"));
+        assert_eq!(
+            views_are_slots(&live, "live"),
+            views_are_slots(&reopened, "reopened, after ingest")
+        );
         assert_eq!(
             live.st_index().view_stats(),
             reopened.st_index().view_stats()

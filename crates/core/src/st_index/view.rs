@@ -1,25 +1,25 @@
-//! Trajectory views: a sealed base's slot inverted into (date, trajectory)
-//! → segments, built in memory on the slot's second verification and never
-//! saved; the delta views, the same layout over what a slot's delta lists
-//! add to the base; and the forward reader the verifier walks both through
-//! (see [`crate::query::verifier`], "Verifying forward").
+//! Trajectory views: a slot inverted into (date, trajectory) → segments as
+//! a segment-major read sees it, built in memory on the slot's second
+//! forward ask and never saved, and the forward reader the verifier walks
+//! them through (see [`crate::query::verifier`], "Verifying forward").
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 use streach_roadnet::SegmentId;
-use streach_storage::{visit_posting, PostingStore, StorageResult, TimeList};
+use streach_storage::{visit_posting, StorageError};
 
-use super::delta::{DeltaTail, ListsOf, SlotDelta};
-use super::directory::SlotDirectory;
-use super::{SealedBase, StIndexStore};
+use super::delta::ListsOf;
+use super::SealedBase;
 
-/// The trajectory view of one (sealed base, slot): the slot's time lists
-/// inverted, so that for every (date, trajectory) pair with a posting in
-/// the slot it lists the segments the trajectory passed there, ascending.
-/// ~12 B per pair and 4 B per observation. A delta view has the same
-/// layout over the observations a slot's delta lists add to the base
-/// ([`TrajectoryView::build_delta`]).
+/// A (date, trajectory, segment) triple a view holds.
+#[cfg(test)]
+pub(super) type Triple = (u16, u32, SegmentId);
+
+/// The trajectory view of one slot of an index state: the slot's time lists
+/// as a segment-major read sees them (a delta list overriding its base
+/// list) inverted, so that for every (date, trajectory) pair with a posting
+/// in the slot it lists the segments the trajectory passed there,
+/// ascending. ~12 B per pair and 4 B per observation.
 pub(super) struct TrajectoryView {
     /// `(date << 32) | trajectory id` of every pair, ascending.
     keys: Vec<u64>,
@@ -35,17 +35,15 @@ impl TrajectoryView {
         (date as u64) << 32 | id as u64
     }
 
-    /// Inverts the slot whose directory is `directory`, reading its blobs
-    /// in heap order, a page at a time, and charging their decodes to the
-    /// heap's [`IoStats`](streach_storage::IoStats). `None` on the first
-    /// read fault or malformed blob.
-    fn build(directory: &SlotDirectory, postings: &PostingStore<StIndexStore>) -> Option<Self> {
-        let io = postings.io_stats();
-        let mut run = postings.run();
-        let mut buf = Vec::new();
+    /// Inverts `slot` of `base` overridden by `delta`, the slot's delta
+    /// lists, walking both in segment order ([`SealedBase::walk_slot`]), and
+    /// charges every decode to the heap's
+    /// [`IoStats`](streach_storage::IoStats). `None` on the first read fault
+    /// or malformed list.
+    pub(super) fn build(base: &SealedBase, slot: u32, delta: &ListsOf) -> Option<Self> {
+        let io = base.postings.io_stats();
         let mut pairs: Vec<(u64, SegmentId)> = Vec::new();
-        for (segment, handle) in directory.entries() {
-            let bytes = run.read(handle, &mut buf).ok()?;
+        base.walk_slot(slot, delta, &mut Vec::new(), |segment, bytes| {
             let (mut dates, mut ids_seen) = (0u64, 0u64);
             let well_formed = visit_posting(bytes, |date, ids| {
                 dates += 1;
@@ -53,72 +51,15 @@ impl TrajectoryView {
                 pairs.extend(ids.map(|id| (Self::key(date, id), segment)));
             });
             if !well_formed {
-                return None;
+                return Err(StorageError::corrupt("malformed time list"));
             }
             io.record_posting_decode(
                 streach_storage::fixed_width_size(dates, ids_seen),
                 bytes.len() as u64,
             );
-        }
-        Self::from_pairs(pairs)
-    }
-
-    /// The delta view of `slot` on `base`: its `lists` inverted over what
-    /// each adds to the base's list of its segment, so that the base view's
-    /// segments of a pair and the delta view's are, together, the segments
-    /// whose merged lists hold the pair. A list that knows its `added`
-    /// observations adds those; one that does not (reopened from a
-    /// snapshot, or merged onto such a list) adds its merged list minus
-    /// the base's, which is read and decoded once here. Runs with no delta
-    /// lock held ([`DeltaTail::read_slot`]). Decodes are charged to the
-    /// heap's [`IoStats`](streach_storage::IoStats). `None` on a read fault
-    /// or a malformed list.
-    pub(super) fn build_delta(lists: &ListsOf, base: &SealedBase, slot: u32) -> Option<Self> {
-        let io = base.postings.io_stats();
-        let directory = base.temporal.get(slot).ok()?;
-        let mut run = base.postings.run();
-        let (mut buf, mut next) = (Vec::new(), 0);
-        let mut pairs: Vec<(u64, SegmentId)> = Vec::new();
-        for &(segment, ref list) in lists {
-            let (bytes, base_list) = match list.added() {
-                Some(added) => (added, None),
-                None => {
-                    let base_list = match directory.seek(&mut next, segment) {
-                        Some(entry) => {
-                            let bytes = run.read(directory.handle(entry), &mut buf).ok()?;
-                            let decoded = TimeList::decode(bytes)?;
-                            io.record_posting_decode(
-                                decoded.fixed_width_size(),
-                                bytes.len() as u64,
-                            );
-                            Some(decoded)
-                        }
-                        None => None,
-                    };
-                    (&list.merged[..], base_list)
-                }
-            };
-            let (mut dates, mut ids_seen) = (0u64, 0u64);
-            let well_formed = visit_posting(bytes, |date, ids| {
-                dates += 1;
-                ids_seen += ids.len() as u64;
-                let held = base_list
-                    .as_ref()
-                    .and_then(|l| l.ids_on(date))
-                    .unwrap_or(&[]);
-                pairs.extend(
-                    ids.filter(|id| held.binary_search(id).is_err())
-                        .map(|id| (Self::key(date, id), segment)),
-                );
-            });
-            if !well_formed {
-                return None;
-            }
-            io.record_posting_decode(
-                streach_storage::fixed_width_size(dates, ids_seen),
-                bytes.len() as u64,
-            );
-        }
+            Ok(())
+        })
+        .ok()?;
         Self::from_pairs(pairs)
     }
 
@@ -153,7 +94,7 @@ impl TrajectoryView {
 
     /// Every (date, trajectory, segment) the view holds, in key order.
     #[cfg(test)]
-    pub(super) fn triples(&self) -> impl Iterator<Item = (u16, u32, SegmentId)> + '_ {
+    pub(super) fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
         self.keys.iter().enumerate().flat_map(move |(i, &key)| {
             let start = if i == 0 { 0 } else { self.ends[i - 1] };
             self.segments[start as usize..self.ends[i] as usize]
@@ -168,122 +109,49 @@ impl TrajectoryView {
     }
 }
 
-/// The trajectory views of one sealed base, one lazily built cell per slot
-/// of the day. A slot's view is built on its second verification touch of
-/// the base, so a slot verified once pays nothing extra.
-pub(super) struct SlotViews {
-    views: Vec<OnceLock<TrajectoryView>>,
-    /// Whether a verification touched the slot while it had no view.
-    touched: Vec<AtomicBool>,
-}
-
-impl SlotViews {
-    pub(super) fn new(num_slots: usize) -> Self {
-        Self {
-            views: (0..num_slots).map(|_| OnceLock::new()).collect(),
-            touched: (0..num_slots).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    /// The views built so far and the heap bytes they hold.
-    pub(super) fn stats(&self) -> ViewStats {
-        let built = self.views.iter().filter_map(OnceLock::get);
-        ViewStats {
-            views_built: built.clone().count() as u64,
-            resident_bytes: built.map(TrajectoryView::resident_bytes).sum(),
-            ..ViewStats::default()
-        }
-    }
-}
-
 /// Views built on an index's current state and the memory they hold; see
 /// [`StIndex::view_stats`](super::StIndex::view_stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ViewStats {
-    /// Slots whose trajectory view is built on the sealed base.
+    /// Slots whose trajectory view is built.
     pub views_built: u64,
     /// Heap bytes those views hold.
     pub resident_bytes: u64,
-    /// Slots whose delta view is built on the delta tail.
-    pub delta_views_built: u64,
-    /// Heap bytes the delta views hold.
-    pub delta_resident_bytes: u64,
 }
 
 /// A forward reader of one window slot, taken through
 /// [`PostingSource::forward`](crate::query::verifier::PostingSource::forward):
-/// one part per index the source reads — a single
-/// [`StIndex`](super::StIndex) has one, a router one per shard. A part is
-/// the slot's trajectory view on an index's pinned sealed base and that
-/// pinned delta tail's share of the slot: its delta view, which holds what
-/// the slot's delta lists add to the base, or, while the slot has none, the
-/// lists themselves. A pair's segments in the base view and in the delta
-/// view are exactly the segments whose lists, as a segment-major read sees
-/// them, hold the pair; a list read segment-major carries what its base
-/// list lacks (or, when that is unknown, the whole merged list, a superset
-/// of the base list), so OR-ing its bits into the base view's is exact too.
-/// The parts of a router hold disjoint segments (each shard's base and
-/// delta hold only its own), so OR-ing them yields the single index's bits.
-///
-/// A [`SlotForward`] exists on the strength of the base view alone; the
-/// delta's share is read when the walk reaches the part
-/// ([`SlotForward::read`]).
-pub struct SlotForward<'p> {
-    parts: ForwardParts<'p>,
+/// one trajectory view per index the source reads — a single
+/// [`StIndex`](super::StIndex) has one, a router one per shard. A view holds
+/// exactly the (date, trajectory, segment) triples of the slot's lists as a
+/// segment-major read of its index state sees them. The views of a router
+/// hold disjoint segments (each shard's base and delta hold only its own),
+/// so together they hold the single index's triples. The reader owns its
+/// views: a fold that drops one from its slot leaves this reader whole.
+pub struct SlotForward {
+    parts: ForwardParts,
 }
 
-enum ForwardParts<'p> {
-    One(ForwardPart<'p>),
-    Many(Box<[ForwardPart<'p>]>),
+enum ForwardParts {
+    One(Arc<TrajectoryView>),
+    Many(Box<[Arc<TrajectoryView>]>),
 }
 
-/// One index's share of a [`SlotForward`].
-struct ForwardPart<'p> {
-    base: &'p SealedBase,
-    view: &'p TrajectoryView,
-    delta: &'p DeltaTail,
-    /// The slot, wrapped into the day.
-    slot: u32,
-}
-
-impl<'p> SlotForward<'p> {
-    /// The forward reader of `slot` (wrapped into the day) on one index:
-    /// the slot's view on `base` and the index's `delta` tail. A slot's
-    /// first verification touch of the base gets `None`; a later one builds
-    /// the view from one clean read of the whole slot. A build that fails
-    /// is not kept: it gets `None`, and the caller's own read of the slot
-    /// meets the fault.
-    pub(super) fn single(base: &'p SealedBase, delta: &'p DeltaTail, slot: u32) -> Option<Self> {
-        let cell = &base.views.views[slot as usize];
-        // Relaxed: the flag publishes nothing; the view is published
-        // through its `OnceLock`.
-        let view = match cell.get() {
-            Some(view) => view,
-            None if !base.views.touched[slot as usize].swap(true, Ordering::Relaxed) => {
-                return None
-            }
-            None => {
-                let view = TrajectoryView::build(base.temporal.get(slot).ok()?, &base.postings)?;
-                cell.get_or_init(|| view)
-            }
-        };
-        Some(Self {
-            parts: ForwardParts::One(ForwardPart {
-                base,
-                view,
-                delta,
-                slot,
-            }),
-        })
+impl SlotForward {
+    /// The forward reader of one index's `view`.
+    pub(super) fn single(view: Arc<TrajectoryView>) -> Self {
+        Self {
+            parts: ForwardParts::One(view),
+        }
     }
 
-    /// One forward reader over the parts of `readers`, one per index, or
+    /// One forward reader over the views of `readers`, one per index, or
     /// `None` when there are none.
-    pub(crate) fn join(readers: Vec<SlotForward<'p>>) -> Option<Self> {
-        let mut parts: Vec<ForwardPart<'p>> = Vec::with_capacity(readers.len());
+    pub(crate) fn join(readers: Vec<SlotForward>) -> Option<Self> {
+        let mut parts: Vec<Arc<TrajectoryView>> = Vec::with_capacity(readers.len());
         for reader in readers {
             match reader.parts {
-                ForwardParts::One(part) => parts.push(part),
+                ForwardParts::One(view) => parts.push(view),
                 ForwardParts::Many(more) => parts.extend(more.into_vec()),
             }
         }
@@ -295,86 +163,15 @@ impl<'p> SlotForward<'p> {
         Some(Self { parts })
     }
 
-    fn parts(&self) -> &[ForwardPart<'p>] {
-        match &self.parts {
-            ForwardParts::One(part) => std::slice::from_ref(part),
-            ForwardParts::Many(parts) => parts,
-        }
-    }
-
-    /// Calls `read` once per part, with the part's [`PartRead`], and stops
-    /// at the first error `read` returns. Each call holds the part's delta
-    /// stripe read lock (none when the tail is empty), so the delta view
-    /// and the lists it reads are one consistent state. The slot's delta
-    /// view is built on the second walk of the slot since the last ingest
-    /// into it; until then the part reads the slot's delta lists
-    /// segment-major ([`PartRead::visit_delta`]).
-    pub fn read<F>(&self, mut read: F) -> StorageResult<()>
-    where
-        F: FnMut(&PartRead<'_>) -> StorageResult<()>,
-    {
-        for part in self.parts() {
-            part.delta.read_slot(
-                part.slot,
-                |lists| TrajectoryView::build_delta(lists, part.base, part.slot),
-                |delta| {
-                    read(&PartRead {
-                        view: part.view,
-                        delta,
-                    })
-                },
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// One part of a [`SlotForward`] as a walk reads it: see
-/// [`SlotForward::read`].
-pub struct PartRead<'a> {
-    view: &'a TrajectoryView,
-    delta: SlotDelta<'a>,
-}
-
-impl PartRead<'_> {
-    /// The segments trajectory `id` passed in the slot on `date`, by this
-    /// part's base view and then its delta view, each ascending; the two
-    /// never share a segment. Without a delta view, what the delta lists
-    /// add comes from [`PartRead::visit_delta`] instead.
+    /// The segments trajectory `id` passed in the slot on `date`, ascending
+    /// within each index's view.
     pub fn segments(&self, date: u16, id: u32) -> impl Iterator<Item = SegmentId> + '_ {
-        let added = match &self.delta {
-            SlotDelta::View(view) => view.segments_of(date, id),
-            SlotDelta::Empty | SlotDelta::Lists(_) => &[],
+        let parts = match &self.parts {
+            ForwardParts::One(view) => std::slice::from_ref(view),
+            ForwardParts::Many(views) => views,
         };
-        self.view.segments_of(date, id).iter().chain(added).copied()
-    }
-
-    /// The segment-major overlay of a part with no delta view: calls
-    /// `visit(i, bytes)` for every `segments[i]` with a delta list in the
-    /// slot, with the bytes beyond its base list (see [`SlotForward`]), in
-    /// ascending `i`, and stops at the first error `visit` returns. Visits
-    /// nothing when the part has a delta view or the slot no list.
-    /// `segments` must ascend strictly.
-    pub fn visit_delta<F>(&self, segments: &[SegmentId], mut visit: F) -> StorageResult<()>
-    where
-        F: FnMut(usize, &[u8]) -> StorageResult<()>,
-    {
-        let SlotDelta::Lists(lists) = &self.delta else {
-            return Ok(());
-        };
-        let (Some(first), Some(last)) = (segments.first(), segments.last()) else {
-            return Ok(());
-        };
-        let mut next = 0;
-        for (segment, list) in lists.range(first.0..=last.0) {
-            match segments[next..].binary_search(&segment) {
-                Ok(k) => {
-                    visit(next + k, list.beyond_base())?;
-                    next += k + 1;
-                }
-                Err(k) => next += k,
-            }
-        }
-        Ok(())
+        parts
+            .iter()
+            .flat_map(move |view| view.segments_of(date, id).iter().copied())
     }
 }

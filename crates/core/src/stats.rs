@@ -44,13 +44,10 @@ pub struct QueryStats {
     pub segments_visited: usize,
     /// The start's (day, trajectory) pairs the forward walk looked up,
     /// once per window slot read forward (see
-    /// [`WalkCounts`](crate::query::verifier::WalkCounts)): an exact count,
-    /// the same on any number of workers and shards for the same view
-    /// state.
+    /// [`VerifierCore::view_pairs_walked`](crate::query::verifier::VerifierCore::view_pairs_walked)):
+    /// an exact count, the same on any number of workers and shards for
+    /// the same asks and folds.
     pub view_pairs_walked: u64,
-    /// Delta lists the forward walk decoded segment-major, in window slots
-    /// whose delta view was not built yet.
-    pub delta_lists_read: u64,
 }
 
 impl QueryStats {
@@ -80,7 +77,6 @@ impl QueryStats {
             },
             segments_visited: self.segments_visited + other.segments_visited,
             view_pairs_walked: self.view_pairs_walked + other.view_pairs_walked,
-            delta_lists_read: self.delta_lists_read + other.delta_lists_read,
         }
     }
 }
@@ -105,7 +101,6 @@ mod tests {
             segments_verified: 5,
             segments_visited: 10,
             view_pairs_walked: 40,
-            delta_lists_read: 3,
             io: IoStatsSnapshot {
                 page_reads: 3,
                 cache_hits: 1,
@@ -118,7 +113,6 @@ mod tests {
             segments_verified: 7,
             segments_visited: 20,
             view_pairs_walked: 2,
-            delta_lists_read: 9,
             io: IoStatsSnapshot {
                 page_reads: 4,
                 cache_misses: 2,
@@ -131,7 +125,6 @@ mod tests {
         assert_eq!(m.segments_verified, 12);
         assert_eq!(m.segments_visited, 30);
         assert_eq!(m.view_pairs_walked, 42);
-        assert_eq!(m.delta_lists_read, 12);
         assert_eq!(m.io.page_reads, 7);
         assert_eq!(m.io.cache_hits, 1);
         assert_eq!(m.io.cache_misses, 2);

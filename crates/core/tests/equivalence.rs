@@ -22,7 +22,7 @@ use streach_core::query::reference::{
 };
 use streach_core::query::sqmb::{sqmb, sqmb_min_only};
 use streach_core::query::tbs::trace_back_search;
-use streach_core::query::verifier::{VerifierCore, WalkCounts};
+use streach_core::query::verifier::VerifierCore;
 use streach_core::query::{Algorithm, MQuery, MQueryAlgorithm, SQuery};
 use streach_core::speed_stats::SpeedStats;
 use streach_core::st_index::StIndex;
@@ -595,11 +595,12 @@ fn every_ask_matches_the_reference_at_paper_density() {
 }
 
 /// Ingest after the views are built: a delta list overrides its base list,
-/// so a forward read ORs the slot's delta lists into the view's bits. A
-/// mid-trajectory continuation (a start trajectory passing new segments
-/// later in the window, on a day it already has) and a new day (day-0
-/// trajectories driven again under the next date) must both show, and
-/// every ask must still match the references, which read the merged lists.
+/// so the fold drops the touched slots' views, and the views rebuilt after
+/// it hold the merged lists. A mid-trajectory continuation (a start
+/// trajectory passing new segments later in the window, on a day it already
+/// has) and a new day (day-0 trajectories driven again under the next date)
+/// must both show, and every ask must still match the references, which
+/// read the merged lists.
 #[test]
 fn forward_reads_fold_in_delta_overrides() {
     let city = SyntheticCity::generate(GeneratorConfig::small());
@@ -679,13 +680,29 @@ fn forward_reads_fold_in_delta_overrides() {
             enter_time_s: v.enter_time_s,
         }));
     }
+    let planned = VerifierCore::new(st, start.segment, t, l).unwrap();
+    let io = || st.io_stats().snapshot();
+    let read = io();
+    assert_eq!(planned.probabilities(&segments).unwrap(), before);
+    assert_eq!(io().delta_since(&read).bytes_decoded, 0, "a walk decodes");
     engine.ingest(&points).unwrap();
     assert_eq!(st.num_days(), new_day + 1);
-    assert_eq!(
-        st.view_stats().views_built,
-        built,
-        "ingest keeps the base's views"
+    assert!(
+        st.view_stats().views_built < built,
+        "ingest drops the touched slots' views"
     );
+    // A core planned before the fold reads the slots whose view it dropped
+    // segment-major, and sees the fold.
+    let read = io();
+    let got = planned.probabilities(&segments).unwrap();
+    assert!(
+        io().delta_since(&read).bytes_decoded > 0,
+        "no fallback read"
+    );
+    for &target in &targets {
+        let i = segments.binary_search(&target).unwrap();
+        assert!(got[i] > 0.0, "the planned core misses {target}");
+    }
 
     let naive = NaiveVerifier::new(st, start.segment, t, l).unwrap();
     for ask_no in 0..ASKS {
@@ -703,20 +720,16 @@ fn forward_reads_fold_in_delta_overrides() {
     }
     assert_grid_matches_reference(&engine, center, &[600], "after ingest");
 
-    // The asks built delta views beside the base views. A batch touching
-    // one slot drops that slot's delta view alone and keeps every base
-    // view; the next ask reads the slot's lists segment-major and the one
-    // after rebuilds the view; a compaction publishes a state with no view
-    // of either kind.
+    // The asks rebuilt the touched slots' views over the delta. A batch
+    // touching one slot drops that slot's view alone; the next ask reads
+    // the slot segment-major and the one after rebuilds the view; a
+    // compaction publishes a state with none.
     let views = st.view_stats();
-    assert!(views.delta_views_built > 1, "{views:?}");
-    assert!(views.delta_resident_bytes > 0, "{views:?}");
+    assert!(views.views_built >= built, "{views:?}");
     engine.ingest(&points[..1]).unwrap();
     let touched = st.view_stats();
-    assert_eq!(touched.views_built, views.views_built);
-    assert_eq!(touched.resident_bytes, views.resident_bytes);
-    assert_eq!(touched.delta_views_built, views.delta_views_built - 1);
-    assert!(touched.delta_resident_bytes < views.delta_resident_bytes);
+    assert_eq!(touched.views_built, views.views_built - 1);
+    assert!(touched.resident_bytes < views.resident_bytes);
     for (ask_no, rebuilt) in [(0, touched), (1, views)] {
         for (&seg, p) in segments.iter().zip(ask()) {
             let want = naive.probability(seg).unwrap();
@@ -856,20 +869,44 @@ fn oracle_bits(
         .collect()
 }
 
+/// One ask's forward work: the pairs a core walked and the posting bytes
+/// its verification decoded.
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    pairs: u64,
+    decoded: u64,
+}
+
+/// Verifies `segments` on `core`, a core of `st`, on `workers` workers,
+/// returning the bits and what the call walked and decoded.
+fn walk(
+    st: &StIndex,
+    core: &VerifierCore<'_>,
+    segments: &[SegmentId],
+    workers: usize,
+) -> (Vec<u64>, Walk) {
+    let (pairs, read) = (core.view_pairs_walked(), st.io_stats().snapshot());
+    let got = streach_par::with_worker_override(workers, || core.probabilities(segments)).unwrap();
+    let walk = Walk {
+        pairs: core.view_pairs_walked() - pairs,
+        decoded: st.io_stats().snapshot().delta_since(&read).bytes_decoded,
+    };
+    (bits(got), walk)
+}
+
 /// Asks every probe [`ASKS`] times on fresh cores of `st`, each ask on one
 /// worker and then again on two, and asserts every answer equals the
-/// oracle's, bit for bit. A slot's first walk since the last fold into it
-/// reads its delta lists segment-major, its second builds its delta view,
-/// and the walks after read the view, so the asks compare each of the three
-/// with the oracle; on the third ask every probe walks and reads no delta
-/// list segment-major. Returns the walk counts of every ask's one-worker
-/// call, probe by probe.
+/// oracle's, bit for bit. A slot's first ask since the last fold into it
+/// reads it segment-major, its second builds its view over the delta
+/// lists, and the asks after walk the view, so the asks compare each of the
+/// three with the oracle; on the third ask every probe walks and decodes
+/// nothing. Returns each ask's one-worker walk, probe by probe.
 fn assert_walks_match(
     label: &str,
     st: &StIndex,
     probes: &[(SegmentId, u32, u32)],
     segments: &[SegmentId],
-) -> Vec<WalkCounts> {
+) -> Vec<Walk> {
     let mut expected = Vec::new();
     for &(start, t, l) in probes {
         let want = oracle_bits(st, (start, t, l), segments);
@@ -884,44 +921,41 @@ fn assert_walks_match(
         );
         expected.push(want);
     }
-    let mut counts = Vec::new();
+    let mut walks = Vec::new();
     for ask in 0..ASKS {
         for (&(start, t, l), want) in probes.iter().zip(&expected) {
             let core = VerifierCore::new(st, start, t, l).unwrap();
             for workers in [1, 2] {
-                let got =
-                    streach_par::with_worker_override(workers, || core.probabilities(segments))
-                        .unwrap();
+                let (got, walked) = walk(st, &core, segments, workers);
                 assert_eq!(
-                    &bits(got),
-                    want,
+                    &got, want,
                     "{label}: {start} at {t} L {l}, ask {ask}, {workers} workers"
                 );
                 if workers == 1 {
-                    counts.push(core.walk_counts());
+                    walks.push(walked);
                 }
             }
-            let walked = counts.last().expect("just pushed");
+            let walked = walks.last().expect("just pushed");
             if ask == ASKS - 1 {
-                assert!(walked.view_pairs_walked > 0, "{label}: {start} at {t}");
+                assert!(walked.pairs > 0, "{label}: {start} at {t}: {walked:?}");
                 assert_eq!(
-                    walked.delta_lists_read, 0,
-                    "{label}: {start} at {t}, ask {ask} read the delta segment-major"
+                    walked.decoded, 0,
+                    "{label}: {start} at {t}, ask {ask} read segment-major"
                 );
             }
         }
     }
-    counts
+    walks
 }
 
-/// Forward through the delta: once a slot's delta view is built, the walk
-/// reads what the delta adds from it, not segment-major. Every step
-/// compares the segment-major read of the delta, the build and the view
-/// walk with the oracle, bit for bit ([`assert_walks_match`]): after an
-/// ingest; after a re-ingest into the same (slot, segment) pairs, which
-/// drops the touched slots' delta views until two walks rebuild them; on a
-/// reopened delta, whose lists do not know what they add; and across a
-/// compaction, on cores that hold the old state's pin.
+/// Forward through the delta: a slot's view holds the slot as a
+/// segment-major read sees it, delta lists overriding base lists. Every
+/// step compares the segment-major read (a slot's first ask after a fold),
+/// the view build (its second) and the view walk with the oracle, bit for
+/// bit ([`assert_walks_match`]): after an ingest; after a re-ingest into the
+/// same (slot, segment) pairs, which drops the touched slots' views until
+/// two asks rebuild them; on a reopened delta; and across a compaction, on
+/// cores that hold the old state's pin.
 #[test]
 fn forward_walks_through_the_delta_match_segment_major_reads_and_the_oracle() {
     let (network, engine, live) = delta_world();
@@ -929,49 +963,40 @@ fn forward_walks_through_the_delta_match_segment_major_reads_and_the_oracle() {
     let segments: Vec<SegmentId> = network.segment_ids().collect();
     let probes = delta_probes(&live);
     assert_walks_match("built", st, &probes, &segments);
-    assert_eq!(st.view_stats().delta_views_built, 0);
+    let built = st.view_stats();
 
     engine.ingest(&live).unwrap();
-    let counts = assert_walks_match("after ingest", st, &probes, &segments);
+    let dropped = st.view_stats();
+    assert!(dropped.views_built < built.views_built, "{dropped:?}");
+    let walks = assert_walks_match("after ingest", st, &probes, &segments);
     let ingested = st.view_stats();
-    assert!(ingested.delta_views_built > 0 && ingested.delta_resident_bytes > 0);
-    // The first walk of a slot after the fold reads its lists
-    // segment-major; the second (the same core on two workers) builds the
-    // view, so the later asks read none.
-    let first_walk_reads = |counts: &[WalkCounts], label: &str| {
-        assert!(counts[0].delta_lists_read > 0, "{label}: {:?}", counts[0]);
+    assert!(ingested.views_built > dropped.views_built, "{ingested:?}");
+    // The first probe's first ask after the fold reads its slots
+    // segment-major: it walks nothing and decodes.
+    let first_ask_reads = |walks: &[Walk], label: &str| {
         assert!(
-            counts[probes.len()..]
-                .iter()
-                .all(|c| c.delta_lists_read == 0),
-            "{label}: a second walk built no delta view"
+            walks[0].pairs == 0 && walks[0].decoded > 0,
+            "{label}: {:?}",
+            walks[0]
         );
     };
-    first_walk_reads(&counts, "after ingest");
+    first_ask_reads(&walks, "after ingest");
 
     // The same pairs, new trajectories on day 1: every touched slot's
-    // delta view goes, and two walks rebuild it with the new pairs.
+    // view goes, and two asks rebuild it with the new pairs.
     engine.ingest(&redriven(&live, 1, 1_000_000)).unwrap();
-    let dropped = st.view_stats();
-    assert_eq!(dropped.delta_views_built, 0, "{dropped:?}");
-    assert_eq!(dropped.views_built, ingested.views_built);
-    let counts = assert_walks_match("after re-ingest", st, &probes, &segments);
-    first_walk_reads(&counts, "after re-ingest");
-    assert_eq!(
-        st.view_stats().delta_views_built,
-        ingested.delta_views_built
-    );
+    assert_eq!(st.view_stats().views_built, dropped.views_built);
+    let walks = assert_walks_match("after re-ingest", st, &probes, &segments);
+    first_ask_reads(&walks, "after re-ingest");
+    assert_eq!(st.view_stats().views_built, ingested.views_built);
 
-    // Reopened: no list knows what it adds, so each delta view is its
-    // merged lists minus the base's.
+    // Reopened: the delta lists come from the snapshot's `delta` section.
     let dir = std::env::temp_dir().join(format!("streach-delta-walk-{}", std::process::id()));
     engine.save_snapshot(&dir).unwrap();
     let reopened = ReachabilityEngine::open_snapshot(&dir, network.clone()).unwrap();
     assert!(reopened.st_index().delta_stats().delta_lists > 0);
-    let counts = assert_walks_match("reopened", reopened.st_index(), &probes, &segments);
-    // A slot's first walk on the reopened engine reads its lists
-    // segment-major, merged lists included.
-    assert!(counts.iter().any(|c| c.delta_lists_read > 0));
+    let walks = assert_walks_match("reopened", reopened.st_index(), &probes, &segments);
+    first_ask_reads(&walks, "reopened");
     reopened.ingest(&redriven(&live, 2, 2_000_000)).unwrap();
     assert_walks_match(
         "reopened, after ingest",
@@ -981,8 +1006,8 @@ fn forward_walks_through_the_delta_match_segment_major_reads_and_the_oracle() {
     );
     std::fs::remove_dir_all(&dir).ok();
 
-    // Cores pinned to the state with delta views keep walking them after
-    // a compaction publishes a state with none.
+    // Cores pinned to the state with views keep walking them after a
+    // compaction publishes a state with none.
     let held: Vec<_> = probes
         .iter()
         .map(|&(start, t, l)| {
@@ -994,10 +1019,8 @@ fn forward_walks_through_the_delta_match_segment_major_reads_and_the_oracle() {
     engine.compact().unwrap();
     assert_eq!(st.view_stats(), Default::default());
     for (core, &probe) in held.iter().zip(&probes) {
-        let before = core.walk_counts();
-        let got = bits(core.probabilities(&segments).unwrap());
-        let walked = core.walk_counts().since(&before);
-        assert!(walked.view_pairs_walked > 0 && walked.delta_lists_read == 0);
+        let (got, walked) = walk(st, core, &segments, 1);
+        assert!(walked.pairs > 0 && walked.decoded == 0, "{walked:?}");
         assert_eq!(
             got,
             oracle_bits(st, probe, &segments),
@@ -1007,10 +1030,10 @@ fn forward_walks_through_the_delta_match_segment_major_reads_and_the_oracle() {
     assert_walks_match("compacted", st, &probes, &segments);
 }
 
-/// The walk's work counts are a function of the query list and the index
+/// The walk's work count is a function of the query list and the index
 /// state alone: the same list, asked three times after an ingest on fresh
-/// engines, counts the same on one worker and on two, query by query. The
-/// third ask of an ingested slot reads no delta list segment-major.
+/// engines, walks the same pairs and decodes the same posting bytes on one
+/// worker and on two, query by query. The third ask builds no view.
 #[test]
 fn walk_counts_do_not_depend_on_the_worker_count() {
     let run = |workers: usize| {
@@ -1020,6 +1043,7 @@ fn walk_counts_do_not_depend_on_the_worker_count() {
             let center = network.bounds().center();
             let mut counts = Vec::new();
             for ask in 0..ASKS {
+                let views = engine.st_index().view_stats();
                 for &(start, t, l) in &delta_probes(&live) {
                     let q = SQuery {
                         location: network.segment(start).mbr.center(),
@@ -1036,12 +1060,12 @@ fn walk_counts_do_not_depend_on_the_worker_count() {
                     ] {
                         for algorithm in [Algorithm::SqmbTbs, Algorithm::ExhaustiveSearch] {
                             let stats = engine.try_s_query(&q, algorithm).unwrap().stats;
-                            if ask == ASKS - 1 {
-                                assert_eq!(stats.delta_lists_read, 0, "{q:?} {algorithm:?}");
-                            }
-                            counts.push((stats.view_pairs_walked, stats.delta_lists_read));
+                            counts.push((stats.view_pairs_walked, stats.io.bytes_decoded));
                         }
                     }
+                }
+                if ask == ASKS - 1 {
+                    assert_eq!(engine.st_index().view_stats(), views, "ask {ask} built");
                 }
             }
             counts
@@ -1049,6 +1073,6 @@ fn walk_counts_do_not_depend_on_the_worker_count() {
     };
     let one = run(1);
     assert!(one.iter().any(|&(pairs, _)| pairs > 0));
-    assert!(one.iter().any(|&(_, lists)| lists > 0));
+    assert!(one.iter().any(|&(pairs, _)| pairs == 0));
     assert_eq!(one, run(2));
 }

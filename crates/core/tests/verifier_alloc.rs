@@ -9,7 +9,10 @@
 //! armed, on the calling thread so that no worker spawn is counted. A core
 //! plans its window slots on its first call, so the first core reads
 //! segment-major throughout; a second core's first call builds the window's
-//! trajectory views, and its measured calls read forward.
+//! trajectory views, and its measured calls read forward. After an ingested
+//! day, whose fold drops the views of the slots it touches, two more cores
+//! rebuild them over the delta lists, and a forward batch through them
+//! allocates what one through the sealed base does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -17,9 +20,9 @@ use std::sync::Arc;
 
 use streach_core::config::IndexConfig;
 use streach_core::query::verifier::VerifierCore;
-use streach_core::st_index::StIndex;
+use streach_core::EngineBuilder;
 use streach_roadnet::{GeneratorConfig, SegmentId, SyntheticCity};
-use streach_traj::{FleetConfig, TrajectoryDataset};
+use streach_traj::{FleetConfig, TrajPoint, TrajectoryDataset};
 
 struct CountingAllocator;
 
@@ -76,14 +79,17 @@ fn warm_batches_allocate_nothing_per_segment() {
         pool_pages: 16_384,
         ..Default::default()
     };
-    let st = StIndex::build(network.clone(), &dataset, &config);
+    let engine = EngineBuilder::new(network.clone(), &dataset)
+        .index_config(config)
+        .build();
+    let st = engine.st_index();
 
     // A busy daytime start segment and a spread of candidates: its
     // successors (hot postings), a far corner (cold/absent postings), and a
     // sweep of arbitrary segments.
     let traj = &dataset.trajectories()[0];
     let start = traj.visits[0];
-    let core = VerifierCore::new(&st, start.segment, start.enter_time_s, 900).unwrap();
+    let core = VerifierCore::new(st, start.segment, start.enter_time_s, 900).unwrap();
     assert!(
         core.active_days() > 0,
         "start segment must be active for a meaningful test"
@@ -116,7 +122,7 @@ fn warm_batches_allocate_nothing_per_segment() {
         );
 
         // The same batches read forward.
-        let forward = VerifierCore::new(&st, start.segment, start.enter_time_s, 900).unwrap();
+        let forward = VerifierCore::new(st, start.segment, start.enter_time_s, 900).unwrap();
         assert_eq!(forward.probabilities(&candidates).unwrap(), warm);
         assert!(st.view_stats().views_built > 0);
         let (one, single) = counted(&forward, &candidates[..1]);
@@ -128,6 +134,56 @@ fn warm_batches_allocate_nothing_per_segment() {
             all <= 2,
             "a forward batch allocates its output and its day bits, nothing \
              more ({all} allocations)"
+        );
+        let sealed = all;
+
+        // One ingested day: the start trajectory's day driven again on a
+        // new date, and under new IDs on its own date, so every window slot
+        // the start trajectory passes holds delta lists.
+        let new_date = dataset.num_days();
+        let day: Vec<TrajPoint> = dataset
+            .trajectories()
+            .iter()
+            .filter(|t| t.date == traj.date)
+            .flat_map(|t| {
+                t.visits.iter().flat_map(move |v| {
+                    [(t.traj_id, new_date), (t.traj_id + 1_000_000, t.date)].map(
+                        |(traj_id, date)| TrajPoint {
+                            traj_id,
+                            date,
+                            segment: v.segment,
+                            enter_time_s: v.enter_time_s,
+                        },
+                    )
+                })
+            })
+            .collect();
+        engine.ingest(&day).unwrap();
+        assert!(st.delta_stats().delta_lists > 0);
+        let new_core = || VerifierCore::new(st, start.segment, start.enter_time_s, 900).unwrap();
+        // Segment-major, then build, then the measured forward core.
+        let segment_major = new_core().probabilities(&candidates).unwrap();
+        let views = st.view_stats().views_built;
+        assert_eq!(
+            new_core().probabilities(&candidates).unwrap(),
+            segment_major
+        );
+        assert!(st.view_stats().views_built > views, "no view was rebuilt");
+        let ingested = new_core();
+        assert_eq!(ingested.probabilities(&candidates).unwrap(), segment_major);
+        assert!(ingested.view_pairs_walked() > 0, "the core walks no view");
+        let (one, single) = counted(&ingested, &candidates[..1]);
+        let (all, measured) = counted(&ingested, &candidates);
+        assert_eq!(
+            measured, segment_major,
+            "forward and segment-major reads must agree"
+        );
+        assert_eq!(single, segment_major[..1]);
+        assert_eq!(all, one, "a forward batch allocates nothing per segment");
+        assert_eq!(
+            all, sealed,
+            "a forward batch through the delta allocates what one through \
+             the sealed base does ({all} allocations against {sealed})"
         );
     });
 }

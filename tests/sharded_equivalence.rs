@@ -1391,20 +1391,19 @@ fn routed_forward_reads_match_the_single_engine_and_the_oracle() {
 /// single `reference` engine and on `router`, so that each engine of both
 /// sees the same touches of every window slot. Every answer equals the
 /// oracle, which reads every list segment-major, bit for bit; the router's
-/// walk counts equal the single engine's, query by query, whatever the
-/// number of parts; and the third ask reads no delta list segment-major,
-/// since every walked slot's delta view is built by then. Returns the
-/// router's delta lists read per ask.
+/// `view_pairs_walked` equals the single engine's, query by query, whatever
+/// the number of shards; and the third ask walks. Returns the router's
+/// pairs walked per ask, query by query.
 fn assert_lockstep_walks(
     seed: u64,
     label: &str,
     router: &ShardedEngine,
     reference: &ReachabilityEngine,
     s_queries: &[(SQuery, Algorithm)],
-) -> Vec<u64> {
-    let mut lists_read = Vec::new();
+) -> Vec<Vec<u64>> {
+    let mut asks = Vec::new();
     for ask in 0..3 {
-        let (mut walked, mut lists) = (0, 0);
+        let mut walked = Vec::new();
         for (q, algorithm) in s_queries {
             let want = reference
                 .try_s_query(q, *algorithm)
@@ -1417,34 +1416,37 @@ fn assert_lockstep_walks(
             assert_eq!(answer_of(&got), answer_of(&want), "{at}");
             let (w, g) = (&want.stats, &got.stats);
             assert_eq!(w.view_pairs_walked, g.view_pairs_walked, "{at}");
-            assert_eq!(w.delta_lists_read, g.delta_lists_read, "{at}");
-            walked += g.view_pairs_walked;
-            lists += g.delta_lists_read;
+            walked.push(g.view_pairs_walked);
         }
         if ask == 2 {
             assert!(
-                walked > 0,
+                walked.iter().sum::<u64>() > 0,
                 "[seed {seed}] {label}: the third ask walked nothing"
             );
-            assert_eq!(
-                lists, 0,
-                "[seed {seed}] {label}: the third ask read the delta"
-            );
         }
-        lists_read.push(lists);
+        asks.push(walked);
     }
-    lists_read
+    asks
+}
+
+/// Whether some query walked fewer pairs on the first of `asks` than on the
+/// last: a window slot it reads had no view on the first ask.
+fn first_ask_read_segment_major(asks: &[Vec<u64>]) -> bool {
+    asks[0]
+        .iter()
+        .zip(&asks[2])
+        .any(|(first, last)| first < last)
 }
 
 /// Forward-through-delta campaign, routed: 2 shards × 1 replica,
-/// replica-first reads, so every walk reads the replicas' base and delta
-/// views, and the replicas' deltas arrive by follower apply. Asked in
-/// lockstep with the single engine ([`assert_lockstep_walks`]): on the
-/// built fleet; after a routed ingest; after a re-ingest into the same
-/// (slot, segment) pairs, which drops every touched slot's delta view on
-/// the replicas until two walks rebuild it; on a fleet reopened from
-/// snapshots whose delta lists do not know what they add; and after a
-/// compaction of every engine while a pin of each old state is held.
+/// replica-first reads, so every walk reads the replicas' views, and the
+/// replicas' deltas arrive by follower apply. Asked in lockstep with the
+/// single engine ([`assert_lockstep_walks`]): on the built fleet; after a
+/// routed ingest, which drops every touched slot's view on the replicas
+/// until two asks rebuild it over the delta lists; after a re-ingest into
+/// the same (slot, segment) pairs; on a fleet reopened from snapshots whose
+/// delta sections are not empty; and after a compaction of every engine
+/// while a pin of each old state is held.
 #[test]
 fn routed_walks_through_the_delta_match_the_single_engine_and_the_oracle() {
     let seed = fault_seed();
@@ -1484,6 +1486,7 @@ fn routed_walks_through_the_delta_match_the_single_engine_and_the_oracle() {
         })
         .collect();
     for (label, batch) in [("after ingest", &live_day), ("after re-ingest", &again)] {
+        let walked = replica_views();
         reference
             .ingest(batch)
             .unwrap_or_else(|e| panic!("[seed {seed}] {label}: reference ingest: {e}"));
@@ -1495,22 +1498,23 @@ fn routed_walks_through_the_delta_match_the_single_engine_and_the_oracle() {
                 .unwrap_or_else(|e| panic!("[seed {seed}] {label}: ship shard {shard_id}: {e}"));
             assert!(set.converged(), "[seed {seed}] {label}: shard {shard_id}");
         }
-        for (shard_id, views) in replica_views().iter().enumerate() {
-            assert_eq!(
-                views.delta_views_built, 0,
-                "[seed {seed}] {label}: follower apply kept a touched slot's delta view \
-                 on shard {shard_id}"
-            );
+        let folded = replica_views();
+        for (shard_id, (before, after)) in walked.iter().zip(&folded).enumerate() {
             assert!(
-                views.views_built > 0,
-                "[seed {seed}] {label}: shard {shard_id}"
+                after.views_built < before.views_built,
+                "[seed {seed}] {label}: follower apply kept every touched slot's view \
+                 on shard {shard_id}: {before:?} → {after:?}"
             );
         }
-        assert_lockstep_walks(seed, label, &router, &reference, &s_queries);
-        for (shard_id, views) in replica_views().iter().enumerate() {
+        let asks = assert_lockstep_walks(seed, label, &router, &reference, &s_queries);
+        assert!(
+            first_ask_read_segment_major(&asks),
+            "[seed {seed}] {label}: the fold dropped no view a query walks"
+        );
+        for (shard_id, (before, after)) in folded.iter().zip(replica_views()).enumerate() {
             assert!(
-                views.delta_views_built > 0 && views.delta_resident_bytes > 0,
-                "[seed {seed}] {label}: shard {shard_id} walked no delta view: {views:?}"
+                after.views_built > before.views_built,
+                "[seed {seed}] {label}: shard {shard_id} rebuilt no view: {after:?}"
             );
         }
     }
@@ -1535,10 +1539,10 @@ fn routed_walks_through_the_delta_match_the_single_engine_and_the_oracle() {
         .collect();
     drop(router);
     let router = ShardedEngine::new(map, reopened.clone());
-    let lists = assert_lockstep_walks(seed, "reopened", &router, &reference, &s_queries);
+    let asks = assert_lockstep_walks(seed, "reopened", &router, &reference, &s_queries);
     assert!(
-        lists.iter().any(|&n| n > 0),
-        "[seed {seed}] a first walk of a reopened slot reads its lists"
+        first_ask_read_segment_major(&asks),
+        "[seed {seed}] a first ask of a reopened slot reads it segment-major"
     );
 
     let held: Vec<_> = reopened
@@ -1555,6 +1559,67 @@ fn routed_walks_through_the_delta_match_the_single_engine_and_the_oracle() {
     assert_lockstep_walks(seed, "compacted", &router, &reference, &s_queries);
     drop(held);
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// A batch whose points all lie on one shard's segments folds into that
+/// shard's slots alone, so the other shard keeps its views of them. A slot
+/// is forward on the router only when every shard offers its view, and the
+/// folded shard's view is dropped just as the single engine's is, so the
+/// router walks exactly what the single engine walks, query by query, on
+/// every ask after the fold, and both answer like the oracle.
+#[test]
+fn a_one_shard_fold_keeps_the_router_walking_like_the_single_engine() {
+    let seed = fault_seed();
+    let (network, base, batches) = scenario(BASE_DAYS, EXTRA_DAYS);
+    let map = Arc::new(ShardMap::partition(&network, 2));
+    let build = |shard: Option<u16>| {
+        let builder =
+            EngineBuilder::new(network.clone(), &base).index_config(IndexConfig::default());
+        Arc::new(match shard {
+            Some(shard_id) => builder.shard(map.clone(), shard_id).build(),
+            None => builder.build(),
+        })
+    };
+    let reference = build(None);
+    let leaders: Vec<Arc<ReachabilityEngine>> = (0..2).map(|id| build(Some(id))).collect();
+    let router = ShardedEngine::new(map.clone(), leaders.clone());
+    let live_day: Vec<TrajPoint> = batches
+        .iter()
+        .flatten()
+        .filter(|p| p.date == BASE_DAYS)
+        .copied()
+        .collect();
+    let (s_queries, _) = forward_queries(&network, &reference, &base, &live_day);
+    assert_lockstep_walks(seed, "built", &router, &reference, &s_queries);
+
+    let views = |engine: &ReachabilityEngine| engine.st_index().view_stats().views_built;
+    let before: Vec<u64> = leaders.iter().map(|leader| views(leader)).collect();
+    let one_shard: Vec<TrajPoint> = live_day
+        .iter()
+        .filter(|p| map.shard_of(p.segment) == 1)
+        .copied()
+        .collect();
+    assert!(!one_shard.is_empty() && one_shard.len() < live_day.len());
+    reference
+        .ingest(&one_shard)
+        .unwrap_or_else(|e| panic!("[seed {seed}] reference ingest: {e}"));
+    router
+        .ingest(&one_shard)
+        .unwrap_or_else(|e| panic!("[seed {seed}] routed ingest: {e}"));
+    assert_eq!(
+        views(&leaders[0]),
+        before[0],
+        "[seed {seed}] the batch folded into shard 0"
+    );
+    assert!(
+        views(&leaders[1]) < before[1],
+        "[seed {seed}] the batch dropped no view of shard 1"
+    );
+    let asks = assert_lockstep_walks(seed, "one-shard fold", &router, &reference, &s_queries);
+    assert!(
+        first_ask_read_segment_major(&asks),
+        "[seed {seed}] the fold dropped no view a query walks"
+    );
 }
 
 /// Compile-time pin: the router must stay shareable across threads — the
